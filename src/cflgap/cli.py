@@ -48,6 +48,8 @@ from .polytope import (
 )
 from .randomness import ExactRng, derive_worker_seed
 from .rounding import (
+    RoundingPlan,
+    compile_plan,
     enumerate_outcome_classes,
     outcome_class_key,
     sample_outcome,
@@ -235,9 +237,7 @@ def cmd_verify_midpoint(args) -> int:
 
 
 def _sample_chunk(
-    inst: Instance,
-    c1: CoreIndex,
-    c2: CoreIndex,
+    plan: RoundingPlan,
     seed: int,
     count: int,
     solutions_dir: Optional[str],
@@ -248,14 +248,14 @@ def _sample_chunk(
     freq: Counter = Counter()
     problems: list[str] = []
     for offset in range(count):
-        draw = sample_outcome(inst, c1, c2, rng)
-        violations = solution_violations(inst, draw.solution)
+        draw = sample_outcome(plan, rng)
+        violations = solution_violations(plan.inst, draw.solution)
         if violations:
             if len(problems) < 5:
                 problems.append(f"sample {start_index + offset}: {violations}")
         else:
             feasible += 1
-        freq[outcome_class_key(inst, c1, c2, draw)] += 1
+        freq[outcome_class_key(plan, draw)] += 1
         if solutions_dir:
             path = os.path.join(solutions_dir, f"sol_{start_index + offset:06d}.json")
             docio.write_document(
@@ -267,6 +267,7 @@ def _sample_chunk(
 def cmd_sample(args) -> int:
     inst, c1, _, in1 = _load_core(args.first)
     _, c2, _, in2 = _load_core(args.second)
+    plan = compile_plan(inst, c1, c2)
     if args.solutions_dir:
         os.makedirs(args.solutions_dir, exist_ok=True)
     jobs = max(1, args.jobs)
@@ -279,14 +280,14 @@ def cmd_sample(args) -> int:
             start += count
     if jobs == 1:
         results = [
-            _sample_chunk(inst, c1, c2, seed, count, args.solutions_dir, start)
+            _sample_chunk(plan, seed, count, args.solutions_dir, start)
             for seed, count, start in chunks
         ]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(
-                    _sample_chunk, inst, c1, c2, seed, count, args.solutions_dir, start
+                    _sample_chunk, plan, seed, count, args.solutions_dir, start
                 )
                 for seed, count, start in chunks
             ]
@@ -299,7 +300,7 @@ def cmd_sample(args) -> int:
         freq.update(chunk_freq)
         problems.extend(chunk_problems)
 
-    classes = enumerate_outcome_classes(inst, c1, c2)
+    classes = enumerate_outcome_classes(plan)
     class_docs = []
     for cl in classes:
         doc = docio.outcome_class_to_doc(cl)

@@ -54,6 +54,15 @@ def frac_from_str(s: str) -> Fraction:
     return Fraction(int(s))
 
 
+def _field(doc: Any, key: str, where: str) -> Any:
+    """``doc[key]``, or ValueError naming the missing field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in doc:
+        raise ValueError(f"{where} is missing field '{key}'")
+    return doc[key]
+
+
 def _ids_to_doc(ids: Iterable[int]) -> Any:
     ordered = sorted(ids)
     if ordered and ordered == list(range(ordered[0], ordered[-1] + 1)):
@@ -61,9 +70,9 @@ def _ids_to_doc(ids: Iterable[int]) -> Any:
     return ordered
 
 
-def _ids_from_doc(doc: Any) -> frozenset[int]:
+def _ids_from_doc(doc: Any, where: str) -> frozenset[int]:
     if isinstance(doc, dict):
-        lo, hi = doc["span"]
+        lo, hi = _field(doc, "span", where)
         return frozenset(range(lo, hi))
     return frozenset(int(i) for i in doc)
 
@@ -94,22 +103,22 @@ def instance_to_doc(inst: Instance) -> dict:
 
 
 def instance_from_doc(doc: dict) -> Instance:
+    counts = {
+        key: int(_field(doc, key, "instance document"))
+        for key in ("facility_count", "client_count", "capacity")
+    }
     params: Optional[FamilyParams] = None
-    if "family_params" in doc and doc["family_params"] is not None:
-        fp = doc["family_params"]
+    fp = doc.get("family_params")
+    if fp is not None:
+        where = "instance family_params"
         params = FamilyParams(
-            t=int(fp["t"]),
-            eps=frac_from_str(fp["eps"]),
-            x_l=frac_from_str(fp["x_l"]),
-            core_client_count=int(fp["core_client_count"]),
-            a=int(fp["a"]) if "a" in fp and fp["a"] is not None else None,
+            t=int(_field(fp, "t", where)),
+            eps=frac_from_str(_field(fp, "eps", where)),
+            x_l=frac_from_str(_field(fp, "x_l", where)),
+            core_client_count=int(_field(fp, "core_client_count", where)),
+            a=int(fp["a"]) if fp.get("a") is not None else None,
         )
-    return Instance(
-        facility_count=int(doc["facility_count"]),
-        client_count=int(doc["client_count"]),
-        capacity=int(doc["capacity"]),
-        family_params=params,
-    )
+    return Instance(**counts, family_params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -149,29 +158,42 @@ def _vector_to_doc(vec: FracVector) -> dict:
 
 
 def _vector_from_doc(doc: dict, facility_count: int, client_count: int) -> FracVector:
-    if doc["repr"] == "classed":
-        fac_classes = [_ids_from_doc(entry["facilities"]) for entry in doc["y"]]
-        y_values = [frac_from_str(entry["value"]) for entry in doc["y"]]
+    where = "core document"
+    classed = _field(doc, "repr", where) == "classed"
+    y_doc, x_doc = _field(doc, "y", where), _field(doc, "x", where)
+    if classed:
+        fac_classes = [
+            _ids_from_doc(_field(entry, "facilities", "y entry"), "y entry facilities")
+            for entry in y_doc
+        ]
+        y_values = [frac_from_str(_field(entry, "value", "y entry")) for entry in y_doc]
         cli_classes: list[frozenset[int]] = []
         cell: dict[tuple[int, int], Fraction] = {}
-        for entry in doc["x"]:
-            fc = _ids_from_doc(entry["facilities"])
-            cc = _ids_from_doc(entry["clients"])
+        for entry in x_doc:
+            fc = _ids_from_doc(_field(entry, "facilities", "x entry"), "x entry facilities")
+            cc = _ids_from_doc(_field(entry, "clients", "x entry"), "x entry clients")
             if cc not in cli_classes:
                 cli_classes.append(cc)
             cell[(fac_classes.index(fc), cli_classes.index(cc))] = frac_from_str(
-                entry["value"]
+                _field(entry, "value", "x entry")
             )
-        x_values = [
-            [cell[(fi, ci)] for ci in range(len(cli_classes))]
-            for fi in range(len(fac_classes))
-        ]
+        try:
+            x_values = [
+                [cell[(fi, ci)] for ci in range(len(cli_classes))]
+                for fi in range(len(fac_classes))
+            ]
+        except KeyError as exc:
+            fi, ci = exc.args[0]
+            raise ValueError(
+                f"{where} is missing the x cell for facility class {fi} "
+                f"and client class {ci}"
+            ) from None
         return FracVector.from_classes(
             facility_count, client_count, fac_classes, cli_classes, y_values, x_values
         )
-    y = [frac_from_str(s) for s in doc["y"]]
+    y = [frac_from_str(s) for s in y_doc]
     x = [[Fraction(0)] * client_count for _ in range(facility_count)]
-    for i, j, val in doc["x"]:
+    for i, j, val in x_doc:
         x[int(i)][int(j)] = frac_from_str(val)
     return FracVector.from_dense(y, x)
 
@@ -188,11 +210,16 @@ def core_file_doc(inst: Instance, index: CoreIndex, vec: FracVector) -> dict:
 
 
 def load_core_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector]:
-    inst = instance_from_doc(doc["instance"])
+    """Instance, index and vector of a core document.
+
+    A missing field raises ValueError naming it.
+    """
+    where = "core document"
+    inst = instance_from_doc(_field(doc, "instance", where))
     index = CoreIndex(
-        k=frozenset(int(i) for i in doc["k"]),
-        l=frozenset(int(i) for i in doc["l"]),
-        core_clients=_ids_from_doc(doc["core_clients"]),
+        k=frozenset(int(i) for i in _field(doc, "k", where)),
+        l=frozenset(int(i) for i in _field(doc, "l", where)),
+        core_clients=_ids_from_doc(_field(doc, "core_clients", where), "core_clients"),
     )
     vec = _vector_from_doc(doc, inst.facility_count, inst.client_count)
     return inst, index, vec

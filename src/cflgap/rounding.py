@@ -8,9 +8,12 @@ remaining clients with the outside facilities plus (with probability
 targets are rounded to floor/ceil with the expectation-preserving coin, and
 leftover clients are spread in near-even splits.
 
-Three views of the same distribution are provided and cross-checked:
+:func:`compile_plan` validates the instance and the pair once and compiles
+the distribution into a :class:`RoundingPlan`: the pivots, both experiments'
+facility roles and probabilities, and the client pools as int64 arrays.
+Three views read the same plan and are cross-checked:
 
-* :func:`sample_D` draws one integer solution (seed-deterministic),
+* :func:`sample_outcome` draws one integer solution (seed-deterministic),
 * :func:`expected_vector` computes the exact closed-form expectation by
   linearity over the experiment steps, and
 * :func:`enumerate_outcome_classes` lists every floor/ceil branch with its
@@ -18,7 +21,8 @@ Three views of the same distribution are provided and cross-checked:
 
 Together they certify constructively that the midpoint of a colliding pair
 is a convex combination of feasible integer solutions
-(:func:`verify_midpoint`).
+(:func:`verify_midpoint`).  A plan is built per command or caller and passed
+explicitly; nothing caches plans across calls.
 """
 
 from __future__ import annotations
@@ -38,11 +42,12 @@ __all__ = [
     "OutcomeClass",
     "MidpointCertificate",
     "NonCollidingPairError",
+    "RoundingPlan",
     "SampleDraw",
     "pivot_facilities",
     "round_slots",
     "split_slots",
-    "sample_D",
+    "compile_plan",
     "sample_outcome",
     "outcome_class_key",
     "expected_vector",
@@ -158,7 +163,7 @@ def split_slots(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Experiment:
     label: str
     always_open: tuple[int, ...]   # the owning high set, opened in step 1
@@ -166,8 +171,8 @@ class _Experiment:
     pivot_choice: int              # choice_set member with residual probability
     pivot_extra: int               # borrowed facility, opened with prob t*eps
     outside_bins: tuple[int, ...]  # remaining facilities, always opened in step 2
-    core_pool: tuple[int, ...]     # designated clients, served in step 1
-    rest_pool: tuple[int, ...]     # remaining clients, served in step 2
+    core_pool: np.ndarray          # designated clients (int64, ascending), step 1
+    rest_pool: np.ndarray          # remaining clients (int64, ascending), step 2
     p_nonpivot: Fraction
     p_pivot: Fraction
     p_extra: Fraction
@@ -193,15 +198,17 @@ class _Experiment:
         return "outside"
 
 
-def _precondition(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> None:
-    violations = validate_params(inst)
-    if violations:
-        raise ValueError(
-            "instance parameters are invalid: " + "; ".join(str(v) for v in violations)
-        )
-    if not collides(c1, c2):
-        # raises with the empty side named
-        pivot_facilities(c1, c2)
+@dataclass(frozen=True, eq=False)
+class RoundingPlan:
+    """The rounding distribution of one validated colliding pair.
+
+    Built by :func:`compile_plan`; experiment ``A`` is owned by the pair's
+    first index, ``B`` by its second.  Every draw from the plan shares its
+    client pools (int64 arrays, never written).
+    """
+
+    inst: Instance
+    experiments: tuple[_Experiment, _Experiment]
 
 
 def _experiment_specs(
@@ -215,8 +222,10 @@ def _experiment_specs(
     p_extra = t * eps
 
     def build(label: str, own: CoreIndex, pivot_choice: int, pivot_extra: int) -> _Experiment:
-        core = tuple(sorted(own.core_clients))
-        rest = tuple(j for j in inst.clients if j not in own.core_clients)
+        core = np.array(sorted(own.core_clients), dtype=np.int64)
+        rest = np.fromiter(
+            (j for j in inst.clients if j not in own.core_clients), dtype=np.int64
+        )
         n_core, m_rest = len(core), len(rest)
         outside = tuple(
             sorted(set(inst.facilities) - own.k - own.l - {pivot_extra})
@@ -240,6 +249,24 @@ def _experiment_specs(
         )
 
     return build("A", c1, f, g), build("B", c2, g, f)
+
+
+def compile_plan(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> RoundingPlan:
+    """Validate the instance and the pair, then compile their distribution.
+
+    Raises ValueError when the instance parameters are invalid and
+    NonCollidingPairError (naming the empty side) when the pair does not
+    collide.
+    """
+    violations = validate_params(inst)
+    if violations:
+        raise ValueError(
+            "instance parameters are invalid: " + "; ".join(str(v) for v in violations)
+        )
+    if not collides(c1, c2):
+        # raises with the empty side named
+        pivot_facilities(c1, c2)
+    return RoundingPlan(inst, _experiment_specs(inst, c1, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +302,7 @@ def _run_experiment(inst: Instance, exp: _Experiment, rng: ExactRng) -> SampleDr
         raise RuntimeError(
             f"step-1 slot count {slots} exceeds pool/capacity; invalid parameters upstream"
         )
-    perm = rng.permuted(np.asarray(exp.core_pool, dtype=np.int64))
+    perm = rng.permuted(exp.core_pool)
     pos = _assign_run(assign, perm, 0, slots, chosen)
     remaining = n_core - slots
     counts = split_slots(
@@ -291,7 +318,7 @@ def _run_experiment(inst: Instance, exp: _Experiment, rng: ExactRng) -> SampleDr
     # step 2: outside facilities (plus maybe the borrowed pivot) serve the rest
     extra_open = rng.bernoulli(exp.p_extra)
     m_rest = len(exp.rest_pool)
-    perm2 = rng.permuted(np.asarray(exp.rest_pool, dtype=np.int64))
+    perm2 = rng.permuted(exp.rest_pool)
     pos2 = 0
     if extra_open:
         slots2 = round_slots(exp.w_extra, rng)
@@ -331,19 +358,11 @@ def _run_experiment(inst: Instance, exp: _Experiment, rng: ExactRng) -> SampleDr
     )
 
 
-def sample_outcome(
-    inst: Instance, c1: CoreIndex, c2: CoreIndex, rng: ExactRng
-) -> SampleDraw:
+def sample_outcome(plan: RoundingPlan, rng: ExactRng) -> SampleDraw:
     """One draw from the distribution, with its branch identifiers."""
-    _precondition(inst, c1, c2)
-    exp_a, exp_b = _experiment_specs(inst, c1, c2)
+    exp_a, exp_b = plan.experiments
     exp = exp_a if rng.bernoulli(HALF) else exp_b
-    return _run_experiment(inst, exp, rng)
-
-
-def sample_D(inst: Instance, c1: CoreIndex, c2: CoreIndex, rng: ExactRng) -> IntSolution:
-    """One integer solution drawn from the distribution."""
-    return sample_outcome(inst, c1, c2, rng).solution
+    return _run_experiment(plan.inst, exp, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +410,7 @@ def _role_tables(
     return y, x_core, x_rest
 
 
-def expected_vector(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> FracVector:
+def expected_vector(plan: RoundingPlan) -> FracVector:
     """Exact expectation of the distribution, by linearity over the steps.
 
     Built purely from the experiments' opening probabilities and slot
@@ -399,9 +418,9 @@ def expected_vector(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> FracVector:
     exchangeable within each pool); no sampling, no averaging of the core
     vectors themselves.
     """
-    _precondition(inst, c1, c2)
-    exp_a, exp_b = _experiment_specs(inst, c1, c2)
-    if exp_a.core_pool != exp_b.core_pool:
+    inst = plan.inst
+    exp_a, exp_b = plan.experiments
+    if not np.array_equal(exp_a.core_pool, exp_b.core_pool):
         raise AssertionError("designated client pools must coincide")
 
     y_a, xc_a, xr_a = _role_tables(exp_a)
@@ -411,8 +430,8 @@ def expected_vector(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> FracVector:
     for i in inst.facilities:
         atoms.setdefault((exp_a.role_of(i), exp_b.role_of(i)), set()).add(i)
 
-    core = frozenset(exp_a.core_pool)
-    rest = frozenset(exp_a.rest_pool)
+    core = frozenset(exp_a.core_pool.tolist())
+    rest = frozenset(exp_a.rest_pool.tolist())
     cli_classes = [core] + ([rest] if rest else [])
 
     fac_classes, y_values, x_values = [], [], []
@@ -545,17 +564,14 @@ def _class_from_branches(
     )
 
 
-def enumerate_outcome_classes(
-    inst: Instance, c1: CoreIndex, c2: CoreIndex
-) -> list[OutcomeClass]:
+def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     """Every branch combination with exact probability; probabilities sum to 1.
 
     Probability-zero branches (e.g. the closed-pivot branch when t*eps = 1)
     are pruned.
     """
-    _precondition(inst, c1, c2)
     out: list[OutcomeClass] = []
-    for exp in _experiment_specs(inst, c1, c2):
+    for exp in plan.experiments:
         for chosen in exp.choice_set:
             p_choice = HALF * exp.choice_probability(chosen)
             if p_choice == 0:
@@ -571,26 +587,24 @@ def enumerate_outcome_classes(
                     prob = p_choice * p_r1 * p_s2
                     out.append(
                         _class_from_branches(
-                            inst, exp, chosen, slots1, extra_open, slots2, prob
+                            plan.inst, exp, chosen, slots1, extra_open, slots2, prob
                         )
                     )
     return out
 
 
-def outcome_class_key(
-    inst: Instance, c1: CoreIndex, c2: CoreIndex, draw: SampleDraw
-) -> tuple:
+def outcome_class_key(plan: RoundingPlan, draw: SampleDraw) -> tuple:
     """Canonical class key of a sampled draw, matching OutcomeClass.key.
 
     Counts within each exchangeable bin group are sorted onto ascending ids,
     collapsing which-bin-got-the-extra-slot choices exactly as the
     enumerator does.
     """
-    exp_a, exp_b = _experiment_specs(inst, c1, c2)
+    exp_a, exp_b = plan.experiments
     exp = exp_a if draw.experiment == "A" else exp_b
     counts = np.bincount(
         np.asarray(draw.solution.assign, dtype=np.int64),
-        minlength=inst.facility_count,
+        minlength=plan.inst.facility_count,
     )
     profile: dict[int, int] = {}
     for fac in (draw.chosen_l_facility, exp.pivot_extra):
@@ -642,12 +656,12 @@ class MidpointCertificate:
 
 def verify_midpoint(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> MidpointCertificate:
     """Exact midpoint-membership certificate for a colliding pair."""
-    _precondition(inst, c1, c2)
+    plan = compile_plan(inst, c1, c2)
     s1 = make_core_vector(inst, c1.k, c1.l)
     s2 = make_core_vector(inst, c2.k, c2.l)
     mid = midpoint(s1, s2)
-    expectation = expected_vector(inst, c1, c2)
-    classes = enumerate_outcome_classes(inst, c1, c2)
+    expectation = expected_vector(plan)
+    classes = enumerate_outcome_classes(plan)
     return MidpointCertificate(
         pair=(c1, c2),
         expectation_matches=expectation.equals(mid),

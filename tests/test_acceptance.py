@@ -42,6 +42,7 @@ from cflgap.polytope import (
 )
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
+    compile_plan,
     enumerate_outcome_classes,
     expected_vector,
     outcome_class_key,
@@ -88,7 +89,7 @@ def test_acceptance_1_expectation_identity():
         for c1, c2 in random_colliding_pairs(inst, 5, seed=101):
             cert = verify_midpoint(inst, c1, c2)
             assert cert.valid
-            expectation = expected_vector(inst, c1, c2)
+            expectation = expected_vector(compile_plan(inst, c1, c2))
             mid = midpoint(
                 make_core_vector(inst, c1.k, c1.l),
                 make_core_vector(inst, c2.k, c2.l),
@@ -110,9 +111,10 @@ def test_acceptance_2_sampler_feasibility_and_frequencies():
         inst = build_family_instance(10, 2)
         c1 = CoreIndex.for_instance(inst, range(10), range(10, 20))
         c2 = CoreIndex.for_instance(inst, range(20, 30), range(30, 40))
+        plan = compile_plan(inst, c1, c2)
         rng = ExactRng(424242)
         for _ in range(10_000):
-            draw = sample_outcome(inst, c1, c2, rng)
+            draw = sample_outcome(plan, rng)
             assert solution_violations(inst, draw.solution) == []
 
         # 10^5 seeded draws at the mini instance: zero violations, and the
@@ -120,16 +122,17 @@ def test_acceptance_2_sampler_feasibility_and_frequencies():
         mini = build_general_instance(**MINI)
         m1 = CoreIndex.for_instance(mini, {0, 1}, {2, 3})
         m2 = CoreIndex.for_instance(mini, {0, 1}, {4, 5})
-        classes = enumerate_outcome_classes(mini, m1, m2)
+        mini_plan = compile_plan(mini, m1, m2)
+        classes = enumerate_outcome_classes(mini_plan)
         assert sum(c.probability for c in classes) == 1
         probabilities = {c.key: c.probability for c in classes}
         n = 100_000
         rng = ExactRng(31415)
         freq = Counter()
         for _ in range(n):
-            draw = sample_outcome(mini, m1, m2, rng)
+            draw = sample_outcome(mini_plan, rng)
             assert solution_violations(mini, draw.solution) == []
-            key = outcome_class_key(mini, m1, m2, draw)
+            key = outcome_class_key(mini_plan, draw)
             assert key in probabilities
             freq[key] += 1
         for key, prob in probabilities.items():

@@ -132,6 +132,37 @@ class TestVerifyMidpointAndSample:
         assert "seed" in first and len(first["assign"]) == 13
 
 
+class TestMalformedCoreDocument:
+    @pytest.fixture()
+    def broken(self, workspace):
+        """Write a copy of core file a with one field removed."""
+        def make(drop):
+            doc = json.loads(workspace["a"].read_text())
+            drop(doc)
+            path = workspace["dir"] / "broken.core"
+            path.write_text(json.dumps(doc))
+            return str(path)
+        return make
+
+    def test_missing_k_exits_2_naming_field(self, workspace, broken):
+        path = broken(lambda doc: doc.pop("k"))
+        for argv in (["lpcheck", path],
+                     ["sample", path, str(workspace["b"]), "--n", "5", "--seed", "1"]):
+            result = run(*argv)
+            assert result.returncode == 2, result.stderr
+            assert "missing field 'k'" in result.stderr
+            assert "Traceback" not in result.stderr
+
+    def test_missing_x_cell_exits_2_naming_cell(self, workspace, broken):
+        path = broken(lambda doc: doc["x"].pop())
+        for argv in (["lpcheck", path],
+                     ["sample", path, str(workspace["b"]), "--n", "5", "--seed", "1"]):
+            result = run(*argv)
+            assert result.returncode == 2, result.stderr
+            assert "missing the x cell" in result.stderr
+            assert "Traceback" not in result.stderr
+
+
 class TestCensusCertifyBound:
     def test_census_exact_matches_brute_force(self, workspace):
         out = workspace["dir"] / "census.json"

@@ -8,12 +8,12 @@ from cflgap.corevec import CoreIndex, collides, make_core_vector, midpoint
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
     NonCollidingPairError,
+    compile_plan,
     enumerate_outcome_classes,
     expected_vector,
     outcome_class_key,
     pivot_facilities,
     round_slots,
-    sample_D,
     sample_outcome,
     solution_violations,
     split_slots,
@@ -107,24 +107,25 @@ class TestSplitSlots:
 
 class TestSampler:
     def test_mini_samples_feasible(self, mini):
-        c1, c2 = mini_pair(mini)
+        plan = compile_plan(mini, *mini_pair(mini))
         rng = ExactRng(2024)
         for _ in range(2000):
-            sol = sample_D(mini, c1, c2, rng)
+            sol = sample_outcome(plan, rng).solution
             assert solution_violations(mini, sol) == []
 
     def test_t10_samples_feasible(self, family10):
         c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
         c2 = CoreIndex.for_instance(family10, range(20, 30), range(30, 40))
+        plan = compile_plan(family10, c1, c2)
         rng = ExactRng(7)
         for _ in range(50):
-            sol = sample_D(family10, c1, c2, rng)
+            sol = sample_outcome(plan, rng).solution
             assert solution_violations(family10, sol) == []
 
     def test_seed_determinism(self, mini):
-        c1, c2 = mini_pair(mini)
-        a = [sample_D(mini, c1, c2, ExactRng(99)) for _ in range(1)][0]
-        b = [sample_D(mini, c1, c2, ExactRng(99)) for _ in range(1)][0]
+        plan = compile_plan(mini, *mini_pair(mini))
+        a = [sample_outcome(plan, ExactRng(99)).solution for _ in range(1)][0]
+        b = [sample_outcome(plan, ExactRng(99)).solution for _ in range(1)][0]
         assert a == b
 
     def test_non_colliding_rejected(self, family10):
@@ -133,7 +134,7 @@ class TestSampler:
             family10, range(30, 40), {0, 1, 2, 3, 4, 10, 11, 12, 13, 14}
         )
         with pytest.raises(NonCollidingPairError):
-            sample_D(family10, c1, c2, ExactRng(0))
+            compile_plan(family10, c1, c2)
 
     def test_invalid_instance_rejected(self, mini):
         from cflgap.instance import build_family_instance
@@ -142,15 +143,15 @@ class TestSampler:
         c1 = CoreIndex.for_instance(bad, range(4), range(4, 8))
         c2 = CoreIndex.for_instance(bad, range(8, 12), range(12, 16))
         with pytest.raises(ValueError, match="invalid"):
-            sample_D(bad, c1, c2, ExactRng(0))
+            compile_plan(bad, c1, c2)
 
     def test_mini_step1_slot_values(self, mini):
         # w for a non-pivot low facility is 45/16: rounded to 2 or 3, both <= 4
-        c1, c2 = mini_pair(mini)
+        plan = compile_plan(mini, *mini_pair(mini))
         rng = ExactRng(5)
         seen = set()
         for _ in range(300):
-            draw = sample_outcome(mini, c1, c2, rng)
+            draw = sample_outcome(plan, rng)
             counts = Counter(draw.solution.assign)
             if draw.experiment == "A" and draw.chosen_l_facility == 3:
                 seen.add(counts[3])
@@ -162,19 +163,19 @@ class TestExpectedVector:
         c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
         c2 = CoreIndex.for_instance(family10, range(20, 30), range(30, 40))
         f, g = pivot_facilities(c1, c2)
-        ev = expected_vector(family10, c1, c2)
+        ev = expected_vector(compile_plan(family10, c1, c2))
         assert ev.y_of(f) == Fraction(11, 20)
         assert ev.y_of(g) == Fraction(11, 20)
 
     def test_untouched_facilities_fully_open(self, family10):
         c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
         c2 = CoreIndex.for_instance(family10, range(20, 30), range(30, 40))
-        ev = expected_vector(family10, c1, c2)
+        ev = expected_vector(compile_plan(family10, c1, c2))
         assert ev.y_of(99) == 1
 
     def test_equals_midpoint_every_coordinate_mini(self, mini):
         c1, c2 = mini_pair(mini)
-        ev = expected_vector(mini, c1, c2)
+        ev = expected_vector(compile_plan(mini, c1, c2))
         mid = midpoint(
             make_core_vector(mini, c1.k, c1.l), make_core_vector(mini, c2.k, c2.l)
         )
@@ -194,7 +195,7 @@ class TestExpectedVector:
         ]
         assert pairs
         for a, b in pairs:
-            ev = expected_vector(mini, a, b)
+            ev = expected_vector(compile_plan(mini, a, b))
             mid = midpoint(
                 make_core_vector(mini, a.k, a.l), make_core_vector(mini, b.k, b.l)
             )
@@ -203,13 +204,11 @@ class TestExpectedVector:
 
 class TestOutcomeClasses:
     def test_probabilities_sum_to_one_mini(self, mini):
-        c1, c2 = mini_pair(mini)
-        classes = enumerate_outcome_classes(mini, c1, c2)
+        classes = enumerate_outcome_classes(compile_plan(mini, *mini_pair(mini)))
         assert sum(c.probability for c in classes) == 1
 
     def test_all_feasible_and_cover_clients_mini(self, mini):
-        c1, c2 = mini_pair(mini)
-        for cl in enumerate_outcome_classes(mini, c1, c2):
+        for cl in enumerate_outcome_classes(compile_plan(mini, *mini_pair(mini))):
             assert cl.feasible
             assert sum(cnt for _, cnt in cl.slot_profile) == 13
             assert all(cnt <= 4 for _, cnt in cl.slot_profile)
@@ -219,21 +218,21 @@ class TestOutcomeClasses:
         # t*eps = 1: the closed-pivot branch has probability 0 and is pruned
         c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
         c2 = CoreIndex.for_instance(family10, range(20, 30), range(30, 40))
-        classes = enumerate_outcome_classes(family10, c1, c2)
+        classes = enumerate_outcome_classes(compile_plan(family10, c1, c2))
         assert all(cl.extra_open for cl in classes)
         assert sum(cl.probability for cl in classes) == 1
         assert all(cl.feasible for cl in classes)
 
     def test_sampler_frequencies_match_probabilities(self, mini):
-        c1, c2 = mini_pair(mini)
-        classes = enumerate_outcome_classes(mini, c1, c2)
+        plan = compile_plan(mini, *mini_pair(mini))
+        classes = enumerate_outcome_classes(plan)
         by_key = {cl.key: cl.probability for cl in classes}
         n = 20000
         rng = ExactRng(31337)
         freq = Counter()
         for _ in range(n):
-            draw = sample_outcome(mini, c1, c2, rng)
-            key = outcome_class_key(mini, c1, c2, draw)
+            draw = sample_outcome(plan, rng)
+            key = outcome_class_key(plan, draw)
             assert key in by_key, f"sampled class {key} not enumerated"
             freq[key] += 1
         for key, p in by_key.items():
@@ -252,13 +251,14 @@ class TestEmpiricalMean:
         import numpy as np
 
         c1, c2 = mini_pair(mini)
+        plan = compile_plan(mini, c1, c2)
         n = 100_000
         rng = ExactRng(8675309)
         y_counts = np.zeros(6, dtype=np.int64)
         x_counts = np.zeros((6, 13), dtype=np.int64)
         cols = np.arange(13)
         for _ in range(n):
-            sol = sample_D(mini, c1, c2, rng)
+            sol = sample_outcome(plan, rng).solution
             for i in sol.open:
                 y_counts[i] += 1
             x_counts[np.asarray(sol.assign), cols] += 1
