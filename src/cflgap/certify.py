@@ -288,7 +288,7 @@ def analytic_opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
 
     witness = IntSolution(
         open=frozenset(k_sorted) | {low_open} | frozenset(outside),
-        assign=tuple(assign),
+        assign=assign,
     )
     violations = solution_violations(inst, witness)
     if violations:

@@ -268,6 +268,16 @@ def cmd_sample(args) -> int:
     inst, c1, _, in1 = _load_core(args.first)
     _, c2, _, in2 = _load_core(args.second)
     plan = compile_plan(inst, c1, c2)
+    classes = enumerate_outcome_classes(plan)
+    infeasible = next((cl for cl in classes if not cl.feasible), None)
+    if infeasible is not None:
+        raise ValueError(
+            "the rounding distribution has an infeasible outcome class: "
+            f"experiment {infeasible.experiment}, "
+            f"chosen_l_facility {infeasible.chosen_l_facility}, "
+            f"extra_open {infeasible.extra_open}, "
+            f"slot_profile {list(infeasible.slot_profile)}"
+        )
     if args.solutions_dir:
         os.makedirs(args.solutions_dir, exist_ok=True)
     jobs = max(1, args.jobs)
@@ -300,7 +310,6 @@ def cmd_sample(args) -> int:
         freq.update(chunk_freq)
         problems.extend(chunk_problems)
 
-    classes = enumerate_outcome_classes(plan)
     class_docs = []
     for cl in classes:
         doc = docio.outcome_class_to_doc(cl)

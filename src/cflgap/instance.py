@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .randomness import ExactRng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -332,7 +334,7 @@ class CostVector:
 
     def solution_cost(self, open_set: frozenset[int], assign: Sequence[int]) -> Fraction:
         total = sum((self.opening_of(i) for i in open_set), ZERO)
-        for j, i in enumerate(assign):
+        for j, i in enumerate(np.asarray(assign).tolist()):
             total += self.connection_of(i, j)
         return total
 

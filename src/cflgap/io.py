@@ -48,10 +48,21 @@ def frac_to_str(f: Fraction) -> str:
 
 
 def frac_from_str(s: str) -> Fraction:
+    """``"p/q"`` or ``"p"`` as a Fraction; ValueError for anything else."""
+    if not isinstance(s, str):
+        raise ValueError(f"expected a rational string 'p/q', got {_shown(s)}")
     if "/" in s:
         num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
     return Fraction(int(s))
+
+
+def _shown(value: Any) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _field(doc: Any, key: str, where: str) -> Any:
@@ -63,6 +74,36 @@ def _field(doc: Any, key: str, where: str) -> Any:
     return doc[key]
 
 
+def _int(value: Any, where: str) -> int:
+    """A JSON integer, or ValueError naming where it was expected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {_shown(value)}")
+    return value
+
+
+def _list(value: Any, where: str) -> list:
+    """A JSON list, or ValueError naming where it was expected."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {_shown(value)}")
+    return value
+
+
+def _frac(value: Any, where: str) -> Fraction:
+    """A rational string, or ValueError naming where it was expected."""
+    try:
+        return frac_from_str(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _frac_field(doc: Any, key: str, where: str) -> Fraction:
+    return _frac(_field(doc, key, where), f"{where} field '{key}'")
+
+
+def _id_list(value: Any, where: str) -> frozenset[int]:
+    return frozenset(_int(i, f"{where} id") for i in _list(value, where))
+
+
 def _ids_to_doc(ids: Iterable[int]) -> Any:
     ordered = sorted(ids)
     if ordered and ordered == list(range(ordered[0], ordered[-1] + 1)):
@@ -71,10 +112,13 @@ def _ids_to_doc(ids: Iterable[int]) -> Any:
 
 
 def _ids_from_doc(doc: Any, where: str) -> frozenset[int]:
+    """An id set written by :func:`_ids_to_doc`: a list or a ``span`` object."""
     if isinstance(doc, dict):
-        lo, hi = _field(doc, "span", where)
-        return frozenset(range(lo, hi))
-    return frozenset(int(i) for i in doc)
+        span = _list(_field(doc, "span", where), f"{where} span")
+        if len(span) != 2:
+            raise ValueError(f"{where} span must be [lo, hi], got {_shown(span)}")
+        return frozenset(range(*(_int(b, f"{where} span") for b in span)))
+    return _id_list(doc, where)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +147,9 @@ def instance_to_doc(inst: Instance) -> dict:
 
 
 def instance_from_doc(doc: dict) -> Instance:
+    where = "instance document"
     counts = {
-        key: int(_field(doc, key, "instance document"))
+        key: _int(_field(doc, key, where), f"{where} field '{key}'")
         for key in ("facility_count", "client_count", "capacity")
     }
     params: Optional[FamilyParams] = None
@@ -112,11 +157,14 @@ def instance_from_doc(doc: dict) -> Instance:
     if fp is not None:
         where = "instance family_params"
         params = FamilyParams(
-            t=int(_field(fp, "t", where)),
-            eps=frac_from_str(_field(fp, "eps", where)),
-            x_l=frac_from_str(_field(fp, "x_l", where)),
-            core_client_count=int(_field(fp, "core_client_count", where)),
-            a=int(fp["a"]) if fp.get("a") is not None else None,
+            t=_int(_field(fp, "t", where), f"{where} field 't'"),
+            eps=_frac_field(fp, "eps", where),
+            x_l=_frac_field(fp, "x_l", where),
+            core_client_count=_int(
+                _field(fp, "core_client_count", where),
+                f"{where} field 'core_client_count'",
+            ),
+            a=_int(fp["a"], f"{where} field 'a'") if fp.get("a") is not None else None,
         )
     return Instance(**counts, family_params=params)
 
@@ -160,13 +208,14 @@ def _vector_to_doc(vec: FracVector) -> dict:
 def _vector_from_doc(doc: dict, facility_count: int, client_count: int) -> FracVector:
     where = "core document"
     classed = _field(doc, "repr", where) == "classed"
-    y_doc, x_doc = _field(doc, "y", where), _field(doc, "x", where)
+    y_doc = _list(_field(doc, "y", where), f"{where} field 'y'")
+    x_doc = _list(_field(doc, "x", where), f"{where} field 'x'")
     if classed:
         fac_classes = [
             _ids_from_doc(_field(entry, "facilities", "y entry"), "y entry facilities")
             for entry in y_doc
         ]
-        y_values = [frac_from_str(_field(entry, "value", "y entry")) for entry in y_doc]
+        y_values = [_frac_field(entry, "value", "y entry") for entry in y_doc]
         cli_classes: list[frozenset[int]] = []
         cell: dict[tuple[int, int], Fraction] = {}
         for entry in x_doc:
@@ -174,8 +223,8 @@ def _vector_from_doc(doc: dict, facility_count: int, client_count: int) -> FracV
             cc = _ids_from_doc(_field(entry, "clients", "x entry"), "x entry clients")
             if cc not in cli_classes:
                 cli_classes.append(cc)
-            cell[(fac_classes.index(fc), cli_classes.index(cc))] = frac_from_str(
-                _field(entry, "value", "x entry")
+            cell[(fac_classes.index(fc), cli_classes.index(cc))] = _frac_field(
+                entry, "value", "x entry"
             )
         try:
             x_values = [
@@ -191,10 +240,18 @@ def _vector_from_doc(doc: dict, facility_count: int, client_count: int) -> FracV
         return FracVector.from_classes(
             facility_count, client_count, fac_classes, cli_classes, y_values, x_values
         )
-    y = [frac_from_str(s) for s in y_doc]
+    y = [_frac(s, f"{where} y entry") for s in y_doc]
     x = [[Fraction(0)] * client_count for _ in range(facility_count)]
-    for i, j, val in x_doc:
-        x[int(i)][int(j)] = frac_from_str(val)
+    for triplet in x_doc:
+        if not isinstance(triplet, list) or len(triplet) != 3:
+            raise ValueError(f"{where} x entry must be [i, j, value], got {_shown(triplet)}")
+        i, j = (_int(v, f"{where} x entry index") for v in triplet[:2])
+        if not (0 <= i < facility_count and 0 <= j < client_count):
+            raise ValueError(
+                f"{where} x entry {_shown(triplet)} is outside the "
+                f"{facility_count} x {client_count} assignment matrix"
+            )
+        x[i][j] = _frac(triplet[2], f"{where} x entry value")
     return FracVector.from_dense(y, x)
 
 
@@ -217,8 +274,8 @@ def load_core_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector]:
     where = "core document"
     inst = instance_from_doc(_field(doc, "instance", where))
     index = CoreIndex(
-        k=frozenset(int(i) for i in _field(doc, "k", where)),
-        l=frozenset(int(i) for i in _field(doc, "l", where)),
+        k=_id_list(_field(doc, "k", where), f"{where} field 'k'"),
+        l=_id_list(_field(doc, "l", where), f"{where} field 'l'"),
         core_clients=_ids_from_doc(_field(doc, "core_clients", where), "core_clients"),
     )
     vec = _vector_from_doc(doc, inst.facility_count, inst.client_count)
@@ -231,7 +288,7 @@ def load_core_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector]:
 
 
 def solution_to_doc(sol: IntSolution, *, seed: Optional[int] = None) -> dict:
-    doc = {"open": sorted(sol.open), "assign": list(sol.assign)}
+    doc = {"open": sorted(sol.open), "assign": sol.assign.tolist()}
     if seed is not None:
         doc["seed"] = seed
     return doc
@@ -240,7 +297,7 @@ def solution_to_doc(sol: IntSolution, *, seed: Optional[int] = None) -> dict:
 def solution_from_doc(doc: dict) -> IntSolution:
     return IntSolution(
         open=frozenset(int(i) for i in doc["open"]),
-        assign=tuple(int(i) for i in doc["assign"]),
+        assign=[int(i) for i in doc["assign"]],
     )
 
 

@@ -79,7 +79,7 @@ def enumerate_integer_solutions(
 
         def extend(j: int) -> None:
             if j == m:
-                out.append(IntSolution(open=open_set, assign=tuple(assign)))
+                out.append(IntSolution(open=open_set, assign=assign))
                 return
             for i in open_list:
                 if load[i] + inst.demand <= cap:
@@ -98,7 +98,7 @@ def solution_coordinates(
     """0/1 coordinates of a solution: openings then assignments, row-major."""
     y = [ONE if i in sol.open else ZERO for i in range(facility_count)]
     x = [ZERO] * (facility_count * client_count)
-    for j, i in enumerate(sol.assign):
+    for j, i in enumerate(sol.assign.tolist()):
         x[i * client_count + j] = ONE
     return y + x
 

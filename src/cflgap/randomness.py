@@ -9,13 +9,15 @@ streams.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ExactRng", "derive_worker_seed"]
+__all__ = ["ExactRng", "cumulative_thresholds", "derive_worker_seed"]
 
 _MIX = 0x9E3779B97F4A7C15  # 64-bit odd constant for worker-stream derivation
 
@@ -27,6 +29,20 @@ def derive_worker_seed(seed: int, worker: int) -> int:
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
+
+
+def cumulative_thresholds(probs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """Common denominator and cumulative integer numerators of exact probabilities.
+
+    ``probs`` must sum to exactly 1, so the last threshold equals the
+    denominator; index ``i`` is drawn when a uniform integer below the
+    denominator falls in ``[thresholds[i-1], thresholds[i])``.
+    """
+    total = sum(probs, Fraction(0))
+    if total != 1 or any(p < 0 for p in probs):
+        raise ValueError(f"probabilities must be nonnegative and sum to 1, got {total}")
+    denom = lcm(*(p.denominator for p in probs))
+    return denom, tuple(accumulate(p.numerator * (denom // p.denominator) for p in probs))
 
 
 class ExactRng:
@@ -64,17 +80,8 @@ class ExactRng:
 
     def weighted_index(self, probs: Sequence[Fraction]) -> int:
         """Index drawn with the given exact probabilities (must sum to 1)."""
-        total = sum(probs, Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        denom = lcm(*(p.denominator for p in probs))
-        u = self.integer_below(denom)
-        acc = 0
-        for idx, p in enumerate(probs):
-            acc += p.numerator * (denom // p.denominator)
-            if u < acc:
-                return idx
-        raise AssertionError("unreachable: weights sum to the denominator")
+        denom, thresholds = cumulative_thresholds(probs)
+        return bisect_right(thresholds, self.integer_below(denom))
 
     def permuted(self, items: np.ndarray) -> np.ndarray:
         """Uniformly random permutation of a 1-d integer array."""

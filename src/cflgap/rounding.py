@@ -11,9 +11,12 @@ leftover clients are spread in near-even splits.
 :func:`compile_plan` validates the instance and the pair once and compiles
 the distribution into a :class:`RoundingPlan`: the pivots, both experiments'
 facility roles and probabilities, and the client pools as int64 arrays.
-Three views read the same plan and are cross-checked:
+Every branch probability is also stored as integer thresholds over a fixed
+denominator, so a draw compares integers with integers and builds no
+``Fraction``.  Three views read the same plan and are cross-checked:
 
-* :func:`sample_outcome` draws one integer solution (seed-deterministic),
+* :func:`sample_outcome` draws one integer solution (seed-deterministic)
+  whose assignment is a read-only int64 array,
 * :func:`expected_vector` computes the exact closed-form expectation by
   linearity over the experiment steps, and
 * :func:`enumerate_outcome_classes` lists every floor/ceil branch with its
@@ -27,7 +30,8 @@ explicitly; nothing caches plans across calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,7 +39,7 @@ import numpy as np
 
 from .corevec import CoreIndex, FracVector, collides, make_core_vector, midpoint
 from .instance import Instance, validate_params
-from .randomness import ExactRng
+from .randomness import ExactRng, cumulative_thresholds
 
 __all__ = [
     "IntSolution",
@@ -65,12 +69,39 @@ class NonCollidingPairError(ValueError):
     """Raised when an operation needs a colliding pair and gets none."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntSolution:
-    """Open facilities plus a total client-to-facility assignment."""
+    """Open facilities plus a total client-to-facility assignment.
+
+    ``assign[j]`` is the facility serving client ``j``, held as a read-only
+    1-d int64 array.  Any sequence of ints is converted once on construction;
+    a read-only int64 array is kept without a copy.  Solutions compare and
+    hash by content.
+    """
 
     open: frozenset[int]
-    assign: tuple[int, ...]
+    assign: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = self.assign
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == np.int64
+            and not arr.flags.writeable
+        ):
+            arr = np.array(arr, dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, "assign", arr)
+        if arr.ndim != 1:
+            raise ValueError(f"assignment must be 1-d, got shape {arr.shape}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntSolution):
+            return NotImplemented
+        return self.open == other.open and np.array_equal(self.assign, other.assign)
+
+    def __hash__(self) -> int:
+        return hash((self.open, self.assign.tobytes()))
 
 
 def solution_violations(inst: Instance, sol: IntSolution) -> list[str]:
@@ -85,18 +116,17 @@ def solution_violations(inst: Instance, sol: IntSolution) -> list[str]:
         out.append("open set contains unknown facility ids")
     if inst.client_count == 0:
         return out
-    arr = np.asarray(sol.assign, dtype=np.int64)
+    arr = sol.assign
     if arr.min() < 0 or arr.max() >= inst.facility_count:
         out.append("assignment targets unknown facility ids")
         return out
     counts = np.bincount(arr, minlength=inst.facility_count)
-    used = np.nonzero(counts)[0]
-    not_open = [int(i) for i in used if int(i) not in sol.open]
+    used = np.flatnonzero(counts).tolist()
+    counts = counts.tolist()
+    not_open = [i for i in used if i not in sol.open]
     if not_open:
         out.append(f"clients assigned to closed facilities {not_open}")
-    over = [
-        (int(i), int(counts[i])) for i in used if counts[i] * inst.demand > inst.capacity
-    ]
+    over = [(i, counts[i]) for i in used if counts[i] * inst.demand > inst.capacity]
     if over:
         out.append(f"capacity exceeded at {over} (capacity {inst.capacity})")
     return out
@@ -123,16 +153,44 @@ def pivot_facilities(c1: CoreIndex, c2: CoreIndex) -> tuple[int, int]:
     return min(side1), min(side2)
 
 
+@dataclass(frozen=True)
+class _FloorCoin:
+    """A nonnegative exact rational ``floor + num/den`` with ``0 <= num < den``.
+
+    Rounding it to floor or ceil takes one integer draw below ``den`` (none
+    when ``num`` is 0), the same draw ``ExactRng.bernoulli`` makes for the
+    fractional part.  A probability in [0, 1] is a coin that reads 0 or 1.
+    """
+
+    floor: int
+    num: int
+    den: int
+
+    @classmethod
+    def of(cls, w: Fraction) -> "_FloorCoin":
+        if w < 0:
+            raise ValueError(f"slot target must be nonnegative, got {w}")
+        floor, num = divmod(w.numerator, w.denominator)
+        return cls(floor, num, w.denominator)
+
+    def draw(self, rng: ExactRng) -> int:
+        if self.num and rng.integer_below(self.den) < self.num:
+            return self.floor + 1
+        return self.floor
+
+
 def round_slots(w: Fraction, rng: ExactRng) -> int:
     """floor(w) with probability 1 - frac(w), else ceil(w); E[result] = w."""
-    w = Fraction(w)
-    if w < 0:
-        raise ValueError(f"slot target must be nonnegative, got {w}")
-    floor = w.numerator // w.denominator
-    frac = w - floor
-    if frac == 0:
-        return floor
-    return floor + 1 if rng.bernoulli(frac) else floor
+    return _FloorCoin.of(Fraction(w)).draw(rng)
+
+
+def _near_even(total: int, n_bins: int, rng: ExactRng) -> list[int]:
+    """floor(total / n_bins) per bin, plus one on ``total % n_bins`` uniform bins."""
+    base, extra = divmod(total, n_bins)
+    counts = [base] * n_bins
+    for pos in rng.chosen_positions(n_bins, extra).tolist():
+        counts[pos] += 1
+    return counts
 
 
 def split_slots(
@@ -150,12 +208,7 @@ def split_slots(
         raise ValueError(f"inconsistent split: {len(bins)} bins * {avg} != {total}")
     if not bins:
         return []
-    base = avg.numerator // avg.denominator
-    extra = total - base * len(bins)
-    counts = [base] * len(bins)
-    for pos in rng.chosen_positions(len(bins), extra):
-        counts[pos] += 1
-    return counts
+    return _near_even(total, len(bins), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +232,33 @@ class _Experiment:
     w_nonpivot: Fraction
     w_pivot: Fraction
     w_extra: Fraction
+    # the same distribution as integer thresholds, read by the sampler
+    choice_denominator: int = field(init=False)
+    choice_thresholds: tuple[int, ...] = field(init=False)  # cumulative, over choice_set
+    choice_slots: tuple[_FloorCoin, ...] = field(init=False)  # targets, over choice_set
+    extra_coin: _FloorCoin = field(init=False)   # p_extra
+    extra_slots: _FloorCoin = field(init=False)  # w_extra
+    base_open: frozenset[int] = field(init=False)  # always_open | outside_bins
+
+    def __post_init__(self) -> None:
+        denominator, thresholds = cumulative_thresholds(
+            [self.choice_probability(i) for i in self.choice_set]
+        )
+        derived = {
+            "choice_denominator": denominator,
+            "choice_thresholds": thresholds,
+            "choice_slots": tuple(
+                _FloorCoin.of(self.choice_target(i)) for i in self.choice_set
+            ),
+            "extra_coin": _FloorCoin.of(self.p_extra),
+            "extra_slots": _FloorCoin.of(self.w_extra),
+            "base_open": frozenset(self.always_open) | frozenset(self.outside_bins),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def open_set(self, chosen: int, extra_open: bool) -> frozenset[int]:
+        return self.base_open | ({chosen, self.pivot_extra} if extra_open else {chosen})
 
     def choice_probability(self, i: int) -> Fraction:
         return self.p_pivot if i == self.pivot_choice else self.p_nonpivot
@@ -284,9 +364,12 @@ class SampleDraw:
     extra_open: bool
 
 
-def _assign_run(assign: np.ndarray, perm: np.ndarray, start: int, count: int, fac: int) -> int:
-    assign[perm[start : start + count]] = fac
-    return start + count
+def _check_split(counts: list[int], cap: int, step: str) -> None:
+    for count in counts:
+        if count > cap:
+            raise RuntimeError(
+                f"{step} split count {count} exceeds capacity; invalid parameters upstream"
+            )
 
 
 def _run_experiment(inst: Instance, exp: _Experiment, rng: ExactRng) -> SampleDraw:
@@ -294,64 +377,44 @@ def _run_experiment(inst: Instance, exp: _Experiment, rng: ExactRng) -> SampleDr
     assign = np.full(inst.client_count, -1, dtype=np.int64)
 
     # step 1: one low-set facility plus the high set serve the designated pool
-    probs = [exp.choice_probability(i) for i in exp.choice_set]
-    chosen = exp.choice_set[rng.weighted_index(probs)]
-    slots = round_slots(exp.choice_target(chosen), rng)
+    idx = bisect_right(exp.choice_thresholds, rng.integer_below(exp.choice_denominator))
+    chosen = exp.choice_set[idx]
+    slots = exp.choice_slots[idx].draw(rng)
     n_core = len(exp.core_pool)
     if slots > min(n_core, cap):
         raise RuntimeError(
             f"step-1 slot count {slots} exceeds pool/capacity; invalid parameters upstream"
         )
     perm = rng.permuted(exp.core_pool)
-    pos = _assign_run(assign, perm, 0, slots, chosen)
-    remaining = n_core - slots
-    counts = split_slots(
-        remaining, exp.always_open, Fraction(remaining, len(exp.always_open)), rng
-    )
-    for fac, count in zip(exp.always_open, counts):
-        if count > cap:
-            raise RuntimeError(
-                f"step-1 split count {count} exceeds capacity; invalid parameters upstream"
-            )
-        pos = _assign_run(assign, perm, pos, count, fac)
+    counts = _near_even(n_core - slots, len(exp.always_open), rng)
+    _check_split(counts, cap, "step-1")
+    assign[perm] = np.repeat((chosen, *exp.always_open), (slots, *counts))
 
     # step 2: outside facilities (plus maybe the borrowed pivot) serve the rest
-    extra_open = rng.bernoulli(exp.p_extra)
+    extra_open = exp.extra_coin.draw(rng) == 1
     m_rest = len(exp.rest_pool)
     perm2 = rng.permuted(exp.rest_pool)
-    pos2 = 0
+    slots2 = 0
     if extra_open:
-        slots2 = round_slots(exp.w_extra, rng)
+        slots2 = exp.extra_slots.draw(rng)
         if slots2 > min(m_rest, cap):
             raise RuntimeError(
                 f"step-2 slot count {slots2} exceeds pool/capacity; invalid parameters upstream"
             )
-        pos2 = _assign_run(assign, perm2, 0, slots2, exp.pivot_extra)
-    rem2 = m_rest - pos2
+    rem2 = m_rest - slots2
+    counts2: list[int] = []
     if exp.outside_bins:
-        counts2 = split_slots(
-            rem2, exp.outside_bins, Fraction(rem2, len(exp.outside_bins)), rng
-        )
-        for fac, count in zip(exp.outside_bins, counts2):
-            if count > cap:
-                raise RuntimeError(
-                    f"step-2 split count {count} exceeds capacity; invalid parameters upstream"
-                )
-            pos2 = _assign_run(assign, perm2, pos2, count, fac)
+        counts2 = _near_even(rem2, len(exp.outside_bins), rng)
+        _check_split(counts2, cap, "step-2")
     elif rem2:
         raise RuntimeError(
             "no outside facilities left for remaining clients; invalid parameters upstream"
         )
+    assign[perm2] = np.repeat((exp.pivot_extra, *exp.outside_bins), (slots2, *counts2))
 
-    open_set = (
-        frozenset(exp.always_open)
-        | {chosen}
-        | frozenset(exp.outside_bins)
-        | ({exp.pivot_extra} if extra_open else frozenset())
-    )
-    solution = IntSolution(open=open_set, assign=tuple(assign.tolist()))
+    assign.setflags(write=False)
     return SampleDraw(
-        solution=solution,
+        solution=IntSolution(open=exp.open_set(chosen, extra_open), assign=assign),
         experiment=exp.label,
         chosen_l_facility=chosen,
         extra_open=extra_open,
@@ -359,10 +422,11 @@ def _run_experiment(inst: Instance, exp: _Experiment, rng: ExactRng) -> SampleDr
 
 
 def sample_outcome(plan: RoundingPlan, rng: ExactRng) -> SampleDraw:
-    """One draw from the distribution, with its branch identifiers."""
-    exp_a, exp_b = plan.experiments
-    exp = exp_a if rng.bernoulli(HALF) else exp_b
-    return _run_experiment(plan.inst, exp, rng)
+    """One draw from the distribution, with its branch identifiers.
+
+    A fair coin (one ``integer_below(2)``) picks experiment A on 0, B on 1.
+    """
+    return _run_experiment(plan.inst, plan.experiments[rng.integer_below(2)], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +604,7 @@ def _class_from_branches(
     elif rem2 > 0:
         feasible = False
 
-    open_set = (
-        frozenset(exp.always_open)
-        | {chosen}
-        | frozenset(exp.outside_bins)
-        | ({exp.pivot_extra} if extra_open else frozenset())
-    )
+    open_set = exp.open_set(chosen, extra_open)
     served = sum(profile.values())
     feasible = (
         feasible
@@ -603,15 +662,14 @@ def outcome_class_key(plan: RoundingPlan, draw: SampleDraw) -> tuple:
     exp_a, exp_b = plan.experiments
     exp = exp_a if draw.experiment == "A" else exp_b
     counts = np.bincount(
-        np.asarray(draw.solution.assign, dtype=np.int64),
-        minlength=plan.inst.facility_count,
-    )
+        draw.solution.assign, minlength=plan.inst.facility_count
+    ).tolist()
     profile: dict[int, int] = {}
     for fac in (draw.chosen_l_facility, exp.pivot_extra):
         if counts[fac]:
-            profile[fac] = int(counts[fac])
+            profile[fac] = counts[fac]
     for group in (exp.always_open, exp.outside_bins):
-        group_counts = sorted((int(counts[fac]) for fac in group), reverse=True)
+        group_counts = sorted((counts[fac] for fac in group), reverse=True)
         for fac, cnt in zip(sorted(group), group_counts):
             if cnt:
                 profile[fac] = cnt

@@ -131,13 +131,29 @@ class TestVerifyMidpointAndSample:
         first = json.loads(files[0].read_text())
         assert "seed" in first and len(first["assign"]) == 13
 
+    def test_sample_infeasible_distribution_exits_2(self, tmp_path):
+        # valid parameters, but a pivot target below 1 rounds to 0 slots and
+        # the high set overflows on some branches
+        inst, a, b = tmp_path / "inst.json", tmp_path / "a.core", tmp_path / "b.core"
+        for argv in (
+            ["gen", "--general", "--nf", "6", "--t", "2", "--U", "4", "--m", "13",
+             "--eps", "1/3", "--xl", "1/18", "-o", str(inst)],
+            ["core", "--instance", str(inst), "--k", "0,1", "--l", "2,3", "-o", str(a)],
+            ["core", "--instance", str(inst), "--k", "0,1", "--l", "4,5", "-o", str(b)],
+        ):
+            assert run(*argv).returncode == 0
+        result = run("sample", str(a), str(b), "--n", "20", "--seed", "1")
+        assert result.returncode == 2, result.stderr
+        assert "infeasible outcome class" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestMalformedCoreDocument:
     @pytest.fixture()
     def broken(self, workspace):
-        """Write a copy of core file a with one field removed."""
-        def make(drop):
-            doc = json.loads(workspace["a"].read_text())
+        """Write a copy of a workspace file (core file a by default), altered."""
+        def make(drop, source="a"):
+            doc = json.loads(workspace[source].read_text())
             drop(doc)
             path = workspace["dir"] / "broken.core"
             path.write_text(json.dumps(doc))
@@ -160,6 +176,49 @@ class TestMalformedCoreDocument:
             result = run(*argv)
             assert result.returncode == 2, result.stderr
             assert "missing the x cell" in result.stderr
+            assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("source, keys, value, commands, message", [
+        pytest.param(
+            "mini", ["client_count"], None,
+            [["core", "--instance", "{path}", "--k", "0,1", "--l", "2,3"]],
+            "field 'client_count' must be an integer, got null",
+            id="null-client-count",
+        ),
+        pytest.param(
+            "a", ["k"], 5,
+            [["lpcheck", "{path}"],
+             ["sample", "{path}", "{b}", "--n", "5", "--seed", "1"]],
+            "field 'k' must be a list, got 5",
+            id="non-list-k",
+        ),
+        pytest.param(
+            "dense", ["x", 0, 0], 99,
+            [["lpcheck", "{path}"]],
+            "is outside the 6 x 13 assignment matrix",
+            id="dense-triplet-out-of-range",
+        ),
+    ])
+    def test_wrong_type_exits_2_naming_field(
+        self, workspace, broken, source, keys, value, commands, message
+    ):
+        if source == "dense":
+            workspace["dense"] = workspace["dir"] / "dense.core"
+            assert run(
+                "core", "--instance", str(workspace["mini"]), "--k", "0,1",
+                "--l", "2,3", "--dense", "-o", str(workspace["dense"]),
+            ).returncode == 0
+
+        def alter(doc):
+            for key in keys[:-1]:
+                doc = doc[key]
+            doc[keys[-1]] = value
+
+        path = broken(alter, source)
+        for argv in commands:
+            result = run(*(arg.format(path=path, b=workspace["b"]) for arg in argv))
+            assert result.returncode == 2, result.stderr
+            assert message in result.stderr
             assert "Traceback" not in result.stderr
 
 

@@ -1,12 +1,16 @@
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cflgap.corevec import CoreIndex, collides, make_core_vector, midpoint
+from cflgap.io import solution_from_doc, solution_to_doc
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
+    IntSolution,
     NonCollidingPairError,
     compile_plan,
     enumerate_outcome_classes,
@@ -49,6 +53,71 @@ class TestPivotFacilities:
         )
         with pytest.raises(NonCollidingPairError, match="no pivot exists"):
             pivot_facilities(c1, c2)
+
+
+def t10_pair(family10):
+    """The acceptance-2 pair at t=10."""
+    c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
+    c2 = CoreIndex.for_instance(family10, range(20, 30), range(30, 40))
+    return c1, c2
+
+
+class TestIntSolution:
+    def test_tuple_and_array_built_compare_and_hash_equal(self):
+        a = IntSolution(open=frozenset({0, 2}), assign=(0, 2, 2))
+        b = IntSolution(open=frozenset({0, 2}), assign=np.array([0, 2, 2]))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != IntSolution(open=frozenset({0, 2}), assign=(2, 2, 0))
+        assert a != IntSolution(open=frozenset({0, 1, 2}), assign=(0, 2, 2))
+
+    def test_assign_is_read_only_int64(self):
+        source = np.array([0, 1], dtype=np.int32)
+        sol = IntSolution(open=frozenset({0, 1}), assign=source)
+        assert sol.assign.dtype == np.int64
+        with pytest.raises(ValueError):
+            sol.assign[0] = 1
+        source[0] = 1  # the solution holds its own copy
+        assert sol.assign.tolist() == [0, 1]
+
+    def test_read_only_int64_array_kept_without_copy(self):
+        arr = np.array([1, 0], dtype=np.int64)
+        arr.setflags(write=False)
+        assert IntSolution(open=frozenset({0, 1}), assign=arr).assign is arr
+
+    def test_sampled_solution_round_trips_through_plain_int_doc(self, mini):
+        sol = sample_outcome(compile_plan(mini, *mini_pair(mini)), ExactRng(3)).solution
+        doc = solution_to_doc(sol, seed=3)
+        assert all(type(i) is int for i in doc["open"] + doc["assign"])
+        assert json.loads(json.dumps(doc)) == doc
+        assert solution_from_doc(doc) == sol
+
+
+class TestPlanThresholds:
+    @pytest.mark.parametrize(
+        "fixture, pair", [("mini", mini_pair), ("family10", t10_pair)], ids=["mini", "t10"]
+    )
+    def test_thresholds_match_exact_probabilities(self, fixture, pair, request):
+        # the sampler's integer thresholds against the Fractions that the
+        # enumerator and expected_vector read
+        inst = request.getfixturevalue(fixture)
+        plan = compile_plan(inst, *pair(inst))
+        for exp in plan.experiments:
+            den, cum = exp.choice_denominator, exp.choice_thresholds
+            assert cum[-1] == den
+            steps = [hi - lo for lo, hi in zip((0,) + cum, cum)]
+            assert [Fraction(s, den) for s in steps] == [
+                exp.choice_probability(i) for i in exp.choice_set
+            ]
+            coins = [
+                (coin, exp.choice_target(i))
+                for i, coin in zip(exp.choice_set, exp.choice_slots)
+            ]
+            coins += [(exp.extra_coin, exp.p_extra), (exp.extra_slots, exp.w_extra)]
+            for coin, exact in coins:
+                assert 0 <= coin.num < coin.den
+                assert coin.floor + Fraction(coin.num, coin.den) == exact
 
 
 class TestRoundSlots:
