@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .corevec import CoreIndex, collides, make_core_vector
-from .instance import Instance, build_gap_costs, validate_params
+from .instance import Instance, build_gap_costs, require_valid
 from .polytope import brute_force_opt
 from .randomness import ExactRng
 from .rounding import IntSolution, solution_violations
@@ -39,6 +39,7 @@ __all__ = [
     "noncolliding_count_brute",
     "noncolliding_prob_mc",
     "noncolliding_upper_bound",
+    "reference_index",
     "lower_bound_constraints",
     "build_census_report",
     "certify_gap",
@@ -52,16 +53,8 @@ ZERO = Fraction(0)
 BRUTE_CENSUS_LIMIT = 100_000
 
 
-def _require_valid(inst: Instance) -> None:
-    violations = validate_params(inst)
-    if violations:
-        raise ValueError(
-            "instance parameters are invalid: " + "; ".join(str(v) for v in violations)
-        )
-
-
 def _shape(inst: Instance) -> tuple[int, int]:
-    _require_valid(inst)
+    require_valid(inst)
     return inst.facility_count, inst.family_params.t
 
 
@@ -90,7 +83,8 @@ def noncolliding_count_exact(inst: Instance) -> int:
     return e1 + e2 - both
 
 
-def _reference_index(inst: Instance) -> CoreIndex:
+def reference_index(inst: Instance) -> CoreIndex:
+    """The reference pair k = {0..t-1}, l = {t..2t-1}."""
     t = inst.family_params.t
     return CoreIndex.for_instance(inst, range(t), range(t, 2 * t))
 
@@ -105,7 +99,7 @@ def noncolliding_count_brute(
             f"core size {core_size(inst)} exceeds the enumeration limit "
             f"{BRUTE_CENSUS_LIMIT}"
         )
-    ref = reference if reference is not None else _reference_index(inst)
+    ref = reference if reference is not None else reference_index(inst)
     count = 0
     facilities = range(n_f)
     for k_prime in itertools.combinations(facilities, t):
@@ -136,6 +130,17 @@ class McEstimate:
     seed: int
     hits: int
 
+    @classmethod
+    def from_hits(cls, hits: int, samples: int, seed: int) -> "McEstimate":
+        """hits / samples with its 95% interval."""
+        p_hat = hits / samples
+        half = 1.96 * (p_hat * (1 - p_hat) / samples) ** 0.5
+        upper = p_hat + half if hits else 3.0 / samples
+        return cls(
+            estimate=p_hat, half_width=half, upper95=upper,
+            samples=samples, seed=seed, hits=hits,
+        )
+
 
 def noncolliding_prob_mc(inst: Instance, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the non-collision probability vs a reference.
@@ -148,7 +153,7 @@ def noncolliding_prob_mc(inst: Instance, samples: int, seed: int) -> McEstimate:
     n_f, t = _shape(inst)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    ref = _reference_index(inst)
+    ref = reference_index(inst)
     rng = ExactRng(seed)
     ids = np.arange(n_f)
     hits = 0
@@ -161,17 +166,7 @@ def noncolliding_prob_mc(inst: Instance, samples: int, seed: int) -> McEstimate:
         )
         if not collides(ref, cand):
             hits += 1
-    p_hat = hits / samples
-    half = 1.96 * (p_hat * (1 - p_hat) / samples) ** 0.5
-    upper = p_hat + half if hits else 3.0 / samples
-    return McEstimate(
-        estimate=p_hat,
-        half_width=half,
-        upper95=upper,
-        samples=samples,
-        seed=seed,
-        hits=hits,
-    )
+    return McEstimate.from_hits(hits, samples, seed)
 
 
 def lower_bound_constraints(inst: Instance) -> int:
@@ -263,7 +258,7 @@ def analytic_opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
     rest over the outside facilities.  Requires the leftover clients to fit
     outside: client_count - core <= capacity * (n_f - 2t).
     """
-    _require_valid(inst)
+    require_valid(inst)
     t = inst.family_params.t
     cap = inst.capacity
     k_sorted = sorted(core_index.k)

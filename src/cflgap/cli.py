@@ -31,6 +31,7 @@ from .certify import (
     certify_gap,
     core_size,
     noncolliding_prob_mc,
+    reference_index,
 )
 from .corevec import CoreIndex, check_natural_lp, collides, make_core_vector
 from .instance import (
@@ -112,11 +113,6 @@ def _resolve_instance(args) -> tuple[Instance, dict]:
     return build_family_instance(args.t, args.a), {}
 
 
-def _canonical_index(inst: Instance) -> CoreIndex:
-    t = inst.family_params.t
-    return CoreIndex.for_instance(inst, range(t), range(t, 2 * t))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -182,7 +178,8 @@ def cmd_core(args) -> int:
             inputs,
         ),
     }
-    print(f"core vector: k={sorted(index.k)} l={sorted(index.l)} repr={vec.representation}")
+    form = "dense" if vec.is_dense else "classed"
+    print(f"core vector: k={sorted(index.k)} l={sorted(index.l)} repr={form}")
     _write(args, payload)
     return EXIT_OK
 
@@ -355,14 +352,7 @@ def _mc_parallel(inst: Instance, samples: int, seed: int, jobs: int) -> McEstima
             for wseed, count in plans
         ]
         parts = [f.result() for f in futures]
-    hits = sum(p.hits for p in parts)
-    p_hat = hits / samples
-    half = 1.96 * (p_hat * (1 - p_hat) / samples) ** 0.5
-    upper = p_hat + half if hits else 3.0 / samples
-    return McEstimate(
-        estimate=p_hat, half_width=half, upper95=upper,
-        samples=samples, seed=seed, hits=hits,
-    )
+    return McEstimate.from_hits(sum(p.hits for p in parts), samples, seed)
 
 
 def cmd_census(args) -> int:
@@ -411,7 +401,7 @@ def cmd_certify(args) -> int:
         inst, index, _, inputs = _load_core(args.core)
     else:
         inst, inputs = _resolve_instance(args)
-        index = _canonical_index(inst)
+        index = reference_index(inst)
     mode = "brute-force" if args.brute_force else "analytic"
     cert = certify_gap(inst, index, mode)
     print(f"frac cost:  {docio.frac_to_str(cert.frac_cost)}")

@@ -5,18 +5,18 @@ sets ``(k, l)``: facilities of ``k`` and all outside facilities are fully
 open, facilities of ``l`` carry opening value ``eps``; each designated client
 spreads one unit of assignment mass over ``k`` (``x_k`` each) and ``l``
 (``x_l`` each), while every other client spreads it uniformly over the
-outside facilities.  Vectors live in [0,1]^(n_f + n_f*m) and are stored
-either densely or by symmetry classes (one rational per facility-role x
-client-role cell), which agree coordinatewise.
+outside facilities.  Vectors live in [0,1]^(n_f + n_f*m) and are stored by
+symmetry classes (one rational per facility-class x client-class cell); a
+dense point is the vector whose classes are all singletons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .instance import Instance, validate_params
+from .instance import Instance, require_valid
 
 __all__ = [
     "CoreIndex",
@@ -35,6 +35,11 @@ ONE = Fraction(1)
 
 # Dense materialization guard: n_f * m coordinates beyond this is refused.
 DENSE_LIMIT = 1_000_000
+
+
+def _fraction(value) -> Fraction:
+    # Fraction(f) copies a Fraction f; midpoint and to_dense pass Fractions
+    return value if type(value) is Fraction else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -96,50 +101,40 @@ def collides(c1: CoreIndex, c2: CoreIndex) -> bool:
 
 
 class FracVector:
-    """Exact-rational (y, x) point with dense or symmetry-classed storage."""
+    """Exact-rational (y, x) point stored by symmetry classes.
+
+    The facility classes partition ``range(facility_count)`` and the client
+    classes ``range(client_count)``; one y value per facility class and one
+    x value per facility-class x client-class cell.  A dense point is the
+    vector whose classes are all singletons (:meth:`from_dense`).
+    """
 
     def __init__(
         self,
         facility_count: int,
         client_count: int,
-        *,
-        fac_classes: Optional[Sequence[frozenset[int]]] = None,
-        cli_classes: Optional[Sequence[frozenset[int]]] = None,
-        y_values: Optional[Sequence[Fraction]] = None,
-        x_values: Optional[Sequence[Sequence[Fraction]]] = None,
-        y_dense: Optional[Sequence[Fraction]] = None,
-        x_dense: Optional[Sequence[Sequence[Fraction]]] = None,
+        fac_classes: Sequence[frozenset[int]],
+        cli_classes: Sequence[frozenset[int]],
+        y_values: Sequence[Fraction],
+        x_values: Sequence[Sequence[Fraction]],
     ):
         self.facility_count = facility_count
         self.client_count = client_count
         self._fac_lookup: Optional[dict[int, int]] = None
         self._cli_lookup: Optional[dict[int, int]] = None
-        if fac_classes is not None:
-            self.representation = "classed"
-            self.fac_classes = tuple(frozenset(c) for c in fac_classes)
-            self.cli_classes = tuple(frozenset(c) for c in cli_classes)
-            self.y_values = tuple(Fraction(v) for v in y_values)
-            self.x_values = tuple(tuple(Fraction(v) for v in row) for row in x_values)
-            self._check_partition(self.fac_classes, facility_count, "facility")
-            self._check_partition(self.cli_classes, client_count, "client")
-            if len(self.y_values) != len(self.fac_classes):
-                raise ValueError("one y value per facility class required")
-            if len(self.x_values) != len(self.fac_classes) or any(
-                len(row) != len(self.cli_classes) for row in self.x_values
-            ):
-                raise ValueError("x values must be facility-class x client-class")
-            entries = list(self.y_values) + [v for row in self.x_values for v in row]
-        else:
-            self.representation = "dense"
-            self.y_dense = tuple(Fraction(v) for v in y_dense)
-            self.x_dense = tuple(tuple(Fraction(v) for v in row) for row in x_dense)
-            if len(self.y_dense) != facility_count:
-                raise ValueError("y length mismatch")
-            if len(self.x_dense) != facility_count or any(
-                len(row) != client_count for row in self.x_dense
-            ):
-                raise ValueError("x shape mismatch")
-            entries = list(self.y_dense) + [v for row in self.x_dense for v in row]
+        self.fac_classes = tuple(frozenset(c) for c in fac_classes)
+        self.cli_classes = tuple(frozenset(c) for c in cli_classes)
+        self.y_values = tuple(map(_fraction, y_values))
+        self.x_values = tuple(tuple(map(_fraction, row)) for row in x_values)
+        self._check_partition(self.fac_classes, facility_count, "facility")
+        self._check_partition(self.cli_classes, client_count, "client")
+        if len(self.y_values) != len(self.fac_classes):
+            raise ValueError("one y value per facility class required")
+        if len(self.x_values) != len(self.fac_classes) or any(
+            len(row) != len(self.cli_classes) for row in self.x_values
+        ):
+            raise ValueError("x values must be facility-class x client-class")
+        entries = list(self.y_values) + [v for row in self.x_values for v in row]
         bad = next((v for v in entries if not 0 <= v <= 1), None)
         if bad is not None:
             raise ValueError(f"vector entry {bad} outside [0, 1]")
@@ -155,33 +150,24 @@ class FracVector:
             raise ValueError(f"{what} classes do not partition range({n})")
 
     @classmethod
-    def from_classes(
-        cls,
-        facility_count: int,
-        client_count: int,
-        fac_classes: Sequence[frozenset[int]],
-        cli_classes: Sequence[frozenset[int]],
-        y_values: Sequence[Fraction],
-        x_values: Sequence[Sequence[Fraction]],
-    ) -> "FracVector":
-        return cls(
-            facility_count,
-            client_count,
-            fac_classes=fac_classes,
-            cli_classes=cli_classes,
-            y_values=y_values,
-            x_values=x_values,
-        )
-
-    @classmethod
     def from_dense(
         cls, y: Sequence[Fraction], x: Sequence[Sequence[Fraction]]
     ) -> "FracVector":
-        return cls(len(y), len(x[0]) if x else 0, y_dense=y, x_dense=x)
+        """The vector with coordinates ``y[i]`` and ``x[i][j]``: singleton classes."""
+        client_count = len(x[0]) if x else 0
+        return cls(
+            len(y),
+            client_count,
+            [frozenset((i,)) for i in range(len(y))],
+            [frozenset((j,)) for j in range(client_count)],
+            y,
+            x,
+        )
 
     @property
-    def dimension(self) -> int:
-        return self.facility_count + self.facility_count * self.client_count
+    def is_dense(self) -> bool:
+        """True when every facility and every client class is a singleton."""
+        return all(len(c) == 1 for c in self.fac_classes + self.cli_classes)
 
     # -- coordinate access ---------------------------------------------------
 
@@ -200,20 +186,15 @@ class FracVector:
         return self._cli_lookup[j]
 
     def y_of(self, i: int) -> Fraction:
-        if self.representation == "dense":
-            return self.y_dense[i]
         return self.y_values[self._fac_class_of(i)]
 
     def x_of(self, i: int, j: int) -> Fraction:
-        if self.representation == "dense":
-            return self.x_dense[i][j]
         return self.x_values[self._fac_class_of(i)][self._cli_class_of(j)]
 
     # -- conversions and algebra ----------------------------------------------
 
     def to_dense(self) -> "FracVector":
-        if self.representation == "dense":
-            return self
+        """The same point with singleton classes in id order."""
         if self.facility_count * self.client_count > DENSE_LIMIT:
             raise ValueError(
                 f"refusing to materialize {self.facility_count * self.client_count} coordinates"
@@ -225,19 +206,12 @@ class FracVector:
         ]
         return FracVector.from_dense(y, x)
 
-    def set_y(self, i: int, value: Fraction) -> "FracVector":
-        """Dense copy with one opening coordinate replaced."""
-        d = self.to_dense()
-        y = list(d.y_dense)
-        y[i] = Fraction(value)
-        return FracVector.from_dense(y, d.x_dense)
-
     def set_x(self, i: int, j: int, value: Fraction) -> "FracVector":
         """Dense copy with one assignment coordinate replaced."""
         d = self.to_dense()
-        x = [list(row) for row in d.x_dense]
+        x = [list(row) for row in d.x_values]
         x[i][j] = Fraction(value)
-        return FracVector.from_dense(d.y_dense, x)
+        return FracVector.from_dense(d.y_values, x)
 
     def _same_dims(self, other: "FracVector") -> None:
         if (
@@ -247,31 +221,40 @@ class FracVector:
             raise ValueError("vector dimension mismatch")
 
     def equals(self, other: "FracVector") -> bool:
-        """Exact coordinatewise equality, classwise whenever both are classed."""
+        """Exact coordinatewise equality, checked on the common refinement."""
         self._same_dims(other)
-        if self.representation == "classed" and other.representation == "classed":
-            for fc, _, _, ya, yb in _refined_y(self, other):
-                if ya != yb:
-                    return False
-            for _, _, xa, xb in _refined_x(self, other):
-                if xa != xb:
-                    return False
-            return True
-        for i in range(self.facility_count):
-            if self.y_of(i) != other.y_of(i):
+        cli_atoms = _refine(self.cli_classes, other.cli_classes, other._cli_class_of)
+        cols_a = [ca for _, ca, _ in cli_atoms]
+        cols_b = [cb for _, _, cb in cli_atoms]
+        for _, fa, fb in _refine(self.fac_classes, other.fac_classes, other._fac_class_of):
+            row_a, row_b = self.x_values[fa], other.x_values[fb]
+            if self.y_values[fa] != other.y_values[fb] or (
+                [row_a[c] for c in cols_a] != [row_b[c] for c in cols_b]
+            ):
                 return False
-            for j in range(self.client_count):
-                if self.x_of(i, j) != other.x_of(i, j):
-                    return False
         return True
 
 
 def _refine(
-    parts_a: Sequence[frozenset[int]], parts_b: Sequence[frozenset[int]]
+    parts_a: Sequence[frozenset[int]],
+    parts_b: Sequence[frozenset[int]],
+    class_of_b: Callable[[int], int],
 ) -> list[tuple[frozenset[int], int, int]]:
-    """Common refinement: (atom, index in a, index in b), deterministic order."""
+    """Common refinement: (atom, index in a, index in b), ordered by least id.
+
+    A class of ``a`` with fewer ids than ``b`` has classes looks up the
+    classes it meets through ``class_of_b`` (id -> class index in ``b``), so
+    singleton classes refine in linear time; a larger class is intersected
+    with every class of ``b``.
+    """
     atoms = []
     for ia, ca in enumerate(parts_a):
+        if len(ca) < len(parts_b):
+            met: dict[int, list[int]] = {}
+            for i in ca:
+                met.setdefault(class_of_b(i), []).append(i)
+            atoms.extend((frozenset(ids), ia, ib) for ib, ids in met.items())
+            continue
         for ib, cb in enumerate(parts_b):
             atom = ca & cb
             if atom:
@@ -280,47 +263,24 @@ def _refine(
     return atoms
 
 
-def _refined_y(a: FracVector, b: FracVector):
-    for atom, ia, ib in _refine(a.fac_classes, b.fac_classes):
-        yield atom, ia, ib, a.y_values[ia], b.y_values[ib]
-
-
-def _refined_x(a: FracVector, b: FracVector):
-    fac_atoms = _refine(a.fac_classes, b.fac_classes)
-    cli_atoms = _refine(a.cli_classes, b.cli_classes)
-    for f_atom, fa, fb in fac_atoms:
-        for c_atom, ca, cb in cli_atoms:
-            yield f_atom, c_atom, a.x_values[fa][ca], b.x_values[fb][cb]
-
-
 def midpoint(v1: FracVector, v2: FracVector) -> FracVector:
     """Coordinatewise exact average of two vectors of the same shape."""
     v1._same_dims(v2)
-    if v1.representation == "classed" and v2.representation == "classed":
-        fac_atoms = _refine(v1.fac_classes, v2.fac_classes)
-        cli_atoms = _refine(v1.cli_classes, v2.cli_classes)
-        fac_classes = [atom for atom, _, _ in fac_atoms]
-        cli_classes = [atom for atom, _, _ in cli_atoms]
-        y_values = [
-            (v1.y_values[ia] + v2.y_values[ib]) / 2 for _, ia, ib in fac_atoms
-        ]
-        x_values = [
-            [
-                (v1.x_values[fa][ca] + v2.x_values[fb][cb]) / 2
-                for _, ca, cb in cli_atoms
-            ]
-            for _, fa, fb in fac_atoms
-        ]
-        return FracVector.from_classes(
-            v1.facility_count, v1.client_count, fac_classes, cli_classes, y_values, x_values
-        )
-    d1, d2 = v1.to_dense(), v2.to_dense()
-    y = [(a + b) / 2 for a, b in zip(d1.y_dense, d2.y_dense)]
-    x = [
-        [(a + b) / 2 for a, b in zip(row1, row2)]
-        for row1, row2 in zip(d1.x_dense, d2.x_dense)
+    fac_atoms = _refine(v1.fac_classes, v2.fac_classes, v2._fac_class_of)
+    cli_atoms = _refine(v1.cli_classes, v2.cli_classes, v2._cli_class_of)
+    y_values = [(v1.y_values[ia] + v2.y_values[ib]) / 2 for _, ia, ib in fac_atoms]
+    x_values = [
+        [(v1.x_values[fa][ca] + v2.x_values[fb][cb]) / 2 for _, ca, cb in cli_atoms]
+        for _, fa, fb in fac_atoms
     ]
-    return FracVector.from_dense(y, x)
+    return FracVector(
+        v1.facility_count,
+        v1.client_count,
+        [atom for atom, _, _ in fac_atoms],
+        [atom for atom, _, _ in cli_atoms],
+        y_values,
+        x_values,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +292,7 @@ def make_core_vector(
     inst: Instance, k: Iterable[int], l: Iterable[int], *, dense: bool = False
 ) -> FracVector:
     """The core vector indexed by (k, l), symmetry-classed by default."""
-    violations = validate_params(inst)
-    if violations:
-        raise ValueError(
-            "instance parameters are invalid: " + "; ".join(str(v) for v in violations)
-        )
+    require_valid(inst)
     params = inst.family_params
     index = CoreIndex.for_instance(inst, k, l)
     kf, lf = index.k, index.l
@@ -354,7 +310,7 @@ def make_core_vector(
         "out": [ZERO] + ([x_out] if rest else []),
     }
     x_values = [x_rows["k"], x_rows["l"]] + ([x_rows["out"]] if outside else [])
-    vec = FracVector.from_classes(
+    vec = FracVector(
         inst.facility_count, inst.client_count, fac_classes, cli_classes, y_values, x_values
     )
     return vec.to_dense() if dense else vec
@@ -389,69 +345,41 @@ def check_natural_lp(inst: Instance, v: FracVector) -> NaturalLpReport:
 
     (i) every client's assignment mass is exactly 1, (ii) 0 <= x_ij <= y_i <= 1,
     (iii) every facility's assigned demand is at most capacity * y_i.
-    Classed vectors are checked per symmetry class; dense per coordinate.
+    Checked once per symmetry class; a dense vector's violations name the
+    facility and client ids, a classed one's the least id of each class.
     """
     if v.facility_count != inst.facility_count or v.client_count != inst.client_count:
         raise ValueError("vector/instance dimension mismatch")
     out: list[LpViolation] = []
     cap = inst.capacity
+    dense = v.is_dense
 
-    if v.representation == "classed":
+    def where(what: str, ids: frozenset[int]) -> str:
+        return f"{what} {min(ids)}" if dense else f"{what} class {min(ids)}.."
+
+    for cc_idx, cc in enumerate(v.cli_classes):
+        mass = sum(
+            (len(fc) * v.x_values[fc_idx][cc_idx] for fc_idx, fc in enumerate(v.fac_classes)),
+            ZERO,
+        )
+        if mass != 1:
+            out.append(LpViolation("assignment_mass", where("client", cc), abs(mass - 1)))
+    for fc_idx, fc in enumerate(v.fac_classes):
+        y = v.y_values[fc_idx]
+        where_f = where("facility", fc)
+        if y > 1:
+            out.append(LpViolation("opening_bound", where_f, y - 1))
+        load = ZERO
         for cc_idx, cc in enumerate(v.cli_classes):
-            mass = sum(
-                (
-                    len(fc) * v.x_values[fc_idx][cc_idx]
-                    for fc_idx, fc in enumerate(v.fac_classes)
-                ),
-                ZERO,
-            )
-            if mass != 1:
+            x = v.x_values[fc_idx][cc_idx]
+            if x > y:
                 out.append(
                     LpViolation(
-                        "assignment_mass",
-                        f"client class {min(cc)}..",
-                        abs(mass - 1),
+                        "assignment_le_opening", f"{where_f} / {where('client', cc)}", x - y
                     )
                 )
-        for fc_idx, fc in enumerate(v.fac_classes):
-            y = v.y_values[fc_idx]
-            where_f = f"facility class {min(fc)}.."
-            if y > 1:
-                out.append(LpViolation("opening_bound", where_f, y - 1))
-            load = ZERO
-            for cc_idx, cc in enumerate(v.cli_classes):
-                x = v.x_values[fc_idx][cc_idx]
-                if x > y:
-                    out.append(
-                        LpViolation(
-                            "assignment_le_opening",
-                            f"{where_f} / client class {min(cc)}..",
-                            x - y,
-                        )
-                    )
-                load += len(cc) * inst.demand * x
-            if load > cap * y:
-                out.append(LpViolation("capacity", where_f, load - cap * y))
-    else:
-        for j in range(v.client_count):
-            mass = sum((v.x_dense[i][j] for i in range(v.facility_count)), ZERO)
-            if mass != 1:
-                out.append(LpViolation("assignment_mass", f"client {j}", abs(mass - 1)))
-        for i in range(v.facility_count):
-            y = v.y_dense[i]
-            if y > 1:
-                out.append(LpViolation("opening_bound", f"facility {i}", y - 1))
-            load = ZERO
-            for j in range(v.client_count):
-                x = v.x_dense[i][j]
-                if x > y:
-                    out.append(
-                        LpViolation(
-                            "assignment_le_opening", f"facility {i} / client {j}", x - y
-                        )
-                    )
-                load += inst.demand * x
-            if load > cap * y:
-                out.append(LpViolation("capacity", f"facility {i}", load - cap * y))
+            load += len(cc) * inst.demand * x
+        if load > cap * y:
+            out.append(LpViolation("capacity", where_f, load - cap * y))
 
     return NaturalLpReport(passed=not out, violations=tuple(out))

@@ -37,6 +37,7 @@ __all__ = [
     "build_family_instance",
     "build_general_instance",
     "validate_params",
+    "require_valid",
     "build_gap_costs",
     "check_metric_admissible",
 ]
@@ -237,6 +238,15 @@ def validate_params(inst: Instance) -> list[ParamViolation]:
     return out
 
 
+def require_valid(inst: Instance) -> None:
+    """ValueError listing every violated condition, if :func:`validate_params` finds any."""
+    violations = validate_params(inst)
+    if violations:
+        raise ValueError(
+            "instance parameters are invalid: " + "; ".join(str(v) for v in violations)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Cost vectors
 # ---------------------------------------------------------------------------
@@ -352,31 +362,23 @@ class CostVector:
         return sum((self.connection_sum(i, clients) for i in facilities), ZERO)
 
     def vector_cost(self, v) -> Fraction:
-        """Exact cost of a fractional (y, x) point, classwise when classed.
+        """Exact cost of a fractional (y, x) point, priced per symmetry class.
 
-        Classed vectors never get materialized: each facility-class x
-        client-class cell contributes x_value times the block's total
-        connection cost, so family-scale vectors are priced in O(classes).
+        Vectors never get materialized: each facility-class x client-class
+        cell contributes x_value times the block's total connection cost, so
+        family-scale vectors are priced in O(classes).
         """
         if v.facility_count != self.facility_count or v.client_count != self.client_count:
             raise ValueError("cost/vector dimension mismatch")
         total = ZERO
-        if v.representation == "classed":
-            for fc_idx, fc in enumerate(v.fac_classes):
-                y = v.y_values[fc_idx]
-                if y != 0:
-                    total += y * sum((self.opening_of(i) for i in fc), ZERO)
-                for cc_idx, cc in enumerate(v.cli_classes):
-                    x = v.x_values[fc_idx][cc_idx]
-                    if x != 0:
-                        total += x * self._block_connection_total(fc, cc)
-        else:
-            for i in range(self.facility_count):
-                total += self.opening_of(i) * v.y_of(i)
-                for j in range(self.client_count):
-                    x = v.x_of(i, j)
-                    if x != 0:
-                        total += x * self.connection_of(i, j)
+        for fc_idx, fc in enumerate(v.fac_classes):
+            y = v.y_values[fc_idx]
+            if y != 0:
+                total += y * sum((self.opening_of(i) for i in fc), ZERO)
+            for cc_idx, cc in enumerate(v.cli_classes):
+                x = v.x_values[fc_idx][cc_idx]
+                if x != 0:
+                    total += x * self._block_connection_total(fc, cc)
         return total
 
 

@@ -175,7 +175,7 @@ def instance_from_doc(doc: dict) -> Instance:
 
 
 def _vector_to_doc(vec: FracVector) -> dict:
-    if vec.representation == "classed":
+    if not vec.is_dense:
         return {
             "repr": "classed",
             "y": [
@@ -193,14 +193,14 @@ def _vector_to_doc(vec: FracVector) -> dict:
             ],
         }
     triplets = [
-        [i, j, frac_to_str(vec.x_dense[i][j])]
+        [i, j, frac_to_str(vec.x_of(i, j))]
         for i in range(vec.facility_count)
         for j in range(vec.client_count)
-        if vec.x_dense[i][j] != 0
+        if vec.x_of(i, j) != 0
     ]
     return {
         "repr": "dense",
-        "y": [frac_to_str(y) for y in vec.y_dense],
+        "y": [frac_to_str(vec.y_of(i)) for i in range(vec.facility_count)],
         "x": triplets,
     }
 
@@ -237,7 +237,7 @@ def _vector_from_doc(doc: dict, facility_count: int, client_count: int) -> FracV
                 f"{where} is missing the x cell for facility class {fi} "
                 f"and client class {ci}"
             ) from None
-        return FracVector.from_classes(
+        return FracVector(
             facility_count, client_count, fac_classes, cli_classes, y_values, x_values
         )
     y = [_frac(s, f"{where} y entry") for s in y_doc]
@@ -295,9 +295,12 @@ def solution_to_doc(sol: IntSolution, *, seed: Optional[int] = None) -> dict:
 
 
 def solution_from_doc(doc: dict) -> IntSolution:
+    """The solution of a document; a missing or mistyped field raises ValueError."""
+    where = "solution document"
+    assign = _list(_field(doc, "assign", where), f"{where} field 'assign'")
     return IntSolution(
-        open=frozenset(int(i) for i in doc["open"]),
-        assign=[int(i) for i in doc["assign"]],
+        open=_id_list(_field(doc, "open", where), f"{where} field 'open'"),
+        assign=[_int(i, f"{where} field 'assign' entry") for i in assign],
     )
 
 

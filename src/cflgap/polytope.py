@@ -105,7 +105,7 @@ def solution_coordinates(
 
 def _vector_coordinates(v: FracVector) -> list[Fraction]:
     dense = v.to_dense()
-    return list(dense.y_dense) + [x for row in dense.x_dense for x in row]
+    return list(dense.y_values) + [x for row in dense.x_values for x in row]
 
 
 def membership_lp(v: FracVector, solutions: Sequence[IntSolution]) -> MembershipResult:

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .corevec import CoreIndex, FracVector, collides, make_core_vector, midpoint
-from .instance import Instance, validate_params
+from .instance import Instance, require_valid
 from .randomness import ExactRng, cumulative_thresholds
 
 __all__ = [
@@ -338,11 +338,7 @@ def compile_plan(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> RoundingPlan:
     NonCollidingPairError (naming the empty side) when the pair does not
     collide.
     """
-    violations = validate_params(inst)
-    if violations:
-        raise ValueError(
-            "instance parameters are invalid: " + "; ".join(str(v) for v in violations)
-        )
+    require_valid(inst)
     if not collides(c1, c2):
         # raises with the empty side named
         pivot_facilities(c1, c2)
@@ -507,7 +503,7 @@ def expected_vector(plan: RoundingPlan) -> FracVector:
             row.append(HALF * (xr_a[ra] + xr_b[rb]))
         x_values.append(row)
 
-    return FracVector.from_classes(
+    return FracVector(
         inst.facility_count,
         inst.client_count,
         fac_classes,

@@ -104,7 +104,7 @@ class TestMakeCoreVector:
     def test_dense_and_classed_agree_everywhere(self, mini):
         v = make_core_vector(mini, {0, 1}, {2, 3})
         d = v.to_dense()
-        assert v.representation == "classed" and d.representation == "dense"
+        assert not v.is_dense and d.is_dense
         for i in range(6):
             assert v.y_of(i) == d.y_of(i)
             for j in range(13):
@@ -197,10 +197,10 @@ class TestNaturalLp:
     def test_deficient_client_mass_fails(self, mini):
         # reshape client 0's column to total mass 9/10
         v = make_core_vector(mini, {0, 1}, {2, 3}).to_dense()
-        x = [list(row) for row in v.x_dense]
+        x = [list(row) for row in v.x_values]
         x[0][0] = Fraction(0)
         x[1][0] = Fraction(13, 20)
-        bad = FracVector.from_dense(v.y_dense, x)
+        bad = FracVector.from_dense(v.y_values, x)
         report = check_natural_lp(mini, bad)
         assert not report.passed
         assert any(
@@ -223,7 +223,7 @@ class TestFracVector:
 
     def test_rejects_bad_partition(self):
         with pytest.raises(ValueError):
-            FracVector.from_classes(
+            FracVector(
                 2,
                 1,
                 fac_classes=[frozenset({0})],  # misses facility 1

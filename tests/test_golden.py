@@ -1,16 +1,21 @@
-"""Golden digests that pin the sampler's use of the random stream.
+"""Golden digests that pin the command line's output bytes.
 
 A ``sample`` report and its ``--solutions-dir`` files depend only on the
-inputs, the seed, ``--n`` and ``--jobs``.  The digests below were recorded
-before the rounding distribution was compiled into a ``RoundingPlan``; any
-change to the order or arguments of the ``ExactRng`` calls a draw makes
-changes them.  Commands run in a temporary directory with relative paths, so
-the manifests (which name the files) are the same on every machine.
+inputs, the seed, ``--n`` and ``--jobs``.  The ``sample`` digests were
+recorded before the rounding distribution was compiled into a
+``RoundingPlan``; any change to the order or arguments of the ``ExactRng``
+calls a draw makes changes them.  The non-sampling commands are pinned by
+exit code, stdout and ``-o`` bytes together; their digests were recorded
+before dense vectors became classed vectors with singleton classes.
+Commands run in a temporary directory with relative paths, so the manifests
+(which name the files) are the same on every machine.
 """
 
 import hashlib
-from contextlib import redirect_stdout
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +82,160 @@ def test_sample_bytes_match_golden(digests, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = digests(tmp_path)
     assert got == {name: GOLDEN[name] for name in got}
+
+
+TINY_GEN = ["gen", "--general", "--nf", "3", "--t", "1", "--U", "2", "--m", "3",
+            "--eps", "1/2", "--xl", "1/3"]
+
+# name -> sha256 of the exit code, the stdout and the -o bytes of one command
+GOLDEN_CLI = {
+    "core-mini":
+        "31c7b995c2278d16a85c20413ddaad256f876cb8d998405aa4e98c7650961931",
+    "core-mini-b":
+        "ce0a89db528ea320e39a0eeb4918db2653e0c3ea4b352c97a25a00b1d2407447",
+    "core-mini-dense":
+        "a1d57235ce98ae3e60c4ad50a05759e8608b5983b2e7805f8fb82d8126d03150",
+    "core-mini-b-dense":
+        "a7480688cfa7e34e83da61854e8dddfb28fcd2d64c4b1b177a8c00d887e9ff85",
+    "core-tiny":
+        "cbdfe2a396a733f8ae06278fccc7c5418e6bea4baf98af154fc2a655f75ad4a5",
+    "core-tiny-dense":
+        "a45abc268c9edf6eb73f7207f59c3038aac02061dbe54d0fec6febde9e0cd236",
+    "core-t10":
+        "9f1aaaedf7fe8e5fabae782ba832c3e1562a761bd309e6ca65ed0a5ff7658df6",
+    "core-t10-b":
+        "86cc80a61a495cd2420eb330f99585e7ae353b8140d58b1710236b0bc675bfed",
+    "core-t10-dense":
+        "faa9f8664ec3ce096ea3523a41deee37e2640518b48708faab5208d38cf44871",
+    "lpcheck-classed":
+        "0a003f610234e618084c746bf8832b34a0bbbd77431f688077625303979550df",
+    "lpcheck-dense":
+        "93e50ec69443de918474591c2683e5b154edeb8a3c12a6a1b022369b77eb793b",
+    "lpcheck-dense-x-above-y":
+        "41124df5ad4a8d378ea37b4ebe0ec0bbff4db4b4f73db33a157516c29da001db",
+    "verify-midpoint-mini":
+        "4f4974e8ea9853d3697aad57e5fd38eab0216a771dc0336b34fc09584b6534c7",
+    "verify-midpoint-mini-dense":
+        "ad6a47aea1e6b9b78df62dffdcd9da28d1a962b5ee7d9ecdff14f86fa7fb6350",
+    "verify-midpoint-t10":
+        "656d4e3e89b4f6c86abfcb13e752bfd4813d623c815c2cd540ba10f58c909b61",
+    "certify-t10":
+        "21e955a274553f5584c2d5ed6101b4edd84f87e3e0e6324495849d7b233a6151",
+    "certify-tiny-brute-force":
+        "29beaa741ddb47227ec85a0ea17ea4d164e8c64522bdc9e20bf95dde2f239293",
+    "certify-tiny-dense":
+        "3cd7257da16c56dd603260049b062964c3f4b3a30265acd49e1fe096316998e8",
+    "oracle-member-tiny":
+        "606a78a55ac56b82e550ea2bdf5d0048e4000f2e7bdd0efe2f19fa130667f139",
+    "oracle-member-tiny-dense":
+        "67c9c72ea7b2dcacba4845f90056edff555143ee5e2d1d5d6bcaa0c0886b8702",
+    "oracle-member-tiny-perturbed":
+        "0e5a03402536e8f068a662a635b913569aee63b86a65d754bdfdebbdaf0f63f2",
+    "oracle-opt-tiny":
+        "c294abe085b0c783f4b23d2359340ab3091d5675ab2433174cb7e885753f2613",
+    "census-exact-mini":
+        "bdbfd17481cb5d7986271d982782626dce5a567174c9905b0f2d6be39fceb410",
+    "census-mc-jobs1":
+        "b168704a36c40f6d536be760000da9016580e5a2c702c469f337f667129ac195",
+    "census-mc-jobs2":
+        "11217ca6ad4c83eb757b741ab1b79b17a240c483b530f623d5bfcba08b8b4c89",
+    "bound-t10":
+        "dc927906bfe753f3e3c38b4bcd327e73936b487596c06b217371ea8bb3967ec6",
+}
+
+
+def _pinned(argv, output):
+    """sha256 over the exit code, the stdout and the ``-o`` file of a run."""
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        rc = cli.main(list(argv) + ["-o", output])
+    digest = hashlib.sha256(f"{rc}\0{out.getvalue()}\0".encode())
+    if Path(output).exists():
+        digest.update(Path(output).read_bytes())
+    return digest.hexdigest()
+
+
+def _raise_dense_x(source, target, i, j, value):
+    """Copy a dense core file with the x entry at (i, j) set to ``value``."""
+    doc = json.loads(Path(source).read_text())
+    doc["x"] = [t for t in doc["x"] if t[:2] != [i, j]] + [[i, j, value]]
+    Path(target).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def cli_digests():
+    _cli(*MINI_GEN, "-o", "mini.json")
+    _cli(*TINY_GEN, "-o", "tiny.json")
+    _cli(*T10_GEN, "-o", "t10.json")
+    runs = {
+        "core-mini": (["core", "--instance", "mini.json", "--k", "0,1", "--l", "2,3"],
+                      "mini_a.core"),
+        "core-mini-b": (["core", "--instance", "mini.json", "--k", "0,1", "--l", "4,5"],
+                        "mini_b.core"),
+        "core-mini-dense": (["core", "--instance", "mini.json", "--k", "0,1", "--l", "2,3",
+                             "--dense"], "mini_a_dense.core"),
+        "core-mini-b-dense": (["core", "--instance", "mini.json", "--k", "0,1", "--l", "4,5",
+                               "--dense"], "mini_b_dense.core"),
+        "core-tiny": (["core", "--instance", "tiny.json", "--k", "0", "--l", "1"],
+                      "tiny.core"),
+        "core-tiny-dense": (["core", "--instance", "tiny.json", "--k", "0", "--l", "1",
+                             "--dense"], "tiny_dense.core"),
+        "core-t10": (["core", "--instance", "t10.json", "--k", "0..9", "--l", "10..19"],
+                     "t10_a.core"),
+        "core-t10-b": (["core", "--instance", "t10.json", "--k", "20..29", "--l", "30..39"],
+                       "t10_b.core"),
+        "core-t10-dense": (["core", "--instance", "t10.json", "--k", "0..9", "--l", "10..19",
+                            "--dense"], "t10_dense.core"),
+    }
+    out = {name: _pinned(argv, output) for name, (argv, output) in runs.items()}
+    # y on the l facility 2 is 2/5; TINY's facility 1 opens at 1/2
+    _raise_dense_x("mini_a_dense.core", "mini_bad.core", 2, 0, "1/2")
+    _raise_dense_x("tiny_dense.core", "tiny_bad.core", 1, 0, "3/4")
+    runs = {
+        "lpcheck-classed": (["lpcheck", "mini_a.core"], "lp_classed.json"),
+        "lpcheck-dense": (["lpcheck", "mini_a_dense.core"], "lp_dense.json"),
+        "lpcheck-dense-x-above-y": (["lpcheck", "mini_bad.core"], "lp_bad.json"),
+        "verify-midpoint-mini": (["verify-midpoint", "mini_a.core", "mini_b.core"],
+                                 "vm_mini.json"),
+        "verify-midpoint-mini-dense": (["verify-midpoint", "mini_a_dense.core",
+                                        "mini_b_dense.core"], "vm_mini_dense.json"),
+        "verify-midpoint-t10": (["verify-midpoint", "t10_a.core", "t10_b.core"],
+                                "vm_t10.json"),
+        "certify-t10": (["certify", "--t", "10"], "cert_t10.json"),
+        "certify-tiny-brute-force": (["certify", "--core", "tiny.core", "--brute-force"],
+                                     "cert_tiny_bf.json"),
+        "certify-tiny-dense": (["certify", "--core", "tiny_dense.core"],
+                               "cert_tiny_dense.json"),
+        "oracle-member-tiny": (["oracle", "member", "--vector", "tiny.core"],
+                               "member.json"),
+        "oracle-member-tiny-dense": (["oracle", "member", "--vector", "tiny_dense.core"],
+                                     "member_dense.json"),
+        "oracle-member-tiny-perturbed": (["oracle", "member", "--vector", "tiny_bad.core"],
+                                         "member_bad.json"),
+        "oracle-opt-tiny": (["oracle", "opt", "--core", "tiny.core"], "opt.json"),
+        "census-exact-mini": (["census", "--instance", "mini.json", "--exact"],
+                              "census_exact.json"),
+        "census-mc-jobs1": (["census", "--instance", "mini.json", "--mc", "2000",
+                             "--seed", "7", "--jobs", "1"], "census_mc1.json"),
+        "census-mc-jobs2": (["census", "--instance", "mini.json", "--mc", "2000",
+                             "--seed", "7", "--jobs", "2"], "census_mc2.json"),
+        "bound-t10": (["bound", "--t", "10"], "bound.json"),
+    }
+    out.update({name: _pinned(argv, output) for name, (argv, output) in runs.items()})
+    return out
+
+
+def test_dense_core_at_t10_is_refused(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _cli(*T10_GEN, "-o", "t10.json")
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        rc = cli.main(["core", "--instance", "t10.json", "--k", "0..9", "--l", "10..19",
+                       "--dense", "-o", "t10_dense.core"])
+    assert rc == 2
+    assert "refusing to materialize 2000000 coordinates" in err.getvalue()
+    assert not (tmp_path / "t10_dense.core").exists()
+
+
+def test_non_sampling_bytes_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_digests() == GOLDEN_CLI

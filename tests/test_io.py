@@ -66,7 +66,7 @@ class TestCoreDoc:
         doc = docio.core_file_doc(mini, idx, vec)
         assert doc["repr"] == "dense"
         _, _, vec2 = docio.load_core_doc(doc)
-        assert vec2.representation == "dense"
+        assert vec2.is_dense
         assert vec2.equals(vec)
 
     def test_span_encoding_for_contiguous_sets(self, family10):
@@ -82,6 +82,25 @@ class TestSolutionDoc:
         doc = docio.solution_to_doc(sol, seed=99)
         assert doc["seed"] == 99
         assert docio.solution_from_doc(doc) == sol
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"open": [0], "assign": [0, None]}, "'assign' entry"),
+            ({"open": [0], "assign": [0, "1"]}, "'assign' entry"),
+            ({"open": [0], "assign": 0}, "'assign'"),
+            ({"open": [None], "assign": [0]}, "'open' id"),
+            ({"open": 0, "assign": [0]}, "'open'"),
+            ({"assign": [0]}, "'open'"),
+            ({"open": [0]}, "'assign'"),
+            ([0], "JSON object"),
+        ],
+        ids=["null-assign", "string-assign", "non-list-assign", "null-open",
+             "non-list-open", "missing-open", "missing-assign", "not-an-object"],
+    )
+    def test_malformed_raises_value_error_naming_field(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            docio.solution_from_doc(doc)
 
 
 class TestReportDocs:

@@ -1,4 +1,5 @@
-"""Property tests of the compiled rounding distribution on random shapes.
+"""Property tests on random shapes: the compiled rounding distribution, and
+classed vectors against their dense (singleton-class) copies.
 
 Shapes are drawn around the validity conditions of ``validate_params`` so
 that most draws are valid; settings are derandomized and small, so the suite
@@ -10,8 +11,8 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cflgap.corevec import CoreIndex, collides
-from cflgap.instance import build_general_instance, validate_params
+from cflgap.corevec import CoreIndex, FracVector, check_natural_lp, collides, midpoint
+from cflgap.instance import CostVector, Instance, build_general_instance, validate_params
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
     compile_plan,
@@ -68,3 +69,98 @@ def test_enumeration_and_sampler_agree(plan, seed):
         draw = sample_outcome(plan, rng)
         assert solution_violations(plan.inst, draw.solution) == []
         assert outcome_class_key(plan, draw) in feasible_keys
+
+
+# -- classed and dense vectors --------------------------------------------------
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=6)
+
+
+@st.composite
+def partitions(draw, n):
+    """A partition of range(n) into nonempty classes, in a random order."""
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    classes: dict[int, set[int]] = {}
+    for i, label in enumerate(labels):
+        classes.setdefault(label, set()).add(i)
+    return draw(st.permutations([frozenset(c) for c in classes.values()]))
+
+
+@st.composite
+def classed_vectors(draw, n_f, m):
+    """A random vector; sometimes the LP-feasible y = 1, x = 1/n_f one."""
+    fac, cli = draw(partitions(n_f)), draw(partitions(m))
+    if draw(st.booleans()):
+        y = [Fraction(1)] * len(fac)
+        x = [[Fraction(1, n_f)] * len(cli) for _ in fac]
+    else:
+        y = [draw(UNIT) for _ in fac]
+        x = [[draw(UNIT) for _ in cli] for _ in fac]
+    return FracVector(n_f, m, fac, cli, y, x)
+
+
+@st.composite
+def vector_pairs(draw):
+    n_f, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    return draw(classed_vectors(n_f, m)), draw(classed_vectors(n_f, m))
+
+
+def coordinates(v):
+    return [v.y_of(i) for i in range(v.facility_count)] + [
+        v.x_of(i, j) for i in range(v.facility_count) for j in range(v.client_count)
+    ]
+
+
+def coordinatewise_cost(cost, v):
+    return sum(
+        (cost.opening_of(i) * v.y_of(i)
+         + sum((cost.connection_of(i, j) * v.x_of(i, j) for j in range(v.client_count)),
+               Fraction(0))
+         for i in range(v.facility_count)),
+        Fraction(0),
+    )
+
+
+def violation_set(report):
+    return {(vi.constraint, vi.slack) for vi in report.violations}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pair=vector_pairs(), data=st.data())
+def test_classed_and_dense_agree(pair, data):
+    v, w = pair
+    dv, dw = v.to_dense(), w.to_dense()
+    assert dv.is_dense and dw.is_dense
+    assert coordinates(dv) == coordinates(v)
+    assert v.equals(dv) and dv.equals(v)
+    same = coordinates(v) == coordinates(w)
+    for a in (v, dv):
+        for b in (w, dw):
+            assert a.equals(b) == b.equals(a) == same
+
+    mids = [midpoint(a, b) for a in (v, dv) for b in (w, dw)]
+    expected = [(a + b) / 2 for a, b in zip(coordinates(v), coordinates(w))]
+    for mid in mids:
+        assert coordinates(mid) == expected
+        assert mid.equals(mids[0]) and mids[0].equals(mid)
+    assert mids[-1].is_dense
+
+    n_f, m = v.facility_count, v.client_count
+    two_point = CostVector(
+        n_f, m,
+        unit_opening=data.draw(st.frozensets(st.integers(0, n_f - 1))),
+        near_facilities=data.draw(st.frozensets(st.integers(0, n_f - 1))),
+        near_clients=data.draw(st.frozensets(st.integers(0, m - 1))),
+    )
+    dense_cost = CostVector.dense(
+        [data.draw(UNIT) for _ in range(n_f)],
+        [[data.draw(UNIT) for _ in range(m)] for _ in range(n_f)],
+    )
+    for cost in (two_point, dense_cost):
+        assert cost.vector_cost(v) == cost.vector_cost(dv) == coordinatewise_cost(cost, v)
+
+    inst = Instance(facility_count=n_f, client_count=m,
+                    capacity=data.draw(st.integers(1, m)))
+    classed, dense = check_natural_lp(inst, v), check_natural_lp(inst, dv)
+    assert classed.passed == dense.passed
+    assert violation_set(classed) == violation_set(dense)
