@@ -190,8 +190,7 @@ class CensusReport:
     """Exact collision census of one instance, with optional extras."""
 
     core_size: int
-    noncolliding_per_member: int
-    lambda_: int
+    lambda_: int  # non-colliding count per member
     noncolliding_upper_bound: Fraction
     lower_bound: int
     brute_force_count: Optional[int] = None
@@ -226,7 +225,6 @@ def build_census_report(
     )
     return CensusReport(
         core_size=size,
-        noncolliding_per_member=lam,
         lambda_=lam,
         noncolliding_upper_bound=noncolliding_upper_bound(inst),
         lower_bound=lower_bound_constraints(inst),

@@ -377,7 +377,7 @@ def cmd_census(args) -> int:
         mode = {"mode": "mc", "samples": args.mc, "jobs": max(1, args.jobs)}
 
     print(f"core size:        {report.core_size}")
-    print(f"non-colliding:    {report.noncolliding_per_member}")
+    print(f"non-colliding:    {report.lambda_}")
     print(f"lambda:           {report.lambda_}")
     print(f"lower bound:      {report.lower_bound}")
     if report.brute_force_count is not None:

@@ -216,16 +216,19 @@ def _vector_from_doc(doc: dict, facility_count: int, client_count: int) -> FracV
             for entry in y_doc
         ]
         y_values = [_frac_field(entry, "value", "y entry") for entry in y_doc]
-        cli_classes: list[frozenset[int]] = []
+        fac_index = {fc: fi for fi, fc in enumerate(fac_classes)}
+        cli_index: dict[frozenset[int], int] = {}  # in order of first appearance
         cell: dict[tuple[int, int], Fraction] = {}
-        for entry in x_doc:
+        for n, entry in enumerate(x_doc):
             fc = _ids_from_doc(_field(entry, "facilities", "x entry"), "x entry facilities")
             cc = _ids_from_doc(_field(entry, "clients", "x entry"), "x entry clients")
-            if cc not in cli_classes:
-                cli_classes.append(cc)
-            cell[(fac_classes.index(fc), cli_classes.index(cc))] = _frac_field(
-                entry, "value", "x entry"
-            )
+            if fc not in fac_index:
+                raise ValueError(
+                    f"{where} x entry {n} field 'facilities' is not one of the y classes"
+                )
+            ci = cli_index.setdefault(cc, len(cli_index))
+            cell[(fac_index[fc], ci)] = _frac_field(entry, "value", "x entry")
+        cli_classes = list(cli_index)
         try:
             x_values = [
                 [cell[(fi, ci)] for ci in range(len(cli_classes))]
@@ -318,7 +321,7 @@ def _mc_to_doc(mc: McEstimate) -> dict:
 def census_report_to_doc(report: CensusReport) -> dict:
     return {
         "core_size": str(report.core_size),
-        "noncolliding_per_member": str(report.noncolliding_per_member),
+        "noncolliding_per_member": str(report.lambda_),
         "lambda": str(report.lambda_),
         "noncolliding_upper_bound": frac_to_str(report.noncolliding_upper_bound),
         "lower_bound": str(report.lower_bound),

@@ -13,18 +13,18 @@ the distribution into a :class:`RoundingPlan`: the pivots, both experiments'
 facility roles and probabilities, and the client pools as int64 arrays.
 Every branch probability is also stored as integer thresholds over a fixed
 denominator, so a draw compares integers with integers and builds no
-``Fraction``.  Three views read the same plan and are cross-checked:
+``Fraction``.  Two views read the same plan:
 
 * :func:`sample_outcome` draws one integer solution (seed-deterministic)
-  whose assignment is a read-only int64 array,
-* :func:`expected_vector` computes the exact closed-form expectation by
-  linearity over the experiment steps, and
+  whose assignment is a read-only int64 array, and
 * :func:`enumerate_outcome_classes` lists every floor/ceil branch with its
   exact probability, collapsing exchangeable client and bin choices.
 
-Together they certify constructively that the midpoint of a colliding pair
-is a convex combination of feasible integer solutions
-(:func:`verify_midpoint`).  A plan is built per command or caller and passed
+:func:`expected_vector` averages the enumerated classes (sum of probability
+times class mean), so :func:`verify_midpoint` certifies constructively, from
+one class list, that the midpoint of a colliding pair is a convex
+combination of feasible integer solutions: these weights, these feasible
+points, this exact sum.  A plan is built per command or caller and passed
 explicitly; nothing caches plans across calls.
 """
 
@@ -33,6 +33,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -212,7 +214,7 @@ def split_slots(
 
 
 # ---------------------------------------------------------------------------
-# Experiment structure shared by sampler, expectation engine and enumerator
+# Experiment structure shared by the sampler and the enumerator
 # ---------------------------------------------------------------------------
 
 
@@ -265,17 +267,6 @@ class _Experiment:
 
     def choice_target(self, i: int) -> Fraction:
         return self.w_pivot if i == self.pivot_choice else self.w_nonpivot
-
-    def role_of(self, i: int) -> str:
-        if i == self.pivot_extra:
-            return "extra"
-        if i == self.pivot_choice:
-            return "pivot"
-        if i in self.always_open:
-            return "high"
-        if i in self.choice_set:
-            return "low"
-        return "outside"
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,94 +414,6 @@ def sample_outcome(plan: RoundingPlan, rng: ExactRng) -> SampleDraw:
     A fair coin (one ``integer_below(2)``) picks experiment A on 0, B on 1.
     """
     return _run_experiment(plan.inst, plan.experiments[rng.integer_below(2)], rng)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form expectation
-# ---------------------------------------------------------------------------
-
-
-def _role_tables(
-    exp: _Experiment,
-) -> tuple[dict[str, Fraction], dict[str, Fraction], dict[str, Fraction]]:
-    """Per-role opening probability and per-client assignment expectations."""
-    t = len(exp.always_open)
-    n_core = len(exp.core_pool)
-    m_rest = len(exp.rest_pool)
-
-    y = {
-        "high": ONE,
-        "low": exp.p_nonpivot,
-        "pivot": exp.p_pivot,
-        "extra": exp.p_extra,
-        "outside": ONE,
-    }
-
-    # expected step-1 slots, divided by the pool size, give E[x] on that pool
-    e_high = (
-        (t - 1) * exp.p_nonpivot * (n_core - exp.w_nonpivot)
-        + exp.p_pivot * (n_core - exp.w_pivot)
-    ) / t
-    x_core = {
-        "high": e_high / n_core,
-        "low": exp.p_nonpivot * exp.w_nonpivot / n_core,
-        "pivot": exp.p_pivot * exp.w_pivot / n_core,
-        "extra": ZERO,
-        "outside": ZERO,
-    }
-
-    x_rest = {role: ZERO for role in y}
-    if m_rest:
-        nb = len(exp.outside_bins)
-        x_rest["extra"] = exp.p_extra * exp.w_extra / m_rest
-        e_outside = (
-            exp.p_extra * (m_rest - exp.w_extra) + (1 - exp.p_extra) * m_rest
-        ) / nb
-        x_rest["outside"] = e_outside / m_rest
-    return y, x_core, x_rest
-
-
-def expected_vector(plan: RoundingPlan) -> FracVector:
-    """Exact expectation of the distribution, by linearity over the steps.
-
-    Built purely from the experiments' opening probabilities and slot
-    targets (rounding and splitting preserve expectations, and clients are
-    exchangeable within each pool); no sampling, no averaging of the core
-    vectors themselves.
-    """
-    inst = plan.inst
-    exp_a, exp_b = plan.experiments
-    if not np.array_equal(exp_a.core_pool, exp_b.core_pool):
-        raise AssertionError("designated client pools must coincide")
-
-    y_a, xc_a, xr_a = _role_tables(exp_a)
-    y_b, xc_b, xr_b = _role_tables(exp_b)
-
-    atoms: dict[tuple[str, str], set[int]] = {}
-    for i in inst.facilities:
-        atoms.setdefault((exp_a.role_of(i), exp_b.role_of(i)), set()).add(i)
-
-    core = frozenset(exp_a.core_pool.tolist())
-    rest = frozenset(exp_a.rest_pool.tolist())
-    cli_classes = [core] + ([rest] if rest else [])
-
-    fac_classes, y_values, x_values = [], [], []
-    for (ra, rb), members in sorted(atoms.items(), key=lambda kv: min(kv[1])):
-        fac_classes.append(frozenset(members))
-        y_values.append(HALF * (y_a[ra] + y_b[rb]))
-        row = [HALF * (xc_a[ra] + xc_b[rb])]
-        if rest:
-            row.append(HALF * (xr_a[ra] + xr_b[rb]))
-        x_values.append(row)
-
-    return FracVector(
-        inst.facility_count,
-        inst.client_count,
-        fac_classes,
-        cli_classes,
-        y_values,
-        x_values,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +581,83 @@ def outcome_class_key(plan: RoundingPlan, draw: SampleDraw) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Expectation over the outcome classes
+# ---------------------------------------------------------------------------
+
+
+def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> FracVector:
+    """Exact expectation of the distribution: sum of probability x class mean.
+
+    ``classes`` are the plan's enumerated outcome classes.  Within a class,
+    clients are exchangeable within their pool and facilities within their
+    group, so a class's mean gives each facility of a group the clients the
+    group serves / (group size x pool size) on every client of that pool, and
+    y = the group's open members / group size.  The designated pool is served
+    by the chosen low facility and the high set, the rest pool by the
+    borrowed pivot and the outside bins.  Sums are kept per group and
+    expanded to facilities once; facilities with equal values share a class.
+    """
+    inst = plan.inst
+    exp_a, exp_b = plan.experiments
+    core, rest = exp_a.core_pool, exp_a.rest_pool
+    if not np.array_equal(core, exp_b.core_pool):
+        raise AssertionError("designated client pools must coincide")
+    by_label = {exp.label: exp for exp in plan.experiments}
+
+    # (experiment, group) -> probability-weighted [open members, clients
+    # served from the designated pool, clients served from the rest pool],
+    # as integers over the common denominator of the class probabilities
+    den = lcm(*(cl.probability.denominator for cl in classes))
+    sums: dict[tuple[str, tuple[int, ...]], list[int]] = {}
+    for cl in classes:
+        exp = by_label[cl.experiment]
+        weight = cl.probability.numerator * (den // cl.probability.denominator)
+        served = dict(cl.slot_profile)
+        for group, pool in (
+            ((cl.chosen_l_facility,), 1),
+            (exp.always_open, 1),
+            ((exp.pivot_extra,), 2),
+            (exp.outside_bins, 2),
+        ):
+            acc = sums.setdefault((exp.label, group), [0, 0, 0])
+            acc[0] += weight * len(cl.open_facilities.intersection(group))
+            acc[pool] += weight * sum(map(served.get, group, repeat(0)))
+
+    # each facility lies in one group per experiment; the facilities that
+    # share both groups get one value, computed once
+    group_of: dict[int, list] = {i: [] for i in inst.facilities}
+    for exp in plan.experiments:
+        singles = [(i,) for i in (exp.pivot_extra, *exp.choice_set)]
+        for group in (exp.always_open, exp.outside_bins, *singles):
+            for i in group:
+                group_of[i].append((exp.label, group))
+    atoms: dict[tuple, list[int]] = {}
+    for i, keys in group_of.items():
+        atoms.setdefault(tuple(keys), []).append(i)
+
+    pools = [core] + ([rest] if len(rest) else [])
+    values: dict[tuple[Fraction, ...], list[int]] = {}
+    for keys, members in atoms.items():
+        value = [ZERO] * (1 + len(pools))
+        for key in keys:
+            acc, size = sums.get(key, (0, 0, 0)), len(key[1])
+            value[0] += Fraction(acc[0], den * size)
+            for c, pool in enumerate(pools, start=1):
+                value[c] += Fraction(acc[c], den * size * len(pool))
+        values.setdefault(tuple(value), []).extend(members)
+
+    ordered = sorted(values.items(), key=lambda kv: min(kv[1]))
+    return FracVector(
+        inst.facility_count,
+        inst.client_count,
+        [frozenset(members) for _, members in ordered],
+        [frozenset(pool.tolist()) for pool in pools],
+        [value[0] for value, _ in ordered],
+        [list(value[1:]) for value, _ in ordered],
+    )
+
+
+# ---------------------------------------------------------------------------
 # The midpoint certificate
 # ---------------------------------------------------------------------------
 
@@ -686,11 +666,11 @@ def outcome_class_key(plan: RoundingPlan, draw: SampleDraw) -> tuple:
 class MidpointCertificate:
     """Constructive evidence that a colliding pair's midpoint is integral-convex.
 
-    Valid iff the closed-form expectation equals the midpoint exactly, every
-    outcome class is a feasible integer solution, and the class probabilities
-    sum to exactly 1.  Parameter sets whose rounding branches overflow
-    capacity yield an (honestly) invalid certificate; the classic family has
-    ample slack.
+    Valid iff the probability-weighted average of the enumerated outcome
+    classes equals the midpoint exactly, every class is a feasible integer
+    solution, and the class probabilities sum to exactly 1.  Parameter sets
+    whose rounding branches overflow capacity yield an (honestly) invalid
+    certificate; the classic family has ample slack.
     """
 
     pair: tuple[CoreIndex, CoreIndex]
@@ -711,14 +691,13 @@ class MidpointCertificate:
 def verify_midpoint(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> MidpointCertificate:
     """Exact midpoint-membership certificate for a colliding pair."""
     plan = compile_plan(inst, c1, c2)
-    s1 = make_core_vector(inst, c1.k, c1.l)
-    s2 = make_core_vector(inst, c2.k, c2.l)
-    mid = midpoint(s1, s2)
-    expectation = expected_vector(plan)
     classes = enumerate_outcome_classes(plan)
+    mid = midpoint(
+        make_core_vector(inst, c1.k, c1.l), make_core_vector(inst, c2.k, c2.l)
+    )
     return MidpointCertificate(
         pair=(c1, c2),
-        expectation_matches=expectation.equals(mid),
+        expectation_matches=expected_vector(plan, classes).equals(mid),
         all_classes_feasible=all(cl.feasible for cl in classes),
         class_count=len(classes),
         probability_sum=sum((cl.probability for cl in classes), ZERO),

@@ -89,7 +89,8 @@ def test_acceptance_1_expectation_identity():
         for c1, c2 in random_colliding_pairs(inst, 5, seed=101):
             cert = verify_midpoint(inst, c1, c2)
             assert cert.valid
-            expectation = expected_vector(compile_plan(inst, c1, c2))
+            plan = compile_plan(inst, c1, c2)
+            expectation = expected_vector(plan, enumerate_outcome_classes(plan))
             mid = midpoint(
                 make_core_vector(inst, c1.k, c1.l),
                 make_core_vector(inst, c2.k, c2.l),

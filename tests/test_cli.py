@@ -198,6 +198,13 @@ class TestMalformedCoreDocument:
             "is outside the 6 x 13 assignment matrix",
             id="dense-triplet-out-of-range",
         ),
+        pytest.param(
+            "a", ["x", 0, "facilities"], {"span": [0, 1]},
+            [["lpcheck", "{path}"],
+             ["sample", "{path}", "{b}", "--n", "5", "--seed", "1"]],
+            "x entry 0 field 'facilities' is not one of the y classes",
+            id="x-facilities-not-a-y-class",
+        ),
     ])
     def test_wrong_type_exits_2_naming_field(
         self, workspace, broken, source, keys, value, commands, message

@@ -11,12 +11,20 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cflgap.corevec import CoreIndex, FracVector, check_natural_lp, collides, midpoint
+from cflgap.corevec import (
+    CoreIndex,
+    FracVector,
+    check_natural_lp,
+    collides,
+    make_core_vector,
+    midpoint,
+)
 from cflgap.instance import CostVector, Instance, build_general_instance, validate_params
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
     compile_plan,
     enumerate_outcome_classes,
+    expected_vector,
     outcome_class_key,
     sample_outcome,
     solution_violations,
@@ -27,7 +35,7 @@ DRAWS = 25
 
 @st.composite
 def colliding_plans(draw):
-    """A valid --general instance and a colliding pair of core indices."""
+    """The compiled plan of a valid --general instance and a colliding pair."""
     t = draw(st.integers(1, 3))
     capacity = draw(st.integers(1, 5))
     q = draw(st.integers(2, 4))  # outside facilities
@@ -47,7 +55,7 @@ def colliding_plans(draw):
 
     c1, c2 = index(), index()
     assume(collides(c1, c2))
-    return compile_plan(inst, c1, c2)
+    return compile_plan(inst, c1, c2), (c1, c2)
 
 
 @settings(
@@ -56,10 +64,19 @@ def colliding_plans(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
-@given(plan=colliding_plans(), seed=st.integers(0, 2**32 - 1))
-def test_enumeration_and_sampler_agree(plan, seed):
+@given(case=colliding_plans(), seed=st.integers(0, 2**32 - 1))
+def test_enumeration_and_sampler_agree(case, seed):
+    plan, (c1, c2) = case
     classes = enumerate_outcome_classes(plan)
     assert sum(cl.probability for cl in classes) == 1
+    # the class average is the midpoint whenever every class assigns each
+    # client once, over-capacity classes included; a class whose branch
+    # counts overfill a pool holds no assignment to average
+    if all(sum(n for _, n in cl.slot_profile) == plan.inst.client_count for cl in classes):
+        mid = midpoint(
+            make_core_vector(plan.inst, c1.k, c1.l), make_core_vector(plan.inst, c2.k, c2.l)
+        )
+        assert expected_vector(plan, classes).equals(mid)
     # the enumerator admits the shape when every class is feasible; otherwise
     # the sampler can reach an overflowing branch
     assume(all(cl.feasible for cl in classes))

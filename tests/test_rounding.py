@@ -1,11 +1,13 @@
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import cflgap.rounding as rounding
 from cflgap.corevec import CoreIndex, collides, make_core_vector, midpoint
 from cflgap.io import solution_from_doc, solution_to_doc
 from cflgap.randomness import ExactRng
@@ -232,19 +234,22 @@ class TestExpectedVector:
         c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
         c2 = CoreIndex.for_instance(family10, range(20, 30), range(30, 40))
         f, g = pivot_facilities(c1, c2)
-        ev = expected_vector(compile_plan(family10, c1, c2))
+        plan = compile_plan(family10, c1, c2)
+        ev = expected_vector(plan, enumerate_outcome_classes(plan))
         assert ev.y_of(f) == Fraction(11, 20)
         assert ev.y_of(g) == Fraction(11, 20)
 
     def test_untouched_facilities_fully_open(self, family10):
         c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
         c2 = CoreIndex.for_instance(family10, range(20, 30), range(30, 40))
-        ev = expected_vector(compile_plan(family10, c1, c2))
+        plan = compile_plan(family10, c1, c2)
+        ev = expected_vector(plan, enumerate_outcome_classes(plan))
         assert ev.y_of(99) == 1
 
     def test_equals_midpoint_every_coordinate_mini(self, mini):
         c1, c2 = mini_pair(mini)
-        ev = expected_vector(compile_plan(mini, c1, c2))
+        plan = compile_plan(mini, c1, c2)
+        ev = expected_vector(plan, enumerate_outcome_classes(plan))
         mid = midpoint(
             make_core_vector(mini, c1.k, c1.l), make_core_vector(mini, c2.k, c2.l)
         )
@@ -264,7 +269,8 @@ class TestExpectedVector:
         ]
         assert pairs
         for a, b in pairs:
-            ev = expected_vector(compile_plan(mini, a, b))
+            plan = compile_plan(mini, a, b)
+            ev = expected_vector(plan, enumerate_outcome_classes(plan))
             mid = midpoint(
                 make_core_vector(mini, a.k, a.l), make_core_vector(mini, b.k, b.l)
             )
@@ -380,6 +386,33 @@ class TestVerifyMidpoint:
         )
         with pytest.raises(NonCollidingPairError):
             verify_midpoint(family10, c1, c2)
+
+    def test_drifted_class_weights_invalidate_certificate(self, mini, monkeypatch):
+        # move probability mass between two feasible classes that open
+        # different low facilities; the sum stays exactly 1 and every class
+        # stays feasible, so only the expectation can notice
+        exact = rounding.enumerate_outcome_classes
+        calls = []
+
+        def drifted(plan):
+            calls.append(plan)
+            classes = exact(plan)
+            a = classes[0]
+            b = next(c for c in classes if c.chosen_l_facility != a.chosen_l_facility)
+            delta = min(a.probability, b.probability) / 2
+            shift = {id(a): -delta, id(b): delta}
+            return [
+                replace(c, probability=c.probability + shift.get(id(c), 0))
+                for c in classes
+            ]
+
+        monkeypatch.setattr(rounding, "enumerate_outcome_classes", drifted)
+        cert = verify_midpoint(mini, *mini_pair(mini))
+        assert len(calls) == 1
+        assert cert.all_classes_feasible
+        assert cert.probability_sum == 1
+        assert cert.expectation_matches is False
+        assert cert.valid is False
 
     def test_tiny_instance_pairs_valid(self, tiny):
         idx = [
