@@ -273,7 +273,8 @@ def cmd_sample(args) -> int:
             f"experiment {infeasible.experiment}, "
             f"chosen_l_facility {infeasible.chosen_l_facility}, "
             f"extra_open {infeasible.extra_open}, "
-            f"slot_profile {list(infeasible.slot_profile)}"
+            f"slot_profile {list(infeasible.slot_profile)}: "
+            + "; ".join(infeasible.problems)
         )
     if args.solutions_dir:
         os.makedirs(args.solutions_dir, exist_ok=True)

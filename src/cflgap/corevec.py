@@ -141,12 +141,11 @@ class FracVector:
 
     @staticmethod
     def _check_partition(classes: Sequence[frozenset[int]], n: int, what: str) -> None:
-        seen: set[int] = set()
-        for c in classes:
-            if c & seen:
-                raise ValueError(f"overlapping {what} classes")
-            seen |= c
-        if seen != set(range(n)):
+        union = frozenset().union(*classes)
+        if sum(map(len, classes)) != len(union):
+            raise ValueError(f"overlapping {what} classes")
+        # n distinct integer ids from 0 to n - 1 are exactly range(n)
+        if len(union) != n or (n and (min(union) != 0 or max(union) != n - 1)):
             raise ValueError(f"{what} classes do not partition range({n})")
 
     @classmethod

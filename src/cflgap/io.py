@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Optional
 
 from .certify import CensusReport, GapCertificate, McEstimate
@@ -111,13 +113,22 @@ def _ids_to_doc(ids: Iterable[int]) -> Any:
     return ordered
 
 
-def _ids_from_doc(doc: Any, where: str) -> frozenset[int]:
-    """An id set written by :func:`_ids_to_doc`: a list or a ``span`` object."""
+def _ids_from_doc(
+    doc: Any, where: str, spans: dict[tuple[int, int], frozenset[int]]
+) -> frozenset[int]:
+    """An id set written by :func:`_ids_to_doc`: a list or a ``span`` object.
+
+    ``spans`` holds the sets already built for one document, so each
+    distinct span is materialized once; every span is validated first.
+    """
     if isinstance(doc, dict):
         span = _list(_field(doc, "span", where), f"{where} span")
         if len(span) != 2:
             raise ValueError(f"{where} span must be [lo, hi], got {_shown(span)}")
-        return frozenset(range(*(_int(b, f"{where} span") for b in span)))
+        lo, hi = (_int(b, f"{where} span") for b in span)
+        if (lo, hi) not in spans:
+            spans[lo, hi] = frozenset(range(lo, hi))
+        return spans[lo, hi]
     return _id_list(doc, where)
 
 
@@ -205,14 +216,18 @@ def _vector_to_doc(vec: FracVector) -> dict:
     }
 
 
-def _vector_from_doc(doc: dict, facility_count: int, client_count: int) -> FracVector:
+def _vector_from_doc(
+    doc: dict, facility_count: int, client_count: int, spans: dict
+) -> FracVector:
     where = "core document"
     classed = _field(doc, "repr", where) == "classed"
     y_doc = _list(_field(doc, "y", where), f"{where} field 'y'")
     x_doc = _list(_field(doc, "x", where), f"{where} field 'x'")
     if classed:
         fac_classes = [
-            _ids_from_doc(_field(entry, "facilities", "y entry"), "y entry facilities")
+            _ids_from_doc(
+                _field(entry, "facilities", "y entry"), "y entry facilities", spans
+            )
             for entry in y_doc
         ]
         y_values = [_frac_field(entry, "value", "y entry") for entry in y_doc]
@@ -220,8 +235,12 @@ def _vector_from_doc(doc: dict, facility_count: int, client_count: int) -> FracV
         cli_index: dict[frozenset[int], int] = {}  # in order of first appearance
         cell: dict[tuple[int, int], Fraction] = {}
         for n, entry in enumerate(x_doc):
-            fc = _ids_from_doc(_field(entry, "facilities", "x entry"), "x entry facilities")
-            cc = _ids_from_doc(_field(entry, "clients", "x entry"), "x entry clients")
+            fc = _ids_from_doc(
+                _field(entry, "facilities", "x entry"), "x entry facilities", spans
+            )
+            cc = _ids_from_doc(
+                _field(entry, "clients", "x entry"), "x entry clients", spans
+            )
             if fc not in fac_index:
                 raise ValueError(
                     f"{where} x entry {n} field 'facilities' is not one of the y classes"
@@ -276,12 +295,15 @@ def load_core_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector]:
     """
     where = "core document"
     inst = instance_from_doc(_field(doc, "instance", where))
+    spans: dict[tuple[int, int], frozenset[int]] = {}
     index = CoreIndex(
         k=_id_list(_field(doc, "k", where), f"{where} field 'k'"),
         l=_id_list(_field(doc, "l", where), f"{where} field 'l'"),
-        core_clients=_ids_from_doc(_field(doc, "core_clients", where), "core_clients"),
+        core_clients=_ids_from_doc(
+            _field(doc, "core_clients", where), "core_clients", spans
+        ),
     )
-    vec = _vector_from_doc(doc, inst.facility_count, inst.client_count)
+    vec = _vector_from_doc(doc, inst.facility_count, inst.client_count, spans)
     return inst, index, vec
 
 
@@ -406,8 +428,75 @@ def lp_report_to_doc(report: NaturalLpReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_text(value: Any, indent: str) -> str:
+    """``value`` as JSON text, nested at ``indent`` (two spaces per level)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, value))
+        elif kinds <= {list, tuple} and all(set(map(type, row)) == {int} for row in value):
+            deeper = inner + "  "
+            row_sep = ",\n" + deeper
+            body = sep.join([
+                f"[\n{deeper}{row_sep.join(map(int.__repr__, row))}\n{inner}]"
+                for row in value
+            ])
+        else:
+            body = sep.join([_json_text(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        body = sep.join([
+            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+            for key in sorted(value)
+        ])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def document_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """Canonical bytes of a document.
+
+    The bytes are exactly those of ``json.dumps(payload, sort_keys=True,
+    indent=2) + "\\n"`` encoded as UTF-8 (ASCII, since strings are escaped),
+    for payloads whose dict keys are all ``str``.  Any other key, and any
+    value of a type ``json`` cannot encode, raises TypeError.
+
+    ``json.dumps`` is not called because before Python 3.14 an indented dump
+    always runs the pure-Python encoder.  This writer joins runs of ints with
+    ``str.join`` and escapes strings with json's C helper instead.
+    """
+    return (_json_text(payload, "") + "\n").encode("utf-8")
 
 
 def write_document(path: str, payload: dict) -> str:

@@ -293,10 +293,14 @@ def _experiment_specs(
     p_extra = t * eps
 
     def build(label: str, own: CoreIndex, pivot_choice: int, pivot_extra: int) -> _Experiment:
-        core = np.array(sorted(own.core_clients), dtype=np.int64)
-        rest = np.fromiter(
-            (j for j in inst.clients if j not in own.core_clients), dtype=np.int64
-        )
+        ids = np.fromiter(own.core_clients, dtype=np.int64, count=len(own.core_clients))
+        if ids.size and (ids.min() < 0 or ids.max() >= inst.client_count):
+            raise ValueError(
+                f"experiment {label}: core clients must be client ids of the instance"
+            )
+        designated = np.zeros(inst.client_count, dtype=bool)
+        designated[ids] = True
+        core, rest = np.flatnonzero(designated), np.flatnonzero(~designated)
         n_core, m_rest = len(core), len(rest)
         outside = tuple(
             sorted(set(inst.facilities) - own.k - own.l - {pivot_extra})
@@ -437,7 +441,11 @@ class OutcomeClass:
     slot_profile: tuple[tuple[int, int], ...]  # (facility, count), sorted
     probability: Fraction
     open_facilities: frozenset[int]
-    feasible: bool
+    problems: tuple[str, ...]  # why the class is infeasible; empty if feasible
+
+    @property
+    def feasible(self) -> bool:
+        return not self.problems
 
     @property
     def key(self) -> tuple:
@@ -479,38 +487,49 @@ def _class_from_branches(
     probability: Fraction,
 ) -> OutcomeClass:
     n_core, m_rest = len(exp.core_pool), len(exp.rest_pool)
+    problems: list[str] = []
     profile: dict[int, int] = {}
     if slots1:
         profile[chosen] = slots1
     rem1 = n_core - slots1
     rem2 = m_rest - (slots2 if extra_open else 0)
-    feasible = rem1 >= 0 and rem2 >= 0
     if rem1 >= 0:
         profile.update(
             (fac, cnt)
             for fac, cnt in _split_profile(rem1, exp.always_open).items()
             if cnt
         )
+    else:
+        problems.append(
+            f"{slots1} step-1 slots overfill the designated pool (size {n_core})"
+        )
     if extra_open and slots2:
         profile[exp.pivot_extra] = slots2
-    if exp.outside_bins:
-        if rem2 >= 0:
-            profile.update(
-                (fac, cnt)
-                for fac, cnt in _split_profile(rem2, exp.outside_bins).items()
-                if cnt
-            )
+    if rem2 < 0:
+        problems.append(
+            f"{slots2} borrowed-pivot slots overfill the rest pool (size {m_rest})"
+        )
+    elif exp.outside_bins:
+        profile.update(
+            (fac, cnt)
+            for fac, cnt in _split_profile(rem2, exp.outside_bins).items()
+            if cnt
+        )
     elif rem2 > 0:
-        feasible = False
+        problems.append(f"no outside facility serves the {rem2} remaining clients")
 
     open_set = exp.open_set(chosen, extra_open)
     served = sum(profile.values())
-    feasible = (
-        feasible
-        and served == inst.client_count
-        and all(0 <= cnt * inst.demand <= inst.capacity for cnt in profile.values())
-        and set(profile) <= open_set
+    if served != inst.client_count:
+        problems.append(f"the profile serves {served} of {inst.client_count} clients")
+    problems.extend(
+        f"facility {fac} serves {cnt} clients above capacity {inst.capacity}"
+        for fac, cnt in sorted(profile.items())
+        if not 0 <= cnt * inst.demand <= inst.capacity
     )
+    closed = sorted(set(profile) - open_set)
+    if closed:
+        problems.append(f"closed facilities {closed} serve clients")
     return OutcomeClass(
         experiment=exp.label,
         chosen_l_facility=chosen,
@@ -518,7 +537,7 @@ def _class_from_branches(
         slot_profile=tuple(sorted(profile.items())),
         probability=probability,
         open_facilities=open_set,
-        feasible=feasible,
+        problems=tuple(problems),
     )
 
 

@@ -1,8 +1,12 @@
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 
 import pytest
+
+from cflgap import cli
 
 CLI = [sys.executable, "-m", "cflgap.cli"]
 
@@ -13,9 +17,15 @@ def run(*argv, cwd=None):
     )
 
 
+def run_in_process(*argv):
+    """Exit code of ``cli.main(argv)``, for building inputs without a new interpreter."""
+    with redirect_stdout(StringIO()):
+        return cli.main(list(argv))
+
+
 @pytest.fixture()
 def workspace(tmp_path):
-    """Instance and core files shared by the command tests."""
+    """Instance and core files shared by the command tests, built in process."""
     mini = tmp_path / "mini.json"
     a = tmp_path / "a.core"
     b = tmp_path / "b.core"
@@ -28,8 +38,7 @@ def workspace(tmp_path):
         ["core", "--instance", str(mini), "--k", "4,5", "--l", "0,2", "-o", str(c)],
     ]
     for argv in steps:
-        result = run(*argv)
-        assert result.returncode == 0, result.stderr
+        assert run_in_process(*argv) == 0, argv
     return {"mini": mini, "a": a, "b": b, "c": c, "dir": tmp_path}
 
 
@@ -147,6 +156,24 @@ class TestVerifyMidpointAndSample:
         assert "infeasible outcome class" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_sample_overfilled_pool_names_pool_and_served_count(self, tmp_path):
+        # experiment A borrows 2 pivot slots for a rest pool of 1 client, so
+        # its class profile serves 9 of the 8 clients
+        inst, a, b = tmp_path / "inst.json", tmp_path / "a.core", tmp_path / "b.core"
+        for argv in (
+            ["gen", "--general", "--nf", "6", "--t", "2", "--U", "3", "--m", "8",
+             "--eps", "1/5", "--xl", "1/14", "-o", str(inst)],
+            ["core", "--instance", str(inst), "--k", "0,1", "--l", "2,3", "-o", str(a)],
+            ["core", "--instance", str(inst), "--k", "0,1", "--l", "2,4", "-o", str(b)],
+        ):
+            assert run_in_process(*argv) == 0, argv
+        result = run("sample", str(a), str(b), "--n", "5", "--seed", "1")
+        assert result.returncode == 2, result.stderr
+        assert "slot_profile [(0, 3), (1, 2), (2, 2), (4, 2)]" in result.stderr
+        assert "2 borrowed-pivot slots overfill the rest pool (size 1)" in result.stderr
+        assert "the profile serves 9 of 8 clients" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestMalformedCoreDocument:
     @pytest.fixture()
@@ -204,6 +231,21 @@ class TestMalformedCoreDocument:
              ["sample", "{path}", "{b}", "--n", "5", "--seed", "1"]],
             "x entry 0 field 'facilities' is not one of the y classes",
             id="x-facilities-not-a-y-class",
+        ),
+        pytest.param(
+            # entry 0 holds the valid span [0, 9]; a shared span is no excuse
+            # to skip checking a later entry's
+            "a", ["x", 2, "clients"], {"span": [0]},
+            [["lpcheck", "{path}"],
+             ["sample", "{path}", "{b}", "--n", "5", "--seed", "1"]],
+            "x entry clients span must be [lo, hi], got [0]",
+            id="short-clients-span",
+        ),
+        pytest.param(
+            "a", ["core_clients"], {"span": [-1, 9]},
+            [["sample", "{path}", "{b}", "--n", "5", "--seed", "1"]],
+            "core clients must be client ids of the instance",
+            id="negative-core-client",
         ),
     ])
     def test_wrong_type_exits_2_naming_field(
@@ -287,11 +329,13 @@ class TestOracle:
     def tiny_files(self, tmp_path):
         tiny = tmp_path / "tiny.json"
         core = tmp_path / "t.core"
-        run(
+        run_in_process(
             "gen", "--general", "--nf", "3", "--t", "1", "--U", "2", "--m", "3",
             "--eps", "1/2", "--xl", "1/3", "-o", str(tiny),
         )
-        run("core", "--instance", str(tiny), "--k", "0", "--l", "1", "-o", str(core))
+        run_in_process(
+            "core", "--instance", str(tiny), "--k", "0", "--l", "1", "-o", str(core)
+        )
         return tiny, core
 
     def test_enum_count(self, tiny_files):

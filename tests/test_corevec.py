@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -221,15 +222,21 @@ class TestFracVector:
         with pytest.raises(ValueError):
             FracVector.from_dense([Fraction(1)], [[Fraction(-1, 2)]])
 
-    def test_rejects_bad_partition(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("fac_classes, message", [
+        pytest.param([{0}], "do not partition range(2)", id="gap"),
+        pytest.param([{0, 1}, {1}], "overlapping facility classes", id="overlap"),
+        pytest.param([{0}, {2}], "do not partition range(2)", id="id-at-n"),
+        pytest.param([{-1}, {1}], "do not partition range(2)", id="negative-id"),
+    ])
+    def test_rejects_bad_partition(self, fac_classes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             FracVector(
                 2,
                 1,
-                fac_classes=[frozenset({0})],  # misses facility 1
+                fac_classes=[frozenset(c) for c in fac_classes],
                 cli_classes=[frozenset({0})],
-                y_values=[Fraction(1)],
-                x_values=[[Fraction(1)]],
+                y_values=[Fraction(1)] * len(fac_classes),
+                x_values=[[Fraction(1)]] * len(fac_classes),
             )
 
     def test_set_x_is_functional(self, mini):

@@ -1,7 +1,15 @@
+import json
+import math
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cflgap import cli
 from cflgap import io as docio
 from cflgap.corevec import CoreIndex, make_core_vector
 from cflgap.certify import build_census_report, certify_gap
@@ -146,3 +154,90 @@ class TestCanonicalBytes:
         path = tmp_path / "inst.json"
         digest = docio.write_document(str(path), docio.instance_to_doc(mini))
         assert digest == docio.sha256_of(str(path))
+
+
+def reference_bytes(value):
+    """The bytes ``document_bytes`` must reproduce."""
+    return (json.dumps(value, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.text()
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.lists(st.lists(st.integers(), max_size=4), max_size=4)
+        | st.dictionaries(st.text(), inner, max_size=5)
+    ),
+    max_leaves=20,
+)
+
+
+class TestDocumentWriter:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(), _values, max_size=6))
+    @example({
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1],
+        "ints": [-3, 0, 2**64 + 1, -(2**70)],
+        "int rows": [[0, 3], (1, 2), []],
+        "mixed": [1, True, None, "x", 2.5],
+        "empty": [{}, [], (), ""],
+        "caf\u00e9 \"quoted\"\t\u0001\n": {"\u2603": "\ud83d\ude00 \\"},
+    })
+    def test_matches_json_dumps(self, payload):
+        assert docio.document_bytes(payload) == reference_bytes(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"value": Fraction(1, 2)},
+        {"value": [np.int64(3)]},
+        {"value": {"nested": {1, 2}}},
+        {"value": {1: "non-str key"}},
+    ], ids=["fraction", "np-int64", "set", "int-key"])
+    def test_rejects_what_json_rejects_and_non_str_keys(self, payload):
+        with pytest.raises(TypeError):
+            docio.document_bytes(payload)
+
+    def test_command_payloads_match_json_dumps(self, tmp_path, monkeypatch):
+        """The t=10 sample report, solution files and a census --mc document."""
+        written = []
+        write = docio.write_document
+
+        def recording_write(path, payload):
+            written.append((path, payload))
+            return write(path, payload)
+
+        monkeypatch.setattr(docio, "write_document", recording_write)
+        monkeypatch.chdir(tmp_path)
+        commands = [
+            ["gen", "--family", "--t", "10", "--a", "2", "-o", "t10.json"],
+            ["core", "--instance", "t10.json", "--k", "0..9", "--l", "10..19",
+             "-o", "a.core"],
+            ["core", "--instance", "t10.json", "--k", "20..29", "--l", "30..39",
+             "-o", "b.core"],
+            ["sample", "a.core", "b.core", "--n", "40", "--seed", "424242",
+             "-o", "sample.json"],
+            ["gen", "--general", "--nf", "6", "--t", "2", "--U", "4", "--m", "13",
+             "--eps", "2/5", "--xl", "1/8", "-o", "mini.json"],
+            ["core", "--instance", "mini.json", "--k", "0,1", "--l", "2,3", "-o", "m.core"],
+            ["core", "--instance", "mini.json", "--k", "0,1", "--l", "4,5", "-o", "n.core"],
+            ["sample", "m.core", "n.core", "--n", "3", "--seed", "5",
+             "--solutions-dir", "sols"],
+            ["census", "--instance", "mini.json", "--mc", "2000", "--seed", "7",
+             "-o", "census.json"],
+        ]
+        with redirect_stdout(StringIO()):
+            for argv in commands:
+                assert cli.main(argv) == 0, argv
+        names = {str(path).rsplit("/", 1)[-1] for path, _ in written}
+        assert {"sample.json", "sol_000000.json", "census.json"} <= names
+        for path, payload in written:
+            assert docio.document_bytes(payload) == reference_bytes(payload), path
+            assert (tmp_path / path).read_bytes() == reference_bytes(payload), path
