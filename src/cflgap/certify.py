@@ -197,13 +197,7 @@ class CensusReport:
     mc_estimate: Optional[McEstimate] = None
 
 
-def build_census_report(
-    inst: Instance,
-    *,
-    brute_force: bool = False,
-    mc_samples: Optional[int] = None,
-    seed: int = 0,
-) -> CensusReport:
+def build_census_report(inst: Instance, *, brute_force: bool = False) -> CensusReport:
     """Assemble the census; brute force cross-checks the formula when asked."""
     size = core_size(inst)
     lam = noncolliding_count_exact(inst)
@@ -220,16 +214,12 @@ def build_census_report(
             raise AssertionError(
                 f"census mismatch: formula {lam}, enumeration {brute}"
             )
-    mc = (
-        noncolliding_prob_mc(inst, mc_samples, seed) if mc_samples else None
-    )
     return CensusReport(
         core_size=size,
         lambda_=lam,
         noncolliding_upper_bound=noncolliding_upper_bound(inst),
         lower_bound=lower_bound_constraints(inst),
         brute_force_count=brute,
-        mc_estimate=mc,
     )
 
 

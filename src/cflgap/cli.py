@@ -16,9 +16,10 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from dataclasses import replace
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .polytope import (
     membership_lp,
     verify_membership,
 )
-from .randomness import ExactRng, derive_worker_seed
+from .randomness import ExactRng, derive_block_seed
 from .rounding import (
     RoundingPlan,
     compile_plan,
@@ -62,6 +63,9 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INVALID = 2
 EXIT_IO = 3
+
+BLOCK_DRAWS = 1000  # draws per seeded block of sample and census --mc
+MAX_VIOLATION_EXAMPLES = 5
 
 
 def _manifest(command: str, params: dict, seed: Optional[int], inputs: dict) -> dict:
@@ -233,28 +237,44 @@ def cmd_verify_midpoint(args) -> int:
     return EXIT_OK if cert.valid else EXIT_FALSE
 
 
-def _sample_chunk(
+def _run_blocks(work: Callable, n: int, seed: int, jobs: int) -> list:
+    """``work(block_seed, count, start)`` for each block of draws, in block order.
+
+    Block ``b`` covers draws ``[b * BLOCK_DRAWS, min(n, (b + 1) * BLOCK_DRAWS))``
+    on the stream ``derive_block_seed(seed, b)``, so the results depend on
+    ``n`` and ``seed`` but not on ``jobs``.
+    """
+    starts = range(0, n, BLOCK_DRAWS)
+    seeds = [derive_block_seed(seed, b) for b in range(len(starts))]
+    counts = [min(BLOCK_DRAWS, n - start) for start in starts]
+    if jobs <= 1 or len(starts) == 1:
+        return list(map(work, seeds, counts, starts))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(starts))) as pool:
+        return list(pool.map(work, seeds, counts, starts))
+
+
+def _sample_block(
     plan: RoundingPlan,
+    solutions_dir: Optional[str],
     seed: int,
     count: int,
-    solutions_dir: Optional[str],
-    start_index: int,
+    start: int,
 ) -> tuple[int, Counter, list[str]]:
     rng = ExactRng(seed)
     feasible = 0
     freq: Counter = Counter()
     problems: list[str] = []
-    for offset in range(count):
+    for index in range(start, start + count):
         draw = sample_outcome(plan, rng)
         violations = solution_violations(plan.inst, draw.solution)
         if violations:
-            if len(problems) < 5:
-                problems.append(f"sample {start_index + offset}: {violations}")
+            if len(problems) < MAX_VIOLATION_EXAMPLES:
+                problems.append(f"sample {index}: {violations}")
         else:
             feasible += 1
         freq[outcome_class_key(plan, draw)] += 1
         if solutions_dir:
-            path = os.path.join(solutions_dir, f"sol_{start_index + offset:06d}.json")
+            path = os.path.join(solutions_dir, f"sol_{index:06d}.json")
             docio.write_document(
                 path, docio.solution_to_doc(draw.solution, seed=seed)
             )
@@ -262,6 +282,8 @@ def _sample_chunk(
 
 
 def cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     inst, c1, _, in1 = _load_core(args.first)
     _, c2, _, in2 = _load_core(args.second)
     plan = compile_plan(inst, c1, c2)
@@ -278,35 +300,12 @@ def cmd_sample(args) -> int:
         )
     if args.solutions_dir:
         os.makedirs(args.solutions_dir, exist_ok=True)
-    jobs = max(1, args.jobs)
-    counts = [args.n // jobs + (1 if w < args.n % jobs else 0) for w in range(jobs)]
-    chunks = []
-    start = 0
-    for worker, count in enumerate(counts):
-        if count:
-            chunks.append((derive_worker_seed(args.seed, worker), count, start))
-            start += count
-    if jobs == 1:
-        results = [
-            _sample_chunk(plan, seed, count, args.solutions_dir, start)
-            for seed, count, start in chunks
-        ]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    _sample_chunk, plan, seed, count, args.solutions_dir, start
-                )
-                for seed, count, start in chunks
-            ]
-            results = [f.result() for f in futures]  # merged in worker order
-
+    results = _run_blocks(
+        partial(_sample_block, plan, args.solutions_dir), args.n, args.seed, args.jobs
+    )
     feasible = sum(r[0] for r in results)
-    freq: Counter = Counter()
-    problems: list[str] = []
-    for _, chunk_freq, chunk_problems in results:
-        freq.update(chunk_freq)
-        problems.extend(chunk_problems)
+    freq = sum((r[1] for r in results), Counter())
+    problems = [p for r in results for p in r[2]][:MAX_VIOLATION_EXAMPLES]
 
     class_docs = []
     for cl in classes:
@@ -329,7 +328,6 @@ def cmd_sample(args) -> int:
                 "first": args.first,
                 "second": args.second,
                 "n": args.n,
-                "jobs": jobs,
                 "solutions_dir": args.solutions_dir,
             },
             args.seed,
@@ -340,20 +338,8 @@ def cmd_sample(args) -> int:
     return EXIT_OK if feasible == args.n else EXIT_FALSE
 
 
-def _mc_parallel(inst: Instance, samples: int, seed: int, jobs: int) -> McEstimate:
-    if jobs <= 1:
-        return noncolliding_prob_mc(inst, samples, seed)
-    counts = [samples // jobs + (1 if w < samples % jobs else 0) for w in range(jobs)]
-    plans = [
-        (derive_worker_seed(seed, w), c) for w, c in enumerate(counts) if c
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(noncolliding_prob_mc, inst, count, wseed)
-            for wseed, count in plans
-        ]
-        parts = [f.result() for f in futures]
-    return McEstimate.from_hits(sum(p.hits for p in parts), samples, seed)
+def _mc_block_hits(inst: Instance, seed: int, count: int, start: int) -> int:
+    return noncolliding_prob_mc(inst, count, seed).hits
 
 
 def cmd_census(args) -> int:
@@ -372,10 +358,12 @@ def cmd_census(args) -> int:
             raise ValueError("choose --exact or --mc N --seed S")
         if args.seed is None:
             raise ValueError("--mc requires --seed")
-        base = build_census_report(inst)
-        mc = _mc_parallel(inst, args.mc, args.seed, max(1, args.jobs))
-        report = replace(base, mc_estimate=mc)
-        mode = {"mode": "mc", "samples": args.mc, "jobs": max(1, args.jobs)}
+        if args.mc < 1:
+            raise ValueError(f"--mc must be >= 1, got {args.mc}")
+        hits = _run_blocks(partial(_mc_block_hits, inst), args.mc, args.seed, args.jobs)
+        mc = McEstimate.from_hits(sum(hits), args.mc, args.seed)
+        report = replace(build_census_report(inst), mc_estimate=mc)
+        mode = {"mode": "mc", "samples": args.mc}
 
     print(f"core size:        {report.core_size}")
     print(f"non-colliding:    {report.lambda_}")

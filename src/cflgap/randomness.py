@@ -3,8 +3,9 @@
 Every random decision in this package reduces to uniform integer draws from
 a 64-bit-seeded PCG64 stream: probability branches compare an integer draw
 against the numerator of an exact rational, never a float.  A seed therefore
-fully determines every sample, and parallel workers use independently derived
-streams.
+fully determines every sample.  Batch commands split their draws into
+fixed-size blocks, each on its own stream derived from the seed and the block
+index, so how the blocks are spread over processes never changes a draw.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ExactRng", "cumulative_thresholds", "derive_worker_seed"]
+__all__ = ["ExactRng", "cumulative_thresholds", "derive_block_seed"]
 
-_MIX = 0x9E3779B97F4A7C15  # 64-bit odd constant for worker-stream derivation
+_MIX = 0x9E3779B97F4A7C15  # 64-bit odd constant for block-stream derivation
 
 
-def derive_worker_seed(seed: int, worker: int) -> int:
-    """Deterministic per-worker seed, independent of scheduling order."""
-    x = (seed ^ ((worker + 1) * _MIX)) & 0xFFFFFFFFFFFFFFFF
+def derive_block_seed(seed: int, block: int) -> int:
+    """Deterministic seed of draw block ``block``, independent of scheduling."""
+    x = (seed ^ ((block + 1) * _MIX)) & 0xFFFFFFFFFFFFFFFF
     # splitmix64 finalizer
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF

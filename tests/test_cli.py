@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -295,6 +296,18 @@ class TestCensusCertifyBound:
         result = run("census", "--instance", str(workspace["mini"]), "--mc", "100")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "{a}", "{b}", "--n", "-5", "--seed", "1"], "--n must be >= 1, got -5"),
+        (["sample", "{a}", "{b}", "--n", "0", "--seed", "1"], "--n must be >= 1, got 0"),
+        (["census", "--instance", "{mini}", "--mc", "0", "--seed", "1", "--jobs", "2"],
+         "--mc must be >= 1, got 0"),
+    ], ids=["sample-n-negative", "sample-n-zero", "census-mc-zero"])
+    def test_non_positive_draw_count_exits_2(self, workspace, argv, message):
+        result = run(*(arg.format(**workspace) for arg in argv))
+        assert result.returncode == 2, result.stderr
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_bound_t10(self, tmp_path):
         out = tmp_path / "bound.json"
         result = run("bound", "--t", "10", "-o", str(out))
@@ -378,15 +391,46 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_jobs_fanout_matches_reruns(self, workspace):
-        out1 = workspace["dir"] / "j1.json"
-        out2 = workspace["dir"] / "j2.json"
-        for out in (out1, out2):
-            result = run(
-                "sample", str(workspace["a"]), str(workspace["b"]),
-                "--n", "40", "--seed", "21", "--jobs", "2", "-o", str(out),
-            )
-            assert result.returncode == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        # 2,500 draws make three blocks, the last one partial, so --jobs 2
+        # and 3 really fan out; every run must give the --jobs 1 bytes
+        d = workspace["dir"]
+        sols = d / "sols"
+        runs = []
+        for jobs in ("1", "2", "3"):
+            shutil.rmtree(sols, ignore_errors=True)
+            assert run_in_process(
+                "sample", str(workspace["a"]), str(workspace["b"]), "--n", "2500",
+                "--seed", "21", "--jobs", jobs, "--solutions-dir", str(sols),
+                "-o", str(d / "j.json"),
+            ) == 0
+            files = {path.name: path.read_bytes() for path in sols.iterdir()}
+            runs.append(((d / "j.json").read_bytes(), files))
+        assert len(runs[0][1]) == 2500
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        reports = []
+        for jobs in ("1", "2"):
+            assert run_in_process(
+                "census", "--instance", str(workspace["mini"]), "--mc", "2500",
+                "--seed", "17", "--jobs", jobs, "-o", str(d / "mc.json"),
+            ) == 0
+            reports.append((d / "mc.json").read_bytes())
+        assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 2500])
+    def test_run_blocks_covers_n_in_seeded_blocks(self, n):
+        calls = []
+
+        def work(seed, count, start):
+            calls.append((seed, count, start))
+            return start
+
+        assert cli._run_blocks(work, n, 5, 1) == [start for _, _, start in calls]
+        seeds, counts, starts = (list(column) for column in zip(*calls))
+        assert starts == list(range(0, n, 1000))
+        assert all(1 <= count <= 1000 for count in counts) and sum(counts) == n
+        # the seeds the per-worker derivation gave workers 0, 1 and 2
+        assert seeds == [1635312068028924514, 13877614986023876344,
+                         16279276485729455169][: len(calls)]
 
     def test_mc_census_identical_bytes(self, workspace):
         out1 = workspace["dir"] / "mc1.json"

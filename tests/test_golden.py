@@ -1,14 +1,16 @@
 """Golden digests that pin the command line's output bytes.
 
-A ``sample`` report and its ``--solutions-dir`` files depend only on the
-inputs, the seed, ``--n`` and ``--jobs``.  The ``sample`` digests were
-recorded before the rounding distribution was compiled into a
-``RoundingPlan``; any change to the order or arguments of the ``ExactRng``
-calls a draw makes changes them.  The non-sampling commands are pinned by
-exit code, stdout and ``-o`` bytes together; their digests were recorded
-before dense vectors became classed vectors with singleton classes.
-Commands run in a temporary directory with relative paths, so the manifests
-(which name the files) are the same on every machine.
+A ``sample`` report and its ``--solutions-dir`` files, and a ``census --mc``
+report, depend only on the inputs, the seed and the draw count: ``--jobs``
+only spreads the seeded blocks of draws over processes, so each digest is
+checked at ``--jobs 1`` and ``--jobs 2``.  The ``sample`` draws were pinned
+before the rounding distribution was compiled into a ``RoundingPlan``; any
+change to the order or arguments of the ``ExactRng`` calls a draw makes
+changes them.  The non-sampling commands are pinned by exit code, stdout and
+``-o`` bytes together; their digests were recorded before dense vectors
+became classed vectors with singleton classes.  Commands run in a temporary
+directory with relative paths, so the manifests (which name the files) are
+the same on every machine.
 """
 
 import hashlib
@@ -26,16 +28,14 @@ MINI_GEN = ["gen", "--general", "--nf", "6", "--t", "2", "--U", "4", "--m", "13"
 T10_GEN = ["gen", "--family", "--t", "10", "--a", "2"]
 
 GOLDEN = {
-    "mini-n300-jobs1":
-        "d2932921a6ad95f8a262ab7307e9e3df890b274ecdf0a7f27be4378dbf6feba9",
-    "mini-n300-jobs2":
-        "999125635c5f294a1955974f6443be5b28cbfcba36a7963671ea859721b8d5fa",
+    "mini-n300":
+        "c6349caf875f0ce6be04e7f1d11e30ca635493852ce7d77af75d56ac348787a2",
     "mini-n60-solutions-report":
-        "051491d4437e47601d91a0991f6fee0b89bb83a7aec667e61f96d77e7d1469ee",
+        "21b38e22b20404baf596fc45e22da37190f8a7e629ccc59504f739ef7f6642b9",
     "mini-n60-solutions-files":
         "71d4071dae0d83edb14e706fb324f07a11a955d899e9014cbd4f717c11437089",
     "t10-n40":
-        "68fe2543669e1e0569b01ce53e78880be6ec4ca1c6951a5835f6238c27b2bdf5",
+        "06c46ae0dd0bd2c50d6ba8821d21d3c83f18a0588fc137f2c3b3fd2bad411205",
 }
 
 
@@ -60,7 +60,8 @@ def mini_digests(tmp_path):
     for jobs in ("1", "2"):
         _cli("sample", "a.core", "b.core", "--n", "300", "--seed", "2024",
              "--jobs", jobs, "-o", f"s{jobs}.json")
-        out[f"mini-n300-jobs{jobs}"] = _digest(tmp_path / f"s{jobs}.json")
+    assert _digest(tmp_path / "s2.json") == _digest(tmp_path / "s1.json")
+    out["mini-n300"] = _digest(tmp_path / "s1.json")
     _cli("sample", "a.core", "b.core", "--n", "60", "--seed", "11",
          "--solutions-dir", "sols", "-o", "sols.json")
     out["mini-n60-solutions-report"] = _digest(tmp_path / "sols.json")
@@ -135,10 +136,8 @@ GOLDEN_CLI = {
         "c294abe085b0c783f4b23d2359340ab3091d5675ab2433174cb7e885753f2613",
     "census-exact-mini":
         "bdbfd17481cb5d7986271d982782626dce5a567174c9905b0f2d6be39fceb410",
-    "census-mc-jobs1":
-        "b168704a36c40f6d536be760000da9016580e5a2c702c469f337f667129ac195",
-    "census-mc-jobs2":
-        "11217ca6ad4c83eb757b741ab1b79b17a240c483b530f623d5bfcba08b8b4c89",
+    "census-mc":
+        "006a092f30e27f0d681fa3ff43bbfa42dffa6dad3806612411248f5e2c779960",
     "bound-t10":
         "dc927906bfe753f3e3c38b4bcd327e73936b487596c06b217371ea8bb3967ec6",
 }
@@ -214,13 +213,13 @@ def cli_digests():
         "oracle-opt-tiny": (["oracle", "opt", "--core", "tiny.core"], "opt.json"),
         "census-exact-mini": (["census", "--instance", "mini.json", "--exact"],
                               "census_exact.json"),
-        "census-mc-jobs1": (["census", "--instance", "mini.json", "--mc", "2000",
-                             "--seed", "7", "--jobs", "1"], "census_mc1.json"),
-        "census-mc-jobs2": (["census", "--instance", "mini.json", "--mc", "2000",
-                             "--seed", "7", "--jobs", "2"], "census_mc2.json"),
         "bound-t10": (["bound", "--t", "10"], "bound.json"),
     }
     out.update({name: _pinned(argv, output) for name, (argv, output) in runs.items()})
+    mc = [_pinned(["census", "--instance", "mini.json", "--mc", "2000", "--seed", "7",
+                   "--jobs", jobs], "census_mc.json") for jobs in ("1", "2")]
+    assert mc[1] == mc[0]
+    out["census-mc"] = mc[0]
     return out
 
 
