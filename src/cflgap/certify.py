@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corevec import CoreIndex, collides, make_core_vector
+from .corevec import CoreIndex, make_core_vector
 from .instance import Instance, build_gap_costs, require_valid
 from .polytope import brute_force_opt
 from .randomness import ExactRng
@@ -51,6 +51,8 @@ ZERO = Fraction(0)
 
 # exhaustive census refused above this many candidate pairs
 BRUTE_CENSUS_LIMIT = 100_000
+# candidate rows per array operation of the brute-force and Monte Carlo census
+CENSUS_CHUNK = 1000
 
 
 def _shape(inst: Instance) -> tuple[int, int]:
@@ -89,29 +91,57 @@ def reference_index(inst: Instance) -> CoreIndex:
     return CoreIndex.for_instance(inst, range(t), range(t, 2 * t))
 
 
+def _noncolliding_rows(
+    ref: CoreIndex, n_f: int, k_rows: np.ndarray, l_rows: np.ndarray
+) -> np.ndarray:
+    """Mask of the candidate rows ``(k_rows[r], l_rows[r])`` that do not collide with ``ref``.
+
+    Row by row this is ``not collides(ref, candidate)``: ``l'`` lies inside
+    ``k|l``, or ``l`` inside ``k'|l'``.  Each row pair must hold distinct
+    facility ids, so counting the members of ``l`` among them tests the second
+    containment.
+    """
+    in_ref = np.zeros(n_f, dtype=bool)
+    in_ref[list(ref.k | ref.l)] = True
+    in_l = np.zeros(n_f, dtype=bool)
+    in_l[list(ref.l)] = True
+    l_found = in_l[k_rows].sum(axis=1) + in_l[l_rows].sum(axis=1)
+    return in_ref[l_rows].all(axis=1) | (l_found == len(ref.l))
+
+
 def noncolliding_count_brute(
     inst: Instance, reference: Optional[CoreIndex] = None
 ) -> int:
-    """Ground-truth census by enumerating every candidate pair."""
+    """Ground-truth census by testing every candidate pair.
+
+    The ``l'`` candidates of one ``k'`` are the t-subsets of ``range(n_f - t)``
+    mapped through the facilities outside ``k'``; pairs are tested
+    ``CENSUS_CHUNK`` rows (at least one ``k'``) at a time.
+    """
     n_f, t = _shape(inst)
-    if core_size(inst) > BRUTE_CENSUS_LIMIT:
+    size = core_size(inst)
+    if size > BRUTE_CENSUS_LIMIT:
         raise ValueError(
-            f"core size {core_size(inst)} exceeds the enumeration limit "
-            f"{BRUTE_CENSUS_LIMIT}"
+            f"core size {size} exceeds the enumeration limit {BRUTE_CENSUS_LIMIT}"
         )
     ref = reference if reference is not None else reference_index(inst)
-    count = 0
-    facilities = range(n_f)
-    for k_prime in itertools.combinations(facilities, t):
-        rest = [i for i in facilities if i not in k_prime]
-        for l_prime in itertools.combinations(rest, t):
-            cand = CoreIndex(
-                k=frozenset(k_prime),
-                l=frozenset(l_prime),
-                core_clients=ref.core_clients,
-            )
-            if not collides(ref, cand):
-                count += 1
+    subsets = np.array(
+        list(itertools.combinations(range(n_f - t), t)), dtype=np.intp
+    ).reshape(-1, t)
+    k_primes = itertools.combinations(range(n_f), t)
+    per_chunk = max(1, CENSUS_CHUNK // len(subsets))
+    count = examined = 0
+    while block := list(itertools.islice(k_primes, per_chunk)):
+        k_block = np.array(block, dtype=np.intp)
+        outside = np.ones((len(block), n_f), dtype=bool)
+        outside[np.arange(len(block))[:, None], k_block] = False
+        outside_ids = np.nonzero(outside)[1].reshape(len(block), n_f - t)
+        l_rows = outside_ids[:, subsets].reshape(-1, t)
+        k_rows = np.repeat(k_block, len(subsets), axis=0)
+        count += int(np.count_nonzero(_noncolliding_rows(ref, n_f, k_rows, l_rows)))
+        examined += len(l_rows)
+    if examined != size:
+        raise AssertionError(f"census examined {examined} pairs, core size is {size}")
     return count
 
 
@@ -157,15 +187,11 @@ def noncolliding_prob_mc(inst: Instance, samples: int, seed: int) -> McEstimate:
     rng = ExactRng(seed)
     ids = np.arange(n_f)
     hits = 0
-    for _ in range(samples):
-        perm = rng.permuted(ids)
-        cand = CoreIndex(
-            k=frozenset(int(i) for i in perm[:t]),
-            l=frozenset(int(i) for i in perm[t : 2 * t]),
-            core_clients=ref.core_clients,
-        )
-        if not collides(ref, cand):
-            hits += 1
+    for start in range(0, samples, CENSUS_CHUNK):
+        perms = rng.permuted_rows(ids, min(CENSUS_CHUNK, samples - start))
+        hits += int(np.count_nonzero(
+            _noncolliding_rows(ref, n_f, perms[:, :t], perms[:, t : 2 * t])
+        ))
     return McEstimate.from_hits(hits, samples, seed)
 
 

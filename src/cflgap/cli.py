@@ -284,6 +284,16 @@ def _sample_block(
 def cmd_sample(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
+    if args.solutions_dir and os.path.isdir(args.solutions_dir):
+        stale = sum(
+            name.startswith("sol_") and name.endswith(".json")
+            for name in os.listdir(args.solutions_dir)
+        )
+        if stale:
+            raise ValueError(
+                f"--solutions-dir {args.solutions_dir} already holds {stale} "
+                "sol_*.json files; choose an empty directory"
+            )
     inst, c1, _, in1 = _load_core(args.first)
     _, c2, _, in2 = _load_core(args.second)
     plan = compile_plan(inst, c1, c2)

@@ -343,8 +343,14 @@ class CostVector:
         return sum((self._connection[i][j] for j in clients), ZERO)
 
     def solution_cost(self, open_set: frozenset[int], assign: Sequence[int]) -> Fraction:
+        """Exact cost of an integer solution; two-point costs are counted as integers."""
+        assign = np.asarray(assign).tolist()
+        if self._two_point is not None:
+            unit, near_f, near_c = self._two_point
+            far = sum((i in near_f) != (j in near_c) for j, i in enumerate(assign))
+            return Fraction(sum(i in unit for i in open_set) + far)
         total = sum((self.opening_of(i) for i in open_set), ZERO)
-        for j, i in enumerate(np.asarray(assign).tolist()):
+        for j, i in enumerate(assign):
             total += self.connection_of(i, j)
         return total
 

@@ -88,6 +88,14 @@ class ExactRng:
         """Uniformly random permutation of a 1-d integer array."""
         return self._gen.permutation(items)
 
+    def permuted_rows(self, items: np.ndarray, count: int) -> np.ndarray:
+        """``count`` uniformly random permutations of a 1-d array, one per row.
+
+        Consumes the stream exactly as ``count`` successive :meth:`permuted`
+        calls do, so batching draws this way never changes them.
+        """
+        return self._gen.permuted(np.broadcast_to(items, (count, len(items))), axis=1)
+
     def chosen_positions(self, n: int, r: int) -> np.ndarray:
         """r distinct positions chosen uniformly from range(n)."""
         if not 0 <= r <= n:

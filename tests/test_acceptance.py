@@ -271,7 +271,8 @@ def test_acceptance_8_determinism(tmp_path):
 
         runs = {
             "sample": ["sample", str(a), str(b), "--n", "200", "--seed", "77"],
-            "sample-jobs2": ["sample", str(a), str(b), "--n", "200", "--seed", "77",
+            # above cli.BLOCK_DRAWS, so --jobs 2 runs its blocks on a process pool
+            "sample-jobs2": ["sample", str(a), str(b), "--n", "2500", "--seed", "77",
                              "--jobs", "2"],
             "census-mc": ["census", "--instance", str(mini), "--mc", "3000",
                           "--seed", "13"],

@@ -141,6 +141,24 @@ class TestVerifyMidpointAndSample:
         first = json.loads(files[0].read_text())
         assert "seed" in first and len(first["assign"]) == 13
 
+    def test_sample_refuses_solutions_dir_with_old_files(self, workspace):
+        sol_dir = workspace["dir"] / "sols"
+        assert run_in_process(
+            "sample", str(workspace["a"]), str(workspace["b"]),
+            "--n", "30", "--seed", "3", "--solutions-dir", str(sol_dir),
+        ) == 0
+        before = {path.name: path.read_bytes() for path in sol_dir.iterdir()}
+        assert len(before) == 30
+        out = workspace["dir"] / "second.json"
+        result = run(
+            "sample", str(workspace["a"]), str(workspace["b"]),
+            "--n", "10", "--seed", "4", "--solutions-dir", str(sol_dir), "-o", str(out),
+        )
+        assert result.returncode == 2
+        assert str(sol_dir) in result.stderr and "30" in result.stderr
+        assert {path.name: path.read_bytes() for path in sol_dir.iterdir()} == before
+        assert not out.exists()
+
     def test_sample_infeasible_distribution_exits_2(self, tmp_path):
         # valid parameters, but a pivot target below 1 rounds to 0 slots and
         # the high set overflows on some branches

@@ -1,16 +1,31 @@
-"""Property tests on random shapes: the compiled rounding distribution, and
-classed vectors against their dense (singleton-class) copies.
+"""Property tests on random shapes: the compiled rounding distribution,
+classed vectors against their dense (singleton-class) copies, the census
+predicate and counts, and two-point solution costs.
 
 Shapes are drawn around the validity conditions of ``validate_params`` so
 that most draws are valid; settings are derandomized and small, so the suite
 stays reproducible and fast.
 """
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from cflgap.certify import (
+    BRUTE_CENSUS_LIMIT,
+    CENSUS_CHUNK,
+    _noncolliding_rows,
+    analytic_opt_witness,
+    core_size,
+    noncolliding_count_brute,
+    noncolliding_count_exact,
+    noncolliding_prob_mc,
+    reference_index,
+)
 from cflgap.corevec import (
     CoreIndex,
     FracVector,
@@ -19,7 +34,13 @@ from cflgap.corevec import (
     make_core_vector,
     midpoint,
 )
-from cflgap.instance import CostVector, Instance, build_general_instance, validate_params
+from cflgap.instance import (
+    CostVector,
+    Instance,
+    build_gap_costs,
+    build_general_instance,
+    validate_params,
+)
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
     compile_plan,
@@ -29,13 +50,14 @@ from cflgap.rounding import (
     sample_outcome,
     solution_violations,
 )
+from conftest import MINI, TINY
 
 DRAWS = 25
 
 
 @st.composite
-def colliding_plans(draw):
-    """The compiled plan of a valid --general instance and a colliding pair."""
+def valid_instances(draw):
+    """A --general instance that passes ``validate_params``."""
     t = draw(st.integers(1, 3))
     capacity = draw(st.integers(1, 5))
     q = draw(st.integers(2, 4))  # outside facilities
@@ -48,12 +70,21 @@ def colliding_plans(draw):
     x_l = lo + (hi - lo) * Fraction(draw(st.integers(0, 4)), 4)
     inst = build_general_instance(2 * t + q, t, capacity, client_count, eps, x_l)
     assume(validate_params(inst) == [])
+    return inst
 
-    def index():
-        ids = draw(st.permutations(range(inst.facility_count)))
-        return CoreIndex.for_instance(inst, ids[:t], ids[t : 2 * t])
 
-    c1, c2 = index(), index()
+def drawn_index(draw, inst):
+    """A uniformly drawn (k, l) pair of ``inst``."""
+    t = inst.family_params.t
+    ids = draw(st.permutations(range(inst.facility_count)))
+    return CoreIndex.for_instance(inst, ids[:t], ids[t : 2 * t])
+
+
+@st.composite
+def colliding_plans(draw):
+    """The compiled plan of a valid --general instance and a colliding pair."""
+    inst = draw(valid_instances())
+    c1, c2 = drawn_index(draw, inst), drawn_index(draw, inst)
     assume(collides(c1, c2))
     return compile_plan(inst, c1, c2), (c1, c2)
 
@@ -181,3 +212,101 @@ def test_classed_and_dense_agree(pair, data):
     classed, dense = check_natural_lp(inst, v), check_natural_lp(inst, dv)
     assert classed.passed == dense.passed
     assert violation_set(classed) == violation_set(dense)
+
+
+# -- the census predicate, the brute-force census and Monte Carlo ---------------
+
+
+def all_pairs(inst):
+    """Every ordered disjoint (k, l) pair of ``inst``."""
+    t, ids = inst.family_params.t, range(inst.facility_count)
+    return [
+        CoreIndex.for_instance(inst, k, l)
+        for k in itertools.combinations(ids, t)
+        for l in itertools.combinations([i for i in ids if i not in k], t)
+    ]
+
+
+def rows_agree_with_collides(inst, ref, candidates):
+    k_rows = np.array([sorted(c.k) for c in candidates])
+    l_rows = np.array([sorted(c.l) for c in candidates])
+    mask = _noncolliding_rows(ref, inst.facility_count, k_rows, l_rows)
+    assert mask.tolist() == [not collides(ref, c) for c in candidates]
+
+
+@pytest.mark.parametrize("shape", [MINI, TINY], ids=["mini", "tiny"])
+def test_noncolliding_rows_on_every_ordered_pair(shape):
+    inst = build_general_instance(**shape)
+    pairs = all_pairs(inst)
+    for ref in pairs:
+        rows_agree_with_collides(inst, ref, pairs)
+
+
+@settings(
+    derandomize=True,
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(inst=valid_instances(), data=st.data())
+def test_noncolliding_rows_and_brute_census_on_valid_shapes(inst, data):
+    ref = drawn_index(data.draw, inst)
+    candidates = [drawn_index(data.draw, inst) for _ in range(20)]
+    rows_agree_with_collides(inst, ref, candidates)
+    assert core_size(inst) <= BRUTE_CENSUS_LIMIT
+    expected = noncolliding_count_exact(inst)
+    assert noncolliding_count_brute(inst) == expected
+    assert noncolliding_count_brute(inst, reference=ref) == expected
+
+
+def replayed_hits(inst, samples, seed):
+    """Monte Carlo hits drawn one permutation and one ``collides`` at a time."""
+    t = inst.family_params.t
+    ref = reference_index(inst)
+    rng = ExactRng(seed)
+    ids = np.arange(inst.facility_count)
+    hits = 0
+    for _ in range(samples):
+        perm = rng.permuted(ids).tolist()
+        cand = CoreIndex(frozenset(perm[:t]), frozenset(perm[t : 2 * t]), ref.core_clients)
+        hits += not collides(ref, cand)
+    return hits
+
+
+@pytest.mark.parametrize("samples", [1, CENSUS_CHUNK - 1, CENSUS_CHUNK + 1, 2345])
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mc_hits_equal_sequential_replay(mini, family10, samples, seed):
+    for inst in (mini, family10):
+        assert noncolliding_prob_mc(inst, samples, seed).hits == replayed_hits(
+            inst, samples, seed
+        )
+
+
+# -- two-point solution cost ------------------------------------------------------
+
+
+def per_client_cost(cost, open_set, assign):
+    return sum((cost.opening_of(i) for i in open_set), Fraction(0)) + sum(
+        (cost.connection_of(int(i), j) for j, i in enumerate(assign)), Fraction(0)
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(shape=st.sampled_from([MINI, TINY]), data=st.data())
+def test_two_point_solution_cost_is_per_client_sum(shape, data):
+    inst = build_general_instance(**shape)
+    n_f, m = inst.facility_count, inst.client_count
+    cost = build_gap_costs(inst, drawn_index(data.draw, inst))
+    open_set = data.draw(st.frozensets(st.integers(0, n_f - 1)))
+    assign = np.array(data.draw(st.lists(st.integers(0, n_f - 1), min_size=m, max_size=m)))
+    assert cost.solution_cost(open_set, assign) == per_client_cost(cost, open_set, assign)
+
+
+def test_two_point_solution_cost_of_t10_witness(family10):
+    ref = reference_index(family10)
+    cost = build_gap_costs(family10, ref)
+    witness = analytic_opt_witness(family10, ref)
+    value = cost.solution_cost(witness.open, witness.assign)
+    assert value == per_client_cost(cost, witness.open, witness.assign) == 1
+    assert type(value) is Fraction
