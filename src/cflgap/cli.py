@@ -95,6 +95,15 @@ def _load_core(path: str):
     return inst, index, vec, {path: docio.sha256_of(path)}
 
 
+def _load_core_pair(first: str, second: str):
+    """Instance, both indices and input digests of two core files of one instance."""
+    inst, c1, _, in1 = _load_core(first)
+    inst2, c2, _, in2 = _load_core(second)
+    if docio.instance_to_doc(inst) != docio.instance_to_doc(inst2):
+        raise ValueError("core files describe different instances")
+    return inst, c1, c2, {**in1, **in2}
+
+
 def _parse_id_spec(spec: str) -> list[int]:
     """Facility id spec: comma-separated ids and lo..hi ranges, e.g. 0..4,7."""
     out: list[int] = []
@@ -189,8 +198,7 @@ def cmd_core(args) -> int:
 
 
 def cmd_collide(args) -> int:
-    _, c1, _, _ = _load_core(args.first)
-    _, c2, _, _ = _load_core(args.second)
+    _, c1, c2, _ = _load_core_pair(args.first, args.second)
     result = collides(c1, c2)
     print(f"collide: {str(result).lower()}")
     return EXIT_OK if result else EXIT_FALSE
@@ -214,10 +222,7 @@ def cmd_lpcheck(args) -> int:
 
 
 def cmd_verify_midpoint(args) -> int:
-    inst, c1, _, in1 = _load_core(args.first)
-    inst2, c2, _, in2 = _load_core(args.second)
-    if docio.instance_to_doc(inst) != docio.instance_to_doc(inst2):
-        raise ValueError("core files describe different instances")
+    inst, c1, c2, inputs = _load_core_pair(args.first, args.second)
     cert = verify_midpoint(inst, c1, c2)
     print(
         f"midpoint certificate: expectation_matches={cert.expectation_matches} "
@@ -230,7 +235,7 @@ def cmd_verify_midpoint(args) -> int:
             "verify-midpoint",
             {"first": args.first, "second": args.second},
             None,
-            {**in1, **in2},
+            inputs,
         ),
     }
     _write(args, payload)
@@ -294,8 +299,7 @@ def cmd_sample(args) -> int:
                 f"--solutions-dir {args.solutions_dir} already holds {stale} "
                 "sol_*.json files; choose an empty directory"
             )
-    inst, c1, _, in1 = _load_core(args.first)
-    _, c2, _, in2 = _load_core(args.second)
+    inst, c1, c2, inputs = _load_core_pair(args.first, args.second)
     plan = compile_plan(inst, c1, c2)
     classes = enumerate_outcome_classes(plan)
     infeasible = next((cl for cl in classes if not cl.feasible), None)
@@ -341,7 +345,7 @@ def cmd_sample(args) -> int:
                 "solutions_dir": args.solutions_dir,
             },
             args.seed,
-            {**in1, **in2},
+            inputs,
         ),
     }
     _write(args, payload)

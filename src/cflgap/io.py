@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Optional
 
@@ -373,7 +374,7 @@ def outcome_class_to_doc(cl: OutcomeClass) -> dict:
         "experiment": cl.experiment,
         "chosen_l_facility": cl.chosen_l_facility,
         "extra_open": cl.extra_open,
-        "slot_profile": [list(pair) for pair in cl.slot_profile],
+        "slot_profile": cl.slot_profile,
         "probability": frac_to_str(cl.probability),
         "feasible": cl.feasible,
     }
@@ -438,6 +439,24 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
+def _int_rows_text(rows: list | tuple, indent: str) -> str:
+    """Body text of nonempty rows of one width holding only plain ints, else "".
+
+    One ``%``-format over a row template writes every entry; ``%d`` prints a
+    plain int as ``int.__repr__`` does.  ``bool`` and other int subclasses
+    fail the ``type(x) is int`` test and are left to the generic path.
+    """
+    width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return ""
+    flat = tuple(chain.from_iterable(rows))
+    if set(map(type, flat)) != {int}:
+        return ""
+    deeper = indent + "  "
+    row = f"[\n{deeper}" + f",\n{deeper}".join(["%d"] * width) + f"\n{indent}]"
+    return f",\n{indent}".join([row] * len(rows)) % flat
+
+
 def _json_text(value: Any, indent: str) -> str:
     """``value`` as JSON text, nested at ``indent`` (two spaces per level)."""
     if isinstance(value, str):
@@ -458,16 +477,12 @@ def _json_text(value: Any, indent: str) -> str:
         if not value:
             return "[]"
         kinds = set(map(type, value))
+        body = ""
         if kinds == {int}:
             body = sep.join(map(int.__repr__, value))
-        elif kinds <= {list, tuple} and all(set(map(type, row)) == {int} for row in value):
-            deeper = inner + "  "
-            row_sep = ",\n" + deeper
-            body = sep.join([
-                f"[\n{deeper}{row_sep.join(map(int.__repr__, row))}\n{inner}]"
-                for row in value
-            ])
-        else:
+        elif kinds <= {list, tuple}:
+            body = _int_rows_text(value, inner)
+        if not body:
             body = sep.join([_json_text(item, inner) for item in value])
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, dict):
@@ -494,7 +509,8 @@ def document_bytes(payload: dict) -> bytes:
 
     ``json.dumps`` is not called because before Python 3.14 an indented dump
     always runs the pure-Python encoder.  This writer joins runs of ints with
-    ``str.join`` and escapes strings with json's C helper instead.
+    ``str.join``, writes rows of plain ints with one ``%``-format over a row
+    template, and escapes strings with json's C helper instead.
     """
     return (_json_text(payload, "") + "\n").encode("utf-8")
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from itertools import repeat
 from math import lcm
 from typing import Sequence
@@ -465,79 +466,41 @@ def _round_branches(w: Fraction) -> list[tuple[int, Fraction]]:
     return [(floor, 1 - frac), (floor + 1, frac)]
 
 
-def _split_profile(total: int, bins: Sequence[int]) -> dict[int, int]:
-    """Canonical near-even split: ceil counts on the lowest-id bins."""
+_NO_PART: tuple = ((), 0, ())  # (entries, served, over) of an empty profile part
+
+
+def _split_part(total: int, bins: tuple[int, ...], capacity: int) -> tuple:
+    """The canonical near-even split of ``total`` over ``bins`` as a profile part.
+
+    Ceil counts go on the lowest-id bins.  A part is ``(entries, served,
+    over)``: the nonzero ``(facility, count)`` entries sorted by facility, the
+    clients they serve, and the entries above ``capacity``.
+    """
     if not bins:
         if total:
             raise ValueError("cannot split clients over zero bins")
-        return {}
+        return _NO_PART
     base, extra = divmod(total, len(bins))
-    return {
-        fac: base + (1 if idx < extra else 0) for idx, fac in enumerate(bins)
-    }
-
-
-def _class_from_branches(
-    inst: Instance,
-    exp: _Experiment,
-    chosen: int,
-    slots1: int,
-    extra_open: bool,
-    slots2: int,
-    probability: Fraction,
-) -> OutcomeClass:
-    n_core, m_rest = len(exp.core_pool), len(exp.rest_pool)
-    problems: list[str] = []
-    profile: dict[int, int] = {}
-    if slots1:
-        profile[chosen] = slots1
-    rem1 = n_core - slots1
-    rem2 = m_rest - (slots2 if extra_open else 0)
-    if rem1 >= 0:
-        profile.update(
-            (fac, cnt)
-            for fac, cnt in _split_profile(rem1, exp.always_open).items()
-            if cnt
-        )
-    else:
-        problems.append(
-            f"{slots1} step-1 slots overfill the designated pool (size {n_core})"
-        )
-    if extra_open and slots2:
-        profile[exp.pivot_extra] = slots2
-    if rem2 < 0:
-        problems.append(
-            f"{slots2} borrowed-pivot slots overfill the rest pool (size {m_rest})"
-        )
-    elif exp.outside_bins:
-        profile.update(
-            (fac, cnt)
-            for fac, cnt in _split_profile(rem2, exp.outside_bins).items()
-            if cnt
-        )
-    elif rem2 > 0:
-        problems.append(f"no outside facility serves the {rem2} remaining clients")
-
-    open_set = exp.open_set(chosen, extra_open)
-    served = sum(profile.values())
-    if served != inst.client_count:
-        problems.append(f"the profile serves {served} of {inst.client_count} clients")
-    problems.extend(
-        f"facility {fac} serves {cnt} clients above capacity {inst.capacity}"
-        for fac, cnt in sorted(profile.items())
-        if not 0 <= cnt * inst.demand <= inst.capacity
+    return _entries_part(
+        [(fac, base + 1) for fac in bins[:extra]]
+        + [(fac, base) for fac in bins[extra:]],
+        capacity,
     )
-    closed = sorted(set(profile) - open_set)
-    if closed:
-        problems.append(f"closed facilities {closed} serve clients")
-    return OutcomeClass(
-        experiment=exp.label,
-        chosen_l_facility=chosen,
-        extra_open=extra_open,
-        slot_profile=tuple(sorted(profile.items())),
-        probability=probability,
-        open_facilities=open_set,
-        problems=tuple(problems),
+
+
+def _entries_part(entries, capacity: int) -> tuple:
+    """``(entries, served, over)`` of ``(facility, count)`` entries sorted by facility."""
+    kept = tuple(entry for entry in entries if entry[1])
+    over = tuple(entry for entry in kept if not 0 <= entry[1] <= capacity)
+    return kept, sum(cnt for _, cnt in kept), over
+
+
+def _joined(first: tuple, second: tuple) -> tuple:
+    """One part from two disjoint parts, its entries and over entries re-sorted."""
+    return (
+        tuple(sorted(first[0] + second[0])),
+        first[1] + second[1],
+        tuple(sorted(first[2] + second[2])),
     )
 
 
@@ -545,28 +508,84 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     """Every branch combination with exact probability; probabilities sum to 1.
 
     Probability-zero branches (e.g. the closed-pivot branch when t*eps = 1)
-    are pruned.
+    are pruned.  A class's slot profile joins a step-1 part (the chosen low
+    facility's slots and the split of the designated remainder over the high
+    set) with a step-2 part (the borrowed pivot's slots and the split of the
+    rest over the outside bins).  Each distinct (remainder, bin group) split
+    is built and checked against capacity once per call, so a class costs
+    O(groups), not O(facilities).
     """
+    inst = plan.inst
+    cap = inst.capacity  # unit demands: a count is a load
+    split = cache(partial(_split_part, capacity=cap))  # local to this call
+
     out: list[OutcomeClass] = []
     for exp in plan.experiments:
+        n_core, m_rest = len(exp.core_pool), len(exp.rest_pool)
+        step2: list[tuple[bool, int, Fraction, tuple, list[str]]] = []
+        branches2 = [
+            (True, slots2, exp.p_extra * p_r2)
+            for slots2, p_r2 in (_round_branches(exp.w_extra) if exp.p_extra > 0 else ())
+        ]
+        if exp.p_extra < 1:
+            branches2.append((False, 0, 1 - exp.p_extra))
+        for extra_open, slots2, p_s2 in branches2:
+            rem2 = m_rest - slots2
+            problems2: list[str] = []
+            rest = _NO_PART
+            if rem2 < 0:
+                problems2.append(
+                    f"{slots2} borrowed-pivot slots overfill the rest pool (size {m_rest})"
+                )
+            elif exp.outside_bins:
+                rest = split(rem2, exp.outside_bins)
+            elif rem2 > 0:
+                problems2.append(f"no outside facility serves the {rem2} remaining clients")
+            pivot = _entries_part([(exp.pivot_extra, slots2)], cap)
+            step2.append((extra_open, slots2, p_s2, _joined(pivot, rest), problems2))
+
         for chosen in exp.choice_set:
             p_choice = HALF * exp.choice_probability(chosen)
             if p_choice == 0:
                 continue
+            open_sets = {flag: exp.open_set(chosen, flag) for flag in (False, True)}
             for slots1, p_r1 in _round_branches(exp.choice_target(chosen)):
-                step2: list[tuple[bool, int, Fraction]] = []
-                if exp.p_extra > 0:
-                    for slots2, p_r2 in _round_branches(exp.w_extra):
-                        step2.append((True, slots2, exp.p_extra * p_r2))
-                if exp.p_extra < 1:
-                    step2.append((False, 0, 1 - exp.p_extra))
-                for extra_open, slots2, p_s2 in step2:
-                    prob = p_choice * p_r1 * p_s2
-                    out.append(
-                        _class_from_branches(
-                            plan.inst, exp, chosen, slots1, extra_open, slots2, prob
-                        )
+                rem1 = n_core - slots1
+                problems1: list[str] = []
+                high = _NO_PART
+                if rem1 >= 0:
+                    high = split(rem1, exp.always_open)
+                else:
+                    problems1.append(
+                        f"{slots1} step-1 slots overfill the designated pool (size {n_core})"
                     )
+                part1 = _joined(_entries_part([(chosen, slots1)], cap), high)
+                p1 = p_choice * p_r1
+                for extra_open, slots2, p_s2, part2, problems2 in step2:
+                    entries, served, over = _joined(part1, part2)
+                    problems = problems1 + problems2
+                    if served != inst.client_count:
+                        problems.append(
+                            f"the profile serves {served} of {inst.client_count} clients"
+                        )
+                    problems.extend(
+                        f"facility {fac} serves {cnt} clients above capacity {cap}"
+                        for fac, cnt in over
+                    )
+                    # the bin groups lie in base_open, so only the borrowed
+                    # pivot can serve clients while closed
+                    open_set = open_sets[extra_open]
+                    if slots2 and exp.pivot_extra not in open_set:
+                        problems.append(f"closed facilities {[exp.pivot_extra]} serve clients")
+                    out.append(OutcomeClass(
+                        experiment=exp.label,
+                        chosen_l_facility=chosen,
+                        extra_open=extra_open,
+                        slot_profile=entries,
+                        probability=p1 * p_s2,
+                        open_facilities=open_set,
+                        problems=tuple(problems),
+                    ))
     return out
 
 

@@ -159,6 +159,30 @@ class TestVerifyMidpointAndSample:
         assert {path.name: path.read_bytes() for path in sol_dir.iterdir()} == before
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["collide"],
+        ["verify-midpoint"],
+        ["sample", "--n", "5", "--seed", "1"],
+    ], ids=["collide", "verify-midpoint", "sample"])
+    def test_cores_of_different_instances_exit_2(self, workspace, command, capsys):
+        # a core of MINI rebuilt with eps 1/3 that collides with core file a
+        other_inst, other = workspace["dir"] / "eps.json", workspace["dir"] / "eps.core"
+        for argv in (
+            ["gen", "--general", "--nf", "6", "--t", "2", "--U", "4", "--m", "13",
+             "--eps", "1/3", "--xl", "1/8", "-o", str(other_inst)],
+            ["core", "--instance", str(other_inst), "--k", "0,1", "--l", "4,5",
+             "-o", str(other)],
+        ):
+            assert run_in_process(*argv) == 0, argv
+        capsys.readouterr()
+        out = workspace["dir"] / "mixed.json"
+        argv = [command[0], str(workspace["a"]), str(other), *command[1:]]
+        if command[0] != "collide":
+            argv += ["-o", str(out)]
+        assert run_in_process(*argv) == 2
+        assert "core files describe different instances" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sample_infeasible_distribution_exits_2(self, tmp_path):
         # valid parameters, but a pivot target below 1 rounds to 0 slots and
         # the high set overflows on some branches

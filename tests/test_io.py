@@ -169,16 +169,31 @@ _scalars = (
     | st.floats()
     | st.text()
 )
+_row_ints = st.integers() | st.integers(min_value=-(2**80), max_value=2**80)
+# rows of one width, as lists and tuples, the shape of a class's slot profile
+_int_rows = st.integers(1, 3).flatmap(
+    lambda width: st.lists(
+        st.lists(_row_ints, min_size=width, max_size=width)
+        | st.tuples(*[_row_ints] * width),
+        max_size=20,
+    )
+)
 _values = st.recursive(
     _scalars,
     lambda inner: (
         st.lists(inner, max_size=5)
         | st.lists(inner, max_size=5).map(tuple)
         | st.lists(st.lists(st.integers(), max_size=4), max_size=4)
+        | _int_rows
+        | _int_rows.map(tuple)
         | st.dictionaries(st.text(), inner, max_size=5)
     ),
     max_leaves=20,
 )
+
+
+class _Int(int):
+    pass
 
 
 class TestDocumentWriter:
@@ -188,12 +203,25 @@ class TestDocumentWriter:
         "floats": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1],
         "ints": [-3, 0, 2**64 + 1, -(2**70)],
         "int rows": [[0, 3], (1, 2), []],
+        "big int rows": [[2**64 + 1, -(2**70)], (0, 2**64)],
         "mixed": [1, True, None, "x", 2.5],
         "empty": [{}, [], (), ""],
         "caf\u00e9 \"quoted\"\t\u0001\n": {"\u2603": "\ud83d\ude00 \\"},
     })
     def test_matches_json_dumps(self, payload):
         assert docio.document_bytes(payload) == reference_bytes(payload)
+
+    @pytest.mark.parametrize("rows", [
+        [[True, 1]],
+        [[], []],
+        [[1, 2], [3]],
+        [(1, _Int(2))],
+        [[1, 2], [3, 4.0]],
+        [[1], "2"],
+    ], ids=["bool", "empty-rows", "ragged", "int-subclass", "float", "str"])
+    def test_rows_outside_the_int_row_template(self, rows):
+        for payload in ({"rows": rows}, {"rows": tuple(rows)}):
+            assert docio.document_bytes(payload) == reference_bytes(payload)
 
     @pytest.mark.parametrize("payload", [
         {"value": Fraction(1, 2)},

@@ -1,6 +1,6 @@
-"""Property tests on random shapes: the compiled rounding distribution,
-classed vectors against their dense (singleton-class) copies, the census
-predicate and counts, and two-point solution costs.
+"""Property tests on random shapes: the compiled rounding distribution and
+its outcome classes, classed vectors against their dense (singleton-class)
+copies, the census predicate and counts, and two-point solution costs.
 
 Shapes are drawn around the validity conditions of ``validate_params`` so
 that most draws are valid; settings are derandomized and small, so the suite
@@ -43,6 +43,11 @@ from cflgap.instance import (
 )
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
+    HALF,
+    OutcomeClass,
+    RoundingPlan,
+    _experiment_specs,
+    _round_branches,
     compile_plan,
     enumerate_outcome_classes,
     expected_vector,
@@ -78,6 +83,16 @@ def drawn_index(draw, inst):
     t = inst.family_params.t
     ids = draw(st.permutations(range(inst.facility_count)))
     return CoreIndex.for_instance(inst, ids[:t], ids[t : 2 * t])
+
+
+def all_pairs(inst):
+    """Every ordered disjoint (k, l) pair of ``inst``."""
+    t, ids = inst.family_params.t, range(inst.facility_count)
+    return [
+        CoreIndex.for_instance(inst, k, l)
+        for k in itertools.combinations(ids, t)
+        for l in itertools.combinations([i for i in ids if i not in k], t)
+    ]
 
 
 @st.composite
@@ -117,6 +132,192 @@ def test_enumeration_and_sampler_agree(case, seed):
         draw = sample_outcome(plan, rng)
         assert solution_violations(plan.inst, draw.solution) == []
         assert outcome_class_key(plan, draw) in feasible_keys
+
+
+# -- the outcome-class enumerator against a per-facility reference -------------
+
+
+def reference_split(total, bins):
+    """Canonical near-even split: ceil counts on the lowest-id bins."""
+    if not bins:
+        if total:
+            raise ValueError("cannot split clients over zero bins")
+        return {}
+    base, extra = divmod(total, len(bins))
+    return {fac: base + (1 if idx < extra else 0) for idx, fac in enumerate(bins)}
+
+
+def reference_class(inst, exp, chosen, slots1, extra_open, slots2, probability):
+    """One class built facility by facility, every check over the whole profile."""
+    n_core, m_rest = len(exp.core_pool), len(exp.rest_pool)
+    problems = []
+    profile = {}
+    if slots1:
+        profile[chosen] = slots1
+    rem1 = n_core - slots1
+    rem2 = m_rest - (slots2 if extra_open else 0)
+    if rem1 >= 0:
+        profile.update(
+            (fac, cnt) for fac, cnt in reference_split(rem1, exp.always_open).items() if cnt
+        )
+    else:
+        problems.append(
+            f"{slots1} step-1 slots overfill the designated pool (size {n_core})"
+        )
+    if extra_open and slots2:
+        profile[exp.pivot_extra] = slots2
+    if rem2 < 0:
+        problems.append(
+            f"{slots2} borrowed-pivot slots overfill the rest pool (size {m_rest})"
+        )
+    elif exp.outside_bins:
+        profile.update(
+            (fac, cnt) for fac, cnt in reference_split(rem2, exp.outside_bins).items() if cnt
+        )
+    elif rem2 > 0:
+        problems.append(f"no outside facility serves the {rem2} remaining clients")
+
+    open_set = exp.open_set(chosen, extra_open)
+    served = sum(profile.values())
+    if served != inst.client_count:
+        problems.append(f"the profile serves {served} of {inst.client_count} clients")
+    problems.extend(
+        f"facility {fac} serves {cnt} clients above capacity {inst.capacity}"
+        for fac, cnt in sorted(profile.items())
+        if not 0 <= cnt * inst.demand <= inst.capacity
+    )
+    closed = sorted(set(profile) - open_set)
+    if closed:
+        problems.append(f"closed facilities {closed} serve clients")
+    return OutcomeClass(
+        experiment=exp.label,
+        chosen_l_facility=chosen,
+        extra_open=extra_open,
+        slot_profile=tuple(sorted(profile.items())),
+        probability=probability,
+        open_facilities=open_set,
+        problems=tuple(problems),
+    )
+
+
+def reference_classes(plan):
+    out = []
+    for exp in plan.experiments:
+        for chosen in exp.choice_set:
+            p_choice = HALF * exp.choice_probability(chosen)
+            if p_choice == 0:
+                continue
+            for slots1, p_r1 in _round_branches(exp.choice_target(chosen)):
+                step2 = []
+                if exp.p_extra > 0:
+                    for slots2, p_r2 in _round_branches(exp.w_extra):
+                        step2.append((True, slots2, exp.p_extra * p_r2))
+                if exp.p_extra < 1:
+                    step2.append((False, 0, 1 - exp.p_extra))
+                for extra_open, slots2, p_s2 in step2:
+                    out.append(reference_class(
+                        plan.inst, exp, chosen, slots1, extra_open, slots2,
+                        p_choice * p_r1 * p_s2,
+                    ))
+    return out
+
+
+def assert_enumerator_matches_reference(plan):
+    classes = enumerate_outcome_classes(plan)
+    assert classes == reference_classes(plan)
+    return classes
+
+
+@settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(case=colliding_plans())
+def test_enumerator_matches_per_facility_reference(case):
+    plan, _ = case
+    assert_enumerator_matches_reference(plan)
+
+
+@st.composite
+def unvalidated_plans(draw):
+    """The plan of a colliding pair on a shape ``validate_params`` may reject.
+
+    Step-1 targets may exceed the designated pool and borrowed-pivot targets
+    the rest pool, so the overfill and underserved verdicts are reached.
+    """
+    t = draw(st.integers(1, 3))
+    capacity = draw(st.integers(1, 5))
+    q = draw(st.integers(1, 4))
+    n_core = capacity * t + 1
+    client_count = n_core + draw(st.integers(0, capacity * (q + 1) + 2))
+    eps = Fraction(1, draw(st.integers(t, 3 * t)))
+    x_l = Fraction(1, draw(st.integers(1, 2 * n_core)))
+    inst = build_general_instance(2 * t + q, t, capacity, client_count, eps, x_l)
+    c1, c2 = drawn_index(draw, inst), drawn_index(draw, inst)
+    assume(collides(c1, c2))
+    return RoundingPlan(inst, _experiment_specs(inst, c1, c2))
+
+
+@settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(plan=unvalidated_plans())
+def test_enumerator_matches_reference_on_unvalidated_shapes(plan):
+    assert_enumerator_matches_reference(plan)
+
+
+def test_enumerator_matches_reference_with_both_pools_overfilled():
+    # step-1 and borrowed-pivot targets above their pools, so one class
+    # holds both overfill verdicts, in the reference's order
+    inst = build_general_instance(5, 2, 3, 10, Fraction(1, 6), Fraction(1, 3))
+    c1 = CoreIndex.for_instance(inst, [1, 4], [2, 3])
+    c2 = CoreIndex.for_instance(inst, [1, 2], [0, 4])
+    classes = assert_enumerator_matches_reference(
+        RoundingPlan(inst, _experiment_specs(inst, c1, c2))
+    )
+    assert any(
+        "overfill the designated pool" in cl.problems[0]
+        and "overfill the rest pool" in cl.problems[1]
+        for cl in classes
+    )
+
+
+# valid parameters whose distributions hold infeasible classes: a pivot target
+# that rounds to 0 slots overflows the high set, and borrowed-pivot slots that
+# overfill a one-client rest pool
+INFEASIBLE_SHAPES = [
+    dict(facility_count=6, t=2, capacity=4, client_count=13,
+         eps=Fraction(1, 3), x_l=Fraction(1, 18)),
+    dict(facility_count=6, t=2, capacity=3, client_count=8,
+         eps=Fraction(1, 5), x_l=Fraction(1, 14)),
+]
+
+
+@pytest.mark.parametrize("shape", INFEASIBLE_SHAPES, ids=["pivot-rounds-to-0", "rest-overfill"])
+def test_enumerator_matches_reference_on_infeasible_shapes(shape):
+    inst = build_general_instance(**shape)
+    assert validate_params(inst) == []
+    pairs = all_pairs(inst)
+    infeasible = 0
+    for c1 in pairs[::7]:
+        for c2 in pairs:
+            if collides(c1, c2):
+                classes = assert_enumerator_matches_reference(compile_plan(inst, c1, c2))
+                infeasible += sum(not cl.feasible for cl in classes)
+    assert infeasible
+
+
+def test_enumerator_matches_reference_at_t10(family10):
+    t = 10
+    c1 = CoreIndex.for_instance(family10, range(0, t), range(t, 2 * t))
+    c2 = CoreIndex.for_instance(family10, range(2 * t, 3 * t), range(3 * t, 4 * t))
+    classes = assert_enumerator_matches_reference(compile_plan(family10, c1, c2))
+    assert len(classes) == 80 and all(cl.feasible for cl in classes)
 
 
 # -- classed and dense vectors --------------------------------------------------
@@ -215,16 +416,6 @@ def test_classed_and_dense_agree(pair, data):
 
 
 # -- the census predicate, the brute-force census and Monte Carlo ---------------
-
-
-def all_pairs(inst):
-    """Every ordered disjoint (k, l) pair of ``inst``."""
-    t, ids = inst.family_params.t, range(inst.facility_count)
-    return [
-        CoreIndex.for_instance(inst, k, l)
-        for k in itertools.combinations(ids, t)
-        for l in itertools.combinations([i for i in ids if i not in k], t)
-    ]
 
 
 def rows_agree_with_collides(inst, ref, candidates):
