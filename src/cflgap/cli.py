@@ -16,24 +16,12 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import __version__
 from . import io as docio
-from .certify import (
-    BRUTE_CENSUS_LIMIT,
-    McEstimate,
-    build_census_report,
-    certify_gap,
-    core_size,
-    noncolliding_prob_mc,
-    reference_index,
-)
 from .corevec import CoreIndex, check_natural_lp, collides, make_core_vector
 from .instance import (
     Instance,
@@ -42,22 +30,13 @@ from .instance import (
     build_general_instance,
     validate_params,
 )
-from .polytope import (
-    brute_force_opt,
-    enumerate_integer_solutions,
-    membership_lp,
-    verify_membership,
-)
-from .randomness import ExactRng, derive_block_seed
-from .rounding import (
-    RoundingPlan,
-    compile_plan,
-    enumerate_outcome_classes,
-    outcome_class_key,
-    sample_outcome,
-    solution_violations,
-    verify_midpoint,
-)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .rounding import RoundingPlan
+
+# numpy, the sampler, the census and the oracles are imported inside the
+# commands that use them, so gen, core, collide and lpcheck start without
+# numpy.
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -134,6 +113,14 @@ def _resolve_instance(args) -> tuple[Instance, dict]:
 def cmd_gen(args) -> int:
     if args.family == args.general:
         raise ValueError("choose exactly one of --family / --general")
+    options = {"--t": args.t} if args.family else {
+        "--nf": args.nf, "--t": args.t, "--U": args.capacity,
+        "--m": args.m, "--eps": args.eps, "--xl": args.xl,
+    }
+    missing = [flag for flag, value in options.items() if value is None]
+    if missing:
+        mode = "--family" if args.family else "--general"
+        raise ValueError(f"gen {mode} requires {', '.join(missing)}")
     if args.family:
         inst = build_family_instance(args.t, args.a)
         params = {"mode": "family", "t": args.t, "a": args.a}
@@ -171,6 +158,10 @@ def cmd_core(args) -> int:
     if args.random:
         if args.seed is None:
             raise ValueError("--random requires --seed")
+        import numpy as np
+
+        from .randomness import ExactRng
+
         rng = ExactRng(args.seed)
         perm = rng.permuted(np.arange(inst.facility_count))
         k = [int(i) for i in perm[:t]]
@@ -222,6 +213,8 @@ def cmd_lpcheck(args) -> int:
 
 
 def cmd_verify_midpoint(args) -> int:
+    from .rounding import verify_midpoint
+
     inst, c1, c2, inputs = _load_core_pair(args.first, args.second)
     cert = verify_midpoint(inst, c1, c2)
     print(
@@ -249,11 +242,15 @@ def _run_blocks(work: Callable, n: int, seed: int, jobs: int) -> list:
     on the stream ``derive_block_seed(seed, b)``, so the results depend on
     ``n`` and ``seed`` but not on ``jobs``.
     """
+    from .randomness import derive_block_seed
+
     starts = range(0, n, BLOCK_DRAWS)
     seeds = [derive_block_seed(seed, b) for b in range(len(starts))]
     counts = [min(BLOCK_DRAWS, n - start) for start in starts]
     if jobs <= 1 or len(starts) == 1:
         return list(map(work, seeds, counts, starts))
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(starts))) as pool:
         return list(pool.map(work, seeds, counts, starts))
 
@@ -265,6 +262,9 @@ def _sample_block(
     count: int,
     start: int,
 ) -> tuple[int, Counter, list[str]]:
+    from .randomness import ExactRng
+    from .rounding import outcome_class_key, sample_outcome, solution_violations
+
     rng = ExactRng(seed)
     feasible = 0
     freq: Counter = Counter()
@@ -287,6 +287,8 @@ def _sample_block(
 
 
 def cmd_sample(args) -> int:
+    from .rounding import compile_plan, enumerate_outcome_classes
+
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.solutions_dir and os.path.isdir(args.solutions_dir):
@@ -353,10 +355,14 @@ def cmd_sample(args) -> int:
 
 
 def _mc_block_hits(inst: Instance, seed: int, count: int, start: int) -> int:
+    from .certify import noncolliding_prob_mc
+
     return noncolliding_prob_mc(inst, count, seed).hits
 
 
 def cmd_census(args) -> int:
+    from .certify import BRUTE_CENSUS_LIMIT, McEstimate, build_census_report, core_size
+
     inst, inputs = _resolve_instance(args)
     if args.exact:
         brute = not args.formula_only
@@ -400,6 +406,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .certify import certify_gap, reference_index
+
     if args.core:
         inst, index, _, inputs = _load_core(args.core)
     else:
@@ -422,6 +430,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .certify import build_census_report
+
     inst, inputs = _resolve_instance(args)
     report = build_census_report(inst)
     print(f"core size:   {report.core_size}")
@@ -436,6 +446,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_oracle_enum(args) -> int:
+    from .polytope import enumerate_integer_solutions
+
     inst, inputs = _load_instance(args.instance)
     solutions = enumerate_integer_solutions(inst)
     print(f"integer solutions: {len(solutions)}")
@@ -449,6 +461,8 @@ def cmd_oracle_enum(args) -> int:
 
 
 def cmd_oracle_member(args) -> int:
+    from .polytope import enumerate_integer_solutions, membership_lp, verify_membership
+
     inst, _, vec, inputs = _load_core(args.vector)
     solutions = enumerate_integer_solutions(inst)
     result = membership_lp(vec, solutions)
@@ -464,6 +478,8 @@ def cmd_oracle_member(args) -> int:
 
 
 def cmd_oracle_opt(args) -> int:
+    from .polytope import brute_force_opt
+
     inst, index, _, inputs = _load_core(args.core)
     cost = build_gap_costs(inst, index)
     value, witness = brute_force_opt(inst, cost)

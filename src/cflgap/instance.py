@@ -21,10 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-import numpy as np
-
-from .randomness import ExactRng
-
 if TYPE_CHECKING:  # pragma: no cover
     from .corevec import CoreIndex
 
@@ -343,8 +339,12 @@ class CostVector:
         return sum((self._connection[i][j] for j in clients), ZERO)
 
     def solution_cost(self, open_set: frozenset[int], assign: Sequence[int]) -> Fraction:
-        """Exact cost of an integer solution; two-point costs are counted as integers."""
-        assign = np.asarray(assign).tolist()
+        """Exact cost of an integer solution; two-point costs are counted as integers.
+
+        ``assign`` is a list, a tuple or an int64 array (read as plain ints).
+        """
+        if not isinstance(assign, (list, tuple)):
+            assign = assign.tolist()
         if self._two_point is not None:
             unit, near_f, near_c = self._two_point
             far = sum((i in near_f) != (j in near_c) for j, i in enumerate(assign))
@@ -431,6 +431,8 @@ class MetricCheck:
 def _quadruples_random(
     n_f: int, m: int, samples: int, seed: int
 ) -> Iterator[tuple[int, int, int, int]]:
+    from .randomness import ExactRng
+
     rng = ExactRng(seed)
     for _ in range(samples):
         yield (

@@ -15,13 +15,15 @@ import math
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from .certify import CensusReport, GapCertificate, McEstimate
 from .corevec import CoreIndex, FracVector, NaturalLpReport
 from .instance import FamilyParams, Instance
-from .polytope import MembershipResult
-from .rounding import IntSolution, MidpointCertificate, OutcomeClass
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .certify import CensusReport, GapCertificate, McEstimate
+    from .polytope import MembershipResult
+    from .rounding import IntSolution, MidpointCertificate, OutcomeClass
 
 __all__ = [
     "frac_to_str",
@@ -322,6 +324,8 @@ def solution_to_doc(sol: IntSolution, *, seed: Optional[int] = None) -> dict:
 
 def solution_from_doc(doc: dict) -> IntSolution:
     """The solution of a document; a missing or mistyped field raises ValueError."""
+    from .rounding import IntSolution
+
     where = "solution document"
     assign = _list(_field(doc, "assign", where), f"{where} field 'assign'")
     return IntSolution(

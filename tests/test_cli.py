@@ -65,6 +65,59 @@ class TestGen:
         assert "invalid" in result.stderr
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "mode, flag",
+        [("--family", "--t")]
+        + [("--general", flag) for flag in ("--nf", "--t", "--U", "--m", "--eps", "--xl")],
+    )
+    def test_missing_mode_option_exits_2_naming_it(self, mode, flag, capsys):
+        options = {"--t": "2"} if mode == "--family" else {
+            "--nf": "6", "--t": "2", "--U": "4", "--m": "13", "--eps": "2/5", "--xl": "1/8",
+        }
+        del options[flag]
+        argv = ["gen", mode] + [word for pair in options.items() for word in pair]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: gen {mode} requires {flag}\n"
+
+
+# Runs ``cli.main(argv)`` in a fresh interpreter and reports on stderr, after
+# the command's own output, whether numpy was imported.
+IMPORT_PROBE = """
+import sys
+from cflgap.cli import main
+try:
+    rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+finally:
+    print(f"numpy imported: {'numpy' in sys.modules}", file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+class TestColdImport:
+    @pytest.mark.parametrize(
+        "argv, numpy_imported",
+        [
+            ([], False),
+            (["--help"], False),
+            (["gen", "--general", "--nf", "6", "--t", "2", "--U", "4", "--m", "13",
+              "--eps", "2/5", "--xl", "1/8", "-o", "{dir}/gen.json"], False),
+            (["core", "--instance", "{mini}", "--k", "0,1", "--l", "2,3",
+              "-o", "{dir}/k.core"], False),
+            (["collide", "{a}", "{b}"], False),
+            (["lpcheck", "{a}"], False),
+            (["core", "--instance", "{mini}", "--random", "--seed", "5"], True),
+            (["sample", "{a}", "{b}", "--n", "20", "--seed", "3"], True),
+        ],
+        ids=["import", "help", "gen", "core", "collide", "lpcheck", "core-random", "sample"],
+    )
+    def test_numpy_only_where_drawn(self, workspace, argv, numpy_imported):
+        argv = [word.format(**workspace) for word in argv]
+        result = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == f"numpy imported: {numpy_imported}"
+
 
 class TestCoreAndCollide:
     def test_random_core_passes_lpcheck(self, workspace):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cflgap.corevec import CoreIndex, canonical_client_set
@@ -147,6 +148,31 @@ class TestGapCosts:
         assert cost.metric_admissible
         res = check_metric_admissible(cost, mini)
         assert res.exhaustive and res.admissible
+
+
+class TestSolutionCost:
+    @pytest.mark.parametrize("name", ["mini", "tiny"])
+    @pytest.mark.parametrize("costs", ["two-point", "dense"])
+    def test_list_tuple_and_int64_array_agree(self, request, name, costs):
+        inst = request.getfixturevalue(name)
+        n_f, m, t = inst.facility_count, inst.client_count, inst.family_params.t
+        if costs == "two-point":
+            cost = build_gap_costs(inst, CoreIndex.for_instance(inst, range(t), range(t, 2 * t)))
+        else:
+            cost = CostVector.dense(
+                [Fraction(i + 1, 3) for i in range(n_f)],
+                [[Fraction((5 * i + j) % 7, 4) for j in range(m)] for i in range(n_f)],
+            )
+        assign = [(3 * j + 1) % n_f for j in range(m)]
+        open_set = frozenset(assign) | {0}
+        expected = sum(cost.opening_of(i) for i in open_set) + sum(
+            cost.connection_of(i, j) for j, i in enumerate(assign)
+        )
+        array = np.array(assign, dtype=np.int64)
+        array.setflags(write=False)
+        values = [cost.solution_cost(open_set, form) for form in (assign, tuple(assign), array)]
+        assert values == [expected] * 3
+        assert all(type(value) is Fraction for value in values)
 
 
 class TestMetricAdmissible:
