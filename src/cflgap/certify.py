@@ -20,15 +20,19 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .corevec import CoreIndex, make_core_vector
 from .instance import Instance, build_gap_costs, require_valid
-from .polytope import brute_force_opt
-from .randomness import ExactRng
-from .rounding import IntSolution, solution_violations
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+    from .rounding import IntSolution
+
+# numpy, the sampler and the polytope oracle are imported by the array
+# kernels and the witness that use them, so the formula census and the
+# bound run without numpy.
 
 __all__ = [
     "CensusReport",
@@ -101,6 +105,8 @@ def _noncolliding_rows(
     facility ids, so counting the members of ``l`` among them tests the second
     containment.
     """
+    import numpy as np
+
     in_ref = np.zeros(n_f, dtype=bool)
     in_ref[list(ref.k | ref.l)] = True
     in_l = np.zeros(n_f, dtype=bool)
@@ -118,6 +124,8 @@ def noncolliding_count_brute(
     mapped through the facilities outside ``k'``; pairs are tested
     ``CENSUS_CHUNK`` rows (at least one ``k'``) at a time.
     """
+    import numpy as np
+
     n_f, t = _shape(inst)
     size = core_size(inst)
     if size > BRUTE_CENSUS_LIMIT:
@@ -180,6 +188,10 @@ def noncolliding_prob_mc(inst: Instance, samples: int, seed: int) -> McEstimate:
     containment bound allows repetition and is therefore only an upper
     reference.  Deterministic for a given seed.
     """
+    import numpy as np
+
+    from .randomness import ExactRng
+
     n_f, t = _shape(inst)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -272,6 +284,8 @@ def analytic_opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
     rest over the outside facilities.  Requires the leftover clients to fit
     outside: client_count - core <= capacity * (n_f - 2t).
     """
+    from .rounding import IntSolution, solution_violations
+
     require_valid(inst)
     t = inst.family_params.t
     cap = inst.capacity
@@ -331,6 +345,8 @@ def certify_gap(
         opt_value = witness_cost
         provenance = "analytic"
     else:
+        from .polytope import brute_force_opt
+
         opt_value, _ = brute_force_opt(inst, cost)
         provenance = "brute-force"
 

@@ -35,8 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .rounding import RoundingPlan
 
 # numpy, the sampler, the census and the oracles are imported inside the
-# commands that use them, so gen, core, collide and lpcheck start without
-# numpy.
+# commands that use them, so gen, core, collide, lpcheck, bound and
+# census --exact --formula-only run without numpy.
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -499,6 +499,12 @@ def cmd_oracle_opt(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command.
+
+    Each command names its handler, a ``cmd_*`` function of this module,
+    which :func:`main` looks up when it runs, so a rebound handler is the
+    one called.
+    """
     parser = argparse.ArgumentParser(
         prog="cflgap",
         description="Exact verification lab for a capacitated facility "
@@ -519,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xl", type=str)
     p.add_argument("--strict", action="store_true")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(handler="cmd_gen")
 
     p = sub.add_parser("core", help="build a core vector file")
     p.add_argument("--instance", required=True)
@@ -529,17 +535,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--dense", action="store_true")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_core)
+    p.set_defaults(handler="cmd_core")
 
     p = sub.add_parser("collide", help="exit 0 iff two core vectors collide")
     p.add_argument("first")
     p.add_argument("second")
-    p.set_defaults(func=cmd_collide)
+    p.set_defaults(handler="cmd_collide")
 
     p = sub.add_parser("lpcheck", help="natural-relaxation feasibility of a vector")
     p.add_argument("vector")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_lpcheck)
+    p.set_defaults(handler="cmd_lpcheck")
 
     p = sub.add_parser(
         "verify-midpoint", help="exact midpoint certificate for a colliding pair"
@@ -547,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_verify_midpoint)
+    p.set_defaults(handler="cmd_verify_midpoint")
 
     p = sub.add_parser("sample", help="draw integer solutions from the distribution")
     p.add_argument("first")
@@ -557,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--solutions-dir")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(handler="cmd_sample")
 
     p = sub.add_parser("census", help="collision census (exact or Monte Carlo)")
     p.add_argument("--instance")
@@ -569,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_census)
+    p.set_defaults(handler="cmd_census")
 
     p = sub.add_parser("certify", help="gap certificate for a core vector")
     p.add_argument("--core")
@@ -578,14 +584,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=2)
     p.add_argument("--brute-force", action="store_true")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(handler="cmd_certify")
 
     p = sub.add_parser("bound", help="exact constraint-count lower bound")
     p.add_argument("--instance")
     p.add_argument("--t", type=int)
     p.add_argument("--a", type=int, default=2)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(handler="cmd_bound")
 
     p = sub.add_parser("oracle", help="tiny-instance ground-truth oracles")
     osub = p.add_subparsers(dest="oracle_command", required=True)
@@ -593,26 +599,31 @@ def build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("enum", help="enumerate all integer solutions")
     q.add_argument("--instance", required=True)
     q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_oracle_enum)
+    q.set_defaults(handler="cmd_oracle_enum")
 
     q = osub.add_parser("member", help="exact hull membership of a vector")
     q.add_argument("--vector", required=True)
     q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_oracle_member)
+    q.set_defaults(handler="cmd_oracle_member")
 
     q = osub.add_parser("opt", help="brute-force optimum under two-point costs")
     q.add_argument("--core", required=True)
     q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_oracle_opt)
+    q.set_defaults(handler="cmd_oracle_opt")
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main call
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -7,14 +7,17 @@ spreads one unit of assignment mass over ``k`` (``x_k`` each) and ``l``
 (``x_l`` each), while every other client spreads it uniformly over the
 outside facilities.  Vectors live in [0,1]^(n_f + n_f*m) and are stored by
 symmetry classes (one rational per facility-class x client-class cell); a
-dense point is the vector whose classes are all singletons.
+dense point is the vector whose classes are all singletons.  Facility classes
+are frozensets; client classes are sorted half-open id runs ``(lo, hi)``, so
+a class that is one id range costs the same at any client count.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .instance import Instance, require_valid
 
@@ -36,10 +39,66 @@ ONE = Fraction(1)
 # Dense materialization guard: n_f * m coordinates beyond this is refused.
 DENSE_LIMIT = 1_000_000
 
+# A client class: sorted, disjoint, maximal half-open id runs (lo, hi).
+Runs = tuple[tuple[int, int], ...]
+
 
 def _fraction(value) -> Fraction:
     # Fraction(f) copies a Fraction f; midpoint and to_dense pass Fractions
     return value if type(value) is Fraction else Fraction(value)
+
+
+def _runs(ids) -> Runs:
+    """An id class as sorted runs with adjacent runs merged.
+
+    ``ids`` is a tuple of ``(lo, hi)`` pairs, a ``range`` (one run, not
+    walked) or any other iterable of ids.
+    """
+    if type(ids) is tuple and ids and type(ids[0]) is tuple:
+        pairs = sorted(ids)
+    elif type(ids) is range and ids.step == 1:
+        pairs = [(ids.start, ids.stop)] if ids else []
+    else:
+        pairs = [(j, j + 1) for j in sorted(set(ids))]
+    merged: list[tuple[int, int]] = []
+    for lo, hi in pairs:
+        if merged and merged[-1][1] == lo:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def _facility_pair(
+    inst: Instance, k: Iterable[int], l: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """``(k, l)`` as frozensets, or ValueError unless they are disjoint t-sets of facilities."""
+    params = inst.family_params
+    if params is None:
+        raise ValueError("instance has no family_params")
+    kf, lf = frozenset(k), frozenset(l)
+    t = params.t
+    if len(kf) != t or len(lf) != t:
+        raise ValueError(f"|k| and |l| must both equal t = {t}, got {len(kf)}, {len(lf)}")
+    if kf & lf:
+        raise ValueError(f"k and l must be disjoint, share {sorted(kf & lf)}")
+    allf = set(inst.facilities)
+    if not (kf <= allf and lf <= allf):
+        raise ValueError("k and l must be facility ids of the instance")
+    return kf, lf
+
+
+def _designated_count(inst: Instance) -> int:
+    """capacity*t + 1, or ValueError when the instance has fewer clients."""
+    params = inst.family_params
+    if params is None:
+        raise ValueError("instance has no family_params")
+    count = inst.capacity * params.t + 1
+    if count > inst.client_count:
+        raise ValueError(
+            f"instance has {inst.client_count} clients, needs {count} designated ones"
+        )
+    return count
 
 
 @dataclass(frozen=True)
@@ -55,22 +114,8 @@ class CoreIndex:
         cls, inst: Instance, k: Iterable[int], l: Iterable[int]
     ) -> "CoreIndex":
         """Validated index over ``inst`` with the canonical client set."""
-        params = inst.family_params
-        if params is None:
-            raise ValueError("instance has no family_params")
-        kf, lf = frozenset(k), frozenset(l)
-        t = params.t
-        if len(kf) != t or len(lf) != t:
-            raise ValueError(f"|k| and |l| must both equal t = {t}, got {len(kf)}, {len(lf)}")
-        if kf & lf:
-            raise ValueError(f"k and l must be disjoint, share {sorted(kf & lf)}")
-        allf = set(inst.facilities)
-        if not (kf <= allf and lf <= allf):
-            raise ValueError("k and l must be facility ids of the instance")
-        clients = canonical_client_set(inst)
-        if len(clients) != inst.capacity * t + 1:
-            raise AssertionError("canonical client set has the wrong size")
-        return cls(k=kf, l=lf, core_clients=clients)
+        kf, lf = _facility_pair(inst, k, l)
+        return cls(k=kf, l=lf, core_clients=canonical_client_set(inst))
 
 
 def canonical_client_set(inst: Instance) -> frozenset[int]:
@@ -79,15 +124,7 @@ def canonical_client_set(inst: Instance) -> frozenset[int]:
     One shared set serves every (k, l) pair; the collision census and the
     midpoint construction only ever depend on the facility sets.
     """
-    params = inst.family_params
-    if params is None:
-        raise ValueError("instance has no family_params")
-    count = inst.capacity * params.t + 1
-    if count > inst.client_count:
-        raise ValueError(
-            f"instance has {inst.client_count} clients, needs {count} designated ones"
-        )
-    return frozenset(range(count))
+    return frozenset(range(_designated_count(inst)))
 
 
 def collides(c1: CoreIndex, c2: CoreIndex) -> bool:
@@ -105,28 +142,33 @@ class FracVector:
 
     The facility classes partition ``range(facility_count)`` and the client
     classes ``range(client_count)``; one y value per facility class and one
-    x value per facility-class x client-class cell.  A dense point is the
-    vector whose classes are all singletons (:meth:`from_dense`).
+    x value per facility-class x client-class cell.  Facility classes are
+    frozensets.  Each client class is given as anything :func:`_runs`
+    accepts (id sets, ranges, or runs) and kept as sorted ``(lo, hi)`` runs,
+    so sizes, least ids and refinements come from the run endpoints.  A
+    dense point is the vector whose classes are all singletons
+    (:meth:`from_dense`).
     """
 
     def __init__(
         self,
         facility_count: int,
         client_count: int,
-        fac_classes: Sequence[frozenset[int]],
-        cli_classes: Sequence[frozenset[int]],
+        fac_classes: Sequence[Iterable[int]],
+        cli_classes: Sequence[Iterable[int]],
         y_values: Sequence[Fraction],
         x_values: Sequence[Sequence[Fraction]],
     ):
         self.facility_count = facility_count
         self.client_count = client_count
         self._fac_lookup: Optional[dict[int, int]] = None
-        self._cli_lookup: Optional[dict[int, int]] = None
+        self._cli_lookup: Optional[tuple[list[int], list[int]]] = None
         self.fac_classes = tuple(frozenset(c) for c in fac_classes)
-        self.cli_classes = tuple(frozenset(c) for c in cli_classes)
+        self.cli_classes: tuple[Runs, ...] = tuple(map(_runs, cli_classes))
         self.y_values = tuple(map(_fraction, y_values))
         self.x_values = tuple(tuple(map(_fraction, row)) for row in x_values)
-        self._check_partition(self.fac_classes, facility_count, "facility")
+        self._fac_runs = tuple(map(_runs, self.fac_classes))
+        self._check_partition(self._fac_runs, facility_count, "facility")
         self._check_partition(self.cli_classes, client_count, "client")
         if len(self.y_values) != len(self.fac_classes):
             raise ValueError("one y value per facility class required")
@@ -140,12 +182,17 @@ class FracVector:
             raise ValueError(f"vector entry {bad} outside [0, 1]")
 
     @staticmethod
-    def _check_partition(classes: Sequence[frozenset[int]], n: int, what: str) -> None:
-        union = frozenset().union(*classes)
-        if sum(map(len, classes)) != len(union):
+    def _check_partition(classes: Sequence[Runs], n: int, what: str) -> None:
+        """ValueError unless the classes are nonempty and their runs tile ``[0, n)``."""
+        runs = sorted(run for c in classes for run in c)
+        if any(b[0] < a[1] for a, b in zip(runs, runs[1:])):
             raise ValueError(f"overlapping {what} classes")
-        # n distinct integer ids from 0 to n - 1 are exactly range(n)
-        if len(union) != n or (n and (min(union) != 0 or max(union) != n - 1)):
+        edges = [0] + [hi for _, hi in runs]
+        if (
+            edges[-1] != n
+            or not all(classes)
+            or any(lo != edge or lo >= hi for (lo, hi), edge in zip(runs, edges))
+        ):
             raise ValueError(f"{what} classes do not partition range({n})")
 
     @classmethod
@@ -158,7 +205,7 @@ class FracVector:
             len(y),
             client_count,
             [frozenset((i,)) for i in range(len(y))],
-            [frozenset((j,)) for j in range(client_count)],
+            [((j, j + 1),) for j in range(client_count)],
             y,
             x,
         )
@@ -166,7 +213,9 @@ class FracVector:
     @property
     def is_dense(self) -> bool:
         """True when every facility and every client class is a singleton."""
-        return all(len(c) == 1 for c in self.fac_classes + self.cli_classes)
+        return all(len(c) == 1 for c in self.fac_classes) and all(
+            len(c) == 1 and c[0][1] - c[0][0] == 1 for c in self.cli_classes
+        )
 
     # -- coordinate access ---------------------------------------------------
 
@@ -178,11 +227,16 @@ class FracVector:
         return self._fac_lookup[i]
 
     def _cli_class_of(self, j: int) -> int:
+        """Class index of client ``j``: bisection over the run starts."""
         if self._cli_lookup is None:
-            self._cli_lookup = {
-                cj: idx for idx, c in enumerate(self.cli_classes) for cj in c
-            }
-        return self._cli_lookup[j]
+            runs = sorted(
+                (lo, idx) for idx, c in enumerate(self.cli_classes) for lo, _ in c
+            )
+            self._cli_lookup = ([lo for lo, _ in runs], [idx for _, idx in runs])
+        if not 0 <= j < self.client_count:
+            raise KeyError(j)
+        starts, owners = self._cli_lookup
+        return owners[bisect_right(starts, j) - 1]
 
     def y_of(self, i: int) -> Fraction:
         return self.y_values[self._fac_class_of(i)]
@@ -198,12 +252,15 @@ class FracVector:
             raise ValueError(
                 f"refusing to materialize {self.facility_count * self.client_count} coordinates"
             )
-        y = [self.y_of(i) for i in range(self.facility_count)]
-        x = [
-            [self.x_of(i, j) for j in range(self.client_count)]
-            for i in range(self.facility_count)
-        ]
-        return FracVector.from_dense(y, x)
+        columns = [0] * self.client_count  # class index of each client
+        for idx, runs in enumerate(self.cli_classes):
+            for lo, hi in runs:
+                columns[lo:hi] = [idx] * (hi - lo)
+        rows = [self.x_values[self._fac_class_of(i)] for i in range(self.facility_count)]
+        return FracVector.from_dense(
+            [self.y_of(i) for i in range(self.facility_count)],
+            [[row[c] for c in columns] for row in rows],
+        )
 
     def set_x(self, i: int, j: int, value: Fraction) -> "FracVector":
         """Dense copy with one assignment coordinate replaced."""
@@ -222,10 +279,10 @@ class FracVector:
     def equals(self, other: "FracVector") -> bool:
         """Exact coordinatewise equality, checked on the common refinement."""
         self._same_dims(other)
-        cli_atoms = _refine(self.cli_classes, other.cli_classes, other._cli_class_of)
+        cli_atoms = _refine(self.cli_classes, other.cli_classes)
         cols_a = [ca for _, ca, _ in cli_atoms]
         cols_b = [cb for _, _, cb in cli_atoms]
-        for _, fa, fb in _refine(self.fac_classes, other.fac_classes, other._fac_class_of):
+        for _, fa, fb in _refine(self._fac_runs, other._fac_runs):
             row_a, row_b = self.x_values[fa], other.x_values[fb]
             if self.y_values[fa] != other.y_values[fb] or (
                 [row_a[c] for c in cols_a] != [row_b[c] for c in cols_b]
@@ -235,38 +292,33 @@ class FracVector:
 
 
 def _refine(
-    parts_a: Sequence[frozenset[int]],
-    parts_b: Sequence[frozenset[int]],
-    class_of_b: Callable[[int], int],
-) -> list[tuple[frozenset[int], int, int]]:
-    """Common refinement: (atom, index in a, index in b), ordered by least id.
+    parts_a: Sequence[Runs], parts_b: Sequence[Runs]
+) -> list[tuple[Runs, int, int]]:
+    """Common refinement of two run partitions: (runs, index in a, index in b).
 
-    A class of ``a`` with fewer ids than ``b`` has classes looks up the
-    classes it meets through ``class_of_b`` (id -> class index in ``b``), so
-    singleton classes refine in linear time; a larger class is intersected
-    with every class of ``b``.
+    Both partitions tile the same ``[0, n)``, so one merge over their sorted
+    runs cuts it at the union of their breakpoints; the pieces that share a
+    pair of classes form one atom, and atoms are ordered by least id.
     """
-    atoms = []
-    for ia, ca in enumerate(parts_a):
-        if len(ca) < len(parts_b):
-            met: dict[int, list[int]] = {}
-            for i in ca:
-                met.setdefault(class_of_b(i), []).append(i)
-            atoms.extend((frozenset(ids), ia, ib) for ib, ids in met.items())
-            continue
-        for ib, cb in enumerate(parts_b):
-            atom = ca & cb
-            if atom:
-                atoms.append((atom, ia, ib))
-    atoms.sort(key=lambda entry: min(entry[0]))
-    return atoms
+    runs_a = sorted((lo, hi, i) for i, c in enumerate(parts_a) for lo, hi in c)
+    runs_b = sorted((lo, hi, i) for i, c in enumerate(parts_b) for lo, hi in c)
+    atoms: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    a = b = 0
+    while a < len(runs_a) and b < len(runs_b):
+        lo_a, hi_a, ia = runs_a[a]
+        lo_b, hi_b, ib = runs_b[b]
+        hi = min(hi_a, hi_b)
+        atoms.setdefault((ia, ib), []).append((max(lo_a, lo_b), hi))
+        a += hi_a == hi
+        b += hi_b == hi
+    return [(tuple(pieces), ia, ib) for (ia, ib), pieces in atoms.items()]
 
 
 def midpoint(v1: FracVector, v2: FracVector) -> FracVector:
     """Coordinatewise exact average of two vectors of the same shape."""
     v1._same_dims(v2)
-    fac_atoms = _refine(v1.fac_classes, v2.fac_classes, v2._fac_class_of)
-    cli_atoms = _refine(v1.cli_classes, v2.cli_classes, v2._cli_class_of)
+    fac_atoms = _refine(v1._fac_runs, v2._fac_runs)
+    cli_atoms = _refine(v1.cli_classes, v2.cli_classes)
     y_values = [(v1.y_values[ia] + v2.y_values[ib]) / 2 for _, ia, ib in fac_atoms]
     x_values = [
         [(v1.x_values[fa][ca] + v2.x_values[fb][cb]) / 2 for _, ca, cb in cli_atoms]
@@ -275,7 +327,7 @@ def midpoint(v1: FracVector, v2: FracVector) -> FracVector:
     return FracVector(
         v1.facility_count,
         v1.client_count,
-        [atom for atom, _, _ in fac_atoms],
+        [[i for lo, hi in atom for i in range(lo, hi)] for atom, _, _ in fac_atoms],
         [atom for atom, _, _ in cli_atoms],
         y_values,
         x_values,
@@ -290,18 +342,21 @@ def midpoint(v1: FracVector, v2: FracVector) -> FracVector:
 def make_core_vector(
     inst: Instance, k: Iterable[int], l: Iterable[int], *, dense: bool = False
 ) -> FracVector:
-    """The core vector indexed by (k, l), symmetry-classed by default."""
+    """The core vector indexed by (k, l), symmetry-classed by default.
+
+    The designated clients are ``range(capacity*t + 1)`` and the rest the
+    tail, so both client classes are single runs.
+    """
     require_valid(inst)
     params = inst.family_params
-    index = CoreIndex.for_instance(inst, k, l)
-    kf, lf = index.k, index.l
+    kf, lf = _facility_pair(inst, k, l)
     outside = frozenset(inst.facilities) - kf - lf
-    core = index.core_clients
-    rest = frozenset(inst.clients) - core
+    count, m = _designated_count(inst), inst.client_count
+    rest = count < m
     x_out = Fraction(1, inst.facility_count - 2 * params.t)
 
     fac_classes = [kf, lf] + ([outside] if outside else [])
-    cli_classes = [core] + ([rest] if rest else [])
+    cli_classes = [((0, count),)] + ([((count, m),)] if rest else [])
     y_values = [ONE, params.eps] + ([ONE] if outside else [])
     x_rows = {
         "k": [params.x_k] + ([ZERO] if rest else []),
@@ -353,31 +408,32 @@ def check_natural_lp(inst: Instance, v: FracVector) -> NaturalLpReport:
     cap = inst.capacity
     dense = v.is_dense
 
-    def where(what: str, ids: frozenset[int]) -> str:
-        return f"{what} {min(ids)}" if dense else f"{what} class {min(ids)}.."
+    def where(what: str, least: int) -> str:
+        return f"{what} {least}" if dense else f"{what} class {least}.."
 
-    for cc_idx, cc in enumerate(v.cli_classes):
+    # a client class's least id is its first run's start
+    cli_sizes = [sum(hi - lo for lo, hi in runs) for runs in v.cli_classes]
+    for cc_idx, runs in enumerate(v.cli_classes):
         mass = sum(
             (len(fc) * v.x_values[fc_idx][cc_idx] for fc_idx, fc in enumerate(v.fac_classes)),
             ZERO,
         )
         if mass != 1:
-            out.append(LpViolation("assignment_mass", where("client", cc), abs(mass - 1)))
+            out.append(LpViolation("assignment_mass", where("client", runs[0][0]), abs(mass - 1)))
     for fc_idx, fc in enumerate(v.fac_classes):
         y = v.y_values[fc_idx]
-        where_f = where("facility", fc)
+        where_f = where("facility", min(fc))
         if y > 1:
             out.append(LpViolation("opening_bound", where_f, y - 1))
         load = ZERO
-        for cc_idx, cc in enumerate(v.cli_classes):
+        for cc_idx, runs in enumerate(v.cli_classes):
             x = v.x_values[fc_idx][cc_idx]
             if x > y:
+                where_c = where("client", runs[0][0])
                 out.append(
-                    LpViolation(
-                        "assignment_le_opening", f"{where_f} / {where('client', cc)}", x - y
-                    )
+                    LpViolation("assignment_le_opening", f"{where_f} / {where_c}", x - y)
                 )
-            load += len(cc) * inst.demand * x
+            load += cli_sizes[cc_idx] * inst.demand * x
         if load > cap * y:
             out.append(LpViolation("capacity", where_f, load - cap * y))
 

@@ -17,6 +17,7 @@ touches floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
@@ -276,6 +277,7 @@ class CostVector:
         self.facility_count = facility_count
         self.client_count = client_count
         self.metric_admissible = metric_admissible
+        self._near_sorted: Optional[list[int]] = None  # near clients, ascending
         if opening is not None:
             if connection is None:
                 raise ValueError("dense costs need both opening and connection")
@@ -329,15 +331,6 @@ class CostVector:
             return ZERO if (i in near_f) == (j in near_c) else ONE
         return self._connection[i][j]
 
-    def connection_sum(self, i: int, clients: frozenset[int]) -> Fraction:
-        """Sum of connection costs from facility i to a client set."""
-        if self._two_point is not None:
-            _, near_f, near_c = self._two_point
-            near_count = len(clients & near_c)
-            far_count = len(clients) - near_count
-            return Fraction(far_count if i in near_f else near_count)
-        return sum((self._connection[i][j] for j in clients), ZERO)
-
     def solution_cost(self, open_set: frozenset[int], assign: Sequence[int]) -> Fraction:
         """Exact cost of an integer solution; two-point costs are counted as integers.
 
@@ -354,25 +347,35 @@ class CostVector:
             total += self.connection_of(i, j)
         return total
 
-    def _block_connection_total(
-        self, facilities: frozenset[int], clients: frozenset[int]
-    ) -> Fraction:
-        """Sum of connection costs over a facility-set x client-set block."""
+    def _near_client_count(self, runs) -> int:
+        """Near clients inside a client class of ``(lo, hi)`` runs, by bisection."""
+        if self._near_sorted is None:
+            self._near_sorted = sorted(self._two_point[2])
+        near = self._near_sorted
+        return sum(bisect_left(near, hi) - bisect_left(near, lo) for lo, hi in runs)
+
+    def _block_connection_total(self, facilities: frozenset[int], runs) -> Fraction:
+        """Sum of connection costs over a facility-set x client-runs block."""
         if self._two_point is not None:
-            _, near_f, near_c = self._two_point
+            near_f = self._two_point[1]
             f_near = len(facilities & near_f)
             f_far = len(facilities) - f_near
-            c_near = len(clients & near_c)
-            c_far = len(clients) - c_near
+            c_near = self._near_client_count(runs)
+            c_far = sum(hi - lo for lo, hi in runs) - c_near
             return Fraction(f_near * c_far + f_far * c_near)
-        return sum((self.connection_sum(i, clients) for i in facilities), ZERO)
+        return sum(
+            (self._connection[i][j] for i in facilities for lo, hi in runs
+             for j in range(lo, hi)),
+            ZERO,
+        )
 
     def vector_cost(self, v) -> Fraction:
         """Exact cost of a fractional (y, x) point, priced per symmetry class.
 
         Vectors never get materialized: each facility-class x client-class
         cell contributes x_value times the block's total connection cost, so
-        family-scale vectors are priced in O(classes).
+        family-scale vectors are priced in O(classes); a two-point block
+        counts its near clients from the client class's runs.
         """
         if v.facility_count != self.facility_count or v.client_count != self.client_count:
             raise ValueError("cost/vector dimension mismatch")
@@ -381,10 +384,10 @@ class CostVector:
             y = v.y_values[fc_idx]
             if y != 0:
                 total += y * sum((self.opening_of(i) for i in fc), ZERO)
-            for cc_idx, cc in enumerate(v.cli_classes):
+            for cc_idx, runs in enumerate(v.cli_classes):
                 x = v.x_values[fc_idx][cc_idx]
                 if x != 0:
-                    total += x * self._block_connection_total(fc, cc)
+                    total += x * self._block_connection_total(fc, runs)
         return total
 
 

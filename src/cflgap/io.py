@@ -17,7 +17,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from .corevec import CoreIndex, FracVector, NaturalLpReport
+from .corevec import CoreIndex, FracVector, NaturalLpReport, Runs, _runs
 from .instance import FamilyParams, Instance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,23 +116,33 @@ def _ids_to_doc(ids: Iterable[int]) -> Any:
     return ordered
 
 
-def _ids_from_doc(
-    doc: Any, where: str, spans: dict[tuple[int, int], frozenset[int]]
-) -> frozenset[int]:
-    """An id set written by :func:`_ids_to_doc`: a list or a ``span`` object.
+def _runs_to_doc(runs: Runs) -> Any:
+    """A client class as :func:`_ids_to_doc` writes its ids: one run is a span."""
+    if len(runs) == 1:
+        return {"span": list(runs[0])}
+    return [j for lo, hi in runs for j in range(lo, hi)]
 
-    ``spans`` holds the sets already built for one document, so each
-    distinct span is materialized once; every span is validated first.
-    """
+
+def _span(doc: dict, where: str) -> tuple[int, int]:
+    span = _list(_field(doc, "span", where), f"{where} span")
+    if len(span) != 2:
+        raise ValueError(f"{where} span must be [lo, hi], got {_shown(span)}")
+    lo, hi = (_int(b, f"{where} span") for b in span)
+    return lo, hi
+
+
+def _ids_from_doc(doc: Any, where: str) -> frozenset[int]:
+    """An id set written by :func:`_ids_to_doc`: a list or a ``span`` object."""
     if isinstance(doc, dict):
-        span = _list(_field(doc, "span", where), f"{where} span")
-        if len(span) != 2:
-            raise ValueError(f"{where} span must be [lo, hi], got {_shown(span)}")
-        lo, hi = (_int(b, f"{where} span") for b in span)
-        if (lo, hi) not in spans:
-            spans[lo, hi] = frozenset(range(lo, hi))
-        return spans[lo, hi]
+        return frozenset(range(*_span(doc, where)))
     return _id_list(doc, where)
+
+
+def _runs_from_doc(doc: Any, where: str) -> Runs:
+    """A client class written by :func:`_runs_to_doc`; a span is read as one run."""
+    if isinstance(doc, dict):
+        return _runs(range(*_span(doc, where)))
+    return _runs(_id_list(doc, where))
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +209,11 @@ def _vector_to_doc(vec: FracVector) -> dict:
             "x": [
                 {
                     "facilities": _ids_to_doc(fc),
-                    "clients": _ids_to_doc(cc),
+                    "clients": _runs_to_doc(runs),
                     "value": frac_to_str(vec.x_values[fi][ci]),
                 }
                 for fi, fc in enumerate(vec.fac_classes)
-                for ci, cc in enumerate(vec.cli_classes)
+                for ci, runs in enumerate(vec.cli_classes)
             ],
         }
     triplets = [
@@ -220,7 +230,7 @@ def _vector_to_doc(vec: FracVector) -> dict:
 
 
 def _vector_from_doc(
-    doc: dict, facility_count: int, client_count: int, spans: dict
+    doc: dict, facility_count: int, client_count: int
 ) -> FracVector:
     where = "core document"
     classed = _field(doc, "repr", where) == "classed"
@@ -228,22 +238,16 @@ def _vector_from_doc(
     x_doc = _list(_field(doc, "x", where), f"{where} field 'x'")
     if classed:
         fac_classes = [
-            _ids_from_doc(
-                _field(entry, "facilities", "y entry"), "y entry facilities", spans
-            )
+            _ids_from_doc(_field(entry, "facilities", "y entry"), "y entry facilities")
             for entry in y_doc
         ]
         y_values = [_frac_field(entry, "value", "y entry") for entry in y_doc]
         fac_index = {fc: fi for fi, fc in enumerate(fac_classes)}
-        cli_index: dict[frozenset[int], int] = {}  # in order of first appearance
+        cli_index: dict[Runs, int] = {}  # in order of first appearance
         cell: dict[tuple[int, int], Fraction] = {}
         for n, entry in enumerate(x_doc):
-            fc = _ids_from_doc(
-                _field(entry, "facilities", "x entry"), "x entry facilities", spans
-            )
-            cc = _ids_from_doc(
-                _field(entry, "clients", "x entry"), "x entry clients", spans
-            )
+            fc = _ids_from_doc(_field(entry, "facilities", "x entry"), "x entry facilities")
+            cc = _runs_from_doc(_field(entry, "clients", "x entry"), "x entry clients")
             if fc not in fac_index:
                 raise ValueError(
                     f"{where} x entry {n} field 'facilities' is not one of the y classes"
@@ -298,15 +302,12 @@ def load_core_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector]:
     """
     where = "core document"
     inst = instance_from_doc(_field(doc, "instance", where))
-    spans: dict[tuple[int, int], frozenset[int]] = {}
     index = CoreIndex(
         k=_id_list(_field(doc, "k", where), f"{where} field 'k'"),
         l=_id_list(_field(doc, "l", where), f"{where} field 'l'"),
-        core_clients=_ids_from_doc(
-            _field(doc, "core_clients", where), "core_clients", spans
-        ),
+        core_clients=_ids_from_doc(_field(doc, "core_clients", where), "core_clients"),
     )
-    vec = _vector_from_doc(doc, inst.facility_count, inst.client_count, spans)
+    vec = _vector_from_doc(doc, inst.facility_count, inst.client_count)
     return inst, index, vec
 
 

@@ -623,6 +623,13 @@ def outcome_class_key(plan: RoundingPlan, draw: SampleDraw) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _pool_runs(pool: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """An ascending id array as ``(lo, hi)`` runs, cut where ids skip."""
+    cuts = (np.flatnonzero(np.diff(pool) != 1) + 1).tolist()
+    starts, ends = [0, *cuts], [*cuts, len(pool)]
+    return tuple((int(pool[a]), int(pool[b - 1]) + 1) for a, b in zip(starts, ends))
+
+
 def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> FracVector:
     """Exact expectation of the distribution: sum of probability x class mean.
 
@@ -689,7 +696,7 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
         inst.facility_count,
         inst.client_count,
         [frozenset(members) for _, members in ordered],
-        [frozenset(pool.tolist()) for pool in pools],
+        [_pool_runs(pool) for pool in pools],
         [value[0] for value, _ in ordered],
         [list(value[1:]) for value, _ in ordered],
     )

@@ -105,10 +105,13 @@ class TestColdImport:
               "-o", "{dir}/k.core"], False),
             (["collide", "{a}", "{b}"], False),
             (["lpcheck", "{a}"], False),
+            (["bound", "--t", "10"], False),
+            (["census", "--t", "10", "--exact", "--formula-only"], False),
             (["core", "--instance", "{mini}", "--random", "--seed", "5"], True),
             (["sample", "{a}", "{b}", "--n", "20", "--seed", "3"], True),
         ],
-        ids=["import", "help", "gen", "core", "collide", "lpcheck", "core-random", "sample"],
+        ids=["import", "help", "gen", "core", "collide", "lpcheck", "bound",
+             "census-formula", "core-random", "sample"],
     )
     def test_numpy_only_where_drawn(self, workspace, argv, numpy_imported):
         argv = [word.format(**workspace) for word in argv]
@@ -117,6 +120,43 @@ class TestColdImport:
         )
         assert result.returncode == 0, result.stderr
         assert result.stderr.splitlines()[-1] == f"numpy imported: {numpy_imported}"
+
+
+class TestParserReuse:
+    """``cli.main`` parses with one parser per process and finds each
+    command's handler by name when it runs."""
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [
+            [["census", "--instance", "{mini}", "--mc", "300", "--seed", "9", "--jobs", "2",
+              "-o", "{dir}/mc.json"],
+             ["census", "--instance", "{mini}", "--exact", "-o", "{dir}/exact.json"]],
+            [["sample", "{a}", "{b}", "--n", "20", "--seed", "3", "--solutions-dir",
+              "{dir}/sols", "-o", "{dir}/s.json"],
+             ["verify-midpoint", "{a}", "{b}", "-o", "{dir}/vm.json"]],
+        ],
+        ids=["census-mc-then-exact", "sample-then-verify"],
+    )
+    def test_no_option_leaks_into_the_next_call(self, workspace, monkeypatch, sequence):
+        seen = []
+        for name in ("cmd_census", "cmd_sample", "cmd_verify_midpoint"):
+            handler = getattr(cli, name)
+
+            def spy(args, handler=handler):
+                seen.append(dict(vars(args)))
+                return handler(args)
+
+            # the parser already exists (the workspace was built through
+            # cli.main), so the spies are reached only by lookup at call time
+            monkeypatch.setattr(cli, name, spy)
+        runs = [[word.format(**workspace) for word in argv] for argv in sequence]
+        for argv in runs:
+            assert run_in_process(*argv) == 0, argv
+        assert seen == [vars(cli.build_parser().parse_args(argv)) for argv in runs]
+        assert seen[-1].get("seed") is None
+        with open(runs[-1][-1]) as handle:
+            assert json.load(handle)["manifest"]["seed"] is None
 
 
 class TestCoreAndCollide:

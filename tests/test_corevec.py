@@ -222,22 +222,43 @@ class TestFracVector:
         with pytest.raises(ValueError):
             FracVector.from_dense([Fraction(1)], [[Fraction(-1, 2)]])
 
-    @pytest.mark.parametrize("fac_classes, message", [
-        pytest.param([{0}], "do not partition range(2)", id="gap"),
-        pytest.param([{0, 1}, {1}], "overlapping facility classes", id="overlap"),
-        pytest.param([{0}, {2}], "do not partition range(2)", id="id-at-n"),
-        pytest.param([{-1}, {1}], "do not partition range(2)", id="negative-id"),
+    @pytest.mark.parametrize("fac_classes, cli_classes, message", [
+        pytest.param([{0}], [range(5)], "do not partition range(2)", id="gap"),
+        pytest.param([{0, 1}, {1}], [range(5)], "overlapping facility classes", id="overlap"),
+        pytest.param([{0}, {2}], [range(5)], "do not partition range(2)", id="id-at-n"),
+        pytest.param([{-1}, {1}], [range(5)], "do not partition range(2)", id="negative-id"),
+        pytest.param([{0, 1}], [((0, 2),), ((3, 5),)], "client classes do not partition range(5)",
+                     id="client-gap"),
+        pytest.param([{0, 1}], [((0, 3),), ((2, 5),)], "overlapping client classes",
+                     id="client-overlap"),
+        pytest.param([{0, 1}], [((0, 1), (3, 5)), ((1, 3), (5, 6))],
+                     "client classes do not partition range(5)", id="client-run-past-n"),
+        pytest.param([{0, 1}], [((-1, 2),), ((2, 5),)], "client classes do not partition range(5)",
+                     id="client-negative-run"),
+        pytest.param([{0, 1}], [range(5), ()], "client classes do not partition range(5)",
+                     id="client-empty-class"),
     ])
-    def test_rejects_bad_partition(self, fac_classes, message):
+    def test_rejects_bad_partition(self, fac_classes, cli_classes, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             FracVector(
                 2,
-                1,
+                5,
                 fac_classes=[frozenset(c) for c in fac_classes],
-                cli_classes=[frozenset({0})],
+                cli_classes=cli_classes,
                 y_values=[Fraction(1)] * len(fac_classes),
-                x_values=[[Fraction(1)]] * len(fac_classes),
+                x_values=[[Fraction(1)] * len(cli_classes)] * len(fac_classes),
             )
+
+    def test_client_classes_are_kept_as_runs(self):
+        v = FracVector(
+            1, 9, [{0}], [frozenset({0, 1, 2, 6}), [5, 3, 4, 3], range(7, 9)],
+            [Fraction(1)], [[Fraction(1), Fraction(1, 2), Fraction(0)]],
+        )
+        assert v.cli_classes == (((0, 3), (6, 7)), ((3, 6),), ((7, 9),))
+        assert [v.x_of(0, j) for j in range(9)] == [1, 1, 1, Fraction(1, 2), Fraction(1, 2),
+                                                    Fraction(1, 2), 1, 0, 0]
+        with pytest.raises(KeyError):
+            v.x_of(0, 9)
 
     def test_set_x_is_functional(self, mini):
         v = make_core_vector(mini, {0, 1}, {2, 3})

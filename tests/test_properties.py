@@ -8,6 +8,7 @@ stays reproducible and fast.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,13 @@ from cflgap.instance import (
     build_gap_costs,
     build_general_instance,
     validate_params,
+)
+from cflgap.io import (
+    _ids_to_doc,
+    _vector_to_doc,
+    document_bytes,
+    instance_to_doc,
+    load_core_doc,
 )
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
@@ -413,6 +421,113 @@ def test_classed_and_dense_agree(pair, data):
     classed, dense = check_natural_lp(inst, v), check_natural_lp(inst, dv)
     assert classed.passed == dense.passed
     assert violation_set(classed) == violation_set(dense)
+
+
+@st.composite
+def run_partitions(draw, n):
+    """A partition of range(n) whose classes are unions of id runs.
+
+    range(n) is cut into runs and each run gets a random class, so a class
+    may hold several separate runs.  Each class is handed over as a
+    frozenset, a list with repeats, a tuple of (lo, hi) runs, or (when it
+    is one run) a range.
+    """
+    cuts = sorted(draw(st.sets(st.integers(0, n), max_size=n)) - {0, n})
+    bounds = [0, *cuts, n]
+    labels = draw(st.lists(st.integers(0, len(bounds) - 2), min_size=len(bounds) - 1,
+                           max_size=len(bounds) - 1))
+    runs: dict[int, list[tuple[int, int]]] = {}
+    for (lo, hi), label in zip(zip(bounds, bounds[1:]), labels):
+        runs.setdefault(label, []).append((lo, hi))
+    classes = []
+    for pieces in draw(st.permutations(list(runs.values()))):
+        ids = [j for lo, hi in pieces for j in range(lo, hi)]
+        forms = [frozenset(ids), ids + ids[:1], tuple(reversed(pieces))]
+        if len(pieces) == 1:
+            forms.append(range(*pieces[0]))
+        classes.append(draw(st.sampled_from(forms)))
+    return classes
+
+
+def id_sets(classes):
+    return [frozenset(c) if not isinstance(c, tuple) else
+            frozenset(j for lo, hi in c for j in range(lo, hi)) for c in classes]
+
+
+@st.composite
+def run_vectors(draw, n_f, m):
+    """A vector with run-partitioned clients, and its classes as id sets."""
+    fac, cli = draw(partitions(n_f)), draw(run_partitions(m))
+    if draw(st.booleans()):
+        y = [Fraction(1)] * len(fac)
+        x = [[Fraction(1, n_f)] * len(cli) for _ in fac]
+    else:
+        y = [draw(UNIT) for _ in fac]
+        x = [[draw(UNIT) for _ in cli] for _ in fac]
+    return FracVector(n_f, m, fac, cli, y, x), (fac, id_sets(cli), y, x)
+
+
+def reference_coordinates(n_f, m, reference):
+    """Coordinates read from the id sets the vector was built from."""
+    fac, cli, y, x = reference
+    fac_of = {i: idx for idx, c in enumerate(fac) for i in c}
+    cli_of = {j: idx for idx, c in enumerate(cli) for j in c}
+    return [y[fac_of[i]] for i in range(n_f)] + [
+        x[fac_of[i]][cli_of[j]] for i in range(n_f) for j in range(m)
+    ]
+
+
+def core_doc_bytes(inst, vec):
+    doc = {"instance": instance_to_doc(inst), "k": [], "l": [], "core_clients": []}
+    return document_bytes({**doc, **_vector_to_doc(vec)})
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data())
+def test_client_runs_agree_with_ids(data):
+    n_f, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 40))
+    (v, ref_v), (w, ref_w) = data.draw(run_vectors(n_f, m)), data.draw(run_vectors(n_f, m))
+    dv, dw = v.to_dense(), w.to_dense()
+    assert coordinates(v) == coordinates(dv) == reference_coordinates(n_f, m, ref_v)
+    assert coordinates(w) == reference_coordinates(n_f, m, ref_w)
+
+    # the same point on a finer client partition: v's classes cut by w's
+    fac, cli, y, x = ref_v
+    atoms = [(a & b, ia) for ia, a in enumerate(cli) for b in ref_w[1] if a & b]
+    finer = FracVector(n_f, m, fac, [ids for ids, _ in atoms], y,
+                       [[row[ia] for _, ia in atoms] for row in x])
+    for a, b in ((v, finer), (finer, v), (v, dv), (finer, dv)):
+        assert a.equals(b)
+    same = coordinates(v) == coordinates(w)
+    for a in (v, dv, finer):
+        for b in (w, dw):
+            assert a.equals(b) == b.equals(a) == same
+
+    expected = [(a + b) / 2 for a, b in zip(coordinates(v), coordinates(w))]
+    mid, dense_mid = midpoint(v, w), midpoint(dv, dw)
+    assert coordinates(mid) == coordinates(dense_mid) == expected
+    assert mid.equals(dense_mid) and dense_mid.equals(mid)
+
+    cost = CostVector(
+        n_f, m,
+        unit_opening=data.draw(st.frozensets(st.integers(0, n_f - 1))),
+        near_facilities=data.draw(st.frozensets(st.integers(0, n_f - 1))),
+        near_clients=data.draw(st.frozensets(st.integers(0, m - 1))),
+    )
+    assert cost.vector_cost(v) == cost.vector_cost(dv) == coordinatewise_cost(cost, v)
+    inst = Instance(facility_count=n_f, client_count=m, capacity=data.draw(st.integers(1, m)))
+    classed, dense = check_natural_lp(inst, v), check_natural_lp(inst, dv)
+    assert classed.passed == dense.passed
+    assert violation_set(classed) == violation_set(dense)
+
+    # a classed vector writes each client class as the id-set writer does
+    written = core_doc_bytes(inst, v)
+    if not v.is_dense:
+        entries = json.loads(written)["x"]
+        assert [e["clients"] for e in entries] == [_ids_to_doc(c) for _ in fac for c in cli]
+    _, _, loaded = load_core_doc(json.loads(written))
+    assert loaded.equals(v)
+    assert core_doc_bytes(inst, loaded) == written
 
 
 # -- the census predicate, the brute-force census and Monte Carlo ---------------

@@ -9,6 +9,7 @@ import pytest
 
 import cflgap.rounding as rounding
 from cflgap.corevec import CoreIndex, collides, make_core_vector, midpoint
+from cflgap.instance import build_family_instance
 from cflgap.io import solution_from_doc, solution_to_doc
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
@@ -378,6 +379,21 @@ class TestVerifyMidpoint:
         assert collides(c1, c2)
         cert = verify_midpoint(family10, c1, c2)
         assert cert.valid
+
+    def test_t20_random_pair_valid(self):
+        # 400 facilities and 320,000 clients, the paper's lemma beyond t=10;
+        # every client class of the vectors compared is one id run
+        import random
+
+        family20 = build_family_instance(t=20, a=2)
+        r = random.Random(20)
+        ids, jds = r.sample(range(400), 40), r.sample(range(400), 40)
+        c1 = CoreIndex.for_instance(family20, ids[:20], ids[20:])
+        c2 = CoreIndex.for_instance(family20, jds[:20], jds[20:])
+        assert collides(c1, c2)
+        cert = verify_midpoint(family20, c1, c2)
+        assert cert.expectation_matches and cert.all_classes_feasible
+        assert cert.probability_sum == 1 and cert.valid
 
     def test_non_colliding_rejected(self, family10):
         c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
