@@ -21,7 +21,6 @@ from .instance import (
 from .corevec import (
     CoreIndex,
     FracVector,
-    canonical_client_set,
     check_natural_lp,
     collides,
     make_core_vector,
@@ -40,7 +39,6 @@ __all__ = [
     "validate_params",
     "CoreIndex",
     "FracVector",
-    "canonical_client_set",
     "check_natural_lp",
     "collides",
     "make_core_vector",

@@ -292,15 +292,13 @@ def analytic_opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
     k_sorted = sorted(core_index.k)
     low_open = min(core_index.l)
     outside = sorted(set(inst.facilities) - core_index.k - core_index.l)
-    core = sorted(core_index.core_clients)
-    rest = [j for j in inst.clients if j not in core_index.core_clients]
+    core = inst.designated_clients  # capacity*t + 1: the high set overflows by one
+    rest = range(core.stop, inst.client_count)
     if len(rest) > cap * len(outside):
         raise ValueError(
             f"outside capacity shortfall: {len(rest)} leftover clients exceed "
             f"capacity*(n_f - 2t) = {cap * len(outside)}"
         )
-    if len(core) != cap * t + 1:
-        raise ValueError("designated client group must overflow the high set by one")
 
     assign = [0] * inst.client_count
     for pos, j in enumerate(core[: cap * t]):

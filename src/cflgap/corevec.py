@@ -26,7 +26,6 @@ __all__ = [
     "FracVector",
     "NaturalLpReport",
     "LpViolation",
-    "canonical_client_set",
     "make_core_vector",
     "collides",
     "check_natural_lp",
@@ -69,62 +68,32 @@ def _runs(ids) -> Runs:
     return tuple(merged)
 
 
-def _facility_pair(
-    inst: Instance, k: Iterable[int], l: Iterable[int]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """``(k, l)`` as frozensets, or ValueError unless they are disjoint t-sets of facilities."""
-    params = inst.family_params
-    if params is None:
-        raise ValueError("instance has no family_params")
-    kf, lf = frozenset(k), frozenset(l)
-    t = params.t
-    if len(kf) != t or len(lf) != t:
-        raise ValueError(f"|k| and |l| must both equal t = {t}, got {len(kf)}, {len(lf)}")
-    if kf & lf:
-        raise ValueError(f"k and l must be disjoint, share {sorted(kf & lf)}")
-    allf = set(inst.facilities)
-    if not (kf <= allf and lf <= allf):
-        raise ValueError("k and l must be facility ids of the instance")
-    return kf, lf
-
-
-def _designated_count(inst: Instance) -> int:
-    """capacity*t + 1, or ValueError when the instance has fewer clients."""
-    params = inst.family_params
-    if params is None:
-        raise ValueError("instance has no family_params")
-    count = inst.capacity * params.t + 1
-    if count > inst.client_count:
-        raise ValueError(
-            f"instance has {inst.client_count} clients, needs {count} designated ones"
-        )
-    return count
-
-
 @dataclass(frozen=True)
 class CoreIndex:
-    """Ordered pair of disjoint facility t-sets plus its designated clients."""
+    """Ordered pair of disjoint facility t-sets.
+
+    Every core vector of an instance shares its designated clients,
+    :attr:`Instance.designated_clients`.
+    """
 
     k: frozenset[int]
     l: frozenset[int]
-    core_clients: frozenset[int]
 
     @classmethod
     def for_instance(
         cls, inst: Instance, k: Iterable[int], l: Iterable[int]
     ) -> "CoreIndex":
-        """Validated index over ``inst`` with the canonical client set."""
-        kf, lf = _facility_pair(inst, k, l)
-        return cls(k=kf, l=lf, core_clients=canonical_client_set(inst))
-
-
-def canonical_client_set(inst: Instance) -> frozenset[int]:
-    """The designated client group: the first capacity*t + 1 client ids.
-
-    One shared set serves every (k, l) pair; the collision census and the
-    midpoint construction only ever depend on the facility sets.
-    """
-    return frozenset(range(_designated_count(inst)))
+        """The index ``(k, l)``, or ValueError unless they are disjoint t-sets of facilities."""
+        if inst.family_params is None:
+            raise ValueError("instance has no family_params")
+        kf, lf, t = frozenset(k), frozenset(l), inst.family_params.t
+        if len(kf) != t or len(lf) != t:
+            raise ValueError(f"|k| and |l| must both equal t = {t}, got {len(kf)}, {len(lf)}")
+        if kf & lf:
+            raise ValueError(f"k and l must be disjoint, share {sorted(kf & lf)}")
+        if not (kf | lf) <= set(inst.facilities):
+            raise ValueError("k and l must be facility ids of the instance")
+        return cls(k=kf, l=lf)
 
 
 def collides(c1: CoreIndex, c2: CoreIndex) -> bool:
@@ -344,14 +313,15 @@ def make_core_vector(
 ) -> FracVector:
     """The core vector indexed by (k, l), symmetry-classed by default.
 
-    The designated clients are ``range(capacity*t + 1)`` and the rest the
-    tail, so both client classes are single runs.
+    The designated clients (:attr:`Instance.designated_clients`, a prefix of
+    the client ids) and the rest, the tail, are both single runs.
     """
     require_valid(inst)
     params = inst.family_params
-    kf, lf = _facility_pair(inst, k, l)
+    index = CoreIndex.for_instance(inst, k, l)
+    kf, lf = index.k, index.l
     outside = frozenset(inst.facilities) - kf - lf
-    count, m = _designated_count(inst), inst.client_count
+    count, m = params.core_client_count, inst.client_count
     rest = count < m
     x_out = Fraction(1, inst.facility_count - 2 * params.t)
 

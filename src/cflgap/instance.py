@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .corevec import CoreIndex
@@ -83,6 +83,12 @@ class Instance:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
         if self.demand != 1:
             raise ValueError(f"only unit demands are supported, got {self.demand}")
+        p = self.family_params
+        if p is not None and p.core_client_count != self.capacity * p.t + 1:
+            raise ValueError(
+                f"family_params core_client_count = {p.core_client_count} must equal "
+                f"capacity*t + 1 = {self.capacity * p.t + 1}"
+            )
 
     @property
     def facilities(self) -> range:
@@ -91,6 +97,16 @@ class Instance:
     @property
     def clients(self) -> range:
         return range(self.client_count)
+
+    @property
+    def designated_clients(self) -> range:
+        """The designated clients every core vector shares: ``range(capacity*t + 1)``.
+
+        One more client than the high set can serve; ValueError without family params.
+        """
+        if self.family_params is None:
+            raise ValueError("instance has no family_params")
+        return range(self.family_params.core_client_count)
 
 
 @dataclass(frozen=True)
@@ -271,13 +287,13 @@ class CostVector:
         connection: Optional[Sequence[Sequence[Fraction]]] = None,
         unit_opening: Optional[frozenset[int]] = None,
         near_facilities: Optional[frozenset[int]] = None,
-        near_clients: Optional[frozenset[int]] = None,
+        near_clients: Optional[Collection[int]] = None,
         metric_admissible: bool = False,
     ):
         self.facility_count = facility_count
         self.client_count = client_count
         self.metric_admissible = metric_admissible
-        self._near_sorted: Optional[list[int]] = None  # near clients, ascending
+        self._near_sorted: Optional[Sequence[int]] = None  # near clients, ascending
         if opening is not None:
             if connection is None:
                 raise ValueError("dense costs need both opening and connection")
@@ -350,7 +366,8 @@ class CostVector:
     def _near_client_count(self, runs) -> int:
         """Near clients inside a client class of ``(lo, hi)`` runs, by bisection."""
         if self._near_sorted is None:
-            self._near_sorted = sorted(self._two_point[2])
+            near = self._two_point[2]
+            self._near_sorted = near if type(near) is range else sorted(near)
         near = self._near_sorted
         return sum(bisect_left(near, hi) - bisect_left(near, lo) for lo, hi in runs)
 
@@ -399,18 +416,14 @@ def build_gap_costs(inst: Instance, core_index: "CoreIndex") -> CostVector:
     cost 1 to open, all others 0.  The result satisfies the quadrangle
     inequality by construction and is flagged metric-admissible.
     """
-    if not (
-        core_index.k <= set(inst.facilities)
-        and core_index.l <= set(inst.facilities)
-        and core_index.core_clients <= set(inst.clients)
-    ):
+    if not (core_index.k | core_index.l) <= set(inst.facilities):
         raise ValueError("core index is inconsistent with the instance")
     return CostVector(
         inst.facility_count,
         inst.client_count,
         unit_opening=frozenset(core_index.l),
         near_facilities=frozenset(core_index.k | core_index.l),
-        near_clients=frozenset(core_index.core_clients),
+        near_clients=inst.designated_clients,
         metric_admissible=True,
     )
 

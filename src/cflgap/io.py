@@ -286,11 +286,12 @@ def _vector_from_doc(
 
 def core_file_doc(inst: Instance, index: CoreIndex, vec: FracVector) -> dict:
     """Self-contained core-vector document: instance, index, and payload."""
+    designated = inst.designated_clients
     return {
         "instance": instance_to_doc(inst),
         "k": sorted(index.k),
         "l": sorted(index.l),
-        "core_clients": _ids_to_doc(index.core_clients),
+        "core_clients": {"span": [designated.start, designated.stop]},
         **_vector_to_doc(vec),
     }
 
@@ -298,15 +299,27 @@ def core_file_doc(inst: Instance, index: CoreIndex, vec: FracVector) -> dict:
 def load_core_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector]:
     """Instance, index and vector of a core document.
 
-    A missing field raises ValueError naming it.
+    A missing or mistyped field raises ValueError naming it.  On a family
+    instance, ``core_clients`` must be its designated clients and ``(k, l)``
+    a valid index; the payload is read as written.
     """
     where = "core document"
     inst = instance_from_doc(_field(doc, "instance", where))
-    index = CoreIndex(
-        k=_id_list(_field(doc, "k", where), f"{where} field 'k'"),
-        l=_id_list(_field(doc, "l", where), f"{where} field 'l'"),
-        core_clients=_ids_from_doc(_field(doc, "core_clients", where), "core_clients"),
-    )
+    k = _id_list(_field(doc, "k", where), f"{where} field 'k'")
+    l = _id_list(_field(doc, "l", where), f"{where} field 'l'")
+    given = _field(doc, "core_clients", where)
+    runs = _runs_from_doc(given, "core_clients")
+    if inst.family_params is None:
+        index = CoreIndex(k=k, l=l)
+    else:
+        designated = inst.designated_clients
+        if runs != _runs(designated):
+            raise ValueError(
+                f"{where} field 'core_clients' is {_shown(given)}, not "
+                f"[{designated.start}, {designated.stop}): core clients must be "
+                "client ids of the instance's designated group"
+            )
+        index = CoreIndex.for_instance(inst, k, l)
     vec = _vector_from_doc(doc, inst.facility_count, inst.client_count)
     return inst, index, vec
 

@@ -292,21 +292,17 @@ def _experiment_specs(
     q = inst.facility_count - 2 * t
     p_pivot = 1 - (t - 1) * eps
     p_extra = t * eps
+    # both experiments share the two pools: the designated clients and the tail
+    n_core = len(inst.designated_clients)
+    core = np.arange(n_core, dtype=np.int64)
+    rest = np.arange(n_core, inst.client_count, dtype=np.int64)
+    w_base = n_core * x_l
+    w_extra = Fraction(len(rest), q) / p_extra if len(rest) else ZERO
 
     def build(label: str, own: CoreIndex, pivot_choice: int, pivot_extra: int) -> _Experiment:
-        ids = np.fromiter(own.core_clients, dtype=np.int64, count=len(own.core_clients))
-        if ids.size and (ids.min() < 0 or ids.max() >= inst.client_count):
-            raise ValueError(
-                f"experiment {label}: core clients must be client ids of the instance"
-            )
-        designated = np.zeros(inst.client_count, dtype=bool)
-        designated[ids] = True
-        core, rest = np.flatnonzero(designated), np.flatnonzero(~designated)
-        n_core, m_rest = len(core), len(rest)
         outside = tuple(
             sorted(set(inst.facilities) - own.k - own.l - {pivot_extra})
         )
-        w_base = n_core * x_l
         return _Experiment(
             label=label,
             always_open=tuple(sorted(own.k)),
@@ -321,7 +317,7 @@ def _experiment_specs(
             p_extra=p_extra,
             w_nonpivot=w_base / eps,
             w_pivot=w_base / p_pivot,
-            w_extra=Fraction(m_rest, q) / p_extra if m_rest else ZERO,
+            w_extra=w_extra,
         )
 
     return build("A", c1, f, g), build("B", c2, g, f)
@@ -623,13 +619,6 @@ def outcome_class_key(plan: RoundingPlan, draw: SampleDraw) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _pool_runs(pool: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """An ascending id array as ``(lo, hi)`` runs, cut where ids skip."""
-    cuts = (np.flatnonzero(np.diff(pool) != 1) + 1).tolist()
-    starts, ends = [0, *cuts], [*cuts, len(pool)]
-    return tuple((int(pool[a]), int(pool[b - 1]) + 1) for a, b in zip(starts, ends))
-
-
 def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> FracVector:
     """Exact expectation of the distribution: sum of probability x class mean.
 
@@ -643,10 +632,6 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
     expanded to facilities once; facilities with equal values share a class.
     """
     inst = plan.inst
-    exp_a, exp_b = plan.experiments
-    core, rest = exp_a.core_pool, exp_a.rest_pool
-    if not np.array_equal(core, exp_b.core_pool):
-        raise AssertionError("designated client pools must coincide")
     by_label = {exp.label: exp for exp in plan.experiments}
 
     # (experiment, group) -> probability-weighted [open members, clients
@@ -680,7 +665,8 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
     for i, keys in group_of.items():
         atoms.setdefault(tuple(keys), []).append(i)
 
-    pools = [core] + ([rest] if len(rest) else [])
+    n_core, m = len(inst.designated_clients), inst.client_count
+    pools = [range(n_core)] + ([range(n_core, m)] if n_core < m else [])
     values: dict[tuple[Fraction, ...], list[int]] = {}
     for keys, members in atoms.items():
         value = [ZERO] * (1 + len(pools))
@@ -696,7 +682,7 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
         inst.facility_count,
         inst.client_count,
         [frozenset(members) for _, members in ordered],
-        [_pool_runs(pool) for pool in pools],
+        pools,
         [value[0] for value, _ in ordered],
         [list(value[1:]) for value, _ in ordered],
     )

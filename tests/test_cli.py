@@ -315,10 +315,10 @@ class TestMalformedCoreDocument:
     @pytest.fixture()
     def broken(self, workspace):
         """Write a copy of a workspace file (core file a by default), altered."""
-        def make(drop, source="a"):
+        def make(drop, source="a", name="broken.core"):
             doc = json.loads(workspace[source].read_text())
             drop(doc)
-            path = workspace["dir"] / "broken.core"
+            path = workspace["dir"] / name
             path.write_text(json.dumps(doc))
             return str(path)
         return make
@@ -383,6 +383,62 @@ class TestMalformedCoreDocument:
             "core clients must be client ids of the instance",
             id="negative-core-client",
         ),
+        # MINI's designated clients are [0, 9); a shifted group used to give
+        # false verdicts (a failed midpoint expectation, a 5/14 gap ratio)
+        pytest.param(
+            "a", ["core_clients"], {"span": [1, 10]},
+            [["sample", "{path}", "{b}", "--n", "5", "--seed", "1"],
+             ["verify-midpoint", "{path}", "{b_altered}"],
+             ["verify-midpoint", "{path}", "{b}"],
+             ["certify", "--core", "{path}"],
+             ["lpcheck", "{path}"]],
+            "field 'core_clients' is",
+            id="shifted-core-clients",
+        ),
+        pytest.param(
+            "a", ["k"], [0, 99],
+            [["sample", "{path}", "{b}", "--n", "20", "--seed", "1"],
+             ["collide", "{path}", "{b}"]],
+            "k and l must be facility ids of the instance",
+            id="k-outside-facilities",
+        ),
+        pytest.param(
+            "a", ["k"], [-1, 1],
+            [["sample", "{path}", "{b}", "--n", "20", "--seed", "1"],
+             ["collide", "{path}", "{b}"]],
+            "k and l must be facility ids of the instance",
+            id="negative-k",
+        ),
+        pytest.param(
+            "a", ["k"], [0, 1, 2],
+            [["sample", "{path}", "{b}", "--n", "20", "--seed", "1"],
+             ["collide", "{path}", "{b}"]],
+            "|k| and |l| must both equal t = 2, got 3, 2",
+            id="k-of-size-3",
+        ),
+        pytest.param(
+            "a", ["k"], [0, 2],
+            [["sample", "{path}", "{b}", "--n", "20", "--seed", "1"],
+             ["collide", "{path}", "{b}"]],
+            "k and l must be disjoint, share [2]",
+            id="overlapping-k-and-l",
+        ),
+        # MINI has capacity 4 and t = 2, so 9 designated clients, not 10
+        pytest.param(
+            "mini", ["family_params", "core_client_count"], 10,
+            [["core", "--instance", "{path}", "--k", "0,1", "--l", "2,3"],
+             ["certify", "--instance", "{path}"],
+             ["bound", "--instance", "{path}"]],
+            "core_client_count = 10 must equal capacity*t + 1 = 9",
+            id="instance-core-client-count-10",
+        ),
+        pytest.param(
+            "a", ["instance", "family_params", "core_client_count"], 10,
+            [["verify-midpoint", "{path}", "{b_altered}"],
+             ["lpcheck", "{path}"]],
+            "core_client_count = 10 must equal capacity*t + 1 = 9",
+            id="core-file-core-client-count-10",
+        ),
     ])
     def test_wrong_type_exits_2_naming_field(
         self, workspace, broken, source, keys, value, commands, message
@@ -400,8 +456,12 @@ class TestMalformedCoreDocument:
             doc[keys[-1]] = value
 
         path = broken(alter, source)
+        # core file b altered the same way, for commands that read two cores
+        b_altered = broken(alter, "b", "b_altered.core") if source == "a" else None
         for argv in commands:
-            result = run(*(arg.format(path=path, b=workspace["b"]) for arg in argv))
+            result = run(*(
+                arg.format(path=path, b=workspace["b"], b_altered=b_altered) for arg in argv
+            ))
             assert result.returncode == 2, result.stderr
             assert message in result.stderr
             assert "Traceback" not in result.stderr

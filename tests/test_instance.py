@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cflgap.corevec import CoreIndex, canonical_client_set
+from cflgap.corevec import CoreIndex
 from cflgap.instance import (
     CostVector,
+    FamilyParams,
     Instance,
     build_family_instance,
     build_gap_costs,
@@ -218,12 +219,31 @@ class TestMetricAdmissible:
 
 class TestCanonicalClients:
     def test_t10(self, family10):
-        assert canonical_client_set(family10) == frozenset(range(10001))
+        assert family10.designated_clients == range(10001)
 
     def test_mini(self, mini):
-        assert canonical_client_set(mini) == frozenset(range(9))
+        assert mini.designated_clients == range(9)
 
     @pytest.mark.parametrize("t,a", [(10, 2), (11, 2), (12, 3)])
     def test_size_is_core_client_count(self, t, a):
         inst = build_family_instance(t, a)
-        assert len(canonical_client_set(inst)) == inst.family_params.core_client_count
+        assert len(inst.designated_clients) == inst.family_params.core_client_count
+
+    def test_instance_without_family_params_raises(self):
+        with pytest.raises(ValueError, match="no family_params"):
+            Instance(facility_count=2, client_count=3, capacity=1).designated_clients
+
+    @pytest.mark.parametrize("count", [8, 9, 10])
+    def test_core_client_count_must_be_capacity_t_plus_one(self, count):
+        params = FamilyParams(
+            t=2, eps=Fraction(2, 5), x_l=Fraction(1, 8), core_client_count=count
+        )
+
+        def build():
+            return Instance(facility_count=6, client_count=13, capacity=4, family_params=params)
+
+        if count == 9:
+            assert build().designated_clients == range(9)
+        else:
+            with pytest.raises(ValueError, match=f"core_client_count = {count} must equal"):
+                build()

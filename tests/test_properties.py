@@ -574,7 +574,7 @@ def replayed_hits(inst, samples, seed):
     hits = 0
     for _ in range(samples):
         perm = rng.permuted(ids).tolist()
-        cand = CoreIndex(frozenset(perm[:t]), frozenset(perm[t : 2 * t]), ref.core_clients)
+        cand = CoreIndex(frozenset(perm[:t]), frozenset(perm[t : 2 * t]))
         hits += not collides(ref, cand)
     return hits
 
