@@ -293,7 +293,7 @@ def analytic_opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
     low_open = min(core_index.l)
     outside = sorted(set(inst.facilities) - core_index.k - core_index.l)
     core = inst.designated_clients  # capacity*t + 1: the high set overflows by one
-    rest = range(core.stop, inst.client_count)
+    rest = inst.rest_clients
     if len(rest) > cap * len(outside):
         raise ValueError(
             f"outside capacity shortfall: {len(rest)} leftover clients exceed "

@@ -321,12 +321,11 @@ def make_core_vector(
     index = CoreIndex.for_instance(inst, k, l)
     kf, lf = index.k, index.l
     outside = frozenset(inst.facilities) - kf - lf
-    count, m = params.core_client_count, inst.client_count
-    rest = count < m
+    core, rest = inst.designated_clients, inst.rest_clients
     x_out = Fraction(1, inst.facility_count - 2 * params.t)
 
     fac_classes = [kf, lf] + ([outside] if outside else [])
-    cli_classes = [((0, count),)] + ([((count, m),)] if rest else [])
+    cli_classes = [((core.start, core.stop),)] + ([((rest.start, rest.stop),)] if rest else [])
     y_values = [ONE, params.eps] + ([ONE] if outside else [])
     x_rows = {
         "k": [params.x_k] + ([ZERO] if rest else []),

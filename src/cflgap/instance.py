@@ -102,11 +102,22 @@ class Instance:
     def designated_clients(self) -> range:
         """The designated clients every core vector shares: ``range(capacity*t + 1)``.
 
-        One more client than the high set can serve; ValueError without family params.
+        One more client than the high set can serve.  ValueError without family
+        params, or when the group does not fit inside the instance's clients.
         """
         if self.family_params is None:
             raise ValueError("instance has no family_params")
-        return range(self.family_params.core_client_count)
+        count = self.family_params.core_client_count
+        if count > self.client_count:
+            raise ValueError(
+                f"core_client_count = {count} exceeds client_count = {self.client_count}"
+            )
+        return range(count)
+
+    @property
+    def rest_clients(self) -> range:
+        """The clients after the designated group, served by the outside facilities."""
+        return range(self.designated_clients.stop, self.client_count)
 
 
 @dataclass(frozen=True)
@@ -366,8 +377,7 @@ class CostVector:
     def _near_client_count(self, runs) -> int:
         """Near clients inside a client class of ``(lo, hi)`` runs, by bisection."""
         if self._near_sorted is None:
-            near = self._two_point[2]
-            self._near_sorted = near if type(near) is range else sorted(near)
+            self._near_sorted = sorted(self._two_point[2])
         near = self._near_sorted
         return sum(bisect_left(near, hi) - bisect_left(near, lo) for lo, hi in runs)
 

@@ -293,10 +293,10 @@ def _experiment_specs(
     p_pivot = 1 - (t - 1) * eps
     p_extra = t * eps
     # both experiments share the two pools: the designated clients and the tail
-    n_core = len(inst.designated_clients)
-    core = np.arange(n_core, dtype=np.int64)
-    rest = np.arange(n_core, inst.client_count, dtype=np.int64)
-    w_base = n_core * x_l
+    designated, tail = inst.designated_clients, inst.rest_clients
+    core = np.arange(designated.start, designated.stop, dtype=np.int64)
+    rest = np.arange(tail.start, tail.stop, dtype=np.int64)
+    w_base = len(core) * x_l
     w_extra = Fraction(len(rest), q) / p_extra if len(rest) else ZERO
 
     def build(label: str, own: CoreIndex, pivot_choice: int, pivot_extra: int) -> _Experiment:
@@ -665,8 +665,7 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
     for i, keys in group_of.items():
         atoms.setdefault(tuple(keys), []).append(i)
 
-    n_core, m = len(inst.designated_clients), inst.client_count
-    pools = [range(n_core)] + ([range(n_core, m)] if n_core < m else [])
+    pools = [inst.designated_clients] + ([inst.rest_clients] if inst.rest_clients else [])
     values: dict[tuple[Fraction, ...], list[int]] = {}
     for keys, members in atoms.items():
         value = [ZERO] * (1 + len(pools))

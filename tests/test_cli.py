@@ -466,6 +466,30 @@ class TestMalformedCoreDocument:
             assert message in result.stderr
             assert "Traceback" not in result.stderr
 
+    def test_designated_clients_beyond_instance_exit_2(self, tmp_path):
+        # a t=1 instance cut to 2 clients, whose x entries still partition
+        # them, while its 3 designated clients run past the last one
+        tiny, core = tmp_path / "tiny.json", tmp_path / "t.core"
+        assert run_in_process(
+            "gen", "--general", "--nf", "3", "--t", "1", "--U", "2", "--m", "3",
+            "--eps", "1/2", "--xl", "1/3", "-o", str(tiny),
+        ) == 0
+        assert run_in_process(
+            "core", "--instance", str(tiny), "--k", "0", "--l", "1", "-o", str(core)
+        ) == 0
+        doc = json.loads(core.read_text())
+        doc["instance"]["client_count"] = 2
+        for entry in doc["x"]:
+            assert entry["clients"] == {"span": [0, 3]}
+            entry["clients"] = {"span": [0, 2]}
+        core.write_text(json.dumps(doc))
+        for argv in (["oracle", "opt", "--core"], ["oracle", "member", "--vector"],
+                     ["lpcheck"], ["certify", "--core"]):
+            result = run(*argv, str(core))
+            assert result.returncode == 2, (argv, result.stdout)
+            assert "core_client_count = 3 exceeds client_count = 2" in result.stderr
+            assert "Traceback" not in result.stderr
+
 
 class TestCensusCertifyBound:
     def test_census_exact_matches_brute_force(self, workspace):

@@ -233,6 +233,17 @@ class TestCanonicalClients:
         with pytest.raises(ValueError, match="no family_params"):
             Instance(facility_count=2, client_count=3, capacity=1).designated_clients
 
+    def test_rest_clients_follow_the_designated_group(self, mini):
+        assert mini.rest_clients == range(9, 13)
+
+    def test_group_past_the_last_client_raises(self):
+        params = FamilyParams(
+            t=2, eps=Fraction(2, 5), x_l=Fraction(1, 8), core_client_count=9
+        )
+        inst = Instance(facility_count=6, client_count=8, capacity=4, family_params=params)
+        with pytest.raises(ValueError, match="core_client_count = 9 exceeds client_count = 8"):
+            inst.designated_clients
+
     @pytest.mark.parametrize("count", [8, 9, 10])
     def test_core_client_count_must_be_capacity_t_plus_one(self, count):
         params = FamilyParams(
