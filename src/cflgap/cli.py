@@ -74,10 +74,22 @@ def _load_core(path: str):
     return inst, index, vec, {path: docio.sha256_of(path)}
 
 
+def _load_core_index(path: str):
+    """Instance, index and input digest of a core file whose vector is the
+    core vector of its ``(k, l)``; ValueError for any other payload."""
+    inst, index, vec, inputs = _load_core(path)
+    if not vec.equals(make_core_vector(inst, index.k, index.l)):
+        raise ValueError(
+            f"core file {path} holds a vector other than the core vector of "
+            f"k={sorted(index.k)} l={sorted(index.l)}"
+        )
+    return inst, index, inputs
+
+
 def _load_core_pair(first: str, second: str):
     """Instance, both indices and input digests of two core files of one instance."""
-    inst, c1, _, in1 = _load_core(first)
-    inst2, c2, _, in2 = _load_core(second)
+    inst, c1, in1 = _load_core_index(first)
+    inst2, c2, in2 = _load_core_index(second)
     if docio.instance_to_doc(inst) != docio.instance_to_doc(inst2):
         raise ValueError("core files describe different instances")
     return inst, c1, c2, {**in1, **in2}
@@ -409,7 +421,7 @@ def cmd_certify(args) -> int:
     from .certify import certify_gap, reference_index
 
     if args.core:
-        inst, index, _, inputs = _load_core(args.core)
+        inst, index, inputs = _load_core_index(args.core)
     else:
         inst, inputs = _resolve_instance(args)
         index = reference_index(inst)

@@ -7,9 +7,9 @@ spreads one unit of assignment mass over ``k`` (``x_k`` each) and ``l``
 (``x_l`` each), while every other client spreads it uniformly over the
 outside facilities.  Vectors live in [0,1]^(n_f + n_f*m) and are stored by
 symmetry classes (one rational per facility-class x client-class cell); a
-dense point is the vector whose classes are all singletons.  Facility classes
-are frozensets; client classes are sorted half-open id runs ``(lo, hi)``, so
-a class that is one id range costs the same at any client count.
+dense point is the vector whose classes are all singletons.  Facility and
+client classes alike are sorted half-open id runs ``(lo, hi)``, so a class
+that is one id range costs the same at any id count.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ ONE = Fraction(1)
 # Dense materialization guard: n_f * m coordinates beyond this is refused.
 DENSE_LIMIT = 1_000_000
 
-# A client class: sorted, disjoint, maximal half-open id runs (lo, hi).
+# An id class: sorted, disjoint, maximal half-open id runs (lo, hi).
 Runs = tuple[tuple[int, int], ...]
 
 
@@ -111,12 +111,11 @@ class FracVector:
 
     The facility classes partition ``range(facility_count)`` and the client
     classes ``range(client_count)``; one y value per facility class and one
-    x value per facility-class x client-class cell.  Facility classes are
-    frozensets.  Each client class is given as anything :func:`_runs`
-    accepts (id sets, ranges, or runs) and kept as sorted ``(lo, hi)`` runs,
-    so sizes, least ids and refinements come from the run endpoints.  A
-    dense point is the vector whose classes are all singletons
-    (:meth:`from_dense`).
+    x value per facility-class x client-class cell.  Each class, on either
+    axis, is given as anything :func:`_runs` accepts (id sets, ranges, or
+    runs) and kept as sorted ``(lo, hi)`` runs, so sizes, least ids and
+    refinements come from the run endpoints.  A dense point is the vector
+    whose classes are all singletons (:meth:`from_dense`).
     """
 
     def __init__(
@@ -130,14 +129,13 @@ class FracVector:
     ):
         self.facility_count = facility_count
         self.client_count = client_count
-        self._fac_lookup: Optional[dict[int, int]] = None
-        self._cli_lookup: Optional[tuple[list[int], list[int]]] = None
-        self.fac_classes = tuple(frozenset(c) for c in fac_classes)
+        # per axis (0 facilities, 1 clients): sorted run starts and owners
+        self._lookups: list[Optional[tuple[list[int], list[int]]]] = [None, None]
+        self.fac_classes: tuple[Runs, ...] = tuple(map(_runs, fac_classes))
         self.cli_classes: tuple[Runs, ...] = tuple(map(_runs, cli_classes))
         self.y_values = tuple(map(_fraction, y_values))
         self.x_values = tuple(tuple(map(_fraction, row)) for row in x_values)
-        self._fac_runs = tuple(map(_runs, self.fac_classes))
-        self._check_partition(self._fac_runs, facility_count, "facility")
+        self._check_partition(self.fac_classes, facility_count, "facility")
         self._check_partition(self.cli_classes, client_count, "client")
         if len(self.y_values) != len(self.fac_classes):
             raise ValueError("one y value per facility class required")
@@ -173,7 +171,7 @@ class FracVector:
         return cls(
             len(y),
             client_count,
-            [frozenset((i,)) for i in range(len(y))],
+            [((i, i + 1),) for i in range(len(y))],
             [((j, j + 1),) for j in range(client_count)],
             y,
             x,
@@ -182,36 +180,26 @@ class FracVector:
     @property
     def is_dense(self) -> bool:
         """True when every facility and every client class is a singleton."""
-        return all(len(c) == 1 for c in self.fac_classes) and all(
-            len(c) == 1 and c[0][1] - c[0][0] == 1 for c in self.cli_classes
-        )
+        return all(_size(c) == 1 for c in self.fac_classes + self.cli_classes)
 
     # -- coordinate access ---------------------------------------------------
 
-    def _fac_class_of(self, i: int) -> int:
-        if self._fac_lookup is None:
-            self._fac_lookup = {
-                f: idx for idx, c in enumerate(self.fac_classes) for f in c
-            }
-        return self._fac_lookup[i]
-
-    def _cli_class_of(self, j: int) -> int:
-        """Class index of client ``j``: bisection over the run starts."""
-        if self._cli_lookup is None:
-            runs = sorted(
-                (lo, idx) for idx, c in enumerate(self.cli_classes) for lo, _ in c
-            )
-            self._cli_lookup = ([lo for lo, _ in runs], [idx for _, idx in runs])
-        if not 0 <= j < self.client_count:
-            raise KeyError(j)
-        starts, owners = self._cli_lookup
-        return owners[bisect_right(starts, j) - 1]
+    def _class_of(self, axis: int, i: int) -> int:
+        """Class index of id ``i`` on axis 0 (facilities) or 1 (clients), by bisection."""
+        if self._lookups[axis] is None:
+            classes = (self.fac_classes, self.cli_classes)[axis]
+            runs = sorted((lo, idx) for idx, c in enumerate(classes) for lo, _ in c)
+            self._lookups[axis] = ([lo for lo, _ in runs], [idx for _, idx in runs])
+        if not 0 <= i < (self.facility_count, self.client_count)[axis]:
+            raise KeyError(i)
+        starts, owners = self._lookups[axis]
+        return owners[bisect_right(starts, i) - 1]
 
     def y_of(self, i: int) -> Fraction:
-        return self.y_values[self._fac_class_of(i)]
+        return self.y_values[self._class_of(0, i)]
 
     def x_of(self, i: int, j: int) -> Fraction:
-        return self.x_values[self._fac_class_of(i)][self._cli_class_of(j)]
+        return self.x_values[self._class_of(0, i)][self._class_of(1, j)]
 
     # -- conversions and algebra ----------------------------------------------
 
@@ -221,14 +209,11 @@ class FracVector:
             raise ValueError(
                 f"refusing to materialize {self.facility_count * self.client_count} coordinates"
             )
-        columns = [0] * self.client_count  # class index of each client
-        for idx, runs in enumerate(self.cli_classes):
-            for lo, hi in runs:
-                columns[lo:hi] = [idx] * (hi - lo)
-        rows = [self.x_values[self._fac_class_of(i)] for i in range(self.facility_count)]
+        rows = [self._class_of(0, i) for i in range(self.facility_count)]
+        columns = [self._class_of(1, j) for j in range(self.client_count)]
         return FracVector.from_dense(
-            [self.y_of(i) for i in range(self.facility_count)],
-            [[row[c] for c in columns] for row in rows],
+            [self.y_values[r] for r in rows],
+            [[self.x_values[r][c] for c in columns] for r in rows],
         )
 
     def set_x(self, i: int, j: int, value: Fraction) -> "FracVector":
@@ -251,13 +236,17 @@ class FracVector:
         cli_atoms = _refine(self.cli_classes, other.cli_classes)
         cols_a = [ca for _, ca, _ in cli_atoms]
         cols_b = [cb for _, _, cb in cli_atoms]
-        for _, fa, fb in _refine(self._fac_runs, other._fac_runs):
+        for _, fa, fb in _refine(self.fac_classes, other.fac_classes):
             row_a, row_b = self.x_values[fa], other.x_values[fb]
             if self.y_values[fa] != other.y_values[fb] or (
                 [row_a[c] for c in cols_a] != [row_b[c] for c in cols_b]
             ):
                 return False
         return True
+
+
+def _size(runs: Runs) -> int:
+    return sum(hi - lo for lo, hi in runs)
 
 
 def _refine(
@@ -286,7 +275,7 @@ def _refine(
 def midpoint(v1: FracVector, v2: FracVector) -> FracVector:
     """Coordinatewise exact average of two vectors of the same shape."""
     v1._same_dims(v2)
-    fac_atoms = _refine(v1._fac_runs, v2._fac_runs)
+    fac_atoms = _refine(v1.fac_classes, v2.fac_classes)
     cli_atoms = _refine(v1.cli_classes, v2.cli_classes)
     y_values = [(v1.y_values[ia] + v2.y_values[ib]) / 2 for _, ia, ib in fac_atoms]
     x_values = [
@@ -296,7 +285,7 @@ def midpoint(v1: FracVector, v2: FracVector) -> FracVector:
     return FracVector(
         v1.facility_count,
         v1.client_count,
-        [[i for lo, hi in atom for i in range(lo, hi)] for atom, _, _ in fac_atoms],
+        [atom for atom, _, _ in fac_atoms],
         [atom for atom, _, _ in cli_atoms],
         y_values,
         x_values,
@@ -380,18 +369,19 @@ def check_natural_lp(inst: Instance, v: FracVector) -> NaturalLpReport:
     def where(what: str, least: int) -> str:
         return f"{what} {least}" if dense else f"{what} class {least}.."
 
-    # a client class's least id is its first run's start
-    cli_sizes = [sum(hi - lo for lo, hi in runs) for runs in v.cli_classes]
+    # a class's least id is its first run's start
+    fac_sizes = list(map(_size, v.fac_classes))
+    cli_sizes = list(map(_size, v.cli_classes))
     for cc_idx, runs in enumerate(v.cli_classes):
         mass = sum(
-            (len(fc) * v.x_values[fc_idx][cc_idx] for fc_idx, fc in enumerate(v.fac_classes)),
+            (size * v.x_values[fc_idx][cc_idx] for fc_idx, size in enumerate(fac_sizes)),
             ZERO,
         )
         if mass != 1:
             out.append(LpViolation("assignment_mass", where("client", runs[0][0]), abs(mass - 1)))
     for fc_idx, fc in enumerate(v.fac_classes):
         y = v.y_values[fc_idx]
-        where_f = where("facility", min(fc))
+        where_f = where("facility", fc[0][0])
         if y > 1:
             out.append(LpViolation("opening_bound", where_f, y - 1))
         load = ZERO

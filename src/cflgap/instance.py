@@ -304,7 +304,7 @@ class CostVector:
         self.facility_count = facility_count
         self.client_count = client_count
         self.metric_admissible = metric_admissible
-        self._near_sorted: Optional[Sequence[int]] = None  # near clients, ascending
+        self._near_sorted: Optional[tuple[list[int], list[int]]] = None  # near ids, ascending
         if opening is not None:
             if connection is None:
                 raise ValueError("dense costs need both opening and connection")
@@ -374,25 +374,24 @@ class CostVector:
             total += self.connection_of(i, j)
         return total
 
-    def _near_client_count(self, runs) -> int:
-        """Near clients inside a client class of ``(lo, hi)`` runs, by bisection."""
+    def _near_count(self, axis: int, runs) -> int:
+        """Near facilities (axis 0) or near clients (axis 1) in ``(lo, hi)`` runs, by bisection."""
         if self._near_sorted is None:
-            self._near_sorted = sorted(self._two_point[2])
-        near = self._near_sorted
+            self._near_sorted = (sorted(self._two_point[1]), sorted(self._two_point[2]))
+        near = self._near_sorted[axis]
         return sum(bisect_left(near, hi) - bisect_left(near, lo) for lo, hi in runs)
 
-    def _block_connection_total(self, facilities: frozenset[int], runs) -> Fraction:
-        """Sum of connection costs over a facility-set x client-runs block."""
+    def _block_connection_total(self, facilities, runs) -> Fraction:
+        """Sum of connection costs over a block of facility runs x client runs."""
         if self._two_point is not None:
-            near_f = self._two_point[1]
-            f_near = len(facilities & near_f)
-            f_far = len(facilities) - f_near
-            c_near = self._near_client_count(runs)
+            f_near = self._near_count(0, facilities)
+            f_far = sum(hi - lo for lo, hi in facilities) - f_near
+            c_near = self._near_count(1, runs)
             c_far = sum(hi - lo for lo, hi in runs) - c_near
             return Fraction(f_near * c_far + f_far * c_near)
         return sum(
-            (self._connection[i][j] for i in facilities for lo, hi in runs
-             for j in range(lo, hi)),
+            (self._connection[i][j] for lo_f, hi_f in facilities for i in range(lo_f, hi_f)
+             for lo, hi in runs for j in range(lo, hi)),
             ZERO,
         )
 
@@ -402,7 +401,7 @@ class CostVector:
         Vectors never get materialized: each facility-class x client-class
         cell contributes x_value times the block's total connection cost, so
         family-scale vectors are priced in O(classes); a two-point block
-        counts its near clients from the client class's runs.
+        counts its near facilities and clients from the classes' runs.
         """
         if v.facility_count != self.facility_count or v.client_count != self.client_count:
             raise ValueError("cost/vector dimension mismatch")
@@ -410,7 +409,9 @@ class CostVector:
         for fc_idx, fc in enumerate(v.fac_classes):
             y = v.y_values[fc_idx]
             if y != 0:
-                total += y * sum((self.opening_of(i) for i in fc), ZERO)
+                total += y * sum(
+                    (self.opening_of(i) for lo, hi in fc for i in range(lo, hi)), ZERO
+                )
             for cc_idx, runs in enumerate(v.cli_classes):
                 x = v.x_values[fc_idx][cc_idx]
                 if x != 0:

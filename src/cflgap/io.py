@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .corevec import CoreIndex, FracVector, NaturalLpReport, Runs, _runs
 from .instance import FamilyParams, Instance
@@ -109,15 +109,8 @@ def _id_list(value: Any, where: str) -> frozenset[int]:
     return frozenset(_int(i, f"{where} id") for i in _list(value, where))
 
 
-def _ids_to_doc(ids: Iterable[int]) -> Any:
-    ordered = sorted(ids)
-    if ordered and ordered == list(range(ordered[0], ordered[-1] + 1)):
-        return {"span": [ordered[0], ordered[-1] + 1]}
-    return ordered
-
-
 def _runs_to_doc(runs: Runs) -> Any:
-    """A client class as :func:`_ids_to_doc` writes its ids: one run is a span."""
+    """An id class: one run (a contiguous id set) is a span, else its sorted ids."""
     if len(runs) == 1:
         return {"span": list(runs[0])}
     return [j for lo, hi in runs for j in range(lo, hi)]
@@ -131,15 +124,8 @@ def _span(doc: dict, where: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _ids_from_doc(doc: Any, where: str) -> frozenset[int]:
-    """An id set written by :func:`_ids_to_doc`: a list or a ``span`` object."""
-    if isinstance(doc, dict):
-        return frozenset(range(*_span(doc, where)))
-    return _id_list(doc, where)
-
-
 def _runs_from_doc(doc: Any, where: str) -> Runs:
-    """A client class written by :func:`_runs_to_doc`; a span is read as one run."""
+    """An id class written by :func:`_runs_to_doc`; a span is read as one run."""
     if isinstance(doc, dict):
         return _runs(range(*_span(doc, where)))
     return _runs(_id_list(doc, where))
@@ -203,12 +189,12 @@ def _vector_to_doc(vec: FracVector) -> dict:
         return {
             "repr": "classed",
             "y": [
-                {"facilities": _ids_to_doc(fc), "value": frac_to_str(y)}
+                {"facilities": _runs_to_doc(fc), "value": frac_to_str(y)}
                 for fc, y in zip(vec.fac_classes, vec.y_values)
             ],
             "x": [
                 {
-                    "facilities": _ids_to_doc(fc),
+                    "facilities": _runs_to_doc(fc),
                     "clients": _runs_to_doc(runs),
                     "value": frac_to_str(vec.x_values[fi][ci]),
                 }
@@ -238,7 +224,7 @@ def _vector_from_doc(
     x_doc = _list(_field(doc, "x", where), f"{where} field 'x'")
     if classed:
         fac_classes = [
-            _ids_from_doc(_field(entry, "facilities", "y entry"), "y entry facilities")
+            _runs_from_doc(_field(entry, "facilities", "y entry"), "y entry facilities")
             for entry in y_doc
         ]
         y_values = [_frac_field(entry, "value", "y entry") for entry in y_doc]
@@ -246,7 +232,7 @@ def _vector_from_doc(
         cli_index: dict[Runs, int] = {}  # in order of first appearance
         cell: dict[tuple[int, int], Fraction] = {}
         for n, entry in enumerate(x_doc):
-            fc = _ids_from_doc(_field(entry, "facilities", "x entry"), "x entry facilities")
+            fc = _runs_from_doc(_field(entry, "facilities", "x entry"), "x entry facilities")
             cc = _runs_from_doc(_field(entry, "clients", "x entry"), "x entry clients")
             if fc not in fac_index:
                 raise ValueError(

@@ -680,7 +680,7 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
     return FracVector(
         inst.facility_count,
         inst.client_count,
-        [frozenset(members) for _, members in ordered],
+        [members for _, members in ordered],
         pools,
         [value[0] for value, _ in ordered],
         [list(value[1:]) for value, _ in ordered],

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -439,6 +440,18 @@ class TestMalformedCoreDocument:
             "core_client_count = 10 must equal capacity*t + 1 = 9",
             id="core-file-core-client-count-10",
         ),
+        # y of l raised from eps to 1: these commands work from (k, l), so
+        # they used to certify a vector that is not in the file
+        pytest.param(
+            "a", ["y", 1, "value"], "1/1",
+            [["sample", "{path}", "{b}", "--n", "5", "--seed", "1"],
+             ["verify-midpoint", "{path}", "{b}"],
+             ["verify-midpoint", "{path}", "{b_altered}"],
+             ["collide", "{path}", "{b}"],
+             ["certify", "--core", "{path}"]],
+            "holds a vector other than the core vector of k=[0, 1] l=[2, 3]",
+            id="payload-other-than-its-index",
+        ),
     ])
     def test_wrong_type_exits_2_naming_field(
         self, workspace, broken, source, keys, value, commands, message
@@ -465,6 +478,48 @@ class TestMalformedCoreDocument:
             assert result.returncode == 2, result.stderr
             assert message in result.stderr
             assert "Traceback" not in result.stderr
+
+    def test_payload_other_than_its_index_read_as_written(self, workspace, broken, tmp_path):
+        # lpcheck and oracle member check the vector in the file, whatever its index
+        def raise_l(doc):
+            doc["y"][1]["value"] = "1/1"
+
+        assert run("lpcheck", broken(raise_l)).returncode == 0
+        tiny, core = tmp_path / "tiny.json", tmp_path / "t.core"
+        assert run_in_process(
+            "gen", "--general", "--nf", "3", "--t", "1", "--U", "2", "--m", "3",
+            "--eps", "1/2", "--xl", "1/3", "-o", str(tiny),
+        ) == 0
+        assert run_in_process(
+            "core", "--instance", str(tiny), "--k", "0", "--l", "1", "-o", str(core)
+        ) == 0
+        doc = json.loads(core.read_text())
+        raise_l(doc)
+        core.write_text(json.dumps(doc))
+        for argv, code in ((["lpcheck"], 0), (["oracle", "member", "--vector"], 0),
+                           (["certify", "--core"], 2)):
+            result = run(*argv, str(core))
+            assert result.returncode == code, (argv, result.stderr)
+            assert "Traceback" not in result.stderr
+
+    def test_huge_facility_span_exits_2_fast(self, workspace, broken, capsys):
+        # a facility span is read as one run and refused by the partition
+        # check; reading it as an id set took 518 ms and 289 MB for a span
+        # of 3 * 10**6 ids, and a span of 10**12 ids never finished
+        def widen(doc):
+            first = doc["y"][0]["facilities"]
+            for entry in doc["y"] + doc["x"]:
+                if entry["facilities"] == first:
+                    entry["facilities"] = {"span": [0, 10**12]}
+
+        path = broken(widen)
+        start = time.perf_counter()
+        code = cli.main(["lpcheck", path])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "facility classes" in err and "Traceback" not in err
+        assert elapsed < 0.5
 
     def test_designated_clients_beyond_instance_exit_2(self, tmp_path):
         # a t=1 instance cut to 2 clients, whose x entries still partition

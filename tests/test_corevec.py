@@ -227,6 +227,16 @@ class TestFracVector:
         pytest.param([{0, 1}, {1}], [range(5)], "overlapping facility classes", id="overlap"),
         pytest.param([{0}, {2}], [range(5)], "do not partition range(2)", id="id-at-n"),
         pytest.param([{-1}, {1}], [range(5)], "do not partition range(2)", id="negative-id"),
+        pytest.param([((0, 2),), ((1, 2),)], [range(5)], "overlapping facility classes",
+                     id="facility-run-overlap"),
+        pytest.param([((0, 1),), ((1, 3),)], [range(5)],
+                     "facility classes do not partition range(2)", id="facility-run-past-n"),
+        pytest.param([((-1, 1),), range(1, 2)], [range(5)],
+                     "facility classes do not partition range(2)", id="facility-negative-run"),
+        pytest.param([range(2), ()], [range(5)], "facility classes do not partition range(2)",
+                     id="facility-empty-class"),
+        pytest.param([((0, 10**12),)], [range(5)], "facility classes do not partition range(2)",
+                     id="facility-huge-run"),
         pytest.param([{0, 1}], [((0, 2),), ((3, 5),)], "client classes do not partition range(5)",
                      id="client-gap"),
         pytest.param([{0, 1}], [((0, 3),), ((2, 5),)], "overlapping client classes",
@@ -243,7 +253,7 @@ class TestFracVector:
             FracVector(
                 2,
                 5,
-                fac_classes=[frozenset(c) for c in fac_classes],
+                fac_classes=fac_classes,
                 cli_classes=cli_classes,
                 y_values=[Fraction(1)] * len(fac_classes),
                 x_values=[[Fraction(1)] * len(cli_classes)] * len(fac_classes),

@@ -43,7 +43,6 @@ from cflgap.instance import (
     validate_params,
 )
 from cflgap.io import (
-    _ids_to_doc,
     _vector_to_doc,
     document_bytes,
     instance_to_doc,
@@ -456,15 +455,15 @@ def id_sets(classes):
 
 @st.composite
 def run_vectors(draw, n_f, m):
-    """A vector with run-partitioned clients, and its classes as id sets."""
-    fac, cli = draw(partitions(n_f)), draw(run_partitions(m))
+    """A vector with run-partitioned facilities and clients, and its classes as id sets."""
+    fac, cli = draw(run_partitions(n_f)), draw(run_partitions(m))
     if draw(st.booleans()):
         y = [Fraction(1)] * len(fac)
         x = [[Fraction(1, n_f)] * len(cli) for _ in fac]
     else:
         y = [draw(UNIT) for _ in fac]
         x = [[draw(UNIT) for _ in cli] for _ in fac]
-    return FracVector(n_f, m, fac, cli, y, x), (fac, id_sets(cli), y, x)
+    return FracVector(n_f, m, fac, cli, y, x), (id_sets(fac), id_sets(cli), y, x)
 
 
 def reference_coordinates(n_f, m, reference):
@@ -477,6 +476,15 @@ def reference_coordinates(n_f, m, reference):
     ]
 
 
+def ids_to_doc(ids):
+    """An id set as a core document is expected to hold it, written here
+    independently of cflgap.io: a span when contiguous, else the sorted ids."""
+    ordered = sorted(ids)
+    if ordered and ordered == list(range(ordered[0], ordered[-1] + 1)):
+        return {"span": [ordered[0], ordered[-1] + 1]}
+    return ordered
+
+
 def core_doc_bytes(inst, vec):
     doc = {"instance": instance_to_doc(inst), "k": [], "l": [], "core_clients": []}
     return document_bytes({**doc, **_vector_to_doc(vec)})
@@ -485,7 +493,7 @@ def core_doc_bytes(inst, vec):
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(data=st.data())
 def test_client_runs_agree_with_ids(data):
-    n_f, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 40))
+    n_f, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
     (v, ref_v), (w, ref_w) = data.draw(run_vectors(n_f, m)), data.draw(run_vectors(n_f, m))
     dv, dw = v.to_dense(), w.to_dense()
     assert coordinates(v) == coordinates(dv) == reference_coordinates(n_f, m, ref_v)
@@ -520,11 +528,15 @@ def test_client_runs_agree_with_ids(data):
     assert classed.passed == dense.passed
     assert violation_set(classed) == violation_set(dense)
 
-    # a classed vector writes each client class as the id-set writer does
+    # a classed vector writes each facility and client class as the id-set
+    # writer does
     written = core_doc_bytes(inst, v)
     if not v.is_dense:
-        entries = json.loads(written)["x"]
-        assert [e["clients"] for e in entries] == [_ids_to_doc(c) for _ in fac for c in cli]
+        doc = json.loads(written)
+        assert [e["facilities"] for e in doc["y"]] == [ids_to_doc(f) for f in fac]
+        entries = doc["x"]
+        assert [e["facilities"] for e in entries] == [ids_to_doc(f) for f in fac for _ in cli]
+        assert [e["clients"] for e in entries] == [ids_to_doc(c) for _ in fac for c in cli]
     _, _, loaded = load_core_doc(json.loads(written))
     assert loaded.equals(v)
     assert core_doc_bytes(inst, loaded) == written
