@@ -51,8 +51,6 @@ __all__ = [
     "BRUTE_CENSUS_LIMIT",
 ]
 
-ZERO = Fraction(0)
-
 # exhaustive census refused above this many candidate pairs
 BRUTE_CENSUS_LIMIT = 100_000
 # candidate rows per array operation of the brute-force and Monte Carlo census

@@ -303,6 +303,8 @@ def cmd_sample(args) -> int:
 
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.solutions_dir and os.path.isdir(args.solutions_dir):
         stale = sum(
             name.startswith("sol_") and name.endswith(".json")
@@ -392,6 +394,8 @@ def cmd_census(args) -> int:
             raise ValueError("--mc requires --seed")
         if args.mc < 1:
             raise ValueError(f"--mc must be >= 1, got {args.mc}")
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         hits = _run_blocks(partial(_mc_block_hits, inst), args.mc, args.seed, args.jobs)
         mc = McEstimate.from_hits(sum(hits), args.mc, args.seed)
         report = replace(build_census_report(inst), mc_estimate=mc)

@@ -91,7 +91,7 @@ class CoreIndex:
             raise ValueError(f"|k| and |l| must both equal t = {t}, got {len(kf)}, {len(lf)}")
         if kf & lf:
             raise ValueError(f"k and l must be disjoint, share {sorted(kf & lf)}")
-        if not (kf | lf) <= set(inst.facilities):
+        if not all(i in inst.facilities for i in kf | lf):
             raise ValueError("k and l must be facility ids of the instance")
         return cls(k=kf, l=lf)
 
@@ -309,7 +309,13 @@ def make_core_vector(
     params = inst.family_params
     index = CoreIndex.for_instance(inst, k, l)
     kf, lf = index.k, index.l
-    outside = frozenset(inst.facilities) - kf - lf
+    # the outside facilities as the runs between the sorted ids of k | l
+    taken = sorted(kf | lf)
+    outside = tuple(
+        (lo, hi)
+        for lo, hi in zip([0] + [i + 1 for i in taken], taken + [inst.facility_count])
+        if lo < hi
+    )
     core, rest = inst.designated_clients, inst.rest_clients
     x_out = Fraction(1, inst.facility_count - 2 * params.t)
 

@@ -95,10 +95,6 @@ class Instance:
         return range(self.facility_count)
 
     @property
-    def clients(self) -> range:
-        return range(self.client_count)
-
-    @property
     def designated_clients(self) -> range:
         """The designated clients every core vector shares: ``range(capacity*t + 1)``.
 
@@ -343,10 +339,6 @@ class CostVector:
             metric_admissible=metric_admissible,
         )
 
-    @property
-    def is_two_point(self) -> bool:
-        return self._two_point is not None
-
     def opening_of(self, i: int) -> Fraction:
         if self._two_point is not None:
             return ONE if i in self._two_point[0] else ZERO
@@ -427,7 +419,7 @@ def build_gap_costs(inst: Instance, core_index: "CoreIndex") -> CostVector:
     cost 1 to open, all others 0.  The result satisfies the quadrangle
     inequality by construction and is flagged metric-admissible.
     """
-    if not (core_index.k | core_index.l) <= set(inst.facilities):
+    if not all(i in inst.facilities for i in core_index.k | core_index.l):
         raise ValueError("core index is inconsistent with the instance")
     return CostVector(
         inst.facility_count,

@@ -528,8 +528,13 @@ def write_document(path: str, payload: dict) -> str:
 
 
 def read_document(path: str) -> dict:
+    """The JSON document in ``path``; JSONDecodeError for one nested too deeply to decode."""
     with open(path, "rb") as handle:
-        return json.loads(handle.read().decode("utf-8"))
+        text = handle.read().decode("utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("document nests too deeply", text, 0) from None
 
 
 def sha256_of(path: str) -> str:

@@ -10,15 +10,17 @@ leftover clients are spread in near-even splits.
 
 :func:`compile_plan` validates the instance and the pair once and compiles
 the distribution into a :class:`RoundingPlan`: the pivots, both experiments'
-facility roles and probabilities, and the client pools as int64 arrays.
-Every branch probability is also stored as integer thresholds over a fixed
-denominator, so a draw compares integers with integers and builds no
-``Fraction``.  Two views read the same plan:
+facility roles and the client pools as int64 arrays.  The plan stores the
+distribution only in compiled form: the low-set choice as integer
+thresholds over one denominator, and every slot target and the borrowed
+pivot's opening as a floor/ceil coin.  Two views read the same plan:
 
 * :func:`sample_outcome` draws one integer solution (seed-deterministic)
-  whose assignment is a read-only int64 array, and
-* :func:`enumerate_outcome_classes` lists every floor/ceil branch with its
-  exact probability, collapsing exchangeable client and bin choices.
+  whose assignment is a read-only int64 array, comparing integer draws
+  with the thresholds and coins and building no ``Fraction``, and
+* :func:`enumerate_outcome_classes` lists every branch of the same
+  thresholds and coins with its exact probability, collapsing exchangeable
+  client and bin choices.
 
 :func:`expected_vector` averages the enumerated classes (sum of probability
 times class mean), so :func:`verify_midpoint` certifies constructively, from
@@ -31,7 +33,7 @@ explicitly; nothing caches plans across calls.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import repeat
@@ -65,7 +67,6 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 class NonCollidingPairError(ValueError):
@@ -163,6 +164,8 @@ class _FloorCoin:
     Rounding it to floor or ceil takes one integer draw below ``den`` (none
     when ``num`` is 0), the same draw ``ExactRng.bernoulli`` makes for the
     fractional part.  A probability in [0, 1] is a coin that reads 0 or 1.
+    :meth:`branches` lists the values :meth:`draw` returns with their exact
+    probabilities, so the sampler and the enumerator read one coin.
     """
 
     floor: int
@@ -180,6 +183,13 @@ class _FloorCoin:
         if self.num and rng.integer_below(self.den) < self.num:
             return self.floor + 1
         return self.floor
+
+    def branches(self) -> list[tuple[int, Fraction]]:
+        """``[(floor, 1)]``, or ``[(floor, 1 - num/den), (floor + 1, num/den)]``."""
+        if not self.num:
+            return [(self.floor, ONE)]
+        up = Fraction(self.num, self.den)
+        return [(self.floor, 1 - up), (self.floor + 1, up)]
 
 
 def round_slots(w: Fraction, rng: ExactRng) -> int:
@@ -224,50 +234,21 @@ class _Experiment:
     label: str
     always_open: tuple[int, ...]   # the owning high set, opened in step 1
     choice_set: tuple[int, ...]    # the owning low set; exactly one opens
-    pivot_choice: int              # choice_set member with residual probability
-    pivot_extra: int               # borrowed facility, opened with prob t*eps
+    pivot_extra: int               # borrowed facility, opened on extra_coin
     outside_bins: tuple[int, ...]  # remaining facilities, always opened in step 2
+    base_open: frozenset[int]      # always_open | outside_bins
     core_pool: np.ndarray          # designated clients (int64, ascending), step 1
     rest_pool: np.ndarray          # remaining clients (int64, ascending), step 2
-    p_nonpivot: Fraction
-    p_pivot: Fraction
-    p_extra: Fraction
-    w_nonpivot: Fraction
-    w_pivot: Fraction
-    w_extra: Fraction
-    # the same distribution as integer thresholds, read by the sampler
-    choice_denominator: int = field(init=False)
-    choice_thresholds: tuple[int, ...] = field(init=False)  # cumulative, over choice_set
-    choice_slots: tuple[_FloorCoin, ...] = field(init=False)  # targets, over choice_set
-    extra_coin: _FloorCoin = field(init=False)   # p_extra
-    extra_slots: _FloorCoin = field(init=False)  # w_extra
-    base_open: frozenset[int] = field(init=False)  # always_open | outside_bins
-
-    def __post_init__(self) -> None:
-        denominator, thresholds = cumulative_thresholds(
-            [self.choice_probability(i) for i in self.choice_set]
-        )
-        derived = {
-            "choice_denominator": denominator,
-            "choice_thresholds": thresholds,
-            "choice_slots": tuple(
-                _FloorCoin.of(self.choice_target(i)) for i in self.choice_set
-            ),
-            "extra_coin": _FloorCoin.of(self.p_extra),
-            "extra_slots": _FloorCoin.of(self.w_extra),
-            "base_open": frozenset(self.always_open) | frozenset(self.outside_bins),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+    # choice_set[i] opens on a draw below choice_denominator in
+    # [choice_thresholds[i-1], choice_thresholds[i]) and takes choice_slots[i]
+    choice_denominator: int
+    choice_thresholds: tuple[int, ...]
+    choice_slots: tuple[_FloorCoin, ...]
+    extra_coin: _FloorCoin   # reads 1 (probability t*eps) when pivot_extra opens
+    extra_slots: _FloorCoin  # pivot_extra's slot target when it opens
 
     def open_set(self, chosen: int, extra_open: bool) -> frozenset[int]:
         return self.base_open | ({chosen, self.pivot_extra} if extra_open else {chosen})
-
-    def choice_probability(self, i: int) -> Fraction:
-        return self.p_pivot if i == self.pivot_choice else self.p_nonpivot
-
-    def choice_target(self, i: int) -> Fraction:
-        return self.w_pivot if i == self.pivot_choice else self.w_nonpivot
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,27 +278,34 @@ def _experiment_specs(
     core = np.arange(designated.start, designated.stop, dtype=np.int64)
     rest = np.arange(tail.start, tail.stop, dtype=np.int64)
     w_base = len(core) * x_l
-    w_extra = Fraction(len(rest), q) / p_extra if len(rest) else ZERO
+    pivot_slots, other_slots = _FloorCoin.of(w_base / p_pivot), _FloorCoin.of(w_base / eps)
+    extra_coin = _FloorCoin.of(p_extra)
+    extra_slots = _FloorCoin.of(Fraction(len(rest), q) / p_extra if len(rest) else ZERO)
 
-    def build(label: str, own: CoreIndex, pivot_choice: int, pivot_extra: int) -> _Experiment:
-        outside = tuple(
-            sorted(set(inst.facilities) - own.k - own.l - {pivot_extra})
+    def build(label: str, own: CoreIndex, pivot: int, borrowed: int) -> _Experiment:
+        # the own pivot takes the residual probability, the other low-set
+        # facilities eps each; the other side's pivot is the borrowed one
+        choice_set = tuple(sorted(own.l))
+        is_pivot = [i == pivot for i in choice_set]
+        denominator, thresholds = cumulative_thresholds(
+            [p_pivot if flag else eps for flag in is_pivot]
         )
+        taken = own.k | own.l | {borrowed}
+        outside = tuple(i for i in inst.facilities if i not in taken)
         return _Experiment(
             label=label,
             always_open=tuple(sorted(own.k)),
-            choice_set=tuple(sorted(own.l)),
-            pivot_choice=pivot_choice,
-            pivot_extra=pivot_extra,
+            choice_set=choice_set,
+            pivot_extra=borrowed,
             outside_bins=outside,
+            base_open=own.k | frozenset(outside),
             core_pool=core,
             rest_pool=rest,
-            p_nonpivot=eps,
-            p_pivot=p_pivot,
-            p_extra=p_extra,
-            w_nonpivot=w_base / eps,
-            w_pivot=w_base / p_pivot,
-            w_extra=w_extra,
+            choice_denominator=denominator,
+            choice_thresholds=thresholds,
+            choice_slots=tuple(pivot_slots if flag else other_slots for flag in is_pivot),
+            extra_coin=extra_coin,
+            extra_slots=extra_slots,
         )
 
     return build("A", c1, f, g), build("B", c2, g, f)
@@ -454,14 +442,6 @@ class OutcomeClass:
         )
 
 
-def _round_branches(w: Fraction) -> list[tuple[int, Fraction]]:
-    floor = w.numerator // w.denominator
-    frac = w - floor
-    if frac == 0:
-        return [(floor, ONE)]
-    return [(floor, 1 - frac), (floor + 1, frac)]
-
-
 _NO_PART: tuple = ((), 0, ())  # (entries, served, over) of an empty profile part
 
 
@@ -503,13 +483,15 @@ def _joined(first: tuple, second: tuple) -> tuple:
 def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     """Every branch combination with exact probability; probabilities sum to 1.
 
-    Probability-zero branches (e.g. the closed-pivot branch when t*eps = 1)
-    are pruned.  A class's slot profile joins a step-1 part (the chosen low
-    facility's slots and the split of the designated remainder over the high
-    set) with a step-2 part (the borrowed pivot's slots and the split of the
-    rest over the outside bins).  Each distinct (remainder, bin group) split
-    is built and checked against capacity once per call, so a class costs
-    O(groups), not O(facilities).
+    A low-set choice has its threshold step over the denominator, halved by
+    the fair experiment coin; a coin with no fractional part has one branch,
+    so no branch of probability zero (e.g. the closed-pivot branch when
+    t*eps = 1) appears.  A class's slot profile joins a step-1 part (the
+    chosen low facility's slots and the split of the designated remainder
+    over the high set) with a step-2 part (the borrowed pivot's slots and
+    the split of the rest over the outside bins).  Each distinct (remainder,
+    bin group) split is built and checked against capacity once per call, so
+    a class costs O(groups), not O(facilities).
     """
     inst = plan.inst
     cap = inst.capacity  # unit demands: a count is a load
@@ -519,12 +501,12 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     for exp in plan.experiments:
         n_core, m_rest = len(exp.core_pool), len(exp.rest_pool)
         step2: list[tuple[bool, int, Fraction, tuple, list[str]]] = []
+        # the open branches (coin reads 1) before the closed one
         branches2 = [
-            (True, slots2, exp.p_extra * p_r2)
-            for slots2, p_r2 in (_round_branches(exp.w_extra) if exp.p_extra > 0 else ())
+            (opened == 1, slots2, p_open * p_r2)
+            for opened, p_open in reversed(exp.extra_coin.branches())
+            for slots2, p_r2 in (exp.extra_slots.branches() if opened else [(0, ONE)])
         ]
-        if exp.p_extra < 1:
-            branches2.append((False, 0, 1 - exp.p_extra))
         for extra_open, slots2, p_s2 in branches2:
             rem2 = m_rest - slots2
             problems2: list[str] = []
@@ -540,12 +522,11 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
             pivot = _entries_part([(exp.pivot_extra, slots2)], cap)
             step2.append((extra_open, slots2, p_s2, _joined(pivot, rest), problems2))
 
-        for chosen in exp.choice_set:
-            p_choice = HALF * exp.choice_probability(chosen)
-            if p_choice == 0:
-                continue
+        bounds = zip((0,) + exp.choice_thresholds, exp.choice_thresholds)
+        for chosen, (lo, hi), coin in zip(exp.choice_set, bounds, exp.choice_slots):
+            p_choice = Fraction(hi - lo, 2 * exp.choice_denominator)
             open_sets = {flag: exp.open_set(chosen, flag) for flag in (False, True)}
-            for slots1, p_r1 in _round_branches(exp.choice_target(chosen)):
+            for slots1, p_r1 in coin.branches():
                 rem1 = n_core - slots1
                 problems1: list[str] = []
                 high = _NO_PART

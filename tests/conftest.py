@@ -71,3 +71,30 @@ def find_valid_general(facility_count, t, capacity, client_count):
         f"no valid parameters found for shape ({facility_count}, {t}, "
         f"{capacity}, {client_count})"
     )
+
+
+def exact_distribution(plan):
+    """The rounding distribution of a plan, recomputed from its instance's
+    family params rather than read from the plan's thresholds and coins.
+
+    Yields, per experiment, ``(exp, choices, p_extra, w_extra)``: one
+    ``(probability, slot target)`` per low-set facility in ``exp.choice_set``
+    order, the probability that the borrowed pivot opens and its slot target.
+    """
+    inst, params = plan.inst, plan.inst.family_params
+    t, eps = params.t, params.eps
+    p_pivot, p_extra = 1 - (t - 1) * eps, t * eps
+    n_core = params.core_client_count
+    n_rest = inst.client_count - n_core
+    w_base = n_core * params.x_l
+    w_extra = (
+        Fraction(n_rest, inst.facility_count - 2 * t) / p_extra if n_rest else Fraction(0)
+    )
+    exp_a, exp_b = plan.experiments
+    for exp, other in ((exp_a, exp_b), (exp_b, exp_a)):
+        # an experiment's pivot choice is the facility the other one borrows
+        choices = [
+            (p_pivot, w_base / p_pivot) if i == other.pivot_extra else (eps, w_base / eps)
+            for i in exp.choice_set
+        ]
+        yield exp, choices, p_extra, w_extra

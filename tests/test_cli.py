@@ -521,6 +521,29 @@ class TestMalformedCoreDocument:
         assert "facility classes" in err and "Traceback" not in err
         assert elapsed < 0.5
 
+    def test_huge_facility_count_reads_outside_as_one_run(self, broken, capsys):
+        # the outside facilities of a 10**12-facility core file are one span;
+        # testing k and l against every facility id and building the outside
+        # class id by id took 0.70 s (lpcheck) and 3.9 s (collide) at
+        # 3 * 10**6 facilities, and could not allocate 10**12 ids
+        huge = 10**12
+
+        def widen(doc):
+            doc["instance"]["facility_count"] = huge
+            for entry in doc["y"] + doc["x"]:
+                if entry["facilities"] == {"span": [4, 6]}:
+                    entry["facilities"] = {"span": [4, huge]}
+                    if entry["value"] == "1/2":
+                        entry["value"] = f"1/{huge - 4}"
+
+        path = broken(widen)
+        for argv, code in ((["lpcheck", path], 0), (["collide", path, path], 1)):
+            start = time.perf_counter()
+            assert cli.main(argv) == code, capsys.readouterr().err
+            elapsed = time.perf_counter() - start
+            assert "Traceback" not in capsys.readouterr().err
+            assert elapsed < 0.5, argv
+
     def test_designated_clients_beyond_instance_exit_2(self, tmp_path):
         # a t=1 instance cut to 2 clients, whose x entries still partition
         # them, while its 3 designated clients run past the last one
@@ -575,7 +598,16 @@ class TestCensusCertifyBound:
         (["sample", "{a}", "{b}", "--n", "0", "--seed", "1"], "--n must be >= 1, got 0"),
         (["census", "--instance", "{mini}", "--mc", "0", "--seed", "1", "--jobs", "2"],
          "--mc must be >= 1, got 0"),
-    ], ids=["sample-n-negative", "sample-n-zero", "census-mc-zero"])
+        (["sample", "{a}", "{b}", "--n", "5", "--seed", "1", "--jobs", "0"],
+         "--jobs must be >= 1, got 0"),
+        (["sample", "{a}", "{b}", "--n", "5", "--seed", "1", "--jobs", "-3"],
+         "--jobs must be >= 1, got -3"),
+        (["census", "--instance", "{mini}", "--mc", "5", "--seed", "1", "--jobs", "0"],
+         "--jobs must be >= 1, got 0"),
+        (["census", "--instance", "{mini}", "--mc", "5", "--seed", "1", "--jobs", "-3"],
+         "--jobs must be >= 1, got -3"),
+    ], ids=["sample-n-negative", "sample-n-zero", "census-mc-zero", "sample-jobs-zero",
+            "sample-jobs-negative", "census-jobs-zero", "census-jobs-negative"])
     def test_non_positive_draw_count_exits_2(self, workspace, argv, message):
         result = run(*(arg.format(**workspace) for arg in argv))
         assert result.returncode == 2, result.stderr
@@ -647,9 +679,17 @@ class TestOracle:
         result = run("oracle", "enum", "--instance", str(workspace["mini"]))
         assert result.returncode == 2
 
-    def test_missing_file_exits_3(self):
-        result = run("oracle", "enum", "--instance", "/nonexistent/inst.json")
-        assert result.returncode == 3
+    def test_missing_file_exits_3(self, tmp_path):
+        # an unreadable input exits 3 with one i/o error line: a missing file,
+        # and one nested too deeply for the JSON decoder
+        nested = tmp_path / "nested.core"
+        nested.write_text("[" * 100_000 + "]" * 100_000)
+        for argv in (["oracle", "enum", "--instance", "/nonexistent/inst.json"],
+                     ["lpcheck", str(nested)]):
+            result = run(*argv)
+            assert result.returncode == 3, result.stderr
+            assert result.stderr.startswith("i/o error:")
+            assert len(result.stderr.splitlines()) == 1
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ stays reproducible and fast.
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -50,11 +51,9 @@ from cflgap.io import (
 )
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
-    HALF,
     OutcomeClass,
     RoundingPlan,
     _experiment_specs,
-    _round_branches,
     compile_plan,
     enumerate_outcome_classes,
     expected_vector,
@@ -62,7 +61,7 @@ from cflgap.rounding import (
     sample_outcome,
     solution_violations,
 )
-from conftest import MINI, TINY
+from conftest import MINI, TINY, exact_distribution
 
 DRAWS = 25
 
@@ -207,20 +206,28 @@ def reference_class(inst, exp, chosen, slots1, extra_open, slots2, probability):
     )
 
 
+def reference_branches(w):
+    """floor(w) and ceil(w) with the probabilities that keep the mean at w."""
+    low = math.floor(w)
+    if low == w:
+        return [(low, Fraction(1))]
+    return [(low, low + 1 - w), (low + 1, w - low)]
+
+
 def reference_classes(plan):
     out = []
-    for exp in plan.experiments:
-        for chosen in exp.choice_set:
-            p_choice = HALF * exp.choice_probability(chosen)
+    for exp, choices, p_extra, w_extra in exact_distribution(plan):
+        for chosen, (p_chosen, w_chosen) in zip(exp.choice_set, choices):
+            p_choice = p_chosen / 2
             if p_choice == 0:
                 continue
-            for slots1, p_r1 in _round_branches(exp.choice_target(chosen)):
+            for slots1, p_r1 in reference_branches(w_chosen):
                 step2 = []
-                if exp.p_extra > 0:
-                    for slots2, p_r2 in _round_branches(exp.w_extra):
-                        step2.append((True, slots2, exp.p_extra * p_r2))
-                if exp.p_extra < 1:
-                    step2.append((False, 0, 1 - exp.p_extra))
+                if p_extra > 0:
+                    for slots2, p_r2 in reference_branches(w_extra):
+                        step2.append((True, slots2, p_extra * p_r2))
+                if p_extra < 1:
+                    step2.append((False, 0, 1 - p_extra))
                 for extra_open, slots2, p_s2 in step2:
                     out.append(reference_class(
                         plan.inst, exp, chosen, slots1, extra_open, slots2,

@@ -26,7 +26,8 @@ from cflgap.rounding import (
     split_slots,
     verify_midpoint,
 )
-from cflgap.rounding import _round_branches
+from cflgap.rounding import _FloorCoin
+from conftest import exact_distribution
 
 
 def mini_pair(mini):
@@ -102,22 +103,18 @@ class TestPlanThresholds:
         "fixture, pair", [("mini", mini_pair), ("family10", t10_pair)], ids=["mini", "t10"]
     )
     def test_thresholds_match_exact_probabilities(self, fixture, pair, request):
-        # the sampler's integer thresholds against the Fractions that the
-        # enumerator and expected_vector read
+        # the sampler's integer thresholds and coins against the probabilities
+        # and slot targets of the construction
         inst = request.getfixturevalue(fixture)
         plan = compile_plan(inst, *pair(inst))
-        for exp in plan.experiments:
+        for exp, choices, p_extra, w_extra in exact_distribution(plan):
             den, cum = exp.choice_denominator, exp.choice_thresholds
             assert cum[-1] == den
             steps = [hi - lo for lo, hi in zip((0,) + cum, cum)]
-            assert [Fraction(s, den) for s in steps] == [
-                exp.choice_probability(i) for i in exp.choice_set
-            ]
-            coins = [
-                (coin, exp.choice_target(i))
-                for i, coin in zip(exp.choice_set, exp.choice_slots)
-            ]
-            coins += [(exp.extra_coin, exp.p_extra), (exp.extra_slots, exp.w_extra)]
+            assert [Fraction(s, den) for s in steps] == [p for p, _ in choices]
+            assert len(exp.choice_slots) == len(choices)
+            coins = [(coin, w) for coin, (_, w) in zip(exp.choice_slots, choices)]
+            coins += [(exp.extra_coin, p_extra), (exp.extra_slots, w_extra)]
             for coin, exact in coins:
                 assert 0 <= coin.num < coin.den
                 assert coin.floor + Fraction(coin.num, coin.den) == exact
@@ -139,7 +136,7 @@ class TestRoundSlots:
         "w", [Fraction(9, 4), Fraction(0), Fraction(45, 16), Fraction(7, 1), Fraction(1, 3)]
     )
     def test_expectation_preserved_by_branch_enumeration(self, w):
-        branches = _round_branches(w)
+        branches = _FloorCoin.of(w).branches()
         assert sum(p for _, p in branches) == 1
         assert sum(v * p for v, p in branches) == w
 
