@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .instance import Instance, require_valid
+from .instance import ONE, ZERO, Instance, require_valid
 
 __all__ = [
     "CoreIndex",
@@ -31,9 +31,6 @@ __all__ = [
     "check_natural_lp",
     "midpoint",
 ]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Dense materialization guard: n_f * m coordinates beyond this is refused.
 DENSE_LIMIT = 1_000_000

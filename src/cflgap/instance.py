@@ -39,6 +39,10 @@ __all__ = [
     "check_metric_admissible",
 ]
 
+# The exact constants every module of the package shares.
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -270,9 +274,6 @@ def require_valid(inst: Instance) -> None:
 # ---------------------------------------------------------------------------
 # Cost vectors
 # ---------------------------------------------------------------------------
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class CostVector:

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Optional
 
 from .corevec import CoreIndex, FracVector, NaturalLpReport, Runs, _runs
-from .instance import FamilyParams, Instance
+from .instance import ZERO, FamilyParams, Instance
 
 if TYPE_CHECKING:  # pragma: no cover
     from .certify import CensusReport, GapCertificate, McEstimate
@@ -256,7 +256,7 @@ def _vector_from_doc(
             facility_count, client_count, fac_classes, cli_classes, y_values, x_values
         )
     y = [_frac(s, f"{where} y entry") for s in y_doc]
-    x = [[Fraction(0)] * client_count for _ in range(facility_count)]
+    x = [[ZERO] * client_count for _ in range(facility_count)]
     for triplet in x_doc:
         if not isinstance(triplet, list) or len(triplet) != 3:
             raise ValueError(f"{where} x entry must be [i, j, value], got {_shown(triplet)}")

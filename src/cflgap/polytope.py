@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .corevec import FracVector
-from .instance import CostVector, Instance
+from .instance import ZERO, CostVector, Instance
 from .rounding import IntSolution, solution_violations
 from .simplex import feasible_combination
 
@@ -26,9 +26,6 @@ __all__ = [
     "solution_coordinates",
     "verify_membership",
 ]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class EnumerationBoundError(ValueError):
@@ -92,15 +89,22 @@ def enumerate_integer_solutions(
     return out
 
 
+def _one_positions(sol: IntSolution, facility_count: int, client_count: int) -> list[int]:
+    """Where a solution's coordinates are 1: its open facilities, then one
+    ``(assign[j], j)`` cell per client."""
+    return sorted(sol.open) + [
+        facility_count + i * client_count + j for j, i in enumerate(sol.assign.tolist())
+    ]
+
+
 def solution_coordinates(
     sol: IntSolution, facility_count: int, client_count: int
-) -> list[Fraction]:
+) -> list[int]:
     """0/1 coordinates of a solution: openings then assignments, row-major."""
-    y = [ONE if i in sol.open else ZERO for i in range(facility_count)]
-    x = [ZERO] * (facility_count * client_count)
-    for j, i in enumerate(sol.assign.tolist()):
-        x[i * client_count + j] = ONE
-    return y + x
+    coords = [0] * (facility_count * (1 + client_count))
+    for pos in _one_positions(sol, facility_count, client_count):
+        coords[pos] = 1
+    return coords
 
 
 def _vector_coordinates(v: FracVector) -> list[Fraction]:
@@ -108,16 +112,23 @@ def _vector_coordinates(v: FracVector) -> list[Fraction]:
     return list(dense.y_values) + [x for row in dense.x_values for x in row]
 
 
-def membership_lp(v: FracVector, solutions: Sequence[IntSolution]) -> MembershipResult:
-    """Exact decision of ``v in conv(solutions)`` by rational pivoting."""
-    if not solutions:
-        raise ValueError("empty solution list")
+def _check_dimensions(v: FracVector, solutions: Sequence[IntSolution]) -> None:
+    """Every solution has the vector's client count and only its facility ids."""
     n_f, m = v.facility_count, v.client_count
     for sol in solutions:
-        if len(sol.assign) != m or any(i >= n_f for i in sol.open):
+        ids = [*sol.open, *sol.assign.tolist()]
+        if len(sol.assign) != m or (ids and not (0 <= min(ids) and max(ids) < n_f)):
             raise ValueError("solution dimensions do not match the vector")
-    columns = [solution_coordinates(sol, n_f, m) + [ONE] for sol in solutions]
-    rhs = _vector_coordinates(v) + [ONE]
+
+
+def membership_lp(v: FracVector, solutions: Sequence[IntSolution]) -> MembershipResult:
+    """Exact decision of ``v in conv(solutions)`` by integer-row pivoting."""
+    if not solutions:
+        raise ValueError("empty solution list")
+    _check_dimensions(v, solutions)
+    n_f, m = v.facility_count, v.client_count
+    columns = [solution_coordinates(sol, n_f, m) + [1] for sol in solutions]
+    rhs = _vector_coordinates(v) + [1]
     weights, farkas = feasible_combination(columns, rhs)
     if weights is not None:
         nonzero = {idx: w for idx, w in enumerate(weights) if w != 0}
@@ -132,7 +143,11 @@ def membership_lp(v: FracVector, solutions: Sequence[IntSolution]) -> Membership
 def verify_membership(
     v: FracVector, solutions: Sequence[IntSolution], result: MembershipResult
 ) -> bool:
-    """Re-check a membership certificate by direct arithmetic only."""
+    """Re-check a membership certificate by direct arithmetic only.
+
+    Each weight or coefficient is added at a solution's one-positions.
+    """
+    _check_dimensions(v, solutions)
     n_f, m = v.facility_count, v.client_count
     target = _vector_coordinates(v)
     if result.member:
@@ -143,17 +158,16 @@ def verify_membership(
             return False
         combo = [ZERO] * len(target)
         for idx, w in weights.items():
-            for pos, coord in enumerate(solution_coordinates(solutions[idx], n_f, m)):
-                combo[pos] += w * coord
+            for pos in _one_positions(solutions[idx], n_f, m):
+                combo[pos] += w
         return combo == target
     if result.separating_inequality is None:
         return False
     coeffs, offset = result.separating_inequality
+    if len(coeffs) != len(target):
+        return False
     for sol in solutions:
-        value = sum(
-            (c * coord for c, coord in zip(coeffs, solution_coordinates(sol, n_f, m))),
-            ZERO,
-        )
+        value = sum((coeffs[pos] for pos in _one_positions(sol, n_f, m)), ZERO)
         if value > offset:
             return False
     query_value = sum((c * coord for c, coord in zip(coeffs, target)), ZERO)

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .corevec import CoreIndex, FracVector, collides, make_core_vector, midpoint
-from .instance import Instance, require_valid
+from .instance import ONE, ZERO, Instance, require_valid
 from .randomness import ExactRng, cumulative_thresholds
 
 __all__ = [
@@ -64,9 +64,6 @@ __all__ = [
     "verify_midpoint",
     "solution_violations",
 ]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class NonCollidingPairError(ValueError):
@@ -116,7 +113,7 @@ def solution_violations(inst: Instance, sol: IntSolution) -> list[str]:
             f"assignment covers {len(sol.assign)} clients, instance has {inst.client_count}"
         )
         return out
-    if not sol.open <= set(inst.facilities):
+    if sol.open and not (0 <= min(sol.open) and max(sol.open) < inst.facility_count):
         out.append("open set contains unknown facility ids")
     if inst.client_count == 0:
         return out
@@ -615,33 +612,42 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
     inst = plan.inst
     by_label = {exp.label: exp for exp in plan.experiments}
 
-    # (experiment, group) -> probability-weighted [open members, clients
-    # served from the designated pool, clients served from the rest pool],
-    # as integers over the common denominator of the class probabilities
+    # each group has a small key, (experiment, role): "high" for the high
+    # set, "out" for the outside bins, a facility id for a one-facility group
+    groups: dict[tuple[str, object], tuple[int, ...]] = {}
+    for exp in plan.experiments:
+        groups[exp.label, "high"] = exp.always_open
+        groups[exp.label, "out"] = exp.outside_bins
+        for i in (exp.pivot_extra, *exp.choice_set):
+            groups[exp.label, i] = (i,)
+
+    # group key -> probability-weighted [open members, clients served from
+    # the designated pool, clients served from the rest pool], as integers
+    # over the common denominator of the class probabilities
     den = lcm(*(cl.probability.denominator for cl in classes))
-    sums: dict[tuple[str, tuple[int, ...]], list[int]] = {}
+    sums: dict[tuple[str, object], list[int]] = {}
     for cl in classes:
         exp = by_label[cl.experiment]
         weight = cl.probability.numerator * (den // cl.probability.denominator)
         served = dict(cl.slot_profile)
-        for group, pool in (
-            ((cl.chosen_l_facility,), 1),
-            (exp.always_open, 1),
-            ((exp.pivot_extra,), 2),
-            (exp.outside_bins, 2),
+        for role, pool in (
+            (cl.chosen_l_facility, 1),
+            ("high", 1),
+            (exp.pivot_extra, 2),
+            ("out", 2),
         ):
-            acc = sums.setdefault((exp.label, group), [0, 0, 0])
+            key = (exp.label, role)
+            group = groups[key]
+            acc = sums.setdefault(key, [0, 0, 0])
             acc[0] += weight * len(cl.open_facilities.intersection(group))
             acc[pool] += weight * sum(map(served.get, group, repeat(0)))
 
     # each facility lies in one group per experiment; the facilities that
     # share both groups get one value, computed once
     group_of: dict[int, list] = {i: [] for i in inst.facilities}
-    for exp in plan.experiments:
-        singles = [(i,) for i in (exp.pivot_extra, *exp.choice_set)]
-        for group in (exp.always_open, exp.outside_bins, *singles):
-            for i in group:
-                group_of[i].append((exp.label, group))
+    for key, group in groups.items():
+        for i in group:
+            group_of[i].append(key)
     atoms: dict[tuple, list[int]] = {}
     for i, keys in group_of.items():
         atoms.setdefault(tuple(keys), []).append(i)
@@ -651,7 +657,7 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
     for keys, members in atoms.items():
         value = [ZERO] * (1 + len(pools))
         for key in keys:
-            acc, size = sums.get(key, (0, 0, 0)), len(key[1])
+            acc, size = sums.get(key, (0, 0, 0)), len(groups[key])
             value[0] += Fraction(acc[0], den * size)
             for c, pool in enumerate(pools, start=1):
                 value[c] += Fraction(acc[c], den * size * len(pool))

@@ -2,23 +2,30 @@
 
 Decides feasibility of ``A v = b, v >= 0`` over the rationals with Bland's
 anti-cycling rule, returning either a feasible point or a Farkas certificate
-``y`` with ``y^T A_j <= 0`` for every column and ``y^T b > 0``.  Dimensions
-here are tiny (dozens of rows), so a dense fraction tableau is plenty.
+``y`` with ``y^T A_j <= 0`` for every column and ``y^T b > 0``.
+
+Each tableau row, the objective row included, is a list of Python ints over
+one positive row denominator, reduced by their gcd after every update, so the
+pivot loop does integer arithmetic only.  Signs are read off the ints and the
+ratio test cross-multiplies, so the pivots are exactly those of the same
+tableau kept in fractions.  Inputs may be ints or ``Fraction``s (anything
+with ``.numerator`` and ``.denominator``); ``v`` and ``y`` are built as
+``Fraction``s once, at the end.  Dimensions here are tiny (dozens of rows),
+so a dense tableau is plenty.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 from typing import Optional, Sequence
 
 __all__ = ["feasible_combination"]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def feasible_combination(
-    columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    columns: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
 ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
     """Solve ``sum_j v_j * columns[j] = rhs`` with ``v >= 0`` exactly.
 
@@ -30,66 +37,86 @@ def feasible_combination(
     if any(len(col) != r for col in columns):
         raise ValueError("column length mismatch")
 
-    # normalize to b >= 0, remembering flipped rows for the certificate
-    flip = [-ONE if b < 0 else ONE for b in rhs]
-    tab = [
-        [flip[row] * Fraction(columns[j][row]) for j in range(n)]
-        + [ONE if k == row else ZERO for k in range(r)]
-        + [flip[row] * Fraction(rhs[row])]
-        for row in range(r)
-    ]
+    # row i of tab over dens[i] is [flip * A_i | e_i | flip * b_i], flipped
+    # so that b >= 0; the artificial basis column holds the row denominator
+    tab: list[list[int]] = []
+    dens: list[int] = []
+    flip = [-1 if b.numerator < 0 else 1 for b in rhs]
+    for row in range(r):
+        entries = [col[row] for col in columns] + [rhs[row]]
+        den = lcm(*(e.denominator for e in entries))
+        ints = [flip[row] * e.numerator * (den // e.denominator) for e in entries]
+        ints[n:n] = [den if k == row else 0 for k in range(r)]
+        tab.append(ints)
+        dens.append(den)
     basis = [n + row for row in range(r)]  # artificials, cost 1 each
 
-    # objective row holds z_j - c_j; entering improves while some entry > 0
-    obj = [ZERO] * (n + r) + [ZERO]
-    for row in range(r):
-        for j in range(n + r + 1):
-            obj[j] += tab[row][j]
-    for row in range(r):
-        obj[n + row] -= ONE  # c_j = 1 on artificial columns
+    # objective row tab[r] holds z_j - c_j: the sum of the rows, whose
+    # artificial entries cancel against c_j = 1; entering improves while
+    # some entry is > 0
+    den = lcm(*dens)
+    obj = [0] * (n + r + 1)
+    for ints, d in zip(tab, dens):
+        scale = den // d
+        obj = [a + scale * b for a, b in zip(obj, ints)]
+    obj[n : n + r] = [0] * r
+    tab.append(obj)
+    dens.append(den)
+    _reduce(tab, dens, r)
 
     while True:
+        obj = tab[r]
         enter = next((j for j in range(n + r) if obj[j] > 0), None)
         if enter is None:
             break
-        # ratio test, Bland tie-break on the leaving basis variable
-        leave, best = None, None
+        # ratio test b_i / a_i over a_i > 0 (the row denominator cancels),
+        # Bland tie-break on the leaving basis variable
+        leave = None
         for row in range(r):
             coef = tab[row][enter]
             if coef > 0:
-                ratio = tab[row][-1] / coef
-                if best is None or ratio < best or (
-                    ratio == best and basis[row] < basis[leave]
-                ):
-                    leave, best = row, ratio
+                if leave is None:
+                    leave = row
+                    continue
+                lhs = tab[row][-1] * tab[leave][enter]
+                best = tab[leave][-1] * coef
+                if lhs < best or (lhs == best and basis[row] < basis[leave]):
+                    leave = row
         if leave is None:
             raise AssertionError("phase-1 objective is bounded by construction")
-        _pivot(tab, obj, basis, leave, enter)
+        _pivot(tab, dens, leave, enter)
+        basis[leave] = enter
 
-    value = obj[-1]
-    if value == 0:
-        v = [ZERO] * n
+    obj, den = tab[r], dens[r]
+    if obj[-1] == 0:
+        v = [Fraction(0)] * n
         for row, var in enumerate(basis):
             if var < n:
-                v[var] = tab[row][-1]
+                v[var] = Fraction(tab[row][-1], dens[row])
         return v, None
 
     # infeasible: prices off the artificial columns give the Farkas direction
-    y = [flip[row] * (obj[n + row] + ONE) for row in range(r)]
+    y = [Fraction(flip[row] * (obj[n + row] + den), den) for row in range(r)]
     return None, y
 
 
-def _pivot(
-    tab: list[list[Fraction]], obj: list[Fraction], basis: list[int], row: int, col: int
-) -> None:
-    piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
-    for other in range(len(tab)):
-        if other != row and tab[other][col] != 0:
-            factor = tab[other][col]
-            tab[other] = [a - factor * b for a, b in zip(tab[other], tab[row])]
-    if obj[col] != 0:
-        factor = obj[col]
-        for j in range(len(obj)):
-            obj[j] -= factor * tab[row][j]
-    basis[row] = col
+def _reduce(tab: list[list[int]], dens: list[int], row: int) -> None:
+    """Divide row ``row`` and its denominator by their gcd."""
+    g = gcd(dens[row], *tab[row])
+    if g > 1:
+        tab[row] = [a // g for a in tab[row]]
+        dens[row] //= g
+
+
+def _pivot(tab: list[list[int]], dens: list[int], row: int, col: int) -> None:
+    # the pivot row over its own entry at col has a 1 there; every other
+    # row R over d becomes (R * q - R[col] * P) / (d * q)
+    dens[row] = tab[row][col]
+    _reduce(tab, dens, row)
+    pivot, q = tab[row], dens[row]
+    for other, ints in enumerate(tab):
+        factor = ints[col]
+        if other != row and factor != 0:
+            tab[other] = [a * q - factor * b for a, b in zip(ints, pivot)]
+            dens[other] *= q
+            _reduce(tab, dens, other)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from cflgap.polytope import (
     solution_coordinates,
     verify_membership,
 )
-from cflgap.rounding import solution_violations, verify_midpoint
+from cflgap.rounding import IntSolution, solution_violations, verify_midpoint
 
 
 def count_by_direct_product(inst):
@@ -103,6 +104,34 @@ class TestMembership:
         assert not res.member
         assert res.separating_inequality is not None
         assert verify_membership(bad, sols, res)
+
+    def test_tampered_certificates_fail_verification(self, tiny):
+        v = make_core_vector(tiny, {0}, {1})
+        sols = enumerate_integer_solutions(tiny)
+        res = membership_lp(v, sols)
+        assert not res.member
+        coeffs, offset = res.separating_inequality
+        for bad in ((coeffs[:-1], offset), (coeffs, offset + 10)):
+            assert not verify_membership(v, sols, replace(res, separating_inequality=bad))
+        mid = midpoint(v, make_core_vector(tiny, {0}, {2}))
+        res = membership_lp(mid, sols)
+        # move one weight onto a solution the certificate does not use
+        moved = dict(res.convex_weights)
+        unused = next(i for i in range(len(sols)) if i not in moved)
+        moved[unused] = moved.pop(next(iter(moved)))
+        assert not verify_membership(mid, sols, replace(res, convex_weights=moved))
+        for open_ids, assign in (({0}, (0, 0)), ({0}, (3, 0, 0)), ({-1, 0}, (0, 0, 0))):
+            bad = [IntSolution(open=frozenset(open_ids), assign=assign)]
+            with pytest.raises(ValueError, match="dimensions"):
+                verify_membership(mid, bad, res)
+            with pytest.raises(ValueError, match="dimensions"):
+                membership_lp(mid, sols + bad)
+
+    def test_solution_coordinates_are_ints(self, tiny):
+        sol = IntSolution(open=frozenset({0, 2}), assign=(2, 0, 0))
+        coords = solution_coordinates(sol, 3, 3)
+        assert all(type(c) is int for c in coords)
+        assert coords == [1, 0, 1] + [0, 1, 1] + [0, 0, 0] + [1, 0, 0]
 
     def test_empty_solution_list_rejected(self, tiny):
         v = make_core_vector(tiny, {0}, {1})

@@ -9,7 +9,7 @@ import pytest
 
 import cflgap.rounding as rounding
 from cflgap.corevec import CoreIndex, collides, make_core_vector, midpoint
-from cflgap.instance import build_family_instance
+from cflgap.instance import build_family_instance, build_general_instance
 from cflgap.io import solution_from_doc, solution_to_doc
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
@@ -89,6 +89,21 @@ class TestIntSolution:
         arr = np.array([1, 0], dtype=np.int64)
         arr.setflags(write=False)
         assert IntSolution(open=frozenset({0, 1}), assign=arr).assign is arr
+
+    def test_violations_name_unknown_and_closed_facilities(self, tiny):
+        def violations(open_ids, assign):
+            return solution_violations(
+                tiny, IntSolution(open=frozenset(open_ids), assign=assign)
+            )
+
+        assert violations({0, 1}, (0, 1, 1)) == []
+        for bad in ({0, 3}, {-1, 0}):
+            assert violations(bad, (0, 0, 0)) == [
+                "open set contains unknown facility ids",
+                "capacity exceeded at [(0, 3)] (capacity 2)",
+            ]
+        assert violations({0}, (0, 0, 1)) == ["clients assigned to closed facilities [1]"]
+        assert violations({0, 1}, (0, 3, 1)) == ["assignment targets unknown facility ids"]
 
     def test_sampled_solution_round_trips_through_plain_int_doc(self, mini):
         sol = sample_outcome(compile_plan(mini, *mini_pair(mini)), ExactRng(3)).solution
@@ -391,6 +406,18 @@ class TestVerifyMidpoint:
         cert = verify_midpoint(family20, c1, c2)
         assert cert.expectation_matches and cert.all_classes_feasible
         assert cert.probability_sum == 1 and cert.valid
+
+    def test_many_facilities_mini_shape_valid(self):
+        # `gen --general --nf 20000 --t 2 --U 4 --m 13 --eps 2/5 --xl 1/8`:
+        # the outside bins hold 19,996 facilities, and each facility group
+        # is keyed by (experiment, role), so the expectation stays linear
+        # in the facility count
+        inst = build_general_instance(
+            20000, 2, 4, 13, Fraction(2, 5), Fraction(1, 8)
+        )
+        c1 = CoreIndex.for_instance(inst, {0, 1}, {2, 3})
+        c2 = CoreIndex.for_instance(inst, {0, 1}, {4, 5})
+        assert verify_midpoint(inst, c1, c2).valid
 
     def test_non_colliding_rejected(self, family10):
         c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
