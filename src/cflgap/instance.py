@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,6 +43,12 @@ __all__ = [
 # The exact constants every module of the package shares.
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Exact rationals as integer numerators over their least common denominator."""
+    den = lcm(*(value.denominator for value in values))
+    return [value.numerator * (den // value.denominator) for value in values], den
 
 
 @dataclass(frozen=True)

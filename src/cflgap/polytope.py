@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .corevec import FracVector
-from .instance import ZERO, CostVector, Instance
+from .instance import CostVector, Instance, over_common_denominator
 from .rounding import IntSolution, solution_violations
 from .simplex import feasible_combination
 
@@ -145,33 +145,34 @@ def verify_membership(
 ) -> bool:
     """Re-check a membership certificate by direct arithmetic only.
 
-    Each weight or coefficient is added at a solution's one-positions.
+    The weights, or the coefficients and offset, are scaled to integers over
+    one denominator, added at each solution's one-positions and compared
+    with the query's coordinates by cross-multiplying.
     """
     _check_dimensions(v, solutions)
     n_f, m = v.facility_count, v.client_count
-    target = _vector_coordinates(v)
+    target, target_den = over_common_denominator(_vector_coordinates(v))
     if result.member:
         weights = result.convex_weights
         if weights is None or any(w < 0 for w in weights.values()):
             return False
-        if sum(weights.values(), ZERO) != 1:
+        scaled, den = over_common_denominator(list(weights.values()))
+        if sum(scaled) != den:
             return False
-        combo = [ZERO] * len(target)
-        for idx, w in weights.items():
+        combo = [0] * len(target)
+        for idx, w in zip(weights, scaled):
             for pos in _one_positions(solutions[idx], n_f, m):
                 combo[pos] += w
-        return combo == target
+        return all(c * target_den == t * den for c, t in zip(combo, target))
     if result.separating_inequality is None:
         return False
     coeffs, offset = result.separating_inequality
     if len(coeffs) != len(target):
         return False
-    for sol in solutions:
-        value = sum((coeffs[pos] for pos in _one_positions(sol, n_f, m)), ZERO)
-        if value > offset:
-            return False
-    query_value = sum((c * coord for c, coord in zip(coeffs, target)), ZERO)
-    return query_value > offset
+    (*scaled, bound), _ = over_common_denominator([*coeffs, offset])
+    if any(sum(scaled[pos] for pos in _one_positions(sol, n_f, m)) > bound for sol in solutions):
+        return False
+    return sum(c * t for c, t in zip(scaled, target)) > bound * target_den
 
 
 def brute_force_opt(

@@ -13,10 +13,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import Sequence
 
 import numpy as np
+
+from .instance import over_common_denominator
 
 __all__ = ["ExactRng", "cumulative_thresholds", "derive_block_seed"]
 
@@ -42,8 +43,8 @@ def cumulative_thresholds(probs: Sequence[Fraction]) -> tuple[int, tuple[int, ..
     total = sum(probs, Fraction(0))
     if total != 1 or any(p < 0 for p in probs):
         raise ValueError(f"probabilities must be nonnegative and sum to 1, got {total}")
-    denom = lcm(*(p.denominator for p in probs))
-    return denom, tuple(accumulate(p.numerator * (denom // p.denominator) for p in probs))
+    numerators, denom = over_common_denominator(probs)
+    return denom, tuple(accumulate(numerators))
 
 
 class ExactRng:

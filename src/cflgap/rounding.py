@@ -20,14 +20,14 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
   with the thresholds and coins and building no ``Fraction``, and
 * :func:`enumerate_outcome_classes` lists every branch of the same
   thresholds and coins with its exact probability, collapsing exchangeable
-  client and bin choices.
+  client and bin choices; each class holds its slot profile as one shared
+  part per facility group.
 
-:func:`expected_vector` averages the enumerated classes (sum of probability
-times class mean), so :func:`verify_midpoint` certifies constructively, from
-one class list, that the midpoint of a colliding pair is a convex
-combination of feasible integer solutions: these weights, these feasible
-points, this exact sum.  A plan is built per command or caller and passed
-explicitly; nothing caches plans across calls.
+:func:`expected_vector` sums probability times the parts into group totals,
+so :func:`verify_midpoint` certifies constructively, from one class list,
+that the midpoint of a colliding pair is a convex combination of feasible
+integer solutions: these weights, these feasible points, this exact sum.
+A plan is built per command or caller and passed explicitly.
 """
 
 from __future__ import annotations
@@ -35,15 +35,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from itertools import repeat
+from functools import cache, cached_property, partial
 from math import lcm
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .corevec import CoreIndex, FracVector, collides, make_core_vector, midpoint
-from .instance import ONE, ZERO, Instance, require_valid
+from .instance import ONE, ZERO, Instance, over_common_denominator, require_valid
 from .randomness import ExactRng, cumulative_thresholds
 
 __all__ = [
@@ -413,14 +413,17 @@ class OutcomeClass:
 
     Client-subset choices and which-bin-gets-the-extra-slot choices are
     collapsed: the profile stores the canonical representative (ceil slots on
-    the lowest-id bins), and ``probability`` covers the whole class.  Only
-    nonzero counts appear in the profile.
+    the lowest-id bins), and ``probability`` covers the whole class.  The
+    profile is held as ``parts``, one per facility group, each ``(entries,
+    served, over)``: its nonzero ``(facility, count)`` entries sorted by
+    facility, the clients they serve and the entries above capacity.
+    Classes share parts; ``slot_profile`` joins them on first read.
     """
 
     experiment: str
     chosen_l_facility: int
     extra_open: bool
-    slot_profile: tuple[tuple[int, int], ...]  # (facility, count), sorted
+    parts: tuple[tuple, tuple, tuple, tuple]  # chosen, high set, pivot, outside
     probability: Fraction
     open_facilities: frozenset[int]
     problems: tuple[str, ...]  # why the class is infeasible; empty if feasible
@@ -429,52 +432,31 @@ class OutcomeClass:
     def feasible(self) -> bool:
         return not self.problems
 
+    @cached_property
+    def slot_profile(self) -> tuple[tuple[int, int], ...]:
+        """Nonzero ``(facility, count)`` entries of every part, sorted by facility."""
+        entries = [entry for part in self.parts for entry in part[0]]
+        return tuple(sorted(entries, key=itemgetter(0)))
+
     @property
     def key(self) -> tuple:
-        return (
-            self.experiment,
-            self.chosen_l_facility,
-            self.extra_open,
-            self.slot_profile,
-        )
+        return (self.experiment, self.chosen_l_facility, self.extra_open, self.slot_profile)
 
 
-_NO_PART: tuple = ((), 0, ())  # (entries, served, over) of an empty profile part
+_NO_PART: tuple = ((), 0, ())  # (entries, served, over) of an empty part
 
 
 def _split_part(total: int, bins: tuple[int, ...], capacity: int) -> tuple:
-    """The canonical near-even split of ``total`` over ``bins`` as a profile part.
-
-    Ceil counts go on the lowest-id bins.  A part is ``(entries, served,
-    over)``: the nonzero ``(facility, count)`` entries sorted by facility, the
-    clients they serve, and the entries above ``capacity``.
-    """
+    """The canonical split of ``total >= 0`` over ``bins`` as a part: ceil counts first."""
     if not bins:
         if total:
             raise ValueError("cannot split clients over zero bins")
         return _NO_PART
     base, extra = divmod(total, len(bins))
-    return _entries_part(
-        [(fac, base + 1) for fac in bins[:extra]]
-        + [(fac, base) for fac in bins[extra:]],
-        capacity,
-    )
-
-
-def _entries_part(entries, capacity: int) -> tuple:
-    """``(entries, served, over)`` of ``(facility, count)`` entries sorted by facility."""
-    kept = tuple(entry for entry in entries if entry[1])
-    over = tuple(entry for entry in kept if not 0 <= entry[1] <= capacity)
-    return kept, sum(cnt for _, cnt in kept), over
-
-
-def _joined(first: tuple, second: tuple) -> tuple:
-    """One part from two disjoint parts, its entries and over entries re-sorted."""
-    return (
-        tuple(sorted(first[0] + second[0])),
-        first[1] + second[1],
-        tuple(sorted(first[2] + second[2])),
-    )
+    entries = tuple((fac, base + 1) for fac in bins[:extra])
+    if base:
+        entries += tuple((fac, base) for fac in bins[extra:])
+    return entries, total, tuple(entry for entry in entries if entry[1] > capacity)
 
 
 def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
@@ -483,12 +465,12 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     A low-set choice has its threshold step over the denominator, halved by
     the fair experiment coin; a coin with no fractional part has one branch,
     so no branch of probability zero (e.g. the closed-pivot branch when
-    t*eps = 1) appears.  A class's slot profile joins a step-1 part (the
-    chosen low facility's slots and the split of the designated remainder
-    over the high set) with a step-2 part (the borrowed pivot's slots and
-    the split of the rest over the outside bins).  Each distinct (remainder,
-    bin group) split is built and checked against capacity once per call, so
-    a class costs O(groups), not O(facilities).
+    t*eps = 1) appears.  A class's parts are the chosen low facility's slots
+    and the split of the designated remainder over the high set (step 1),
+    then the borrowed pivot's slots and the split of the rest over the
+    outside bins (step 2).  Each distinct (remainder, bin group) split is
+    built and checked against capacity once per call and shared by the
+    classes that use it, so a class costs O(1), not O(facilities).
     """
     inst = plan.inst
     cap = inst.capacity  # unit demands: a count is a load
@@ -497,7 +479,7 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     out: list[OutcomeClass] = []
     for exp in plan.experiments:
         n_core, m_rest = len(exp.core_pool), len(exp.rest_pool)
-        step2: list[tuple[bool, int, Fraction, tuple, list[str]]] = []
+        step2: list[tuple[bool, int, Fraction, tuple, tuple, list[str]]] = []
         # the open branches (coin reads 1) before the closed one
         branches2 = [
             (opened == 1, slots2, p_open * p_r2)
@@ -516,13 +498,14 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
                 rest = split(rem2, exp.outside_bins)
             elif rem2 > 0:
                 problems2.append(f"no outside facility serves the {rem2} remaining clients")
-            pivot = _entries_part([(exp.pivot_extra, slots2)], cap)
-            step2.append((extra_open, slots2, p_s2, _joined(pivot, rest), problems2))
+            pivot = split(slots2, (exp.pivot_extra,))
+            step2.append((extra_open, slots2, p_s2, pivot, rest, problems2))
 
+        flags = {branch[0] for branch in step2}  # open sets only for branches that occur
         bounds = zip((0,) + exp.choice_thresholds, exp.choice_thresholds)
         for chosen, (lo, hi), coin in zip(exp.choice_set, bounds, exp.choice_slots):
             p_choice = Fraction(hi - lo, 2 * exp.choice_denominator)
-            open_sets = {flag: exp.open_set(chosen, flag) for flag in (False, True)}
+            open_sets = {flag: exp.open_set(chosen, flag) for flag in flags}
             for slots1, p_r1 in coin.branches():
                 rem1 = n_core - slots1
                 problems1: list[str] = []
@@ -533,18 +516,18 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
                     problems1.append(
                         f"{slots1} step-1 slots overfill the designated pool (size {n_core})"
                     )
-                part1 = _joined(_entries_part([(chosen, slots1)], cap), high)
+                low = split(slots1, (chosen,))
                 p1 = p_choice * p_r1
-                for extra_open, slots2, p_s2, part2, problems2 in step2:
-                    entries, served, over = _joined(part1, part2)
+                for extra_open, slots2, p_s2, pivot, rest, problems2 in step2:
                     problems = problems1 + problems2
+                    served = low[1] + high[1] + pivot[1] + rest[1]
                     if served != inst.client_count:
                         problems.append(
                             f"the profile serves {served} of {inst.client_count} clients"
                         )
                     problems.extend(
                         f"facility {fac} serves {cnt} clients above capacity {cap}"
-                        for fac, cnt in over
+                        for fac, cnt in sorted(low[2] + high[2] + pivot[2] + rest[2])
                     )
                     # the bin groups lie in base_open, so only the borrowed
                     # pivot can serve clients while closed
@@ -555,7 +538,7 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
                         experiment=exp.label,
                         chosen_l_facility=chosen,
                         extra_open=extra_open,
-                        slot_profile=entries,
+                        parts=(low, high, pivot, rest),
                         probability=p1 * p_s2,
                         open_facilities=open_set,
                         problems=tuple(problems),
@@ -602,15 +585,17 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
 
     ``classes`` are the plan's enumerated outcome classes.  Within a class,
     clients are exchangeable within their pool and facilities within their
-    group, so a class's mean gives each facility of a group the clients the
-    group serves / (group size x pool size) on every client of that pool, and
-    y = the group's open members / group size.  The designated pool is served
-    by the chosen low facility and the high set, the rest pool by the
-    borrowed pivot and the outside bins.  Sums are kept per group and
+    group, so a class's mean depends only on group totals: each facility of
+    a group gets the clients the group serves / (group size x pool size) on
+    every client of that pool, and y = the group's open members / group
+    size.  The designated pool is served by the chosen low facility and the
+    high set, the rest pool by the borrowed pivot and the outside bins.
+    Each class adds its parts' served counts to their groups' totals, and a
+    group's open members are counted once per distinct open set.  Totals are
     expanded to facilities once; facilities with equal values share a class.
     """
     inst = plan.inst
-    by_label = {exp.label: exp for exp in plan.experiments}
+    pivot_of = {exp.label: exp.pivot_extra for exp in plan.experiments}
 
     # each group has a small key, (experiment, role): "high" for the high
     # set, "out" for the outside bins, a facility id for a one-facility group
@@ -624,23 +609,22 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
     # group key -> probability-weighted [open members, clients served from
     # the designated pool, clients served from the rest pool], as integers
     # over the common denominator of the class probabilities
-    den = lcm(*(cl.probability.denominator for cl in classes))
-    sums: dict[tuple[str, object], list[int]] = {}
-    for cl in classes:
-        exp = by_label[cl.experiment]
-        weight = cl.probability.numerator * (den // cl.probability.denominator)
-        served = dict(cl.slot_profile)
-        for role, pool in (
-            (cl.chosen_l_facility, 1),
-            ("high", 1),
-            (exp.pivot_extra, 2),
-            ("out", 2),
-        ):
-            key = (exp.label, role)
-            group = groups[key]
-            acc = sums.setdefault(key, [0, 0, 0])
-            acc[0] += weight * len(cl.open_facilities.intersection(group))
-            acc[pool] += weight * sum(map(served.get, group, repeat(0)))
+    weights, den = over_common_denominator([cl.probability for cl in classes])
+    sums = {key: [0, 0, 0] for key in groups}
+    opened: dict[tuple[str, int, frozenset[int]], int] = {}  # summed weight per open set
+    for cl, weight in zip(classes, weights):
+        label, chosen = cl.experiment, cl.chosen_l_facility
+        low, high, pivot, rest = cl.parts
+        sums[label, chosen][1] += weight * low[1]
+        sums[label, "high"][1] += weight * high[1]
+        sums[label, pivot_of[label]][2] += weight * pivot[1]
+        sums[label, "out"][2] += weight * rest[1]
+        at = (label, chosen, cl.open_facilities)
+        opened[at] = opened.get(at, 0) + weight
+    for (label, chosen, open_set), weight in opened.items():
+        for role in (chosen, "high", pivot_of[label], "out"):
+            key = (label, role)
+            sums[key][0] += weight * len(open_set.intersection(groups[key]))
 
     # each facility lies in one group per experiment; the facilities that
     # share both groups get one value, computed once
@@ -652,25 +636,27 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
     for i, keys in group_of.items():
         atoms.setdefault(tuple(keys), []).append(i)
 
+    # a value is one integer numerator per coordinate over that coordinate's
+    # denominator (den x scale, x pool size for x), so it keys by numerators
     pools = [inst.designated_clients] + ([inst.rest_clients] if inst.rest_clients else [])
-    values: dict[tuple[Fraction, ...], list[int]] = {}
+    scale = lcm(*(len(group) for group in groups.values() if group))
+    values: dict[tuple[int, ...], list[int]] = {}
     for keys, members in atoms.items():
-        value = [ZERO] * (1 + len(pools))
-        for key in keys:
-            acc, size = sums.get(key, (0, 0, 0)), len(groups[key])
-            value[0] += Fraction(acc[0], den * size)
-            for c, pool in enumerate(pools, start=1):
-                value[c] += Fraction(acc[c], den * size * len(pool))
-        values.setdefault(tuple(value), []).extend(members)
+        value = tuple(
+            sum(sums[key][c] * (scale // len(groups[key])) for key in keys)
+            for c in range(1 + len(pools))
+        )
+        values.setdefault(value, []).extend(members)
 
+    dens = [den * scale] + [den * scale * len(pool) for pool in pools]
     ordered = sorted(values.items(), key=lambda kv: min(kv[1]))
     return FracVector(
         inst.facility_count,
         inst.client_count,
         [members for _, members in ordered],
         pools,
-        [value[0] for value, _ in ordered],
-        [list(value[1:]) for value, _ in ordered],
+        [Fraction(value[0], dens[0]) for value, _ in ordered],
+        [[Fraction(n, d) for n, d in zip(value[1:], dens[1:])] for value, _ in ordered],
     )
 
 
@@ -709,13 +695,12 @@ def verify_midpoint(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> MidpointCer
     """Exact midpoint-membership certificate for a colliding pair."""
     plan = compile_plan(inst, c1, c2)
     classes = enumerate_outcome_classes(plan)
-    mid = midpoint(
-        make_core_vector(inst, c1.k, c1.l), make_core_vector(inst, c2.k, c2.l)
-    )
+    mid = midpoint(make_core_vector(inst, c1.k, c1.l), make_core_vector(inst, c2.k, c2.l))
+    weights, den = over_common_denominator([cl.probability for cl in classes])
     return MidpointCertificate(
         pair=(c1, c2),
         expectation_matches=expected_vector(plan, classes).equals(mid),
         all_classes_feasible=all(cl.feasible for cl in classes),
         class_count=len(classes),
-        probability_sum=sum((cl.probability for cl in classes), ZERO),
+        probability_sum=Fraction(sum(weights), den),
     )

@@ -51,7 +51,6 @@ from cflgap.io import (
 )
 from cflgap.randomness import ExactRng
 from cflgap.rounding import (
-    OutcomeClass,
     RoundingPlan,
     _experiment_specs,
     compile_plan,
@@ -195,15 +194,13 @@ def reference_class(inst, exp, chosen, slots1, extra_open, slots2, probability):
     closed = sorted(set(profile) - open_set)
     if closed:
         problems.append(f"closed facilities {closed} serve clients")
-    return OutcomeClass(
-        experiment=exp.label,
-        chosen_l_facility=chosen,
-        extra_open=extra_open,
-        slot_profile=tuple(sorted(profile.items())),
-        probability=probability,
-        open_facilities=open_set,
-        problems=tuple(problems),
-    )
+    key = (exp.label, chosen, extra_open, tuple(sorted(profile.items())))
+    return key, probability, open_set, tuple(problems)
+
+
+def class_fields(cl):
+    """The fields of an enumerated class that ``reference_class`` builds."""
+    return cl.key, cl.probability, cl.open_facilities, cl.problems
 
 
 def reference_branches(w):
@@ -215,6 +212,7 @@ def reference_branches(w):
 
 
 def reference_classes(plan):
+    """``(key, probability, open set, problems)`` of every class, in enumeration order."""
     out = []
     for exp, choices, p_extra, w_extra in exact_distribution(plan):
         for chosen, (p_chosen, w_chosen) in zip(exp.choice_set, choices):
@@ -238,7 +236,7 @@ def reference_classes(plan):
 
 def assert_enumerator_matches_reference(plan):
     classes = enumerate_outcome_classes(plan)
-    assert classes == reference_classes(plan)
+    assert [class_fields(cl) for cl in classes] == reference_classes(plan)
     return classes
 
 
@@ -252,6 +250,49 @@ def assert_enumerator_matches_reference(plan):
 def test_enumerator_matches_per_facility_reference(case):
     plan, _ = case
     assert_enumerator_matches_reference(plan)
+
+
+def reference_expectation(plan):
+    """Dense y and x of the distribution, summed facility by facility over
+    the reference classes: probability x each facility's class mean.
+
+    Within a class, a facility's mean count is its group's total over the
+    group size, spread evenly over the pool its group serves.
+    """
+    inst = plan.inst
+    n_f, m = inst.facility_count, inst.client_count
+    y = [Fraction(0)] * n_f
+    x = [[Fraction(0)] * m for _ in range(n_f)]
+    by_label = {exp.label: exp for exp in plan.experiments}
+    for (label, chosen, _, profile), probability, open_set, _ in reference_classes(plan):
+        exp, counts = by_label[label], dict(profile)
+        pools = (inst.designated_clients, inst.rest_clients)
+        groups = [((chosen,), pools[0]), (exp.always_open, pools[0]),
+                  ((exp.pivot_extra,), pools[1]), (exp.outside_bins, pools[1])]
+        for i in range(n_f):
+            if i in open_set:
+                y[i] += probability
+            for group, pool in groups:
+                if i in group:
+                    mean = Fraction(sum(counts.get(g, 0) for g in group), len(group))
+                    for j in pool:
+                        x[i][j] += probability * mean / len(pool)
+    return y, x
+
+
+@settings(
+    derandomize=True,
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(case=colliding_plans())
+def test_expectation_part_sums_equal_per_facility_means(case):
+    plan, _ = case
+    dense = expected_vector(plan, enumerate_outcome_classes(plan)).to_dense()
+    y, x = reference_expectation(plan)
+    assert list(dense.y_values) == y
+    assert [list(row) for row in dense.x_values] == x
 
 
 @st.composite

@@ -454,6 +454,40 @@ class TestVerifyMidpoint:
         assert cert.expectation_matches is False
         assert cert.valid is False
 
+    def test_drifted_profile_invalidates_certificate(self, mini, monkeypatch):
+        # move one client from a high-set facility to the chosen low facility
+        # in one class; its served total stays and no count passes capacity,
+        # so the class stays feasible and only the expectation can notice
+        exact = rounding.enumerate_outcome_classes
+        cap = mini.capacity
+
+        def drifted(plan):
+            classes = exact(plan)
+            idx, cl = next(
+                (idx, cl) for idx, cl in enumerate(classes)
+                if cl.parts[0][0] and cl.parts[0][0][0][1] < cap and cl.parts[1][0]
+            )
+            low, high, pivot, rest = cl.parts
+            ((chosen, slots),) = low[0]
+            (fac, cnt), *others = high[0]
+            moved_high = ((fac, cnt - 1),) if cnt > 1 else ()
+            parts = (
+                (((chosen, slots + 1),), low[1] + 1, ()),
+                (moved_high + tuple(others), high[1] - 1, ()),
+                pivot,
+                rest,
+            )
+            assert sum(part[1] for part in parts) == mini.client_count
+            classes[idx] = replace(cl, parts=parts)
+            return classes
+
+        monkeypatch.setattr(rounding, "enumerate_outcome_classes", drifted)
+        cert = verify_midpoint(mini, *mini_pair(mini))
+        assert cert.all_classes_feasible
+        assert cert.probability_sum == 1
+        assert cert.expectation_matches is False
+        assert cert.valid is False
+
     def test_tiny_instance_pairs_valid(self, tiny):
         idx = [
             CoreIndex.for_instance(tiny, {a}, {b})
