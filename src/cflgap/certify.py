@@ -53,29 +53,23 @@ __all__ = [
 
 # exhaustive census refused above this many candidate pairs
 BRUTE_CENSUS_LIMIT = 100_000
-# candidate rows per array operation of the brute-force and Monte Carlo census
+# candidate rows per array operation of the Monte Carlo census
 CENSUS_CHUNK = 1000
+# candidate pairs per array operation of the brute-force census (at least one k')
+BRUTE_CENSUS_CHUNK = 16_384
 
 
 def _shape(inst: Instance) -> tuple[int, int]:
+    """``(n_f, t)`` of a valid instance: the one validation of a public entry point."""
     require_valid(inst)
     return inst.facility_count, inst.family_params.t
 
 
-def core_size(inst: Instance) -> int:
-    """Number of ordered disjoint (k, l) pairs: C(n_f, t) * C(n_f - t, t)."""
-    n_f, t = _shape(inst)
+def _core_size(n_f: int, t: int) -> int:
     return comb(n_f, t) * comb(n_f - t, t)
 
 
-def noncolliding_count_exact(inst: Instance) -> int:
-    """Exact count of pairs not colliding with a fixed reference.
-
-    Inclusion-exclusion over the two containment events:
-    E1 (l' inside k|l), E2 (l inside k'|l').  The count is independent of
-    which reference is fixed, and includes the reference pair itself.
-    """
-    n_f, t = _shape(inst)
+def _lambda(n_f: int, t: int) -> int:
     e1 = comb(2 * t, t) * comb(n_f - t, t)
     e2 = sum(
         comb(t, i) * comb(n_f - t, t - i) * comb(n_f - 2 * t + i, i)
@@ -87,10 +81,49 @@ def noncolliding_count_exact(inst: Instance) -> int:
     return e1 + e2 - both
 
 
+def _upper_bound(n_f: int, t: int) -> Fraction:
+    return 2 * Fraction(2 * t, n_f) ** t * _core_size(n_f, t)
+
+
+def _lower_bound(n_f: int, t: int) -> int:
+    lam = _lambda(n_f, t)
+    if lam == 0:
+        raise AssertionError(
+            "non-colliding count is zero; impossible for a valid instance "
+            "(the reference never collides with itself)"
+        )
+    return -(-_core_size(n_f, t) // lam)
+
+
+def core_size(inst: Instance) -> int:
+    """Number of ordered disjoint (k, l) pairs: C(n_f, t) * C(n_f - t, t)."""
+    return _core_size(*_shape(inst))
+
+
+def noncolliding_count_exact(inst: Instance) -> int:
+    """Exact count of pairs not colliding with a fixed reference.
+
+    Inclusion-exclusion over the two containment events:
+    E1 (l' inside k|l), E2 (l inside k'|l').  The count is independent of
+    which reference is fixed, and includes the reference pair itself.
+    """
+    return _lambda(*_shape(inst))
+
+
 def reference_index(inst: Instance) -> CoreIndex:
     """The reference pair k = {0..t-1}, l = {t..2t-1}."""
     t = inst.family_params.t
     return CoreIndex.for_instance(inst, range(t), range(t, 2 * t))
+
+
+def _noncolliding(inside: np.ndarray, found: np.ndarray, t: int) -> np.ndarray:
+    """The census predicate on per-candidate counts: not ``collides(ref, candidate)``.
+
+    ``inside`` counts the members of ``l'`` in ``k|l`` and ``found`` the
+    members of ``l`` in ``k'|l'``; the candidate does not collide when either
+    set lies inside the other side, that is when either count is ``t``.
+    """
+    return (inside == t) | (found == t)
 
 
 def _noncolliding_rows(
@@ -98,10 +131,8 @@ def _noncolliding_rows(
 ) -> np.ndarray:
     """Mask of the candidate rows ``(k_rows[r], l_rows[r])`` that do not collide with ``ref``.
 
-    Row by row this is ``not collides(ref, candidate)``: ``l'`` lies inside
-    ``k|l``, or ``l`` inside ``k'|l'``.  Each row pair must hold distinct
-    facility ids, so counting the members of ``l`` among them tests the second
-    containment.
+    Each row pair must hold distinct facility ids, so counting the members of
+    ``l`` among them gives ``found``.
     """
     import numpy as np
 
@@ -109,8 +140,9 @@ def _noncolliding_rows(
     in_ref[list(ref.k | ref.l)] = True
     in_l = np.zeros(n_f, dtype=bool)
     in_l[list(ref.l)] = True
-    l_found = in_l[k_rows].sum(axis=1) + in_l[l_rows].sum(axis=1)
-    return in_ref[l_rows].all(axis=1) | (l_found == len(ref.l))
+    inside = in_ref[l_rows].sum(axis=1)
+    found = in_l[k_rows].sum(axis=1) + in_l[l_rows].sum(axis=1)
+    return _noncolliding(inside, found, len(ref.l))
 
 
 def noncolliding_count_brute(
@@ -118,34 +150,48 @@ def noncolliding_count_brute(
 ) -> int:
     """Ground-truth census by testing every candidate pair.
 
-    The ``l'`` candidates of one ``k'`` are the t-subsets of ``range(n_f - t)``
-    mapped through the facilities outside ``k'``; pairs are tested
-    ``CENSUS_CHUNK`` rows (at least one ``k'``) at a time.
+    The ``l'`` candidates of one ``k'`` are the rows of one fixed table, the
+    t-subsets of ``range(n_f - t)``, read as positions among the facilities
+    outside ``k'``.  Per block of ``k'`` (``BRUTE_CENSUS_CHUNK`` pairs, at
+    least one ``k'``) each outside facility gets two small-int flags, "in
+    k|l" and "in l"; adding a flag over the table's t columns counts, for
+    every pair at once, the members of ``l'`` in ``k|l`` and the members of
+    ``l`` in ``l'``.  No pair's id rows are built, and every pair is counted.
     """
     import numpy as np
 
     n_f, t = _shape(inst)
-    size = core_size(inst)
+    size = _core_size(n_f, t)
     if size > BRUTE_CENSUS_LIMIT:
         raise ValueError(
             f"core size {size} exceeds the enumeration limit {BRUTE_CENSUS_LIMIT}"
         )
     ref = reference if reference is not None else reference_index(inst)
-    subsets = np.array(
+    flag = np.min_scalar_type(t)  # a count of at most t members
+    in_ref = np.zeros(n_f, dtype=flag)
+    in_ref[list(ref.k | ref.l)] = 1
+    in_l = np.zeros(n_f, dtype=flag)
+    in_l[list(ref.l)] = 1
+    columns = np.array(
         list(itertools.combinations(range(n_f - t), t)), dtype=np.intp
-    ).reshape(-1, t)
+    ).reshape(-1, t).T.copy()
     k_primes = itertools.combinations(range(n_f), t)
-    per_chunk = max(1, CENSUS_CHUNK // len(subsets))
+    per_block = max(1, BRUTE_CENSUS_CHUNK // columns.shape[1])
     count = examined = 0
-    while block := list(itertools.islice(k_primes, per_chunk)):
-        k_block = np.array(block, dtype=np.intp)
+    while block := list(itertools.islice(k_primes, per_block)):
         outside = np.ones((len(block), n_f), dtype=bool)
-        outside[np.arange(len(block))[:, None], k_block] = False
+        outside[np.arange(len(block))[:, None], block] = False
         outside_ids = np.nonzero(outside)[1].reshape(len(block), n_f - t)
-        l_rows = outside_ids[:, subsets].reshape(-1, t)
-        k_rows = np.repeat(k_block, len(subsets), axis=0)
-        count += int(np.count_nonzero(_noncolliding_rows(ref, n_f, k_rows, l_rows)))
-        examined += len(l_rows)
+        ref_flags, l_flags = in_ref[outside_ids], in_l[outside_ids]
+        inside = ref_flags[:, columns[0]]
+        found = l_flags[:, columns[0]]
+        for column in columns[1:]:
+            inside += ref_flags[:, column]
+            found += l_flags[:, column]
+        # the members of l in k' are the ones no outside facility holds
+        found += (t - l_flags.sum(axis=1, dtype=flag))[:, None]
+        count += int(np.count_nonzero(_noncolliding(inside, found, t)))
+        examined += inside.size
     if examined != size:
         raise AssertionError(f"census examined {examined} pairs, core size is {size}")
     return count
@@ -153,8 +199,7 @@ def noncolliding_count_brute(
 
 def noncolliding_upper_bound(inst: Instance) -> Fraction:
     """2 * (2t/n_f)^t * core_size: the with-repetition containment bound."""
-    n_f, t = _shape(inst)
-    return 2 * Fraction(2 * t, n_f) ** t * core_size(inst)
+    return _upper_bound(*_shape(inst))
 
 
 @dataclass(frozen=True)
@@ -211,14 +256,7 @@ def lower_bound_constraints(inst: Instance) -> int:
     lambda is the exact non-colliding count per member (reference included),
     the most core members a single valid inequality can eliminate.
     """
-    size = core_size(inst)
-    lam = noncolliding_count_exact(inst)
-    if lam == 0:
-        raise AssertionError(
-            "non-colliding count is zero; impossible for a valid instance "
-            "(the reference never collides with itself)"
-        )
-    return -(-size // lam)
+    return _lower_bound(*_shape(inst))
 
 
 @dataclass(frozen=True)
@@ -235,13 +273,12 @@ class CensusReport:
 
 def build_census_report(inst: Instance, *, brute_force: bool = False) -> CensusReport:
     """Assemble the census; brute force cross-checks the formula when asked."""
-    size = core_size(inst)
-    lam = noncolliding_count_exact(inst)
-    n_f, t = _shape(inst)
-    if n_f == t * t and lam > noncolliding_upper_bound(inst):
+    lam = noncolliding_count_exact(inst)  # validates the instance
+    n_f, t = inst.facility_count, inst.family_params.t
+    upper = _upper_bound(n_f, t)
+    if n_f == t * t and lam > upper:
         raise AssertionError(
-            "containment bound violated on a square-shaped instance: "
-            f"{lam} > {noncolliding_upper_bound(inst)}"
+            f"containment bound violated on a square-shaped instance: {lam} > {upper}"
         )
     brute = None
     if brute_force:
@@ -251,10 +288,10 @@ def build_census_report(inst: Instance, *, brute_force: bool = False) -> CensusR
                 f"census mismatch: formula {lam}, enumeration {brute}"
             )
     return CensusReport(
-        core_size=size,
+        core_size=_core_size(n_f, t),
         lambda_=lam,
-        noncolliding_upper_bound=noncolliding_upper_bound(inst),
-        lower_bound=lower_bound_constraints(inst),
+        noncolliding_upper_bound=upper,
+        lower_bound=_lower_bound(n_f, t),
         brute_force_count=brute,
     )
 
@@ -282,9 +319,15 @@ def analytic_opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
     rest over the outside facilities.  Requires the leftover clients to fit
     outside: client_count - core <= capacity * (n_f - 2t).
     """
+    require_valid(inst)
+    return _opt_witness(inst, core_index)
+
+
+def _opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
+    import numpy as np
+
     from .rounding import IntSolution, solution_violations
 
-    require_valid(inst)
     t = inst.family_params.t
     cap = inst.capacity
     k_sorted = sorted(core_index.k)
@@ -298,12 +341,12 @@ def analytic_opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
             f"capacity*(n_f - 2t) = {cap * len(outside)}"
         )
 
-    assign = [0] * inst.client_count
-    for pos, j in enumerate(core[: cap * t]):
-        assign[j] = k_sorted[pos // cap]
+    # the designated clients are range(capacity*t + 1), the rest follow them
+    assign = np.empty(inst.client_count, dtype=np.int64)
+    assign[: cap * t] = np.repeat(k_sorted, cap)
     assign[core[-1]] = low_open
-    for pos, j in enumerate(rest):
-        assign[j] = outside[pos % len(outside)]
+    assign[rest.start :] = np.resize(outside, len(rest))  # cyclic over outside
+    assign.setflags(write=False)
 
     witness = IntSolution(
         open=frozenset(k_sorted) | {low_open} | frozenset(outside),
@@ -334,7 +377,7 @@ def certify_gap(
     frac_cost = cost.vector_cost(vec)
 
     if mode == "analytic":
-        witness = analytic_opt_witness(inst, core_index)
+        witness = _opt_witness(inst, core_index)  # make_core_vector validated inst
         witness_cost = cost.solution_cost(witness.open, witness.assign)
         if witness_cost != 1:
             raise AssertionError(f"witness cost is {witness_cost}, expected 1")

@@ -24,6 +24,8 @@ from math import lcm
 from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .corevec import CoreIndex
 
 __all__ = [
@@ -309,6 +311,7 @@ class CostVector:
         self.client_count = client_count
         self.metric_admissible = metric_admissible
         self._near_sorted: Optional[tuple[list[int], list[int]]] = None  # near ids, ascending
+        self._masks = None  # near facility and client masks, see _near_masks
         if opening is not None:
             if connection is None:
                 raise ValueError("dense costs need both opening and connection")
@@ -363,16 +366,42 @@ class CostVector:
 
         ``assign`` is a list, a tuple or an int64 array (read as plain ints).
         """
+        if self._two_point is not None:
+            import numpy as np
+
+            ids = np.asarray(assign, dtype=np.int64)
+            if ids.shape != (self.client_count,):
+                raise ValueError(f"assignment of shape {ids.shape}, expected ({self.client_count},)")
+            near_f, near_c = self._near_masks()
+            try:  # an id past the last facility raises; a negative one would wrap
+                if len(ids) and ids.min() < 0:
+                    raise IndexError
+                far = int(np.count_nonzero(near_f[ids] != near_c))
+            except IndexError:
+                raise ValueError("assignment targets unknown facility ids") from None
+            return Fraction(sum(i in self._two_point[0] for i in open_set) + far)
         if not isinstance(assign, (list, tuple)):
             assign = assign.tolist()
-        if self._two_point is not None:
-            unit, near_f, near_c = self._two_point
-            far = sum((i in near_f) != (j in near_c) for j, i in enumerate(assign))
-            return Fraction(sum(i in unit for i in open_set) + far)
         total = sum((self.opening_of(i) for i in open_set), ZERO)
         for j, i in enumerate(assign):
             total += self.connection_of(i, j)
         return total
+
+    def _near_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean masks of the near facilities and the near clients, built once."""
+        if self._masks is None:
+            import numpy as np
+
+            _, near_f, near_c = self._two_point
+            facilities = np.zeros(self.facility_count, dtype=bool)
+            facilities[list(near_f)] = True
+            clients = np.zeros(self.client_count, dtype=bool)
+            if isinstance(near_c, range):
+                clients[near_c.start : near_c.stop : near_c.step] = True
+            else:
+                clients[list(near_c)] = True
+            self._masks = (facilities, clients)
+        return self._masks
 
     def _near_count(self, axis: int, runs) -> int:
         """Near facilities (axis 0) or near clients (axis 1) in ``(lo, hi)`` runs, by bisection."""

@@ -10,7 +10,8 @@ leftover clients are spread in near-even splits.
 
 :func:`compile_plan` validates the instance and the pair once and compiles
 the distribution into a :class:`RoundingPlan`: the pivots, both experiments'
-facility roles and the client pools as int64 arrays.  The plan stores the
+facility roles and the client pools as ranges (the sampler builds their
+int64 arrays once per plan, on its first draw).  The plan stores the
 distribution only in compiled form: the low-set choice as integer
 thresholds over one denominator, and every slot target and the borrowed
 pivot's opening as a floor/ceil coin.  Two views read the same plan:
@@ -234,8 +235,8 @@ class _Experiment:
     pivot_extra: int               # borrowed facility, opened on extra_coin
     outside_bins: tuple[int, ...]  # remaining facilities, always opened in step 2
     base_open: frozenset[int]      # always_open | outside_bins
-    core_pool: np.ndarray          # designated clients (int64, ascending), step 1
-    rest_pool: np.ndarray          # remaining clients (int64, ascending), step 2
+    core_pool: range               # designated clients, step 1
+    rest_pool: range               # remaining clients, step 2
     # choice_set[i] opens on a draw below choice_denominator in
     # [choice_thresholds[i-1], choice_thresholds[i]) and takes choice_slots[i]
     choice_denominator: int
@@ -254,11 +255,19 @@ class RoundingPlan:
 
     Built by :func:`compile_plan`; experiment ``A`` is owned by the pair's
     first index, ``B`` by its second.  Every draw from the plan shares its
-    client pools (int64 arrays, never written).
+    client pools, built as int64 arrays (never written) on the first draw.
     """
 
     inst: Instance
     experiments: tuple[_Experiment, _Experiment]
+
+    @cached_property
+    def pool_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The designated and the rest pool as the int64 arrays the sampler permutes."""
+        return tuple(
+            np.arange(pool.start, pool.stop, dtype=np.int64)
+            for pool in (self.experiments[0].core_pool, self.experiments[0].rest_pool)
+        )
 
 
 def _experiment_specs(
@@ -271,9 +280,7 @@ def _experiment_specs(
     p_pivot = 1 - (t - 1) * eps
     p_extra = t * eps
     # both experiments share the two pools: the designated clients and the tail
-    designated, tail = inst.designated_clients, inst.rest_clients
-    core = np.arange(designated.start, designated.stop, dtype=np.int64)
-    rest = np.arange(tail.start, tail.stop, dtype=np.int64)
+    core, rest = inst.designated_clients, inst.rest_clients
     w_base = len(core) * x_l
     pivot_slots, other_slots = _FloorCoin.of(w_base / p_pivot), _FloorCoin.of(w_base / eps)
     extra_coin = _FloorCoin.of(p_extra)
@@ -345,7 +352,9 @@ def _check_split(counts: list[int], cap: int, step: str) -> None:
             )
 
 
-def _run_experiment(inst: Instance, exp: _Experiment, rng: ExactRng) -> SampleDraw:
+def _run_experiment(
+    inst: Instance, exp: _Experiment, pools: tuple[np.ndarray, np.ndarray], rng: ExactRng
+) -> SampleDraw:
     cap = inst.capacity
     assign = np.full(inst.client_count, -1, dtype=np.int64)
 
@@ -358,7 +367,7 @@ def _run_experiment(inst: Instance, exp: _Experiment, rng: ExactRng) -> SampleDr
         raise RuntimeError(
             f"step-1 slot count {slots} exceeds pool/capacity; invalid parameters upstream"
         )
-    perm = rng.permuted(exp.core_pool)
+    perm = rng.permuted(pools[0])
     counts = _near_even(n_core - slots, len(exp.always_open), rng)
     _check_split(counts, cap, "step-1")
     assign[perm] = np.repeat((chosen, *exp.always_open), (slots, *counts))
@@ -366,7 +375,7 @@ def _run_experiment(inst: Instance, exp: _Experiment, rng: ExactRng) -> SampleDr
     # step 2: outside facilities (plus maybe the borrowed pivot) serve the rest
     extra_open = exp.extra_coin.draw(rng) == 1
     m_rest = len(exp.rest_pool)
-    perm2 = rng.permuted(exp.rest_pool)
+    perm2 = rng.permuted(pools[1])
     slots2 = 0
     if extra_open:
         slots2 = exp.extra_slots.draw(rng)
@@ -399,7 +408,8 @@ def sample_outcome(plan: RoundingPlan, rng: ExactRng) -> SampleDraw:
 
     A fair coin (one ``integer_below(2)``) picks experiment A on 0, B on 1.
     """
-    return _run_experiment(plan.inst, plan.experiments[rng.integer_below(2)], rng)
+    exp = plan.experiments[rng.integer_below(2)]
+    return _run_experiment(plan.inst, exp, plan.pool_arrays, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import cflgap.certify as certify_module
 from cflgap.corevec import CoreIndex
 from cflgap.certify import (
+    BRUTE_CENSUS_LIMIT,
     analytic_opt_witness,
     build_census_report,
     certify_gap,
@@ -14,12 +17,17 @@ from cflgap.certify import (
     noncolliding_count_exact,
     noncolliding_prob_mc,
     noncolliding_upper_bound,
+    reference_index,
 )
 from cflgap.instance import build_family_instance, build_gap_costs, build_general_instance
 from cflgap.polytope import brute_force_opt
 from cflgap.rounding import solution_violations
 
 from conftest import CENSUS_SHAPES, find_valid_general
+
+# t=7 is the largest t whose smallest core (n_f = 2t + 1 = 15) fits under the
+# enumeration limit: 51,480 pairs, while t=8 needs C(17, 8) * 9 = 218,790.
+LARGEST_T_SHAPE = (15, 7, 2, 15)
 
 
 def pascal_binomial(n, k):
@@ -66,6 +74,37 @@ class TestNoncollidingCensus:
             for l in itertools.combinations(rest, 2):
                 ref = CoreIndex.for_instance(mini, k, l)
                 assert noncolliding_count_brute(mini, reference=ref) == expected
+
+    def test_more_than_64_facilities_just_under_the_limit(self):
+        inst = find_valid_general(316, 1, 2, 13)
+        assert core_size(inst) == 99_540 <= BRUTE_CENSUS_LIMIT
+        assert noncolliding_count_brute(inst) == noncolliding_count_exact(inst)
+
+    def test_largest_t_under_the_limit(self):
+        inst = find_valid_general(*LARGEST_T_SHAPE)
+        assert core_size(inst) == 51_480 <= BRUTE_CENSUS_LIMIT
+        assert core_size(find_valid_general(17, 8, 2, 17)) > BRUTE_CENSUS_LIMIT
+        assert noncolliding_count_brute(inst) == noncolliding_count_exact(inst)
+
+    def test_over_the_limit_refused(self):
+        inst = find_valid_general(317, 1, 2, 13)
+        assert core_size(inst) > BRUTE_CENSUS_LIMIT
+        with pytest.raises(ValueError, match="enumeration limit"):
+            noncolliding_count_brute(inst)
+
+    @pytest.mark.parametrize("shape", [(13, 4, 4, 27), (316, 1, 2, 13)], ids=["nf13", "nf316"])
+    def test_count_does_not_depend_on_the_chunk(self, monkeypatch, shape):
+        inst = find_valid_general(*shape)
+        t = inst.family_params.t
+        per_k_prime = core_size(inst) // pascal_binomial(shape[0], t)
+        ref = CoreIndex.for_instance(inst, range(1, t + 1), range(shape[0] - t, shape[0]))
+        expected = noncolliding_count_exact(inst)
+        # one k' per block; 7 per block (a partial last block: C(13, 4) = 715
+        # and 316 both leave 1 over); one block holding every pair
+        for chunk in (1, 7 * per_k_prime, core_size(inst)):
+            monkeypatch.setattr(certify_module, "BRUTE_CENSUS_CHUNK", chunk)
+            assert noncolliding_count_brute(inst) == expected
+            assert noncolliding_count_brute(inst, reference=ref) == expected
 
     def test_t1_containment_means_l_prime_in_k_or_l(self, tiny):
         # at t=1, E1 holds iff l' equals k or l; with E2 the total is 5 of 6
@@ -194,7 +233,68 @@ class TestGapCertificate:
             certify_gap(tiny, idx, "sampled")
 
 
+def per_client_witness(inst, core_index):
+    """The witness assignment built one client at a time."""
+    t, cap = inst.family_params.t, inst.capacity
+    k_sorted = sorted(core_index.k)
+    outside = sorted(set(inst.facilities) - core_index.k - core_index.l)
+    core = inst.designated_clients
+    assign = [0] * inst.client_count
+    for pos, j in enumerate(core[: cap * t]):
+        assign[j] = k_sorted[pos // cap]
+    assign[core[-1]] = min(core_index.l)
+    for pos, j in enumerate(inst.rest_clients):
+        assign[j] = outside[pos % len(outside)]
+    return frozenset(k_sorted) | {min(core_index.l)} | frozenset(outside), assign
+
+
+def per_client_cost(cost, open_set, assign):
+    return sum((cost.opening_of(i) for i in open_set), Fraction(0)) + sum(
+        (cost.connection_of(int(i), j) for j, i in enumerate(assign)), Fraction(0)
+    )
+
+
 class TestAnalyticWitness:
+    @pytest.mark.parametrize("name", ["family10", "mini", "tiny"])
+    def test_equals_per_client_construction(self, request, name):
+        inst = request.getfixturevalue(name)
+        ref = reference_index(inst)
+        witness = analytic_opt_witness(inst, ref)
+        open_set, assign = per_client_witness(inst, ref)
+        assert witness.open == open_set
+        assert witness.assign.dtype == np.int64 and not witness.assign.flags.writeable
+        assert witness.assign.tobytes() == np.array(assign, dtype=np.int64).tobytes()
+
+    @pytest.mark.parametrize("name", ["family10", "mini", "tiny"])
+    def test_two_point_cost_of_every_assignment_form(self, request, name):
+        inst = request.getfixturevalue(name)
+        ref = reference_index(inst)
+        cost = build_gap_costs(inst, ref)
+        witness = analytic_opt_witness(inst, ref)
+        assign = witness.assign.tolist()
+        expected = per_client_cost(cost, witness.open, assign)
+        assert expected == 1
+        for form in (assign, tuple(assign), np.array(assign, dtype=np.int64), witness.assign):
+            value = cost.solution_cost(witness.open, form)
+            assert value == expected and type(value) is Fraction
+
+    def test_two_point_cost_rejects_non_assignments(self, mini):
+        cost = build_gap_costs(mini, reference_index(mini))
+        with pytest.raises(ValueError, match="shape"):
+            cost.solution_cost(frozenset(), [0] * (mini.client_count - 1))
+        for bad in (-1, mini.facility_count):
+            with pytest.raises(ValueError, match="unknown facility"):
+                cost.solution_cost(frozenset(), [bad] + [0] * (mini.client_count - 1))
+
+    @pytest.mark.parametrize(
+        "k,l,open_set,assign",
+        [({0}, {1}, {0, 1}, [0, 0, 1]), ({1}, {2}, {0, 1}, [0, 1, 1]), ({2}, {0}, {0, 2}, [0, 0, 2])],
+    )
+    def test_tiny_brute_force_optimum_and_witness(self, tiny, k, l, open_set, assign):
+        value, witness = brute_force_opt(tiny, build_gap_costs(tiny, CoreIndex.for_instance(tiny, k, l)))
+        assert value == 1 and type(value) is Fraction
+        assert witness.open == open_set and witness.assign.tolist() == assign
+
     def test_witness_cost_exactly_one(self, family10):
         idx = CoreIndex.for_instance(family10, range(10), range(10, 20))
         witness = analytic_opt_witness(family10, idx)
