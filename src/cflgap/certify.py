@@ -23,7 +23,7 @@ from math import comb
 from typing import TYPE_CHECKING, Optional
 
 from .corevec import CoreIndex, make_core_vector
-from .instance import Instance, build_gap_costs, require_valid
+from .instance import Instance, build_gap_costs, check_metric_admissible, require_valid
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -365,18 +365,24 @@ def certify_gap(
 
     Fractional cost is evaluated per symmetry class (t*eps: only the low
     set's openings contribute), so analytic mode needs no materialized
-    vector.  The optimum is 1: every integer solution either opens a unit-
-    cost facility or pays a unit connection, and the witness achieves 1.
-    Brute-force mode replaces the analytic optimum with exhaustive
+    vector.  Both modes check the costs' quadrangle inequality exactly.  In
+    analytic mode the optimum is 1: costs are integers, no cost-0 solution
+    fits (:meth:`CostVector.zero_cost_fits`, checked here), and the witness
+    costs 1.  Brute-force mode replaces the analytic optimum with exhaustive
     enumeration on tiny instances.
     """
     if mode not in ("analytic", "brute-force"):
         raise ValueError(f"unknown mode {mode!r}")
     cost = build_gap_costs(inst, core_index)
+    metric = check_metric_admissible(cost, inst)
+    if not metric:
+        raise AssertionError(f"gap costs violate the quadrangle inequality at {metric.violation}")
     vec = make_core_vector(inst, core_index.k, core_index.l)
     frac_cost = cost.vector_cost(vec)
 
     if mode == "analytic":
+        if cost.zero_cost_fits(inst.capacity):
+            raise AssertionError("a cost-0 solution fits, so the optimum is below 1")
         witness = _opt_witness(inst, core_index)  # make_core_vector validated inst
         witness_cost = cost.solution_cost(witness.open, witness.assign)
         if witness_cost != 1:

@@ -17,11 +17,11 @@ touches floating point.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
-from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
     "require_valid",
     "build_gap_costs",
     "check_metric_admissible",
+    "METRIC_CHECK_LIMIT",
 ]
 
 # The exact constants every module of the package shares.
@@ -291,7 +292,8 @@ class CostVector:
     The two-point form places a facility/client subset at one location and
     everything else at a second location at distance 1: connections cost 0 on
     the same side and 1 across, and a designated facility set has opening
-    cost 1.  It is never materialized; entries are computed on demand, so
+    cost 1.  It is held as three boolean masks over the ids (unit opening,
+    near facilities, near clients), built once from the role sets, so
     family-scale instances stay cheap.
     """
 
@@ -302,16 +304,12 @@ class CostVector:
         *,
         opening: Optional[Sequence[Fraction]] = None,
         connection: Optional[Sequence[Sequence[Fraction]]] = None,
-        unit_opening: Optional[frozenset[int]] = None,
-        near_facilities: Optional[frozenset[int]] = None,
+        unit_opening: Optional[Collection[int]] = None,
+        near_facilities: Optional[Collection[int]] = None,
         near_clients: Optional[Collection[int]] = None,
-        metric_admissible: bool = False,
     ):
         self.facility_count = facility_count
         self.client_count = client_count
-        self.metric_admissible = metric_admissible
-        self._near_sorted: Optional[tuple[list[int], list[int]]] = None  # near ids, ascending
-        self._masks = None  # near facility and client masks, see _near_masks
         if opening is not None:
             if connection is None:
                 raise ValueError("dense costs need both opening and connection")
@@ -327,95 +325,77 @@ class CostVector:
                 c < 0 for row in self._connection for c in row
             ):
                 raise ValueError("cost entries must be nonnegative")
-            self._two_point = None
+            self._masks = None
         else:
             if unit_opening is None or near_facilities is None or near_clients is None:
                 raise ValueError("two-point costs need the three role sets")
-            self._opening = None
-            self._connection = None
-            self._two_point = (unit_opening, near_facilities, near_clients)
+            self._masks = (
+                _role_mask(unit_opening, facility_count, "unit_opening"),
+                _role_mask(near_facilities, facility_count, "near_facilities"),
+                _role_mask(near_clients, client_count, "near_clients"),
+            )
 
     @classmethod
     def dense(
-        cls,
-        opening: Sequence[Fraction],
-        connection: Sequence[Sequence[Fraction]],
-        metric_admissible: bool = False,
+        cls, opening: Sequence[Fraction], connection: Sequence[Sequence[Fraction]]
     ) -> "CostVector":
         return cls(
             len(opening),
             len(connection[0]) if connection else 0,
             opening=opening,
             connection=connection,
-            metric_admissible=metric_admissible,
         )
 
     def opening_of(self, i: int) -> Fraction:
-        if self._two_point is not None:
-            return ONE if i in self._two_point[0] else ZERO
+        if self._masks is not None:
+            return ONE if self._masks[0][i] else ZERO
         return self._opening[i]
 
     def connection_of(self, i: int, j: int) -> Fraction:
-        if self._two_point is not None:
-            _, near_f, near_c = self._two_point
-            return ZERO if (i in near_f) == (j in near_c) else ONE
+        if self._masks is not None:
+            _, near_f, near_c = self._masks
+            return ZERO if near_f[i] == near_c[j] else ONE
         return self._connection[i][j]
 
-    def solution_cost(self, open_set: frozenset[int], assign: Sequence[int]) -> Fraction:
+    def solution_cost(self, open_set: Collection[int], assign: Sequence[int]) -> Fraction:
         """Exact cost of an integer solution; two-point costs are counted as integers.
 
         ``assign`` is a list, a tuple or an int64 array (read as plain ints).
+        ValueError unless it has one entry per client and it and ``open_set``
+        name facility ids only.
         """
-        if self._two_point is not None:
-            import numpy as np
+        import numpy as np
 
-            ids = np.asarray(assign, dtype=np.int64)
-            if ids.shape != (self.client_count,):
-                raise ValueError(f"assignment of shape {ids.shape}, expected ({self.client_count},)")
-            near_f, near_c = self._near_masks()
-            try:  # an id past the last facility raises; a negative one would wrap
-                if len(ids) and ids.min() < 0:
-                    raise IndexError
-                far = int(np.count_nonzero(near_f[ids] != near_c))
-            except IndexError:
-                raise ValueError("assignment targets unknown facility ids") from None
-            return Fraction(sum(i in self._two_point[0] for i in open_set) + far)
-        if not isinstance(assign, (list, tuple)):
-            assign = assign.tolist()
-        total = sum((self.opening_of(i) for i in open_set), ZERO)
-        for j, i in enumerate(assign):
-            total += self.connection_of(i, j)
-        return total
-
-    def _near_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean masks of the near facilities and the near clients, built once."""
+        ids = np.asarray(assign, dtype=np.int64)
+        if ids.shape != (self.client_count,):
+            raise ValueError(f"assignment of shape {ids.shape}, expected ({self.client_count},)")
+        n_f = self.facility_count
+        # read as unsigned, a negative id is 2**64 + id, so one max bounds both ends
+        if (len(ids) and ids.view(np.uint64).max() >= n_f) or not all(
+                0 <= i < n_f for i in open_set):
+            raise ValueError("solution names unknown facility ids")
         if self._masks is None:
-            import numpy as np
+            connection = self._connection
+            return sum((self._opening[i] for i in open_set), ZERO) + sum(
+                (connection[i][j] for j, i in enumerate(ids.tolist())), ZERO
+            )
+        unit, near_f, near_c = self._masks
+        far = int(np.count_nonzero(near_f[ids] != near_c))
+        return Fraction(sum(map(unit.item, open_set)) + far)
 
-            _, near_f, near_c = self._two_point
-            facilities = np.zeros(self.facility_count, dtype=bool)
-            facilities[list(near_f)] = True
-            clients = np.zeros(self.client_count, dtype=bool)
-            if isinstance(near_c, range):
-                clients[near_c.start : near_c.stop : near_c.step] = True
-            else:
-                clients[list(near_c)] = True
-            self._masks = (facilities, clients)
-        return self._masks
-
-    def _near_count(self, axis: int, runs) -> int:
-        """Near facilities (axis 0) or near clients (axis 1) in ``(lo, hi)`` runs, by bisection."""
-        if self._near_sorted is None:
-            self._near_sorted = (sorted(self._two_point[1]), sorted(self._two_point[2]))
-        near = self._near_sorted[axis]
-        return sum(bisect_left(near, hi) - bisect_left(near, lo) for lo, hi in runs)
+    def _opening_total(self, facilities) -> Fraction:
+        """Sum of opening costs over facility runs."""
+        if self._masks is not None:
+            return Fraction(_count_in(self._masks[0], facilities))
+        return sum((self._opening[i] for lo, hi in facilities for i in range(lo, hi)), ZERO)
 
     def _block_connection_total(self, facilities, runs) -> Fraction:
         """Sum of connection costs over a block of facility runs x client runs."""
-        if self._two_point is not None:
-            f_near = self._near_count(0, facilities)
+        if self._masks is not None:
+            _, near_f, near_c = self._masks
+            f_near = _count_in(near_f, facilities)
             f_far = sum(hi - lo for lo, hi in facilities) - f_near
-            c_near = self._near_count(1, runs)
+            c_near = _count_in(near_c, runs)
             c_far = sum(hi - lo for lo, hi in runs) - c_near
             return Fraction(f_near * c_far + f_far * c_near)
         return sum(
@@ -430,7 +410,8 @@ class CostVector:
         Vectors never get materialized: each facility-class x client-class
         cell contributes x_value times the block's total connection cost, so
         family-scale vectors are priced in O(classes); a two-point block
-        counts its near facilities and clients from the classes' runs.
+        counts its near facilities and clients in the masks over the
+        classes' runs.
         """
         if v.facility_count != self.facility_count or v.client_count != self.client_count:
             raise ValueError("cost/vector dimension mismatch")
@@ -438,14 +419,53 @@ class CostVector:
         for fc_idx, fc in enumerate(v.fac_classes):
             y = v.y_values[fc_idx]
             if y != 0:
-                total += y * sum(
-                    (self.opening_of(i) for lo, hi in fc for i in range(lo, hi)), ZERO
-                )
+                total += y * self._opening_total(fc)
             for cc_idx, runs in enumerate(v.cli_classes):
                 x = v.x_values[fc_idx][cc_idx]
                 if x != 0:
                     total += x * self._block_connection_total(fc, runs)
         return total
+
+    def zero_cost_fits(self, capacity: int) -> bool:
+        """Whether some solution costs 0 at this capacity (two-point costs only).
+
+        A cost-0 solution opens only facilities of opening cost 0 and serves
+        every unit-demand client on its own side, so one exists iff the near
+        clients fit in the free near facilities and the far clients in the
+        free far facilities.
+        """
+        if self._masks is None:
+            raise ValueError("the zero-cost test needs two-point costs")
+        unit, near_f, near_c = self._masks
+        free, near = ~unit, int(near_c.sum())
+        return (near <= capacity * int((near_f & free).sum())
+                and self.client_count - near <= capacity * int((free & ~near_f).sum()))
+
+
+def _role_mask(ids: Collection[int], size: int, role: str) -> np.ndarray:
+    """Boolean mask of one two-point role's ids; ValueError for ids outside ``range(size)``."""
+    import numpy as np
+
+    mask = np.zeros(size, dtype=bool)
+    if len(ids) == 0:
+        return mask
+    if isinstance(ids, range):  # filled by one slice, never walked
+        lo, hi = sorted((ids[0], ids[-1]))
+        target = slice(lo, hi + 1, abs(ids.step))
+    else:
+        target = list(ids)
+        lo, hi = min(target), max(target)
+    if not (0 <= lo and hi < size):
+        raise ValueError(f"{role} holds ids outside range({size})")
+    mask[target] = True
+    return mask
+
+
+def _count_in(mask: np.ndarray, runs) -> int:
+    """How many ids of the ``(lo, hi)`` runs a boolean mask holds."""
+    from numpy import count_nonzero
+
+    return sum(int(count_nonzero(mask[lo:hi])) for lo, hi in runs)
 
 
 def build_gap_costs(inst: Instance, core_index: "CoreIndex") -> CostVector:
@@ -453,89 +473,54 @@ def build_gap_costs(inst: Instance, core_index: "CoreIndex") -> CostVector:
 
     The facilities of ``k | l`` and the designated clients sit at the near
     point, everything else at the far point (distance 1); facilities of ``l``
-    cost 1 to open, all others 0.  The result satisfies the quadrangle
-    inequality by construction and is flagged metric-admissible.
+    cost 1 to open, all others 0.  :func:`check_metric_admissible` proves the
+    quadrangle inequality exactly.
     """
-    if not all(i in inst.facilities for i in core_index.k | core_index.l):
-        raise ValueError("core index is inconsistent with the instance")
     return CostVector(
         inst.facility_count,
         inst.client_count,
-        unit_opening=frozenset(core_index.l),
-        near_facilities=frozenset(core_index.k | core_index.l),
+        unit_opening=core_index.l,
+        near_facilities=core_index.k | core_index.l,
         near_clients=inst.designated_clients,
-        metric_admissible=True,
     )
 
 
 @dataclass(frozen=True)
 class MetricCheck:
-    """Result of a quadrangle-inequality check.
-
-    ``exhaustive`` distinguishes a full proof from a sampled "not falsified"
-    verdict on instances too large to enumerate.
-    """
+    """Exact result of a quadrangle-inequality check, with a violating quadruple."""
 
     admissible: bool
-    exhaustive: bool
     violation: Optional[tuple[int, int, int, int]] = None
 
     def __bool__(self) -> bool:
         return self.admissible
 
 
-def _quadruples_random(
-    n_f: int, m: int, samples: int, seed: int
-) -> Iterator[tuple[int, int, int, int]]:
-    from .randomness import ExactRng
-
-    rng = ExactRng(seed)
-    for _ in range(samples):
-        yield (
-            rng.integer_below(n_f),
-            rng.integer_below(n_f),
-            rng.integer_below(m),
-            rng.integer_below(m),
-        )
+# dense costs are refused above this many quadruples
+METRIC_CHECK_LIMIT = 1_000_000
 
 
-def check_metric_admissible(
-    cost: CostVector,
-    inst: Instance,
-    *,
-    pair_bound: int = 100_000,
-    samples: int = 20_000,
-    seed: int = 0,
-) -> MetricCheck:
+def check_metric_admissible(cost: CostVector, inst: Instance) -> MetricCheck:
     """Check c[i][j] <= c[i][j'] + c[i'][j'] + c[i'][j] over all quadruples.
 
-    Exhaustive whenever facility_count * client_count <= pair_bound
-    (O(n_f^2 m^2) work); otherwise a seeded sample of quadruples, which can
-    only falsify, never prove.
+    The loop runs over representative ids: every id of a dense cost, one
+    facility and one client per nonempty side of a two-point cost (at most
+    16 quadruples), so the verdict is exact at every size.  ValueError for a
+    dense cost of more than ``METRIC_CHECK_LIMIT`` quadruples.
     """
     if cost.facility_count != inst.facility_count or cost.client_count != inst.client_count:
         raise ValueError("cost/instance dimension mismatch")
-    n_f, m = inst.facility_count, inst.client_count
-    exhaustive = n_f * m <= pair_bound
-
-    if exhaustive:
-        quads = (
-            (i, ip, j, jp)
-            for i in range(n_f)
-            for ip in range(n_f)
-            for j in range(m)
-            for jp in range(m)
-        )
-    else:
-        quads = _quadruples_random(n_f, m, samples, seed)
-
-    for i, ip, j, jp in quads:
-        lhs = cost.connection_of(i, j)
-        rhs = (
-            cost.connection_of(i, jp)
-            + cost.connection_of(ip, jp)
-            + cost.connection_of(ip, j)
-        )
-        if lhs > rhs:
-            return MetricCheck(False, exhaustive, (i, ip, j, jp))
-    return MetricCheck(True, exhaustive, None)
+    if cost._masks is None:
+        facilities, clients = range(cost.facility_count), range(cost.client_count)
+    else:  # argmax gives a side's first id, or id 0 of the other side when it is empty
+        facilities, clients = ({int(mask.argmax()), int((~mask).argmax())} if len(mask) else ()
+                               for mask in cost._masks[1:])
+    quadruples = (len(facilities) * len(clients)) ** 2
+    if quadruples > METRIC_CHECK_LIMIT:
+        raise ValueError(
+            f"{quadruples} quadruples exceed the metric check limit {METRIC_CHECK_LIMIT}")
+    c = cost.connection_of
+    for i, ip, j, jp in product(facilities, facilities, clients, clients):
+        if c(i, j) > c(i, jp) + c(ip, jp) + c(ip, j):
+            return MetricCheck(False, (i, ip, j, jp))
+    return MetricCheck(True)

@@ -175,17 +175,9 @@ def verify_membership(
     return sum(c * t for c, t in zip(scaled, target)) > bound * target_den
 
 
-def brute_force_opt(
-    inst: Instance,
-    cost: CostVector,
-    *,
-    max_facilities: int = 4,
-    max_clients: int = 8,
-) -> tuple[Fraction, IntSolution]:
+def brute_force_opt(inst: Instance, cost: CostVector) -> tuple[Fraction, IntSolution]:
     """Exact optimum over all enumerated integer solutions, with a witness."""
-    solutions = enumerate_integer_solutions(
-        inst, max_facilities=max_facilities, max_clients=max_clients
-    )
+    solutions = enumerate_integer_solutions(inst)
     if not solutions:
         raise InfeasibleInstanceError("no feasible integer solution exists")
     best_value: Optional[Fraction] = None

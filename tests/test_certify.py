@@ -19,7 +19,12 @@ from cflgap.certify import (
     noncolliding_upper_bound,
     reference_index,
 )
-from cflgap.instance import build_family_instance, build_gap_costs, build_general_instance
+from cflgap.instance import (
+    CostVector,
+    build_family_instance,
+    build_gap_costs,
+    build_general_instance,
+)
 from cflgap.polytope import brute_force_opt
 from cflgap.rounding import solution_violations
 
@@ -231,6 +236,30 @@ class TestGapCertificate:
         idx = CoreIndex.for_instance(tiny, {0}, {1})
         with pytest.raises(ValueError):
             certify_gap(tiny, idx, "sampled")
+
+    def test_no_tiny_gap_cost_fits_at_zero(self, tiny):
+        for idx in (CoreIndex.for_instance(tiny, {k}, {l}) for k in range(3) for l in range(3) if k != l):
+            cost = build_gap_costs(tiny, idx)
+            assert not cost.zero_cost_fits(tiny.capacity)
+            assert brute_force_opt(tiny, cost)[0] == 1
+            assert certify_gap(tiny, idx, "analytic").opt_value == 1
+
+    def test_analytic_optimum_refused_when_a_cost_zero_solution_fits(self, tiny, monkeypatch):
+        # no unit-cost facility: the near clients fit in k | l for free
+        free = CostVector(3, 3, unit_opening=(), near_facilities={0, 1}, near_clients=range(3))
+        assert free.zero_cost_fits(tiny.capacity)
+        monkeypatch.setattr(certify_module, "build_gap_costs", lambda inst, idx: free)
+        with pytest.raises(AssertionError, match="cost-0"):
+            certify_gap(tiny, CoreIndex.for_instance(tiny, {0}, {1}), "analytic")
+
+    def test_non_metric_costs_refused(self, tiny, monkeypatch):
+        connection = [[Fraction(0)] * 3 for _ in range(3)]
+        connection[0][0] = Fraction(3)
+        dense = CostVector.dense([Fraction(0)] * 3, connection)
+        monkeypatch.setattr(certify_module, "build_gap_costs", lambda inst, idx: dense)
+        for mode in ("analytic", "brute-force"):
+            with pytest.raises(AssertionError, match="quadrangle"):
+                certify_gap(tiny, CoreIndex.for_instance(tiny, {0}, {1}), mode)
 
 
 def per_client_witness(inst, core_index):

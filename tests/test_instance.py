@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from cflgap.corevec import CoreIndex
 from cflgap.instance import (
     CostVector,
+    METRIC_CHECK_LIMIT,
     FamilyParams,
     Instance,
     build_family_instance,
@@ -146,9 +148,8 @@ class TestGapCosts:
     def test_metric_admissible_flag_and_check(self, mini):
         idx = CoreIndex.for_instance(mini, {0, 1}, {2, 3})
         cost = build_gap_costs(mini, idx)
-        assert cost.metric_admissible
         res = check_metric_admissible(cost, mini)
-        assert res.exhaustive and res.admissible
+        assert res.admissible
 
 
 class TestSolutionCost:
@@ -176,6 +177,57 @@ class TestSolutionCost:
         assert all(type(value) is Fraction for value in values)
 
 
+class TestTwoPointRoles:
+    ROLES = {"unit_opening": 3, "near_facilities": 3, "near_clients": 4}
+
+    def cost(self, **roles):
+        base = {"unit_opening": {1}, "near_facilities": {0, 1}, "near_clients": range(2)}
+        return CostVector(3, 4, **{**base, **roles})
+
+    @pytest.mark.parametrize("role", sorted(ROLES))
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda n: frozenset({-1}),
+            lambda n: [0, n],
+            lambda n: range(-1, 1),
+            lambda n: range(n + 1),
+            lambda n: range(n, -1, -1),
+        ],
+        ids=["negative", "past-end", "negative-range", "long-range", "descending-range"],
+    )
+    def test_out_of_range_ids_rejected(self, role, bad):
+        with pytest.raises(ValueError, match=f"{role} holds ids outside"):
+            self.cost(**{role: bad(self.ROLES[role])})
+
+    def test_ranges_of_either_step_and_empty_ranges(self):
+        cost = self.cost(near_clients=range(3, -1, -2), near_facilities=range(2, -1))
+        # no near facility; near clients 3 and 1
+        assert [cost.connection_of(0, j) for j in range(4)] == [0, 1, 0, 1]
+        assert [cost.connection_of(i, 1) for i in range(3)] == [1, 1, 1]
+
+
+class TestSolutionCostInput:
+    @pytest.mark.parametrize("costs", ["two-point", "dense"])
+    @pytest.mark.parametrize(
+        "open_set,assign,match",
+        [
+            ({0}, [0, 0], "shape"),
+            ({0}, [0, -1, 0], "unknown facility"),
+            ({0}, [0, 3, 0], "unknown facility"),
+            ({-1}, [0, 0, 0], "unknown facility"),
+            ({3}, [0, 0, 0], "unknown facility"),
+        ],
+    )
+    def test_non_solutions_rejected_in_both_forms(self, costs, open_set, assign, match):
+        if costs == "two-point":
+            cost = CostVector(3, 3, unit_opening={1}, near_facilities={0, 1}, near_clients=range(2))
+        else:
+            cost = CostVector.dense([Fraction(1)] * 3, [[Fraction(1)] * 3 for _ in range(3)])
+        with pytest.raises(ValueError, match=match):
+            cost.solution_cost(frozenset(open_set), assign)
+
+
 class TestMetricAdmissible:
     def test_all_zero(self):
         inst = Instance(facility_count=2, client_count=2, capacity=1)
@@ -200,12 +252,19 @@ class TestMetricAdmissible:
         )
         assert lhs > rhs
 
-    def test_sampled_mode_on_family_scale(self, family10):
+    def test_exact_verdict_on_family_scale(self, family10):
         idx = CoreIndex.for_instance(family10, range(10), range(10, 20))
         cost = build_gap_costs(family10, idx)
-        res = check_metric_admissible(cost, family10, samples=2000, seed=5)
-        assert not res.exhaustive
-        assert res.admissible  # not falsified
+        res = check_metric_admissible(cost, family10)
+        assert res.admissible and res.violation is None  # exact, not sampled
+
+    def test_dense_cost_above_the_quadruple_limit_refused(self):
+        m = math.isqrt(METRIC_CHECK_LIMIT) // 2 + 1
+        cost = CostVector.dense([Fraction(0)] * 2, [[Fraction(0)] * m] * 2)
+        assert (2 * m) ** 2 > METRIC_CHECK_LIMIT
+        inst = Instance(facility_count=2, client_count=m, capacity=m)
+        with pytest.raises(ValueError, match="limit"):
+            check_metric_admissible(cost, inst)
 
     def test_dimension_mismatch(self, mini):
         cost = CostVector.dense([Fraction(0)], [[Fraction(0)]])

@@ -1,6 +1,7 @@
 """Property tests on random shapes: the compiled rounding distribution and
 its outcome classes, classed vectors against their dense (singleton-class)
-copies, the census predicate and counts, and two-point solution costs.
+copies, the census predicate and counts, and two-point costs against
+their role sets.
 
 Shapes are drawn around the validity conditions of ``validate_params`` so
 that most draws are valid; settings are derandomized and small, so the suite
@@ -40,6 +41,7 @@ from cflgap.instance import (
     CostVector,
     Instance,
     build_gap_costs,
+    check_metric_admissible,
     build_general_instance,
     validate_params,
 )
@@ -60,6 +62,7 @@ from cflgap.rounding import (
     sample_outcome,
     solution_violations,
 )
+from cflgap.polytope import brute_force_opt
 from conftest import MINI, TINY, exact_distribution
 
 DRAWS = 25
@@ -676,3 +679,92 @@ def test_two_point_solution_cost_of_t10_witness(family10):
     value = cost.solution_cost(witness.open, witness.assign)
     assert value == per_client_cost(cost, witness.open, witness.assign) == 1
     assert type(value) is Fraction
+
+
+# -- two-point costs against their role sets -----------------------------------
+
+
+@st.composite
+def role_sets(draw, n):
+    """Ids of range(n) as a frozenset, a list with repeats, or a range of either step sign."""
+    form = draw(st.sampled_from(["set", "list", "range"]))
+    if form == "range":
+        start = draw(st.integers(0, n))
+        ids = range(start, draw(st.integers(start, n)), draw(st.integers(1, 3)))
+        return ids if draw(st.booleans()) else ids[::-1]
+    ids = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return frozenset(ids) if form == "set" else ids
+
+
+@st.composite
+def id_runs(draw, n):
+    """Sorted, disjoint, nonempty ``(lo, hi)`` runs inside range(n)."""
+    cuts = sorted(draw(st.sets(st.integers(0, n), max_size=6)))
+    return tuple(zip(cuts[::2], cuts[1::2]))
+
+
+def quadrangle_holds_everywhere(cost, n_f, m):
+    """The quadrangle inequality over every quadruple of ids: the reference loop."""
+    c = cost.connection_of
+    return all(
+        c(i, j) <= c(i, jp) + c(ip, jp) + c(ip, j)
+        for i, ip, j, jp in itertools.product(range(n_f), range(n_f), range(m), range(m))
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_two_point_costs_agree_with_role_sets(data):
+    n_f, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    roles = [data.draw(role_sets(n)) for n in (n_f, n_f, m)]
+    cost = CostVector(n_f, m, unit_opening=roles[0], near_facilities=roles[1], near_clients=roles[2])
+    unit, near_f, near_c = (set(ids) for ids in roles)
+    for i in range(n_f):
+        assert cost.opening_of(i) == (i in unit)
+        for j in range(m):
+            assert cost.connection_of(i, j) == ((i in near_f) != (j in near_c))
+
+    inst = Instance(facility_count=n_f, client_count=m, capacity=1)
+    assert check_metric_admissible(cost, inst).admissible == quadrangle_holds_everywhere(cost, n_f, m)
+
+    facilities, clients = data.draw(id_runs(n_f)), data.draw(id_runs(m))
+    fac_ids = [i for lo, hi in facilities for i in range(lo, hi)]
+    cli_ids = [j for lo, hi in clients for j in range(lo, hi)]
+    assert cost._opening_total(facilities) == sum(i in unit for i in fac_ids)
+    assert cost._block_connection_total(facilities, clients) == sum(
+        (i in near_f) != (j in near_c) for i in fac_ids for j in cli_ids
+    )
+
+    open_set = data.draw(st.frozensets(st.integers(0, n_f - 1)))
+    assign = data.draw(st.lists(st.integers(0, n_f - 1), min_size=m, max_size=m))
+    assert cost.solution_cost(open_set, assign) == sum(i in unit for i in open_set) + sum(
+        (i in near_f) != (j in near_c) for j, i in enumerate(assign)
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dense_metric_verdict_is_the_reference_loop(data):
+    n_f, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    entry = st.integers(0, 3).map(Fraction)
+    cost = CostVector.dense(
+        [Fraction(0)] * n_f, [[data.draw(entry) for _ in range(m)] for _ in range(n_f)]
+    )
+    res = check_metric_admissible(cost, Instance(facility_count=n_f, client_count=m, capacity=1))
+    assert res.admissible == quadrangle_holds_everywhere(cost, n_f, m)
+    if not res.admissible:
+        i, ip, j, jp = res.violation
+        c = cost.connection_of
+        assert c(i, j) > c(i, jp) + c(ip, jp) + c(ip, j)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_zero_cost_closed_form_is_brute_force_on_tiny(tiny, data):
+    cost = CostVector(
+        3, 3,
+        unit_opening=data.draw(role_sets(3)),
+        near_facilities=data.draw(role_sets(3)),
+        near_clients=data.draw(role_sets(3)),
+    )
+    assert cost.zero_cost_fits(tiny.capacity) == (brute_force_opt(tiny, cost)[0] == 0)
