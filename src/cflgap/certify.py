@@ -60,44 +60,15 @@ BRUTE_CENSUS_CHUNK = 16_384
 
 
 def _shape(inst: Instance) -> tuple[int, int]:
-    """``(n_f, t)`` of a valid instance: the one validation of a public entry point."""
+    """``(n_f, t)`` of a valid instance; ValueError naming every violation otherwise."""
     require_valid(inst)
     return inst.facility_count, inst.family_params.t
 
 
-def _core_size(n_f: int, t: int) -> int:
-    return comb(n_f, t) * comb(n_f - t, t)
-
-
-def _lambda(n_f: int, t: int) -> int:
-    e1 = comb(2 * t, t) * comb(n_f - t, t)
-    e2 = sum(
-        comb(t, i) * comb(n_f - t, t - i) * comb(n_f - 2 * t + i, i)
-        for i in range(t + 1)
-    )
-    both = sum(
-        comb(t, i) ** 2 * comb(n_f - t - i, t - i) for i in range(t + 1)
-    )
-    return e1 + e2 - both
-
-
-def _upper_bound(n_f: int, t: int) -> Fraction:
-    return 2 * Fraction(2 * t, n_f) ** t * _core_size(n_f, t)
-
-
-def _lower_bound(n_f: int, t: int) -> int:
-    lam = _lambda(n_f, t)
-    if lam == 0:
-        raise AssertionError(
-            "non-colliding count is zero; impossible for a valid instance "
-            "(the reference never collides with itself)"
-        )
-    return -(-_core_size(n_f, t) // lam)
-
-
 def core_size(inst: Instance) -> int:
     """Number of ordered disjoint (k, l) pairs: C(n_f, t) * C(n_f - t, t)."""
-    return _core_size(*_shape(inst))
+    n_f, t = _shape(inst)
+    return comb(n_f, t) * comb(n_f - t, t)
 
 
 def noncolliding_count_exact(inst: Instance) -> int:
@@ -107,7 +78,16 @@ def noncolliding_count_exact(inst: Instance) -> int:
     E1 (l' inside k|l), E2 (l inside k'|l').  The count is independent of
     which reference is fixed, and includes the reference pair itself.
     """
-    return _lambda(*_shape(inst))
+    n_f, t = _shape(inst)
+    e1 = comb(2 * t, t) * comb(n_f - t, t)
+    e2 = sum(
+        comb(t, i) * comb(n_f - t, t - i) * comb(n_f - 2 * t + i, i)
+        for i in range(t + 1)
+    )
+    both = sum(
+        comb(t, i) ** 2 * comb(n_f - t - i, t - i) for i in range(t + 1)
+    )
+    return e1 + e2 - both
 
 
 def reference_index(inst: Instance) -> CoreIndex:
@@ -161,7 +141,7 @@ def noncolliding_count_brute(
     import numpy as np
 
     n_f, t = _shape(inst)
-    size = _core_size(n_f, t)
+    size = core_size(inst)
     if size > BRUTE_CENSUS_LIMIT:
         raise ValueError(
             f"core size {size} exceeds the enumeration limit {BRUTE_CENSUS_LIMIT}"
@@ -199,7 +179,8 @@ def noncolliding_count_brute(
 
 def noncolliding_upper_bound(inst: Instance) -> Fraction:
     """2 * (2t/n_f)^t * core_size: the with-repetition containment bound."""
-    return _upper_bound(*_shape(inst))
+    n_f, t = _shape(inst)
+    return 2 * Fraction(2 * t, n_f) ** t * core_size(inst)
 
 
 @dataclass(frozen=True)
@@ -256,7 +237,13 @@ def lower_bound_constraints(inst: Instance) -> int:
     lambda is the exact non-colliding count per member (reference included),
     the most core members a single valid inequality can eliminate.
     """
-    return _lower_bound(*_shape(inst))
+    lam = noncolliding_count_exact(inst)
+    if lam == 0:
+        raise AssertionError(
+            "non-colliding count is zero; impossible for a valid instance "
+            "(the reference never collides with itself)"
+        )
+    return -(-core_size(inst) // lam)
 
 
 @dataclass(frozen=True)
@@ -273,10 +260,9 @@ class CensusReport:
 
 def build_census_report(inst: Instance, *, brute_force: bool = False) -> CensusReport:
     """Assemble the census; brute force cross-checks the formula when asked."""
-    lam = noncolliding_count_exact(inst)  # validates the instance
-    n_f, t = inst.facility_count, inst.family_params.t
-    upper = _upper_bound(n_f, t)
-    if n_f == t * t and lam > upper:
+    lam = noncolliding_count_exact(inst)
+    upper = noncolliding_upper_bound(inst)
+    if inst.facility_count == inst.family_params.t ** 2 and lam > upper:
         raise AssertionError(
             f"containment bound violated on a square-shaped instance: {lam} > {upper}"
         )
@@ -288,10 +274,10 @@ def build_census_report(inst: Instance, *, brute_force: bool = False) -> CensusR
                 f"census mismatch: formula {lam}, enumeration {brute}"
             )
     return CensusReport(
-        core_size=_core_size(n_f, t),
+        core_size=core_size(inst),
         lambda_=lam,
         noncolliding_upper_bound=upper,
-        lower_bound=_lower_bound(n_f, t),
+        lower_bound=lower_bound_constraints(inst),
         brute_force_count=brute,
     )
 
@@ -319,16 +305,11 @@ def analytic_opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
     rest over the outside facilities.  Requires the leftover clients to fit
     outside: client_count - core <= capacity * (n_f - 2t).
     """
-    require_valid(inst)
-    return _opt_witness(inst, core_index)
-
-
-def _opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
     import numpy as np
 
     from .rounding import IntSolution, solution_violations
 
-    t = inst.family_params.t
+    _, t = _shape(inst)
     cap = inst.capacity
     k_sorted = sorted(core_index.k)
     low_open = min(core_index.l)
@@ -383,7 +364,7 @@ def certify_gap(
     if mode == "analytic":
         if cost.zero_cost_fits(inst.capacity):
             raise AssertionError("a cost-0 solution fits, so the optimum is below 1")
-        witness = _opt_witness(inst, core_index)  # make_core_vector validated inst
+        witness = analytic_opt_witness(inst, core_index)
         witness_cost = cost.solution_cost(witness.open, witness.assign)
         if witness_cost != 1:
             raise AssertionError(f"witness cost is {witness_cost}, expected 1")

@@ -28,7 +28,6 @@ from .instance import (
     build_family_instance,
     build_gap_costs,
     build_general_instance,
-    validate_params,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -145,10 +144,9 @@ def cmd_gen(args) -> int:
             "mode": "general", "nf": args.nf, "t": args.t,
             "capacity": args.capacity, "m": args.m, "eps": args.eps, "xl": args.xl,
         }
-    violations = validate_params(inst)
-    for v in violations:
+    for v in inst.violations:
         print(f"invalid: {v}", file=sys.stderr)
-    if violations and args.strict:
+    if inst.violations and args.strict:
         return EXIT_INVALID
     payload = {
         **docio.instance_to_doc(inst),
@@ -156,7 +154,7 @@ def cmd_gen(args) -> int:
     }
     print(
         f"instance: {inst.facility_count} facilities, {inst.client_count} clients, "
-        f"capacity {inst.capacity}, valid={not violations}"
+        f"capacity {inst.capacity}, valid={not inst.violations}"
     )
     _write(args, payload)
     return EXIT_OK

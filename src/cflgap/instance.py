@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 from typing import TYPE_CHECKING, Collection, Optional, Sequence
@@ -40,7 +41,6 @@ __all__ = [
     "require_valid",
     "build_gap_costs",
     "check_metric_admissible",
-    "METRIC_CHECK_LIMIT",
 ]
 
 # The exact constants every module of the package shares.
@@ -103,6 +103,11 @@ class Instance:
                 f"family_params core_client_count = {p.core_client_count} must equal "
                 f"capacity*t + 1 = {self.capacity * p.t + 1}"
             )
+
+    @cached_property
+    def violations(self) -> tuple[ParamViolation, ...]:
+        """:func:`validate_params` of this instance, computed once: the instance is frozen."""
+        return tuple(validate_params(self))
 
     @property
     def facilities(self) -> range:
@@ -273,11 +278,10 @@ def validate_params(inst: Instance) -> list[ParamViolation]:
 
 
 def require_valid(inst: Instance) -> None:
-    """ValueError listing every violated condition, if :func:`validate_params` finds any."""
-    violations = validate_params(inst)
-    if violations:
+    """ValueError listing every violated condition, if :attr:`Instance.violations` holds any."""
+    if inst.violations:
         raise ValueError(
-            "instance parameters are invalid: " + "; ".join(str(v) for v in violations)
+            "instance parameters are invalid: " + "; ".join(map(str, inst.violations))
         )
 
 
@@ -287,14 +291,13 @@ def require_valid(inst: Instance) -> None:
 
 
 class CostVector:
-    """Nonnegative opening and connection costs, dense or two-point.
+    """Two-point opening and connection costs, held as three boolean masks.
 
-    The two-point form places a facility/client subset at one location and
-    everything else at a second location at distance 1: connections cost 0 on
-    the same side and 1 across, and a designated facility set has opening
-    cost 1.  It is held as three boolean masks over the ids (unit opening,
-    near facilities, near clients), built once from the role sets, so
-    family-scale instances stay cheap.
+    A facility/client subset sits at one location and everything else at a
+    second location at distance 1: connections cost 0 on the same side and 1
+    across, and a designated facility set has opening cost 1.  The masks over
+    the ids (``unit_opening``, ``near_facilities``, ``near_clients``) are
+    built once from the role sets, so family-scale instances stay cheap.
     """
 
     def __init__(
@@ -302,63 +305,27 @@ class CostVector:
         facility_count: int,
         client_count: int,
         *,
-        opening: Optional[Sequence[Fraction]] = None,
-        connection: Optional[Sequence[Sequence[Fraction]]] = None,
-        unit_opening: Optional[Collection[int]] = None,
-        near_facilities: Optional[Collection[int]] = None,
-        near_clients: Optional[Collection[int]] = None,
+        unit_opening: Collection[int],
+        near_facilities: Collection[int],
+        near_clients: Collection[int],
     ):
         self.facility_count = facility_count
         self.client_count = client_count
-        if opening is not None:
-            if connection is None:
-                raise ValueError("dense costs need both opening and connection")
-            if len(opening) != facility_count:
-                raise ValueError("opening length mismatch")
-            if len(connection) != facility_count or any(
-                len(row) != client_count for row in connection
-            ):
-                raise ValueError("connection shape mismatch")
-            self._opening = tuple(Fraction(f) for f in opening)
-            self._connection = tuple(tuple(Fraction(c) for c in row) for row in connection)
-            if any(f < 0 for f in self._opening) or any(
-                c < 0 for row in self._connection for c in row
-            ):
-                raise ValueError("cost entries must be nonnegative")
-            self._masks = None
-        else:
-            if unit_opening is None or near_facilities is None or near_clients is None:
-                raise ValueError("two-point costs need the three role sets")
-            self._masks = (
-                _role_mask(unit_opening, facility_count, "unit_opening"),
-                _role_mask(near_facilities, facility_count, "near_facilities"),
-                _role_mask(near_clients, client_count, "near_clients"),
-            )
-
-    @classmethod
-    def dense(
-        cls, opening: Sequence[Fraction], connection: Sequence[Sequence[Fraction]]
-    ) -> "CostVector":
-        return cls(
-            len(opening),
-            len(connection[0]) if connection else 0,
-            opening=opening,
-            connection=connection,
-        )
+        self.unit_opening = _role_mask(unit_opening, facility_count, "unit_opening")
+        self.near_facilities = _role_mask(near_facilities, facility_count, "near_facilities")
+        self.near_clients = _role_mask(near_clients, client_count, "near_clients")
 
     def opening_of(self, i: int) -> Fraction:
-        if self._masks is not None:
-            return ONE if self._masks[0][i] else ZERO
-        return self._opening[i]
+        """Opening cost of facility ``i``; ValueError for an unknown id."""
+        return ONE if self.unit_opening[_known(i, self.facility_count, "facility")] else ZERO
 
     def connection_of(self, i: int, j: int) -> Fraction:
-        if self._masks is not None:
-            _, near_f, near_c = self._masks
-            return ZERO if near_f[i] == near_c[j] else ONE
-        return self._connection[i][j]
+        """Cost of serving client ``j`` from facility ``i``; ValueError for an unknown id."""
+        near = self.near_facilities[_known(i, self.facility_count, "facility")]
+        return ZERO if near == self.near_clients[_known(j, self.client_count, "client")] else ONE
 
     def solution_cost(self, open_set: Collection[int], assign: Sequence[int]) -> Fraction:
-        """Exact cost of an integer solution; two-point costs are counted as integers.
+        """Exact cost of an integer solution, counted as integers.
 
         ``assign`` is a list, a tuple or an int64 array (read as plain ints).
         ValueError unless it has one entry per client and it and ``open_set``
@@ -374,44 +341,28 @@ class CostVector:
         if (len(ids) and ids.view(np.uint64).max() >= n_f) or not all(
                 0 <= i < n_f for i in open_set):
             raise ValueError("solution names unknown facility ids")
-        if self._masks is None:
-            connection = self._connection
-            return sum((self._opening[i] for i in open_set), ZERO) + sum(
-                (connection[i][j] for j, i in enumerate(ids.tolist())), ZERO
-            )
-        unit, near_f, near_c = self._masks
-        far = int(np.count_nonzero(near_f[ids] != near_c))
-        return Fraction(sum(map(unit.item, open_set)) + far)
+        far = int(np.count_nonzero(self.near_facilities[ids] != self.near_clients))
+        return Fraction(sum(map(self.unit_opening.item, open_set)) + far)
 
     def _opening_total(self, facilities) -> Fraction:
         """Sum of opening costs over facility runs."""
-        if self._masks is not None:
-            return Fraction(_count_in(self._masks[0], facilities))
-        return sum((self._opening[i] for lo, hi in facilities for i in range(lo, hi)), ZERO)
+        return Fraction(_count_in(self.unit_opening, facilities))
 
     def _block_connection_total(self, facilities, runs) -> Fraction:
         """Sum of connection costs over a block of facility runs x client runs."""
-        if self._masks is not None:
-            _, near_f, near_c = self._masks
-            f_near = _count_in(near_f, facilities)
-            f_far = sum(hi - lo for lo, hi in facilities) - f_near
-            c_near = _count_in(near_c, runs)
-            c_far = sum(hi - lo for lo, hi in runs) - c_near
-            return Fraction(f_near * c_far + f_far * c_near)
-        return sum(
-            (self._connection[i][j] for lo_f, hi_f in facilities for i in range(lo_f, hi_f)
-             for lo, hi in runs for j in range(lo, hi)),
-            ZERO,
-        )
+        f_near = _count_in(self.near_facilities, facilities)
+        f_far = sum(hi - lo for lo, hi in facilities) - f_near
+        c_near = _count_in(self.near_clients, runs)
+        c_far = sum(hi - lo for lo, hi in runs) - c_near
+        return Fraction(f_near * c_far + f_far * c_near)
 
     def vector_cost(self, v) -> Fraction:
         """Exact cost of a fractional (y, x) point, priced per symmetry class.
 
         Vectors never get materialized: each facility-class x client-class
-        cell contributes x_value times the block's total connection cost, so
-        family-scale vectors are priced in O(classes); a two-point block
-        counts its near facilities and clients in the masks over the
-        classes' runs.
+        cell contributes x_value times the block's total connection cost,
+        counted from the near facilities and clients in the masks over the
+        classes' runs, so family-scale vectors are priced in O(classes).
         """
         if v.facility_count != self.facility_count or v.client_count != self.client_count:
             raise ValueError("cost/vector dimension mismatch")
@@ -427,19 +378,24 @@ class CostVector:
         return total
 
     def zero_cost_fits(self, capacity: int) -> bool:
-        """Whether some solution costs 0 at this capacity (two-point costs only).
+        """Whether some solution costs 0 at this capacity.
 
         A cost-0 solution opens only facilities of opening cost 0 and serves
         every unit-demand client on its own side, so one exists iff the near
         clients fit in the free near facilities and the far clients in the
         free far facilities.
         """
-        if self._masks is None:
-            raise ValueError("the zero-cost test needs two-point costs")
-        unit, near_f, near_c = self._masks
-        free, near = ~unit, int(near_c.sum())
+        free, near_f = ~self.unit_opening, self.near_facilities
+        near = int(self.near_clients.sum())
         return (near <= capacity * int((near_f & free).sum())
                 and self.client_count - near <= capacity * int((free & ~near_f).sum()))
+
+
+def _known(i: int, size: int, kind: str) -> int:
+    """``i`` itself; ValueError unless it is an id of ``range(size)``."""
+    if not 0 <= i < size:
+        raise ValueError(f"unknown {kind} id {i}")
+    return i
 
 
 def _role_mask(ids: Collection[int], size: int, role: str) -> np.ndarray:
@@ -447,17 +403,17 @@ def _role_mask(ids: Collection[int], size: int, role: str) -> np.ndarray:
     import numpy as np
 
     mask = np.zeros(size, dtype=bool)
-    if len(ids) == 0:
-        return mask
-    if isinstance(ids, range):  # filled by one slice, never walked
-        lo, hi = sorted((ids[0], ids[-1]))
-        target = slice(lo, hi + 1, abs(ids.step))
-    else:
-        target = list(ids)
-        lo, hi = min(target), max(target)
-    if not (0 <= lo and hi < size):
-        raise ValueError(f"{role} holds ids outside range({size})")
-    mask[target] = True
+    if len(ids):
+        if isinstance(ids, range):  # filled by one slice, never walked
+            lo, hi = sorted((ids[0], ids[-1]))
+            target = slice(lo, hi + 1, abs(ids.step))
+        else:
+            target = list(ids)
+            lo, hi = min(target), max(target)
+        if not (0 <= lo and hi < size):
+            raise ValueError(f"{role} holds ids outside range({size})")
+        mask[target] = True
+    mask.setflags(write=False)  # the masks are public: a cost never changes
     return mask
 
 
@@ -496,29 +452,18 @@ class MetricCheck:
         return self.admissible
 
 
-# dense costs are refused above this many quadruples
-METRIC_CHECK_LIMIT = 1_000_000
-
-
 def check_metric_admissible(cost: CostVector, inst: Instance) -> MetricCheck:
     """Check c[i][j] <= c[i][j'] + c[i'][j'] + c[i'][j] over all quadruples.
 
-    The loop runs over representative ids: every id of a dense cost, one
-    facility and one client per nonempty side of a two-point cost (at most
-    16 quadruples), so the verdict is exact at every size.  ValueError for a
-    dense cost of more than ``METRIC_CHECK_LIMIT`` quadruples.
+    A connection cost depends only on the sides of its facility and its
+    client, so the loop runs over one facility and one client per nonempty
+    side (at most 16 quadruples) and the verdict is exact at every size.
     """
     if cost.facility_count != inst.facility_count or cost.client_count != inst.client_count:
         raise ValueError("cost/instance dimension mismatch")
-    if cost._masks is None:
-        facilities, clients = range(cost.facility_count), range(cost.client_count)
-    else:  # argmax gives a side's first id, or id 0 of the other side when it is empty
-        facilities, clients = ({int(mask.argmax()), int((~mask).argmax())} if len(mask) else ()
-                               for mask in cost._masks[1:])
-    quadruples = (len(facilities) * len(clients)) ** 2
-    if quadruples > METRIC_CHECK_LIMIT:
-        raise ValueError(
-            f"{quadruples} quadruples exceed the metric check limit {METRIC_CHECK_LIMIT}")
+    # argmax gives a side's first id, or id 0 of the other side when it is empty
+    facilities, clients = ({int(mask.argmax()), int((~mask).argmax())} if len(mask) else ()
+                           for mask in (cost.near_facilities, cost.near_clients))
     c = cost.connection_of
     for i, ip, j, jp in product(facilities, facilities, clients, clients):
         if c(i, j) > c(i, jp) + c(ip, jp) + c(ip, j):

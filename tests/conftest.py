@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from cflgap.instance import build_family_instance, build_general_instance, validate_params
+from cflgap.instance import (
+    CostVector,
+    build_family_instance,
+    build_general_instance,
+    validate_params,
+)
 
 # Desk-scale instance used across the suite: all rounding branches feasible,
 # all validity conditions hold (some with zero slack).
@@ -52,6 +57,22 @@ def family10():
     inst = build_family_instance(t=10, a=2)
     assert validate_params(inst) == []
     return inst
+
+
+class NonMetricCost(CostVector):
+    """TINY's two-point costs, except that facility 0 pays 3 to reach client 0.
+
+    With near facilities {0} and near clients {0, 1}, the quadruple
+    (i, i', j, j') = (0, 1, 0, 2) gives 3 > 1 + 0 + 1 on the representative ids.
+    """
+
+    def connection_of(self, i, j):
+        return Fraction(3) if (i, j) == (0, 0) else super().connection_of(i, j)
+
+
+@pytest.fixture
+def non_metric_cost():
+    return NonMetricCost(3, 3, unit_opening={1}, near_facilities={0}, near_clients=range(2))
 
 
 def find_valid_general(facility_count, t, capacity, client_count):

@@ -252,11 +252,8 @@ class TestGapCertificate:
         with pytest.raises(AssertionError, match="cost-0"):
             certify_gap(tiny, CoreIndex.for_instance(tiny, {0}, {1}), "analytic")
 
-    def test_non_metric_costs_refused(self, tiny, monkeypatch):
-        connection = [[Fraction(0)] * 3 for _ in range(3)]
-        connection[0][0] = Fraction(3)
-        dense = CostVector.dense([Fraction(0)] * 3, connection)
-        monkeypatch.setattr(certify_module, "build_gap_costs", lambda inst, idx: dense)
+    def test_non_metric_costs_refused(self, tiny, monkeypatch, non_metric_cost):
+        monkeypatch.setattr(certify_module, "build_gap_costs", lambda inst, idx: non_metric_cost)
         for mode in ("analytic", "brute-force"):
             with pytest.raises(AssertionError, match="quadrangle"):
                 certify_gap(tiny, CoreIndex.for_instance(tiny, {0}, {1}), mode)

@@ -1,13 +1,12 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import cflgap.instance as instance_module
 from cflgap.corevec import CoreIndex
 from cflgap.instance import (
     CostVector,
-    METRIC_CHECK_LIMIT,
     FamilyParams,
     Instance,
     build_family_instance,
@@ -16,6 +15,7 @@ from cflgap.instance import (
     check_metric_admissible,
     validate_params,
 )
+from cflgap.rounding import verify_midpoint
 
 
 def codes(violations):
@@ -119,6 +119,39 @@ class TestValidateParams:
             assert p.t * p.x_k + p.t * p.x_l == 1
 
 
+class TestValidityVerdict:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every instance that ``validate_params`` is asked about."""
+        seen = []
+        monkeypatch.setattr(
+            instance_module, "validate_params", lambda inst: seen.append(inst) or validate_params(inst)
+        )
+        return seen
+
+    @staticmethod
+    def pair(inst):
+        return (CoreIndex.for_instance(inst, {0, 1}, l) for l in ({2, 3}, {4, 5}))
+
+    def test_two_certificates_validate_once(self, calls):
+        inst = build_general_instance(6, 2, 4, 13, Fraction(2, 5), Fraction(1, 8))
+        assert verify_midpoint(inst, *self.pair(inst)).valid
+        assert verify_midpoint(inst, *self.pair(inst)).valid
+        assert calls == [inst]
+        assert inst.violations == ()
+
+    def test_invalid_instance_raises_the_same_message_on_every_call(self, calls):
+        inst = build_general_instance(6, 2, 4, 17, Fraction(2, 5), Fraction(1, 8))
+        expected = "instance parameters are invalid: " + "; ".join(
+            str(v) for v in validate_params(inst)
+        )
+        for _ in range(3):
+            with pytest.raises(ValueError) as err:
+                verify_midpoint(inst, *self.pair(inst))
+            assert str(err.value) == expected
+        assert calls == [inst]
+
+
 class TestGapCosts:
     def test_opening_costs_on_l_only(self, family10):
         idx = CoreIndex.for_instance(family10, range(10), range(10, 20))
@@ -154,17 +187,10 @@ class TestGapCosts:
 
 class TestSolutionCost:
     @pytest.mark.parametrize("name", ["mini", "tiny"])
-    @pytest.mark.parametrize("costs", ["two-point", "dense"])
-    def test_list_tuple_and_int64_array_agree(self, request, name, costs):
+    def test_list_tuple_and_int64_array_agree(self, request, name):
         inst = request.getfixturevalue(name)
         n_f, m, t = inst.facility_count, inst.client_count, inst.family_params.t
-        if costs == "two-point":
-            cost = build_gap_costs(inst, CoreIndex.for_instance(inst, range(t), range(t, 2 * t)))
-        else:
-            cost = CostVector.dense(
-                [Fraction(i + 1, 3) for i in range(n_f)],
-                [[Fraction((5 * i + j) % 7, 4) for j in range(m)] for i in range(n_f)],
-            )
+        cost = build_gap_costs(inst, CoreIndex.for_instance(inst, range(t), range(t, 2 * t)))
         assign = [(3 * j + 1) % n_f for j in range(m)]
         open_set = frozenset(assign) | {0}
         expected = sum(cost.opening_of(i) for i in open_set) + sum(
@@ -208,7 +234,8 @@ class TestTwoPointRoles:
 
 
 class TestSolutionCostInput:
-    @pytest.mark.parametrize("costs", ["two-point", "dense"])
+    COST = CostVector(3, 3, unit_opening={1}, near_facilities={0, 1}, near_clients=range(2))
+
     @pytest.mark.parametrize(
         "open_set,assign,match",
         [
@@ -219,38 +246,35 @@ class TestSolutionCostInput:
             ({3}, [0, 0, 0], "unknown facility"),
         ],
     )
-    def test_non_solutions_rejected_in_both_forms(self, costs, open_set, assign, match):
-        if costs == "two-point":
-            cost = CostVector(3, 3, unit_opening={1}, near_facilities={0, 1}, near_clients=range(2))
-        else:
-            cost = CostVector.dense([Fraction(1)] * 3, [[Fraction(1)] * 3 for _ in range(3)])
+    def test_non_solutions_rejected_in_both_forms(self, open_set, assign, match):
         with pytest.raises(ValueError, match=match):
-            cost.solution_cost(frozenset(open_set), assign)
+            self.COST.solution_cost(frozenset(open_set), assign)
+
+    @pytest.mark.parametrize("i", [-1, 3], ids=["negative", "past-end"])
+    def test_unknown_facility_id_rejected_by_both_accessors(self, i):
+        with pytest.raises(ValueError, match="unknown facility"):
+            self.COST.opening_of(i)
+        with pytest.raises(ValueError, match="unknown facility"):
+            self.COST.connection_of(i, 0)
+
+    @pytest.mark.parametrize("j", [-1, 3], ids=["negative", "past-end"])
+    def test_unknown_client_id_rejected(self, j):
+        with pytest.raises(ValueError, match="unknown client"):
+            self.COST.connection_of(0, j)
 
 
 class TestMetricAdmissible:
     def test_all_zero(self):
         inst = Instance(facility_count=2, client_count=2, capacity=1)
-        cost = CostVector.dense(
-            [Fraction(0)] * 2, [[Fraction(0)] * 2 for _ in range(2)]
-        )
+        cost = CostVector(2, 2, unit_opening=(), near_facilities=(), near_clients=())
         assert check_metric_admissible(cost, inst)
 
-    def test_single_violation(self):
-        inst = Instance(facility_count=2, client_count=2, capacity=1)
-        conn = [[Fraction(0)] * 2 for _ in range(2)]
-        conn[0][0] = Fraction(1)
-        cost = CostVector.dense([Fraction(0)] * 2, conn)
-        res = check_metric_admissible(cost, inst)
+    def test_single_violation(self, tiny, non_metric_cost):
+        res = check_metric_admissible(non_metric_cost, tiny)
         assert not res.admissible
         i, ip, j, jp = res.violation
-        lhs = cost.connection_of(i, j)
-        rhs = (
-            cost.connection_of(i, jp)
-            + cost.connection_of(ip, jp)
-            + cost.connection_of(ip, j)
-        )
-        assert lhs > rhs
+        c = non_metric_cost.connection_of
+        assert c(i, j) > c(i, jp) + c(ip, jp) + c(ip, j)
 
     def test_exact_verdict_on_family_scale(self, family10):
         idx = CoreIndex.for_instance(family10, range(10), range(10, 20))
@@ -258,22 +282,10 @@ class TestMetricAdmissible:
         res = check_metric_admissible(cost, family10)
         assert res.admissible and res.violation is None  # exact, not sampled
 
-    def test_dense_cost_above_the_quadruple_limit_refused(self):
-        m = math.isqrt(METRIC_CHECK_LIMIT) // 2 + 1
-        cost = CostVector.dense([Fraction(0)] * 2, [[Fraction(0)] * m] * 2)
-        assert (2 * m) ** 2 > METRIC_CHECK_LIMIT
-        inst = Instance(facility_count=2, client_count=m, capacity=m)
-        with pytest.raises(ValueError, match="limit"):
-            check_metric_admissible(cost, inst)
-
     def test_dimension_mismatch(self, mini):
-        cost = CostVector.dense([Fraction(0)], [[Fraction(0)]])
+        cost = CostVector(1, 1, unit_opening=(), near_facilities=(), near_clients=())
         with pytest.raises(ValueError):
             check_metric_admissible(cost, mini)
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            CostVector.dense([Fraction(-1)], [[Fraction(0)]])
 
 
 class TestCanonicalClients:

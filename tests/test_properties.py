@@ -453,18 +453,13 @@ def test_classed_and_dense_agree(pair, data):
     assert mids[-1].is_dense
 
     n_f, m = v.facility_count, v.client_count
-    two_point = CostVector(
+    cost = CostVector(
         n_f, m,
         unit_opening=data.draw(st.frozensets(st.integers(0, n_f - 1))),
         near_facilities=data.draw(st.frozensets(st.integers(0, n_f - 1))),
         near_clients=data.draw(st.frozensets(st.integers(0, m - 1))),
     )
-    dense_cost = CostVector.dense(
-        [data.draw(UNIT) for _ in range(n_f)],
-        [[data.draw(UNIT) for _ in range(m)] for _ in range(n_f)],
-    )
-    for cost in (two_point, dense_cost):
-        assert cost.vector_cost(v) == cost.vector_cost(dv) == coordinatewise_cost(cost, v)
+    assert cost.vector_cost(v) == cost.vector_cost(dv) == coordinatewise_cost(cost, v)
 
     inst = Instance(facility_count=n_f, client_count=m,
                     capacity=data.draw(st.integers(1, m)))
@@ -740,22 +735,6 @@ def test_two_point_costs_agree_with_role_sets(data):
     assert cost.solution_cost(open_set, assign) == sum(i in unit for i in open_set) + sum(
         (i in near_f) != (j in near_c) for j, i in enumerate(assign)
     )
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(data=st.data())
-def test_dense_metric_verdict_is_the_reference_loop(data):
-    n_f, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    entry = st.integers(0, 3).map(Fraction)
-    cost = CostVector.dense(
-        [Fraction(0)] * n_f, [[data.draw(entry) for _ in range(m)] for _ in range(n_f)]
-    )
-    res = check_metric_admissible(cost, Instance(facility_count=n_f, client_count=m, capacity=1))
-    assert res.admissible == quadrangle_holds_everywhere(cost, n_f, m)
-    if not res.admissible:
-        i, ip, j, jp = res.violation
-        c = cost.connection_of
-        assert c(i, j) > c(i, jp) + c(ip, jp) + c(ip, j)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
