@@ -59,15 +59,9 @@ CENSUS_CHUNK = 1000
 BRUTE_CENSUS_CHUNK = 16_384
 
 
-def _shape(inst: Instance) -> tuple[int, int]:
-    """``(n_f, t)`` of a valid instance; ValueError naming every violation otherwise."""
-    require_valid(inst)
-    return inst.facility_count, inst.family_params.t
-
-
 def core_size(inst: Instance) -> int:
     """Number of ordered disjoint (k, l) pairs: C(n_f, t) * C(n_f - t, t)."""
-    n_f, t = _shape(inst)
+    n_f, t = inst.facility_count, require_valid(inst).t
     return comb(n_f, t) * comb(n_f - t, t)
 
 
@@ -78,7 +72,7 @@ def noncolliding_count_exact(inst: Instance) -> int:
     E1 (l' inside k|l), E2 (l inside k'|l').  The count is independent of
     which reference is fixed, and includes the reference pair itself.
     """
-    n_f, t = _shape(inst)
+    n_f, t = inst.facility_count, require_valid(inst).t
     e1 = comb(2 * t, t) * comb(n_f - t, t)
     e2 = sum(
         comb(t, i) * comb(n_f - t, t - i) * comb(n_f - 2 * t + i, i)
@@ -92,7 +86,7 @@ def noncolliding_count_exact(inst: Instance) -> int:
 
 def reference_index(inst: Instance) -> CoreIndex:
     """The reference pair k = {0..t-1}, l = {t..2t-1}."""
-    t = inst.family_params.t
+    t = require_valid(inst).t
     return CoreIndex.for_instance(inst, range(t), range(t, 2 * t))
 
 
@@ -140,7 +134,7 @@ def noncolliding_count_brute(
     """
     import numpy as np
 
-    n_f, t = _shape(inst)
+    n_f, t = inst.facility_count, require_valid(inst).t
     size = core_size(inst)
     if size > BRUTE_CENSUS_LIMIT:
         raise ValueError(
@@ -179,7 +173,7 @@ def noncolliding_count_brute(
 
 def noncolliding_upper_bound(inst: Instance) -> Fraction:
     """2 * (2t/n_f)^t * core_size: the with-repetition containment bound."""
-    n_f, t = _shape(inst)
+    n_f, t = inst.facility_count, require_valid(inst).t
     return 2 * Fraction(2 * t, n_f) ** t * core_size(inst)
 
 
@@ -216,7 +210,7 @@ def noncolliding_prob_mc(inst: Instance, samples: int, seed: int) -> McEstimate:
 
     from .randomness import ExactRng
 
-    n_f, t = _shape(inst)
+    n_f, t = inst.facility_count, require_valid(inst).t
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     ref = reference_index(inst)
@@ -262,7 +256,7 @@ def build_census_report(inst: Instance, *, brute_force: bool = False) -> CensusR
     """Assemble the census; brute force cross-checks the formula when asked."""
     lam = noncolliding_count_exact(inst)
     upper = noncolliding_upper_bound(inst)
-    if inst.facility_count == inst.family_params.t ** 2 and lam > upper:
+    if inst.facility_count == inst.family.t ** 2 and lam > upper:
         raise AssertionError(
             f"containment bound violated on a square-shaped instance: {lam} > {upper}"
         )
@@ -309,7 +303,7 @@ def analytic_opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
 
     from .rounding import IntSolution, solution_violations
 
-    _, t = _shape(inst)
+    t = require_valid(inst).t
     cap = inst.capacity
     k_sorted = sorted(core_index.k)
     low_open = min(core_index.l)

@@ -28,6 +28,7 @@ from .instance import (
     build_family_instance,
     build_gap_costs,
     build_general_instance,
+    require_valid,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,7 +90,7 @@ def _load_core_pair(first: str, second: str):
     """Instance, both indices and input digests of two core files of one instance."""
     inst, c1, in1 = _load_core_index(first)
     inst2, c2, in2 = _load_core_index(second)
-    if docio.instance_to_doc(inst) != docio.instance_to_doc(inst2):
+    if inst != inst2:
         raise ValueError("core files describe different instances")
     return inst, c1, c2, {**in1, **in2}
 
@@ -162,9 +163,7 @@ def cmd_gen(args) -> int:
 
 def cmd_core(args) -> int:
     inst, inputs = _load_instance(args.instance)
-    t = inst.family_params.t if inst.family_params else None
-    if t is None:
-        raise ValueError("instance has no family parameters")
+    t = require_valid(inst).t
     if args.random:
         if args.seed is None:
             raise ValueError("--random requires --seed")

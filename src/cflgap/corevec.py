@@ -81,9 +81,7 @@ class CoreIndex:
         cls, inst: Instance, k: Iterable[int], l: Iterable[int]
     ) -> "CoreIndex":
         """The index ``(k, l)``, or ValueError unless they are disjoint t-sets of facilities."""
-        if inst.family_params is None:
-            raise ValueError("instance has no family_params")
-        kf, lf, t = frozenset(k), frozenset(l), inst.family_params.t
+        kf, lf, t = frozenset(k), frozenset(l), inst.family.t
         if len(kf) != t or len(lf) != t:
             raise ValueError(f"|k| and |l| must both equal t = {t}, got {len(kf)}, {len(lf)}")
         if kf & lf:
@@ -302,8 +300,7 @@ def make_core_vector(
     The designated clients (:attr:`Instance.designated_clients`, a prefix of
     the client ids) and the rest, the tail, are both single runs.
     """
-    require_valid(inst)
-    params = inst.family_params
+    params = require_valid(inst)
     index = CoreIndex.for_instance(inst, k, l)
     kf, lf = index.k, index.l
     # the outside facilities as the runs between the sorted ids of k | l
@@ -358,10 +355,12 @@ class NaturalLpReport:
 def check_natural_lp(inst: Instance, v: FracVector) -> NaturalLpReport:
     """Exact check of the natural relaxation constraints.
 
-    (i) every client's assignment mass is exactly 1, (ii) 0 <= x_ij <= y_i <= 1,
-    (iii) every facility's assigned demand is at most capacity * y_i.
-    Checked once per symmetry class; a dense vector's violations name the
-    facility and client ids, a classed one's the least id of each class.
+    (i) every client's assignment mass is exactly 1, (ii) x_ij <= y_i,
+    (iii) every facility's assigned demand is at most capacity * y_i.  The
+    bounds 0 <= x_ij and y_i <= 1 need no check here: the :class:`FracVector`
+    constructor refuses every entry outside [0, 1].  Checked once per
+    symmetry class; a dense vector's violations name the facility and client
+    ids, a classed one's the least id of each class.
     """
     if v.facility_count != inst.facility_count or v.client_count != inst.client_count:
         raise ValueError("vector/instance dimension mismatch")
@@ -385,8 +384,6 @@ def check_natural_lp(inst: Instance, v: FracVector) -> NaturalLpReport:
     for fc_idx, fc in enumerate(v.fac_classes):
         y = v.y_values[fc_idx]
         where_f = where("facility", fc[0][0])
-        if y > 1:
-            out.append(LpViolation("opening_bound", where_f, y - 1))
         load = ZERO
         for cc_idx, runs in enumerate(v.cli_classes):
             x = v.x_values[fc_idx][cc_idx]
@@ -395,7 +392,7 @@ def check_natural_lp(inst: Instance, v: FracVector) -> NaturalLpReport:
                 out.append(
                     LpViolation("assignment_le_opening", f"{where_f} / {where_c}", x - y)
                 )
-            load += cli_sizes[cc_idx] * inst.demand * x
+            load += cli_sizes[cc_idx] * x
         if load > cap * y:
             out.append(LpViolation("capacity", where_f, load - cap * y))
 

@@ -58,19 +58,21 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]
 class FamilyParams:
     """Design constants of a (generalized) family instance.
 
-    ``t`` is the size of each of the two distinguished facility subsets,
-    ``eps`` the fractional opening value on the low set, ``x_l`` the
-    assignment mass a designated client sends to each low-set facility, and
-    ``core_client_count`` the size of the designated client group
-    (``capacity * t + 1``).  ``a`` is the client-multiplier of the classic
-    family and is absent for hand-built generalized instances.
+    ``t`` (at least 1) is the size of each of the two distinguished facility
+    subsets, ``eps`` the fractional opening value on the low set and ``x_l``
+    the assignment mass a designated client sends to each low-set facility.
+    ``a`` is the client-multiplier of the classic family and is absent for
+    hand-built generalized instances.
     """
 
     t: int
     eps: Fraction
     x_l: Fraction
-    core_client_count: int
     a: Optional[int] = None
+
+    def __post_init__(self):
+        if self.t < 1:
+            raise ValueError(f"t must be >= 1, got {self.t}")
 
     @property
     def x_k(self) -> Fraction:
@@ -85,7 +87,6 @@ class Instance:
     facility_count: int
     client_count: int
     capacity: int
-    demand: int = 1
     family_params: Optional[FamilyParams] = None
 
     def __post_init__(self):
@@ -95,14 +96,18 @@ class Instance:
             raise ValueError(f"client_count must be nonnegative, got {self.client_count}")
         if self.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if self.demand != 1:
-            raise ValueError(f"only unit demands are supported, got {self.demand}")
-        p = self.family_params
-        if p is not None and p.core_client_count != self.capacity * p.t + 1:
-            raise ValueError(
-                f"family_params core_client_count = {p.core_client_count} must equal "
-                f"capacity*t + 1 = {self.capacity * p.t + 1}"
-            )
+
+    @property
+    def family(self) -> FamilyParams:
+        """The family parameters; ValueError for an instance without them."""
+        if self.family_params is None:
+            raise ValueError("instance has no family_params")
+        return self.family_params
+
+    @property
+    def core_client_count(self) -> int:
+        """Size of the designated client group: ``capacity*t + 1``."""
+        return self.capacity * self.family.t + 1
 
     @cached_property
     def violations(self) -> tuple[ParamViolation, ...]:
@@ -120,9 +125,7 @@ class Instance:
         One more client than the high set can serve.  ValueError without family
         params, or when the group does not fit inside the instance's clients.
         """
-        if self.family_params is None:
-            raise ValueError("instance has no family_params")
-        count = self.family_params.core_client_count
+        count = self.core_client_count
         if count > self.client_count:
             raise ValueError(
                 f"core_client_count = {count} exceeds client_count = {self.client_count}"
@@ -160,7 +163,6 @@ def build_family_instance(t: int, a: int) -> Instance:
         t=t,
         eps=Fraction(10, t * t),
         x_l=Fraction(1, t**3),
-        core_client_count=t**4 + 1,
         a=a,
     )
     return Instance(
@@ -180,24 +182,16 @@ def build_general_instance(
     x_l: Fraction,
 ) -> Instance:
     """Generalized family instance with freely chosen design constants."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
     if facility_count < 1 or client_count < 1 or capacity < 1:
         raise ValueError(
             "facility_count, client_count and capacity must be positive, got "
             f"({facility_count}, {client_count}, {capacity})"
         )
-    params = FamilyParams(
-        t=t,
-        eps=Fraction(eps),
-        x_l=Fraction(x_l),
-        core_client_count=capacity * t + 1,
-    )
     return Instance(
         facility_count=facility_count,
         client_count=client_count,
         capacity=capacity,
-        family_params=params,
+        family_params=FamilyParams(t=t, eps=Fraction(eps), x_l=Fraction(x_l)),
     )
 
 
@@ -207,12 +201,10 @@ def validate_params(inst: Instance) -> list[ParamViolation]:
     Empty list means every probability and every fractional load of the
     construction lies in its admissible range.  Requires ``family_params``.
     """
-    p = inst.family_params
-    if p is None:
-        raise ValueError("instance has no family_params to validate")
+    p = inst.family
     t, eps, x_l = p.t, p.eps, p.x_l
     n_f, m, cap = inst.facility_count, inst.client_count, inst.capacity
-    n_core = p.core_client_count
+    n_core = inst.core_client_count
     out: list[ParamViolation] = []
 
     if not 0 < eps <= 1:
@@ -277,12 +269,13 @@ def validate_params(inst: Instance) -> list[ParamViolation]:
     return out
 
 
-def require_valid(inst: Instance) -> None:
-    """ValueError listing every violated condition, if :attr:`Instance.violations` holds any."""
+def require_valid(inst: Instance) -> FamilyParams:
+    """The family of a valid instance; ValueError listing every violated condition otherwise."""
     if inst.violations:
         raise ValueError(
             "instance parameters are invalid: " + "; ".join(map(str, inst.violations))
         )
+    return inst.family
 
 
 # ---------------------------------------------------------------------------

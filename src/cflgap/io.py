@@ -17,7 +17,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Optional
 
-from .corevec import CoreIndex, FracVector, NaturalLpReport, Runs, _runs
+from .corevec import DENSE_LIMIT, CoreIndex, FracVector, NaturalLpReport, Runs, _runs
 from .instance import ZERO, FamilyParams, Instance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -148,7 +148,7 @@ def instance_to_doc(inst: Instance) -> dict:
             "t": p.t,
             "eps": frac_to_str(p.eps),
             "x_l": frac_to_str(p.x_l),
-            "core_client_count": p.core_client_count,
+            "core_client_count": inst.core_client_count,
         }
         if p.a is not None:
             fp["a"] = p.a
@@ -162,21 +162,23 @@ def instance_from_doc(doc: dict) -> Instance:
         key: _int(_field(doc, key, where), f"{where} field '{key}'")
         for key in ("facility_count", "client_count", "capacity")
     }
-    params: Optional[FamilyParams] = None
     fp = doc.get("family_params")
-    if fp is not None:
-        where = "instance family_params"
-        params = FamilyParams(
-            t=_int(_field(fp, "t", where), f"{where} field 't'"),
-            eps=_frac_field(fp, "eps", where),
-            x_l=_frac_field(fp, "x_l", where),
-            core_client_count=_int(
-                _field(fp, "core_client_count", where),
-                f"{where} field 'core_client_count'",
-            ),
-            a=_int(fp["a"], f"{where} field 'a'") if fp.get("a") is not None else None,
+    if fp is None:
+        return Instance(**counts)
+    where = "instance family_params"
+    inst = Instance(**counts, family_params=FamilyParams(
+        t=_int(_field(fp, "t", where), f"{where} field 't'"),
+        eps=_frac_field(fp, "eps", where),
+        x_l=_frac_field(fp, "x_l", where),
+        a=_int(fp["a"], f"{where} field 'a'") if fp.get("a") is not None else None,
+    ))
+    count = _int(_field(fp, "core_client_count", where), f"{where} field 'core_client_count'")
+    if count != inst.core_client_count:
+        raise ValueError(
+            f"family_params core_client_count = {count} must equal "
+            f"capacity*t + 1 = {inst.core_client_count}"
         )
-    return Instance(**counts, family_params=params)
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +256,15 @@ def _vector_from_doc(
             ) from None
         return FracVector(
             facility_count, client_count, fac_classes, cli_classes, y_values, x_values
+        )
+    if len(y_doc) != facility_count:
+        raise ValueError(
+            f"{where} has {len(y_doc)} y entries for {facility_count} facilities"
+        )
+    if facility_count * client_count > DENSE_LIMIT:
+        raise ValueError(
+            f"{where} is dense over {facility_count} facilities x {client_count} "
+            f"clients, more than {DENSE_LIMIT} coordinates"
         )
     y = [_frac(s, f"{where} y entry") for s in y_doc]
     x = [[ZERO] * client_count for _ in range(facility_count)]

@@ -79,11 +79,11 @@ def enumerate_integer_solutions(
                 out.append(IntSolution(open=open_set, assign=assign))
                 return
             for i in open_list:
-                if load[i] + inst.demand <= cap:
+                if load[i] < cap:
                     assign[j] = i
-                    load[i] += inst.demand
+                    load[i] += 1
                     extend(j + 1)
-                    load[i] -= inst.demand
+                    load[i] -= 1
 
         extend(0)
     return out

@@ -128,7 +128,7 @@ def solution_violations(inst: Instance, sol: IntSolution) -> list[str]:
     not_open = [i for i in used if i not in sol.open]
     if not_open:
         out.append(f"clients assigned to closed facilities {not_open}")
-    over = [(i, counts[i]) for i in used if counts[i] * inst.demand > inst.capacity]
+    over = [(i, counts[i]) for i in used if counts[i] > inst.capacity]
     if over:
         out.append(f"capacity exceeded at {over} (capacity {inst.capacity})")
     return out
@@ -273,7 +273,7 @@ class RoundingPlan:
 def _experiment_specs(
     inst: Instance, c1: CoreIndex, c2: CoreIndex
 ) -> tuple[_Experiment, _Experiment]:
-    params = inst.family_params
+    params = inst.family
     t, eps, x_l = params.t, params.eps, params.x_l
     f, g = pivot_facilities(c1, c2)
     q = inst.facility_count - 2 * t

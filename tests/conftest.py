@@ -105,7 +105,7 @@ def exact_distribution(plan):
     inst, params = plan.inst, plan.inst.family_params
     t, eps = params.t, params.eps
     p_pivot, p_extra = 1 - (t - 1) * eps, t * eps
-    n_core = params.core_client_count
+    n_core = inst.core_client_count
     n_rest = inst.client_count - n_core
     w_base = n_core * params.x_l
     w_extra = (

@@ -363,6 +363,39 @@ class TestMalformedCoreDocument:
             id="dense-triplet-out-of-range",
         ),
         pytest.param(
+            "dense", ["y"], ["1/1"],
+            [["lpcheck", "{path}"]],
+            "core document has 1 y entries for 6 facilities",
+            id="dense-y-short",
+        ),
+        # t = 0 used to end every validating command in a ZeroDivisionError
+        pytest.param(
+            "mini", ["family_params", "t"], 0,
+            [["core", "--instance", "{path}", "--k", "0,1", "--l", "2,3"],
+             ["certify", "--instance", "{path}"],
+             ["bound", "--instance", "{path}"],
+             ["census", "--instance", "{path}", "--exact"]],
+            "t must be >= 1, got 0",
+            id="instance-t-0",
+        ),
+        # certify --instance used to end in an AttributeError on reference_index
+        pytest.param(
+            "mini", ["family_params"], None,
+            [["core", "--instance", "{path}", "--k", "0,1", "--l", "2,3"],
+             ["certify", "--instance", "{path}"],
+             ["bound", "--instance", "{path}"],
+             ["census", "--instance", "{path}", "--exact"]],
+            "error: instance has no family_params\n",
+            id="family-less-instance",
+        ),
+        pytest.param(
+            "a", ["instance", "family_params"], None,
+            [["certify", "--core", "{path}"],
+             ["verify-midpoint", "{path}", "{b_altered}"]],
+            "error: instance has no family_params\n",
+            id="family-less-core-file",
+        ),
+        pytest.param(
             "a", ["x", 0, "facilities"], {"span": [0, 1]},
             [["lpcheck", "{path}"],
              ["sample", "{path}", "{b}", "--n", "5", "--seed", "1"]],
@@ -543,6 +576,21 @@ class TestMalformedCoreDocument:
             elapsed = time.perf_counter() - start
             assert "Traceback" not in capsys.readouterr().err
             assert elapsed < 0.5, argv
+
+    def test_oversized_dense_document_exits_2_before_allocating(self, tmp_path, capsys):
+        # 2,000 x 2,000 dense coordinates, four times the dense limit: the
+        # reader used to build the whole x matrix of zeros, then refuse the
+        # lone y entry as "x values must be facility-class x client-class"
+        path = tmp_path / "huge.core"
+        path.write_text(json.dumps({
+            "instance": {"facility_count": 2000, "client_count": 2000, "capacity": 1},
+            "k": [0], "l": [1], "core_clients": {"span": [0, 1]},
+            "repr": "dense", "y": ["1/1"] * 2000, "x": [],
+        }))
+        assert cli.main(["lpcheck", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "dense over 2000 facilities x 2000 clients, more than 1000000" in err
+        assert "Traceback" not in err
 
     def test_designated_clients_beyond_instance_exit_2(self, tmp_path):
         # a t=1 instance cut to 2 clients, whose x entries still partition

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import cflgap.instance as instance_module
-from cflgap.corevec import CoreIndex
+from cflgap.certify import core_size, reference_index
+from cflgap.corevec import CoreIndex, make_core_vector
 from cflgap.instance import (
     CostVector,
     FamilyParams,
@@ -13,6 +14,7 @@ from cflgap.instance import (
     build_gap_costs,
     build_general_instance,
     check_metric_admissible,
+    require_valid,
     validate_params,
 )
 from cflgap.rounding import verify_midpoint
@@ -28,9 +30,8 @@ class TestBuildFamilyInstance:
         assert inst.facility_count == 100
         assert inst.client_count == 20000
         assert inst.capacity == 1000
-        assert inst.demand == 1
+        assert inst.core_client_count == 10001
         p = inst.family_params
-        assert p.core_client_count == 10001
         assert p.eps == Fraction(10, 100)
         assert p.x_l == Fraction(1, 1000)
         assert p.a == 2
@@ -56,7 +57,7 @@ class TestBuildFamilyInstance:
 class TestBuildGeneralInstance:
     def test_valid_mini(self):
         inst = build_general_instance(6, 2, 4, 13, Fraction(2, 5), Fraction(1, 8))
-        assert inst.family_params.core_client_count == 9
+        assert inst.core_client_count == 9
         assert validate_params(inst) == []
 
     def test_overloaded_closed_branch(self):
@@ -117,6 +118,38 @@ class TestValidateParams:
             inst = build_general_instance(6 if t < 3 else 100, t, 4, 13, eps, x_l)
             p = inst.family_params
             assert p.t * p.x_k + p.t * p.x_l == 1
+
+
+class TestFamily:
+    PLAIN = Instance(facility_count=6, client_count=13, capacity=4)
+
+    @pytest.mark.parametrize("read", [
+        validate_params,
+        require_valid,
+        lambda inst: inst.family,
+        lambda inst: inst.core_client_count,
+        lambda inst: inst.designated_clients,
+        lambda inst: CoreIndex.for_instance(inst, [0, 1], [2, 3]),
+        lambda inst: make_core_vector(inst, [0, 1], [2, 3]),
+        core_size,
+        reference_index,
+    ], ids=["validate_params", "require_valid", "family", "core_client_count",
+            "designated_clients", "CoreIndex.for_instance", "make_core_vector",
+            "core_size", "reference_index"])
+    def test_one_refusal_for_a_family_less_instance(self, read):
+        with pytest.raises(ValueError, match=r"^instance has no family_params$"):
+            read(self.PLAIN)
+
+    def test_require_valid_returns_the_family(self, mini, family10):
+        for inst in (mini, family10):
+            assert require_valid(inst) is inst.family is inst.family_params
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_t_below_one_refused(self, t):
+        with pytest.raises(ValueError, match=f"^t must be >= 1, got {t}$"):
+            FamilyParams(t=t, eps=Fraction(1, 2), x_l=Fraction(1, 3))
+        with pytest.raises(ValueError, match=f"^t must be >= 1, got {t}$"):
+            build_general_instance(6, t, 4, 13, Fraction(1, 2), Fraction(1, 3))
 
 
 class TestValidityVerdict:
@@ -298,7 +331,7 @@ class TestCanonicalClients:
     @pytest.mark.parametrize("t,a", [(10, 2), (11, 2), (12, 3)])
     def test_size_is_core_client_count(self, t, a):
         inst = build_family_instance(t, a)
-        assert len(inst.designated_clients) == inst.family_params.core_client_count
+        assert len(inst.designated_clients) == inst.core_client_count
 
     def test_instance_without_family_params_raises(self):
         with pytest.raises(ValueError, match="no family_params"):
@@ -308,24 +341,7 @@ class TestCanonicalClients:
         assert mini.rest_clients == range(9, 13)
 
     def test_group_past_the_last_client_raises(self):
-        params = FamilyParams(
-            t=2, eps=Fraction(2, 5), x_l=Fraction(1, 8), core_client_count=9
-        )
+        params = FamilyParams(t=2, eps=Fraction(2, 5), x_l=Fraction(1, 8))
         inst = Instance(facility_count=6, client_count=8, capacity=4, family_params=params)
         with pytest.raises(ValueError, match="core_client_count = 9 exceeds client_count = 8"):
             inst.designated_clients
-
-    @pytest.mark.parametrize("count", [8, 9, 10])
-    def test_core_client_count_must_be_capacity_t_plus_one(self, count):
-        params = FamilyParams(
-            t=2, eps=Fraction(2, 5), x_l=Fraction(1, 8), core_client_count=count
-        )
-
-        def build():
-            return Instance(facility_count=6, client_count=13, capacity=4, family_params=params)
-
-        if count == 9:
-            assert build().designated_clients == range(9)
-        else:
-            with pytest.raises(ValueError, match=f"core_client_count = {count} must equal"):
-                build()

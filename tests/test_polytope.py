@@ -27,7 +27,7 @@ def count_by_direct_product(inst):
                 continue
             for assign in itertools.product(open_set, repeat=inst.client_count):
                 counts = {i: assign.count(i) for i in open_set}
-                if all(c * inst.demand <= inst.capacity for c in counts.values()):
+                if all(c <= inst.capacity for c in counts.values()):
                     total += 1
             if not inst.client_count:
                 total += 1

@@ -192,7 +192,7 @@ def reference_class(inst, exp, chosen, slots1, extra_open, slots2, probability):
     problems.extend(
         f"facility {fac} serves {cnt} clients above capacity {inst.capacity}"
         for fac, cnt in sorted(profile.items())
-        if not 0 <= cnt * inst.demand <= inst.capacity
+        if not 0 <= cnt <= inst.capacity
     )
     closed = sorted(set(profile) - open_set)
     if closed:
