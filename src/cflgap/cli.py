@@ -272,26 +272,22 @@ def _sample_block(
     start: int,
 ) -> tuple[int, Counter, list[str]]:
     from .randomness import ExactRng
-    from .rounding import outcome_class_key, sample_outcome, solution_violations
+    from .rounding import sample_outcome, tally_draws
 
     rng = ExactRng(seed)
-    feasible = 0
-    freq: Counter = Counter()
-    problems: list[str] = []
-    for index in range(start, start + count):
-        draw = sample_outcome(plan, rng)
-        violations = solution_violations(plan.inst, draw.solution)
-        if violations:
-            if len(problems) < MAX_VIOLATION_EXAMPLES:
-                problems.append(f"sample {index}: {violations}")
-        else:
-            feasible += 1
-        freq[outcome_class_key(plan, draw)] += 1
-        if solutions_dir:
-            path = os.path.join(solutions_dir, f"sol_{index:06d}.json")
-            docio.write_document(
-                path, docio.solution_to_doc(draw.solution, seed=seed)
-            )
+
+    def draws():
+        for index in range(start, start + count):
+            draw = sample_outcome(plan, rng)
+            if solutions_dir:
+                path = os.path.join(solutions_dir, f"sol_{index:06d}.json")
+                docio.write_document(
+                    path, docio.solution_to_doc(draw.solution, seed=seed)
+                )
+            yield draw
+
+    feasible, freq, flagged = tally_draws(plan, draws(), count, MAX_VIOLATION_EXAMPLES)
+    problems = [f"sample {start + pos}: {violations}" for pos, violations in flagged]
     return feasible, freq, problems
 
 
@@ -339,7 +335,7 @@ def cmd_sample(args) -> int:
         doc = docio.outcome_class_to_doc(cl)
         doc["observed"] = freq.get(cl.key, 0)
         class_docs.append(doc)
-    unmatched = sum(freq.values()) - sum(d["observed"] for d in class_docs)
+    unmatched = args.n - sum(d["observed"] for d in class_docs)
 
     print(f"samples: {args.n}, feasible: {feasible}, infeasible: {args.n - feasible}")
     payload = {
@@ -362,7 +358,7 @@ def cmd_sample(args) -> int:
         ),
     }
     _write(args, payload)
-    return EXIT_OK if feasible == args.n else EXIT_FALSE
+    return EXIT_OK if feasible == args.n and not unmatched else EXIT_FALSE
 
 
 def _mc_block_hits(inst: Instance, seed: int, count: int, start: int) -> int:

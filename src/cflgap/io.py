@@ -240,8 +240,13 @@ def _vector_from_doc(
                 raise ValueError(
                     f"{where} x entry {n} field 'facilities' is not one of the y classes"
                 )
-            ci = cli_index.setdefault(cc, len(cli_index))
-            cell[(fac_index[fc], ci)] = _frac_field(entry, "value", "x entry")
+            at = (fac_index[fc], cli_index.setdefault(cc, len(cli_index)))
+            if at in cell:
+                raise ValueError(
+                    f"{where} repeats the x cell for facility class {at[0]} "
+                    f"and client class {at[1]}"
+                )
+            cell[at] = _frac_field(entry, "value", "x entry")
         cli_classes = list(cli_index)
         try:
             x_values = [
@@ -268,6 +273,7 @@ def _vector_from_doc(
         )
     y = [_frac(s, f"{where} y entry") for s in y_doc]
     x = [[ZERO] * client_count for _ in range(facility_count)]
+    seen: set[tuple[int, int]] = set()
     for triplet in x_doc:
         if not isinstance(triplet, list) or len(triplet) != 3:
             raise ValueError(f"{where} x entry must be [i, j, value], got {_shown(triplet)}")
@@ -277,6 +283,9 @@ def _vector_from_doc(
                 f"{where} x entry {_shown(triplet)} is outside the "
                 f"{facility_count} x {client_count} assignment matrix"
             )
+        if (i, j) in seen:
+            raise ValueError(f"{where} repeats the x cell [{i}, {j}]")
+        seen.add((i, j))
         x[i][j] = _frac(triplet[2], f"{where} x entry value")
     return FracVector.from_dense(y, x)
 

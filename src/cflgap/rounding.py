@@ -24,6 +24,10 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
   client and bin choices; each class holds its slot profile as one shared
   part per facility group.
 
+:func:`tally_draws` checks and keys a stream of draws from one table of
+facility loads, one ``bincount`` row per draw.  It shares its load check
+with :func:`solution_violations` and its key with :func:`outcome_class_key`.
+
 :func:`expected_vector` sums probability times the parts into group totals,
 so :func:`verify_midpoint` certifies constructively, from one class list,
 that the midpoint of a colliding pair is a convex combination of feasible
@@ -34,12 +38,13 @@ A plan is built per command or caller and passed explicitly.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import lcm
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +65,7 @@ __all__ = [
     "compile_plan",
     "sample_outcome",
     "outcome_class_key",
+    "tally_draws",
     "expected_vector",
     "enumerate_outcome_classes",
     "verify_midpoint",
@@ -108,24 +114,42 @@ class IntSolution:
 
 def solution_violations(inst: Instance, sol: IntSolution) -> list[str]:
     """Violated integer-solution invariants (empty list = feasible)."""
-    out: list[str] = []
     if len(sol.assign) != inst.client_count:
-        out.append(
+        return [
             f"assignment covers {len(sol.assign)} clients, instance has {inst.client_count}"
-        )
-        return out
-    if sol.open and not (0 <= min(sol.open) and max(sol.open) < inst.facility_count):
+        ]
+    return _load_violations(inst, sol.open, _facility_loads(inst, sol.assign))
+
+
+def _facility_loads(inst: Instance, assign: np.ndarray) -> Optional[np.ndarray]:
+    """Clients per facility of an assignment, or None if it names an unknown id."""
+    try:
+        loads = np.bincount(assign, minlength=inst.facility_count)
+    except ValueError:  # a negative id
+        return None
+    return loads if len(loads) == inst.facility_count else None
+
+
+def _has_unknown_id(open_set: frozenset[int], facility_count: int) -> bool:
+    return bool(open_set) and not (0 <= min(open_set) and max(open_set) < facility_count)
+
+
+def _load_violations(
+    inst: Instance, open_set: frozenset[int], loads: Optional[np.ndarray]
+) -> list[str]:
+    """Violations of a full-length assignment given by its facility loads.
+
+    ``loads`` is None when the assignment names an unknown facility id.
+    """
+    out: list[str] = []
+    if _has_unknown_id(open_set, inst.facility_count):
         out.append("open set contains unknown facility ids")
-    if inst.client_count == 0:
-        return out
-    arr = sol.assign
-    if arr.min() < 0 or arr.max() >= inst.facility_count:
+    if loads is None:
         out.append("assignment targets unknown facility ids")
         return out
-    counts = np.bincount(arr, minlength=inst.facility_count)
-    used = np.flatnonzero(counts).tolist()
-    counts = counts.tolist()
-    not_open = [i for i in used if i not in sol.open]
+    used = np.flatnonzero(loads).tolist()
+    counts = loads.tolist()
+    not_open = [i for i in used if i not in open_set]
     if not_open:
         out.append(f"clients assigned to closed facilities {not_open}")
     over = [(i, counts[i]) for i in used if counts[i] > inst.capacity]
@@ -230,6 +254,7 @@ def split_slots(
 @dataclass(frozen=True, eq=False)
 class _Experiment:
     label: str
+    # facility groups hold their ids in ascending order
     always_open: tuple[int, ...]   # the owning high set, opened in step 1
     choice_set: tuple[int, ...]    # the owning low set; exactly one opens
     pivot_extra: int               # borrowed facility, opened on extra_coin
@@ -559,30 +584,148 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
 def outcome_class_key(plan: RoundingPlan, draw: SampleDraw) -> tuple:
     """Canonical class key of a sampled draw, matching OutcomeClass.key.
 
-    Counts within each exchangeable bin group are sorted onto ascending ids,
+    The one-draw case of :func:`_class_counts`, in plain Python: for one
+    draw that is faster than the block path's dozen numpy calls.
+    """
+    exp_index, chosen, extra_open = _branch_row(plan, draw)
+    exp = plan.experiments[exp_index]
+    counts = np.bincount(draw.solution.assign, minlength=plan.inst.facility_count).tolist()
+    row = [counts[chosen], counts[exp.pivot_extra]]
+    for group in (exp.always_open, exp.outside_bins):
+        row += sorted((counts[fac] for fac in group), reverse=True)
+    return _class_key(exp, chosen, extra_open, row)
+
+
+def _branch_row(plan: RoundingPlan, draw: SampleDraw) -> tuple[int, int, int]:
+    """(experiment index, chosen low facility, extra_open) of a draw."""
+    exp_index = 0 if draw.experiment == plan.experiments[0].label else 1
+    return exp_index, draw.chosen_l_facility, int(draw.extra_open)
+
+
+def _class_key(exp: _Experiment, chosen: int, extra_open: int, row: list[int]) -> tuple:
+    """The OutcomeClass.key of a draw of ``exp`` from its key row.
+
+    The row holds the counts of the chosen low facility and the borrowed
+    pivot, then each bin group's counts (high set, outside bins) in
+    descending order.  Those go onto the group's ids in ascending order,
     collapsing which-bin-got-the-extra-slot choices exactly as the
     enumerator does.
     """
-    exp_a, exp_b = plan.experiments
-    exp = exp_a if draw.experiment == "A" else exp_b
-    counts = np.bincount(
-        draw.solution.assign, minlength=plan.inst.facility_count
-    ).tolist()
-    profile: dict[int, int] = {}
-    for fac in (draw.chosen_l_facility, exp.pivot_extra):
-        if counts[fac]:
-            profile[fac] = counts[fac]
-    for group in (exp.always_open, exp.outside_bins):
-        group_counts = sorted((counts[fac] for fac in group), reverse=True)
-        for fac, cnt in zip(sorted(group), group_counts):
-            if cnt:
-                profile[fac] = cnt
-    return (
-        draw.experiment,
-        draw.chosen_l_facility,
-        draw.extra_open,
-        tuple(sorted(profile.items())),
+    facilities = (chosen, exp.pivot_extra, *exp.always_open, *exp.outside_bins)
+    profile = sorted(filter(itemgetter(1), zip(facilities, row)))
+    return exp.label, chosen, bool(extra_open), tuple(profile)
+
+
+def _class_counts(plan: RoundingPlan, branches: np.ndarray, loads: np.ndarray) -> Counter:
+    """Class keys of draws, matching OutcomeClass.key, with how many draws have each.
+
+    Row r of ``branches`` is draw r's :func:`_branch_row` and row r of
+    ``loads`` its clients per facility.  Each experiment's key rows (see
+    :func:`_class_key`) are sorted at once and counted by their bytes, so
+    no per-entry Python int is made, and only distinct rows become keys.
+    """
+    freq: Counter = Counter()
+    for exp_index, exp in enumerate(plan.experiments):
+        rows = np.flatnonzero(branches[:, 0] == exp_index)
+        if not len(rows):
+            continue
+        columns = [
+            branches[rows, 1:],
+            loads[rows, branches[rows, 1]][:, None],
+            loads[rows, exp.pivot_extra][:, None],
+        ]
+        columns += [
+            np.sort(loads[np.ix_(rows, group)], axis=1)[:, ::-1]
+            for group in (exp.always_open, exp.outside_bins)
+        ]
+        key_rows = np.hstack(columns)
+        for key_row, n in Counter(map(bytes, key_rows)).items():
+            chosen, extra_open, *row = np.frombuffer(key_row, dtype=key_rows.dtype).tolist()
+            freq[_class_key(exp, chosen, extra_open, row)] += n
+    return freq
+
+
+# Bytes of the facility-load table tally_draws holds at once: a block of
+# 1,000 draws is one chunk up to 1,048 facilities.
+_LOAD_TABLE_BYTES = 1 << 23
+
+
+def tally_draws(
+    plan: RoundingPlan, draws: Iterable[SampleDraw], count: int, max_examples: int
+) -> tuple[int, Counter, list[tuple[int, list[str]]]]:
+    """Check and key the draws of ``plan`` in chunks of facility loads.
+
+    Each draw becomes one row of a load table (one ``bincount``) plus its
+    open set and branch, and is then dropped.  The table holds ``count``
+    rows (the number of draws, or a bound on it), or fewer when that would
+    take more than ``_LOAD_TABLE_BYTES``.  Each chunk is checked at once
+    (a row is feasible iff no facility serves more than its capacity on the
+    row's open set, 0 when closed: what :func:`solution_violations` checks)
+    and keyed by :func:`_class_counts`.  A draw whose assignment cannot be
+    counted (a wrong length or an unknown facility id) is infeasible and has
+    no class key.  Returns the number of feasible draws, the class-key
+    counts, and ``(position, solution_violations)`` of the first
+    ``max_examples`` infeasible draws in draw order.
+    """
+    inst = plan.inst
+    n_f = inst.facility_count
+    table = np.empty(
+        (max(1, min(count, _LOAD_TABLE_BYTES // (8 * max(n_f, 1)))), n_f), dtype=np.int64
     )
+    open_ids: dict[frozenset[int], int] = {}  # distinct open sets, in order of appearance
+    # per open set: capacity on its members and 0 elsewhere, or None when it
+    # names an unknown facility id (every draw with it is infeasible)
+    limits: list[Optional[np.ndarray]] = []
+    feasible, freq, examples = 0, Counter(), []
+
+    def tally(first: int, opens: list[int], branches: list, uncounted: dict) -> int:
+        """Check and key the table's first rows (draws first, first + 1, ...)."""
+        loads, branch_rows = table[: len(opens)], np.array(branches)
+        open_of = np.array(opens)
+        bad = np.zeros(len(opens), dtype=bool)
+        for open_id, limit in enumerate(limits):
+            rows = np.flatnonzero(open_of == open_id)
+            bad[rows] = True if limit is None else (loads[rows] > limit).any(axis=1)
+        bad[list(uncounted)] = True
+        open_sets = list(open_ids)
+        for row in np.flatnonzero(bad)[: max_examples - len(examples)].tolist():
+            violations = uncounted.get(row)
+            if violations is None:
+                violations = _load_violations(inst, open_sets[opens[row]], loads[row])
+            examples.append((first + row, violations))
+        if uncounted:
+            counted = np.ones(len(opens), dtype=bool)
+            counted[list(uncounted)] = False
+            loads, branch_rows = loads[counted], branch_rows[counted]
+        freq.update(_class_counts(plan, branch_rows, loads))
+        return len(opens) - int(bad.sum())
+
+    first, opens, branches, uncounted = 0, [], [], {}
+    for position, draw in enumerate(draws):
+        sol = draw.solution
+        loads = (
+            _facility_loads(inst, sol.assign) if len(sol.assign) == inst.client_count else None
+        )
+        if loads is None:
+            uncounted[len(opens)] = solution_violations(inst, sol)
+            loads = 0
+        table[len(opens)] = loads
+        open_id = open_ids.get(sol.open)
+        if open_id is None:
+            open_id = open_ids[sol.open] = len(limits)
+            limit = None
+            if not _has_unknown_id(sol.open, n_f):
+                limit = np.zeros(n_f, dtype=np.int64)
+                limit[list(sol.open)] = inst.capacity
+            limits.append(limit)
+        opens.append(open_id)
+        branches.append(_branch_row(plan, draw))
+        if len(opens) == len(table):
+            feasible += tally(first, opens, branches, uncounted)
+            first, opens, branches, uncounted = position + 1, [], [], {}
+    if opens:
+        feasible += tally(first, opens, branches, uncounted)
+    return feasible, freq, examples
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,148 @@ class TestVerifyMidpointAndSample:
         assert "Traceback" not in result.stderr
 
 
+def _closed(draw, assign):  # client 0 moves to the lowest closed facility
+    assign[0] = min(set(range(6)) - draw.solution.open)
+    return draw.solution.open, assign
+
+
+def _over(draw, assign):  # clients 0..4 pile onto facility 0, open in both experiments
+    assign[:5] = 0
+    return draw.solution.open, assign
+
+
+def _closed_and_over(draw, assign):
+    assign[:5] = min(set(range(6)) - draw.solution.open)
+    return draw.solution.open, assign
+
+
+def _id_too_high(draw, assign):
+    assign[0] = 6
+    return draw.solution.open, assign
+
+
+def _negative_id(draw, assign):
+    assign[0] = -1
+    return draw.solution.open, assign
+
+
+def _short(draw, assign):
+    return draw.solution.open, assign[:-1]
+
+
+def _no_class(draw, assign):
+    # the last client (rest pool) moves to the chosen low facility, which
+    # stays within capacity, but the designated groups now serve 10 clients
+    assign[-1] = draw.chosen_l_facility
+    return draw.solution.open, assign
+
+
+def _unknown_open_id(draw, assign):
+    return draw.solution.open | {6}, assign
+
+
+def _unknown_open_and_assign_id(draw, assign):
+    assign[0] = 6
+    return draw.solution.open | {6}, assign
+
+
+class TestSampleFailurePath:
+    """Draws corrupted after ``sample_outcome`` reach the report's failure fields.
+
+    ``sample`` refuses a distribution with an infeasible class before it
+    draws, so only a corrupted draw reaches these checks.  The expected
+    fields were recorded from the per-draw ``solution_violations`` and
+    ``outcome_class_key`` checks, on MINI at seed 5.
+    """
+
+    @pytest.fixture()
+    def corrupt(self, monkeypatch):
+        """Make ``sample_outcome`` corrupt draw ``i`` with ``spoil[i]``."""
+        from dataclasses import replace
+
+        import cflgap.rounding as rounding
+
+        original = rounding.sample_outcome
+
+        def install(spoil):
+            drawn = iter(range(10**9))
+
+            def sample_outcome(plan, rng):
+                draw = original(plan, rng)
+                fn = spoil.get(next(drawn))
+                if fn is None:
+                    return draw
+                open_set, assign = fn(draw, draw.solution.assign.copy())
+                return replace(draw, solution=rounding.IntSolution(open_set, assign))
+
+            monkeypatch.setattr(rounding, "sample_outcome", sample_outcome)
+        return install
+
+    def _sample(self, workspace, n):
+        out = workspace["dir"] / "failed.json"
+        code = run_in_process(
+            "sample", str(workspace["a"]), str(workspace["b"]),
+            "--n", str(n), "--seed", "5", "-o", str(out),
+        )
+        doc = json.loads(out.read_text())
+        fields = ("feasible", "infeasible", "violation_examples", "unmatched_class_draws")
+        return code, {name: doc[name] for name in fields}
+
+    @pytest.mark.parametrize("spoil, feasible, examples, unmatched", [
+        (_closed, 18, ["sample 4: ['clients assigned to closed facilities [2]']",
+                       "sample 9: ['clients assigned to closed facilities [5]']"], 2),
+        (_over, 18, ["sample 4: ['capacity exceeded at [(0, 6)] (capacity 4)']",
+                     "sample 9: ['capacity exceeded at [(0, 7)] (capacity 4)']"], 2),
+        (_closed_and_over, 18,
+         ["sample 4: ['clients assigned to closed facilities [2]', "
+          "'capacity exceeded at [(2, 5)] (capacity 4)']",
+          "sample 9: ['clients assigned to closed facilities [5]', "
+          "'capacity exceeded at [(5, 5)] (capacity 4)']"], 2),
+        (_id_too_high, 18, ["sample 4: ['assignment targets unknown facility ids']",
+                            "sample 9: ['assignment targets unknown facility ids']"], 2),
+        (_negative_id, 18, ["sample 4: ['assignment targets unknown facility ids']",
+                            "sample 9: ['assignment targets unknown facility ids']"], 2),
+        (_short, 18, ["sample 4: ['assignment covers 12 clients, instance has 13']",
+                      "sample 9: ['assignment covers 12 clients, instance has 13']"], 2),
+        (_no_class, 20, [], 2),
+        (_unknown_open_id, 18, ["sample 4: ['open set contains unknown facility ids']",
+                                "sample 9: ['open set contains unknown facility ids']"], 0),
+        (_unknown_open_and_assign_id, 18,
+         ["sample 4: ['open set contains unknown facility ids', "
+          "'assignment targets unknown facility ids']",
+          "sample 9: ['open set contains unknown facility ids', "
+          "'assignment targets unknown facility ids']"], 2),
+    ], ids=["closed", "over", "closed-and-over", "id-too-high", "negative-id", "short",
+            "no-class", "unknown-open-id", "unknown-open-and-assign-id"])
+    def test_corrupted_draws_are_reported(
+        self, workspace, corrupt, spoil, feasible, examples, unmatched
+    ):
+        corrupt({4: spoil, 9: spoil})
+        assert self._sample(workspace, 20) == (1, {
+            "feasible": feasible,
+            "infeasible": 20 - feasible,
+            "violation_examples": examples,
+            "unmatched_class_draws": unmatched,
+        })
+
+    def test_examples_keep_draw_order_across_blocks(self, workspace, corrupt):
+        # seven flagged draws over two blocks; the report keeps the first five
+        corrupt({3: _closed, 5: _over, 11: _no_class, 998: _over, 1000: _short,
+                 1003: _closed, 1100: _id_too_high, 1101: _negative_id})
+        assert self._sample(workspace, 1200) == (1, {
+            "feasible": 1193,
+            "infeasible": 7,
+            "violation_examples": [
+                "sample 3: ['clients assigned to closed facilities [2]']",
+                "sample 5: ['capacity exceeded at [(0, 7)] (capacity 4)']",
+                "sample 998: ['capacity exceeded at [(0, 7)] (capacity 4)']",
+                "sample 1000: ['assignment covers 12 clients, instance has 13']",
+                "sample 1003: ['clients assigned to closed facilities [5]']",
+            ],
+            "unmatched_class_draws": 8,
+        })
+
+
 class TestMalformedCoreDocument:
     @pytest.fixture()
     def broken(self, workspace):
@@ -341,6 +483,32 @@ class TestMalformedCoreDocument:
             assert result.returncode == 2, result.stderr
             assert "missing the x cell" in result.stderr
             assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("dense, cell", [
+        (True, "repeats the x cell [0, 0]"),
+        (False, "repeats the x cell for facility class 0 and client class 0"),
+    ], ids=["dense", "classed"])
+    @pytest.mark.parametrize("first", [False, True], ids=["appended", "prepended"])
+    def test_repeated_x_cell_exits_2_naming_cell(self, workspace, capsys, dense, cell, first):
+        # a second entry for the first x cell, with another value: the reader
+        # kept whichever came last, so the verdict depended on entry order
+        source = workspace["dir"] / "source.core"
+        assert run_in_process(
+            "core", "--instance", str(workspace["mini"]), "--k", "0,1", "--l", "2,3",
+            *(["--dense"] if dense else []), "-o", str(source),
+        ) == 0
+        doc = json.loads(source.read_text())
+        entry = doc["x"][0]
+        repeat = [*entry[:2], "1/3"] if dense else {**entry, "value": "1/3"}
+        doc["x"].insert(0 if first else len(doc["x"]), repeat)
+        path = workspace["dir"] / "repeated.core"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (["lpcheck", str(path)],
+                     ["collide", str(path), str(workspace["b"])]):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert cell in err and "Traceback" not in err
 
     @pytest.mark.parametrize("source, keys, value, commands, message", [
         pytest.param(

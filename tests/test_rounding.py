@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cflgap.rounding as rounding
 from cflgap.corevec import CoreIndex, collides, make_core_vector, midpoint
@@ -499,3 +501,160 @@ class TestVerifyMidpoint:
         assert pairs
         for a, b in pairs:
             assert verify_midpoint(tiny, a, b).valid
+
+
+# The per-draw checks that tally_draws replaced, kept as references: a loop
+# over one solution's ids and counts.
+def reference_violations(inst, sol):
+    out = []
+    if len(sol.assign) != inst.client_count:
+        out.append(
+            f"assignment covers {len(sol.assign)} clients, instance has {inst.client_count}"
+        )
+        return out
+    if sol.open and not (0 <= min(sol.open) and max(sol.open) < inst.facility_count):
+        out.append("open set contains unknown facility ids")
+    if inst.client_count == 0:
+        return out
+    ids = sol.assign.tolist()
+    if min(ids) < 0 or max(ids) >= inst.facility_count:
+        out.append("assignment targets unknown facility ids")
+        return out
+    counts = Counter(ids)
+    used = sorted(counts)
+    not_open = [i for i in used if i not in sol.open]
+    if not_open:
+        out.append(f"clients assigned to closed facilities {not_open}")
+    over = [(i, counts[i]) for i in used if counts[i] > inst.capacity]
+    if over:
+        out.append(f"capacity exceeded at {over} (capacity {inst.capacity})")
+    return out
+
+
+def reference_key(plan, draw):
+    exp = plan.experiments[0 if draw.experiment == "A" else 1]
+    counts = np.bincount(draw.solution.assign, minlength=plan.inst.facility_count).tolist()
+    profile = {}
+    for fac in (draw.chosen_l_facility, exp.pivot_extra):
+        if counts[fac]:
+            profile[fac] = counts[fac]
+    for group in (exp.always_open, exp.outside_bins):
+        group_counts = sorted((counts[fac] for fac in group), reverse=True)
+        for fac, cnt in zip(sorted(group), group_counts):
+            if cnt:
+                profile[fac] = cnt
+    return (draw.experiment, draw.chosen_l_facility, draw.extra_open,
+            tuple(sorted(profile.items())))
+
+
+def spoiled_draws(plan, seed, n, spoil_every=0):
+    """``n`` draws of ``plan``; with ``spoil_every``, every such draw gets a
+    client moved to a random id in [-2, facility_count + 2) or dropped."""
+    rng, spoil = ExactRng(seed), np.random.default_rng(seed)
+    n_f = plan.inst.facility_count
+    for i in range(n):
+        draw = sample_outcome(plan, rng)
+        if spoil_every and i % spoil_every == spoil_every - 1:
+            assign = draw.solution.assign.copy()
+            if spoil.integers(4) == 0:
+                assign = assign[:-1]
+            else:
+                assign[spoil.integers(len(assign))] = spoil.integers(-2, n_f + 2)
+            draw = replace(draw, solution=IntSolution(draw.solution.open, assign))
+        yield draw
+
+
+def expected_tally(plan, draws, max_examples):
+    feasible, freq, examples = 0, Counter(), []
+    for position, draw in enumerate(draws):
+        violations = reference_violations(plan.inst, draw.solution)
+        if violations:
+            if len(examples) < max_examples:
+                examples.append((position, violations))
+        else:
+            feasible += 1
+        assign = draw.solution.assign
+        if len(assign) == plan.inst.client_count and (
+            len(assign) == 0 or 0 <= assign.min() <= assign.max() < plan.inst.facility_count
+        ):
+            freq[reference_key(plan, draw)] += 1
+    return feasible, freq, examples
+
+
+class TestDrawTally:
+    @pytest.mark.parametrize("n", [1, 999, 1001, 2500])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mini_class_counts_match_per_draw_keys(self, mini, seed, n):
+        plan = compile_plan(mini, *mini_pair(mini))
+        draws = list(spoiled_draws(plan, seed, n))
+        expected = Counter(reference_key(plan, draw) for draw in draws)
+        assert Counter(outcome_class_key(plan, draw) for draw in draws) == expected
+        assert rounding.tally_draws(plan, iter(draws), n, 5) == (n, expected, [])
+
+    # one seed per n: a t=10 draw costs about 0.5 ms
+    @pytest.mark.parametrize("seed, n", [(1, 1), (2, 999), (3, 1001), (4, 2500)])
+    def test_t10_class_counts_match_per_draw_keys(self, family10, seed, n):
+        # t=10 assignments are 20,000 long, so each draw is keyed on its
+        # way into the tally rather than held
+        plan = compile_plan(family10, *t10_pair(family10))
+        expected = Counter()
+
+        def keyed(draws):
+            for draw in draws:
+                expected[reference_key(plan, draw)] += 1
+                yield draw
+
+        tally = rounding.tally_draws(plan, keyed(spoiled_draws(plan, seed, n)), n, 5)
+        assert tally == (n, expected, [])
+
+    @pytest.mark.parametrize("table_rows", [1, 7, 1000])
+    def test_spoiled_draws_match_per_draw_checks_in_any_chunking(
+        self, mini, monkeypatch, table_rows
+    ):
+        plan = compile_plan(mini, *mini_pair(mini))
+        draws = list(spoiled_draws(plan, 4, 600, spoil_every=9))
+        monkeypatch.setattr(rounding, "_LOAD_TABLE_BYTES", 8 * 6 * table_rows)
+        tally = rounding.tally_draws(plan, iter(draws), len(draws), 40)
+        assert tally == expected_tally(plan, draws, 40)
+        assert 0 < tally[0] < len(draws) and len(tally[2]) == 40
+
+    def test_wide_instance_holds_a_bounded_table(self):
+        # `gen --general --nf 20000 --t 2 --U 4 --m 13 --eps 2/5 --xl 1/8`: a
+        # table of 1,000 rows would take 160 MB, so rows are tallied in chunks
+        import tracemalloc
+
+        inst = build_general_instance(20000, 2, 4, 13, Fraction(2, 5), Fraction(1, 8))
+        plan = compile_plan(
+            inst,
+            CoreIndex.for_instance(inst, {0, 1}, {2, 3}),
+            CoreIndex.for_instance(inst, {0, 1}, {4, 5}),
+        )
+        draws = list(spoiled_draws(plan, 6, 120, spoil_every=30))
+        tracemalloc.start()
+        try:
+            # sized for a full block, as sample does
+            tally = rounding.tally_draws(plan, iter(draws), 1000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tally == expected_tally(plan, draws, 5)
+        assert peak < 48 * 2**20
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data())
+def test_load_core_and_prelude_give_the_reference_violations(mini, data):
+    """Random assignments and open sets within the MINI shape, counted or not."""
+    n_f, n_c = mini.facility_count, mini.client_count
+    length = data.draw(st.sampled_from([n_c - 1, n_c, n_c, n_c, n_c + 1]))
+    ids = st.integers(0, n_f - 1) | st.integers(-2, n_f + 1)
+    sol = IntSolution(
+        open=frozenset(data.draw(st.sets(st.integers(-1, n_f), max_size=n_f + 2))),
+        assign=data.draw(st.lists(ids, min_size=length, max_size=length)),
+    )
+    expected = reference_violations(mini, sol)
+    assert solution_violations(mini, sol) == expected
+    plan = compile_plan(mini, *mini_pair(mini))
+    draw = rounding.SampleDraw(sol, "A", 2, False)
+    feasible, _, examples = rounding.tally_draws(plan, iter([draw]), 1, 1)
+    assert (feasible, examples) == ((1, []) if not expected else (0, [(0, expected)]))
