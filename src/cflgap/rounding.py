@@ -122,12 +122,15 @@ def solution_violations(inst: Instance, sol: IntSolution) -> list[str]:
 
 
 def _facility_loads(inst: Instance, assign: np.ndarray) -> Optional[np.ndarray]:
-    """Clients per facility of an assignment, or None if it names an unknown id."""
-    try:
-        loads = np.bincount(assign, minlength=inst.facility_count)
-    except ValueError:  # a negative id
+    """Clients per facility of an int64 assignment, or None if it names an unknown id.
+
+    The ids are range-checked before counting, so a huge id costs no table:
+    read as uint64, a negative id is at least 2**63, so one maximum checks
+    both ends.
+    """
+    if assign.size and assign.view(np.uint64).max() >= inst.facility_count:
         return None
-    return loads if len(loads) == inst.facility_count else None
+    return np.bincount(assign, minlength=inst.facility_count)
 
 
 def _has_unknown_id(open_set: frozenset[int], facility_count: int) -> bool:
@@ -584,16 +587,11 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
 def outcome_class_key(plan: RoundingPlan, draw: SampleDraw) -> tuple:
     """Canonical class key of a sampled draw, matching OutcomeClass.key.
 
-    The one-draw case of :func:`_class_counts`, in plain Python: for one
-    draw that is faster than the block path's dozen numpy calls.
+    The one-draw case of :func:`_class_counts`.
     """
-    exp_index, chosen, extra_open = _branch_row(plan, draw)
-    exp = plan.experiments[exp_index]
-    counts = np.bincount(draw.solution.assign, minlength=plan.inst.facility_count).tolist()
-    row = [counts[chosen], counts[exp.pivot_extra]]
-    for group in (exp.always_open, exp.outside_bins):
-        row += sorted((counts[fac] for fac in group), reverse=True)
-    return _class_key(exp, chosen, extra_open, row)
+    loads = np.bincount(draw.solution.assign, minlength=plan.inst.facility_count)
+    (key,) = _class_counts(plan, np.array([_branch_row(plan, draw)]), loads[None])
+    return key
 
 
 def _branch_row(plan: RoundingPlan, draw: SampleDraw) -> tuple[int, int, int]:
@@ -607,11 +605,11 @@ def _class_key(exp: _Experiment, chosen: int, extra_open: int, row: list[int]) -
 
     The row holds the counts of the chosen low facility and the borrowed
     pivot, then each bin group's counts (high set, outside bins) in
-    descending order.  Those go onto the group's ids in ascending order,
+    ascending order.  Those go onto the group's ids in descending order,
     collapsing which-bin-got-the-extra-slot choices exactly as the
     enumerator does.
     """
-    facilities = (chosen, exp.pivot_extra, *exp.always_open, *exp.outside_bins)
+    facilities = (chosen, exp.pivot_extra, *exp.always_open[::-1], *exp.outside_bins[::-1])
     profile = sorted(filter(itemgetter(1), zip(facilities, row)))
     return exp.label, chosen, bool(extra_open), tuple(profile)
 
@@ -621,24 +619,25 @@ def _class_counts(plan: RoundingPlan, branches: np.ndarray, loads: np.ndarray) -
 
     Row r of ``branches`` is draw r's :func:`_branch_row` and row r of
     ``loads`` its clients per facility.  Each experiment's key rows (see
-    :func:`_class_key`) are sorted at once and counted by their bytes, so
-    no per-entry Python int is made, and only distinct rows become keys.
+    :func:`_class_key`) are gathered and sorted at once and counted by
+    their bytes, so no per-entry Python int is made, and only distinct rows
+    become keys.
     """
     freq: Counter = Counter()
     for exp_index, exp in enumerate(plan.experiments):
-        rows = np.flatnonzero(branches[:, 0] == exp_index)
+        rows = (branches[:, 0] == exp_index).nonzero()[0]
         if not len(rows):
             continue
-        columns = [
-            branches[rows, 1:],
-            loads[rows, branches[rows, 1]][:, None],
-            loads[rows, exp.pivot_extra][:, None],
-        ]
-        columns += [
-            np.sort(loads[np.ix_(rows, group)], axis=1)[:, ::-1]
-            for group in (exp.always_open, exp.outside_bins)
-        ]
-        key_rows = np.hstack(columns)
+        at = rows[:, None]
+        # key row: chosen, extra_open, then the counts of the chosen low
+        # facility, the borrowed pivot, the high set and the outside bins
+        columns = (exp.pivot_extra, *exp.always_open, *exp.outside_bins)
+        key_rows = np.concatenate(
+            (branches[rows, 1:], loads[at, branches[at, 1]], loads[at, columns]), axis=1
+        )
+        high_end = 4 + len(exp.always_open)
+        key_rows[:, 4:high_end].sort(axis=1)
+        key_rows[:, high_end:].sort(axis=1)
         for key_row, n in Counter(map(bytes, key_rows)).items():
             chosen, extra_open, *row = np.frombuffer(key_row, dtype=key_rows.dtype).tolist()
             freq[_class_key(exp, chosen, extra_open, row)] += n

@@ -332,6 +332,11 @@ def _id_too_high(draw, assign):
     return draw.solution.open, assign
 
 
+def _huge_id(draw, assign):
+    assign[0] = 10**12
+    return draw.solution.open, assign
+
+
 def _negative_id(draw, assign):
     assign[0] = -1
     return draw.solution.open, assign
@@ -411,6 +416,8 @@ class TestSampleFailurePath:
           "'capacity exceeded at [(5, 5)] (capacity 4)']"], 2),
         (_id_too_high, 18, ["sample 4: ['assignment targets unknown facility ids']",
                             "sample 9: ['assignment targets unknown facility ids']"], 2),
+        (_huge_id, 18, ["sample 4: ['assignment targets unknown facility ids']",
+                        "sample 9: ['assignment targets unknown facility ids']"], 2),
         (_negative_id, 18, ["sample 4: ['assignment targets unknown facility ids']",
                             "sample 9: ['assignment targets unknown facility ids']"], 2),
         (_short, 18, ["sample 4: ['assignment covers 12 clients, instance has 13']",
@@ -423,7 +430,8 @@ class TestSampleFailurePath:
           "'assignment targets unknown facility ids']",
           "sample 9: ['open set contains unknown facility ids', "
           "'assignment targets unknown facility ids']"], 2),
-    ], ids=["closed", "over", "closed-and-over", "id-too-high", "negative-id", "short",
+    ], ids=["closed", "over", "closed-and-over", "id-too-high", "huge-id",
+            "negative-id", "short",
             "no-class", "unknown-open-id", "unknown-open-and-assign-id"])
     def test_corrupted_draws_are_reported(
         self, workspace, corrupt, spoil, feasible, examples, unmatched

@@ -106,6 +106,9 @@ class TestIntSolution:
             ]
         assert violations({0}, (0, 0, 1)) == ["clients assigned to closed facilities [1]"]
         assert violations({0, 1}, (0, 3, 1)) == ["assignment targets unknown facility ids"]
+        # range-checked before counting: no table of 10**12 entries
+        for huge in (10**12, -(10**12)):
+            assert violations({0, 1}, (0, huge, 1)) == ["assignment targets unknown facility ids"]
 
     def test_sampled_solution_round_trips_through_plain_int_doc(self, mini):
         sol = sample_outcome(compile_plan(mini, *mini_pair(mini)), ExactRng(3)).solution
@@ -647,7 +650,7 @@ def test_load_core_and_prelude_give_the_reference_violations(mini, data):
     """Random assignments and open sets within the MINI shape, counted or not."""
     n_f, n_c = mini.facility_count, mini.client_count
     length = data.draw(st.sampled_from([n_c - 1, n_c, n_c, n_c, n_c + 1]))
-    ids = st.integers(0, n_f - 1) | st.integers(-2, n_f + 1)
+    ids = st.integers(0, n_f - 1) | st.integers(-2, n_f + 1) | st.sampled_from([10**12])
     sol = IntSolution(
         open=frozenset(data.draw(st.sets(st.integers(-1, n_f), max_size=n_f + 2))),
         assign=data.draw(st.lists(ids, min_size=length, max_size=length)),
