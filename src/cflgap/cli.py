@@ -76,12 +76,14 @@ def _load_core(path: str):
 
 def _load_core_index(path: str):
     """Instance, index and input digest of a core file whose vector is the
-    core vector of its ``(k, l)``; ValueError for any other payload."""
+    core vector of its ``(k, l)``; for any other payload, ValueError naming
+    the first facility class or cell that differs."""
     inst, index, vec, inputs = _load_core(path)
-    if not vec.equals(make_core_vector(inst, index.k, index.l)):
+    core = make_core_vector(inst, index.k, index.l)
+    if not vec.equals(core):
         raise ValueError(
             f"core file {path} holds a vector other than the core vector of "
-            f"k={sorted(index.k)} l={sorted(index.l)}"
+            f"k={sorted(index.k)} l={sorted(index.l)}: {vec.first_difference(core)}"
         )
     return inst, index, inputs
 
@@ -272,21 +274,21 @@ def _sample_block(
     start: int,
 ) -> tuple[int, Counter, list[str]]:
     from .randomness import ExactRng
-    from .rounding import sample_outcome, tally_draws
+    from .rounding import sample_block, tally_draws
 
-    rng = ExactRng(seed)
-
-    def draws():
-        for index in range(start, start + count):
-            draw = sample_outcome(plan, rng)
+    def chunks():
+        index = start
+        for chunk in sample_block(plan, ExactRng(seed), count):
             if solutions_dir:
-                path = os.path.join(solutions_dir, f"sol_{index:06d}.json")
-                docio.write_document(
-                    path, docio.solution_to_doc(draw.solution, seed=seed)
-                )
-            yield draw
+                for row in range(len(chunk)):
+                    path = os.path.join(solutions_dir, f"sol_{index + row:06d}.json")
+                    docio.write_document(
+                        path, docio.solution_to_doc(chunk.draw(plan, row).solution, seed=seed)
+                    )
+            index += len(chunk)
+            yield chunk
 
-    feasible, freq, flagged = tally_draws(plan, draws(), count, MAX_VIOLATION_EXAMPLES)
+    feasible, freq, flagged = tally_draws(plan, chunks(), MAX_VIOLATION_EXAMPLES)
     problems = [f"sample {start + pos}: {violations}" for pos, violations in flagged]
     return feasible, freq, problems
 

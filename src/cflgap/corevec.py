@@ -227,21 +227,45 @@ class FracVector:
 
     def equals(self, other: "FracVector") -> bool:
         """Exact coordinatewise equality, checked on the common refinement."""
+        return self.first_difference(other) is None
+
+    def first_difference(self, other: "FracVector") -> Optional[str]:
+        """Where this vector first differs from ``other``, or None if they are equal.
+
+        Checked on the common refinement, facility atom by facility atom in
+        order of least id: the atom's y, then its x row over the client
+        atoms.  The text names the ids (as ``lo..hi`` runs) and both values,
+        this vector's first, e.g. ``y of facilities 2..3 is 1, not 2/5``.
+        """
         self._same_dims(other)
         cli_atoms = _refine(self.cli_classes, other.cli_classes)
         cols_a = [ca for _, ca, _ in cli_atoms]
         cols_b = [cb for _, _, cb in cli_atoms]
-        for _, fa, fb in _refine(self.fac_classes, other.fac_classes):
+        for fac_runs, fa, fb in _refine(self.fac_classes, other.fac_classes):
+            y_a, y_b = self.y_values[fa], other.y_values[fb]
+            if y_a != y_b:
+                return f"y of facilities {_runs_text(fac_runs)} is {y_a}, not {y_b}"
             row_a, row_b = self.x_values[fa], other.x_values[fb]
-            if self.y_values[fa] != other.y_values[fb] or (
-                [row_a[c] for c in cols_a] != [row_b[c] for c in cols_b]
-            ):
-                return False
-        return True
+            if [row_a[c] for c in cols_a] != [row_b[c] for c in cols_b]:
+                cli_runs, x_a, x_b = next(
+                    (runs, row_a[ca], row_b[cb])
+                    for runs, ca, cb in cli_atoms
+                    if row_a[ca] != row_b[cb]
+                )
+                return (
+                    f"x of facilities {_runs_text(fac_runs)} and clients "
+                    f"{_runs_text(cli_runs)} is {x_a}, not {x_b}"
+                )
+        return None
 
 
 def _size(runs: Runs) -> int:
     return sum(hi - lo for lo, hi in runs)
+
+
+def _runs_text(runs: Runs) -> str:
+    """Runs in the command line's id-spec form, e.g. ``0..4,7``."""
+    return ",".join(f"{lo}..{hi - 1}" if hi - lo > 1 else f"{lo}" for lo, hi in runs)
 
 
 def _refine(

@@ -334,8 +334,21 @@ class CostVector:
         if (len(ids) and ids.view(np.uint64).max() >= n_f) or not all(
                 0 <= i < n_f for i in open_set):
             raise ValueError("solution names unknown facility ids")
-        far = int(np.count_nonzero(self.near_facilities[ids] != self.near_clients))
-        return Fraction(sum(map(self.unit_opening.item, open_set)) + far)
+        opened = np.zeros(n_f, dtype=bool)
+        opened[list(open_set)] = True
+        return Fraction(int(self.solution_costs(opened, ids)))
+
+    def solution_costs(self, opened: np.ndarray, assign: np.ndarray) -> np.ndarray:
+        """Integer costs of solutions given as rows, in one mask step.
+
+        Row ``s`` of the boolean ``opened`` marks solution ``s``'s open
+        facilities and row ``s`` of ``assign`` its facility per client; the
+        ids must already be known ones.  A 1-d pair is one solution.
+        """
+        import numpy as np
+
+        far = np.count_nonzero(self.near_facilities[assign] != self.near_clients, axis=-1)
+        return np.count_nonzero(opened & self.unit_opening, axis=-1) + far
 
     def _opening_total(self, facilities) -> Fraction:
         """Sum of opening costs over facility runs."""

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .corevec import FracVector
 from .instance import CostVector, Instance, over_common_denominator
 from .rounding import IntSolution, solution_violations
@@ -177,15 +179,16 @@ def verify_membership(
 
 def brute_force_opt(inst: Instance, cost: CostVector) -> tuple[Fraction, IntSolution]:
     """Exact optimum over all enumerated integer solutions, with a witness."""
+    if (cost.facility_count, cost.client_count) != (inst.facility_count, inst.client_count):
+        raise ValueError("cost/instance dimension mismatch")
     solutions = enumerate_integer_solutions(inst)
     if not solutions:
         raise InfeasibleInstanceError("no feasible integer solution exists")
-    best_value: Optional[Fraction] = None
-    best_sol: Optional[IntSolution] = None
-    for sol in solutions:
+    opened = np.zeros((len(solutions), inst.facility_count), dtype=bool)
+    for row, sol in enumerate(solutions):
         if solution_violations(inst, sol):
             raise AssertionError("enumerator produced an infeasible solution")
-        value = cost.solution_cost(sol.open, sol.assign)
-        if best_value is None or value < best_value:
-            best_value, best_sol = value, sol
-    return best_value, best_sol
+        opened[row, list(sol.open)] = True
+    values = cost.solution_costs(opened, np.stack([sol.assign for sol in solutions]))
+    best = int(np.argmin(values))  # the first minimum in enumeration order
+    return Fraction(int(values[best])), solutions[best]

@@ -72,6 +72,28 @@ class ExactRng:
             if r < n:
                 return r
 
+    def integers_below(self, ns: np.ndarray) -> np.ndarray:
+        """A uniform integer in [0, n) for each n of a 1-d array. Exact for any n >= 1.
+
+        ``ns`` holds machine ints, or Python ints in an object array.  Every
+        n up to 2**63 is drawn in one Generator call, and each larger n then
+        takes :meth:`integer_below`'s exact draw, in array order.  The result
+        is int64, or an object array of Python ints when ``ns`` is one.
+        """
+        if ns.size and ns.min() < 1:
+            raise ValueError(f"integers_below needs every n >= 1, got {ns.min()}")
+        if ns.dtype != object:
+            return self._gen.integers(0, ns)
+        wide = ns > 2**63
+        out = np.empty(len(ns), dtype=object)
+        narrow = ~wide
+        out[narrow] = self._gen.integers(
+            0, ns[narrow].astype(np.uint64), dtype=np.uint64
+        ).tolist()
+        for i in np.flatnonzero(wide).tolist():
+            out[i] = self.integer_below(ns[i])
+        return out
+
     def bernoulli(self, p: Fraction) -> bool:
         """True with probability exactly p (0 <= p <= 1)."""
         if p < 0 or p > 1:
@@ -96,6 +118,10 @@ class ExactRng:
         calls do, so batching draws this way never changes them.
         """
         return self._gen.permuted(np.broadcast_to(items, (count, len(items))), axis=1)
+
+    def shuffle_rows(self, rows: np.ndarray) -> None:
+        """Permute each row of a 2-d array (a view is fine) in place, uniformly."""
+        self._gen.permuted(rows, axis=1, out=rows)
 
     def chosen_positions(self, n: int, r: int) -> np.ndarray:
         """r distinct positions chosen uniformly from range(n)."""

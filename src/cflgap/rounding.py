@@ -10,23 +10,27 @@ leftover clients are spread in near-even splits.
 
 :func:`compile_plan` validates the instance and the pair once and compiles
 the distribution into a :class:`RoundingPlan`: the pivots, both experiments'
-facility roles and the client pools as ranges (the sampler builds their
-int64 arrays once per plan, on its first draw).  The plan stores the
+facility roles and the client pools as ranges.  The plan stores the
 distribution only in compiled form: the low-set choice as integer
 thresholds over one denominator, and every slot target and the borrowed
 pivot's opening as a floor/ceil coin.  Two views read the same plan:
 
-* :func:`sample_outcome` draws one integer solution (seed-deterministic)
-  whose assignment is a read-only int64 array, comparing integer draws
-  with the thresholds and coins and building no ``Fraction``, and
+* :func:`sample_block` draws a block of integer solutions
+  (seed-deterministic) as :class:`DrawChunk` arrays.  Every decision of the
+  block is drawn first, one array per step, by comparing uniform integers
+  with the thresholds and coins (exactly, for any denominator; no
+  ``Fraction`` and no float).  Then the assignments are built in chunks of
+  rows: one ``np.repeat`` of the rows' facility counts, then each client
+  pool's segment of every row shuffled in place.  :func:`sample_outcome`
+  is its one-row case, and
 * :func:`enumerate_outcome_classes` lists every branch of the same
   thresholds and coins with its exact probability, collapsing exchangeable
   client and bin choices; each class holds its slot profile as one shared
   part per facility group.
 
-:func:`tally_draws` checks and keys a stream of draws from one table of
-facility loads, one ``bincount`` row per draw.  It shares its load check
-with :func:`solution_violations` and its key with :func:`outcome_class_key`.
+:func:`tally_draws` checks and keys the chunks from their facility loads,
+one row-offset ``bincount`` per chunk.  It shares its load check with
+:func:`solution_violations` and its key with :func:`outcome_class_key`.
 
 :func:`expected_vector` sums probability times the parts into group totals,
 so :func:`verify_midpoint` certifies constructively, from one class list,
@@ -37,14 +41,13 @@ A plan is built per command or caller and passed explicitly.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -59,10 +62,12 @@ __all__ = [
     "NonCollidingPairError",
     "RoundingPlan",
     "SampleDraw",
+    "DrawChunk",
     "pivot_facilities",
     "round_slots",
     "split_slots",
     "compile_plan",
+    "sample_block",
     "sample_outcome",
     "outcome_class_key",
     "tally_draws",
@@ -222,13 +227,22 @@ def round_slots(w: Fraction, rng: ExactRng) -> int:
     return _FloorCoin.of(Fraction(w)).draw(rng)
 
 
-def _near_even(total: int, n_bins: int, rng: ExactRng) -> list[int]:
-    """floor(total / n_bins) per bin, plus one on ``total % n_bins`` uniform bins."""
-    base, extra = divmod(total, n_bins)
-    counts = [base] * n_bins
-    for pos in rng.chosen_positions(n_bins, extra).tolist():
-        counts[pos] += 1
-    return counts
+def _near_even_rows(totals: np.ndarray, n_bins: int, rng: ExactRng) -> np.ndarray:
+    """Per row, floor(total / n_bins) per bin plus one on ``total % n_bins`` uniform bins.
+
+    A bin gets the extra slot when its rank in the row's uniform permutation
+    of the bins is below the row's remainder, so every subset of that size
+    is equally likely.  Zero bins are only allowed for zero totals.
+    """
+    if not n_bins:
+        if totals.any():
+            raise RuntimeError(
+                "no facility left for the remaining clients; invalid parameters upstream"
+            )
+        return np.zeros((len(totals), 0), dtype=np.int64)
+    base, extra = np.divmod(totals, n_bins)
+    ranks = rng.permuted_rows(np.arange(n_bins), len(totals))
+    return base[:, None] + (ranks < extra[:, None])
 
 
 def split_slots(
@@ -246,7 +260,7 @@ def split_slots(
         raise ValueError(f"inconsistent split: {len(bins)} bins * {avg} != {total}")
     if not bins:
         return []
-    return _near_even(total, len(bins), rng)
+    return _near_even_rows(np.array([total]), len(bins), rng)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +296,87 @@ class RoundingPlan:
     """The rounding distribution of one validated colliding pair.
 
     Built by :func:`compile_plan`; experiment ``A`` is owned by the pair's
-    first index, ``B`` by its second.  Every draw from the plan shares its
-    client pools, built as int64 arrays (never written) on the first draw.
+    first index, ``B`` by its second.  The block sampler reads the plan as
+    :class:`_BlockTables`, built on its first draw.
     """
 
     inst: Instance
     experiments: tuple[_Experiment, _Experiment]
 
     @cached_property
-    def pool_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The designated and the rest pool as the int64 arrays the sampler permutes."""
-        return tuple(
-            np.arange(pool.start, pool.stop, dtype=np.int64)
-            for pool in (self.experiments[0].core_pool, self.experiments[0].rest_pool)
+    def _tables(self) -> "_BlockTables":
+        return _BlockTables.of(self.experiments)
+
+
+def _int_array(values: Sequence[int]) -> np.ndarray:
+    """The nonnegative ints as int64, or as Python ints in an object array
+    when one reaches 2**63, so that no value is ever rounded."""
+    if max(values, default=0) < 2**63:
+        return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class _BlockTables:
+    """A plan's two experiments as the arrays the block sampler indexes per row.
+
+    Row ``e`` of each 2-d table belongs to experiment ``e``; both have
+    ``t`` low-set and high-set facilities and ``n_f - 2t - 1`` outside
+    bins, so their rows have one length.  Each
+    experiment's coins are one run of ``stride`` entries of the coin table:
+    its low-set facilities' slot coins, then ``extra_coin`` and
+    ``extra_slots``.  A row of ``layout`` lists the facilities in the order
+    a draw's counts fill the clients: the chosen low facility (column 0, a
+    placeholder filled per draw), the high set (designated pool), then the
+    borrowed pivot and the outside bins (rest pool).  ``open_sets`` holds
+    every open set by the code ``(e * len(choice_set) + choice) * 2 +
+    extra_open``.
+    """
+
+    choice_den: np.ndarray              # (2,) low-set choice denominators
+    thresholds: tuple[np.ndarray, ...]  # per experiment, cumulative numerators
+    choice_set: np.ndarray              # (2, n_choice) low-set facility ids
+    stride: int
+    coin_floor: np.ndarray
+    coin_num: np.ndarray
+    coin_den: np.ndarray
+    layout: np.ndarray                  # (2, 2 + n_high + n_out) facility ids
+    n_high: int
+    open_sets: tuple[frozenset[int], ...]
+
+    @classmethod
+    def of(cls, experiments: Sequence[_Experiment]) -> "_BlockTables":
+        coins = [
+            coin for exp in experiments
+            for coin in (*exp.choice_slots, exp.extra_coin, exp.extra_slots)
+        ]
+        coin_den = _int_array([coin.den for coin in coins])
+        return cls(
+            choice_den=_int_array([exp.choice_denominator for exp in experiments]),
+            thresholds=tuple(_int_array(exp.choice_thresholds) for exp in experiments),
+            choice_set=np.array([exp.choice_set for exp in experiments], dtype=np.int64),
+            stride=len(experiments[0].choice_slots) + 2,
+            coin_floor=np.array([coin.floor for coin in coins], dtype=np.int64),
+            coin_num=np.array([coin.num for coin in coins], dtype=coin_den.dtype),
+            coin_den=coin_den,
+            layout=np.array(
+                [(-1, *exp.always_open, exp.pivot_extra, *exp.outside_bins)
+                 for exp in experiments],
+                dtype=np.int64,
+            ),
+            n_high=len(experiments[0].always_open),
+            open_sets=tuple(
+                exp.open_set(chosen, extra_open)
+                for exp in experiments
+                for chosen in exp.choice_set
+                for extra_open in (False, True)
+            ),
         )
+
+    def flip(self, coins: np.ndarray, rng: ExactRng) -> np.ndarray:
+        """Each listed coin's value: floor, or floor + 1 when a draw below den is below num."""
+        up = rng.integers_below(self.coin_den[coins]) < self.coin_num[coins]
+        return self.coin_floor[coins] + up
 
 
 def _experiment_specs(
@@ -372,72 +453,121 @@ class SampleDraw:
     extra_open: bool
 
 
-def _check_split(counts: list[int], cap: int, step: str) -> None:
-    for count in counts:
-        if count > cap:
-            raise RuntimeError(
-                f"{step} split count {count} exceeds capacity; invalid parameters upstream"
-            )
+@dataclass(frozen=True, eq=False)
+class DrawChunk:
+    """Consecutive draws of one plan as arrays, one row per draw.
 
+    Row ``r`` has the branch ``branches[r]`` (experiment index, chosen low
+    facility, ``extra_open`` as 0 or 1), the open set
+    ``open_sets[open_of[r]]`` and the assignment ``assign[r]``; the rows
+    share one assignment length.
+    """
 
-def _run_experiment(
-    inst: Instance, exp: _Experiment, pools: tuple[np.ndarray, np.ndarray], rng: ExactRng
-) -> SampleDraw:
-    cap = inst.capacity
-    assign = np.full(inst.client_count, -1, dtype=np.int64)
+    branches: np.ndarray
+    open_of: np.ndarray
+    open_sets: tuple[frozenset[int], ...]
+    assign: np.ndarray
 
-    # step 1: one low-set facility plus the high set serve the designated pool
-    idx = bisect_right(exp.choice_thresholds, rng.integer_below(exp.choice_denominator))
-    chosen = exp.choice_set[idx]
-    slots = exp.choice_slots[idx].draw(rng)
-    n_core = len(exp.core_pool)
-    if slots > min(n_core, cap):
-        raise RuntimeError(
-            f"step-1 slot count {slots} exceeds pool/capacity; invalid parameters upstream"
+    def __len__(self) -> int:
+        return len(self.branches)
+
+    def draw(self, plan: RoundingPlan, row: int) -> SampleDraw:
+        """Row ``row`` as a draw of ``plan``; its assignment is a view of the row."""
+        exp_index, chosen, extra_open = self.branches[row].tolist()
+        return SampleDraw(
+            solution=IntSolution(self.open_sets[self.open_of[row]], self.assign[row]),
+            experiment=plan.experiments[exp_index].label,
+            chosen_l_facility=chosen,
+            extra_open=bool(extra_open),
         )
-    perm = rng.permuted(pools[0])
-    counts = _near_even(n_core - slots, len(exp.always_open), rng)
-    _check_split(counts, cap, "step-1")
-    assign[perm] = np.repeat((chosen, *exp.always_open), (slots, *counts))
 
-    # step 2: outside facilities (plus maybe the borrowed pivot) serve the rest
-    extra_open = exp.extra_coin.draw(rng) == 1
-    m_rest = len(exp.rest_pool)
-    perm2 = rng.permuted(pools[1])
-    slots2 = 0
-    if extra_open:
-        slots2 = exp.extra_slots.draw(rng)
-        if slots2 > min(m_rest, cap):
-            raise RuntimeError(
-                f"step-2 slot count {slots2} exceeds pool/capacity; invalid parameters upstream"
-            )
-    rem2 = m_rest - slots2
-    counts2: list[int] = []
-    if exp.outside_bins:
-        counts2 = _near_even(rem2, len(exp.outside_bins), rng)
-        _check_split(counts2, cap, "step-2")
-    elif rem2:
+
+# Bytes of assignments (and of the facility loads tally_draws counts from
+# them) that sample_block materializes at once.
+_CHUNK_BYTES = 1 << 18
+
+
+def _draw_decisions(
+    plan: RoundingPlan, rng: ExactRng, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every random decision of ``count`` draws, one row per draw.
+
+    In stream order: the experiment coin, the low-set choice (a draw below
+    the experiment's denominator, looked up in its thresholds), the chosen
+    facility's slot coin, the borrowed pivot's opening coin, its slot coin
+    (on the rows where it opens) and the two near-even splits.  Returns the
+    branch rows, the open-set codes (see :class:`_BlockTables`) and the
+    counts per ``layout`` column, which fill the client pools exactly.
+    """
+    tables, inst = plan._tables, plan.inst
+    n_core, m_rest = len(inst.designated_clients), len(inst.rest_clients)
+    exp_of = rng.integers_below(np.full(count, 2))
+    u = rng.integers_below(tables.choice_den[exp_of])
+    choice = np.empty(count, dtype=np.int64)
+    for exp_index, thresholds in enumerate(tables.thresholds):
+        rows = exp_of == exp_index
+        choice[rows] = np.searchsorted(thresholds, u[rows], side="right")
+    first_coin = exp_of * tables.stride
+    slots1 = tables.flip(first_coin + choice, rng)
+    extra_open = tables.flip(first_coin + tables.stride - 2, rng) == 1
+    slots2 = np.zeros(count, dtype=np.int64)
+    slots2[extra_open] = tables.flip(first_coin[extra_open] + tables.stride - 1, rng)
+    n_out = tables.layout.shape[1] - 2 - tables.n_high
+    counts = np.concatenate((
+        slots1[:, None],
+        _near_even_rows(n_core - slots1, tables.n_high, rng),
+        slots2[:, None],
+        _near_even_rows(m_rest - slots2, n_out, rng),
+    ), axis=1)
+    if count and (counts.min() < 0 or counts.max() > inst.capacity):
         raise RuntimeError(
-            "no outside facilities left for remaining clients; invalid parameters upstream"
+            "a drawn slot count overfills its pool or exceeds capacity; "
+            "invalid parameters upstream"
         )
-    assign[perm2] = np.repeat((exp.pivot_extra, *exp.outside_bins), (slots2, *counts2))
-
-    assign.setflags(write=False)
-    return SampleDraw(
-        solution=IntSolution(open=exp.open_set(chosen, extra_open), assign=assign),
-        experiment=exp.label,
-        chosen_l_facility=chosen,
-        extra_open=extra_open,
+    n_choice = tables.choice_set.shape[1]
+    branches = np.stack(
+        (exp_of, tables.choice_set[exp_of, choice], extra_open.astype(np.int64)), axis=1
     )
+    open_of = (exp_of * n_choice + choice) * 2 + extra_open
+    return branches, open_of, counts
+
+
+def sample_block(plan: RoundingPlan, rng: ExactRng, count: int) -> Iterator[DrawChunk]:
+    """``count`` draws from the distribution, as chunks of rows in draw order.
+
+    Every decision of the block is drawn first, as arrays
+    (:func:`_draw_decisions`), so the branches and slot counts, and with
+    them every class count, do not depend on how the rows are chunked.
+    Then each chunk of at most ``_CHUNK_BYTES`` of assignments (or of
+    facility loads, if wider) is materialized: one ``np.repeat`` of its
+    rows' facilities by their counts, in pool order, then each pool's
+    segment of every row shuffled in place, which gives the same uniform
+    assignment as permuting the pool's clients and handing them out in
+    order.  Assignments are read-only.
+    """
+    inst, tables = plan.inst, plan._tables
+    branches, open_of, counts = _draw_decisions(plan, rng, count)
+    n_core, n_clients = len(inst.designated_clients), inst.client_count
+    step = max(1, _CHUNK_BYTES // (8 * max(n_clients, inst.facility_count, 1)))
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        facilities = tables.layout[branches[lo:hi, 0]]
+        facilities[:, 0] = branches[lo:hi, 1]
+        assign = np.repeat(facilities.ravel(), counts[lo:hi].ravel())
+        assign = assign.reshape(hi - lo, n_clients)
+        rng.shuffle_rows(assign[:, :n_core])
+        rng.shuffle_rows(assign[:, n_core:])
+        assign.setflags(write=False)
+        yield DrawChunk(branches[lo:hi], open_of[lo:hi], tables.open_sets, assign)
 
 
 def sample_outcome(plan: RoundingPlan, rng: ExactRng) -> SampleDraw:
     """One draw from the distribution, with its branch identifiers.
 
-    A fair coin (one ``integer_below(2)``) picks experiment A on 0, B on 1.
+    The one-row case of :func:`sample_block`.
     """
-    exp = plan.experiments[rng.integer_below(2)]
-    return _run_experiment(plan.inst, exp, plan.pool_arrays, rng)
+    (chunk,) = sample_block(plan, rng, 1)
+    return chunk.draw(plan, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,86 +774,92 @@ def _class_counts(plan: RoundingPlan, branches: np.ndarray, loads: np.ndarray) -
     return freq
 
 
-# Bytes of the facility-load table tally_draws holds at once: a block of
-# 1,000 draws is one chunk up to 1,048 facilities.
+# Bytes of facility loads that tally_draws holds before keying them: a
+# block of 1,000 draws is keyed at once up to 1,048 facilities.
 _LOAD_TABLE_BYTES = 1 << 23
 
 
-def tally_draws(
-    plan: RoundingPlan, draws: Iterable[SampleDraw], count: int, max_examples: int
-) -> tuple[int, Counter, list[tuple[int, list[str]]]]:
-    """Check and key the draws of ``plan`` in chunks of facility loads.
+def _open_limits(
+    inst: Instance, open_sets: Sequence[frozenset[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per open set, the capacity on its members and 0 elsewhere, and
+    whether it names an unknown facility id (then its limit row is unused)."""
+    limits = np.zeros((len(open_sets), inst.facility_count), dtype=np.int64)
+    unknown = np.zeros(len(open_sets), dtype=bool)
+    for index, open_set in enumerate(open_sets):
+        if _has_unknown_id(open_set, inst.facility_count):
+            unknown[index] = True
+        else:
+            limits[index, list(open_set)] = inst.capacity
+    return limits, unknown
 
-    Each draw becomes one row of a load table (one ``bincount``) plus its
-    open set and branch, and is then dropped.  The table holds ``count``
-    rows (the number of draws, or a bound on it), or fewer when that would
-    take more than ``_LOAD_TABLE_BYTES``.  Each chunk is checked at once
-    (a row is feasible iff no facility serves more than its capacity on the
-    row's open set, 0 when closed: what :func:`solution_violations` checks)
-    and keyed by :func:`_class_counts`.  A draw whose assignment cannot be
-    counted (a wrong length or an unknown facility id) is infeasible and has
-    no class key.  Returns the number of feasible draws, the class-key
+
+def tally_draws(
+    plan: RoundingPlan, chunks: Iterable[DrawChunk], max_examples: int
+) -> tuple[int, Counter, list[tuple[int, list[str]]]]:
+    """Check and key the draws of ``plan``, given as chunks in draw order.
+
+    Each chunk is checked from its own assignments.  The ids are
+    range-checked first (read as uint64, a negative id is huge), so an
+    unknown id costs no table; then one ``bincount`` over the chunk, each
+    row offset by ``row * facility_count``, gives every row's clients per
+    facility.  A row is feasible iff no facility serves more than its
+    limit: the capacity on the row's open set, 0 elsewhere (what
+    :func:`solution_violations` checks).  A row whose assignment cannot be
+    counted (a wrong length or an unknown facility id) is infeasible and
+    has no class key.  The counted rows' loads are keyed by
+    :func:`_class_counts` whenever ``_LOAD_TABLE_BYTES`` of them are held,
+    and at the end.  Returns the number of feasible draws, the class-key
     counts, and ``(position, solution_violations)`` of the first
     ``max_examples`` infeasible draws in draw order.
     """
     inst = plan.inst
-    n_f = inst.facility_count
-    table = np.empty(
-        (max(1, min(count, _LOAD_TABLE_BYTES // (8 * max(n_f, 1)))), n_f), dtype=np.int64
-    )
-    open_ids: dict[frozenset[int], int] = {}  # distinct open sets, in order of appearance
-    # per open set: capacity on its members and 0 elsewhere, or None when it
-    # names an unknown facility id (every draw with it is infeasible)
-    limits: list[Optional[np.ndarray]] = []
+    n_f, n_c = inst.facility_count, inst.client_count
+    key_rows = max(1, _LOAD_TABLE_BYTES // (8 * max(n_f, 1)))
+    limits: dict[tuple[frozenset[int], ...], tuple[np.ndarray, np.ndarray]] = {}
     feasible, freq, examples = 0, Counter(), []
+    held: list[tuple[np.ndarray, np.ndarray]] = []  # branches and loads not yet keyed
+    held_rows = position = 0
 
-    def tally(first: int, opens: list[int], branches: list, uncounted: dict) -> int:
-        """Check and key the table's first rows (draws first, first + 1, ...)."""
-        loads, branch_rows = table[: len(opens)], np.array(branches)
-        open_of = np.array(opens)
-        bad = np.zeros(len(opens), dtype=bool)
-        for open_id, limit in enumerate(limits):
-            rows = np.flatnonzero(open_of == open_id)
-            bad[rows] = True if limit is None else (loads[rows] > limit).any(axis=1)
-        bad[list(uncounted)] = True
-        open_sets = list(open_ids)
+    def key_held() -> None:
+        branches, loads = (np.concatenate(part) for part in zip(*held))
+        freq.update(_class_counts(plan, branches, loads))
+        held.clear()
+
+    for chunk in chunks:
+        rows, assign, open_of = len(chunk), chunk.assign, chunk.open_of
+        counted, loads = np.zeros(rows, dtype=bool), None
+        if assign.shape[1] == n_c:
+            counted = assign.view(np.uint64).max(axis=1, initial=0) < n_f
+            ids = assign if counted.all() else np.where(counted[:, None], assign, 0)
+            offsets = np.arange(0, rows * n_f, n_f)[:, None]
+            loads = np.bincount((ids + offsets).ravel(), minlength=rows * n_f)
+            loads = loads.reshape(rows, n_f)
+        table = limits.get(chunk.open_sets)
+        if table is None:
+            table = limits[chunk.open_sets] = _open_limits(inst, chunk.open_sets)
+        limit, unknown = table
+        bad = ~counted | unknown[open_of]
+        if loads is not None:
+            bad |= (loads > limit[open_of]).any(axis=1)
         for row in np.flatnonzero(bad)[: max_examples - len(examples)].tolist():
-            violations = uncounted.get(row)
-            if violations is None:
-                violations = _load_violations(inst, open_sets[opens[row]], loads[row])
-            examples.append((first + row, violations))
-        if uncounted:
-            counted = np.ones(len(opens), dtype=bool)
-            counted[list(uncounted)] = False
-            loads, branch_rows = loads[counted], branch_rows[counted]
-        freq.update(_class_counts(plan, branch_rows, loads))
-        return len(opens) - int(bad.sum())
-
-    first, opens, branches, uncounted = 0, [], [], {}
-    for position, draw in enumerate(draws):
-        sol = draw.solution
-        loads = (
-            _facility_loads(inst, sol.assign) if len(sol.assign) == inst.client_count else None
-        )
-        if loads is None:
-            uncounted[len(opens)] = solution_violations(inst, sol)
-            loads = 0
-        table[len(opens)] = loads
-        open_id = open_ids.get(sol.open)
-        if open_id is None:
-            open_id = open_ids[sol.open] = len(limits)
-            limit = None
-            if not _has_unknown_id(sol.open, n_f):
-                limit = np.zeros(n_f, dtype=np.int64)
-                limit[list(sol.open)] = inst.capacity
-            limits.append(limit)
-        opens.append(open_id)
-        branches.append(_branch_row(plan, draw))
-        if len(opens) == len(table):
-            feasible += tally(first, opens, branches, uncounted)
-            first, opens, branches, uncounted = position + 1, [], [], {}
-    if opens:
-        feasible += tally(first, opens, branches, uncounted)
+            open_set = chunk.open_sets[open_of[row]]
+            if counted[row]:
+                violations = _load_violations(inst, open_set, loads[row])
+            else:
+                violations = solution_violations(inst, IntSolution(open_set, assign[row]))
+            examples.append((position + row, violations))
+        feasible += rows - int(bad.sum())
+        position += rows
+        if counted.any():
+            keep = slice(None) if counted.all() else counted  # a view when all count
+            held.append((chunk.branches[keep], loads[keep]))
+            held_rows += int(counted.sum())
+            if held_rows >= key_rows:
+                key_held()
+                held_rows = 0
+    if held:
+        key_held()
     return feasible, freq, examples
 
 

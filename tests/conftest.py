@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cflgap.instance import (
@@ -119,3 +120,48 @@ def exact_distribution(plan):
             for i in exp.choice_set
         ]
         yield exp, choices, p_extra, w_extra
+
+
+def block_draws(plan, chunks):
+    """Every row of the chunks as a SampleDraw, in draw order."""
+    for chunk in chunks:
+        for row in range(len(chunk)):
+            yield chunk.draw(plan, row)
+
+
+def one_row_chunk(plan, draw):
+    """A SampleDraw as a chunk of one row."""
+    from cflgap.rounding import DrawChunk, _branch_row
+
+    return DrawChunk(
+        branches=np.array([_branch_row(plan, draw)]),
+        open_of=np.zeros(1, dtype=np.int64),
+        open_sets=(draw.solution.open,),
+        assign=draw.solution.assign[None],
+    )
+
+
+def spoil_rows(plan, chunks, spoil, first=0):
+    """The chunks, with the draw at each position in ``spoil`` (counted from
+    ``first``) replaced by ``spoil[position](draw)`` as a chunk of its own."""
+    from cflgap.rounding import DrawChunk
+
+    def rows(chunk, lo, hi):
+        return DrawChunk(
+            chunk.branches[lo:hi], chunk.open_of[lo:hi], chunk.open_sets, chunk.assign[lo:hi]
+        )
+
+    position = first
+    for chunk in chunks:
+        lo = 0
+        for row in range(len(chunk)):
+            fn = spoil.get(position + row)
+            if fn is None:
+                continue
+            if row > lo:
+                yield rows(chunk, lo, row)
+            yield one_row_chunk(plan, fn(chunk.draw(plan, row)))
+            lo = row + 1
+        if lo < len(chunk):
+            yield rows(chunk, lo, len(chunk))
+        position += len(chunk)

@@ -46,12 +46,12 @@ from cflgap.rounding import (
     enumerate_outcome_classes,
     expected_vector,
     outcome_class_key,
-    sample_outcome,
+    sample_block,
     solution_violations,
     verify_midpoint,
 )
 
-from conftest import CENSUS_SHAPES, MINI, TINY, find_valid_general
+from conftest import CENSUS_SHAPES, MINI, TINY, block_draws, find_valid_general
 
 CLI = [sys.executable, "-m", "cflgap.cli"]
 
@@ -113,9 +113,7 @@ def test_acceptance_2_sampler_feasibility_and_frequencies():
         c1 = CoreIndex.for_instance(inst, range(10), range(10, 20))
         c2 = CoreIndex.for_instance(inst, range(20, 30), range(30, 40))
         plan = compile_plan(inst, c1, c2)
-        rng = ExactRng(424242)
-        for _ in range(10_000):
-            draw = sample_outcome(plan, rng)
+        for draw in block_draws(plan, sample_block(plan, ExactRng(424242), 10_000)):
             assert solution_violations(inst, draw.solution) == []
 
         # 10^5 seeded draws at the mini instance: zero violations, and the
@@ -128,10 +126,8 @@ def test_acceptance_2_sampler_feasibility_and_frequencies():
         assert sum(c.probability for c in classes) == 1
         probabilities = {c.key: c.probability for c in classes}
         n = 100_000
-        rng = ExactRng(31415)
         freq = Counter()
-        for _ in range(n):
-            draw = sample_outcome(mini_plan, rng)
+        for draw in block_draws(mini_plan, sample_block(mini_plan, ExactRng(31415), n)):
             assert solution_violations(mini, draw.solution) == []
             key = outcome_class_key(mini_plan, draw)
             assert key in probabilities

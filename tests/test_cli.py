@@ -9,6 +9,7 @@ from io import StringIO
 import pytest
 
 from cflgap import cli
+from conftest import spoil_rows
 
 CLI = [sys.executable, "-m", "cflgap.cli"]
 
@@ -235,6 +236,27 @@ class TestVerifyMidpointAndSample:
         first = json.loads(files[0].read_text())
         assert "seed" in first and len(first["assign"]) == 13
 
+    def test_t10_solutions_of_a_multi_chunk_block_read_back_feasible(self, tmp_path):
+        # a t=10 row is 160 KB, so each of the block's draws is its own chunk
+        from cflgap.instance import build_family_instance
+        from cflgap.io import solution_from_doc
+        from cflgap.rounding import solution_violations
+
+        inst, a, b = tmp_path / "t10.json", tmp_path / "a.core", tmp_path / "b.core"
+        sol_dir = tmp_path / "sols"
+        for argv in (
+            ["gen", "--family", "--t", "10", "--a", "2", "-o", str(inst)],
+            ["core", "--instance", str(inst), "--k", "0..9", "--l", "10..19", "-o", str(a)],
+            ["core", "--instance", str(inst), "--k", "20..29", "--l", "30..39", "-o", str(b)],
+            ["sample", str(a), str(b), "--n", "3", "--seed", "8", "--solutions-dir", str(sol_dir)],
+        ):
+            assert run_in_process(*argv) == 0, argv
+        family10 = build_family_instance(10, 2)
+        sols = [solution_from_doc(json.loads(path.read_text()))
+                for path in sorted(sol_dir.iterdir())]
+        assert len(sols) == 3 and len(set(sols)) == 3
+        assert all(solution_violations(family10, sol) == [] for sol in sols)
+
     def test_sample_refuses_solutions_dir_with_old_files(self, workspace):
         sol_dir = workspace["dir"] / "sols"
         assert run_in_process(
@@ -363,35 +385,38 @@ def _unknown_open_and_assign_id(draw, assign):
 
 
 class TestSampleFailurePath:
-    """Draws corrupted after ``sample_outcome`` reach the report's failure fields.
+    """Rows of the block sampler, corrupted, reach the report's failure fields.
 
     ``sample`` refuses a distribution with an infeasible class before it
     draws, so only a corrupted draw reaches these checks.  The expected
-    fields were recorded from the per-draw ``solution_violations`` and
-    ``outcome_class_key`` checks, on MINI at seed 5.
+    fields were recorded from ``solution_violations`` and
+    ``outcome_class_key`` on each corrupted draw, on MINI at seed 5.
     """
 
     @pytest.fixture()
     def corrupt(self, monkeypatch):
-        """Make ``sample_outcome`` corrupt draw ``i`` with ``spoil[i]``."""
+        """Make ``sample_block`` corrupt the draw at position ``i`` with ``spoil[i]``."""
         from dataclasses import replace
 
         import cflgap.rounding as rounding
 
-        original = rounding.sample_outcome
+        original = rounding.sample_block
 
-        def install(spoil):
-            drawn = iter(range(10**9))
-
-            def sample_outcome(plan, rng):
-                draw = original(plan, rng)
-                fn = spoil.get(next(drawn))
-                if fn is None:
-                    return draw
+        def corrupted(fn):
+            def apply(draw):
                 open_set, assign = fn(draw, draw.solution.assign.copy())
                 return replace(draw, solution=rounding.IntSolution(open_set, assign))
+            return apply
 
-            monkeypatch.setattr(rounding, "sample_outcome", sample_outcome)
+        def install(spoil):
+            drawn = [0]  # draws made so far; blocks run in order in one process
+            fns = {position: corrupted(fn) for position, fn in spoil.items()}
+
+            def sample_block(plan, rng, count):
+                first, drawn[0] = drawn[0], drawn[0] + count
+                return spoil_rows(plan, original(plan, rng, count), fns, first)
+
+            monkeypatch.setattr(rounding, "sample_block", sample_block)
         return install
 
     def _sample(self, workspace, n):
@@ -406,14 +431,14 @@ class TestSampleFailurePath:
 
     @pytest.mark.parametrize("spoil, feasible, examples, unmatched", [
         (_closed, 18, ["sample 4: ['clients assigned to closed facilities [2]']",
-                       "sample 9: ['clients assigned to closed facilities [5]']"], 2),
-        (_over, 18, ["sample 4: ['capacity exceeded at [(0, 6)] (capacity 4)']",
-                     "sample 9: ['capacity exceeded at [(0, 7)] (capacity 4)']"], 2),
+                       "sample 9: ['clients assigned to closed facilities [3]']"], 2),
+        (_over, 18, ["sample 4: ['capacity exceeded at [(0, 7)] (capacity 4)']",
+                     "sample 9: ['capacity exceeded at [(0, 5)] (capacity 4)']"], 2),
         (_closed_and_over, 18,
          ["sample 4: ['clients assigned to closed facilities [2]', "
           "'capacity exceeded at [(2, 5)] (capacity 4)']",
-          "sample 9: ['clients assigned to closed facilities [5]', "
-          "'capacity exceeded at [(5, 5)] (capacity 4)']"], 2),
+          "sample 9: ['clients assigned to closed facilities [3]', "
+          "'capacity exceeded at [(3, 5)] (capacity 4)']"], 2),
         (_id_too_high, 18, ["sample 4: ['assignment targets unknown facility ids']",
                             "sample 9: ['assignment targets unknown facility ids']"], 2),
         (_huge_id, 18, ["sample 4: ['assignment targets unknown facility ids']",
@@ -452,9 +477,9 @@ class TestSampleFailurePath:
             "feasible": 1193,
             "infeasible": 7,
             "violation_examples": [
-                "sample 3: ['clients assigned to closed facilities [2]']",
+                "sample 3: ['clients assigned to closed facilities [4]']",
                 "sample 5: ['capacity exceeded at [(0, 7)] (capacity 4)']",
-                "sample 998: ['capacity exceeded at [(0, 7)] (capacity 4)']",
+                "sample 998: ['capacity exceeded at [(0, 6)] (capacity 4)']",
                 "sample 1000: ['assignment covers 12 clients, instance has 13']",
                 "sample 1003: ['clients assigned to closed facilities [5]']",
             ],
@@ -658,7 +683,8 @@ class TestMalformedCoreDocument:
              ["verify-midpoint", "{path}", "{b_altered}"],
              ["collide", "{path}", "{b}"],
              ["certify", "--core", "{path}"]],
-            "holds a vector other than the core vector of k=[0, 1] l=[2, 3]",
+            "holds a vector other than the core vector of k=[0, 1] l=[2, 3]: "
+            "y of facilities 2..3 is 1, not 2/5",
             id="payload-other-than-its-index",
         ),
     ])

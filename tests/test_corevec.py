@@ -112,6 +112,20 @@ class TestMakeCoreVector:
                 assert v.x_of(i, j) == d.x_of(i, j)
         assert v.equals(d) and d.equals(v)
 
+    def test_first_difference_names_the_first_class_or_cell(self, mini):
+        v = make_core_vector(mini, {0, 1}, {2, 3})
+        assert v.first_difference(v.to_dense()) is None
+        # facilities 2..3 are the low set of v and outside in w
+        w = make_core_vector(mini, {0, 1}, {4, 5})
+        assert v.first_difference(w) == "y of facilities 2..3 is 2/5, not 1"
+        assert v.to_dense().first_difference(w) == "y of facilities 2 is 2/5, not 1"
+        x = [list(row) for row in v.x_values]
+        x[1][0] = Fraction(1, 4)  # facilities 2..3, designated clients 0..8
+        u = FracVector(6, 13, v.fac_classes, v.cli_classes, v.y_values, x)
+        assert u.first_difference(v) == (
+            "x of facilities 2..3 and clients 0..8 is 1/4, not 1/8"
+        )
+
     def test_relabeling_invariance(self, mini):
         rng = random.Random(7)
         perm = list(range(6))

@@ -3,10 +3,12 @@
 A ``sample`` report and its ``--solutions-dir`` files, and a ``census --mc``
 report, depend only on the inputs, the seed and the draw count: ``--jobs``
 only spreads the seeded blocks of draws over processes, so each digest is
-checked at ``--jobs 1`` and ``--jobs 2``.  The ``sample`` draws were pinned
-before the rounding distribution was compiled into a ``RoundingPlan``; any
-change to the order or arguments of the ``ExactRng`` calls a draw makes
-changes them.  The non-sampling commands are pinned by exit code, stdout and
+checked at ``--jobs 1`` and ``--jobs 2``.  The ``sample`` digests were
+pinned when each block's draws became arrays (``rounding.sample_block``):
+its decisions first, then its assignments chunk by chunk.  Any change to
+the order or arguments of the ``ExactRng`` calls a block makes, or to the
+chunk size, changes the ``--solutions-dir`` files; the reports depend only
+on the decisions.  The non-sampling commands are pinned by exit code, stdout and
 ``-o`` bytes together; their digests were recorded before dense vectors
 became classed vectors with singleton classes.  Commands run in a temporary
 directory with relative paths, so the manifests (which name the files) are
@@ -29,13 +31,13 @@ T10_GEN = ["gen", "--family", "--t", "10", "--a", "2"]
 
 GOLDEN = {
     "mini-n300":
-        "c6349caf875f0ce6be04e7f1d11e30ca635493852ce7d77af75d56ac348787a2",
+        "6764385b86d0f60b37ece9933bc9445805899c6d8aa8b1a669960f87f54128a1",
     "mini-n60-solutions-report":
-        "21b38e22b20404baf596fc45e22da37190f8a7e629ccc59504f739ef7f6642b9",
+        "93ae367e5480cbcbfe2848087bf4e441d00adef1c3787b515a5e34f3dbc6c4f8",
     "mini-n60-solutions-files":
-        "71d4071dae0d83edb14e706fb324f07a11a955d899e9014cbd4f717c11437089",
+        "aa3d56e1703ad727f0144a92f065f39b9aafdaa278304bf1cf75f797e04bde18",
     "t10-n40":
-        "06c46ae0dd0bd2c50d6ba8821d21d3c83f18a0588fc137f2c3b3fd2bad411205",
+        "26ed6472d42ce731bb4391d2c19293fb2d49b64c763d6695f8e0958dd9d38ee4",
 }
 
 
@@ -83,6 +85,18 @@ def test_sample_bytes_match_golden(digests, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = digests(tmp_path)
     assert got == {name: GOLDEN[name] for name in got}
+
+
+def test_sample_report_does_not_depend_on_the_chunk_budget(tmp_path, monkeypatch):
+    # class counts come from the decisions, drawn before any row is built,
+    # so a budget of one row per chunk writes the same report
+    import cflgap.rounding as rounding
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(rounding, "_CHUNK_BYTES", 8)
+    _pair(MINI_GEN, "0,1", "2,3", "0,1", "4,5")
+    _cli("sample", "a.core", "b.core", "--n", "300", "--seed", "2024", "-o", "s.json")
+    assert _digest(tmp_path / "s.json") == GOLDEN["mini-n300"]
 
 
 TINY_GEN = ["gen", "--general", "--nf", "3", "--t", "1", "--U", "2", "--m", "3",

@@ -59,11 +59,11 @@ from cflgap.rounding import (
     enumerate_outcome_classes,
     expected_vector,
     outcome_class_key,
-    sample_outcome,
+    sample_block,
     solution_violations,
 )
 from cflgap.polytope import brute_force_opt
-from conftest import MINI, TINY, exact_distribution
+from conftest import MINI, TINY, block_draws, exact_distribution
 
 DRAWS = 25
 
@@ -135,9 +135,7 @@ def test_enumeration_and_sampler_agree(case, seed):
     # the sampler can reach an overflowing branch
     assume(all(cl.feasible for cl in classes))
     feasible_keys = {cl.key for cl in classes}
-    rng = ExactRng(seed)
-    for _ in range(DRAWS):
-        draw = sample_outcome(plan, rng)
+    for draw in block_draws(plan, sample_block(plan, ExactRng(seed), DRAWS)):
         assert solution_violations(plan.inst, draw.solution) == []
         assert outcome_class_key(plan, draw) in feasible_keys
 

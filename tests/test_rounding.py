@@ -29,7 +29,7 @@ from cflgap.rounding import (
     verify_midpoint,
 )
 from cflgap.rounding import _FloorCoin
-from conftest import exact_distribution
+from conftest import block_draws, exact_distribution, one_row_chunk, spoil_rows
 
 
 def mini_pair(mini):
@@ -194,13 +194,45 @@ class TestSplitSlots:
         assert split_slots(0, [], Fraction(0), ExactRng(0)) == []
 
 
+class TestBatchedDraws:
+    def test_integers_below_mixes_machine_and_wide_bounds(self):
+        ns = np.array([1, 2**63, 2**63 + 1, 2**70 + 3] * 64, dtype=object)
+        draws = ExactRng(17).integers_below(ns).tolist()
+        assert all(type(d) is int and 0 <= d < n for d, n in zip(draws, ns.tolist()))
+        assert draws == ExactRng(17).integers_below(ns).tolist()
+        # the widest bound is drawn past 64 bits, not folded into them
+        assert max(draws[3::4]) >= 2**64
+
+    def test_integers_below_machine_ints(self):
+        ns = np.array([1, 2, 3, 2**62, 2**63 - 1] * 64, dtype=np.int64)
+        draws = ExactRng(5).integers_below(ns)
+        assert draws.dtype == np.int64 and ((0 <= draws) & (draws < ns)).all()
+        assert (draws == ExactRng(5).integers_below(ns)).all()
+        with pytest.raises(ValueError):
+            ExactRng(5).integers_below(np.array([2, 0]))
+
+    def test_wide_slot_coin_reads_floor_or_floor_plus_one(self, mini):
+        # every low-set facility's slot target becomes 2 + (about 1/2), over
+        # a denominator above 2**63, drawn through the block sampler
+        plan = compile_plan(mini, *mini_pair(mini))
+        den = 2**64 + 13
+        coin = _FloorCoin(2, den // 2, den)
+        wide = rounding.RoundingPlan(mini, tuple(
+            replace(exp, choice_slots=(coin,) * len(exp.choice_slots))
+            for exp in plan.experiments
+        ))
+        slots = Counter()
+        for chunk in rounding.sample_block(wide, ExactRng(9), 400):
+            chosen = chunk.branches[:, 1:2]
+            slots.update(np.count_nonzero(chunk.assign == chosen, axis=1).tolist())
+        assert set(slots) == {2, 3}
+
+
 class TestSampler:
     def test_mini_samples_feasible(self, mini):
         plan = compile_plan(mini, *mini_pair(mini))
-        rng = ExactRng(2024)
-        for _ in range(2000):
-            sol = sample_outcome(plan, rng).solution
-            assert solution_violations(mini, sol) == []
+        for draw in block_draws(plan, rounding.sample_block(plan, ExactRng(2024), 2000)):
+            assert solution_violations(mini, draw.solution) == []
 
     def test_t10_samples_feasible(self, family10):
         c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
@@ -245,6 +277,32 @@ class TestSampler:
             if draw.experiment == "A" and draw.chosen_l_facility == 3:
                 seen.add(counts[3])
         assert seen <= {2, 3} and seen
+
+
+class TestBlockSampler:
+    def test_mini_rows_feasible_keyed_as_the_block_and_in_band(self, mini):
+        plan = compile_plan(mini, *mini_pair(mini))
+        by_key = {cl.key: cl.probability for cl in enumerate_outcome_classes(plan)}
+        n = 100_000
+        chunks = list(rounding.sample_block(plan, ExactRng(271828), n))
+        feasible, block_keys, examples = rounding.tally_draws(plan, iter(chunks), 5)
+        assert (feasible, examples) == (n, [])
+        row_keys = Counter()
+        for draw in block_draws(plan, chunks):
+            assert solution_violations(mini, draw.solution) == []
+            row_keys[outcome_class_key(plan, draw)] += 1
+        assert row_keys == block_keys and set(block_keys) <= set(by_key)
+        for key, p in by_key.items():
+            pf = float(p)
+            sigma = (pf * (1 - pf) / n) ** 0.5
+            assert abs(block_keys[key] / n - pf) <= 4 * sigma, key
+
+    def test_chunks_hold_a_bounded_number_of_rows(self, family10, mini):
+        # t=10 rows are 160 KB, so each is a chunk; MINI blocks are one chunk
+        plan = compile_plan(family10, *t10_pair(family10))
+        assert [len(c) for c in rounding.sample_block(plan, ExactRng(1), 3)] == [1, 1, 1]
+        plan = compile_plan(mini, *mini_pair(mini))
+        assert [len(c) for c in rounding.sample_block(plan, ExactRng(1), 1000)] == [1000]
 
 
 class TestExpectedVector:
@@ -321,10 +379,8 @@ class TestOutcomeClasses:
         classes = enumerate_outcome_classes(plan)
         by_key = {cl.key: cl.probability for cl in classes}
         n = 20000
-        rng = ExactRng(31337)
         freq = Counter()
-        for _ in range(n):
-            draw = sample_outcome(plan, rng)
+        for draw in block_draws(plan, rounding.sample_block(plan, ExactRng(31337), n)):
             key = outcome_class_key(plan, draw)
             assert key in by_key, f"sampled class {key} not enumerated"
             freq[key] += 1
@@ -346,12 +402,11 @@ class TestEmpiricalMean:
         c1, c2 = mini_pair(mini)
         plan = compile_plan(mini, c1, c2)
         n = 100_000
-        rng = ExactRng(8675309)
         y_counts = np.zeros(6, dtype=np.int64)
         x_counts = np.zeros((6, 13), dtype=np.int64)
         cols = np.arange(13)
-        for _ in range(n):
-            sol = sample_outcome(plan, rng).solution
+        for draw in block_draws(plan, rounding.sample_block(plan, ExactRng(8675309), n)):
+            sol = draw.solution
             for i in sol.open:
                 y_counts[i] += 1
             x_counts[np.asarray(sol.assign), cols] += 1
@@ -550,21 +605,24 @@ def reference_key(plan, draw):
             tuple(sorted(profile.items())))
 
 
-def spoiled_draws(plan, seed, n, spoil_every=0):
-    """``n`` draws of ``plan``; with ``spoil_every``, every such draw gets a
-    client moved to a random id in [-2, facility_count + 2) or dropped."""
-    rng, spoil = ExactRng(seed), np.random.default_rng(seed)
+def spoiled_chunks(plan, seed, n, spoil_every=0):
+    """The block sampler's chunks of ``n`` draws of ``plan``; with
+    ``spoil_every``, every such draw gets a client moved to a random id in
+    [-2, facility_count + 2) or dropped, and becomes a chunk of its own."""
+    spoil = np.random.default_rng(seed)
     n_f = plan.inst.facility_count
-    for i in range(n):
-        draw = sample_outcome(plan, rng)
-        if spoil_every and i % spoil_every == spoil_every - 1:
-            assign = draw.solution.assign.copy()
-            if spoil.integers(4) == 0:
-                assign = assign[:-1]
-            else:
-                assign[spoil.integers(len(assign))] = spoil.integers(-2, n_f + 2)
-            draw = replace(draw, solution=IntSolution(draw.solution.open, assign))
-        yield draw
+
+    def spoiled(draw):
+        assign = draw.solution.assign.copy()
+        if spoil.integers(4) == 0:
+            assign = assign[:-1]
+        else:
+            assign[spoil.integers(len(assign))] = spoil.integers(-2, n_f + 2)
+        return replace(draw, solution=IntSolution(draw.solution.open, assign))
+
+    positions = range(spoil_every - 1, n, spoil_every) if spoil_every else ()
+    chunks = rounding.sample_block(plan, ExactRng(seed), n)
+    return list(spoil_rows(plan, chunks, dict.fromkeys(positions, spoiled)))
 
 
 def expected_tally(plan, draws, max_examples):
@@ -589,35 +647,42 @@ class TestDrawTally:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mini_class_counts_match_per_draw_keys(self, mini, seed, n):
         plan = compile_plan(mini, *mini_pair(mini))
-        draws = list(spoiled_draws(plan, seed, n))
+        chunks = spoiled_chunks(plan, seed, n)
+        draws = list(block_draws(plan, chunks))
         expected = Counter(reference_key(plan, draw) for draw in draws)
         assert Counter(outcome_class_key(plan, draw) for draw in draws) == expected
-        assert rounding.tally_draws(plan, iter(draws), n, 5) == (n, expected, [])
+        assert rounding.tally_draws(plan, iter(chunks), 5) == (n, expected, [])
 
     # one seed per n: a t=10 draw costs about 0.5 ms
     @pytest.mark.parametrize("seed, n", [(1, 1), (2, 999), (3, 1001), (4, 2500)])
     def test_t10_class_counts_match_per_draw_keys(self, family10, seed, n):
-        # t=10 assignments are 20,000 long, so each draw is keyed on its
+        # t=10 assignments are 20,000 long, so each chunk is keyed on its
         # way into the tally rather than held
         plan = compile_plan(family10, *t10_pair(family10))
         expected = Counter()
 
-        def keyed(draws):
-            for draw in draws:
-                expected[reference_key(plan, draw)] += 1
-                yield draw
+        def keyed(chunks):
+            for chunk in chunks:
+                for draw in block_draws(plan, [chunk]):
+                    expected[reference_key(plan, draw)] += 1
+                yield chunk
 
-        tally = rounding.tally_draws(plan, keyed(spoiled_draws(plan, seed, n)), n, 5)
+        tally = rounding.tally_draws(
+            plan, keyed(rounding.sample_block(plan, ExactRng(seed), n)), 5
+        )
         assert tally == (n, expected, [])
 
     @pytest.mark.parametrize("table_rows", [1, 7, 1000])
     def test_spoiled_draws_match_per_draw_checks_in_any_chunking(
         self, mini, monkeypatch, table_rows
     ):
-        plan = compile_plan(mini, *mini_pair(mini))
-        draws = list(spoiled_draws(plan, 4, 600, spoil_every=9))
+        # chunks of table_rows MINI rows (13 clients), keyed table_rows at a time
+        monkeypatch.setattr(rounding, "_CHUNK_BYTES", 8 * 13 * table_rows)
         monkeypatch.setattr(rounding, "_LOAD_TABLE_BYTES", 8 * 6 * table_rows)
-        tally = rounding.tally_draws(plan, iter(draws), len(draws), 40)
+        plan = compile_plan(mini, *mini_pair(mini))
+        chunks = spoiled_chunks(plan, 4, 600, spoil_every=9)
+        draws = list(block_draws(plan, chunks))
+        tally = rounding.tally_draws(plan, iter(chunks), 40)
         assert tally == expected_tally(plan, draws, 40)
         assert 0 < tally[0] < len(draws) and len(tally[2]) == 40
 
@@ -632,11 +697,11 @@ class TestDrawTally:
             CoreIndex.for_instance(inst, {0, 1}, {2, 3}),
             CoreIndex.for_instance(inst, {0, 1}, {4, 5}),
         )
-        draws = list(spoiled_draws(plan, 6, 120, spoil_every=30))
+        chunks = spoiled_chunks(plan, 6, 120, spoil_every=30)
+        draws = list(block_draws(plan, chunks))
         tracemalloc.start()
         try:
-            # sized for a full block, as sample does
-            tally = rounding.tally_draws(plan, iter(draws), 1000, 5)
+            tally = rounding.tally_draws(plan, iter(chunks), 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -659,5 +724,5 @@ def test_load_core_and_prelude_give_the_reference_violations(mini, data):
     assert solution_violations(mini, sol) == expected
     plan = compile_plan(mini, *mini_pair(mini))
     draw = rounding.SampleDraw(sol, "A", 2, False)
-    feasible, _, examples = rounding.tally_draws(plan, iter([draw]), 1, 1)
+    feasible, _, examples = rounding.tally_draws(plan, iter([one_row_chunk(plan, draw)]), 1)
     assert (feasible, examples) == ((1, []) if not expected else (0, [(0, expected)]))
