@@ -278,7 +278,9 @@ def _sample_block(
 
     def chunks():
         index = start
-        for chunk in sample_block(plan, ExactRng(seed), count):
+        # only solution files read per-client assignments; the tally reads loads
+        draws = sample_block(plan, ExactRng(seed), count, shuffle=bool(solutions_dir))
+        for chunk in draws:
             if solutions_dir:
                 for row in range(len(chunk)):
                     path = os.path.join(solutions_dir, f"sol_{index + row:06d}.json")

@@ -20,9 +20,11 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
   block is drawn first, one array per step, by comparing uniform integers
   with the thresholds and coins (exactly, for any denominator; no
   ``Fraction`` and no float).  Then the assignments are built in chunks of
-  rows: one ``np.repeat`` of the rows' facility counts, then each client
-  pool's segment of every row shuffled in place.  :func:`sample_outcome`
-  is its one-row case, and
+  rows: one ``np.repeat`` of the rows' facility counts, in pool order,
+  then (unless ``shuffle=False``) each client pool's segment of every row
+  shuffled in place.  Only readers of per-client assignments need the
+  shuffle; feasibility and outcome classes depend only on facility loads.
+  :func:`sample_outcome` is its one-row case, and
 * :func:`enumerate_outcome_classes` lists every branch of the same
   thresholds and coins with its exact probability, collapsing exchangeable
   client and bin choices; each class holds its slot profile as one shared
@@ -460,7 +462,10 @@ class DrawChunk:
     Row ``r`` has the branch ``branches[r]`` (experiment index, chosen low
     facility, ``extra_open`` as 0 or 1), the open set
     ``open_sets[open_of[r]]`` and the assignment ``assign[r]``; the rows
-    share one assignment length.
+    share one assignment length.  Rows from ``sample_block(...,
+    shuffle=False)`` keep each client pool's segment in pool order (its
+    facilities by count): the facility loads of the shuffled rows, but not
+    a uniform assignment.
     """
 
     branches: np.ndarray
@@ -532,7 +537,9 @@ def _draw_decisions(
     return branches, open_of, counts
 
 
-def sample_block(plan: RoundingPlan, rng: ExactRng, count: int) -> Iterator[DrawChunk]:
+def sample_block(
+    plan: RoundingPlan, rng: ExactRng, count: int, *, shuffle: bool = True
+) -> Iterator[DrawChunk]:
     """``count`` draws from the distribution, as chunks of rows in draw order.
 
     Every decision of the block is drawn first, as arrays
@@ -540,10 +547,15 @@ def sample_block(plan: RoundingPlan, rng: ExactRng, count: int) -> Iterator[Draw
     them every class count, do not depend on how the rows are chunked.
     Then each chunk of at most ``_CHUNK_BYTES`` of assignments (or of
     facility loads, if wider) is materialized: one ``np.repeat`` of its
-    rows' facilities by their counts, in pool order, then each pool's
-    segment of every row shuffled in place, which gives the same uniform
-    assignment as permuting the pool's clients and handing them out in
-    order.  Assignments are read-only.
+    rows' facilities by their counts, in pool order.  With ``shuffle``
+    (the default), each pool's segment of every row is then shuffled in
+    place, which gives the same uniform assignment as permuting the pool's
+    clients and handing them out in order.  Only a reader of per-client
+    assignments needs the shuffle: facility loads, and with them
+    feasibility and class keys, do not change under a permutation within a
+    row, and the shuffle draws from ``rng`` after every decision of the
+    block, so the decisions are the same either way (the state ``rng`` is
+    left in is not).  Assignments are read-only.
     """
     inst, tables = plan.inst, plan._tables
     branches, open_of, counts = _draw_decisions(plan, rng, count)
@@ -555,8 +567,9 @@ def sample_block(plan: RoundingPlan, rng: ExactRng, count: int) -> Iterator[Draw
         facilities[:, 0] = branches[lo:hi, 1]
         assign = np.repeat(facilities.ravel(), counts[lo:hi].ravel())
         assign = assign.reshape(hi - lo, n_clients)
-        rng.shuffle_rows(assign[:, :n_core])
-        rng.shuffle_rows(assign[:, n_core:])
+        if shuffle:
+            rng.shuffle_rows(assign[:, :n_core])
+            rng.shuffle_rows(assign[:, n_core:])
         assign.setflags(write=False)
         yield DrawChunk(branches[lo:hi], open_of[lo:hi], tables.open_sets, assign)
 

@@ -257,6 +257,44 @@ class TestVerifyMidpointAndSample:
         assert len(sols) == 3 and len(set(sols)) == 3
         assert all(solution_violations(family10, sol) == [] for sol in sols)
 
+    def test_count_only_sample_does_not_shuffle(self, tmp_path, monkeypatch):
+        # without --solutions-dir no per-client assignment is read, so rows
+        # stay in pool order; the report is still the golden one
+        from cflgap.randomness import ExactRng
+        from test_golden import GOLDEN, MINI_GEN, _cli, _digest, _pair
+
+        def refuse(rng, rows):
+            raise AssertionError("a count-only sample shuffled its rows")
+
+        monkeypatch.setattr(ExactRng, "shuffle_rows", refuse)
+        monkeypatch.chdir(tmp_path)
+        _pair(MINI_GEN, "0,1", "2,3", "0,1", "4,5")
+        _cli("sample", "a.core", "b.core", "--n", "300", "--seed", "2024", "-o", "s.json")
+        assert _digest(tmp_path / "s.json") == GOLDEN["mini-n300"]
+
+    def test_solutions_dir_changes_only_the_files_written(self, workspace):
+        from cflgap.io import instance_from_doc, solution_from_doc
+        from cflgap.rounding import solution_violations
+
+        sol_dir = workspace["dir"] / "sols"
+        reports = []
+        for extra in ([], ["--solutions-dir", str(sol_dir)]):
+            out = workspace["dir"] / f"report{len(reports)}.json"
+            assert run_in_process(
+                "sample", str(workspace["a"]), str(workspace["b"]),
+                "--n", "1200", "--seed", "5", "-o", str(out), *extra,
+            ) == 0
+            doc = json.loads(out.read_text())
+            del doc["manifest"]["parameters"]["solutions_dir"]
+            reports.append(doc)
+        assert reports[0] == reports[1]
+        files = sorted(sol_dir.iterdir())
+        assert len(files) == 1200
+        mini = instance_from_doc(json.loads(workspace["mini"].read_text()))
+        for path in files:
+            sol = solution_from_doc(json.loads(path.read_text()))
+            assert solution_violations(mini, sol) == []
+
     def test_sample_refuses_solutions_dir_with_old_files(self, workspace):
         sol_dir = workspace["dir"] / "sols"
         assert run_in_process(
@@ -391,6 +429,8 @@ class TestSampleFailurePath:
     draws, so only a corrupted draw reaches these checks.  The expected
     fields were recorded from ``solution_violations`` and
     ``outcome_class_key`` on each corrupted draw, on MINI at seed 5.
+    Without ``--solutions-dir`` the command draws its rows in pool order,
+    so a spoil that rewrites the first clients sees pool-order rows.
     """
 
     @pytest.fixture()
@@ -412,9 +452,9 @@ class TestSampleFailurePath:
             drawn = [0]  # draws made so far; blocks run in order in one process
             fns = {position: corrupted(fn) for position, fn in spoil.items()}
 
-            def sample_block(plan, rng, count):
+            def sample_block(plan, rng, count, **options):
                 first, drawn[0] = drawn[0], drawn[0] + count
-                return spoil_rows(plan, original(plan, rng, count), fns, first)
+                return spoil_rows(plan, original(plan, rng, count, **options), fns, first)
 
             monkeypatch.setattr(rounding, "sample_block", sample_block)
         return install
@@ -432,7 +472,7 @@ class TestSampleFailurePath:
     @pytest.mark.parametrize("spoil, feasible, examples, unmatched", [
         (_closed, 18, ["sample 4: ['clients assigned to closed facilities [2]']",
                        "sample 9: ['clients assigned to closed facilities [3]']"], 2),
-        (_over, 18, ["sample 4: ['capacity exceeded at [(0, 7)] (capacity 4)']",
+        (_over, 18, ["sample 4: ['capacity exceeded at [(0, 6)] (capacity 4)']",
                      "sample 9: ['capacity exceeded at [(0, 5)] (capacity 4)']"], 2),
         (_closed_and_over, 18,
          ["sample 4: ['clients assigned to closed facilities [2]', "
@@ -478,7 +518,7 @@ class TestSampleFailurePath:
             "infeasible": 7,
             "violation_examples": [
                 "sample 3: ['clients assigned to closed facilities [4]']",
-                "sample 5: ['capacity exceeded at [(0, 7)] (capacity 4)']",
+                "sample 5: ['capacity exceeded at [(0, 6)] (capacity 4)']",
                 "sample 998: ['capacity exceeded at [(0, 6)] (capacity 4)']",
                 "sample 1000: ['assignment covers 12 clients, instance has 13']",
                 "sample 1003: ['clients assigned to closed facilities [5]']",

@@ -238,10 +238,8 @@ class TestSampler:
         c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
         c2 = CoreIndex.for_instance(family10, range(20, 30), range(30, 40))
         plan = compile_plan(family10, c1, c2)
-        rng = ExactRng(7)
-        for _ in range(50):
-            sol = sample_outcome(plan, rng).solution
-            assert solution_violations(family10, sol) == []
+        for draw in block_draws(plan, rounding.sample_block(plan, ExactRng(7), 50)):
+            assert solution_violations(family10, draw.solution) == []
 
     def test_seed_determinism(self, mini):
         plan = compile_plan(mini, *mini_pair(mini))
@@ -269,10 +267,8 @@ class TestSampler:
     def test_mini_step1_slot_values(self, mini):
         # w for a non-pivot low facility is 45/16: rounded to 2 or 3, both <= 4
         plan = compile_plan(mini, *mini_pair(mini))
-        rng = ExactRng(5)
         seen = set()
-        for _ in range(300):
-            draw = sample_outcome(plan, rng)
+        for draw in block_draws(plan, rounding.sample_block(plan, ExactRng(5), 300)):
             counts = Counter(draw.solution.assign)
             if draw.experiment == "A" and draw.chosen_l_facility == 3:
                 seen.add(counts[3])
@@ -303,6 +299,57 @@ class TestBlockSampler:
         assert [len(c) for c in rounding.sample_block(plan, ExactRng(1), 3)] == [1, 1, 1]
         plan = compile_plan(mini, *mini_pair(mini))
         assert [len(c) for c in rounding.sample_block(plan, ExactRng(1), 1000)] == [1000]
+
+
+def both_orders(plan, seed, count):
+    """The chunks of one seed's block, shuffled and in pool order."""
+    return tuple(
+        list(rounding.sample_block(plan, ExactRng(seed), count, shuffle=shuffle))
+        for shuffle in (True, False)
+    )
+
+
+def joined(chunks, field):
+    """One field of every chunk, rows concatenated in draw order."""
+    return np.concatenate([getattr(chunk, field) for chunk in chunks])
+
+
+def assert_same_draws_up_to_pool_order(plan, shuffled, pool_order):
+    """Same decisions, the same clients per pool and the same facility loads."""
+    n_core, n_f = len(plan.inst.designated_clients), plan.inst.facility_count
+    for name in ("branches", "open_of"):
+        assert np.array_equal(joined(shuffled, name), joined(pool_order, name)), name
+    a, b = joined(shuffled, "assign"), joined(pool_order, "assign")
+    for pool in (slice(None, n_core), slice(n_core, None)):
+        assert np.array_equal(np.sort(a[:, pool], axis=1), np.sort(b[:, pool], axis=1))
+    for row_a, row_b in zip(a, b):
+        assert np.array_equal(np.bincount(row_a, minlength=n_f), np.bincount(row_b, minlength=n_f))
+    assert rounding.tally_draws(plan, iter(shuffled), 5) == rounding.tally_draws(
+        plan, iter(pool_order), 5
+    )
+
+
+class TestPoolOrderRows:
+    """``sample_block(..., shuffle=False)`` skips only the within-pool shuffle."""
+
+    @pytest.mark.parametrize("n", [1, 999, 2500])
+    def test_mini_rows_are_the_shuffled_rows_up_to_pool_order(self, mini, n):
+        plan = compile_plan(mini, *mini_pair(mini))
+        shuffled, pool_order = both_orders(plan, 31, n)
+        assert_same_draws_up_to_pool_order(plan, shuffled, pool_order)
+        if n > 1:  # the flag changes the rows, so the comparison is not vacuous
+            assert not np.array_equal(joined(shuffled, "assign"), joined(pool_order, "assign"))
+
+    def test_t10_rows_are_the_shuffled_rows_up_to_pool_order(self, family10):
+        plan = compile_plan(family10, *t10_pair(family10))
+        assert_same_draws_up_to_pool_order(plan, *both_orders(plan, 17, 4))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), count=st.integers(1, 400))
+def test_pool_order_rows_tally_as_shuffled_rows(mini, seed, count):
+    plan = compile_plan(mini, *mini_pair(mini))
+    assert_same_draws_up_to_pool_order(plan, *both_orders(plan, seed, count))
 
 
 class TestExpectedVector:
