@@ -182,7 +182,9 @@ def cmd_core(args) -> int:
             raise ValueError("provide --k and --l, or --random --seed S")
         k = _parse_id_spec(args.k)
         l = _parse_id_spec(args.l)
-    vec = make_core_vector(inst, k, l, dense=args.dense)
+    vec = make_core_vector(inst, k, l)
+    if args.dense:
+        vec = vec.to_dense()
     index = CoreIndex.for_instance(inst, k, l)
     payload = {
         **docio.core_file_doc(inst, index, vec),

@@ -316,10 +316,8 @@ def midpoint(v1: FracVector, v2: FracVector) -> FracVector:
 # ---------------------------------------------------------------------------
 
 
-def make_core_vector(
-    inst: Instance, k: Iterable[int], l: Iterable[int], *, dense: bool = False
-) -> FracVector:
-    """The core vector indexed by (k, l), symmetry-classed by default.
+def make_core_vector(inst: Instance, k: Iterable[int], l: Iterable[int]) -> FracVector:
+    """The core vector indexed by (k, l), symmetry-classed.
 
     The designated clients (:attr:`Instance.designated_clients`, a prefix of
     the client ids) and the rest, the tail, are both single runs.
@@ -346,10 +344,9 @@ def make_core_vector(
         "out": [ZERO] + ([x_out] if rest else []),
     }
     x_values = [x_rows["k"], x_rows["l"]] + ([x_rows["out"]] if outside else [])
-    vec = FracVector(
+    return FracVector(
         inst.facility_count, inst.client_count, fac_classes, cli_classes, y_values, x_values
     )
-    return vec.to_dense() if dense else vec
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,12 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
   client and bin choices; each class holds its slot profile as one shared
   part per facility group.
 
-:func:`tally_draws` checks and keys the chunks from their facility loads,
-one row-offset ``bincount`` per chunk.  It shares its load check with
-:func:`solution_violations` and its key with :func:`outcome_class_key`.
+:func:`tally_draws` checks and keys the chunks from their facility loads.
+One function counts loads, :func:`_row_loads`: unknown ids go to one extra
+column, then one row-offset ``bincount`` counts a chunk.
+:func:`solution_violations` and :func:`outcome_class_key` are its one-row
+cases, so a draw the tally cannot count has violations and no key in all
+three.
 
 :func:`expected_vector` sums probability times the parts into group totals,
 so :func:`verify_midpoint` certifies constructively, from one class list,
@@ -53,7 +56,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corevec import CoreIndex, FracVector, collides, make_core_vector, midpoint
+from .corevec import CoreIndex, FracVector, make_core_vector, midpoint
 from .instance import ONE, ZERO, Instance, over_common_denominator, require_valid
 from .randomness import ExactRng, cumulative_thresholds
 
@@ -120,52 +123,56 @@ class IntSolution:
 
 
 def solution_violations(inst: Instance, sol: IntSolution) -> list[str]:
-    """Violated integer-solution invariants (empty list = feasible)."""
+    """Violated integer-solution invariants (empty list = feasible).
+
+    The loads are the one-row case of :func:`_row_loads`.
+    """
     if len(sol.assign) != inst.client_count:
         return [
             f"assignment covers {len(sol.assign)} clients, instance has {inst.client_count}"
         ]
-    return _load_violations(inst, sol.open, _facility_loads(inst, sol.assign))
-
-
-def _facility_loads(inst: Instance, assign: np.ndarray) -> Optional[np.ndarray]:
-    """Clients per facility of an int64 assignment, or None if it names an unknown id.
-
-    The ids are range-checked before counting, so a huge id costs no table:
-    read as uint64, a negative id is at least 2**63, so one maximum checks
-    both ends.
-    """
-    if assign.size and assign.view(np.uint64).max() >= inst.facility_count:
-        return None
-    return np.bincount(assign, minlength=inst.facility_count)
-
-
-def _has_unknown_id(open_set: frozenset[int], facility_count: int) -> bool:
-    return bool(open_set) and not (0 <= min(open_set) and max(open_set) < facility_count)
-
-
-def _load_violations(
-    inst: Instance, open_set: frozenset[int], loads: Optional[np.ndarray]
-) -> list[str]:
-    """Violations of a full-length assignment given by its facility loads.
-
-    ``loads`` is None when the assignment names an unknown facility id.
-    """
     out: list[str] = []
-    if _has_unknown_id(open_set, inst.facility_count):
+    if _has_unknown_id(sol.open, inst.facility_count):
         out.append("open set contains unknown facility ids")
-    if loads is None:
+    counted, loads = _row_loads(inst, sol.assign[None])
+    if not counted[0]:
         out.append("assignment targets unknown facility ids")
         return out
-    used = np.flatnonzero(loads).tolist()
-    counts = loads.tolist()
-    not_open = [i for i in used if i not in open_set]
+    counts = loads[0].tolist()
+    used = [i for i, count in enumerate(counts) if count]
+    not_open = [i for i in used if i not in sol.open]
     if not_open:
         out.append(f"clients assigned to closed facilities {not_open}")
     over = [(i, counts[i]) for i in used if counts[i] > inst.capacity]
     if over:
         out.append(f"capacity exceeded at {over} (capacity {inst.capacity})")
     return out
+
+
+def _row_loads(inst: Instance, assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a 2-d int64 assignment, whether it can be counted and its
+    clients per facility.
+
+    A row can be counted when it has one entry per client and names only
+    known facility ids.  Read as uint64, a negative id is at least 2**63,
+    so one minimum sends every unknown id to an extra column ``n_f`` and a
+    huge id costs no table.  Then one ``bincount``, each row offset by
+    ``row * (n_f + 1)``, counts every row.  The loads of a row that cannot
+    be counted mean nothing.
+    """
+    rows, n_f = len(assign), inst.facility_count
+    ids = np.minimum(assign.view(np.uint64), n_f).view(np.int64)
+    if rows > 1:  # one row needs no offset, so a single draw stays cheap to check
+        ids += np.arange(0, rows * (n_f + 1), n_f + 1)[:, None]
+    loads = np.bincount(ids.ravel(), minlength=rows * (n_f + 1)).reshape(rows, n_f + 1)
+    counted = loads[:, n_f] == 0
+    if assign.shape[1] != inst.client_count:
+        counted[:] = False
+    return counted, loads[:, :n_f]
+
+
+def _has_unknown_id(open_set: frozenset[int], facility_count: int) -> bool:
+    return bool(open_set) and not (0 <= min(open_set) and max(open_set) < facility_count)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +286,6 @@ class _Experiment:
     pivot_extra: int               # borrowed facility, opened on extra_coin
     outside_bins: tuple[int, ...]  # remaining facilities, always opened in step 2
     base_open: frozenset[int]      # always_open | outside_bins
-    core_pool: range               # designated clients, step 1
-    rest_pool: range               # remaining clients, step 2
     # choice_set[i] opens on a draw below choice_denominator in
     # [choice_thresholds[i-1], choice_thresholds[i]) and takes choice_slots[i]
     choice_denominator: int
@@ -328,9 +333,10 @@ class _BlockTables:
     experiment's coins are one run of ``stride`` entries of the coin table:
     its low-set facilities' slot coins, then ``extra_coin`` and
     ``extra_slots``.  A row of ``layout`` lists the facilities in the order
-    a draw's counts fill the clients: the chosen low facility (column 0, a
-    placeholder filled per draw), the high set (designated pool), then the
-    borrowed pivot and the outside bins (rest pool).  ``open_sets`` holds
+    a draw's counts fill the clients, and its class key reads their loads:
+    the chosen low facility (column 0, a placeholder filled per draw), the
+    high set (designated pool), then the borrowed pivot and the outside
+    bins (rest pool).  ``open_sets`` holds
     every open set by the code ``(e * len(choice_set) + choice) * 2 +
     extra_open``.
     """
@@ -391,11 +397,11 @@ def _experiment_specs(
     p_pivot = 1 - (t - 1) * eps
     p_extra = t * eps
     # both experiments share the two pools: the designated clients and the tail
-    core, rest = inst.designated_clients, inst.rest_clients
-    w_base = len(core) * x_l
+    n_core, n_rest = len(inst.designated_clients), len(inst.rest_clients)
+    w_base = n_core * x_l
     pivot_slots, other_slots = _FloorCoin.of(w_base / p_pivot), _FloorCoin.of(w_base / eps)
     extra_coin = _FloorCoin.of(p_extra)
-    extra_slots = _FloorCoin.of(Fraction(len(rest), q) / p_extra if len(rest) else ZERO)
+    extra_slots = _FloorCoin.of(Fraction(n_rest, q) / p_extra if n_rest else ZERO)
 
     def build(label: str, own: CoreIndex, pivot: int, borrowed: int) -> _Experiment:
         # the own pivot takes the residual probability, the other low-set
@@ -414,8 +420,6 @@ def _experiment_specs(
             pivot_extra=borrowed,
             outside_bins=outside,
             base_open=own.k | frozenset(outside),
-            core_pool=core,
-            rest_pool=rest,
             choice_denominator=denominator,
             choice_thresholds=thresholds,
             choice_slots=tuple(pivot_slots if flag else other_slots for flag in is_pivot),
@@ -434,9 +438,6 @@ def compile_plan(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> RoundingPlan:
     collide.
     """
     require_valid(inst)
-    if not collides(c1, c2):
-        # raises with the empty side named
-        pivot_facilities(c1, c2)
     return RoundingPlan(inst, _experiment_specs(inst, c1, c2))
 
 
@@ -657,9 +658,9 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     cap = inst.capacity  # unit demands: a count is a load
     split = cache(partial(_split_part, capacity=cap))  # local to this call
 
+    n_core, m_rest = len(inst.designated_clients), len(inst.rest_clients)
     out: list[OutcomeClass] = []
     for exp in plan.experiments:
-        n_core, m_rest = len(exp.core_pool), len(exp.rest_pool)
         step2: list[tuple[bool, int, Fraction, tuple, tuple, list[str]]] = []
         # the open branches (coin reads 1) before the closed one
         branches2 = [
@@ -727,13 +728,17 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     return out
 
 
-def outcome_class_key(plan: RoundingPlan, draw: SampleDraw) -> tuple:
+def outcome_class_key(plan: RoundingPlan, draw: SampleDraw) -> Optional[tuple]:
     """Canonical class key of a sampled draw, matching OutcomeClass.key.
 
-    The one-draw case of :func:`_class_counts`.
+    The one-draw case of :func:`_row_loads` and :func:`_class_counts`: a
+    draw whose assignment cannot be counted (a wrong length or an unknown
+    facility id) has no key, as in :func:`tally_draws`, and gets None.
     """
-    loads = np.bincount(draw.solution.assign, minlength=plan.inst.facility_count)
-    (key,) = _class_counts(plan, np.array([_branch_row(plan, draw)]), loads[None])
+    counted, loads = _row_loads(plan.inst, draw.solution.assign[None])
+    if not counted[0]:
+        return None
+    (key,) = _class_counts(plan, np.array([_branch_row(plan, draw)]), loads)
     return key
 
 
@@ -746,13 +751,13 @@ def _branch_row(plan: RoundingPlan, draw: SampleDraw) -> tuple[int, int, int]:
 def _class_key(exp: _Experiment, chosen: int, extra_open: int, row: list[int]) -> tuple:
     """The OutcomeClass.key of a draw of ``exp`` from its key row.
 
-    The row holds the counts of the chosen low facility and the borrowed
-    pivot, then each bin group's counts (high set, outside bins) in
-    ascending order.  Those go onto the group's ids in descending order,
-    collapsing which-bin-got-the-extra-slot choices exactly as the
-    enumerator does.
+    The row holds the counts of the draw's ``_BlockTables.layout`` row: the
+    chosen low facility, the high set, the borrowed pivot and the outside
+    bins, each bin group's counts in ascending order.  Those go onto the
+    group's ids in descending order, collapsing which-bin-got-the-extra-slot
+    choices exactly as the enumerator does.
     """
-    facilities = (chosen, exp.pivot_extra, *exp.always_open[::-1], *exp.outside_bins[::-1])
+    facilities = (chosen, *exp.always_open[::-1], exp.pivot_extra, *exp.outside_bins[::-1])
     profile = sorted(filter(itemgetter(1), zip(facilities, row)))
     return exp.label, chosen, bool(extra_open), tuple(profile)
 
@@ -761,29 +766,24 @@ def _class_counts(plan: RoundingPlan, branches: np.ndarray, loads: np.ndarray) -
     """Class keys of draws, matching OutcomeClass.key, with how many draws have each.
 
     Row r of ``branches`` is draw r's :func:`_branch_row` and row r of
-    ``loads`` its clients per facility.  Each experiment's key rows (see
-    :func:`_class_key`) are gathered and sorted at once and counted by
-    their bytes, so no per-entry Python int is made, and only distinct rows
-    become keys.
+    ``loads`` its clients per facility.  The key rows (the branch, then the
+    counts of :func:`_class_key`) are gathered and sorted at once, both
+    experiments' layout rows having one length, and counted by their bytes,
+    so no per-entry Python int is made and only distinct rows become keys.
     """
+    tables = plan._tables
+    facilities = tables.layout[branches[:, 0]]
+    facilities[:, 0] = branches[:, 1]
+    key_rows = np.concatenate(
+        (branches, loads[np.arange(len(loads))[:, None], facilities]), axis=1
+    )
+    high_end = 4 + tables.n_high
+    key_rows[:, 4:high_end].sort(axis=1)
+    key_rows[:, high_end + 1:].sort(axis=1)
     freq: Counter = Counter()
-    for exp_index, exp in enumerate(plan.experiments):
-        rows = (branches[:, 0] == exp_index).nonzero()[0]
-        if not len(rows):
-            continue
-        at = rows[:, None]
-        # key row: chosen, extra_open, then the counts of the chosen low
-        # facility, the borrowed pivot, the high set and the outside bins
-        columns = (exp.pivot_extra, *exp.always_open, *exp.outside_bins)
-        key_rows = np.concatenate(
-            (branches[rows, 1:], loads[at, branches[at, 1]], loads[at, columns]), axis=1
-        )
-        high_end = 4 + len(exp.always_open)
-        key_rows[:, 4:high_end].sort(axis=1)
-        key_rows[:, high_end:].sort(axis=1)
-        for key_row, n in Counter(map(bytes, key_rows)).items():
-            chosen, extra_open, *row = np.frombuffer(key_row, dtype=key_rows.dtype).tolist()
-            freq[_class_key(exp, chosen, extra_open, row)] += n
+    for key_row, n in Counter(map(bytes, key_rows)).items():
+        exp_index, chosen, extra_open, *row = np.frombuffer(key_row, dtype=key_rows.dtype).tolist()
+        freq[_class_key(plan.experiments[exp_index], chosen, extra_open, row)] += n
     return freq
 
 
@@ -792,19 +792,16 @@ def _class_counts(plan: RoundingPlan, branches: np.ndarray, loads: np.ndarray) -
 _LOAD_TABLE_BYTES = 1 << 23
 
 
-def _open_limits(
-    inst: Instance, open_sets: Sequence[frozenset[int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per open set, the capacity on its members and 0 elsewhere, and
-    whether it names an unknown facility id (then its limit row is unused)."""
+def _open_limits(inst: Instance, open_sets: Sequence[frozenset[int]]) -> np.ndarray:
+    """Per open set, the capacity on its members and 0 elsewhere; -1
+    everywhere when it names an unknown facility id, so no row fits it."""
     limits = np.zeros((len(open_sets), inst.facility_count), dtype=np.int64)
-    unknown = np.zeros(len(open_sets), dtype=bool)
     for index, open_set in enumerate(open_sets):
         if _has_unknown_id(open_set, inst.facility_count):
-            unknown[index] = True
+            limits[index] = -1
         else:
             limits[index, list(open_set)] = inst.capacity
-    return limits, unknown
+    return limits
 
 
 def tally_draws(
@@ -812,24 +809,20 @@ def tally_draws(
 ) -> tuple[int, Counter, list[tuple[int, list[str]]]]:
     """Check and key the draws of ``plan``, given as chunks in draw order.
 
-    Each chunk is checked from its own assignments.  The ids are
-    range-checked first (read as uint64, a negative id is huge), so an
-    unknown id costs no table; then one ``bincount`` over the chunk, each
-    row offset by ``row * facility_count``, gives every row's clients per
-    facility.  A row is feasible iff no facility serves more than its
-    limit: the capacity on the row's open set, 0 elsewhere (what
-    :func:`solution_violations` checks).  A row whose assignment cannot be
-    counted (a wrong length or an unknown facility id) is infeasible and
-    has no class key.  The counted rows' loads are keyed by
+    Each chunk is checked from its own assignments, counted by
+    :func:`_row_loads`.  A row is feasible iff it can be counted and no
+    facility serves more than its limit: the capacity on the row's open
+    set, 0 elsewhere (what :func:`solution_violations` checks).  A row whose
+    assignment cannot be counted (a wrong length or an unknown facility id)
+    is infeasible and has no class key.  The counted rows' loads are keyed by
     :func:`_class_counts` whenever ``_LOAD_TABLE_BYTES`` of them are held,
     and at the end.  Returns the number of feasible draws, the class-key
     counts, and ``(position, solution_violations)`` of the first
     ``max_examples`` infeasible draws in draw order.
     """
     inst = plan.inst
-    n_f, n_c = inst.facility_count, inst.client_count
-    key_rows = max(1, _LOAD_TABLE_BYTES // (8 * max(n_f, 1)))
-    limits: dict[tuple[frozenset[int], ...], tuple[np.ndarray, np.ndarray]] = {}
+    key_rows = max(1, _LOAD_TABLE_BYTES // (8 * inst.facility_count))
+    limits: dict[tuple[frozenset[int], ...], np.ndarray] = {}
     feasible, freq, examples = 0, Counter(), []
     held: list[tuple[np.ndarray, np.ndarray]] = []  # branches and loads not yet keyed
     held_rows = position = 0
@@ -840,28 +833,15 @@ def tally_draws(
         held.clear()
 
     for chunk in chunks:
-        rows, assign, open_of = len(chunk), chunk.assign, chunk.open_of
-        counted, loads = np.zeros(rows, dtype=bool), None
-        if assign.shape[1] == n_c:
-            counted = assign.view(np.uint64).max(axis=1, initial=0) < n_f
-            ids = assign if counted.all() else np.where(counted[:, None], assign, 0)
-            offsets = np.arange(0, rows * n_f, n_f)[:, None]
-            loads = np.bincount((ids + offsets).ravel(), minlength=rows * n_f)
-            loads = loads.reshape(rows, n_f)
-        table = limits.get(chunk.open_sets)
-        if table is None:
-            table = limits[chunk.open_sets] = _open_limits(inst, chunk.open_sets)
-        limit, unknown = table
-        bad = ~counted | unknown[open_of]
-        if loads is not None:
-            bad |= (loads > limit[open_of]).any(axis=1)
+        rows, open_sets, open_of = len(chunk), chunk.open_sets, chunk.open_of
+        counted, loads = _row_loads(inst, chunk.assign)
+        limit = limits.get(open_sets)
+        if limit is None:
+            limit = limits[open_sets] = _open_limits(inst, open_sets)
+        bad = ~counted | (loads > limit[open_of]).any(axis=1)
         for row in np.flatnonzero(bad)[: max_examples - len(examples)].tolist():
-            open_set = chunk.open_sets[open_of[row]]
-            if counted[row]:
-                violations = _load_violations(inst, open_set, loads[row])
-            else:
-                violations = solution_violations(inst, IntSolution(open_set, assign[row]))
-            examples.append((position + row, violations))
+            sol = IntSolution(open_sets[open_of[row]], chunk.assign[row])
+            examples.append((position + row, solution_violations(inst, sol)))
         feasible += rows - int(bad.sum())
         position += rows
         if counted.any():

@@ -70,7 +70,7 @@ class TestCoreDoc:
 
     def test_dense_roundtrip(self, mini):
         idx = CoreIndex.for_instance(mini, {0, 1}, {2, 3})
-        vec = make_core_vector(mini, idx.k, idx.l, dense=True)
+        vec = make_core_vector(mini, idx.k, idx.l).to_dense()
         doc = docio.core_file_doc(mini, idx, vec)
         assert doc["repr"] == "dense"
         _, _, vec2 = docio.load_core_doc(doc)

@@ -155,7 +155,7 @@ def reference_split(total, bins):
 
 def reference_class(inst, exp, chosen, slots1, extra_open, slots2, probability):
     """One class built facility by facility, every check over the whole profile."""
-    n_core, m_rest = len(exp.core_pool), len(exp.rest_pool)
+    n_core, m_rest = len(inst.designated_clients), len(inst.rest_clients)
     problems = []
     profile = {}
     if slots1:

@@ -756,6 +756,27 @@ class TestDrawTally:
         assert peak < 48 * 2**20
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda ids, n_f: [n_f, *ids[1:]],
+    lambda ids, n_f: [-1, *ids[1:]],
+    lambda ids, n_f: [2**40, *ids[1:]],
+    lambda ids, n_f: [2**62, *ids[1:]],
+    lambda ids, n_f: ids[:-1],
+    lambda ids, n_f: [*ids, ids[0]],
+], ids=["id-n_f", "id-minus-1", "id-2**40", "id-2**62", "n_c-1-clients", "n_c+1-clients"])
+def test_uncountable_draw_has_no_key_and_the_tally_agrees(mini, spoil):
+    plan = compile_plan(mini, *mini_pair(mini))
+    draw = sample_outcome(plan, ExactRng(5))
+    sol = IntSolution(
+        draw.solution.open, spoil(draw.solution.assign.tolist(), mini.facility_count)
+    )
+    draw = replace(draw, solution=sol)
+    assert outcome_class_key(plan, draw) is None
+    feasible, freq, examples = rounding.tally_draws(plan, iter([one_row_chunk(plan, draw)]), 1)
+    assert (feasible, freq) == (0, Counter())
+    assert examples == [(0, solution_violations(mini, sol))]
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(data=st.data())
 def test_load_core_and_prelude_give_the_reference_violations(mini, data):
