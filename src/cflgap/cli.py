@@ -1,9 +1,11 @@
 """Command-line front end: reproducible experiments with embedded manifests.
 
 Every randomized command takes an explicit ``--seed``; reports are printed
-as plain tables and optionally written as canonical JSON via ``-o``.  Output
-documents embed a manifest (command, parameters, seed, tool version, input
-digests), and identical manifests reproduce byte-identical files.
+as plain tables and optionally written as canonical JSON via ``-o``.  Every
+command with ``-o`` ends with one :func:`_report` call, which stamps its
+document with a manifest (the command as parsed, parameters, seed, tool
+version, input digests) and writes it; identical manifests reproduce
+byte-identical files.
 
 Exit codes: 0 success (or a true predicate), 1 false predicate / failed
 check, 2 invalid parameters or violated preconditions, 3 I/O failure.
@@ -47,20 +49,24 @@ BLOCK_DRAWS = 1000  # draws per seeded block of sample and census --mc
 MAX_VIOLATION_EXAMPLES = 5
 
 
-def _manifest(command: str, params: dict, seed: Optional[int], inputs: dict) -> dict:
-    return {
+def _report(args, body: dict, params: dict, inputs: dict) -> None:
+    """Write ``body`` with its manifest to ``-o``, when given, and print its digest.
+
+    The manifest's command (``oracle`` with its subcommand) and seed are read
+    from the parsed arguments, so no handler names itself twice.
+    """
+    if not getattr(args, "output", None):
+        return
+    command = " ".join(filter(None, (args.command, getattr(args, "oracle_command", None))))
+    manifest = {
         "command": command,
         "parameters": params,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "inputs": inputs,
     }
-
-
-def _write(args, payload: dict) -> None:
-    if getattr(args, "output", None):
-        digest = docio.write_document(args.output, payload)
-        print(f"wrote {args.output} sha256={digest}")
+    digest = docio.write_document(args.output, {**body, "manifest": manifest})
+    print(f"wrote {args.output} sha256={digest}")
 
 
 def _load_instance(path: str) -> tuple[Instance, dict]:
@@ -97,14 +103,21 @@ def _load_core_pair(first: str, second: str):
     return inst, c1, c2, {**in1, **in2}
 
 
-def _parse_id_spec(spec: str) -> list[int]:
-    """Facility id spec: comma-separated ids and lo..hi ranges, e.g. 0..4,7."""
+def _parse_id_spec(spec: str, t: int, facility_count: int) -> list[int]:
+    """Facility id spec: comma-separated ids and lo..hi ranges, e.g. 0..4,7.
+
+    A range is checked against ``range(facility_count)`` and against ``t``
+    before it is expanded, so a huge one is refused without being built.
+    """
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split("..", 1))
+            if not 0 <= lo <= hi < min(lo + t, facility_count):
+                raise ValueError(f"range {part} is not a run of at most t = {t} of "
+                                 f"the {facility_count} facility ids")
+            out.extend(range(lo, hi + 1))
         elif part:
             out.append(int(part))
     return out
@@ -127,39 +140,30 @@ def _resolve_instance(args) -> tuple[Instance, dict]:
 def cmd_gen(args) -> int:
     if args.family == args.general:
         raise ValueError("choose exactly one of --family / --general")
-    options = {"--t": args.t} if args.family else {
-        "--nf": args.nf, "--t": args.t, "--U": args.capacity,
-        "--m": args.m, "--eps": args.eps, "--xl": args.xl,
+    params = {"mode": "family", "t": args.t, "a": args.a} if args.family else {
+        "mode": "general", "nf": args.nf, "t": args.t,
+        "capacity": args.capacity, "m": args.m, "eps": args.eps, "xl": args.xl,
     }
-    missing = [flag for flag, value in options.items() if value is None]
+    missing = [key for key, value in params.items() if value is None]
     if missing:
-        mode = "--family" if args.family else "--general"
-        raise ValueError(f"gen {mode} requires {', '.join(missing)}")
+        flags = ", ".join("--U" if key == "capacity" else f"--{key}" for key in missing)
+        raise ValueError(f"gen --{params['mode']} requires {flags}")
     if args.family:
         inst = build_family_instance(args.t, args.a)
-        params = {"mode": "family", "t": args.t, "a": args.a}
     else:
         inst = build_general_instance(
             args.nf, args.t, args.capacity, args.m,
             docio.frac_from_str(args.eps), docio.frac_from_str(args.xl),
         )
-        params = {
-            "mode": "general", "nf": args.nf, "t": args.t,
-            "capacity": args.capacity, "m": args.m, "eps": args.eps, "xl": args.xl,
-        }
     for v in inst.violations:
         print(f"invalid: {v}", file=sys.stderr)
     if inst.violations and args.strict:
         return EXIT_INVALID
-    payload = {
-        **docio.instance_to_doc(inst),
-        "manifest": _manifest("gen", params, None, {}),
-    }
     print(
         f"instance: {inst.facility_count} facilities, {inst.client_count} clients, "
         f"capacity {inst.capacity}, valid={not inst.violations}"
     )
-    _write(args, payload)
+    _report(args, docio.instance_to_doc(inst), params, {})
     return EXIT_OK
 
 
@@ -180,24 +184,16 @@ def cmd_core(args) -> int:
     else:
         if not args.k or not args.l:
             raise ValueError("provide --k and --l, or --random --seed S")
-        k = _parse_id_spec(args.k)
-        l = _parse_id_spec(args.l)
+        k = _parse_id_spec(args.k, t, inst.facility_count)
+        l = _parse_id_spec(args.l, t, inst.facility_count)
     vec = make_core_vector(inst, k, l)
     if args.dense:
         vec = vec.to_dense()
     index = CoreIndex.for_instance(inst, k, l)
-    payload = {
-        **docio.core_file_doc(inst, index, vec),
-        "manifest": _manifest(
-            "core",
-            {"k": sorted(index.k), "l": sorted(index.l), "dense": args.dense},
-            args.seed,
-            inputs,
-        ),
-    }
     form = "dense" if vec.is_dense else "classed"
     print(f"core vector: k={sorted(index.k)} l={sorted(index.l)} repr={form}")
-    _write(args, payload)
+    params = {"k": sorted(index.k), "l": sorted(index.l), "dense": args.dense}
+    _report(args, docio.core_file_doc(inst, index, vec), params, inputs)
     return EXIT_OK
 
 
@@ -217,11 +213,7 @@ def cmd_lpcheck(args) -> int:
         print(f"natural LP check: fail ({len(report.violations)} violations)")
         for v in report.violations:
             print(f"  {v}")
-    payload = {
-        **docio.lp_report_to_doc(report),
-        "manifest": _manifest("lpcheck", {"vector": args.vector}, None, inputs),
-    }
-    _write(args, payload)
+    _report(args, docio.lp_report_to_doc(report), {"vector": args.vector}, inputs)
     return EXIT_OK if report.passed else EXIT_FALSE
 
 
@@ -235,16 +227,8 @@ def cmd_verify_midpoint(args) -> int:
         f"all_classes_feasible={cert.all_classes_feasible} classes={cert.class_count} "
         f"probability_sum={docio.frac_to_str(cert.probability_sum)} valid={cert.valid}"
     )
-    payload = {
-        **docio.midpoint_certificate_to_doc(cert),
-        "manifest": _manifest(
-            "verify-midpoint",
-            {"first": args.first, "second": args.second},
-            None,
-            inputs,
-        ),
-    }
-    _write(args, payload)
+    params = {"first": args.first, "second": args.second}
+    _report(args, docio.midpoint_certificate_to_doc(cert), params, inputs)
     return EXIT_OK if cert.valid else EXIT_FALSE
 
 
@@ -253,7 +237,8 @@ def _run_blocks(work: Callable, n: int, seed: int, jobs: int) -> list:
 
     Block ``b`` covers draws ``[b * BLOCK_DRAWS, min(n, (b + 1) * BLOCK_DRAWS))``
     on the stream ``derive_block_seed(seed, b)``, so the results depend on
-    ``n`` and ``seed`` but not on ``jobs``.
+    ``n`` and ``seed`` but not on ``jobs``.  The pool starts all its workers
+    at once, so it has at most one per CPU.
     """
     from .randomness import derive_block_seed
 
@@ -264,7 +249,7 @@ def _run_blocks(work: Callable, n: int, seed: int, jobs: int) -> list:
         return list(map(work, seeds, counts, starts))
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(starts))) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(starts), os.cpu_count() or 1)) as pool:
         return list(pool.map(work, seeds, counts, starts))
 
 
@@ -344,26 +329,21 @@ def cmd_sample(args) -> int:
     unmatched = args.n - sum(d["observed"] for d in class_docs)
 
     print(f"samples: {args.n}, feasible: {feasible}, infeasible: {args.n - feasible}")
-    payload = {
+    body = {
         "samples": args.n,
         "feasible": feasible,
         "infeasible": args.n - feasible,
         "violation_examples": problems,
         "unmatched_class_draws": unmatched,
         "classes": class_docs,
-        "manifest": _manifest(
-            "sample",
-            {
-                "first": args.first,
-                "second": args.second,
-                "n": args.n,
-                "solutions_dir": args.solutions_dir,
-            },
-            args.seed,
-            inputs,
-        ),
     }
-    _write(args, payload)
+    params = {
+        "first": args.first,
+        "second": args.second,
+        "n": args.n,
+        "solutions_dir": args.solutions_dir,
+    }
+    _report(args, body, params, inputs)
     return EXIT_OK if feasible == args.n and not unmatched else EXIT_FALSE
 
 
@@ -412,11 +392,7 @@ def cmd_census(args) -> int:
             f"mc estimate:      {mc.estimate:.6g} +/- {mc.half_width:.3g} "
             f"(samples={mc.samples}, hits={mc.hits}, upper95={mc.upper95:.3g})"
         )
-    payload = {
-        **docio.census_report_to_doc(report),
-        "manifest": _manifest("census", mode, args.seed, inputs),
-    }
-    _write(args, payload)
+    _report(args, docio.census_report_to_doc(report), mode, inputs)
     return EXIT_OK
 
 
@@ -434,13 +410,8 @@ def cmd_certify(args) -> int:
     print(f"opt value:  {docio.frac_to_str(cert.opt_value)} ({cert.opt_provenance})")
     print(f"ratio:      {docio.frac_to_str(cert.ratio)}")
     print(cert.gap_conclusion)
-    payload = {
-        **docio.gap_certificate_to_doc(cert, index),
-        "manifest": _manifest(
-            "certify", {"core": args.core, "mode": mode, "t": args.t}, None, inputs
-        ),
-    }
-    _write(args, payload)
+    params = {"core": args.core, "mode": mode, "t": args.t}
+    _report(args, docio.gap_certificate_to_doc(cert, index), params, inputs)
     return EXIT_OK
 
 
@@ -452,11 +423,7 @@ def cmd_bound(args) -> int:
     print(f"core size:   {report.core_size}")
     print(f"lambda:      {report.lambda_}")
     print(f"lower bound: {report.lower_bound}")
-    payload = {
-        **docio.census_report_to_doc(report),
-        "manifest": _manifest("bound", {"t": args.t}, None, inputs),
-    }
-    _write(args, payload)
+    _report(args, docio.census_report_to_doc(report), {"t": args.t}, inputs)
     return EXIT_OK
 
 
@@ -466,12 +433,11 @@ def cmd_oracle_enum(args) -> int:
     inst, inputs = _load_instance(args.instance)
     solutions = enumerate_integer_solutions(inst)
     print(f"integer solutions: {len(solutions)}")
-    payload = {
+    body = {
         "count": len(solutions),
         "solutions": [docio.solution_to_doc(sol) for sol in solutions],
-        "manifest": _manifest("oracle enum", {"instance": args.instance}, None, inputs),
     }
-    _write(args, payload)
+    _report(args, body, {"instance": args.instance}, inputs)
     return EXIT_OK
 
 
@@ -483,28 +449,20 @@ def cmd_oracle_member(args) -> int:
     result = membership_lp(vec, solutions)
     verified = verify_membership(vec, solutions, result)
     print(f"member: {str(result.member).lower()} (certificate verified: {verified})")
-    payload = {
-        **docio.membership_to_doc(result),
-        "verified": verified,
-        "manifest": _manifest("oracle member", {"vector": args.vector}, None, inputs),
-    }
-    _write(args, payload)
+    body = {**docio.membership_to_doc(result), "verified": verified}
+    _report(args, body, {"vector": args.vector}, inputs)
     return EXIT_OK
 
 
 def cmd_oracle_opt(args) -> int:
     from .polytope import brute_force_opt
 
-    inst, index, _, inputs = _load_core(args.core)
+    inst, index, inputs = _load_core_index(args.core)
     cost = build_gap_costs(inst, index)
     value, witness = brute_force_opt(inst, cost)
     print(f"opt value: {docio.frac_to_str(value)}")
-    payload = {
-        "opt_value": docio.frac_to_str(value),
-        "witness": docio.solution_to_doc(witness),
-        "manifest": _manifest("oracle opt", {"core": args.core}, None, inputs),
-    }
-    _write(args, payload)
+    body = {"opt_value": docio.frac_to_str(value), "witness": docio.solution_to_doc(witness)}
+    _report(args, body, {"core": args.core}, inputs)
     return EXIT_OK
 
 

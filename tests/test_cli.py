@@ -193,6 +193,19 @@ class TestCoreAndCollide:
         doc = json.loads(core.read_text())
         assert doc["k"] == [0, 1] and doc["l"] == [2, 3]
 
+    @pytest.mark.parametrize("spec", ["0..1000000000000", "0..3", "-1..0", "1..0"])
+    def test_range_spec_checked_before_it_is_expanded(self, workspace, capsys, spec):
+        # every range used to be expanded before any check: 0..3000000
+        # took 0.49 s and 327 MB peak RSS (2 vCPUs) before exiting 2
+        start = time.perf_counter()
+        code = cli.main(["core", "--instance", str(workspace["mini"]), f"--k={spec}", "--l=4,5"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: range {spec} is not a run of at most t = 2 of "
+                       "the 6 facility ids\n")
+        assert elapsed < 1
+
     def test_malformed_subsets_exit_2(self, workspace):
         result = run(
             "core", "--instance", str(workspace["mini"]), "--k", "0,1", "--l", "1,2"
@@ -965,6 +978,24 @@ class TestOracle:
         assert result.returncode == 0
         assert "opt value: 1/1" in result.stdout
 
+    def test_opt_refuses_a_core_file_other_than_its_index(self, tiny_files, capsys):
+        # x of facility 1 and client 0 raised from 1/2 to 3/4: certify refused
+        # the file, while oracle opt answered "opt value: 1/1" for it
+        tiny, _ = tiny_files
+        dense = tiny.parent / "dense.core"
+        assert run_in_process("core", "--instance", str(tiny), "--k", "0", "--l", "1",
+                              "--dense", "-o", str(dense)) == 0
+        doc = json.loads(dense.read_text())
+        doc["x"] = [cell for cell in doc["x"] if cell[:2] != [1, 0]] + [[1, 0, "3/4"]]
+        dense.write_text(json.dumps(doc))
+        capsys.readouterr()
+        errors = []
+        for argv in (["oracle", "opt"], ["certify"], ["certify", "--brute-force"]):
+            assert cli.main([*argv, "--core", str(dense)]) == 2, argv
+            errors.append(capsys.readouterr().err)
+        assert "holds a vector other than the core vector of k=[0] l=[1]" in errors[0]
+        assert errors == errors[:1] * 3
+
     def test_enum_bound_exceeded_exits_2(self, workspace):
         result = run("oracle", "enum", "--instance", str(workspace["mini"]))
         assert result.returncode == 2
@@ -1035,6 +1066,35 @@ class TestDeterminism:
         # the seeds the per-worker derivation gave workers 0, 1 and 2
         assert seeds == [1635312068028924514, 13877614986023876344,
                          16279276485729455169][: len(calls)]
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [(64, 2, 2), (2, 1, 1), (2, None, 1)])
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, jobs, cpus, workers):
+        # the pool starts every worker at once: --jobs 64 used to fork one
+        # process per block; five blocks, mapped serially here
+        import concurrent.futures
+
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        def work(seed, count, start):
+            return seed, count, start
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli._run_blocks(work, 5000, 5, jobs) == cli._run_blocks(work, 5000, 5, 1)
+        assert pools == [workers]
 
     def test_mc_census_identical_bytes(self, workspace):
         out1 = workspace["dir"] / "mc1.json"

@@ -104,6 +104,10 @@ TINY_GEN = ["gen", "--general", "--nf", "3", "--t", "1", "--U", "2", "--m", "3",
 
 # name -> sha256 of the exit code, the stdout and the -o bytes of one command
 GOLDEN_CLI = {
+    "gen-mini":
+        "7d1748c12c52c680111d29f7f6e306e77bb2da9a1965489aebea1d49761762e1",
+    "gen-t10":
+        "c988261bc9cc4796c0871a7c944e457dda9473fa040aee0043b271196574fbf0",
     "core-mini":
         "31c7b995c2278d16a85c20413ddaad256f876cb8d998405aa4e98c7650961931",
     "core-mini-b":
@@ -148,6 +152,8 @@ GOLDEN_CLI = {
         "0e5a03402536e8f068a662a635b913569aee63b86a65d754bdfdebbdaf0f63f2",
     "oracle-opt-tiny":
         "c294abe085b0c783f4b23d2359340ab3091d5675ab2433174cb7e885753f2613",
+    "oracle-enum-tiny":
+        "578142207292d4ea1cda37150eac3bcb7e7b04315273c5967ac32f56ca2d2e95",
     "census-exact-mini":
         "bdbfd17481cb5d7986271d982782626dce5a567174c9905b0f2d6be39fceb410",
     "census-mc":
@@ -176,9 +182,8 @@ def _raise_dense_x(source, target, i, j, value):
 
 
 def cli_digests():
-    _cli(*MINI_GEN, "-o", "mini.json")
+    out = {"gen-mini": _pinned(MINI_GEN, "mini.json"), "gen-t10": _pinned(T10_GEN, "t10.json")}
     _cli(*TINY_GEN, "-o", "tiny.json")
-    _cli(*T10_GEN, "-o", "t10.json")
     runs = {
         "core-mini": (["core", "--instance", "mini.json", "--k", "0,1", "--l", "2,3"],
                       "mini_a.core"),
@@ -199,7 +204,7 @@ def cli_digests():
         "core-t10-dense": (["core", "--instance", "t10.json", "--k", "0..9", "--l", "10..19",
                             "--dense"], "t10_dense.core"),
     }
-    out = {name: _pinned(argv, output) for name, (argv, output) in runs.items()}
+    out.update({name: _pinned(argv, output) for name, (argv, output) in runs.items()})
     # y on the l facility 2 is 2/5; TINY's facility 1 opens at 1/2
     _raise_dense_x("mini_a_dense.core", "mini_bad.core", 2, 0, "1/2")
     _raise_dense_x("tiny_dense.core", "tiny_bad.core", 1, 0, "3/4")
@@ -225,6 +230,7 @@ def cli_digests():
         "oracle-member-tiny-perturbed": (["oracle", "member", "--vector", "tiny_bad.core"],
                                          "member_bad.json"),
         "oracle-opt-tiny": (["oracle", "opt", "--core", "tiny.core"], "opt.json"),
+        "oracle-enum-tiny": (["oracle", "enum", "--instance", "tiny.json"], "enum.json"),
         "census-exact-mini": (["census", "--instance", "mini.json", "--exact"],
                               "census_exact.json"),
         "bound-t10": (["bound", "--t", "10"], "bound.json"),

@@ -1,7 +1,7 @@
 """Property tests on random shapes: the compiled rounding distribution and
 its outcome classes, classed vectors against their dense (singleton-class)
-copies, the census predicate and counts, and two-point costs against
-their role sets.
+copies, the census predicate and counts, two-point costs against their
+role sets, and the document readers on one-field mutations.
 
 Shapes are drawn around the validity conditions of ``validate_params`` so
 that most draws are valid; settings are derandomized and small, so the suite
@@ -30,6 +30,7 @@ from cflgap.certify import (
     reference_index,
 )
 from cflgap.corevec import (
+    DENSE_LIMIT,
     CoreIndex,
     FracVector,
     check_natural_lp,
@@ -47,7 +48,9 @@ from cflgap.instance import (
 )
 from cflgap.io import (
     _vector_to_doc,
+    core_file_doc,
     document_bytes,
+    instance_from_doc,
     instance_to_doc,
     load_core_doc,
 )
@@ -745,3 +748,64 @@ def test_zero_cost_closed_form_is_brute_force_on_tiny(tiny, data):
         near_clients=data.draw(role_sets(3)),
     )
     assert cost.zero_cost_fits(tiny.capacity) == (brute_force_opt(tiny, cost)[0] == 0)
+
+
+# -- one-field mutations of instance and core documents ---------------------------
+
+# JSON values a damaged or hostile file may hold; ids and counts stay below
+# DENSE_LIMIT, so no read allocates much before it refuses
+HOSTILE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, DENSE_LIMIT - 1),
+    st.floats(),
+    st.sampled_from(["1/0", "-1/2", "3/4", "0", "1.5", "x/y", ""]),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 8), max_size=4),
+    st.fixed_dictionaries({"span": st.lists(st.integers(-2, DENSE_LIMIT - 1), max_size=3)}),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 8), max_size=2),
+)
+DELETE = object()
+
+
+def field_paths(doc, path=()):
+    """The key path of every value in a JSON document, the document's own first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from field_paths(value, path + (key,))
+
+
+def mutated(doc, path, value):
+    """A copy of ``doc`` whose value at ``path`` is ``value``, or deleted for DELETE."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("form", ["instance", "core-classed", "core-dense"])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_field_mutation_is_read_or_refused_with_value_error(form, data):
+    if form == "instance":
+        doc, read = instance_to_doc(data.draw(valid_instances())), instance_from_doc
+    else:
+        inst = build_general_instance(**MINI)
+        index = CoreIndex.for_instance(inst, [0, 1], [2, 3])
+        vec = make_core_vector(inst, index.k, index.l)
+        doc = core_file_doc(inst, index, vec.to_dense() if form == "core-dense" else vec)
+        read = load_core_doc
+    path = data.draw(st.sampled_from(list(field_paths(doc))))
+    value = data.draw(st.one_of(st.just(DELETE), HOSTILE_VALUES) if path else HOSTILE_VALUES)
+    try:
+        read(mutated(doc, path, value))
+    except ValueError:
+        pass
