@@ -2,10 +2,12 @@
 
 Every randomized command takes an explicit ``--seed``; reports are printed
 as plain tables and optionally written as canonical JSON via ``-o``.  Every
-command with ``-o`` ends with one :func:`_report` call, which stamps its
-document with a manifest (the command as parsed, parameters, seed, tool
-version, input digests) and writes it; identical manifests reproduce
-byte-identical files.
+command with ``-o`` ends with one :func:`_report` call, which builds its
+document only when ``-o`` is given, stamps it with a manifest (the command
+as parsed, parameters, seed, tool version, input digests) and writes it;
+identical manifests reproduce byte-identical files.  Each input file is read
+once, and its digest is taken from the bytes read.  :func:`main` runs the
+handler ``cmd_<command>`` of the parsed command, found by name when it runs.
 
 Exit codes: 0 success (or a true predicate), 1 false predicate / failed
 check, 2 invalid parameters or violated preconditions, 3 I/O failure.
@@ -49,35 +51,38 @@ BLOCK_DRAWS = 1000  # draws per seeded block of sample and census --mc
 MAX_VIOLATION_EXAMPLES = 5
 
 
-def _report(args, body: dict, params: dict, inputs: dict) -> None:
-    """Write ``body`` with its manifest to ``-o``, when given, and print its digest.
+def _command(args) -> str:
+    """The command as typed: ``oracle`` joined with its subcommand, e.g. ``oracle opt``."""
+    return " ".join(filter(None, (args.command, getattr(args, "oracle_command", None))))
 
-    The manifest's command (``oracle`` with its subcommand) and seed are read
-    from the parsed arguments, so no handler names itself twice.
+
+def _report(args, body: Callable[[], dict], params: dict, inputs: dict) -> None:
+    """Write ``body()`` with its manifest to ``-o``, when given, and print its digest.
+
+    The body is built only when it is written.  The manifest's command and
+    seed are read from the parsed arguments, so no handler names itself twice.
     """
     if not getattr(args, "output", None):
         return
-    command = " ".join(filter(None, (args.command, getattr(args, "oracle_command", None))))
     manifest = {
-        "command": command,
+        "command": _command(args),
         "parameters": params,
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "inputs": inputs,
     }
-    digest = docio.write_document(args.output, {**body, "manifest": manifest})
+    digest = docio.write_document(args.output, {**body(), "manifest": manifest})
     print(f"wrote {args.output} sha256={digest}")
 
 
 def _load_instance(path: str) -> tuple[Instance, dict]:
-    doc = docio.read_document(path)
-    return docio.instance_from_doc(doc), {path: docio.sha256_of(path)}
+    doc, digest = docio.read_document(path)
+    return docio.instance_from_doc(doc), {path: digest}
 
 
 def _load_core(path: str):
-    doc = docio.read_document(path)
-    inst, index, vec = docio.load_core_doc(doc)
-    return inst, index, vec, {path: docio.sha256_of(path)}
+    doc, digest = docio.read_document(path)
+    return (*docio.load_core_doc(doc), {path: digest})
 
 
 def _load_core_index(path: str):
@@ -125,9 +130,9 @@ def _parse_id_spec(spec: str, t: int, facility_count: int) -> list[int]:
 
 def _resolve_instance(args) -> tuple[Instance, dict]:
     """Instance from --instance FILE, or built inline from --t/--a."""
-    if getattr(args, "instance", None):
+    if args.instance:
         return _load_instance(args.instance)
-    if getattr(args, "t", None) is None:
+    if args.t is None:
         raise ValueError("provide --instance FILE or --t T")
     return build_family_instance(args.t, args.a), {}
 
@@ -163,7 +168,7 @@ def cmd_gen(args) -> int:
         f"instance: {inst.facility_count} facilities, {inst.client_count} clients, "
         f"capacity {inst.capacity}, valid={not inst.violations}"
     )
-    _report(args, docio.instance_to_doc(inst), params, {})
+    _report(args, partial(docio.instance_to_doc, inst), params, {})
     return EXIT_OK
 
 
@@ -173,14 +178,10 @@ def cmd_core(args) -> int:
     if args.random:
         if args.seed is None:
             raise ValueError("--random requires --seed")
-        import numpy as np
-
         from .randomness import ExactRng
 
-        rng = ExactRng(args.seed)
-        perm = rng.permuted(np.arange(inst.facility_count))
-        k = [int(i) for i in perm[:t]]
-        l = [int(i) for i in perm[t : 2 * t]]
+        ids = ExactRng(args.seed).chosen_positions(inst.facility_count, 2 * t).tolist()
+        k, l = ids[:t], ids[t:]
     else:
         if not args.k or not args.l:
             raise ValueError("provide --k and --l, or --random --seed S")
@@ -193,7 +194,7 @@ def cmd_core(args) -> int:
     form = "dense" if vec.is_dense else "classed"
     print(f"core vector: k={sorted(index.k)} l={sorted(index.l)} repr={form}")
     params = {"k": sorted(index.k), "l": sorted(index.l), "dense": args.dense}
-    _report(args, docio.core_file_doc(inst, index, vec), params, inputs)
+    _report(args, partial(docio.core_file_doc, inst, index, vec), params, inputs)
     return EXIT_OK
 
 
@@ -213,7 +214,7 @@ def cmd_lpcheck(args) -> int:
         print(f"natural LP check: fail ({len(report.violations)} violations)")
         for v in report.violations:
             print(f"  {v}")
-    _report(args, docio.lp_report_to_doc(report), {"vector": args.vector}, inputs)
+    _report(args, partial(docio.lp_report_to_doc, report), {"vector": args.vector}, inputs)
     return EXIT_OK if report.passed else EXIT_FALSE
 
 
@@ -228,7 +229,7 @@ def cmd_verify_midpoint(args) -> int:
         f"probability_sum={docio.frac_to_str(cert.probability_sum)} valid={cert.valid}"
     )
     params = {"first": args.first, "second": args.second}
-    _report(args, docio.midpoint_certificate_to_doc(cert), params, inputs)
+    _report(args, partial(docio.midpoint_certificate_to_doc, cert), params, inputs)
     return EXIT_OK if cert.valid else EXIT_FALSE
 
 
@@ -321,29 +322,26 @@ def cmd_sample(args) -> int:
     freq = sum((r[1] for r in results), Counter())
     problems = [p for r in results for p in r[2]][:MAX_VIOLATION_EXAMPLES]
 
-    class_docs = []
-    for cl in classes:
-        doc = docio.outcome_class_to_doc(cl)
-        doc["observed"] = freq.get(cl.key, 0)
-        class_docs.append(doc)
-    unmatched = args.n - sum(d["observed"] for d in class_docs)
+    unmatched = args.n - sum(freq.get(cl.key, 0) for cl in classes)
 
     print(f"samples: {args.n}, feasible: {feasible}, infeasible: {args.n - feasible}")
-    body = {
-        "samples": args.n,
-        "feasible": feasible,
-        "infeasible": args.n - feasible,
-        "violation_examples": problems,
-        "unmatched_class_draws": unmatched,
-        "classes": class_docs,
-    }
     params = {
         "first": args.first,
         "second": args.second,
         "n": args.n,
         "solutions_dir": args.solutions_dir,
     }
-    _report(args, body, params, inputs)
+    _report(args, lambda: {
+        "samples": args.n,
+        "feasible": feasible,
+        "infeasible": args.n - feasible,
+        "violation_examples": problems,
+        "unmatched_class_draws": unmatched,
+        "classes": [
+            {**docio.outcome_class_to_doc(cl), "observed": freq.get(cl.key, 0)}
+            for cl in classes
+        ],
+    }, params, inputs)
     return EXIT_OK if feasible == args.n and not unmatched else EXIT_FALSE
 
 
@@ -392,7 +390,7 @@ def cmd_census(args) -> int:
             f"mc estimate:      {mc.estimate:.6g} +/- {mc.half_width:.3g} "
             f"(samples={mc.samples}, hits={mc.hits}, upper95={mc.upper95:.3g})"
         )
-    _report(args, docio.census_report_to_doc(report), mode, inputs)
+    _report(args, partial(docio.census_report_to_doc, report), mode, inputs)
     return EXIT_OK
 
 
@@ -411,7 +409,7 @@ def cmd_certify(args) -> int:
     print(f"ratio:      {docio.frac_to_str(cert.ratio)}")
     print(cert.gap_conclusion)
     params = {"core": args.core, "mode": mode, "t": args.t}
-    _report(args, docio.gap_certificate_to_doc(cert, index), params, inputs)
+    _report(args, partial(docio.gap_certificate_to_doc, cert, index), params, inputs)
     return EXIT_OK
 
 
@@ -423,7 +421,7 @@ def cmd_bound(args) -> int:
     print(f"core size:   {report.core_size}")
     print(f"lambda:      {report.lambda_}")
     print(f"lower bound: {report.lower_bound}")
-    _report(args, docio.census_report_to_doc(report), {"t": args.t}, inputs)
+    _report(args, partial(docio.census_report_to_doc, report), {"t": args.t}, inputs)
     return EXIT_OK
 
 
@@ -433,11 +431,10 @@ def cmd_oracle_enum(args) -> int:
     inst, inputs = _load_instance(args.instance)
     solutions = enumerate_integer_solutions(inst)
     print(f"integer solutions: {len(solutions)}")
-    body = {
+    _report(args, lambda: {
         "count": len(solutions),
         "solutions": [docio.solution_to_doc(sol) for sol in solutions],
-    }
-    _report(args, body, {"instance": args.instance}, inputs)
+    }, {"instance": args.instance}, inputs)
     return EXIT_OK
 
 
@@ -449,8 +446,8 @@ def cmd_oracle_member(args) -> int:
     result = membership_lp(vec, solutions)
     verified = verify_membership(vec, solutions, result)
     print(f"member: {str(result.member).lower()} (certificate verified: {verified})")
-    body = {**docio.membership_to_doc(result), "verified": verified}
-    _report(args, body, {"vector": args.vector}, inputs)
+    _report(args, lambda: {**docio.membership_to_doc(result), "verified": verified},
+            {"vector": args.vector}, inputs)
     return EXIT_OK
 
 
@@ -461,8 +458,9 @@ def cmd_oracle_opt(args) -> int:
     cost = build_gap_costs(inst, index)
     value, witness = brute_force_opt(inst, cost)
     print(f"opt value: {docio.frac_to_str(value)}")
-    body = {"opt_value": docio.frac_to_str(value), "witness": docio.solution_to_doc(witness)}
-    _report(args, body, {"core": args.core}, inputs)
+    _report(args, lambda: {
+        "opt_value": docio.frac_to_str(value), "witness": docio.solution_to_doc(witness),
+    }, {"core": args.core}, inputs)
     return EXIT_OK
 
 
@@ -474,9 +472,10 @@ def cmd_oracle_opt(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of every command.
 
-    Each command names its handler, a ``cmd_*`` function of this module,
-    which :func:`main` looks up when it runs, so a rebound handler is the
-    one called.
+    Options that several commands take (``-o``, the core pair, the instance
+    source, ``--jobs``) are declared once, on parent parsers, and listed
+    first in each command's ``--help``.  No command names its handler:
+    :func:`main` derives it from the command's name.
     """
     parser = argparse.ArgumentParser(
         prog="cflgap",
@@ -486,103 +485,82 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="build an instance file")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("first")
+    pair.add_argument("second")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--t", type=int)
+    family.add_argument("--a", type=int, default=2)
+    source = argparse.ArgumentParser(add_help=False, parents=[family])
+    source.add_argument("--instance")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1)
+
+    p = sub.add_parser("gen", parents=[family, output], help="build an instance file")
     p.add_argument("--family", action="store_true")
     p.add_argument("--general", action="store_true")
-    p.add_argument("--t", type=int)
-    p.add_argument("--a", type=int, default=2)
     p.add_argument("--nf", type=int)
     p.add_argument("--U", dest="capacity", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--eps", type=str)
     p.add_argument("--xl", type=str)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler="cmd_gen")
 
-    p = sub.add_parser("core", help="build a core vector file")
+    p = sub.add_parser("core", parents=[output], help="build a core vector file")
     p.add_argument("--instance", required=True)
     p.add_argument("--k", type=str)
     p.add_argument("--l", type=str)
     p.add_argument("--random", action="store_true")
     p.add_argument("--seed", type=int)
     p.add_argument("--dense", action="store_true")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler="cmd_core")
 
-    p = sub.add_parser("collide", help="exit 0 iff two core vectors collide")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(handler="cmd_collide")
-
-    p = sub.add_parser("lpcheck", help="natural-relaxation feasibility of a vector")
-    p.add_argument("vector")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler="cmd_lpcheck")
+    sub.add_parser("collide", parents=[pair], help="exit 0 iff two core vectors collide")
 
     p = sub.add_parser(
-        "verify-midpoint", help="exact midpoint certificate for a colliding pair"
+        "lpcheck", parents=[output], help="natural-relaxation feasibility of a vector"
     )
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler="cmd_verify_midpoint")
+    p.add_argument("vector")
 
-    p = sub.add_parser("sample", help="draw integer solutions from the distribution")
-    p.add_argument("first")
-    p.add_argument("second")
+    sub.add_parser(
+        "verify-midpoint", parents=[pair, output],
+        help="exact midpoint certificate for a colliding pair",
+    )
+
+    p = sub.add_parser(
+        "sample", parents=[pair, jobs, output],
+        help="draw integer solutions from the distribution",
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--solutions-dir")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler="cmd_sample")
 
-    p = sub.add_parser("census", help="collision census (exact or Monte Carlo)")
-    p.add_argument("--instance")
-    p.add_argument("--t", type=int)
-    p.add_argument("--a", type=int, default=2)
+    p = sub.add_parser(
+        "census", parents=[source, jobs, output],
+        help="collision census (exact or Monte Carlo)",
+    )
     p.add_argument("--exact", action="store_true")
     p.add_argument("--formula-only", action="store_true")
     p.add_argument("--mc", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler="cmd_census")
 
-    p = sub.add_parser("certify", help="gap certificate for a core vector")
+    p = sub.add_parser(
+        "certify", parents=[source, output], help="gap certificate for a core vector"
+    )
     p.add_argument("--core")
-    p.add_argument("--instance")
-    p.add_argument("--t", type=int)
-    p.add_argument("--a", type=int, default=2)
     p.add_argument("--brute-force", action="store_true")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler="cmd_certify")
 
-    p = sub.add_parser("bound", help="exact constraint-count lower bound")
-    p.add_argument("--instance")
-    p.add_argument("--t", type=int)
-    p.add_argument("--a", type=int, default=2)
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler="cmd_bound")
+    sub.add_parser("bound", parents=[source, output], help="exact constraint-count lower bound")
 
     p = sub.add_parser("oracle", help="tiny-instance ground-truth oracles")
     osub = p.add_subparsers(dest="oracle_command", required=True)
-
-    q = osub.add_parser("enum", help="enumerate all integer solutions")
-    q.add_argument("--instance", required=True)
-    q.add_argument("-o", "--output")
-    q.set_defaults(handler="cmd_oracle_enum")
-
-    q = osub.add_parser("member", help="exact hull membership of a vector")
-    q.add_argument("--vector", required=True)
-    q.add_argument("-o", "--output")
-    q.set_defaults(handler="cmd_oracle_member")
-
-    q = osub.add_parser("opt", help="brute-force optimum under two-point costs")
-    q.add_argument("--core", required=True)
-    q.add_argument("-o", "--output")
-    q.set_defaults(handler="cmd_oracle_opt")
+    for name, flag, text in (
+        ("enum", "--instance", "enumerate all integer solutions"),
+        ("member", "--vector", "exact hull membership of a vector"),
+        ("opt", "--core", "brute-force optimum under two-point costs"),
+    ):
+        osub.add_parser(name, parents=[output], help=text).add_argument(flag, required=True)
 
     return parser
 
@@ -596,7 +574,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return globals()[args.handler](args)
+        return globals()["cmd_" + _command(args).replace(" ", "_").replace("-", "_")](args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

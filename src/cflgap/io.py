@@ -547,12 +547,14 @@ def write_document(path: str, payload: dict) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def read_document(path: str) -> dict:
-    """The JSON document in ``path``; JSONDecodeError for one nested too deeply to decode."""
+def read_document(path: str) -> tuple[dict, str]:
+    """The JSON document in ``path`` and the sha256 hex digest of the bytes read;
+    JSONDecodeError for one nested too deeply to decode."""
     with open(path, "rb") as handle:
-        text = handle.read().decode("utf-8")
+        data = handle.read()
+    text = data.decode("utf-8")
     try:
-        return json.loads(text)
+        return json.loads(text), hashlib.sha256(data).hexdigest()
     except RecursionError:
         raise json.JSONDecodeError("document nests too deeply", text, 0) from None
 

@@ -124,7 +124,12 @@ class ExactRng:
         self._gen.permuted(rows, axis=1, out=rows)
 
     def chosen_positions(self, n: int, r: int) -> np.ndarray:
-        """r distinct positions chosen uniformly from range(n)."""
+        """r distinct positions chosen uniformly from range(n), in uniform order, in O(r)."""
         if not 0 <= r <= n:
             raise ValueError(f"cannot choose {r} of {n}")
-        return self._gen.permutation(n)[:r]
+        if n < 2**63:
+            return self._gen.choice(n, r, replace=False)
+        ids: dict = {}
+        while len(ids) < r:  # a repeat is drawn again, so the order stays uniform
+            ids.setdefault(self.integer_below(n))
+        return np.array(list(ids), dtype=object)

@@ -1,3 +1,5 @@
+import argparse
+import builtins
 import json
 import shutil
 import subprocess
@@ -9,6 +11,7 @@ from io import StringIO
 import pytest
 
 from cflgap import cli
+from cflgap import io as docio
 from conftest import spoil_rows
 
 CLI = [sys.executable, "-m", "cflgap.cli"]
@@ -161,6 +164,127 @@ class TestParserReuse:
             assert json.load(handle)["manifest"]["seed"] is None
 
 
+# One argv per command and oracle subcommand, each leaving the defaults
+# unset, and the values it parses to (recorded when every command declared
+# its own options).
+PARSED = {
+    "gen --family --t 10": {
+        "command": "gen", "family": True, "general": False, "t": 10, "a": 2, "nf": None,
+        "capacity": None, "m": None, "eps": None, "xl": None, "strict": False,
+        "output": None,
+    },
+    "core --instance i.json --k 0,1 --l 2,3": {
+        "command": "core", "instance": "i.json", "k": "0,1", "l": "2,3", "random": False,
+        "seed": None, "dense": False, "output": None,
+    },
+    "collide a.core b.core": {"command": "collide", "first": "a.core", "second": "b.core"},
+    "lpcheck a.core": {"command": "lpcheck", "vector": "a.core", "output": None},
+    "verify-midpoint a.core b.core": {
+        "command": "verify-midpoint", "first": "a.core", "second": "b.core", "output": None,
+    },
+    "sample a b --n 5 --seed 1": {
+        "command": "sample", "first": "a", "second": "b", "n": 5, "seed": 1, "jobs": 1,
+        "solutions_dir": None, "output": None,
+    },
+    "census --t 10 --exact": {
+        "command": "census", "instance": None, "t": 10, "a": 2, "exact": True,
+        "formula_only": False, "mc": None, "seed": None, "jobs": 1, "output": None,
+    },
+    "certify --t 10": {
+        "command": "certify", "core": None, "instance": None, "t": 10, "a": 2,
+        "brute_force": False, "output": None,
+    },
+    "bound --t 10": {"command": "bound", "instance": None, "t": 10, "a": 2, "output": None},
+    "oracle enum --instance i.json": {
+        "command": "oracle", "oracle_command": "enum", "instance": "i.json", "output": None,
+    },
+    "oracle member --vector a.core": {
+        "command": "oracle", "oracle_command": "member", "vector": "a.core", "output": None,
+    },
+    "oracle opt --core a.core": {
+        "command": "oracle", "oracle_command": "opt", "core": "a.core", "output": None,
+    },
+}
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """Name -> parser of each subcommand of ``parser`` (empty when it has none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def command_paths() -> list[list[str]]:
+    """Every runnable command, with ``oracle`` split into its subcommands."""
+    return [
+        [name, nested] if nested else [name]
+        for name, sub in _subcommands(cli.build_parser()).items()
+        for nested in (list(_subcommands(sub)) or [None])
+    ]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", list(PARSED))
+    def test_parsed_values(self, argv):
+        assert vars(cli.build_parser().parse_args(argv.split())) == PARSED[argv]
+
+    def test_every_command_parsed_above(self):
+        parsed = {" ".join(filter(None, (values["command"], values.get("oracle_command"))))
+                  for values in PARSED.values()}
+        assert parsed == {" ".join(path) for path in command_paths()}
+
+    @pytest.mark.parametrize("path", command_paths(), ids=" ".join)
+    def test_each_command_has_a_handler_and_help(self, path, capsys):
+        handler = getattr(cli, "cmd_" + "_".join(path).replace("-", "_"), None)
+        assert callable(handler)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([*path, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: cflgap {' '.join(path)}")
+
+    def test_shared_options_listed_first(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["sample", "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert usage.split() == [
+            "usage:", "cflgap", "sample", "[-h]", "[--jobs", "JOBS]", "[-o", "OUTPUT]",
+            "--n", "N", "--seed", "SEED", "[--solutions-dir", "SOLUTIONS_DIR]",
+            "first", "second",
+        ]
+
+
+class TestInputsReadOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-midpoint", "{a}", "{b}"],
+            ["verify-midpoint", "{a}", "{b}", "-o", "{dir}/vm.json"],
+            ["sample", "{a}", "{b}", "--n", "20", "--seed", "3", "-o", "{dir}/s.json"],
+        ],
+        ids=["verify-midpoint", "verify-midpoint-o", "sample-o"],
+    )
+    def test_each_input_opened_once(self, workspace, monkeypatch, argv):
+        # each input used to be read twice: once to parse, once for its digest
+        argv = [word.format(**workspace) for word in argv]
+        inputs = [str(workspace["a"]), str(workspace["b"])]
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        assert run_in_process(*argv) == 0
+        monkeypatch.undo()
+        assert [str(file) for file in opened if str(file) in inputs] == inputs
+        if "-o" in argv:
+            with open(argv[-1]) as handle:
+                manifest = json.load(handle)["manifest"]
+            assert manifest["inputs"] == {path: docio.sha256_of(path) for path in inputs}
+
+
 class TestCoreAndCollide:
     def test_random_core_passes_lpcheck(self, workspace):
         core = workspace["dir"] / "rand.core"
@@ -172,6 +296,15 @@ class TestCoreAndCollide:
         check = run("lpcheck", str(core))
         assert check.returncode == 0
         assert "pass" in check.stdout
+
+    def test_core_without_output_builds_no_document(self, workspace, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("core built a document that it does not write")
+
+        monkeypatch.setattr(docio, "core_file_doc", refuse)
+        argv = ["core", "--instance", str(workspace["mini"]), "--random", "--seed", "5"]
+        assert run_in_process(*argv) == 0
+        assert run_in_process(*argv, "-o", str(workspace["dir"] / "r.core")) == 2
 
     def test_collide_true_exits_0(self, workspace):
         result = run("collide", str(workspace["a"]), str(workspace["b"]))

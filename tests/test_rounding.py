@@ -1,5 +1,8 @@
 import itertools
 import json
+import math
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -226,6 +229,55 @@ class TestBatchedDraws:
             chosen = chunk.branches[:, 1:2]
             slots.update(np.count_nonzero(chunk.assign == chosen, axis=1).tolist())
         assert set(slots) == {2, 3}
+
+
+# Draws 20 of 10**12 ids and 4 of 10**19 under a 2 GB address-space cap, so
+# that a draw that builds every id fails with MemoryError, not an OOM kill.
+CAPPED_CHOICE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+from cflgap.randomness import ExactRng
+print(ExactRng(1).chosen_positions(10**12, 20).tolist())
+print(ExactRng(1).chosen_positions(10**19, 4).tolist())
+"""
+
+
+class TestChosenPositions:
+    def test_huge_range_drawn_without_building_it(self):
+        result = subprocess.run(
+            [sys.executable, "-c", CAPPED_CHOICE], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        for line, n, r in zip(result.stdout.splitlines(), (10**12, 10**19), (20, 4)):
+            ids = json.loads(line)
+            assert len(set(ids)) == r and all(0 <= i < n for i in ids)
+
+    def test_mini_core_ids_uniform(self):
+        # core --random takes k as the first t of 2t chosen ids and l as the
+        # rest: over many seeds each of MINI's 6 ids lands in k, and in l,
+        # with probability t/n_f = 1/3, inside a Bernstein band (failure 1e-9)
+        seeds, n_f, t = 3000, 6, 2
+        in_k, in_l = Counter(), Counter()
+        for seed in range(seeds):
+            ids = ExactRng(seed).chosen_positions(n_f, 2 * t).tolist()
+            assert len(set(ids)) == 2 * t
+            in_k.update(ids[:t])
+            in_l.update(ids[t:])
+        p = t / n_f
+        log_term = math.log(2 / 1e-9)
+        band = log_term / 3 + math.sqrt((log_term / 3) ** 2 + 2 * log_term * seeds * p * (1 - p))
+        for counts in (in_k, in_l):
+            assert set(counts) == set(range(n_f))
+            assert all(abs(counts[i] - seeds * p) <= band for i in range(n_f)), counts
+
+    def test_order_is_uniform(self):
+        # the first of two chosen ids is the smaller one half the time
+        seeds = 2000
+        smaller_first = sum(
+            int(np.less(*ExactRng(seed).chosen_positions(10**6, 2)))
+            for seed in range(seeds)
+        )
+        assert abs(smaller_first - seeds / 2) <= 4 * math.sqrt(seeds / 4)
 
 
 class TestSampler:
