@@ -180,7 +180,7 @@ def cmd_core(args) -> int:
             raise ValueError("--random requires --seed")
         from .randomness import ExactRng
 
-        ids = ExactRng(args.seed).chosen_positions(inst.facility_count, 2 * t).tolist()
+        ids = ExactRng(args.seed).chosen_positions(inst.facility_count, 2 * t)
         k, l = ids[:t], ids[t:]
     else:
         if not args.k or not args.l:

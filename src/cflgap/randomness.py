@@ -123,13 +123,11 @@ class ExactRng:
         """Permute each row of a 2-d array (a view is fine) in place, uniformly."""
         self._gen.permuted(rows, axis=1, out=rows)
 
-    def chosen_positions(self, n: int, r: int) -> np.ndarray:
-        """r distinct positions chosen uniformly from range(n), in uniform order, in O(r)."""
+    def chosen_positions(self, n: int, r: int) -> list[int]:
+        """r distinct positions chosen uniformly from range(n), in uniform order."""
         if not 0 <= r <= n:
             raise ValueError(f"cannot choose {r} of {n}")
-        if n < 2**63:
-            return self._gen.choice(n, r, replace=False)
         ids: dict = {}
-        while len(ids) < r:  # a repeat is drawn again, so the order stays uniform
+        while len(ids) < r:  # a repeat is drawn again: expected O(r) draws for r <= n/2
             ids.setdefault(self.integer_below(n))
-        return np.array(list(ids), dtype=object)
+        return list(ids)

@@ -237,8 +237,8 @@ CAPPED_CHOICE = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
 from cflgap.randomness import ExactRng
-print(ExactRng(1).chosen_positions(10**12, 20).tolist())
-print(ExactRng(1).chosen_positions(10**19, 4).tolist())
+print(ExactRng(1).chosen_positions(10**12, 20))
+print(ExactRng(1).chosen_positions(10**19, 4))
 """
 
 
@@ -259,7 +259,7 @@ class TestChosenPositions:
         seeds, n_f, t = 3000, 6, 2
         in_k, in_l = Counter(), Counter()
         for seed in range(seeds):
-            ids = ExactRng(seed).chosen_positions(n_f, 2 * t).tolist()
+            ids = ExactRng(seed).chosen_positions(n_f, 2 * t)
             assert len(set(ids)) == 2 * t
             in_k.update(ids[:t])
             in_l.update(ids[t:])
