@@ -132,14 +132,15 @@ def noncolliding_count_brute(
     every pair at once, the members of ``l'`` in ``k|l`` and the members of
     ``l`` in ``l'``.  No pair's id rows are built, and every pair is counted.
     """
-    import numpy as np
-
     n_f, t = inst.facility_count, require_valid(inst).t
     size = core_size(inst)
     if size > BRUTE_CENSUS_LIMIT:
         raise ValueError(
-            f"core size {size} exceeds the enumeration limit {BRUTE_CENSUS_LIMIT}"
+            f"core size {size} exceeds the enumeration limit {BRUTE_CENSUS_LIMIT}; "
+            "pass --formula-only"
         )
+    import numpy as np
+
     ref = reference if reference is not None else reference_index(inst)
     flag = np.min_scalar_type(t)  # a count of at most t members
     in_ref = np.zeros(n_f, dtype=flag)

@@ -243,10 +243,12 @@ def _run_blocks(work: Callable, n: int, seed: int, jobs: int) -> list:
     """
     from .randomness import derive_block_seed
 
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     starts = range(0, n, BLOCK_DRAWS)
     seeds = [derive_block_seed(seed, b) for b in range(len(starts))]
     counts = [min(BLOCK_DRAWS, n - start) for start in starts]
-    if jobs <= 1 or len(starts) == 1:
+    if jobs == 1 or len(starts) == 1:
         return list(map(work, seeds, counts, starts))
     from concurrent.futures import ProcessPoolExecutor
 
@@ -288,8 +290,6 @@ def cmd_sample(args) -> int:
 
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.solutions_dir and os.path.isdir(args.solutions_dir):
         stale = sum(
             name.startswith("sol_") and name.endswith(".json")
@@ -352,17 +352,11 @@ def _mc_block_hits(inst: Instance, seed: int, count: int, start: int) -> int:
 
 
 def cmd_census(args) -> int:
-    from .certify import BRUTE_CENSUS_LIMIT, McEstimate, build_census_report, core_size
+    from .certify import McEstimate, build_census_report
 
     inst, inputs = _resolve_instance(args)
     if args.exact:
-        brute = not args.formula_only
-        if brute and core_size(inst) > BRUTE_CENSUS_LIMIT:
-            raise ValueError(
-                f"core size {core_size(inst)} exceeds the enumeration bound "
-                f"{BRUTE_CENSUS_LIMIT}; pass --formula-only"
-            )
-        report = build_census_report(inst, brute_force=brute)
+        report = build_census_report(inst, brute_force=not args.formula_only)
         mode = {"mode": "exact", "formula_only": args.formula_only}
     else:
         if args.mc is None:
@@ -371,8 +365,6 @@ def cmd_census(args) -> int:
             raise ValueError("--mc requires --seed")
         if args.mc < 1:
             raise ValueError(f"--mc must be >= 1, got {args.mc}")
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         hits = _run_blocks(partial(_mc_block_hits, inst), args.mc, args.seed, args.jobs)
         mc = McEstimate.from_hits(sum(hits), args.mc, args.seed)
         report = replace(build_census_report(inst), mc_estimate=mc)

@@ -1,10 +1,10 @@
 """JSON documents for instances, vectors, solutions, and reports.
 
 Conventions: rationals are strings ``"p/q"`` in lowest terms; census-scale
-integers are decimal strings; id sets are either explicit lists or
-``{"span": [lo, hi]}`` for contiguous ranges.  Documents are written with
-sorted keys and a trailing newline, so identical content yields identical
-bytes.
+integers are decimal strings; an id class is the bounds of its sorted runs,
+``{"span": [lo_1, hi_1, ..., lo_r, hi_r]}``, and is also read as a list of
+its ids.  Documents are written with sorted keys and a trailing newline, so
+identical content yields identical bytes.
 """
 
 from __future__ import annotations
@@ -109,26 +109,21 @@ def _id_list(value: Any, where: str) -> frozenset[int]:
     return frozenset(_int(i, f"{where} id") for i in _list(value, where))
 
 
-def _runs_to_doc(runs: Runs) -> Any:
-    """An id class: one run (a contiguous id set) is a span, else its sorted ids."""
-    if len(runs) == 1:
-        return {"span": list(runs[0])}
-    return [j for lo, hi in runs for j in range(lo, hi)]
-
-
-def _span(doc: dict, where: str) -> tuple[int, int]:
-    span = _list(_field(doc, "span", where), f"{where} span")
-    if len(span) != 2:
-        raise ValueError(f"{where} span must be [lo, hi], got {_shown(span)}")
-    lo, hi = (_int(b, f"{where} span") for b in span)
-    return lo, hi
+def _runs_to_doc(runs: Runs) -> dict:
+    """An id class as the bounds of its sorted runs, ``{"span": [lo_1, hi_1, ...]}``."""
+    return {"span": list(chain.from_iterable(runs))}
 
 
 def _runs_from_doc(doc: Any, where: str) -> Runs:
-    """An id class written by :func:`_runs_to_doc`; a span is read as one run."""
-    if isinstance(doc, dict):
-        return _runs(range(*_span(doc, where)))
-    return _runs(_id_list(doc, where))
+    """An id class written by :func:`_runs_to_doc` (each ``lo < hi``), or as its ids."""
+    if not isinstance(doc, dict):
+        return _runs(_id_list(doc, where))
+    span = _list(_field(doc, "span", where), f"{where} span")
+    bounds = [_int(b, f"{where} span") for b in span]
+    runs = tuple(zip(bounds[::2], bounds[1::2]))
+    if not span or len(span) % 2 or any(lo >= hi for lo, hi in runs):
+        raise ValueError(f"{where} span must be [lo, hi], got {_shown(span)}")
+    return _runs(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +287,11 @@ def _vector_from_doc(
 
 def core_file_doc(inst: Instance, index: CoreIndex, vec: FracVector) -> dict:
     """Self-contained core-vector document: instance, index, and payload."""
-    designated = inst.designated_clients
     return {
         "instance": instance_to_doc(inst),
         "k": sorted(index.k),
         "l": sorted(index.l),
-        "core_clients": {"span": [designated.start, designated.stop]},
+        "core_clients": _runs_to_doc(_runs(inst.designated_clients)),
         **_vector_to_doc(vec),
     }
 

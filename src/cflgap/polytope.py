@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# largest (facilities, clients) shape whose integer solutions are enumerated
+ENUMERATION_BOUND = (4, 8)
+
+
 class EnumerationBoundError(ValueError):
     """Instance too large for exhaustive integer-solution enumeration."""
 
@@ -52,15 +56,14 @@ class MembershipResult:
     separating_inequality: Optional[tuple[tuple[Fraction, ...], Fraction]] = None
 
 
-def enumerate_integer_solutions(
-    inst: Instance, *, max_facilities: int = 4, max_clients: int = 8
-) -> list[IntSolution]:
+def enumerate_integer_solutions(inst: Instance) -> list[IntSolution]:
     """Every (open set, assignment) pair respecting openings and capacities.
 
     Open facilities serving nobody are included.  Assignments are enumerated
-    in client order with no symmetry reduction; the size bound keeps the
-    search exhaustive yet instant.
+    in client order with no symmetry reduction; :data:`ENUMERATION_BOUND`
+    keeps the search exhaustive yet instant.
     """
+    max_facilities, max_clients = ENUMERATION_BOUND
     if inst.facility_count > max_facilities or inst.client_count > max_clients:
         raise EnumerationBoundError(
             f"instance ({inst.facility_count} facilities, {inst.client_count} clients) "

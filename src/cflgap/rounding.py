@@ -527,8 +527,8 @@ def _draw_decisions(
     ), axis=1)
     if count and (counts.min() < 0 or counts.max() > inst.capacity):
         raise RuntimeError(
-            "a drawn slot count overfills its pool or exceeds capacity; "
-            "invalid parameters upstream"
+            "a drawn slot count overfills its pool or exceeds capacity: "
+            "the plan's distribution has an infeasible outcome class"
         )
     n_choice = tables.choice_set.shape[1]
     branches = np.stack(

@@ -1,6 +1,7 @@
 import argparse
 import builtins
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -285,6 +286,33 @@ class TestInputsReadOnce:
             assert manifest["inputs"] == {path: docio.sha256_of(path) for path in inputs}
 
 
+def as_id_lists(doc):
+    """``doc`` with each class of several runs written as its ids, the form of
+    core files from before a span held more than one run."""
+    if isinstance(doc, list):
+        return [as_id_lists(item) for item in doc]
+    if not isinstance(doc, dict):
+        return doc
+    span = doc.get("span")
+    if span is not None and len(span) > 2:
+        return [j for lo, hi in zip(span[::2], span[1::2]) for j in range(lo, hi)]
+    return {key: as_id_lists(value) for key, value in doc.items()}
+
+
+# Runs each command line of argv[1] (a JSON list) in process under a 2 GB
+# address-space cap, so that a class built id by id fails with MemoryError,
+# not an OOM kill; exits at the first command that does not exit 0.
+CAPPED_COMMANDS = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+from cflgap.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv}: exit {code}")
+"""
+
+
 class TestCoreAndCollide:
     def test_random_core_passes_lpcheck(self, workspace):
         core = workspace["dir"] / "rand.core"
@@ -338,6 +366,51 @@ class TestCoreAndCollide:
         assert err == (f"error: range {spec} is not a run of at most t = 2 of "
                        "the 6 facility ids\n")
         assert elapsed < 1
+
+    def test_id_list_classes_read_as_their_runs(self, workspace, capsys):
+        # k = {0, 1} with l = {2, 4} or {3, 5}: l and the outside facilities
+        # are classes of two runs each
+        for name, l in (("d", "2,4"), ("e", "3,5")):
+            path = workspace["dir"] / f"{name}.core"
+            assert run_in_process(
+                "core", "--instance", str(workspace["mini"]), "--k", "0,1", "--l", l,
+                "-o", str(path),
+            ) == 0
+            doc = json.loads(path.read_text())
+            old = as_id_lists(doc)
+            assert old != doc
+            (workspace["dir"] / f"{name}-ids.core").write_text(json.dumps(old))
+            vec, old_vec = docio.load_core_doc(doc)[2], docio.load_core_doc(old)[2]
+            assert old_vec.equals(vec) and vec.equals(old_vec)
+        capsys.readouterr()
+        stdout = []
+        for suffix in ("", "-ids"):
+            d, e = (str(workspace["dir"] / f"{name}{suffix}.core") for name in "de")
+            assert cli.main(["lpcheck", d]) == 0
+            assert cli.main(["verify-midpoint", d, e]) == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1]
+
+    def test_random_cores_at_1e12_facilities_are_small(self, tmp_path):
+        # a class of several runs was written id by id: at 10**12 facilities
+        # core -o ended in a MemoryError under this cap
+        huge, first, second = (str(tmp_path / name)
+                               for name in ("huge.json", "huge.core", "huge2.core"))
+        steps = [
+            ["gen", "--general", "--nf", "1000000000000", "--t", "2", "--U", "4",
+             "--m", "13", "--eps", "2/5", "--xl", "1/8", "-o", huge],
+            ["core", "--instance", huge, "--random", "--seed", "1", "-o", first],
+            ["core", "--instance", huge, "--random", "--seed", "2", "-o", second],
+            ["lpcheck", first],
+            ["collide", first, second],
+        ]
+        result = subprocess.run(
+            [sys.executable, "-c", CAPPED_COMMANDS, json.dumps(steps)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        for path in (first, second):
+            assert os.path.getsize(path) < 4096
 
     def test_malformed_subsets_exit_2(self, workspace):
         result = run(
@@ -798,6 +871,13 @@ class TestMalformedCoreDocument:
             "x entry clients span must be [lo, hi], got [0]",
             id="short-clients-span",
         ),
+        # a reversed run is refused, not merged into the run before it
+        pytest.param(
+            "a", ["y", 0, "facilities"], {"span": [0, 2, 2, 1]},
+            [["lpcheck", "{path}"]],
+            "y entry facilities span must be [lo, hi], got [0, 2, 2, 1]",
+            id="reversed-facility-run",
+        ),
         pytest.param(
             "a", ["core_clients"], {"span": [-1, 9]},
             [["sample", "{path}", "{b}", "--n", "5", "--seed", "1"]],
@@ -941,6 +1021,17 @@ class TestMalformedCoreDocument:
         assert code == 2
         assert "facility classes" in err and "Traceback" not in err
         assert elapsed < 0.5
+
+    def test_overlapping_facility_runs_exit_2(self, broken, capsys):
+        def overlap(doc):
+            first = doc["y"][0]["facilities"]
+            for entry in doc["y"] + doc["x"]:
+                if entry["facilities"] == first:
+                    entry["facilities"] = {"span": [0, 3, 2, 5]}
+
+        assert cli.main(["lpcheck", broken(overlap)]) == 2
+        err = capsys.readouterr().err
+        assert "overlapping facility classes" in err and "Traceback" not in err
 
     def test_huge_facility_count_reads_outside_as_one_run(self, broken, capsys):
         # the outside facilities of a 10**12-facility core file are one span;

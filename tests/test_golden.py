@@ -37,7 +37,7 @@ GOLDEN = {
     "mini-n60-solutions-files":
         "aa3d56e1703ad727f0144a92f065f39b9aafdaa278304bf1cf75f797e04bde18",
     "t10-n40":
-        "26ed6472d42ce731bb4391d2c19293fb2d49b64c763d6695f8e0958dd9d38ee4",
+        "12420ddea7e63a9ec71c859995c4ecaff7df6b4e66d92c131dab49e52a919e1c",
 }
 
 
@@ -123,7 +123,7 @@ GOLDEN_CLI = {
     "core-t10":
         "9f1aaaedf7fe8e5fabae782ba832c3e1562a761bd309e6ca65ed0a5ff7658df6",
     "core-t10-b":
-        "86cc80a61a495cd2420eb330f99585e7ae353b8140d58b1710236b0bc675bfed",
+        "4680df31f7003fd77ff548006d4fbebc226ef2071f965af52833d75301e11e6c",
     "core-t10-dense":
         "faa9f8664ec3ce096ea3523a41deee37e2640518b48708faab5208d38cf44871",
     "lpcheck-classed":
@@ -137,7 +137,7 @@ GOLDEN_CLI = {
     "verify-midpoint-mini-dense":
         "ad6a47aea1e6b9b78df62dffdcd9da28d1a962b5ee7d9ecdff14f86fa7fb6350",
     "verify-midpoint-t10":
-        "656d4e3e89b4f6c86abfcb13e752bfd4813d623c815c2cd540ba10f58c909b61",
+        "8c8218805cff9b28a9a9be4410a4cac47636f4a544dd3a364aa1e4ee7ba11260",
     "certify-t10":
         "21e955a274553f5584c2d5ed6101b4edd84f87e3e0e6324495849d7b233a6151",
     "certify-tiny-brute-force":

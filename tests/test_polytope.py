@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cflgap import polytope
 from cflgap.corevec import CoreIndex, FracVector, collides, make_core_vector, midpoint
 from cflgap.instance import CostVector, Instance, build_gap_costs
 from cflgap.polytope import (
@@ -60,13 +61,15 @@ class TestEnumeration:
         inst = Instance(facility_count=2, client_count=3, capacity=1)
         assert enumerate_integer_solutions(inst) == []
 
-    def test_bound_enforced(self, mini):
+    def test_bound_enforced(self, mini, monkeypatch):
         with pytest.raises(EnumerationBoundError):
             enumerate_integer_solutions(mini)
-        # configurable: raising the bound admits the instance shape check
+        # the bound is the module's: raising it admits a 5-facility shape
         inst = Instance(facility_count=5, client_count=2, capacity=1)
-        sols = enumerate_integer_solutions(inst, max_facilities=5)
-        assert sols
+        with pytest.raises(EnumerationBoundError):
+            enumerate_integer_solutions(inst)
+        monkeypatch.setattr(polytope, "ENUMERATION_BOUND", (5, 8))
+        assert enumerate_integer_solutions(inst)
 
 
 class TestMembership:

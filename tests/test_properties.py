@@ -371,6 +371,19 @@ def test_enumerator_matches_reference_on_infeasible_shapes(shape):
     assert infeasible
 
 
+@pytest.mark.parametrize("shape", INFEASIBLE_SHAPES, ids=["pivot-rounds-to-0", "rest-overfill"])
+def test_sampler_guard_blames_the_distribution_not_the_parameters(shape):
+    inst = build_general_instance(**shape)
+    assert validate_params(inst) == []
+    plan = compile_plan(inst, CoreIndex.for_instance(inst, [0, 1], [2, 3]),
+                        CoreIndex.for_instance(inst, [0, 1], [4, 5]))
+    assert not all(cl.feasible for cl in enumerate_outcome_classes(plan))
+    with pytest.raises(RuntimeError, match="distribution has an infeasible outcome class"):
+        for seed in range(50):
+            for _ in sample_block(plan, ExactRng(seed), 200):
+                pass
+
+
 def test_enumerator_matches_reference_at_t10(family10):
     t = 10
     c1 = CoreIndex.for_instance(family10, range(0, t), range(t, 2 * t))
@@ -525,11 +538,11 @@ def reference_coordinates(n_f, m, reference):
 
 def ids_to_doc(ids):
     """An id set as a core document is expected to hold it, written here
-    independently of cflgap.io: a span when contiguous, else the sorted ids."""
+    independently of cflgap.io: the bounds of its maximal runs of ids."""
     ordered = sorted(ids)
-    if ordered and ordered == list(range(ordered[0], ordered[-1] + 1)):
-        return {"span": [ordered[0], ordered[-1] + 1]}
-    return ordered
+    starts = [j for j in ordered if j - 1 not in ids]
+    ends = [j + 1 for j in ordered if j + 1 not in ids]
+    return {"span": [b for pair in zip(starts, ends) for b in pair]}
 
 
 def core_doc_bytes(inst, vec):
