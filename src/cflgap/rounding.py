@@ -25,10 +25,13 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
   shuffled in place.  Only readers of per-client assignments need the
   shuffle; feasibility and outcome classes depend only on facility loads.
   :func:`sample_outcome` is its one-row case, and
-* :func:`enumerate_outcome_classes` lists every branch of the same
+* :func:`enumerate_grouped_classes` lists every branch of the same
   thresholds and coins with its exact probability, collapsing exchangeable
-  client and bin choices; each class holds its slot profile as one shared
-  part per facility group.
+  client and bin choices, and exchangeable low-set facilities into groups
+  (at most four per experiment, for any t); each class holds its slot
+  profile as one shared part per facility group.
+  :func:`enumerate_outcome_classes` expands the groups into one set of
+  classes per low-set facility, the classes a draw is keyed by.
 
 :func:`tally_draws` checks and keys the chunks from their facility loads.
 One function counts loads, :func:`_row_loads`: unknown ids go to one extra
@@ -38,9 +41,10 @@ cases, so a draw the tally cannot count has violations and no key in all
 three.
 
 :func:`expected_vector` sums probability times the parts into group totals,
-so :func:`verify_midpoint` certifies constructively, from one class list,
-that the midpoint of a colliding pair is a convex combination of feasible
-integer solutions: these weights, these feasible points, this exact sum.
+so :func:`verify_midpoint` certifies constructively, from the grouped class
+list, that the midpoint of a colliding pair is a convex combination of
+feasible integer solutions: these weights, these feasible points, this
+exact sum.
 A plan is built per command or caller and passed explicitly.
 """
 
@@ -50,6 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
+from itertools import repeat
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -72,12 +77,14 @@ __all__ = [
     "round_slots",
     "split_slots",
     "compile_plan",
+    "PLAN_FACILITY_LIMIT",
     "sample_block",
     "sample_outcome",
     "outcome_class_key",
     "tally_draws",
     "expected_vector",
     "enumerate_outcome_classes",
+    "enumerate_grouped_classes",
     "verify_midpoint",
     "solution_violations",
 ]
@@ -430,14 +437,26 @@ def _experiment_specs(
     return build("A", c1, f, g), build("B", c2, g, f)
 
 
+# Most facilities a plan is compiled for: its outside bins, open sets and
+# the sampler's tables hold every facility id (at 10**6 facilities and
+# t = 2, verify_midpoint peaks near 0.7 GB).
+PLAN_FACILITY_LIMIT = 1_000_000
+
+
 def compile_plan(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> RoundingPlan:
     """Validate the instance and the pair, then compile their distribution.
 
-    Raises ValueError when the instance parameters are invalid and
-    NonCollidingPairError (naming the empty side) when the pair does not
-    collide.
+    Raises ValueError when the instance parameters are invalid or the
+    instance has more than ``PLAN_FACILITY_LIMIT`` facilities (checked
+    before anything that wide is built), and NonCollidingPairError (naming
+    the empty side) when the pair does not collide.
     """
     require_valid(inst)
+    if inst.facility_count > PLAN_FACILITY_LIMIT:
+        raise ValueError(
+            f"facility count {inst.facility_count} exceeds the rounding plan's limit "
+            f"{PLAN_FACILITY_LIMIT}: its per-facility tables would not fit in memory"
+        )
     return RoundingPlan(inst, _experiment_specs(inst, c1, c2))
 
 
@@ -600,15 +619,27 @@ class OutcomeClass:
     served, over)``: its nonzero ``(facility, count)`` entries sorted by
     facility, the clients they serve and the entries above capacity.
     Classes share parts; ``slot_profile`` joins them on first read.
+
+    ``members`` are the low-set facilities the class stands for.  A class of
+    :func:`enumerate_outcome_classes` has one, its ``chosen_l_facility``.  A
+    class of :func:`enumerate_grouped_classes` stands for a group of
+    exchangeable ones: its other fields describe the outcomes with
+    ``chosen_l_facility`` (the first member) chosen, each other member's
+    outcomes are the same with that member in its place, and
+    ``probability`` covers every member.
     """
 
     experiment: str
-    chosen_l_facility: int
+    members: tuple[int, ...]
     extra_open: bool
     parts: tuple[tuple, tuple, tuple, tuple]  # chosen, high set, pivot, outside
     probability: Fraction
     open_facilities: frozenset[int]
     problems: tuple[str, ...]  # why the class is infeasible; empty if feasible
+
+    @property
+    def chosen_l_facility(self) -> int:
+        return self.members[0]
 
     @property
     def feasible(self) -> bool:
@@ -635,96 +666,186 @@ def _split_part(total: int, bins: tuple[int, ...], capacity: int) -> tuple:
             raise ValueError("cannot split clients over zero bins")
         return _NO_PART
     base, extra = divmod(total, len(bins))
-    entries = tuple((fac, base + 1) for fac in bins[:extra])
+    entries = tuple(zip(bins[:extra], repeat(base + 1)))
     if base:
-        entries += tuple((fac, base) for fac in bins[extra:])
-    return entries, total, tuple(entry for entry in entries if entry[1] > capacity)
+        entries += tuple(zip(bins[extra:], repeat(base)))
+    over = ()
+    if base + (extra > 0) > capacity:  # the largest count
+        over = tuple(entry for entry in entries if entry[1] > capacity)
+    return entries, total, over
 
 
-def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
-    """Every branch combination with exact probability; probabilities sum to 1.
+# One branch combination of a chosen group, for any one member chosen:
+# (slots1, extra_open, parts, probability, problems, over).  ``slots1`` are
+# the chosen facility's clients, ``parts`` the high-set, pivot and outside
+# parts, ``probability`` that of the branch with one given member chosen,
+# ``problems`` the ones that name no facility (an overfilled pool, the served
+# count) and ``over`` the entries of ``parts`` above capacity, unsorted.
+_GroupBranch = tuple[int, bool, tuple, Fraction, tuple[str, ...], tuple]
 
-    A low-set choice has its threshold step over the denominator, halved by
-    the fair experiment coin; a coin with no fractional part has one branch,
-    so no branch of probability zero (e.g. the closed-pivot branch when
-    t*eps = 1) appears.  A class's parts are the chosen low facility's slots
-    and the split of the designated remainder over the high set (step 1),
-    then the borrowed pivot's slots and the split of the rest over the
-    outside bins (step 2).  Each distinct (remainder, bin group) split is
-    built and checked against capacity once per call and shared by the
-    classes that use it, so a class costs O(1), not O(facilities).
+
+def _choice_groups(exp: _Experiment, other: _Experiment) -> list[tuple[int, ...]]:
+    """``exp``'s low set as groups of exchangeable facilities: its pivot (the
+    facility ``other`` borrows), then the others in the other index's k (the
+    high set of ``other``), in its l, and outside both."""
+    pivot = other.pivot_extra
+    rest = [i for i in exp.choice_set if i != pivot]
+    k, l = frozenset(other.always_open), frozenset(other.choice_set)
+    roles = (
+        [i for i in rest if i in k],
+        [i for i in rest if i in l],
+        [i for i in rest if i not in k and i not in l],
+    )
+    return [(pivot,), *(tuple(role) for role in roles if role)]
+
+
+def _group_branches(
+    plan: RoundingPlan,
+) -> Iterator[tuple[_Experiment, list[tuple[tuple[int, ...], list[_GroupBranch]]]]]:
+    """Per experiment, each chosen group with its branches in enumeration order.
+
+    Within an experiment, the members of a group (:func:`_choice_groups`)
+    have one choice probability, one slot coin and open sets of one shape,
+    so a group's branches are built once for all of them.  A low-set choice
+    has its threshold step over the denominator, halved by the fair
+    experiment coin; a coin with no fractional part has one branch, so no
+    branch of probability zero (e.g. the closed-pivot branch when t*eps = 1)
+    appears.  A branch's parts are the split of the designated remainder
+    over the high set (step 1), then the borrowed pivot's slots and the
+    split of the rest over the outside bins (step 2).  Each distinct
+    (remainder, bin group) split is built and checked against capacity once
+    per call and shared by the branches that use it, so a branch costs
+    O(1), not O(facilities).
     """
     inst = plan.inst
-    cap = inst.capacity  # unit demands: a count is a load
-    split = cache(partial(_split_part, capacity=cap))  # local to this call
-
+    # local to this call; the experiments share their coins
+    split = cache(partial(_split_part, capacity=inst.capacity))
+    coin_branches = cache(_FloorCoin.branches)
     n_core, m_rest = len(inst.designated_clients), len(inst.rest_clients)
-    out: list[OutcomeClass] = []
-    for exp in plan.experiments:
-        step2: list[tuple[bool, int, Fraction, tuple, tuple, list[str]]] = []
+    for exp, other in zip(plan.experiments, plan.experiments[::-1]):
+        step2: list[tuple[bool, int, Fraction, tuple, tuple, tuple[str, ...]]] = []
         # the open branches (coin reads 1) before the closed one
         branches2 = [
             (opened == 1, slots2, p_open * p_r2)
-            for opened, p_open in reversed(exp.extra_coin.branches())
-            for slots2, p_r2 in (exp.extra_slots.branches() if opened else [(0, ONE)])
+            for opened, p_open in reversed(coin_branches(exp.extra_coin))
+            for slots2, p_r2 in (coin_branches(exp.extra_slots) if opened else [(0, ONE)])
         ]
         for extra_open, slots2, p_s2 in branches2:
             rem2 = m_rest - slots2
-            problems2: list[str] = []
+            problems2: tuple[str, ...] = ()
             rest = _NO_PART
             if rem2 < 0:
-                problems2.append(
-                    f"{slots2} borrowed-pivot slots overfill the rest pool (size {m_rest})"
+                problems2 = (
+                    f"{slots2} borrowed-pivot slots overfill the rest pool (size {m_rest})",
                 )
             elif exp.outside_bins:
                 rest = split(rem2, exp.outside_bins)
             elif rem2 > 0:
-                problems2.append(f"no outside facility serves the {rem2} remaining clients")
+                problems2 = (f"no outside facility serves the {rem2} remaining clients",)
             pivot = split(slots2, (exp.pivot_extra,))
             step2.append((extra_open, slots2, p_s2, pivot, rest, problems2))
 
-        flags = {branch[0] for branch in step2}  # open sets only for branches that occur
         bounds = zip((0,) + exp.choice_thresholds, exp.choice_thresholds)
-        for chosen, (lo, hi), coin in zip(exp.choice_set, bounds, exp.choice_slots):
+        steps = dict(zip(exp.choice_set, zip(bounds, exp.choice_slots)))
+        groups = []
+        for group in _choice_groups(exp, other):
+            (lo, hi), coin = steps[group[0]]
             p_choice = Fraction(hi - lo, 2 * exp.choice_denominator)
-            open_sets = {flag: exp.open_set(chosen, flag) for flag in flags}
-            for slots1, p_r1 in coin.branches():
+            branches = []
+            for slots1, p_r1 in coin_branches(coin):
                 rem1 = n_core - slots1
-                problems1: list[str] = []
+                problems1: tuple[str, ...] = ()
                 high = _NO_PART
                 if rem1 >= 0:
                     high = split(rem1, exp.always_open)
                 else:
-                    problems1.append(
-                        f"{slots1} step-1 slots overfill the designated pool (size {n_core})"
+                    problems1 = (
+                        f"{slots1} step-1 slots overfill the designated pool (size {n_core})",
                     )
-                low = split(slots1, (chosen,))
                 p1 = p_choice * p_r1
                 for extra_open, slots2, p_s2, pivot, rest, problems2 in step2:
                     problems = problems1 + problems2
-                    served = low[1] + high[1] + pivot[1] + rest[1]
+                    served = slots1 + high[1] + pivot[1] + rest[1]
                     if served != inst.client_count:
-                        problems.append(
-                            f"the profile serves {served} of {inst.client_count} clients"
+                        problems += (
+                            f"the profile serves {served} of {inst.client_count} clients",
                         )
-                    problems.extend(
-                        f"facility {fac} serves {cnt} clients above capacity {cap}"
-                        for fac, cnt in sorted(low[2] + high[2] + pivot[2] + rest[2])
-                    )
-                    # the bin groups lie in base_open, so only the borrowed
-                    # pivot can serve clients while closed
-                    open_set = open_sets[extra_open]
-                    if slots2 and exp.pivot_extra not in open_set:
-                        problems.append(f"closed facilities {[exp.pivot_extra]} serve clients")
-                    out.append(OutcomeClass(
-                        experiment=exp.label,
-                        chosen_l_facility=chosen,
-                        extra_open=extra_open,
-                        parts=(low, high, pivot, rest),
-                        probability=p1 * p_s2,
-                        open_facilities=open_set,
-                        problems=tuple(problems),
+                    branches.append((
+                        slots1, extra_open, (high, pivot, rest), p1 * p_s2, problems,
+                        high[2] + pivot[2] + rest[2],
                     ))
+            groups.append((group, branches))
+        yield exp, groups
+
+
+def _group_classes(
+    exp: _Experiment, members: tuple[int, ...], branches: Sequence[_GroupBranch], capacity: int
+) -> Iterator[OutcomeClass]:
+    """The classes of a group's branches, standing for ``members``, with the first chosen."""
+    chosen, count = members[0], len(members)
+    lows: dict[int, tuple] = {}  # the chosen facility's part, per slot count
+    open_sets: dict[bool, frozenset[int]] = {}
+    for slots1, extra_open, parts, probability, problems, over in branches:
+        if count > 1:
+            probability *= count
+        low = lows.get(slots1)
+        if low is None:
+            low = lows[slots1] = _split_part(slots1, (chosen,), capacity)
+        open_set = open_sets.get(extra_open)
+        if open_set is None:
+            open_set = open_sets[extra_open] = exp.open_set(chosen, extra_open)
+        if low[2] or over:
+            problems += tuple(
+                f"facility {fac} serves {cnt} clients above capacity {capacity}"
+                for fac, cnt in sorted(low[2] + over)
+            )
+        # the bin groups lie in base_open, so only the borrowed pivot can
+        # serve clients while closed
+        if parts[1][1] and exp.pivot_extra not in open_set:
+            problems += (f"closed facilities {[exp.pivot_extra]} serve clients",)
+        yield OutcomeClass(
+            experiment=exp.label,
+            members=members,
+            extra_open=extra_open,
+            parts=(low, *parts),
+            probability=probability,
+            open_facilities=open_set,
+            problems=problems,
+        )
+
+
+def enumerate_grouped_classes(plan: RoundingPlan) -> list[OutcomeClass]:
+    """Every branch combination per chosen group with exact probability;
+    probabilities sum to 1.
+
+    Each group's classes are built once, with its first member chosen, and
+    stand for all its members (see :class:`OutcomeClass`).  An experiment
+    has at most four groups, each with at most 2 x 3 branch combinations,
+    so there are at most 48 classes for any t.
+    """
+    capacity = plan.inst.capacity
+    return [
+        cl
+        for exp, groups in _group_branches(plan)
+        for group, branches in groups
+        for cl in _group_classes(exp, group, branches, capacity)
+    ]
+
+
+def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
+    """Every branch combination with exact probability, per low-set facility;
+    probabilities sum to 1.
+
+    The groups of :func:`enumerate_grouped_classes`, expanded: per
+    experiment, each low-set facility in ascending order gets its group's
+    classes with itself chosen, each with its own probability.
+    """
+    capacity = plan.inst.capacity
+    out: list[OutcomeClass] = []
+    for exp, groups in _group_branches(plan):
+        branches_of = {i: branches for group, branches in groups for i in group}
+        for chosen in exp.choice_set:
+            out.extend(_group_classes(exp, (chosen,), branches_of[chosen], capacity))
     return out
 
 
@@ -864,46 +985,48 @@ def tally_draws(
 def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> FracVector:
     """Exact expectation of the distribution: sum of probability x class mean.
 
-    ``classes`` are the plan's enumerated outcome classes.  Within a class,
-    clients are exchangeable within their pool and facilities within their
-    group, so a class's mean depends only on group totals: each facility of
-    a group gets the clients the group serves / (group size x pool size) on
-    every client of that pool, and y = the group's open members / group
-    size.  The designated pool is served by the chosen low facility and the
-    high set, the rest pool by the borrowed pivot and the outside bins.
-    Each class adds its parts' served counts to their groups' totals, and a
+    ``classes`` are the plan's enumerated outcome classes, per low-set
+    facility or per chosen group.  Within a class, clients are exchangeable
+    within their pool and facilities within their group, so a class's mean
+    depends only on group totals: each facility of a group gets the clients
+    the group serves / (group size x pool size) on every client of that
+    pool, and y = the group's open members / group size.  The designated
+    pool is served by the chosen group (a class's ``members``) and the high
+    set, the rest pool by the borrowed pivot and the outside bins.  Each
+    class adds its parts' served counts to their groups' totals, and a
     group's open members are counted once per distinct open set.  Totals are
     expanded to facilities once; facilities with equal values share a class.
     """
     inst = plan.inst
-    pivot_of = {exp.label: exp.pivot_extra for exp in plan.experiments}
 
     # each group has a small key, (experiment, role): "high" for the high
-    # set, "out" for the outside bins, a facility id for a one-facility group
+    # set, "out" for the outside bins, "pivot" for the borrowed pivot and
+    # its members for a chosen group
     groups: dict[tuple[str, object], tuple[int, ...]] = {}
     for exp in plan.experiments:
         groups[exp.label, "high"] = exp.always_open
         groups[exp.label, "out"] = exp.outside_bins
-        for i in (exp.pivot_extra, *exp.choice_set):
-            groups[exp.label, i] = (i,)
+        groups[exp.label, "pivot"] = (exp.pivot_extra,)
+    for cl in classes:
+        groups[cl.experiment, cl.members] = cl.members
 
     # group key -> probability-weighted [open members, clients served from
     # the designated pool, clients served from the rest pool], as integers
     # over the common denominator of the class probabilities
     weights, den = over_common_denominator([cl.probability for cl in classes])
     sums = {key: [0, 0, 0] for key in groups}
-    opened: dict[tuple[str, int, frozenset[int]], int] = {}  # summed weight per open set
+    opened: dict[tuple[str, tuple[int, ...], frozenset[int]], int] = {}  # weight per open set
     for cl, weight in zip(classes, weights):
-        label, chosen = cl.experiment, cl.chosen_l_facility
+        label, members = cl.experiment, cl.members
         low, high, pivot, rest = cl.parts
-        sums[label, chosen][1] += weight * low[1]
+        sums[label, members][1] += weight * low[1]
         sums[label, "high"][1] += weight * high[1]
-        sums[label, pivot_of[label]][2] += weight * pivot[1]
+        sums[label, "pivot"][2] += weight * pivot[1]
         sums[label, "out"][2] += weight * rest[1]
-        at = (label, chosen, cl.open_facilities)
+        at = (label, members, cl.open_facilities)
         opened[at] = opened.get(at, 0) + weight
-    for (label, chosen, open_set), weight in opened.items():
-        for role in (chosen, "high", pivot_of[label], "out"):
+    for (label, members, open_set), weight in opened.items():
+        for role in (members, "high", "pivot", "out"):
             key = (label, role)
             sums[key][0] += weight * len(open_set.intersection(groups[key]))
 
@@ -960,7 +1083,7 @@ class MidpointCertificate:
     pair: tuple[CoreIndex, CoreIndex]
     expectation_matches: bool
     all_classes_feasible: bool
-    class_count: int
+    class_count: int  # per-facility classes, as enumerate_outcome_classes lists them
     probability_sum: Fraction
 
     @property
@@ -973,15 +1096,20 @@ class MidpointCertificate:
 
 
 def verify_midpoint(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> MidpointCertificate:
-    """Exact midpoint-membership certificate for a colliding pair."""
+    """Exact midpoint-membership certificate for a colliding pair.
+
+    Reads the classes per chosen group: a group's classes are feasible
+    exactly when each member's are, and the expectation spreads their mass
+    evenly over the members, so the number of classes does not grow with t.
+    """
     plan = compile_plan(inst, c1, c2)
-    classes = enumerate_outcome_classes(plan)
+    classes = enumerate_grouped_classes(plan)
     mid = midpoint(make_core_vector(inst, c1.k, c1.l), make_core_vector(inst, c2.k, c2.l))
     weights, den = over_common_denominator([cl.probability for cl in classes])
     return MidpointCertificate(
         pair=(c1, c2),
         expectation_matches=expected_vector(plan, classes).equals(mid),
         all_classes_feasible=all(cl.feasible for cl in classes),
-        class_count=len(classes),
+        class_count=sum(len(cl.members) for cl in classes),
         probability_sum=Fraction(sum(weights), den),
     )

@@ -13,6 +13,7 @@ import pytest
 
 from cflgap import cli
 from cflgap import io as docio
+from cflgap import rounding
 from conftest import spoil_rows
 
 CLI = [sys.executable, "-m", "cflgap.cli"]
@@ -299,18 +300,30 @@ def as_id_lists(doc):
     return {key: as_id_lists(value) for key, value in doc.items()}
 
 
-# Runs each command line of argv[1] (a JSON list) in process under a 2 GB
-# address-space cap, so that a class built id by id fails with MemoryError,
-# not an OOM kill; exits at the first command that does not exit 0.
+# Runs each command line of argv[1] (a JSON list of [argv, exit code]) in
+# process under a 2 GB address-space cap, so that a class built id by id
+# fails with MemoryError, not an OOM kill; exits at the first command that
+# does not exit with its code.
 CAPPED_COMMANDS = """
 import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
 from cflgap.cli import main
-for argv in json.loads(sys.argv[1]):
+for argv, expected in json.loads(sys.argv[1]):
     code = main(argv)
-    if code:
-        sys.exit(f"{argv}: exit {code}")
+    if code != expected:
+        sys.exit(f"{argv}: exit {code}, not {expected}")
 """
+
+HUGE_GEN = ["gen", "--general", "--nf", "1000000000000", "--t", "2", "--U", "4",
+            "--m", "13", "--eps", "2/5", "--xl", "1/8"]
+
+
+def run_capped(steps):
+    """Run ``(argv, exit code)`` steps through CAPPED_COMMANDS in a subprocess."""
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED_COMMANDS, json.dumps(steps)],
+        capture_output=True, text=True,
+    )
 
 
 class TestCoreAndCollide:
@@ -397,20 +410,34 @@ class TestCoreAndCollide:
         huge, first, second = (str(tmp_path / name)
                                for name in ("huge.json", "huge.core", "huge2.core"))
         steps = [
-            ["gen", "--general", "--nf", "1000000000000", "--t", "2", "--U", "4",
-             "--m", "13", "--eps", "2/5", "--xl", "1/8", "-o", huge],
+            [*HUGE_GEN, "-o", huge],
             ["core", "--instance", huge, "--random", "--seed", "1", "-o", first],
             ["core", "--instance", huge, "--random", "--seed", "2", "-o", second],
             ["lpcheck", first],
             ["collide", first, second],
         ]
-        result = subprocess.run(
-            [sys.executable, "-c", CAPPED_COMMANDS, json.dumps(steps)],
-            capture_output=True, text=True,
-        )
+        result = run_capped([(argv, 0) for argv in steps])
         assert result.returncode == 0, result.stderr
         for path in (first, second):
             assert os.path.getsize(path) < 4096
+
+    def test_rounding_commands_refuse_1e12_facilities(self, tmp_path):
+        # compile_plan built the outside bins id by id: verify-midpoint
+        # ended in a MemoryError traceback under this cap
+        huge, first, second = (str(tmp_path / name)
+                               for name in ("huge.json", "a.core", "b.core"))
+        result = run_capped([
+            ([*HUGE_GEN, "-o", huge], 0),
+            (["core", "--instance", huge, "--k", "0,1", "--l", "2,3", "-o", first], 0),
+            (["core", "--instance", huge, "--k", "0,1", "--l", "4,5", "-o", second], 0),
+            (["verify-midpoint", first, second], 2),
+            (["sample", first, second, "--n", "1", "--seed", "1"], 2),
+        ])
+        assert result.returncode == 0, result.stderr
+        refusal = ("error: facility count 1000000000000 exceeds the rounding plan's "
+                   f"limit {rounding.PLAN_FACILITY_LIMIT}")
+        assert result.stderr.count(refusal) == 2
+        assert "Traceback" not in result.stderr
 
     def test_malformed_subsets_exit_2(self, workspace):
         result = run(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 from cflgap.corevec import CoreIndex, make_core_vector, midpoint
 from cflgap.randomness import ExactRng
+from cflgap.rounding import expected_vector
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +25,4 @@ def test_python_api_block_runs_on_the_mini_pair(mini):
     assert (names["feasible"], sum(names["freq"].values()), names["flagged"]) == (100, 100, [])
     mid = midpoint(make_core_vector(mini, c1.k, c1.l), make_core_vector(mini, c2.k, c2.l))
     assert names["expectation"].equals(mid)
+    assert expected_vector(names["plan"], names["grouped"]).equals(mid)

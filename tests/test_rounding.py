@@ -589,8 +589,9 @@ class TestVerifyMidpoint:
     def test_drifted_class_weights_invalidate_certificate(self, mini, monkeypatch):
         # move probability mass between two feasible classes that open
         # different low facilities; the sum stays exactly 1 and every class
-        # stays feasible, so only the expectation can notice
-        exact = rounding.enumerate_outcome_classes
+        # stays feasible, so only the expectation can notice.  The
+        # certificate reads the classes per chosen group.
+        exact = rounding.enumerate_grouped_classes
         calls = []
 
         def drifted(plan):
@@ -605,7 +606,7 @@ class TestVerifyMidpoint:
                 for c in classes
             ]
 
-        monkeypatch.setattr(rounding, "enumerate_outcome_classes", drifted)
+        monkeypatch.setattr(rounding, "enumerate_grouped_classes", drifted)
         cert = verify_midpoint(mini, *mini_pair(mini))
         assert len(calls) == 1
         assert cert.all_classes_feasible
@@ -617,7 +618,7 @@ class TestVerifyMidpoint:
         # move one client from a high-set facility to the chosen low facility
         # in one class; its served total stays and no count passes capacity,
         # so the class stays feasible and only the expectation can notice
-        exact = rounding.enumerate_outcome_classes
+        exact = rounding.enumerate_grouped_classes
         cap = mini.capacity
 
         def drifted(plan):
@@ -640,7 +641,7 @@ class TestVerifyMidpoint:
             classes[idx] = replace(cl, parts=parts)
             return classes
 
-        monkeypatch.setattr(rounding, "enumerate_outcome_classes", drifted)
+        monkeypatch.setattr(rounding, "enumerate_grouped_classes", drifted)
         cert = verify_midpoint(mini, *mini_pair(mini))
         assert cert.all_classes_feasible
         assert cert.probability_sum == 1
