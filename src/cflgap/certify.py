@@ -23,7 +23,8 @@ from math import comb
 from typing import TYPE_CHECKING, Optional
 
 from .corevec import CoreIndex, make_core_vector
-from .instance import Instance, build_gap_costs, check_metric_admissible, require_valid
+from .instance import (CLIENT_LIMIT, FACILITY_LIMIT, Instance, build_gap_costs,
+                       check_metric_admissible, require_narrow, require_valid)
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -53,8 +54,10 @@ __all__ = [
 
 # exhaustive census refused above this many candidate pairs
 BRUTE_CENSUS_LIMIT = 100_000
-# candidate rows per array operation of the Monte Carlo census
+# candidate rows per array operation of the Monte Carlo census, and the
+# bytes of permutation rows it holds at once (1,000 rows up to 2,097 facilities)
 CENSUS_CHUNK = 1000
+CENSUS_CHUNK_BYTES = 1 << 24
 # candidate pairs per array operation of the brute-force census (at least one k')
 BRUTE_CENSUS_CHUNK = 16_384
 
@@ -214,12 +217,16 @@ def noncolliding_prob_mc(inst: Instance, samples: int, seed: int) -> McEstimate:
     n_f, t = inst.facility_count, require_valid(inst).t
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    require_narrow("facility", n_f, FACILITY_LIMIT, "the Monte Carlo census's")
     ref = reference_index(inst)
     rng = ExactRng(seed)
     ids = np.arange(n_f)
+    # permuted_rows draws as successive permutations do, so the hits do not
+    # depend on the chunk size
+    chunk = min(CENSUS_CHUNK, max(1, CENSUS_CHUNK_BYTES // (8 * n_f)))
     hits = 0
-    for start in range(0, samples, CENSUS_CHUNK):
-        perms = rng.permuted_rows(ids, min(CENSUS_CHUNK, samples - start))
+    for start in range(0, samples, chunk):
+        perms = rng.permuted_rows(ids, min(chunk, samples - start))
         hits += int(np.count_nonzero(
             _noncolliding_rows(ref, n_f, perms[:, :t], perms[:, t : 2 * t])
         ))
@@ -305,6 +312,7 @@ def analytic_opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
     from .rounding import IntSolution, solution_violations
 
     t = require_valid(inst).t
+    require_narrow("client", inst.client_count, CLIENT_LIMIT, "the gap witness's")
     cap = inst.capacity
     k_sorted = sorted(core_index.k)
     low_open = min(core_index.l)

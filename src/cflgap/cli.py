@@ -128,6 +128,13 @@ def _parse_id_spec(spec: str, t: int, facility_count: int) -> list[int]:
     return out
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, the seed of one PCG64 stream."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _resolve_instance(args) -> tuple[Instance, dict]:
     """Instance from --instance FILE, or built inline from --t/--a."""
     if args.instance:
@@ -505,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=str)
     p.add_argument("--l", type=str)
     p.add_argument("--random", action="store_true")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--dense", action="store_true")
 
     sub.add_parser("collide", parents=[pair], help="exit 0 iff two core vectors collide")
@@ -525,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="draw integer solutions from the distribution",
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--solutions-dir")
 
     p = sub.add_parser(
@@ -535,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true")
     p.add_argument("--formula-only", action="store_true")
     p.add_argument("--mc", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
 
     p = sub.add_parser(
         "certify", parents=[source, output], help="gap certificate for a core vector"

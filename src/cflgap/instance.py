@@ -278,6 +278,26 @@ def require_valid(inst: Instance) -> FamilyParams:
     return inst.family
 
 
+# Most ids a table with one entry per facility, or per client, is built for.
+# Rounding plans, gap costs and the Monte Carlo census hold facility-wide
+# tables (verify_midpoint peaks near 0.7 GB at 10**6 facilities); the
+# sampler's rows, the gap costs' client mask and the gap witness client-wide
+# ones (sample and certify peak near 1 GB at 6 * 10**7 clients, and both
+# fail at 1.2 * 10**8 under a 2 GB address-space cap).
+FACILITY_LIMIT = 1_000_000
+CLIENT_LIMIT = 50_000_000
+
+
+def require_narrow(kind: str, count: int, limit: int, owner: str) -> None:
+    """ValueError naming ``count`` when it exceeds ``limit``, before ``owner``
+    builds a table with one entry per ``kind``."""
+    if count > limit:
+        raise ValueError(
+            f"{kind} count {count} exceeds {owner} limit {limit}: "
+            f"its per-{kind} tables would not fit in memory"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Cost vectors
 # ---------------------------------------------------------------------------
@@ -302,6 +322,8 @@ class CostVector:
         near_facilities: Collection[int],
         near_clients: Collection[int],
     ):
+        require_narrow("facility", facility_count, FACILITY_LIMIT, "the gap cost vector's")
+        require_narrow("client", client_count, CLIENT_LIMIT, "the gap cost vector's")
         self.facility_count = facility_count
         self.client_count = client_count
         self.unit_opening = _role_mask(unit_opening, facility_count, "unit_opening")

@@ -10,7 +10,8 @@ leftover clients are spread in near-even splits.
 
 :func:`compile_plan` validates the instance and the pair once and compiles
 the distribution into a :class:`RoundingPlan`: the pivots, both experiments'
-facility roles and the client pools as ranges.  The plan stores the
+facility roles, their groups of exchangeable low-set facilities and the
+client pools as ranges.  The plan stores the
 distribution only in compiled form: the low-set choice as integer
 thresholds over one denominator, and every slot target and the borrowed
 pivot's opening as a floor/ceil coin.  Two views read the same plan:
@@ -54,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import repeat
+from itertools import groupby, repeat
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -62,7 +63,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .corevec import CoreIndex, FracVector, make_core_vector, midpoint
-from .instance import ONE, ZERO, Instance, over_common_denominator, require_valid
+from .instance import (CLIENT_LIMIT, ONE, ZERO, Instance, over_common_denominator,
+                       require_narrow, require_valid)
+from .instance import FACILITY_LIMIT as PLAN_FACILITY_LIMIT
 from .randomness import ExactRng, cumulative_thresholds
 
 __all__ = [
@@ -298,6 +301,10 @@ class _Experiment:
     choice_denominator: int
     choice_thresholds: tuple[int, ...]
     choice_slots: tuple[_FloorCoin, ...]
+    # choice_set as groups of exchangeable facilities (one choice step, one
+    # slot coin, open sets of one shape): the pivot, then the others in the
+    # other index's k, in its l and outside both
+    choice_groups: tuple[tuple[int, ...], ...]
     extra_coin: _FloorCoin   # reads 1 (probability t*eps) when pivot_extra opens
     extra_slots: _FloorCoin  # pivot_extra's slot target when it opens
 
@@ -399,7 +406,6 @@ def _experiment_specs(
 ) -> tuple[_Experiment, _Experiment]:
     params = inst.family
     t, eps, x_l = params.t, params.eps, params.x_l
-    f, g = pivot_facilities(c1, c2)
     q = inst.facility_count - 2 * t
     p_pivot = 1 - (t - 1) * eps
     p_extra = t * eps
@@ -410,10 +416,14 @@ def _experiment_specs(
     extra_coin = _FloorCoin.of(p_extra)
     extra_slots = _FloorCoin.of(Fraction(n_rest, q) / p_extra if n_rest else ZERO)
 
-    def build(label: str, own: CoreIndex, pivot: int, borrowed: int) -> _Experiment:
+    def build(label: str, own: CoreIndex, other: CoreIndex) -> _Experiment:
         # the own pivot takes the residual probability, the other low-set
         # facilities eps each; the other side's pivot is the borrowed one
+        pivot, borrowed = pivot_facilities(own, other)
         choice_set = tuple(sorted(own.l))
+        # each low-set facility's place in the order of choice_groups
+        role = {i: 1 if i in other.k else 2 if i in other.l else 3 for i in choice_set}
+        role[pivot] = 0
         is_pivot = [i == pivot for i in choice_set]
         denominator, thresholds = cumulative_thresholds(
             [p_pivot if flag else eps for flag in is_pivot]
@@ -430,17 +440,14 @@ def _experiment_specs(
             choice_denominator=denominator,
             choice_thresholds=thresholds,
             choice_slots=tuple(pivot_slots if flag else other_slots for flag in is_pivot),
+            choice_groups=tuple(
+                tuple(group) for _, group in groupby(sorted(choice_set, key=role.get), role.get)
+            ),
             extra_coin=extra_coin,
             extra_slots=extra_slots,
         )
 
-    return build("A", c1, f, g), build("B", c2, g, f)
-
-
-# Most facilities a plan is compiled for: its outside bins, open sets and
-# the sampler's tables hold every facility id (at 10**6 facilities and
-# t = 2, verify_midpoint peaks near 0.7 GB).
-PLAN_FACILITY_LIMIT = 1_000_000
+    return build("A", c1, c2), build("B", c2, c1)
 
 
 def compile_plan(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> RoundingPlan:
@@ -452,11 +459,8 @@ def compile_plan(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> RoundingPlan:
     the empty side) when the pair does not collide.
     """
     require_valid(inst)
-    if inst.facility_count > PLAN_FACILITY_LIMIT:
-        raise ValueError(
-            f"facility count {inst.facility_count} exceeds the rounding plan's limit "
-            f"{PLAN_FACILITY_LIMIT}: its per-facility tables would not fit in memory"
-        )
+    # the outside bins, open sets and sampler tables hold every facility id
+    require_narrow("facility", inst.facility_count, PLAN_FACILITY_LIMIT, "the rounding plan's")
     return RoundingPlan(inst, _experiment_specs(inst, c1, c2))
 
 
@@ -575,11 +579,13 @@ def sample_block(
     feasibility and class keys, do not change under a permutation within a
     row, and the shuffle draws from ``rng`` after every decision of the
     block, so the decisions are the same either way (the state ``rng`` is
-    left in is not).  Assignments are read-only.
+    left in is not).  Assignments are read-only.  An instance of more than
+    ``CLIENT_LIMIT`` clients is refused with a ValueError before any draw.
     """
     inst, tables = plan.inst, plan._tables
-    branches, open_of, counts = _draw_decisions(plan, rng, count)
     n_core, n_clients = len(inst.designated_clients), inst.client_count
+    require_narrow("client", n_clients, CLIENT_LIMIT, "the sampler's")
+    branches, open_of, counts = _draw_decisions(plan, rng, count)
     step = max(1, _CHUNK_BYTES // (8 * max(n_clients, inst.facility_count, 1)))
     for lo in range(0, count, step):
         hi = min(count, lo + step)
@@ -676,27 +682,12 @@ def _split_part(total: int, bins: tuple[int, ...], capacity: int) -> tuple:
 
 
 # One branch combination of a chosen group, for any one member chosen:
-# (slots1, extra_open, parts, probability, problems, over).  ``slots1`` are
-# the chosen facility's clients, ``parts`` the high-set, pivot and outside
-# parts, ``probability`` that of the branch with one given member chosen,
+# (slots1, extra_open, parts, probability, problems).  ``slots1`` are the
+# chosen facility's clients, ``parts`` the high-set, pivot and outside
+# parts, ``probability`` that of the branch with one given member chosen and
 # ``problems`` the ones that name no facility (an overfilled pool, the served
-# count) and ``over`` the entries of ``parts`` above capacity, unsorted.
-_GroupBranch = tuple[int, bool, tuple, Fraction, tuple[str, ...], tuple]
-
-
-def _choice_groups(exp: _Experiment, other: _Experiment) -> list[tuple[int, ...]]:
-    """``exp``'s low set as groups of exchangeable facilities: its pivot (the
-    facility ``other`` borrows), then the others in the other index's k (the
-    high set of ``other``), in its l, and outside both."""
-    pivot = other.pivot_extra
-    rest = [i for i in exp.choice_set if i != pivot]
-    k, l = frozenset(other.always_open), frozenset(other.choice_set)
-    roles = (
-        [i for i in rest if i in k],
-        [i for i in rest if i in l],
-        [i for i in rest if i not in k and i not in l],
-    )
-    return [(pivot,), *(tuple(role) for role in roles if role)]
+# count).
+_GroupBranch = tuple[int, bool, tuple, Fraction, tuple[str, ...]]
 
 
 def _group_branches(
@@ -704,9 +695,9 @@ def _group_branches(
 ) -> Iterator[tuple[_Experiment, list[tuple[tuple[int, ...], list[_GroupBranch]]]]]:
     """Per experiment, each chosen group with its branches in enumeration order.
 
-    Within an experiment, the members of a group (:func:`_choice_groups`)
-    have one choice probability, one slot coin and open sets of one shape,
-    so a group's branches are built once for all of them.  A low-set choice
+    Within an experiment, the members of a group (``choice_groups``) have
+    one choice probability, one slot coin and open sets of one shape, so a
+    group's branches are built once for all of them.  A low-set choice
     has its threshold step over the denominator, halved by the fair
     experiment coin; a coin with no fractional part has one branch, so no
     branch of probability zero (e.g. the closed-pivot branch when t*eps = 1)
@@ -722,7 +713,7 @@ def _group_branches(
     split = cache(partial(_split_part, capacity=inst.capacity))
     coin_branches = cache(_FloorCoin.branches)
     n_core, m_rest = len(inst.designated_clients), len(inst.rest_clients)
-    for exp, other in zip(plan.experiments, plan.experiments[::-1]):
+    for exp in plan.experiments:
         step2: list[tuple[bool, int, Fraction, tuple, tuple, tuple[str, ...]]] = []
         # the open branches (coin reads 1) before the closed one
         branches2 = [
@@ -748,7 +739,7 @@ def _group_branches(
         bounds = zip((0,) + exp.choice_thresholds, exp.choice_thresholds)
         steps = dict(zip(exp.choice_set, zip(bounds, exp.choice_slots)))
         groups = []
-        for group in _choice_groups(exp, other):
+        for group in exp.choice_groups:
             (lo, hi), coin = steps[group[0]]
             p_choice = Fraction(hi - lo, 2 * exp.choice_denominator)
             branches = []
@@ -770,10 +761,7 @@ def _group_branches(
                         problems += (
                             f"the profile serves {served} of {inst.client_count} clients",
                         )
-                    branches.append((
-                        slots1, extra_open, (high, pivot, rest), p1 * p_s2, problems,
-                        high[2] + pivot[2] + rest[2],
-                    ))
+                    branches.append((slots1, extra_open, (high, pivot, rest), p1 * p_s2, problems))
             groups.append((group, branches))
         yield exp, groups
 
@@ -785,7 +773,7 @@ def _group_classes(
     chosen, count = members[0], len(members)
     lows: dict[int, tuple] = {}  # the chosen facility's part, per slot count
     open_sets: dict[bool, frozenset[int]] = {}
-    for slots1, extra_open, parts, probability, problems, over in branches:
+    for slots1, extra_open, parts, probability, problems in branches:
         if count > 1:
             probability *= count
         low = lows.get(slots1)
@@ -794,10 +782,11 @@ def _group_classes(
         open_set = open_sets.get(extra_open)
         if open_set is None:
             open_set = open_sets[extra_open] = exp.open_set(chosen, extra_open)
-        if low[2] or over:
+        over = low[2] + parts[0][2] + parts[1][2] + parts[2][2]
+        if over:
             problems += tuple(
                 f"facility {fac} serves {cnt} clients above capacity {capacity}"
-                for fac, cnt in sorted(low[2] + over)
+                for fac, cnt in sorted(over)
             )
         # the bin groups lie in base_open, so only the borrowed pivot can
         # serve clients while closed

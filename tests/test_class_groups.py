@@ -11,6 +11,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,38 @@ def test_grouped_classes_expand_to_the_per_facility_list(name):
     by_group = expected_vector(plan, grouped)
     by_facility = expected_vector(plan, expanded)
     assert by_group.equals(by_facility) and by_facility.equals(by_group)
+
+
+def groups_from_indices(own, other):
+    """``own``'s low set as exchangeable groups, from the two indices alone: the
+    pivot, then the others in ``other``'s k, in its l and outside both."""
+    pivot = min(own.l - other.k - other.l)
+    rest = sorted(own.l - {pivot})
+    roles = ([i for i in rest if i in other.k], [i for i in rest if i in other.l],
+             [i for i in rest if i not in other.k | other.l])
+    return [(pivot,), *(tuple(role) for role in roles if role)]
+
+
+def colliding_mini_pairs():
+    inst = PINNED_PAIRS["mini"][0]
+    indices = [_index(inst, k, l) for k in combinations(range(6), 2)
+               for l in combinations(sorted(set(range(6)) - set(k)), 2)]
+    return [(inst, c1, c2) for c1 in indices for c2 in indices if collides(c1, c2)]
+
+
+# t10-random-2 has all four groups in both experiments
+@pytest.mark.parametrize("name", ["every-mini-pair", "t10-acceptance-2", "t10-random-2",
+                                  "t20-random-1", "t20-random-2"])
+def test_plan_compiles_each_experiments_groups(name):
+    pairs = colliding_mini_pairs() if name == "every-mini-pair" else [pinned_pair(name)]
+    for inst, c1, c2 in pairs:
+        plan = compile_plan(inst, c1, c2)
+        grouped = enumerate_grouped_classes(plan)
+        for exp, own, other in zip(plan.experiments, (c1, c2), (c2, c1)):
+            assert list(exp.choice_groups) == groups_from_indices(own, other)
+            assert sorted(i for group in exp.choice_groups for i in group) == list(exp.choice_set)
+            listed = [cl.members for cl in grouped if cl.experiment == exp.label]
+            assert [members for members, _ in groupby(listed)] == list(exp.choice_groups)
 
 
 @pytest.mark.parametrize("name", sorted(INFEASIBLE))

@@ -317,6 +317,10 @@ for argv, expected in json.loads(sys.argv[1]):
 HUGE_GEN = ["gen", "--general", "--nf", "1000000000000", "--t", "2", "--U", "4",
             "--m", "13", "--eps", "2/5", "--xl", "1/8"]
 
+# 2 * 10**12 + 3 clients on 6 facilities: a valid instance
+WIDE_GEN = ["gen", "--general", "--nf", "6", "--t", "2", "--U", "1000000000000",
+            "--m", "2000000000003", "--eps", "2/5", "--xl", "1/8"]
+
 
 def run_capped(steps):
     """Run ``(argv, exit code)`` steps through CAPPED_COMMANDS in a subprocess."""
@@ -438,6 +442,32 @@ class TestCoreAndCollide:
                    f"limit {rounding.PLAN_FACILITY_LIMIT}")
         assert result.stderr.count(refusal) == 2
         assert "Traceback" not in result.stderr
+
+    def test_wide_instances_are_refused_before_their_tables_are_built(self, tmp_path):
+        # certify, oracle opt and census --mc built facility-wide masks and
+        # rows, sample and certify client-wide ones: each ended in a numpy
+        # MemoryError traceback under this cap
+        huge, a, wide, wa, wb = (str(tmp_path / name) for name in
+                                 ("huge.json", "a.core", "wide.json", "wa.core", "wb.core"))
+        result = run_capped([
+            ([*HUGE_GEN, "-o", huge], 0),
+            (["core", "--instance", huge, "--k", "0,1", "--l", "2,3", "-o", a], 0),
+            (["certify", "--core", a], 2),
+            (["certify", "--instance", huge], 2),
+            (["oracle", "opt", "--core", a], 2),
+            (["census", "--instance", huge, "--mc", "10", "--seed", "1"], 2),
+            ([*WIDE_GEN, "-o", wide], 0),
+            (["core", "--instance", wide, "--k", "0,1", "--l", "2,3", "-o", wa], 0),
+            (["core", "--instance", wide, "--k", "0,1", "--l", "4,5", "-o", wb], 0),
+            (["sample", wa, wb, "--n", "1", "--seed", "1"], 2),
+            (["certify", "--core", wa], 2),
+            (["verify-midpoint", wa, wb], 0),
+        ])
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.count("error: facility count 1000000000000 exceeds ") == 4
+        assert result.stderr.count("error: client count 2000000000003 exceeds ") == 2
+        assert "Traceback" not in result.stderr
+        assert "classes=24" in result.stdout and "valid=True" in result.stdout
 
     def test_malformed_subsets_exit_2(self, workspace):
         result = run(
@@ -1167,6 +1197,21 @@ class TestCensusCertifyBound:
         assert result.returncode == 2, result.stderr
         assert message in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["core", "--instance", "{mini}", "--random", "--seed", "-5"],
+        ["sample", "{a}", "{b}", "--n", "1", "--seed", "-1"],
+        ["census", "--instance", "{mini}", "--mc", "3", "--seed", "-2"],
+    ], ids=["core-random", "sample", "census-mc"])
+    def test_negative_seed_exits_2_naming_seed(self, workspace, argv, capsys):
+        # core --random passed it to numpy ("expected non-negative integer");
+        # sample and census --mc masked it to 64 bits and ran
+        argv = [arg.format(**workspace) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert (f"argument --seed: must be a non-negative integer, got '{argv[-1]}'"
+                in capsys.readouterr().err)
 
     def test_bound_t10(self, tmp_path):
         out = tmp_path / "bound.json"

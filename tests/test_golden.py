@@ -99,6 +99,18 @@ def test_sample_report_does_not_depend_on_the_chunk_budget(tmp_path, monkeypatch
     assert _digest(tmp_path / "s.json") == GOLDEN["mini-n300"]
 
 
+def test_census_mc_report_does_not_depend_on_the_chunk_budget(tmp_path, monkeypatch):
+    # permuted_rows draws as successive permutations do, so chunks of seven
+    # rows, not 1,000, count the same hits
+    import cflgap.certify as certify
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(certify, "CENSUS_CHUNK_BYTES", 8 * 6 * 7)
+    _cli(*MINI_GEN, "-o", "mini.json")
+    argv = ["census", "--instance", "mini.json", "--mc", "2000", "--seed", "7"]
+    assert _pinned(argv, "census_mc.json") == GOLDEN_CLI["census-mc"]
+
+
 TINY_GEN = ["gen", "--general", "--nf", "3", "--t", "1", "--U", "2", "--m", "3",
             "--eps", "1/2", "--xl", "1/3"]
 
