@@ -36,7 +36,9 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
 
 :func:`tally_draws` checks and keys the chunks from their facility loads.
 One function counts loads, :func:`_row_loads`: unknown ids go to one extra
-column, then one row-offset ``bincount`` counts a chunk.
+column, then a chunk of long runs of equal ids (pool-order rows) is counted
+from its run starts and lengths, and any other chunk by one row-offset
+``bincount``.
 :func:`solution_violations` and :func:`outcome_class_key` are its one-row
 cases, so a draw the tally cannot count has violations and no key in all
 three.
@@ -55,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -159,6 +161,11 @@ def solution_violations(inst: Instance, sol: IntSolution) -> list[str]:
     return out
 
 
+# The mean run of equal ids from which _row_loads counts a chunk by its
+# runs: np.add.at costs about as much per run as bincount for 8-10 ids.
+_RUN_LENGTH = 16
+
+
 def _row_loads(inst: Instance, assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a 2-d int64 assignment, whether it can be counted and its
     clients per facility.
@@ -166,17 +173,41 @@ def _row_loads(inst: Instance, assign: np.ndarray) -> tuple[np.ndarray, np.ndarr
     A row can be counted when it has one entry per client and names only
     known facility ids.  Read as uint64, a negative id is at least 2**63,
     so one minimum sends every unknown id to an extra column ``n_f`` and a
-    huge id costs no table.  Then one ``bincount``, each row offset by
-    ``row * (n_f + 1)``, counts every row.  The loads of a row that cannot
-    be counted mean nothing.
+    huge id costs no table.  Each row's ids are counted into its own
+    ``n_f + 1`` columns of one flat table, in one of two ways:
+
+    * by runs, when the chunk's runs of equal ids average at least
+      ``_RUN_LENGTH`` entries, as in a pool-order row.  One ``not_equal``
+      marks where the id changes, and every row start begins a run.  Every
+      entry carries its run's id, so the minimum over the run ids checks
+      every entry, and ``np.add.at`` adds the run lengths to their columns
+      (an id may recur within a row).
+    * otherwise (shuffled or narrow rows), by one ``bincount`` of every id,
+      each row offset by ``row * (n_f + 1)``.
+
+    The loads of a row that cannot be counted mean nothing.
     """
-    rows, n_f = len(assign), inst.facility_count
-    ids = np.minimum(assign.view(np.uint64), n_f).view(np.int64)
-    if rows > 1:  # one row needs no offset, so a single draw stays cheap to check
-        ids += np.arange(0, rows * (n_f + 1), n_f + 1)[:, None]
-    loads = np.bincount(ids.ravel(), minlength=rows * (n_f + 1)).reshape(rows, n_f + 1)
+    (rows, width), n_f = assign.shape, inst.facility_count
+    flat, starts = assign.ravel(), None
+    if width >= _RUN_LENGTH:  # a narrower row cannot average a run that long
+        change = np.empty(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=change[1:])
+        change[::width] = True
+        if np.count_nonzero(change) * _RUN_LENGTH <= flat.size:
+            starts = np.flatnonzero(change)
+    if starts is None:
+        ids = np.minimum(assign.view(np.uint64), n_f).view(np.int64)
+        if rows > 1:  # one row needs no offset, so a single draw stays cheap to check
+            ids += np.arange(0, rows * (n_f + 1), n_f + 1)[:, None]
+        loads = np.bincount(ids.ravel(), minlength=rows * (n_f + 1))
+    else:
+        ids = np.minimum(flat[starts].view(np.uint64), n_f).view(np.int64)
+        ids += starts // width * (n_f + 1)
+        loads = np.zeros(rows * (n_f + 1), dtype=np.int64)
+        np.add.at(loads, ids, np.diff(starts, append=flat.size))
+    loads = loads.reshape(rows, n_f + 1)
     counted = loads[:, n_f] == 0
-    if assign.shape[1] != inst.client_count:
+    if width != inst.client_count:
         counted[:] = False
     return counted, loads[:, :n_f]
 
@@ -512,8 +543,10 @@ class DrawChunk:
 
 
 # Bytes of assignments (and of the facility loads tally_draws counts from
-# them) that sample_block materializes at once.
-_CHUNK_BYTES = 1 << 18
+# them) that sample_block materializes at once: three t=10 rows of 160 KB.
+# Each chunk costs fixed Python work, and a pool-order chunk, counted by
+# its runs, need not fit in cache.
+_CHUNK_BYTES = 1 << 19
 
 
 def _draw_decisions(
@@ -905,12 +938,19 @@ _LOAD_TABLE_BYTES = 1 << 23
 def _open_limits(inst: Instance, open_sets: Sequence[frozenset[int]]) -> np.ndarray:
     """Per open set, the capacity on its members and 0 elsewhere; -1
     everywhere when it names an unknown facility id, so no row fits it."""
-    limits = np.zeros((len(open_sets), inst.facility_count), dtype=np.int64)
-    for index, open_set in enumerate(open_sets):
-        if _has_unknown_id(open_set, inst.facility_count):
-            limits[index] = -1
-        else:
-            limits[index, list(open_set)] = inst.capacity
+    n_f = inst.facility_count
+    sizes = [len(open_set) for open_set in open_sets]
+    try:
+        members = np.fromiter(chain.from_iterable(open_sets), np.int64, sum(sizes))
+    except OverflowError:  # an id beyond int64 is unknown; clamping keeps it so
+        members = np.fromiter(
+            (min(max(i, -1), n_f) for i in chain.from_iterable(open_sets)), np.int64, sum(sizes)
+        )
+    rows = np.repeat(np.arange(len(open_sets)), sizes)
+    unknown = (members < 0) | (members >= n_f)
+    limits = np.zeros((len(open_sets), n_f), dtype=np.int64)
+    limits[rows[~unknown], members[~unknown]] = inst.capacity
+    limits[rows[unknown]] = -1
     return limits
 
 

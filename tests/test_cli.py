@@ -513,24 +513,26 @@ class TestVerifyMidpointAndSample:
         assert "seed" in first and len(first["assign"]) == 13
 
     def test_t10_solutions_of_a_multi_chunk_block_read_back_feasible(self, tmp_path):
-        # a t=10 row is 160 KB, so each of the block's draws is its own chunk
+        # a t=10 row is 160 KB, so one draw more than a chunk's rows spans two chunks
         from cflgap.instance import build_family_instance
         from cflgap.io import solution_from_doc
         from cflgap.rounding import solution_violations
 
+        family10 = build_family_instance(10, 2)
+        n = max(1, rounding._CHUNK_BYTES // (8 * family10.client_count)) + 1
         inst, a, b = tmp_path / "t10.json", tmp_path / "a.core", tmp_path / "b.core"
         sol_dir = tmp_path / "sols"
         for argv in (
             ["gen", "--family", "--t", "10", "--a", "2", "-o", str(inst)],
             ["core", "--instance", str(inst), "--k", "0..9", "--l", "10..19", "-o", str(a)],
             ["core", "--instance", str(inst), "--k", "20..29", "--l", "30..39", "-o", str(b)],
-            ["sample", str(a), str(b), "--n", "3", "--seed", "8", "--solutions-dir", str(sol_dir)],
+            ["sample", str(a), str(b), "--n", str(n), "--seed", "8",
+             "--solutions-dir", str(sol_dir)],
         ):
             assert run_in_process(*argv) == 0, argv
-        family10 = build_family_instance(10, 2)
         sols = [solution_from_doc(json.loads(path.read_text()))
                 for path in sorted(sol_dir.iterdir())]
-        assert len(sols) == 3 and len(set(sols)) == 3
+        assert len(sols) == n and len(set(sols)) == n
         assert all(solution_violations(family10, sol) == [] for sol in sols)
 
     def test_count_only_sample_does_not_shuffle(self, tmp_path, monkeypatch):

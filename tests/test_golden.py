@@ -6,9 +6,12 @@ only spreads the seeded blocks of draws over processes, so each digest is
 checked at ``--jobs 1`` and ``--jobs 2``.  The ``sample`` digests were
 pinned when each block's draws became arrays (``rounding.sample_block``):
 its decisions first, then its assignments chunk by chunk.  Any change to
-the order or arguments of the ``ExactRng`` calls a block makes, or to the
-chunk size, changes the ``--solutions-dir`` files; the reports depend only
-on the decisions.  The non-sampling commands are pinned by exit code, stdout and
+the order or arguments of the ``ExactRng`` calls a block makes changes the
+``--solutions-dir`` files; so does a change to the chunk size, for a block
+that spans more than one chunk.  The pinned files are MINI's, and a MINI
+block of up to 1,000 draws is one chunk (a ``t=10`` chunk holds three
+draws).  The reports depend only on the decisions.  The non-sampling
+commands are pinned by exit code, stdout and
 ``-o`` bytes together; their digests were recorded before dense vectors
 became classed vectors with singleton classes.  Commands run in a temporary
 directory with relative paths, so the manifests (which name the files) are

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -346,9 +347,12 @@ class TestBlockSampler:
             assert abs(block_keys[key] / n - pf) <= 4 * sigma, key
 
     def test_chunks_hold_a_bounded_number_of_rows(self, family10, mini):
-        # t=10 rows are 160 KB, so each is a chunk; MINI blocks are one chunk
+        # a chunk holds as many 160 KB t=10 rows as fit its budget; MINI
+        # blocks are one chunk
+        per_chunk = max(1, rounding._CHUNK_BYTES // (8 * family10.client_count))
         plan = compile_plan(family10, *t10_pair(family10))
-        assert [len(c) for c in rounding.sample_block(plan, ExactRng(1), 3)] == [1, 1, 1]
+        chunks = rounding.sample_block(plan, ExactRng(1), 2 * per_chunk + 1)
+        assert [len(c) for c in chunks] == [per_chunk, per_chunk, 1]
         plan = compile_plan(mini, *mini_pair(mini))
         assert [len(c) for c in rounding.sample_block(plan, ExactRng(1), 1000)] == [1000]
 
@@ -705,10 +709,11 @@ def reference_key(plan, draw):
             tuple(sorted(profile.items())))
 
 
-def spoiled_chunks(plan, seed, n, spoil_every=0):
-    """The block sampler's chunks of ``n`` draws of ``plan``; with
-    ``spoil_every``, every such draw gets a client moved to a random id in
-    [-2, facility_count + 2) or dropped, and becomes a chunk of its own."""
+def spoiled_chunks(plan, seed, n, spoil_every=0, shuffle=True):
+    """The block sampler's chunks of ``n`` draws of ``plan``, shuffled or in
+    pool order; with ``spoil_every``, every such draw gets a client moved to
+    a random id in [-2, facility_count + 2) or dropped, and becomes a chunk
+    of its own."""
     spoil = np.random.default_rng(seed)
     n_f = plan.inst.facility_count
 
@@ -721,7 +726,7 @@ def spoiled_chunks(plan, seed, n, spoil_every=0):
         return replace(draw, solution=IntSolution(draw.solution.open, assign))
 
     positions = range(spoil_every - 1, n, spoil_every) if spoil_every else ()
-    chunks = rounding.sample_block(plan, ExactRng(seed), n)
+    chunks = rounding.sample_block(plan, ExactRng(seed), n, shuffle=shuffle)
     return list(spoil_rows(plan, chunks, dict.fromkeys(positions, spoiled)))
 
 
@@ -772,15 +777,25 @@ class TestDrawTally:
         )
         assert tally == (n, expected, [])
 
-    @pytest.mark.parametrize("table_rows", [1, 7, 1000])
+    @pytest.mark.parametrize("table_rows, shuffle, run_length", [
+        pytest.param(
+            table_rows, shuffle, run_length,
+            id=f"{table_rows}{'' if shuffle else '-pool-order'}{'-runs' * (run_length == 1)}",
+        )
+        for table_rows in (1, 7, 1000) for shuffle in (True, False) for run_length in (14, 1)
+    ])
     def test_spoiled_draws_match_per_draw_checks_in_any_chunking(
-        self, mini, monkeypatch, table_rows
+        self, mini, monkeypatch, table_rows, shuffle, run_length
     ):
-        # chunks of table_rows MINI rows (13 clients), keyed table_rows at a time
+        # chunks of table_rows MINI rows (13 clients), keyed table_rows at a
+        # time, shuffled or in pool order.  A run length of 14 counts every
+        # MINI chunk one id at a time; 1 counts every chunk by its runs, so
+        # a spoiled id inside a pool-order run reaches the run count.
         monkeypatch.setattr(rounding, "_CHUNK_BYTES", 8 * 13 * table_rows)
         monkeypatch.setattr(rounding, "_LOAD_TABLE_BYTES", 8 * 6 * table_rows)
+        monkeypatch.setattr(rounding, "_RUN_LENGTH", run_length)
         plan = compile_plan(mini, *mini_pair(mini))
-        chunks = spoiled_chunks(plan, 4, 600, spoil_every=9)
+        chunks = spoiled_chunks(plan, 4, 600, spoil_every=9, shuffle=shuffle)
         draws = list(block_draws(plan, chunks))
         tally = rounding.tally_draws(plan, iter(chunks), 40)
         assert tally == expected_tally(plan, draws, 40)
@@ -809,6 +824,42 @@ class TestDrawTally:
         assert peak < 48 * 2**20
 
 
+def run_row(data, ids, width):
+    """A row of ``width`` entries: runs of ids drawn from one of ``ids`` by
+    random lengths, some of them 0."""
+    run_ids = data.draw(st.lists(data.draw(st.sampled_from(ids)), min_size=1, max_size=8))
+    cuts = data.draw(st.lists(
+        st.integers(0, width), min_size=len(run_ids) - 1, max_size=len(run_ids) - 1
+    ))
+    return np.repeat(np.array(run_ids, dtype=np.int64), np.diff([0, *sorted(cuts), width]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_loads_count_runs_and_shuffled_rows_as_a_per_row_counter(data):
+    """Chunks of runs at MINI width (counted one id at a time) and wide
+    (counted by their runs), row-shuffled and one row at a time."""
+    n_f = data.draw(st.integers(1, 8))
+    # a row of known ids, which can recur, or of any ids
+    ids = (st.integers(0, n_f - 1), st.integers(-3, n_f + 3) | st.sampled_from([2**40, 2**62]))
+    shuffle = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    for width in (13, 32 * rounding._RUN_LENGTH):
+        chunk = np.array([run_row(data, ids, width) for _ in range(data.draw(st.integers(1, 4)))])
+        shuffled = shuffle.permuted(chunk, axis=1)
+        for client_count in (width, width + data.draw(st.sampled_from([-1, 1]))):
+            inst = SimpleNamespace(facility_count=n_f, client_count=client_count)
+            for assign in (chunk, shuffled, *(rows[r:r + 1] for rows in (chunk, shuffled)
+                                              for r in range(len(chunk)))):
+                counted, loads = rounding._row_loads(inst, assign)
+                assert loads.shape == (len(assign), n_f) and loads.dtype == np.int64
+                for row, row_counted, row_loads in zip(assign.tolist(), counted, loads):
+                    counts = Counter(row)
+                    countable = width == client_count and all(0 <= i < n_f for i in counts)
+                    assert row_counted == countable
+                    if countable:
+                        assert row_loads.tolist() == [counts[i] for i in range(n_f)]
+
+
 @pytest.mark.parametrize("spoil", [
     lambda ids, n_f: [n_f, *ids[1:]],
     lambda ids, n_f: [-1, *ids[1:]],
@@ -833,12 +884,15 @@ def test_uncountable_draw_has_no_key_and_the_tally_agrees(mini, spoil):
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(data=st.data())
 def test_load_core_and_prelude_give_the_reference_violations(mini, data):
-    """Random assignments and open sets within the MINI shape, counted or not."""
+    """Random assignments and open sets around the MINI shape, counted or not;
+    an open set may hold an id beyond int64."""
     n_f, n_c = mini.facility_count, mini.client_count
     length = data.draw(st.sampled_from([n_c - 1, n_c, n_c, n_c, n_c + 1]))
     ids = st.integers(0, n_f - 1) | st.integers(-2, n_f + 1) | st.sampled_from([10**12])
     sol = IntSolution(
-        open=frozenset(data.draw(st.sets(st.integers(-1, n_f), max_size=n_f + 2))),
+        open=frozenset(data.draw(
+            st.sets(st.integers(-1, n_f) | st.just(2**64), max_size=n_f + 2)
+        )),
         assign=data.draw(st.lists(ids, min_size=length, max_size=length)),
     )
     expected = reference_violations(mini, sol)
