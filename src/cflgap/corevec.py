@@ -65,6 +65,18 @@ def _runs(ids) -> Runs:
     return tuple(merged)
 
 
+def _complement(ids: Iterable[int], n: int) -> Runs:
+    """The ids of ``[0, n)`` not in ``ids``: the runs between their sorted members."""
+    runs, lo = [], 0
+    for i in sorted(ids):
+        if lo < i:
+            runs.append((lo, i))
+        lo = i + 1
+    if lo < n:
+        runs.append((lo, n))
+    return tuple(runs)
+
+
 @dataclass(frozen=True)
 class CoreIndex:
     """Ordered pair of disjoint facility t-sets.
@@ -273,21 +285,22 @@ def _refine(
 ) -> list[tuple[Runs, int, int]]:
     """Common refinement of two run partitions: (runs, index in a, index in b).
 
-    Both partitions tile the same ``[0, n)``, so one merge over their sorted
-    runs cuts it at the union of their breakpoints; the pieces that share a
-    pair of classes form one atom, and atoms are ordered by least id.
+    Both partitions tile the same ``[0, n)``, so each is its runs' ends in
+    order, and one merge of the ends cuts ``[0, n)`` into pieces that each
+    lie in one run of each partition; the pieces that share a pair of
+    classes form one atom, and atoms are ordered by least id.
     """
-    runs_a = sorted((lo, hi, i) for i, c in enumerate(parts_a) for lo, hi in c)
-    runs_b = sorted((lo, hi, i) for i, c in enumerate(parts_b) for lo, hi in c)
+    ends_a = sorted((hi, i) for i, c in enumerate(parts_a) for _, hi in c)
+    ends_b = sorted((hi, i) for i, c in enumerate(parts_b) for _, hi in c)
     atoms: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    a = b = 0
-    while a < len(runs_a) and b < len(runs_b):
-        lo_a, hi_a, ia = runs_a[a]
-        lo_b, hi_b, ib = runs_b[b]
-        hi = min(hi_a, hi_b)
-        atoms.setdefault((ia, ib), []).append((max(lo_a, lo_b), hi))
-        a += hi_a == hi
-        b += hi_b == hi
+    lo = b = 0
+    for hi_a, ia in ends_a:
+        while lo < hi_a:
+            hi_b, ib = ends_b[b]
+            hi = min(hi_a, hi_b)
+            atoms.setdefault((ia, ib), []).append((lo, hi))
+            lo = hi
+            b += hi == hi_b
     return [(tuple(pieces), ia, ib) for (ia, ib), pieces in atoms.items()]
 
 
@@ -325,13 +338,7 @@ def make_core_vector(inst: Instance, k: Iterable[int], l: Iterable[int]) -> Frac
     params = require_valid(inst)
     index = CoreIndex.for_instance(inst, k, l)
     kf, lf = index.k, index.l
-    # the outside facilities as the runs between the sorted ids of k | l
-    taken = sorted(kf | lf)
-    outside = tuple(
-        (lo, hi)
-        for lo, hi in zip([0] + [i + 1 for i in taken], taken + [inst.facility_count])
-        if lo < hi
-    )
+    outside = _complement(kf | lf, inst.facility_count)
     core, rest = inst.designated_clients, inst.rest_clients
     x_out = Fraction(1, inst.facility_count - 2 * params.t)
 

@@ -279,11 +279,11 @@ def require_valid(inst: Instance) -> FamilyParams:
 
 
 # Most ids a table with one entry per facility, or per client, is built for.
-# Rounding plans, gap costs and the Monte Carlo census hold facility-wide
-# tables (verify_midpoint peaks near 0.7 GB at 10**6 facilities); the
-# sampler's rows, the gap costs' client mask and the gap witness client-wide
-# ones (sample and certify peak near 1 GB at 6 * 10**7 clients, and both
-# fail at 1.2 * 10**8 under a 2 GB address-space cap).
+# The sampler's tables, gap costs and the Monte Carlo census hold
+# facility-wide tables (rounding plans hold runs, so verify_midpoint has no
+# limit); the sampler's rows, the gap costs' client mask and the gap witness
+# client-wide ones (sample and certify peak near 1 GB at 6 * 10**7 clients,
+# and both fail at 1.2 * 10**8 under a 2 GB address-space cap).
 FACILITY_LIMIT = 1_000_000
 CLIENT_LIMIT = 50_000_000
 

@@ -10,9 +10,9 @@ leftover clients are spread in near-even splits.
 
 :func:`compile_plan` validates the instance and the pair once and compiles
 the distribution into a :class:`RoundingPlan`: the pivots, both experiments'
-facility roles, their groups of exchangeable low-set facilities and the
-client pools as ranges.  The plan stores the
-distribution only in compiled form: the low-set choice as integer
+facility roles (the outside facilities as ``corevec.Runs``), their groups of
+exchangeable low-set facilities and the client pools as ranges.  The plan
+stores the distribution only in compiled form: the low-set choice as integer
 thresholds over one denominator, and every slot target and the borrowed
 pivot's opening as a floor/ceil coin.  Two views read the same plan:
 
@@ -30,7 +30,8 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
   thresholds and coins with its exact probability, collapsing exchangeable
   client and bin choices, and exchangeable low-set facilities into groups
   (at most four per experiment, for any t); each class holds its slot
-  profile as one shared part per facility group.
+  profile as one shared part per facility group, in run entries, and its
+  open set as runs.
   :func:`enumerate_outcome_classes` expands the groups into one set of
   classes per low-set facility, the classes a draw is keyed by.
 
@@ -44,30 +45,32 @@ cases, so a draw the tally cannot count has violations and no key in all
 three.
 
 :func:`expected_vector` sums probability times the parts into group totals,
-so :func:`verify_midpoint` certifies constructively, from the grouped class
-list, that the midpoint of a colliding pair is a convex combination of
-feasible integer solutions: these weights, these feasible points, this
-exact sum.
+refined over both experiments' groups, so nothing in :func:`verify_midpoint`
+grows with the facility count.  It certifies constructively, from the
+grouped class list, that the midpoint of a colliding pair is a convex
+combination of feasible integer solutions: these weights, these feasible
+points, this exact sum.
 A plan is built per command or caller and passed explicitly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby
 from math import lcm
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corevec import CoreIndex, FracVector, make_core_vector, midpoint
-from .instance import (CLIENT_LIMIT, ONE, ZERO, Instance, over_common_denominator,
-                       require_narrow, require_valid)
-from .instance import FACILITY_LIMIT as PLAN_FACILITY_LIMIT
+from .corevec import (CoreIndex, FracVector, Runs, _complement, _refine, _runs, _size,
+                      make_core_vector, midpoint)
+from .instance import (CLIENT_LIMIT, FACILITY_LIMIT, ONE, ZERO, Instance,
+                       over_common_denominator, require_narrow, require_valid)
 from .randomness import ExactRng, cumulative_thresholds
 
 __all__ = [
@@ -82,7 +85,6 @@ __all__ = [
     "round_slots",
     "split_slots",
     "compile_plan",
-    "PLAN_FACILITY_LIMIT",
     "sample_block",
     "sample_outcome",
     "outcome_class_key",
@@ -325,8 +327,7 @@ class _Experiment:
     always_open: tuple[int, ...]   # the owning high set, opened in step 1
     choice_set: tuple[int, ...]    # the owning low set; exactly one opens
     pivot_extra: int               # borrowed facility, opened on extra_coin
-    outside_bins: tuple[int, ...]  # remaining facilities, always opened in step 2
-    base_open: frozenset[int]      # always_open | outside_bins
+    outside: Runs                  # remaining facilities, always opened in step 2
     # choice_set[i] opens on a draw below choice_denominator in
     # [choice_thresholds[i-1], choice_thresholds[i]) and takes choice_slots[i]
     choice_denominator: int
@@ -339,8 +340,13 @@ class _Experiment:
     extra_coin: _FloorCoin   # reads 1 (probability t*eps) when pivot_extra opens
     extra_slots: _FloorCoin  # pivot_extra's slot target when it opens
 
-    def open_set(self, chosen: int, extra_open: bool) -> frozenset[int]:
-        return self.base_open | ({chosen, self.pivot_extra} if extra_open else {chosen})
+    def closed(self, chosen: int, extra_open: bool) -> list[int]:
+        """A branch's closed facilities: the unchosen low-set ones and, unless
+        it opens, the borrowed pivot."""
+        closed = [i for i in self.choice_set if i != chosen]
+        if not extra_open:
+            closed.append(self.pivot_extra)
+        return closed
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,7 +355,8 @@ class RoundingPlan:
 
     Built by :func:`compile_plan`; experiment ``A`` is owned by the pair's
     first index, ``B`` by its second.  The block sampler reads the plan as
-    :class:`_BlockTables`, built on its first draw.
+    :class:`_BlockTables`, built on its first draw; only those tables list
+    facility ids one by one.
     """
 
     inst: Instance
@@ -357,7 +364,7 @@ class RoundingPlan:
 
     @cached_property
     def _tables(self) -> "_BlockTables":
-        return _BlockTables.of(self.experiments)
+        return _BlockTables.of(self.inst, self.experiments)
 
 
 def _int_array(values: Sequence[int]) -> np.ndarray:
@@ -383,7 +390,8 @@ class _BlockTables:
     high set (designated pool), then the borrowed pivot and the outside
     bins (rest pool).  ``open_sets`` holds
     every open set by the code ``(e * len(choice_set) + choice) * 2 +
-    extra_open``.
+    extra_open``.  An instance of more than ``FACILITY_LIMIT`` facilities
+    is refused with a ValueError before any table is built.
     """
 
     choice_den: np.ndarray              # (2,) low-set choice denominators
@@ -398,12 +406,14 @@ class _BlockTables:
     open_sets: tuple[frozenset[int], ...]
 
     @classmethod
-    def of(cls, experiments: Sequence[_Experiment]) -> "_BlockTables":
+    def of(cls, inst: Instance, experiments: Sequence[_Experiment]) -> "_BlockTables":
+        require_narrow("facility", inst.facility_count, FACILITY_LIMIT, "the sampler's")
         coins = [
             coin for exp in experiments
             for coin in (*exp.choice_slots, exp.extra_coin, exp.extra_slots)
         ]
         coin_den = _int_array([coin.den for coin in coins])
+        everyone = frozenset(range(inst.facility_count))
         return cls(
             choice_den=_int_array([exp.choice_denominator for exp in experiments]),
             thresholds=tuple(_int_array(exp.choice_thresholds) for exp in experiments),
@@ -413,13 +423,14 @@ class _BlockTables:
             coin_num=np.array([coin.num for coin in coins], dtype=coin_den.dtype),
             coin_den=coin_den,
             layout=np.array(
-                [(-1, *exp.always_open, exp.pivot_extra, *exp.outside_bins)
+                [(-1, *exp.always_open, exp.pivot_extra,
+                  *chain.from_iterable(range(lo, hi) for lo, hi in exp.outside))
                  for exp in experiments],
                 dtype=np.int64,
             ),
             n_high=len(experiments[0].always_open),
             open_sets=tuple(
-                exp.open_set(chosen, extra_open)
+                everyone.difference(exp.closed(chosen, extra_open))
                 for exp in experiments
                 for chosen in exp.choice_set
                 for extra_open in (False, True)
@@ -459,15 +470,12 @@ def _experiment_specs(
         denominator, thresholds = cumulative_thresholds(
             [p_pivot if flag else eps for flag in is_pivot]
         )
-        taken = own.k | own.l | {borrowed}
-        outside = tuple(i for i in inst.facilities if i not in taken)
         return _Experiment(
             label=label,
             always_open=tuple(sorted(own.k)),
             choice_set=choice_set,
             pivot_extra=borrowed,
-            outside_bins=outside,
-            base_open=own.k | frozenset(outside),
+            outside=_complement(own.k | own.l | {borrowed}, inst.facility_count),
             choice_denominator=denominator,
             choice_thresholds=thresholds,
             choice_slots=tuple(pivot_slots if flag else other_slots for flag in is_pivot),
@@ -484,14 +492,11 @@ def _experiment_specs(
 def compile_plan(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> RoundingPlan:
     """Validate the instance and the pair, then compile their distribution.
 
-    Raises ValueError when the instance parameters are invalid or the
-    instance has more than ``PLAN_FACILITY_LIMIT`` facilities (checked
-    before anything that wide is built), and NonCollidingPairError (naming
-    the empty side) when the pair does not collide.
+    Raises ValueError when the instance parameters are invalid, and
+    NonCollidingPairError (naming the empty side) when the pair does not
+    collide.
     """
     require_valid(inst)
-    # the outside bins, open sets and sampler tables hold every facility id
-    require_narrow("facility", inst.facility_count, PLAN_FACILITY_LIMIT, "the rounding plan's")
     return RoundingPlan(inst, _experiment_specs(inst, c1, c2))
 
 
@@ -647,6 +652,26 @@ def sample_outcome(plan: RoundingPlan, rng: ExactRng) -> SampleDraw:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True, unsafe_hash=True)
+class _Part:
+    """One facility group's share of a slot profile, not changed once built:
+    its nonzero ``((lo, hi), count)`` entries in id order (each id of a run
+    serves ``count`` clients), the clients they serve and the entries above
+    capacity."""
+
+    entries: tuple
+    served: int
+    over: tuple
+    _profile: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def profile(self) -> tuple[tuple[int, int], ...]:
+        """The ``(facility, count)`` entries, expanded on first read: classes share parts."""
+        if self._profile is None:
+            self._profile = tuple((i, n) for (lo, hi), n in self.entries for i in range(lo, hi))
+        return self._profile
+
+
 @dataclass(frozen=True)
 class OutcomeClass:
     """All outcomes sharing one branch combination and one slot profile.
@@ -654,10 +679,9 @@ class OutcomeClass:
     Client-subset choices and which-bin-gets-the-extra-slot choices are
     collapsed: the profile stores the canonical representative (ceil slots on
     the lowest-id bins), and ``probability`` covers the whole class.  The
-    profile is held as ``parts``, one per facility group, each ``(entries,
-    served, over)``: its nonzero ``(facility, count)`` entries sorted by
-    facility, the clients they serve and the entries above capacity.
-    Classes share parts; ``slot_profile`` joins them on first read.
+    profile is held as ``parts``, one :class:`_Part` per facility group, and
+    the open set as runs.  Classes share parts; ``slot_profile`` expands
+    each part once and joins them on first read.
 
     ``members`` are the low-set facilities the class stands for.  A class of
     :func:`enumerate_outcome_classes` has one, its ``chosen_l_facility``.  A
@@ -671,9 +695,9 @@ class OutcomeClass:
     experiment: str
     members: tuple[int, ...]
     extra_open: bool
-    parts: tuple[tuple, tuple, tuple, tuple]  # chosen, high set, pivot, outside
+    parts: tuple[_Part, _Part, _Part, _Part]  # chosen, high set, pivot, outside
     probability: Fraction
-    open_facilities: frozenset[int]
+    open_facilities: Runs
     problems: tuple[str, ...]  # why the class is infeasible; empty if feasible
 
     @property
@@ -687,7 +711,7 @@ class OutcomeClass:
     @cached_property
     def slot_profile(self) -> tuple[tuple[int, int], ...]:
         """Nonzero ``(facility, count)`` entries of every part, sorted by facility."""
-        entries = [entry for part in self.parts for entry in part[0]]
+        entries = [entry for part in self.parts for entry in part.profile]
         return tuple(sorted(entries, key=itemgetter(0)))
 
     @property
@@ -695,23 +719,29 @@ class OutcomeClass:
         return (self.experiment, self.chosen_l_facility, self.extra_open, self.slot_profile)
 
 
-_NO_PART: tuple = ((), 0, ())  # (entries, served, over) of an empty part
+_NO_PART = _Part((), 0, ())
 
 
-def _split_part(total: int, bins: tuple[int, ...], capacity: int) -> tuple:
-    """The canonical split of ``total >= 0`` over ``bins`` as a part: ceil counts first."""
+def _split_part(total: int, bins: Runs, capacity: int) -> _Part:
+    """The canonical split of ``total >= 0`` over the ids of ``bins``: ceil
+    counts on the lowest ids, so each run gets at most two entries."""
     if not bins:
         if total:
             raise ValueError("cannot split clients over zero bins")
         return _NO_PART
-    base, extra = divmod(total, len(bins))
-    entries = tuple(zip(bins[:extra], repeat(base + 1)))
-    if base:
-        entries += tuple(zip(bins[extra:], repeat(base)))
+    base, extra = divmod(total, _size(bins))
+    entries, up = [], extra  # up: ceil counts not yet placed
+    for lo, hi in bins:
+        cut = min(hi, lo + up)
+        if cut > lo:
+            entries.append(((lo, cut), base + 1))
+            up -= cut - lo
+        if base and cut < hi:
+            entries.append(((cut, hi), base))
     over = ()
     if base + (extra > 0) > capacity:  # the largest count
         over = tuple(entry for entry in entries if entry[1] > capacity)
-    return entries, total, over
+    return _Part(tuple(entries), total, over)
 
 
 # One branch combination of a chosen group, for any one member chosen:
@@ -747,6 +777,7 @@ def _group_branches(
     coin_branches = cache(_FloorCoin.branches)
     n_core, m_rest = len(inst.designated_clients), len(inst.rest_clients)
     for exp in plan.experiments:
+        high_runs = _runs(exp.always_open)
         step2: list[tuple[bool, int, Fraction, tuple, tuple, tuple[str, ...]]] = []
         # the open branches (coin reads 1) before the closed one
         branches2 = [
@@ -762,11 +793,11 @@ def _group_branches(
                 problems2 = (
                     f"{slots2} borrowed-pivot slots overfill the rest pool (size {m_rest})",
                 )
-            elif exp.outside_bins:
-                rest = split(rem2, exp.outside_bins)
+            elif exp.outside:
+                rest = split(rem2, exp.outside)
             elif rem2 > 0:
                 problems2 = (f"no outside facility serves the {rem2} remaining clients",)
-            pivot = split(slots2, (exp.pivot_extra,))
+            pivot = split(slots2, ((exp.pivot_extra, exp.pivot_extra + 1),))
             step2.append((extra_open, slots2, p_s2, pivot, rest, problems2))
 
         bounds = zip((0,) + exp.choice_thresholds, exp.choice_thresholds)
@@ -781,7 +812,7 @@ def _group_branches(
                 problems1: tuple[str, ...] = ()
                 high = _NO_PART
                 if rem1 >= 0:
-                    high = split(rem1, exp.always_open)
+                    high = split(rem1, high_runs)
                 else:
                     problems1 = (
                         f"{slots1} step-1 slots overfill the designated pool (size {n_core})",
@@ -789,7 +820,7 @@ def _group_branches(
                 p1 = p_choice * p_r1
                 for extra_open, slots2, p_s2, pivot, rest, problems2 in step2:
                     problems = problems1 + problems2
-                    served = slots1 + high[1] + pivot[1] + rest[1]
+                    served = slots1 + high.served + pivot.served + rest.served
                     if served != inst.client_count:
                         problems += (
                             f"the profile serves {served} of {inst.client_count} clients",
@@ -800,31 +831,30 @@ def _group_branches(
 
 
 def _group_classes(
-    exp: _Experiment, members: tuple[int, ...], branches: Sequence[_GroupBranch], capacity: int
+    inst: Instance, exp: _Experiment, members: tuple[int, ...], branches: Sequence[_GroupBranch]
 ) -> Iterator[OutcomeClass]:
     """The classes of a group's branches, standing for ``members``, with the first chosen."""
-    chosen, count = members[0], len(members)
-    lows: dict[int, tuple] = {}  # the chosen facility's part, per slot count
-    open_sets: dict[bool, frozenset[int]] = {}
+    chosen, count, capacity = members[0], len(members), inst.capacity
+    lows: dict[int, _Part] = {}  # the chosen facility's part, per slot count
+    open_sets: dict[bool, Runs] = {}
     for slots1, extra_open, parts, probability, problems in branches:
         if count > 1:
             probability *= count
         low = lows.get(slots1)
         if low is None:
-            low = lows[slots1] = _split_part(slots1, (chosen,), capacity)
+            low = lows[slots1] = _split_part(slots1, ((chosen, chosen + 1),), capacity)
         open_set = open_sets.get(extra_open)
         if open_set is None:
-            open_set = open_sets[extra_open] = exp.open_set(chosen, extra_open)
-        over = low[2] + parts[0][2] + parts[1][2] + parts[2][2]
+            open_set = open_sets[extra_open] = _complement(
+                exp.closed(chosen, extra_open), inst.facility_count
+            )
+        over = low.over + parts[0].over + parts[1].over + parts[2].over
         if over:
             problems += tuple(
                 f"facility {fac} serves {cnt} clients above capacity {capacity}"
-                for fac, cnt in sorted(over)
+                for (lo, hi), cnt in sorted(over)
+                for fac in range(lo, hi)
             )
-        # the bin groups lie in base_open, so only the borrowed pivot can
-        # serve clients while closed
-        if parts[1][1] and exp.pivot_extra not in open_set:
-            problems += (f"closed facilities {[exp.pivot_extra]} serve clients",)
         yield OutcomeClass(
             experiment=exp.label,
             members=members,
@@ -845,12 +875,11 @@ def enumerate_grouped_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     has at most four groups, each with at most 2 x 3 branch combinations,
     so there are at most 48 classes for any t.
     """
-    capacity = plan.inst.capacity
     return [
         cl
         for exp, groups in _group_branches(plan)
         for group, branches in groups
-        for cl in _group_classes(exp, group, branches, capacity)
+        for cl in _group_classes(plan.inst, exp, group, branches)
     ]
 
 
@@ -862,12 +891,11 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     experiment, each low-set facility in ascending order gets its group's
     classes with itself chosen, each with its own probability.
     """
-    capacity = plan.inst.capacity
     out: list[OutcomeClass] = []
     for exp, groups in _group_branches(plan):
         branches_of = {i: branches for group, branches in groups for i in group}
         for chosen in exp.choice_set:
-            out.extend(_group_classes(exp, (chosen,), branches_of[chosen], capacity))
+            out.extend(_group_classes(plan.inst, exp, (chosen,), branches_of[chosen]))
     return out
 
 
@@ -891,28 +919,19 @@ def _branch_row(plan: RoundingPlan, draw: SampleDraw) -> tuple[int, int, int]:
     return exp_index, draw.chosen_l_facility, int(draw.extra_open)
 
 
-def _class_key(exp: _Experiment, chosen: int, extra_open: int, row: list[int]) -> tuple:
-    """The OutcomeClass.key of a draw of ``exp`` from its key row.
-
-    The row holds the counts of the draw's ``_BlockTables.layout`` row: the
-    chosen low facility, the high set, the borrowed pivot and the outside
-    bins, each bin group's counts in ascending order.  Those go onto the
-    group's ids in descending order, collapsing which-bin-got-the-extra-slot
-    choices exactly as the enumerator does.
-    """
-    facilities = (chosen, *exp.always_open[::-1], exp.pivot_extra, *exp.outside_bins[::-1])
-    profile = sorted(filter(itemgetter(1), zip(facilities, row)))
-    return exp.label, chosen, bool(extra_open), tuple(profile)
-
-
 def _class_counts(plan: RoundingPlan, branches: np.ndarray, loads: np.ndarray) -> Counter:
     """Class keys of draws, matching OutcomeClass.key, with how many draws have each.
 
     Row r of ``branches`` is draw r's :func:`_branch_row` and row r of
-    ``loads`` its clients per facility.  The key rows (the branch, then the
-    counts of :func:`_class_key`) are gathered and sorted at once, both
-    experiments' layout rows having one length, and counted by their bytes,
-    so no per-entry Python int is made and only distinct rows become keys.
+    ``loads`` its clients per facility.  A key row is the branch, then the
+    counts of the draw's ``_BlockTables.layout`` row: the chosen low
+    facility, the high set, the borrowed pivot and the outside bins.  Each
+    bin group's counts are sorted in descending order, so they go onto the
+    group's ids with the ceil counts on the lowest ids, collapsing
+    which-bin-got-the-extra-slot choices exactly as the enumerator does.
+    The key rows are gathered and sorted at once, both experiments' layout
+    rows having one length, and counted by their bytes, so no per-entry
+    Python int is made and only distinct rows become keys.
     """
     tables = plan._tables
     facilities = tables.layout[branches[:, 0]]
@@ -921,12 +940,15 @@ def _class_counts(plan: RoundingPlan, branches: np.ndarray, loads: np.ndarray) -
         (branches, loads[np.arange(len(loads))[:, None], facilities]), axis=1
     )
     high_end = 4 + tables.n_high
-    key_rows[:, 4:high_end].sort(axis=1)
-    key_rows[:, high_end + 1:].sort(axis=1)
+    for group in (key_rows[:, 4:high_end], key_rows[:, high_end + 1:]):
+        group.sort(axis=1)
+        group[:] = group[:, ::-1]
+    layouts = tables.layout[:, 1:].tolist()
     freq: Counter = Counter()
     for key_row, n in Counter(map(bytes, key_rows)).items():
         exp_index, chosen, extra_open, *row = np.frombuffer(key_row, dtype=key_rows.dtype).tolist()
-        freq[_class_key(plan.experiments[exp_index], chosen, extra_open, row)] += n
+        profile = tuple(sorted(filter(itemgetter(1), zip((chosen, *layouts[exp_index]), row))))
+        freq[plan.experiments[exp_index].label, chosen, bool(extra_open), profile] += n
     return freq
 
 
@@ -1023,73 +1045,76 @@ def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> Frac
     pool is served by the chosen group (a class's ``members``) and the high
     set, the rest pool by the borrowed pivot and the outside bins.  Each
     class adds its parts' served counts to their groups' totals, and a
-    group's open members are counted once per distinct open set.  Totals are
-    expanded to facilities once; facilities with equal values share a class.
+    group's open members are counted once per distinct open set.  Each
+    experiment's groups tile the facilities, so the vector's facility
+    classes are the atoms of the two tilings' common refinement, with equal
+    values merged: no work is done per facility.
     """
     inst = plan.inst
 
     # each group has a small key, (experiment, role): "high" for the high
     # set, "out" for the outside bins, "pivot" for the borrowed pivot and
-    # its members for a chosen group
-    groups: dict[tuple[str, object], tuple[int, ...]] = {}
+    # its members for a chosen group; all but "out" list their ids
+    listed: dict[tuple[str, object], tuple[int, ...]] = {}
     for exp in plan.experiments:
-        groups[exp.label, "high"] = exp.always_open
-        groups[exp.label, "out"] = exp.outside_bins
-        groups[exp.label, "pivot"] = (exp.pivot_extra,)
+        listed[exp.label, "high"] = exp.always_open
+        listed[exp.label, "pivot"] = (exp.pivot_extra,)
     for cl in classes:
-        groups[cl.experiment, cl.members] = cl.members
+        listed[cl.experiment, cl.members] = cl.members
+    groups = {key: _runs(ids) for key, ids in listed.items()}
+    groups.update(((exp.label, "out"), exp.outside) for exp in plan.experiments)
 
     # group key -> probability-weighted [open members, clients served from
     # the designated pool, clients served from the rest pool], as integers
     # over the common denominator of the class probabilities
     weights, den = over_common_denominator([cl.probability for cl in classes])
     sums = {key: [0, 0, 0] for key in groups}
-    opened: dict[tuple[str, tuple[int, ...], frozenset[int]], int] = {}  # weight per open set
+    opened: dict[tuple[str, Runs], int] = {}  # weight per open set
     for cl, weight in zip(classes, weights):
-        label, members = cl.experiment, cl.members
+        label = cl.experiment
         low, high, pivot, rest = cl.parts
-        sums[label, members][1] += weight * low[1]
-        sums[label, "high"][1] += weight * high[1]
-        sums[label, "pivot"][2] += weight * pivot[1]
-        sums[label, "out"][2] += weight * rest[1]
-        at = (label, members, cl.open_facilities)
+        sums[label, cl.members][1] += weight * low.served
+        sums[label, "high"][1] += weight * high.served
+        sums[label, "pivot"][2] += weight * pivot.served
+        sums[label, "out"][2] += weight * rest.served
+        at = (label, cl.open_facilities)
         opened[at] = opened.get(at, 0) + weight
-    for (label, members, open_set), weight in opened.items():
-        for role in (members, "high", "pivot", "out"):
-            key = (label, role)
-            sums[key][0] += weight * len(open_set.intersection(groups[key]))
-
-    # each facility lies in one group per experiment; the facilities that
-    # share both groups get one value, computed once
-    group_of: dict[int, list] = {i: [] for i in inst.facilities}
-    for key, group in groups.items():
-        for i in group:
-            group_of[i].append(key)
-    atoms: dict[tuple, list[int]] = {}
-    for i, keys in group_of.items():
-        atoms.setdefault(tuple(keys), []).append(i)
+    # an id lies in an open set iff an odd number of the set's run bounds
+    # are at most the id; an experiment's listed groups hold 2t + 1 ids and
+    # its outside bins the rest of the open set
+    for (label, open_set), weight in opened.items():
+        bounds = [bound for run in open_set for bound in run]
+        outside = _size(open_set)
+        for key, ids in listed.items():
+            if key[0] == label:
+                members = sum(bisect_right(bounds, i) & 1 for i in ids)
+                sums[key][0] += weight * members
+                outside -= members
+        sums[label, "out"][0] += weight * outside
 
     # a value is one integer numerator per coordinate over that coordinate's
     # denominator (den x scale, x pool size for x), so it keys by numerators
     pools = [inst.designated_clients] + ([inst.rest_clients] if inst.rest_clients else [])
-    scale = lcm(*(len(group) for group in groups.values() if group))
-    values: dict[tuple[int, ...], list[int]] = {}
-    for keys, members in atoms.items():
-        value = tuple(
-            sum(sums[key][c] * (scale // len(groups[key])) for key in keys)
-            for c in range(1 + len(pools))
-        )
-        values.setdefault(value, []).extend(members)
+    sizes = {key: _size(runs) for key, runs in groups.items() if runs}
+    scale = lcm(*sizes.values())
+    tilings = [
+        [(groups[key], [total * (scale // size) for total in sums[key][:1 + len(pools)]])
+         for key, size in sizes.items() if key[0] == exp.label]
+        for exp in plan.experiments
+    ]
+    values: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for pieces, ia, ib in _refine(*([runs for runs, _ in tiling] for tiling in tilings)):
+        value = tuple(map(add, tilings[0][ia][1], tilings[1][ib][1]))
+        values.setdefault(value, []).extend(pieces)
 
     dens = [den * scale] + [den * scale * len(pool) for pool in pools]
-    ordered = sorted(values.items(), key=lambda kv: min(kv[1]))
     return FracVector(
         inst.facility_count,
         inst.client_count,
-        [members for _, members in ordered],
+        [tuple(pieces) for pieces in values.values()],
         pools,
-        [Fraction(value[0], dens[0]) for value, _ in ordered],
-        [[Fraction(n, d) for n, d in zip(value[1:], dens[1:])] for value, _ in ordered],
+        [Fraction(value[0], dens[0]) for value in values],
+        [[Fraction(n, d) for n, d in zip(value[1:], dens[1:])] for value in values],
     )
 
 

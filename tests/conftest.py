@@ -122,6 +122,25 @@ def exact_distribution(plan):
         yield exp, choices, p_extra, w_extra
 
 
+def outside_ids(inst, exp):
+    """The facilities of none of an experiment's index sets (its high set,
+    low set and borrowed pivot), ascending, by set arithmetic over the ids."""
+    named = set(exp.always_open) | set(exp.choice_set) | {exp.pivot_extra}
+    return [i for i in range(inst.facility_count) if i not in named]
+
+
+def reference_open_set(inst, exp, chosen, extra_open):
+    """The open set of a branch: the high set, the outside facilities, the
+    chosen low facility and, when it opens, the borrowed pivot."""
+    opened = {chosen, exp.pivot_extra} if extra_open else {chosen}
+    return frozenset(exp.always_open) | frozenset(outside_ids(inst, exp)) | opened
+
+
+def run_ids(runs):
+    """The ids of sorted ``(lo, hi)`` runs, as a frozenset."""
+    return frozenset(i for lo, hi in runs for i in range(lo, hi))
+
+
 def block_draws(plan, chunks):
     """Every row of the chunks as a SampleDraw, in draw order."""
     for chunk in chunks:

@@ -28,14 +28,15 @@ from cflgap.rounding import (
     expected_vector,
     verify_midpoint,
 )
-from conftest import CENSUS_SHAPES, MINI, find_valid_general
+from conftest import CENSUS_SHAPES, MINI, find_valid_general, run_ids
 
 
 def class_list_digest(classes):
     """sha256 over every class's key, probability, verdict, problems and open set, in order."""
     rows = [
         [cl.experiment, cl.chosen_l_facility, cl.extra_open, cl.slot_profile,
-         frac_to_str(cl.probability), cl.feasible, cl.problems, sorted(cl.open_facilities)]
+         frac_to_str(cl.probability), cl.feasible, cl.problems,
+         sorted(run_ids(cl.open_facilities))]
         for cl in classes
     ]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()

@@ -6,7 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
@@ -14,21 +14,28 @@ import pytest
 from cflgap import cli
 from cflgap import io as docio
 from cflgap import rounding
+from cflgap.instance import FACILITY_LIMIT
 from conftest import spoil_rows
 
 CLI = [sys.executable, "-m", "cflgap.cli"]
 
 
-def run(*argv, cwd=None):
-    return subprocess.run(
-        CLI + list(argv), capture_output=True, text=True, cwd=cwd
-    )
+def run(*argv):
+    """``cli.main(argv)`` in process, with what ``python -m cflgap.cli`` gives:
+    the exit code (argparse's SystemExit carries its own), stdout and stderr."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(list(argv), code, out.getvalue(), err.getvalue())
 
 
-def run_in_process(*argv):
-    """Exit code of ``cli.main(argv)``, for building inputs without a new interpreter."""
-    with redirect_stdout(StringIO()):
-        return cli.main(list(argv))
+def run_fresh(*argv):
+    """The command in a fresh ``python -m cflgap.cli``, for tests that assert
+    that no traceback reaches stderr."""
+    return subprocess.run(CLI + list(argv), capture_output=True, text=True)
 
 
 @pytest.fixture()
@@ -46,7 +53,7 @@ def workspace(tmp_path):
         ["core", "--instance", str(mini), "--k", "4,5", "--l", "0,2", "-o", str(c)],
     ]
     for argv in steps:
-        assert run_in_process(*argv) == 0, argv
+        assert run(*argv).returncode == 0, argv
     return {"mini": mini, "a": a, "b": b, "c": c, "dir": tmp_path}
 
 
@@ -159,7 +166,7 @@ class TestParserReuse:
             monkeypatch.setattr(cli, name, spy)
         runs = [[word.format(**workspace) for word in argv] for argv in sequence]
         for argv in runs:
-            assert run_in_process(*argv) == 0, argv
+            assert run(*argv).returncode == 0, argv
         assert seen == [vars(cli.build_parser().parse_args(argv)) for argv in runs]
         assert seen[-1].get("seed") is None
         with open(runs[-1][-1]) as handle:
@@ -278,7 +285,7 @@ class TestInputsReadOnce:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", spy)
-        assert run_in_process(*argv) == 0
+        assert run(*argv).returncode == 0
         monkeypatch.undo()
         assert [str(file) for file in opened if str(file) in inputs] == inputs
         if "-o" in argv:
@@ -348,8 +355,8 @@ class TestCoreAndCollide:
 
         monkeypatch.setattr(docio, "core_file_doc", refuse)
         argv = ["core", "--instance", str(workspace["mini"]), "--random", "--seed", "5"]
-        assert run_in_process(*argv) == 0
-        assert run_in_process(*argv, "-o", str(workspace["dir"] / "r.core")) == 2
+        assert run(*argv).returncode == 0
+        assert run(*argv, "-o", str(workspace["dir"] / "r.core")).returncode == 2
 
     def test_collide_true_exits_0(self, workspace):
         result = run("collide", str(workspace["a"]), str(workspace["b"]))
@@ -389,10 +396,10 @@ class TestCoreAndCollide:
         # are classes of two runs each
         for name, l in (("d", "2,4"), ("e", "3,5")):
             path = workspace["dir"] / f"{name}.core"
-            assert run_in_process(
+            assert run(
                 "core", "--instance", str(workspace["mini"]), "--k", "0,1", "--l", l,
                 "-o", str(path),
-            ) == 0
+            ).returncode == 0
             doc = json.loads(path.read_text())
             old = as_id_lists(doc)
             assert old != doc
@@ -425,22 +432,26 @@ class TestCoreAndCollide:
         for path in (first, second):
             assert os.path.getsize(path) < 4096
 
-    def test_rounding_commands_refuse_1e12_facilities(self, tmp_path):
-        # compile_plan built the outside bins id by id: verify-midpoint
-        # ended in a MemoryError traceback under this cap
-        huge, first, second = (str(tmp_path / name)
-                               for name in ("huge.json", "a.core", "b.core"))
+    def test_midpoints_certified_and_sampler_refused_at_1e12_facilities(self, tmp_path):
+        # the rounding plan built the outside bins id by id, so verify-midpoint
+        # refused such an instance; only the sampler's tables list every id
+        huge, first, second, r1, r2 = (str(tmp_path / name) for name in
+                                       ("huge.json", "a.core", "b.core", "r1.core", "r2.core"))
         result = run_capped([
             ([*HUGE_GEN, "-o", huge], 0),
             (["core", "--instance", huge, "--k", "0,1", "--l", "2,3", "-o", first], 0),
             (["core", "--instance", huge, "--k", "0,1", "--l", "4,5", "-o", second], 0),
-            (["verify-midpoint", first, second], 2),
+            (["verify-midpoint", first, second], 0),
+            (["core", "--instance", huge, "--random", "--seed", "1", "-o", r1], 0),
+            (["core", "--instance", huge, "--random", "--seed", "2", "-o", r2], 0),
+            (["verify-midpoint", r1, r2], 0),
             (["sample", first, second, "--n", "1", "--seed", "1"], 2),
         ])
         assert result.returncode == 0, result.stderr
-        refusal = ("error: facility count 1000000000000 exceeds the rounding plan's "
-                   f"limit {rounding.PLAN_FACILITY_LIMIT}")
-        assert result.stderr.count(refusal) == 2
+        assert result.stdout.count("classes=24 probability_sum=1/1 valid=True") == 2
+        refusal = ("error: facility count 1000000000000 exceeds the sampler's "
+                   f"limit {FACILITY_LIMIT}")
+        assert result.stderr.count(refusal) == 1
         assert "Traceback" not in result.stderr
 
     def test_wide_instances_are_refused_before_their_tables_are_built(self, tmp_path):
@@ -529,7 +540,7 @@ class TestVerifyMidpointAndSample:
             ["sample", str(a), str(b), "--n", str(n), "--seed", "8",
              "--solutions-dir", str(sol_dir)],
         ):
-            assert run_in_process(*argv) == 0, argv
+            assert run(*argv).returncode == 0, argv
         sols = [solution_from_doc(json.loads(path.read_text()))
                 for path in sorted(sol_dir.iterdir())]
         assert len(sols) == n and len(set(sols)) == n
@@ -558,10 +569,10 @@ class TestVerifyMidpointAndSample:
         reports = []
         for extra in ([], ["--solutions-dir", str(sol_dir)]):
             out = workspace["dir"] / f"report{len(reports)}.json"
-            assert run_in_process(
+            assert run(
                 "sample", str(workspace["a"]), str(workspace["b"]),
                 "--n", "1200", "--seed", "5", "-o", str(out), *extra,
-            ) == 0
+            ).returncode == 0
             doc = json.loads(out.read_text())
             del doc["manifest"]["parameters"]["solutions_dir"]
             reports.append(doc)
@@ -575,10 +586,10 @@ class TestVerifyMidpointAndSample:
 
     def test_sample_refuses_solutions_dir_with_old_files(self, workspace):
         sol_dir = workspace["dir"] / "sols"
-        assert run_in_process(
+        assert run(
             "sample", str(workspace["a"]), str(workspace["b"]),
             "--n", "30", "--seed", "3", "--solutions-dir", str(sol_dir),
-        ) == 0
+        ).returncode == 0
         before = {path.name: path.read_bytes() for path in sol_dir.iterdir()}
         assert len(before) == 30
         out = workspace["dir"] / "second.json"
@@ -596,7 +607,7 @@ class TestVerifyMidpointAndSample:
         ["verify-midpoint"],
         ["sample", "--n", "5", "--seed", "1"],
     ], ids=["collide", "verify-midpoint", "sample"])
-    def test_cores_of_different_instances_exit_2(self, workspace, command, capsys):
+    def test_cores_of_different_instances_exit_2(self, workspace, command):
         # a core of MINI rebuilt with eps 1/3 that collides with core file a
         other_inst, other = workspace["dir"] / "eps.json", workspace["dir"] / "eps.core"
         for argv in (
@@ -605,14 +616,14 @@ class TestVerifyMidpointAndSample:
             ["core", "--instance", str(other_inst), "--k", "0,1", "--l", "4,5",
              "-o", str(other)],
         ):
-            assert run_in_process(*argv) == 0, argv
-        capsys.readouterr()
+            assert run(*argv).returncode == 0, argv
         out = workspace["dir"] / "mixed.json"
         argv = [command[0], str(workspace["a"]), str(other), *command[1:]]
         if command[0] != "collide":
             argv += ["-o", str(out)]
-        assert run_in_process(*argv) == 2
-        assert "core files describe different instances" in capsys.readouterr().err
+        result = run(*argv)
+        assert result.returncode == 2
+        assert "core files describe different instances" in result.stderr
         assert not out.exists()
 
     def test_sample_infeasible_distribution_exits_2(self, tmp_path):
@@ -626,7 +637,7 @@ class TestVerifyMidpointAndSample:
             ["core", "--instance", str(inst), "--k", "0,1", "--l", "4,5", "-o", str(b)],
         ):
             assert run(*argv).returncode == 0
-        result = run("sample", str(a), str(b), "--n", "20", "--seed", "1")
+        result = run_fresh("sample", str(a), str(b), "--n", "20", "--seed", "1")
         assert result.returncode == 2, result.stderr
         assert "infeasible outcome class" in result.stderr
         assert "Traceback" not in result.stderr
@@ -641,8 +652,8 @@ class TestVerifyMidpointAndSample:
             ["core", "--instance", str(inst), "--k", "0,1", "--l", "2,3", "-o", str(a)],
             ["core", "--instance", str(inst), "--k", "0,1", "--l", "2,4", "-o", str(b)],
         ):
-            assert run_in_process(*argv) == 0, argv
-        result = run("sample", str(a), str(b), "--n", "5", "--seed", "1")
+            assert run(*argv).returncode == 0, argv
+        result = run_fresh("sample", str(a), str(b), "--n", "5", "--seed", "1")
         assert result.returncode == 2, result.stderr
         assert "slot_profile [(0, 3), (1, 2), (2, 2), (4, 2)]" in result.stderr
         assert "2 borrowed-pivot slots overfill the rest pool (size 1)" in result.stderr
@@ -739,10 +750,10 @@ class TestSampleFailurePath:
 
     def _sample(self, workspace, n):
         out = workspace["dir"] / "failed.json"
-        code = run_in_process(
+        code = run(
             "sample", str(workspace["a"]), str(workspace["b"]),
             "--n", str(n), "--seed", "5", "-o", str(out),
-        )
+        ).returncode
         doc = json.loads(out.read_text())
         fields = ("feasible", "infeasible", "violation_examples", "unmatched_class_draws")
         return code, {name: doc[name] for name in fields}
@@ -821,7 +832,7 @@ class TestMalformedCoreDocument:
         path = broken(lambda doc: doc.pop("k"))
         for argv in (["lpcheck", path],
                      ["sample", path, str(workspace["b"]), "--n", "5", "--seed", "1"]):
-            result = run(*argv)
+            result = run_fresh(*argv)
             assert result.returncode == 2, result.stderr
             assert "missing field 'k'" in result.stderr
             assert "Traceback" not in result.stderr
@@ -830,7 +841,7 @@ class TestMalformedCoreDocument:
         path = broken(lambda doc: doc["x"].pop())
         for argv in (["lpcheck", path],
                      ["sample", path, str(workspace["b"]), "--n", "5", "--seed", "1"]):
-            result = run(*argv)
+            result = run_fresh(*argv)
             assert result.returncode == 2, result.stderr
             assert "missing the x cell" in result.stderr
             assert "Traceback" not in result.stderr
@@ -844,10 +855,10 @@ class TestMalformedCoreDocument:
         # a second entry for the first x cell, with another value: the reader
         # kept whichever came last, so the verdict depended on entry order
         source = workspace["dir"] / "source.core"
-        assert run_in_process(
+        assert run(
             "core", "--instance", str(workspace["mini"]), "--k", "0,1", "--l", "2,3",
             *(["--dense"] if dense else []), "-o", str(source),
-        ) == 0
+        ).returncode == 0
         doc = json.loads(source.read_text())
         entry = doc["x"][0]
         repeat = [*entry[:2], "1/3"] if dense else {**entry, "value": "1/3"}
@@ -1032,7 +1043,7 @@ class TestMalformedCoreDocument:
         # core file b altered the same way, for commands that read two cores
         b_altered = broken(alter, "b", "b_altered.core") if source == "a" else None
         for argv in commands:
-            result = run(*(
+            result = run_fresh(*(
                 arg.format(path=path, b=workspace["b"], b_altered=b_altered) for arg in argv
             ))
             assert result.returncode == 2, result.stderr
@@ -1046,19 +1057,19 @@ class TestMalformedCoreDocument:
 
         assert run("lpcheck", broken(raise_l)).returncode == 0
         tiny, core = tmp_path / "tiny.json", tmp_path / "t.core"
-        assert run_in_process(
+        assert run(
             "gen", "--general", "--nf", "3", "--t", "1", "--U", "2", "--m", "3",
             "--eps", "1/2", "--xl", "1/3", "-o", str(tiny),
-        ) == 0
-        assert run_in_process(
+        ).returncode == 0
+        assert run(
             "core", "--instance", str(tiny), "--k", "0", "--l", "1", "-o", str(core)
-        ) == 0
+        ).returncode == 0
         doc = json.loads(core.read_text())
         raise_l(doc)
         core.write_text(json.dumps(doc))
         for argv, code in ((["lpcheck"], 0), (["oracle", "member", "--vector"], 0),
                            (["certify", "--core"], 2)):
-            result = run(*argv, str(core))
+            result = run_fresh(*argv, str(core))
             assert result.returncode == code, (argv, result.stderr)
             assert "Traceback" not in result.stderr
 
@@ -1134,13 +1145,13 @@ class TestMalformedCoreDocument:
         # a t=1 instance cut to 2 clients, whose x entries still partition
         # them, while its 3 designated clients run past the last one
         tiny, core = tmp_path / "tiny.json", tmp_path / "t.core"
-        assert run_in_process(
+        assert run(
             "gen", "--general", "--nf", "3", "--t", "1", "--U", "2", "--m", "3",
             "--eps", "1/2", "--xl", "1/3", "-o", str(tiny),
-        ) == 0
-        assert run_in_process(
+        ).returncode == 0
+        assert run(
             "core", "--instance", str(tiny), "--k", "0", "--l", "1", "-o", str(core)
-        ) == 0
+        ).returncode == 0
         doc = json.loads(core.read_text())
         doc["instance"]["client_count"] = 2
         for entry in doc["x"]:
@@ -1149,7 +1160,7 @@ class TestMalformedCoreDocument:
         core.write_text(json.dumps(doc))
         for argv in (["oracle", "opt", "--core"], ["oracle", "member", "--vector"],
                      ["lpcheck"], ["certify", "--core"]):
-            result = run(*argv, str(core))
+            result = run_fresh(*argv, str(core))
             assert result.returncode == 2, (argv, result.stdout)
             assert "core_client_count = 3 exceeds client_count = 2" in result.stderr
             assert "Traceback" not in result.stderr
@@ -1195,7 +1206,7 @@ class TestCensusCertifyBound:
     ], ids=["sample-n-negative", "sample-n-zero", "census-mc-zero", "sample-jobs-zero",
             "sample-jobs-negative", "census-jobs-zero", "census-jobs-negative"])
     def test_non_positive_draw_count_exits_2(self, workspace, argv, message):
-        result = run(*(arg.format(**workspace) for arg in argv))
+        result = run_fresh(*(arg.format(**workspace) for arg in argv))
         assert result.returncode == 2, result.stderr
         assert message in result.stderr
         assert "Traceback" not in result.stderr
@@ -1249,13 +1260,13 @@ class TestOracle:
     def tiny_files(self, tmp_path):
         tiny = tmp_path / "tiny.json"
         core = tmp_path / "t.core"
-        run_in_process(
+        run(
             "gen", "--general", "--nf", "3", "--t", "1", "--U", "2", "--m", "3",
             "--eps", "1/2", "--xl", "1/3", "-o", str(tiny),
-        )
-        run_in_process(
+        ).returncode
+        run(
             "core", "--instance", str(tiny), "--k", "0", "--l", "1", "-o", str(core)
-        )
+        ).returncode
         return tiny, core
 
     def test_enum_count(self, tiny_files):
@@ -1281,8 +1292,8 @@ class TestOracle:
         # the file, while oracle opt answered "opt value: 1/1" for it
         tiny, _ = tiny_files
         dense = tiny.parent / "dense.core"
-        assert run_in_process("core", "--instance", str(tiny), "--k", "0", "--l", "1",
-                              "--dense", "-o", str(dense)) == 0
+        assert run("core", "--instance", str(tiny), "--k", "0", "--l", "1",
+                              "--dense", "-o", str(dense)).returncode == 0
         doc = json.loads(dense.read_text())
         doc["x"] = [cell for cell in doc["x"] if cell[:2] != [1, 0]] + [[1, 0, "3/4"]]
         dense.write_text(json.dumps(doc))
@@ -1331,21 +1342,21 @@ class TestDeterminism:
         runs = []
         for jobs in ("1", "2", "3"):
             shutil.rmtree(sols, ignore_errors=True)
-            assert run_in_process(
+            assert run(
                 "sample", str(workspace["a"]), str(workspace["b"]), "--n", "2500",
                 "--seed", "21", "--jobs", jobs, "--solutions-dir", str(sols),
                 "-o", str(d / "j.json"),
-            ) == 0
+            ).returncode == 0
             files = {path.name: path.read_bytes() for path in sols.iterdir()}
             runs.append(((d / "j.json").read_bytes(), files))
         assert len(runs[0][1]) == 2500
         assert runs[1] == runs[0] and runs[2] == runs[0]
         reports = []
         for jobs in ("1", "2"):
-            assert run_in_process(
+            assert run(
                 "census", "--instance", str(workspace["mini"]), "--mc", "2500",
                 "--seed", "17", "--jobs", jobs, "-o", str(d / "mc.json"),
-            ) == 0
+            ).returncode == 0
             reports.append((d / "mc.json").read_bytes())
         assert reports[1] == reports[0]
 

@@ -58,6 +58,7 @@ from cflgap.randomness import ExactRng
 from cflgap.rounding import (
     RoundingPlan,
     _experiment_specs,
+    _split_part,
     compile_plan,
     enumerate_outcome_classes,
     expected_vector,
@@ -66,7 +67,8 @@ from cflgap.rounding import (
     solution_violations,
 )
 from cflgap.polytope import brute_force_opt
-from conftest import MINI, TINY, block_draws, exact_distribution
+from conftest import (MINI, TINY, block_draws, exact_distribution, outside_ids,
+                      reference_open_set, run_ids)
 
 DRAWS = 25
 
@@ -156,9 +158,34 @@ def reference_split(total, bins):
     return {fac: base + (1 if idx < extra else 0) for idx, fac in enumerate(bins)}
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)), max_size=6),
+    total=st.integers(0, 150),
+    capacity=st.integers(0, 30),
+)
+def test_run_split_matches_reference_split(lengths, total, capacity):
+    # runs from (gap, length) pairs; the split of the runs against the
+    # split of their ids, one by one
+    bins, lo = [], 0
+    for gap, length in lengths:
+        bins.append((lo + gap, lo + gap + length))
+        lo += gap + length
+    ids = [i for lo, hi in bins for i in range(lo, hi)]
+    assume(ids or not total)
+    part = _split_part(total, tuple(bins), capacity)
+    expected = {fac: cnt for fac, cnt in reference_split(total, ids).items() if cnt}
+    assert dict(part.profile) == expected and [fac for fac, _ in part.profile] == sorted(expected)
+    assert part.served == sum(expected.values()) == total
+    over = [(fac, n) for (lo, hi), n in part.over for fac in range(lo, hi)]
+    assert over == [(fac, cnt) for fac, cnt in sorted(expected.items()) if cnt > capacity]
+    assert len(part.entries) <= len(bins) + 1
+
+
 def reference_class(inst, exp, chosen, slots1, extra_open, slots2, probability):
     """One class built facility by facility, every check over the whole profile."""
     n_core, m_rest = len(inst.designated_clients), len(inst.rest_clients)
+    outside = outside_ids(inst, exp)
     problems = []
     profile = {}
     if slots1:
@@ -179,14 +206,12 @@ def reference_class(inst, exp, chosen, slots1, extra_open, slots2, probability):
         problems.append(
             f"{slots2} borrowed-pivot slots overfill the rest pool (size {m_rest})"
         )
-    elif exp.outside_bins:
-        profile.update(
-            (fac, cnt) for fac, cnt in reference_split(rem2, exp.outside_bins).items() if cnt
-        )
+    elif outside:
+        profile.update((fac, cnt) for fac, cnt in reference_split(rem2, outside).items() if cnt)
     elif rem2 > 0:
         problems.append(f"no outside facility serves the {rem2} remaining clients")
 
-    open_set = exp.open_set(chosen, extra_open)
+    open_set = reference_open_set(inst, exp, chosen, extra_open)
     served = sum(profile.values())
     if served != inst.client_count:
         problems.append(f"the profile serves {served} of {inst.client_count} clients")
@@ -204,7 +229,7 @@ def reference_class(inst, exp, chosen, slots1, extra_open, slots2, probability):
 
 def class_fields(cl):
     """The fields of an enumerated class that ``reference_class`` builds."""
-    return cl.key, cl.probability, cl.open_facilities, cl.problems
+    return cl.key, cl.probability, run_ids(cl.open_facilities), cl.problems
 
 
 def reference_branches(w):
@@ -272,7 +297,7 @@ def reference_expectation(plan):
         exp, counts = by_label[label], dict(profile)
         pools = (inst.designated_clients, inst.rest_clients)
         groups = [((chosen,), pools[0]), (exp.always_open, pools[0]),
-                  ((exp.pivot_extra,), pools[1]), (exp.outside_bins, pools[1])]
+                  ((exp.pivot_extra,), pools[1]), (outside_ids(inst, exp), pools[1])]
         for i in range(n_f):
             if i in open_set:
                 y[i] += probability

@@ -32,8 +32,9 @@ from cflgap.rounding import (
     split_slots,
     verify_midpoint,
 )
-from cflgap.rounding import _FloorCoin
-from conftest import block_draws, exact_distribution, one_row_chunk, spoil_rows
+from cflgap.rounding import _FloorCoin, _Part
+from conftest import (block_draws, exact_distribution, one_row_chunk, outside_ids, run_ids,
+                      spoil_rows)
 
 
 def mini_pair(mini):
@@ -466,7 +467,7 @@ class TestOutcomeClasses:
             assert cl.feasible
             assert sum(cnt for _, cnt in cl.slot_profile) == 13
             assert all(cnt <= 4 for _, cnt in cl.slot_profile)
-            assert {fac for fac, _ in cl.slot_profile} <= cl.open_facilities
+            assert {fac for fac, _ in cl.slot_profile} <= run_ids(cl.open_facilities)
 
     def test_t10_extra_always_open(self, family10):
         # t*eps = 1: the closed-pivot branch has probability 0 and is pruned
@@ -542,6 +543,21 @@ class TestVerifyMidpoint:
         assert cert.all_classes_feasible
         assert cert.probability_sum == 1
         assert cert.valid
+
+    def test_1e12_facility_pair_certified_in_bounded_memory(self):
+        # the plan, its classes and the expectation hold facility classes as
+        # runs, so nothing grows with the facility count
+        import tracemalloc
+
+        inst = build_general_instance(10**12, 2, 4, 13, Fraction(2, 5), Fraction(1, 8))
+        tracemalloc.start()
+        try:
+            cert = verify_midpoint(inst, *mini_pair(inst))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.valid and cert.class_count == 24
+        assert peak < 2**20
 
     def test_t10_random_pair_valid(self, family10):
         import random
@@ -629,19 +645,24 @@ class TestVerifyMidpoint:
             classes = exact(plan)
             idx, cl = next(
                 (idx, cl) for idx, cl in enumerate(classes)
-                if cl.parts[0][0] and cl.parts[0][0][0][1] < cap and cl.parts[1][0]
+                if cl.parts[0].entries and cl.parts[0].entries[0][1] < cap
+                and cl.parts[1].entries
             )
             low, high, pivot, rest = cl.parts
-            ((chosen, slots),) = low[0]
-            (fac, cnt), *others = high[0]
-            moved_high = ((fac, cnt - 1),) if cnt > 1 else ()
+            (((chosen, _), slots),) = low.entries
+            ((lo, hi), cnt), *others = high.entries
+            # facility lo of the high set gives one client to the chosen one
+            moved_high = tuple(
+                (run, n) for run, n in (((lo, lo + 1), cnt - 1), ((lo + 1, hi), cnt))
+                if n and run[0] < run[1]
+            )
             parts = (
-                (((chosen, slots + 1),), low[1] + 1, ()),
-                (moved_high + tuple(others), high[1] - 1, ()),
+                _Part((((chosen, chosen + 1), slots + 1),), low.served + 1, ()),
+                _Part(moved_high + tuple(others), high.served - 1, ()),
                 pivot,
                 rest,
             )
-            assert sum(part[1] for part in parts) == mini.client_count
+            assert sum(part.served for part in parts) == mini.client_count
             classes[idx] = replace(cl, parts=parts)
             return classes
 
@@ -700,7 +721,7 @@ def reference_key(plan, draw):
     for fac in (draw.chosen_l_facility, exp.pivot_extra):
         if counts[fac]:
             profile[fac] = counts[fac]
-    for group in (exp.always_open, exp.outside_bins):
+    for group in (exp.always_open, outside_ids(plan.inst, exp)):
         group_counts = sorted((counts[fac] for fac in group), reverse=True)
         for fac, cnt in zip(sorted(group), group_counts):
             if cnt:
