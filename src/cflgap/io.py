@@ -17,7 +17,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Optional
 
-from .corevec import DENSE_LIMIT, CoreIndex, FracVector, NaturalLpReport, Runs, _runs
+from .corevec import DENSE_LIMIT, CoreIndex, FracVector, NaturalLpReport, RunRows, Runs, _runs
 from .instance import ZERO, FamilyParams, Instance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -457,26 +457,35 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _int_rows_text(rows: list | tuple, indent: str) -> str:
-    """Body text of nonempty rows of one width holding only plain ints, else "".
+def _run_rows_text(rows: RunRows, indent: str, texts: dict) -> str:
+    """Body text of nonempty rows, written from their runs; "" if a bound or
+    count is not a plain int.
 
-    One ``%``-format over a row template writes every entry; ``%d`` prints a
-    plain int as ``int.__repr__`` does.  ``bool`` and other int subclasses
-    fail the ``type(x) is int`` test and are left to the generic path.
+    Each distinct run is rendered once per document, at ``indent``, with one
+    ``%``-format over a row template (``%d`` prints a plain int as
+    ``int.__repr__`` does), and kept in ``texts``; the body joins the texts
+    of the runs in order.  The runs' types stand for the rows', as the rows
+    are the runs expanded.
     """
-    width = len(rows[0])
-    if not width or set(map(len, rows)) != {width}:
-        return ""
-    flat = tuple(chain.from_iterable(rows))
-    if set(map(type, flat)) != {int}:
-        return ""
+    sep = f",\n{indent}"
     deeper = indent + "  "
-    row = f"[\n{deeper}" + f",\n{deeper}".join(["%d"] * width) + f"\n{indent}]"
-    return f",\n{indent}".join([row] * len(rows)) % flat
+    body = []
+    for (lo, hi), n in rows.runs:
+        if not (type(lo) is type(hi) is type(n) is int):
+            return ""
+        key = (lo, hi, n, indent)
+        text = texts.get(key)
+        if text is None:
+            row = f"[\n{deeper}%d,\n{deeper}{int.__repr__(n)}\n{indent}]"
+            text = texts[key] = sep.join([row] * (hi - lo)) % tuple(range(lo, hi))
+        if text:
+            body.append(text)
+    return sep.join(body)
 
 
-def _json_text(value: Any, indent: str) -> str:
-    """``value`` as JSON text, nested at ``indent`` (two spaces per level)."""
+def _json_text(value: Any, indent: str, texts: dict) -> str:
+    """``value`` as JSON text, nested at ``indent`` (two spaces per level);
+    ``texts`` holds the run texts of the document (see :func:`_run_rows_text`)."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -494,14 +503,11 @@ def _json_text(value: Any, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        kinds = set(map(type, value))
-        body = ""
-        if kinds == {int}:
+        body = _run_rows_text(value, inner, texts) if type(value) is RunRows else ""
+        if not body and set(map(type, value)) == {int}:
             body = sep.join(map(int.__repr__, value))
-        elif kinds <= {list, tuple}:
-            body = _int_rows_text(value, inner)
         if not body:
-            body = sep.join([_json_text(item, inner) for item in value])
+            body = sep.join([_json_text(item, inner, texts) for item in value])
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, dict):
         if not value:
@@ -510,7 +516,7 @@ def _json_text(value: Any, indent: str) -> str:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
         body = sep.join([
-            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner, texts)}"
             for key in sorted(value)
         ])
         return f"{{\n{inner}{body}\n{indent}}}"
@@ -526,11 +532,14 @@ def document_bytes(payload: dict) -> bytes:
     value of a type ``json`` cannot encode, raises TypeError.
 
     ``json.dumps`` is not called because before Python 3.14 an indented dump
-    always runs the pure-Python encoder.  This writer joins runs of ints with
-    ``str.join``, writes rows of plain ints with one ``%``-format over a row
-    template, and escapes strings with json's C helper instead.
+    always runs the pure-Python encoder.  This writer joins lists of plain
+    ints with ``str.join`` and escapes strings with json's C helper instead.
+    A :class:`corevec.RunRows` (an outcome class's slot profile) is written
+    from its run entries: each distinct ``(lo, hi, count)`` run at one indent
+    is rendered once per call, with one ``%``-format over a row template, so
+    classes that share runs share their text.  Nothing is kept between calls.
     """
-    return (_json_text(payload, "") + "\n").encode("utf-8")
+    return (_json_text(payload, "", {}) + "\n").encode("utf-8")
 
 
 def write_document(path: str, payload: dict) -> str:

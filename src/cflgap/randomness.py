@@ -40,10 +40,10 @@ def cumulative_thresholds(probs: Sequence[Fraction]) -> tuple[int, tuple[int, ..
     denominator; index ``i`` is drawn when a uniform integer below the
     denominator falls in ``[thresholds[i-1], thresholds[i])``.
     """
-    total = sum(probs, Fraction(0))
-    if total != 1 or any(p < 0 for p in probs):
-        raise ValueError(f"probabilities must be nonnegative and sum to 1, got {total}")
     numerators, denom = over_common_denominator(probs)
+    if sum(numerators) != denom or min(numerators, default=0) < 0:
+        total = sum(probs, Fraction(0))
+        raise ValueError(f"probabilities must be nonnegative and sum to 1, got {total}")
     return denom, tuple(accumulate(numerators))
 
 

@@ -67,8 +67,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corevec import (CoreIndex, FracVector, Runs, _complement, _refine, _runs, _size,
-                      make_core_vector, midpoint)
+from .corevec import (CoreIndex, FracVector, RunRows, Runs, _complement, _refine, _runs,
+                      _size, make_core_vector, midpoint)
 from .instance import (CLIENT_LIMIT, FACILITY_LIMIT, ONE, ZERO, Instance,
                        over_common_denominator, require_narrow, require_valid)
 from .randomness import ExactRng, cumulative_thresholds
@@ -662,14 +662,17 @@ class _Part:
     entries: tuple
     served: int
     over: tuple
-    _profile: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _rows: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def profile(self) -> tuple[tuple[int, int], ...]:
-        """The ``(facility, count)`` entries, expanded on first read: classes share parts."""
-        if self._profile is None:
-            self._profile = tuple((i, n) for (lo, hi), n in self.entries for i in range(lo, hi))
-        return self._profile
+    def rows(self) -> tuple:
+        """Per entry, its ``(facility, count)`` rows, expanded on first read:
+        classes share parts."""
+        if self._rows is None:
+            self._rows = tuple(
+                tuple((i, n) for i in range(lo, hi)) for (lo, hi), n in self.entries
+            )
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -680,8 +683,10 @@ class OutcomeClass:
     collapsed: the profile stores the canonical representative (ceil slots on
     the lowest-id bins), and ``probability`` covers the whole class.  The
     profile is held as ``parts``, one :class:`_Part` per facility group, and
-    the open set as runs.  Classes share parts; ``slot_profile`` expands
-    each part once and joins them on first read.
+    the open set as runs.  Classes share parts, and each part expands its
+    run entries to rows once; on first read ``slot_profile`` sorts the
+    parts' entries and joins their rows into a :class:`corevec.RunRows`
+    that keeps the sorted entries as ``runs``.
 
     ``members`` are the low-set facilities the class stands for.  A class of
     :func:`enumerate_outcome_classes` has one, its ``chosen_l_facility``.  A
@@ -709,10 +714,15 @@ class OutcomeClass:
         return not self.problems
 
     @cached_property
-    def slot_profile(self) -> tuple[tuple[int, int], ...]:
-        """Nonzero ``(facility, count)`` entries of every part, sorted by facility."""
-        entries = [entry for part in self.parts for entry in part.profile]
-        return tuple(sorted(entries, key=itemgetter(0)))
+    def slot_profile(self) -> RunRows:
+        """Nonzero ``(facility, count)`` entries of every part, sorted by facility;
+        its ``runs`` are the parts' run entries, sorted (the runs are disjoint)."""
+        pairs = sorted(
+            chain.from_iterable(zip(part.entries, part.rows) for part in self.parts),
+            key=itemgetter(0),
+        )
+        return RunRows(chain.from_iterable(rows for _, rows in pairs),
+                       tuple(entry for entry, _ in pairs))
 
     @property
     def key(self) -> tuple:

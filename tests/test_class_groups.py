@@ -7,18 +7,19 @@ facility, so a list made by expanding the groups must give the same bytes.
 
 import hashlib
 import json
+import pickle
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cflgap import cli
-from cflgap.corevec import CoreIndex, collides
+from cflgap.corevec import CoreIndex, RunRows, collides
 from cflgap.instance import build_family_instance, build_general_instance
 from cflgap.io import frac_to_str
 from cflgap.rounding import (
@@ -208,6 +209,25 @@ def test_grouped_classes_expand_to_the_per_facility_list(name):
     by_group = expected_vector(plan, grouped)
     by_facility = expected_vector(plan, expanded)
     assert by_group.equals(by_facility) and by_facility.equals(by_group)
+
+
+@pytest.mark.parametrize("name", ["mini", "t10-acceptance-2", *(
+    "census-{}-{}-{}-{}".format(*shape) for shape in CENSUS_SHAPES)])
+def test_slot_profile_carries_its_rows_as_sorted_runs(name):
+    # the report writer renders a profile from its runs, taking their text
+    # only when each run is nonempty, in id order and of plain ints
+    plan = pinned_plan(name)
+    for cl in enumerate_outcome_classes(plan) + enumerate_grouped_classes(plan):
+        profile = cl.slot_profile
+        assert type(profile) is RunRows
+        runs = profile.runs
+        assert runs == tuple(sorted(chain.from_iterable(part.entries for part in cl.parts)))
+        assert all(type(v) is int for (lo, hi), n in runs for v in (lo, hi, n))
+        assert all(lo < hi and n != 0 for (lo, hi), n in runs)
+        assert all(hi <= next_lo for ((_, hi), _), ((next_lo, _), _) in zip(runs, runs[1:]))
+        assert profile == tuple((i, n) for (lo, hi), n in runs for i in range(lo, hi))
+    copy = pickle.loads(pickle.dumps(profile))
+    assert (type(copy), copy, copy.runs) == (RunRows, profile, runs)
 
 
 def groups_from_indices(own, other):

@@ -33,8 +33,8 @@ def run(*argv):
 
 
 def run_fresh(*argv):
-    """The command in a fresh ``python -m cflgap.cli``, for tests that assert
-    that no traceback reaches stderr."""
+    """The command in a fresh ``python -m cflgap.cli``: what a shell sees,
+    tracebacks included."""
     return subprocess.run(CLI + list(argv), capture_output=True, text=True)
 
 
@@ -637,7 +637,7 @@ class TestVerifyMidpointAndSample:
             ["core", "--instance", str(inst), "--k", "0,1", "--l", "4,5", "-o", str(b)],
         ):
             assert run(*argv).returncode == 0
-        result = run_fresh("sample", str(a), str(b), "--n", "20", "--seed", "1")
+        result = run("sample", str(a), str(b), "--n", "20", "--seed", "1")
         assert result.returncode == 2, result.stderr
         assert "infeasible outcome class" in result.stderr
         assert "Traceback" not in result.stderr
@@ -653,7 +653,7 @@ class TestVerifyMidpointAndSample:
             ["core", "--instance", str(inst), "--k", "0,1", "--l", "2,4", "-o", str(b)],
         ):
             assert run(*argv).returncode == 0, argv
-        result = run_fresh("sample", str(a), str(b), "--n", "5", "--seed", "1")
+        result = run("sample", str(a), str(b), "--n", "5", "--seed", "1")
         assert result.returncode == 2, result.stderr
         assert "slot_profile [(0, 3), (1, 2), (2, 2), (4, 2)]" in result.stderr
         assert "2 borrowed-pivot slots overfill the rest pool (size 1)" in result.stderr
@@ -828,11 +828,27 @@ class TestMalformedCoreDocument:
             return str(path)
         return make
 
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_fresh_interpreter_exit_codes(self, workspace, broken, code):
+        # the tests here run commands in process, where an uncaught error
+        # fails the test; one command per exit code runs as a shell runs it
+        if code == 0:
+            argv = ["lpcheck", broken(lambda doc: doc["y"][1].update(value="1/1"))]
+            text, stream = "natural LP check: pass", "stdout"
+        else:
+            argv = ["sample", broken(lambda doc: doc.pop("k")), str(workspace["b"]),
+                    "--n", "5", "--seed", "1"]
+            text, stream = "missing field 'k'", "stderr"
+        result = run_fresh(*argv)
+        assert result.returncode == code, result.stderr
+        assert text in getattr(result, stream)
+        assert "Traceback" not in result.stderr
+
     def test_missing_k_exits_2_naming_field(self, workspace, broken):
         path = broken(lambda doc: doc.pop("k"))
         for argv in (["lpcheck", path],
                      ["sample", path, str(workspace["b"]), "--n", "5", "--seed", "1"]):
-            result = run_fresh(*argv)
+            result = run(*argv)
             assert result.returncode == 2, result.stderr
             assert "missing field 'k'" in result.stderr
             assert "Traceback" not in result.stderr
@@ -841,7 +857,7 @@ class TestMalformedCoreDocument:
         path = broken(lambda doc: doc["x"].pop())
         for argv in (["lpcheck", path],
                      ["sample", path, str(workspace["b"]), "--n", "5", "--seed", "1"]):
-            result = run_fresh(*argv)
+            result = run(*argv)
             assert result.returncode == 2, result.stderr
             assert "missing the x cell" in result.stderr
             assert "Traceback" not in result.stderr
@@ -1043,7 +1059,7 @@ class TestMalformedCoreDocument:
         # core file b altered the same way, for commands that read two cores
         b_altered = broken(alter, "b", "b_altered.core") if source == "a" else None
         for argv in commands:
-            result = run_fresh(*(
+            result = run(*(
                 arg.format(path=path, b=workspace["b"], b_altered=b_altered) for arg in argv
             ))
             assert result.returncode == 2, result.stderr
@@ -1069,7 +1085,7 @@ class TestMalformedCoreDocument:
         core.write_text(json.dumps(doc))
         for argv, code in ((["lpcheck"], 0), (["oracle", "member", "--vector"], 0),
                            (["certify", "--core"], 2)):
-            result = run_fresh(*argv, str(core))
+            result = run(*argv, str(core))
             assert result.returncode == code, (argv, result.stderr)
             assert "Traceback" not in result.stderr
 
@@ -1160,7 +1176,7 @@ class TestMalformedCoreDocument:
         core.write_text(json.dumps(doc))
         for argv in (["oracle", "opt", "--core"], ["oracle", "member", "--vector"],
                      ["lpcheck"], ["certify", "--core"]):
-            result = run_fresh(*argv, str(core))
+            result = run(*argv, str(core))
             assert result.returncode == 2, (argv, result.stdout)
             assert "core_client_count = 3 exceeds client_count = 2" in result.stderr
             assert "Traceback" not in result.stderr
@@ -1206,7 +1222,7 @@ class TestCensusCertifyBound:
     ], ids=["sample-n-negative", "sample-n-zero", "census-mc-zero", "sample-jobs-zero",
             "sample-jobs-negative", "census-jobs-zero", "census-jobs-negative"])
     def test_non_positive_draw_count_exits_2(self, workspace, argv, message):
-        result = run_fresh(*(arg.format(**workspace) for arg in argv))
+        result = run(*(arg.format(**workspace) for arg in argv))
         assert result.returncode == 2, result.stderr
         assert message in result.stderr
         assert "Traceback" not in result.stderr

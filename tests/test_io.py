@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cflgap import cli
 from cflgap import io as docio
-from cflgap.corevec import CoreIndex, make_core_vector
+from cflgap.corevec import CoreIndex, RunRows, make_core_vector
 from cflgap.certify import build_census_report, certify_gap
 from cflgap.polytope import enumerate_integer_solutions, membership_lp
 from cflgap.rounding import IntSolution, verify_midpoint
@@ -196,6 +196,36 @@ class _Int(int):
     pass
 
 
+# run entries ((lo, hi), count) in id order, disjoint and at times adjacent,
+# as an outcome class's slot profile holds them
+_run_entries = st.lists(st.tuples(st.integers(1, 4), _row_ints), max_size=6).map(
+    lambda steps: tuple(((4 * i, 4 * i + width), n) for i, (width, n) in enumerate(steps))
+)
+
+
+def _nested(value, depth):
+    """``value`` ``depth`` levels deep, in alternating dicts and lists."""
+    for level in range(depth - 1):
+        value = {"level": value} if level % 2 == 0 else [value, 0]
+    return {"rows": value}
+
+
+def run_rows(runs):
+    """The rows of run entries ``((lo, hi), count)`` with their run form."""
+    return RunRows([(i, n) for (lo, hi), n in runs for i in range(lo, hi)], runs)
+
+
+SHARED_RUN = ((4, 7), 3)
+RUN_ROWS = {
+    "empty": run_rows(()),
+    "one-id": run_rows((((3, 4), 2), ((9, 10), 1))),
+    "empty-run": run_rows((((2, 2), 7), ((3, 5), 1), ((6, 6), 2))),
+    "adjacent": run_rows((((0, 2), 5), ((2, 5), 4), ((5, 6), 5))),
+    "huge-count": run_rows((((0, 3), 2**70), ((3, 4), -(2**64 + 1)))),
+    "shared": run_rows((((0, 1), 9), SHARED_RUN)),
+}
+
+
 class TestDocumentWriter:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.dictionaries(st.text(), _values, max_size=6))
@@ -222,6 +252,61 @@ class TestDocumentWriter:
     def test_rows_outside_the_int_row_template(self, rows):
         for payload in ({"rows": rows}, {"rows": tuple(rows)}):
             assert docio.document_bytes(payload) == reference_bytes(payload)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(RUN_ROWS))
+    def test_run_rows_written_as_their_rows(self, name, depth):
+        rows = RUN_ROWS[name]
+        payload = _nested(rows, depth)
+        assert docio.document_bytes(payload) == reference_bytes(payload)
+
+    def test_run_texts_shared_within_a_document_at_each_indent(self):
+        # one run in several classes and at several depths of one document;
+        # a bool count equals its int but is written as json writes a bool
+        other = run_rows((SHARED_RUN, ((8, 9), 3)))
+        payload = {
+            "classes": [{"slot_profile": rows} for rows in RUN_ROWS.values()] + [
+                {"slot_profile": other}, {"nested": {"slot_profile": other}}
+            ],
+            "again": [RUN_ROWS["shared"], [RUN_ROWS["shared"]]],
+            "equal counts": [run_rows((((0, 2), 1),)), run_rows((((0, 2), True),))],
+        }
+        assert docio.document_bytes(payload) == reference_bytes(payload)
+        # no text carries over to the next document
+        assert docio.document_bytes(payload) == docio.document_bytes(payload)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(_run_entries, min_size=1, max_size=4), st.integers(1, 3))
+    def test_run_rows_match_json_dumps(self, entry_lists, depth):
+        payload = _nested([run_rows(entries) for entries in entry_lists], depth)
+        assert docio.document_bytes(payload) == reference_bytes(payload)
+
+    @pytest.mark.parametrize("runs", [
+        (((0, 2), True),),
+        (((0, 1), 4), ((1, 3), False)),
+        (((True, 3), 2),),
+        (((0, 2), _Int(2)),),
+        (((np.int64(0), np.int64(2)), 2),),
+    ], ids=["bool-count", "bool-count-after-int", "bool-bound", "int-subclass-count",
+            "np-int64-bounds"])
+    def test_run_rows_outside_the_int_run_template(self, runs):
+        rows = run_rows(runs)
+        for depth in (1, 2):
+            payload, plain = _nested(rows, depth), _nested(tuple(rows), depth)
+            assert docio.document_bytes(payload) == docio.document_bytes(plain)
+            assert docio.document_bytes(payload) == reference_bytes(payload)
+
+    @pytest.mark.parametrize("runs", [
+        (((0, 2), np.int64(2)),),
+        (((0, 1), 4), ((1, 3), np.int64(1))),
+    ], ids=["np-int64-count", "np-int64-count-after-int"])
+    def test_run_rows_refused_as_their_rows_are(self, runs):
+        rows = run_rows(runs)
+        for value in (rows, tuple(rows)):
+            with pytest.raises(TypeError):
+                docio.document_bytes({"rows": value})
+            with pytest.raises(TypeError):
+                reference_bytes({"rows": value})
 
     @pytest.mark.parametrize("payload", [
         {"value": Fraction(1, 2)},

@@ -175,7 +175,8 @@ def test_run_split_matches_reference_split(lengths, total, capacity):
     assume(ids or not total)
     part = _split_part(total, tuple(bins), capacity)
     expected = {fac: cnt for fac, cnt in reference_split(total, ids).items() if cnt}
-    assert dict(part.profile) == expected and [fac for fac, _ in part.profile] == sorted(expected)
+    profile = [row for rows in part.rows for row in rows]  # each entry's rows, in order
+    assert dict(profile) == expected and [fac for fac, _ in profile] == sorted(expected)
     assert part.served == sum(expected.values()) == total
     over = [(fac, n) for (lo, hi), n in part.over for fac in range(lo, hi)]
     assert over == [(fac, cnt) for fac, cnt in sorted(expected.items()) if cnt > capacity]

@@ -17,7 +17,7 @@ import cflgap.rounding as rounding
 from cflgap.corevec import CoreIndex, collides, make_core_vector, midpoint
 from cflgap.instance import build_family_instance, build_general_instance
 from cflgap.io import solution_from_doc, solution_to_doc
-from cflgap.randomness import ExactRng
+from cflgap.randomness import ExactRng, cumulative_thresholds
 from cflgap.rounding import (
     IntSolution,
     NonCollidingPairError,
@@ -143,6 +143,26 @@ class TestPlanThresholds:
             for coin, exact in coins:
                 assert 0 <= coin.num < coin.den
                 assert coin.floor + Fraction(coin.num, coin.den) == exact
+
+
+class TestCumulativeThresholds:
+    def test_integer_thresholds_over_the_common_denominator(self):
+        assert cumulative_thresholds([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]) == (
+            6, (3, 5, 6)
+        )
+
+    @pytest.mark.parametrize("probs, total", [
+        ([Fraction(3, 2), Fraction(-1, 2)], "1"),
+        ([Fraction(1, 2), Fraction(0), Fraction(-1, 3), Fraction(5, 6)], "1"),
+        ([Fraction(1, 2), Fraction(1, 3)], "5/6"),
+        ([Fraction(2, 3), Fraction(2, 3)], "4/3"),
+        ([], "0"),
+    ], ids=["negative", "negative-zero-step", "below-one", "above-one", "empty"])
+    def test_refusal_names_the_sum(self, probs, total):
+        message = f"probabilities must be nonnegative and sum to 1, got {total}"
+        with pytest.raises(ValueError) as info:
+            cumulative_thresholds(probs)
+        assert str(info.value) == message
 
 
 class TestRoundSlots:
