@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, Optional
 
-from .corevec import CoreIndex, make_core_vector
+from .corevec import CoreIndex, FracVector, make_core_vector
 from .instance import (CLIENT_LIMIT, FACILITY_LIMIT, Instance, build_gap_costs,
                        check_metric_admissible, require_narrow, require_valid)
 
@@ -343,7 +343,11 @@ def analytic_opt_witness(inst: Instance, core_index: CoreIndex) -> IntSolution:
 
 
 def certify_gap(
-    inst: Instance, core_index: CoreIndex, mode: str = "analytic"
+    inst: Instance,
+    core_index: CoreIndex,
+    mode: str = "analytic",
+    *,
+    core: Optional[FracVector] = None,
 ) -> GapCertificate:
     """Gap certificate of one core vector under its two-point costs.
 
@@ -353,7 +357,8 @@ def certify_gap(
     analytic mode the optimum is 1: costs are integers, no cost-0 solution
     fits (:meth:`CostVector.zero_cost_fits`, checked here), and the witness
     costs 1.  Brute-force mode replaces the analytic optimum with exhaustive
-    enumeration on tiny instances.
+    enumeration on tiny instances.  ``core`` is the core vector of
+    ``core_index`` when the caller has already built it.
     """
     if mode not in ("analytic", "brute-force"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -361,8 +366,9 @@ def certify_gap(
     metric = check_metric_admissible(cost, inst)
     if not metric:
         raise AssertionError(f"gap costs violate the quadrangle inequality at {metric.violation}")
-    vec = make_core_vector(inst, core_index.k, core_index.l)
-    frac_cost = cost.vector_cost(vec)
+    if core is None:
+        core = make_core_vector(inst, core_index.k, core_index.l)
+    frac_cost = cost.vector_cost(core)
 
     if mode == "analytic":
         if cost.zero_cost_fits(inst.capacity):

@@ -86,26 +86,27 @@ def _load_core(path: str):
 
 
 def _load_core_index(path: str):
-    """Instance, index and input digest of a core file whose vector is the
-    core vector of its ``(k, l)``; for any other payload, ValueError naming
-    the first facility class or cell that differs."""
-    inst, index, vec, inputs = _load_core(path)
-    core = make_core_vector(inst, index.k, index.l)
-    if not vec.equals(core):
+    """Instance, index, core vector and input digest of a core file whose
+    vector is the core vector of its ``(k, l)``; for any other payload,
+    ValueError naming the first facility class or cell that differs."""
+    doc, digest = docio.read_document(path)
+    inst, index, core, difference = docio.load_core_vector_doc(doc)
+    if difference is not None:
         raise ValueError(
             f"core file {path} holds a vector other than the core vector of "
-            f"k={sorted(index.k)} l={sorted(index.l)}: {vec.first_difference(core)}"
+            f"k={sorted(index.k)} l={sorted(index.l)}: {difference}"
         )
-    return inst, index, inputs
+    return inst, index, core, {path: digest}
 
 
 def _load_core_pair(first: str, second: str):
-    """Instance, both indices and input digests of two core files of one instance."""
-    inst, c1, in1 = _load_core_index(first)
-    inst2, c2, in2 = _load_core_index(second)
+    """Instance, both indices, both core vectors and the input digests of two
+    core files of one instance."""
+    inst, c1, v1, in1 = _load_core_index(first)
+    inst2, c2, v2, in2 = _load_core_index(second)
     if inst != inst2:
         raise ValueError("core files describe different instances")
-    return inst, c1, c2, {**in1, **in2}
+    return inst, (c1, c2), (v1, v2), {**in1, **in2}
 
 
 def _parse_id_spec(spec: str, t: int, facility_count: int) -> list[int]:
@@ -206,8 +207,8 @@ def cmd_core(args) -> int:
 
 
 def cmd_collide(args) -> int:
-    _, c1, c2, _ = _load_core_pair(args.first, args.second)
-    result = collides(c1, c2)
+    _, pair, _, _ = _load_core_pair(args.first, args.second)
+    result = collides(*pair)
     print(f"collide: {str(result).lower()}")
     return EXIT_OK if result else EXIT_FALSE
 
@@ -228,8 +229,8 @@ def cmd_lpcheck(args) -> int:
 def cmd_verify_midpoint(args) -> int:
     from .rounding import verify_midpoint
 
-    inst, c1, c2, inputs = _load_core_pair(args.first, args.second)
-    cert = verify_midpoint(inst, c1, c2)
+    inst, pair, cores, inputs = _load_core_pair(args.first, args.second)
+    cert = verify_midpoint(inst, *pair, cores=cores)
     print(
         f"midpoint certificate: expectation_matches={cert.expectation_matches} "
         f"all_classes_feasible={cert.all_classes_feasible} classes={cert.class_count} "
@@ -307,8 +308,8 @@ def cmd_sample(args) -> int:
                 f"--solutions-dir {args.solutions_dir} already holds {stale} "
                 "sol_*.json files; choose an empty directory"
             )
-    inst, c1, c2, inputs = _load_core_pair(args.first, args.second)
-    plan = compile_plan(inst, c1, c2)
+    inst, pair, _, inputs = _load_core_pair(args.first, args.second)
+    plan = compile_plan(inst, *pair)
     classes = enumerate_outcome_classes(plan)
     infeasible = next((cl for cl in classes if not cl.feasible), None)
     if infeasible is not None:
@@ -397,12 +398,17 @@ def cmd_certify(args) -> int:
     from .certify import certify_gap, reference_index
 
     if args.core:
-        inst, index, inputs = _load_core_index(args.core)
+        given = [flag for flag, value in (("--instance", args.instance), ("--t", args.t))
+                 if value is not None]
+        if given:
+            raise ValueError(f"--core takes the instance from the core file and "
+                             f"conflicts with {' and '.join(given)}")
+        inst, index, core, inputs = _load_core_index(args.core)
     else:
         inst, inputs = _resolve_instance(args)
-        index = reference_index(inst)
+        index, core = reference_index(inst), None
     mode = "brute-force" if args.brute_force else "analytic"
-    cert = certify_gap(inst, index, mode)
+    cert = certify_gap(inst, index, mode, core=core)
     print(f"frac cost:  {docio.frac_to_str(cert.frac_cost)}")
     print(f"opt value:  {docio.frac_to_str(cert.opt_value)} ({cert.opt_provenance})")
     print(f"ratio:      {docio.frac_to_str(cert.ratio)}")
@@ -453,7 +459,7 @@ def cmd_oracle_member(args) -> int:
 def cmd_oracle_opt(args) -> int:
     from .polytope import brute_force_opt
 
-    inst, index, inputs = _load_core_index(args.core)
+    inst, index, _, inputs = _load_core_index(args.core)
     cost = build_gap_costs(inst, index)
     value, witness = brute_force_opt(inst, cost)
     print(f"opt value: {docio.frac_to_str(value)}")

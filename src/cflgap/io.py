@@ -17,7 +17,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Optional
 
-from .corevec import DENSE_LIMIT, CoreIndex, FracVector, NaturalLpReport, RunRows, Runs, _runs
+from .corevec import (DENSE_LIMIT, CoreIndex, FracVector, NaturalLpReport, RunRows, Runs,
+                      _runs, make_core_vector)
 from .instance import ZERO, FamilyParams, Instance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,6 +33,7 @@ __all__ = [
     "instance_from_doc",
     "core_file_doc",
     "load_core_doc",
+    "load_core_vector_doc",
     "solution_to_doc",
     "solution_from_doc",
     "census_report_to_doc",
@@ -296,13 +298,8 @@ def core_file_doc(inst: Instance, index: CoreIndex, vec: FracVector) -> dict:
     }
 
 
-def load_core_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector]:
-    """Instance, index and vector of a core document.
-
-    A missing or mistyped field raises ValueError naming it.  On a family
-    instance, ``core_clients`` must be its designated clients and ``(k, l)``
-    a valid index; the payload is read as written.
-    """
+def _core_header(doc: dict) -> tuple[Instance, CoreIndex]:
+    """Instance and index of a core document, with :func:`load_core_doc`'s checks."""
     where = "core document"
     inst = instance_from_doc(_field(doc, "instance", where))
     k = _id_list(_field(doc, "k", where), f"{where} field 'k'")
@@ -320,8 +317,51 @@ def load_core_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector]:
                 "client ids of the instance's designated group"
             )
         index = CoreIndex.for_instance(inst, k, l)
+    return inst, index
+
+
+def load_core_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector]:
+    """Instance, index and vector of a core document.
+
+    A missing or mistyped field raises ValueError naming it.  On a family
+    instance, ``core_clients`` must be its designated clients and ``(k, l)``
+    a valid index; the payload is read as written.
+    """
+    inst, index = _core_header(doc)
+    return inst, index, _vector_from_doc(doc, inst.facility_count, inst.client_count)
+
+
+def load_core_vector_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector, Optional[str]]:
+    """Instance, index and core vector of a core document, and where its
+    payload first differs from that vector (None when it holds it).
+
+    The header is checked as :func:`load_core_doc` checks it.  A payload in
+    the form ``core -o`` writes, the core vector's own document with every
+    span bound a JSON int, is matched as a document and not parsed.  Any
+    other payload is read as :func:`load_core_doc` reads it and compared as
+    a vector, so it is accepted or refused exactly as before.
+    """
+    inst, index = _core_header(doc)
+    try:
+        core = make_core_vector(inst, index.k, index.l)
+        if _holds_document(doc, _vector_to_doc(core)):
+            return inst, index, core, None
+    except Exception:  # left to the full read, which reports it in its own order
+        pass
     vec = _vector_from_doc(doc, inst.facility_count, inst.client_count)
-    return inst, index, vec
+    core = make_core_vector(inst, index.k, index.l)
+    return inst, index, core, vec.first_difference(core)
+
+
+def _holds_document(doc: dict, payload: dict) -> bool:
+    """True iff ``doc``'s payload fields equal the classed ``payload``'s, with
+    every span bound of ``doc`` an int: JSON ``==`` takes ``true`` and ``1.0``
+    for ``1``, where reading the span refuses them."""
+    if payload["repr"] != "classed" or any(doc.get(key) != payload[key] for key in payload):
+        return False
+    spans = [entry[key]["span"] for entry in chain(doc["y"], doc["x"])
+             for key in ("facilities", "clients") if key in entry]
+    return set(map(type, chain.from_iterable(spans))) == {int}
 
 
 # ---------------------------------------------------------------------------

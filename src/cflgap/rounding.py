@@ -1159,16 +1159,26 @@ class MidpointCertificate:
         )
 
 
-def verify_midpoint(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> MidpointCertificate:
+def verify_midpoint(
+    inst: Instance,
+    c1: CoreIndex,
+    c2: CoreIndex,
+    *,
+    cores: Optional[tuple[FracVector, FracVector]] = None,
+) -> MidpointCertificate:
     """Exact midpoint-membership certificate for a colliding pair.
 
     Reads the classes per chosen group: a group's classes are feasible
     exactly when each member's are, and the expectation spreads their mass
     evenly over the members, so the number of classes does not grow with t.
+    ``cores`` are the core vectors of ``c1`` and ``c2`` when the caller has
+    already built them; otherwise they are built here.
     """
     plan = compile_plan(inst, c1, c2)
     classes = enumerate_grouped_classes(plan)
-    mid = midpoint(make_core_vector(inst, c1.k, c1.l), make_core_vector(inst, c2.k, c2.l))
+    if cores is None:
+        cores = make_core_vector(inst, c1.k, c1.l), make_core_vector(inst, c2.k, c2.l)
+    mid = midpoint(*cores)
     weights, den = over_common_denominator([cl.probability for cl in classes])
     return MidpointCertificate(
         pair=(c1, c2),

@@ -7,13 +7,13 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from io import StringIO
 
 import pytest
 
-from cflgap import cli
+from cflgap import certify, cli, corevec, rounding
 from cflgap import io as docio
-from cflgap import rounding
 from cflgap.instance import FACILITY_LIMIT
 from conftest import spoil_rows
 
@@ -294,17 +294,18 @@ class TestInputsReadOnce:
             assert manifest["inputs"] == {path: docio.sha256_of(path) for path in inputs}
 
 
-def as_id_lists(doc):
-    """``doc`` with each class of several runs written as its ids, the form of
-    core files from before a span held more than one run."""
+def as_id_lists(doc, min_runs=2):
+    """``doc`` with each class of at least ``min_runs`` runs written as its
+    ids; by default the form of core files from before a span held more than
+    one run."""
     if isinstance(doc, list):
-        return [as_id_lists(item) for item in doc]
+        return [as_id_lists(item, min_runs) for item in doc]
     if not isinstance(doc, dict):
         return doc
     span = doc.get("span")
-    if span is not None and len(span) > 2:
+    if span is not None and len(span) >= 2 * min_runs:
         return [j for lo, hi in zip(span[::2], span[1::2]) for j in range(lo, hi)]
-    return {key: as_id_lists(value) for key, value in doc.items()}
+    return {key: as_id_lists(value, min_runs) for key, value in doc.items()}
 
 
 # Runs each command line of argv[1] (a JSON list of [argv, exit code]) in
@@ -1182,6 +1183,131 @@ class TestMalformedCoreDocument:
             assert "Traceback" not in result.stderr
 
 
+def _reversed_x(doc):
+    doc["x"].reverse()
+    return doc
+
+
+def _y_value(value):
+    def alter(doc):
+        doc["y"][1]["value"] = value  # the low set's y, eps = 1/2 on TINY
+        return doc
+    return alter
+
+
+def _bound(entry, field, value):
+    # the upper bound of the first entry's span: 1 for TINY's k = {0} and 3
+    # for its clients, so an equal true, 1.0 or 3.0 leaves the file == canonical
+    def alter(doc):
+        doc[entry][0][field]["span"][1] = value
+        return doc
+    return alter
+
+
+TINY_PAIR_COMMANDS = [
+    ["sample", "{a}", "{b}", "--n", "20", "--seed", "1"],
+    ["verify-midpoint", "{a}", "{b}"],
+    ["collide", "{a}", "{b}"],
+    ["certify", "--core", "{a}"],
+    ["oracle", "opt", "--core", "{a}"],
+]
+
+
+class TestCoreFileForms:
+    """Commands that work from a core file's index match its payload against
+    the core vector's own document, and read any other form as a vector."""
+
+    @pytest.fixture()
+    def tiny_pair(self, tmp_path):
+        """TINY core files a ({0}/{1}) and b ({0}/{2}), which collide."""
+        tiny = tmp_path / "tiny.json"
+        paths = {"tiny": tiny, "a": tmp_path / "a.core", "b": tmp_path / "b.core",
+                 "dir": tmp_path}
+        assert run(
+            "gen", "--general", "--nf", "3", "--t", "1", "--U", "2", "--m", "3",
+            "--eps", "1/2", "--xl", "1/3", "-o", str(tiny),
+        ).returncode == 0
+        for name, l in (("a", "1"), ("b", "2")):
+            assert run("core", "--instance", str(tiny), "--k", "0", "--l", l,
+                       "-o", str(paths[name])).returncode == 0
+        return paths
+
+    def _variant(self, tiny_pair, alter):
+        doc = json.loads(tiny_pair["a"].read_text())
+        path = tiny_pair["dir"] / "variant.core"
+        path.write_text(json.dumps(alter(doc)))
+        return str(path)
+
+    @pytest.mark.parametrize("alter", [
+        pytest.param(partial(as_id_lists, min_runs=1), id="id-lists"),
+        pytest.param(None, id="dense"),
+        pytest.param(_y_value("2/4"), id="unreduced-value"),
+        pytest.param(_reversed_x, id="reordered-x"),
+    ])
+    def test_equal_payload_in_another_form_accepted(self, tiny_pair, monkeypatch, alter):
+        if alter is None:
+            variant = str(tiny_pair["dir"] / "dense.core")
+            assert run("core", "--instance", str(tiny_pair["tiny"]), "--k", "0", "--l", "1",
+                       "--dense", "-o", variant).returncode == 0
+        else:
+            variant = self._variant(tiny_pair, alter)
+        parsed = []
+        real = docio._vector_from_doc
+        monkeypatch.setattr(docio, "_vector_from_doc",
+                            lambda *args: parsed.append(args) or real(*args))
+        for argv in TINY_PAIR_COMMANDS:
+            canonical = run(*(arg.format(**tiny_pair) for arg in argv))
+            assert canonical.returncode == 0, (argv, canonical.stderr)
+            assert not parsed, argv
+            result = run(*(arg.format(**{**tiny_pair, "a": variant}) for arg in argv))
+            assert (result.returncode, result.stdout, result.stderr) == (
+                0, canonical.stdout, ""), argv
+            assert parsed, argv
+            parsed.clear()
+
+    @pytest.mark.parametrize("alter, message", [
+        # JSON == takes true and 1.0 for 1; the span reader does not
+        pytest.param(_bound("y", "facilities", True),
+                     "y entry facilities span must be an integer, got true", id="true-bound"),
+        pytest.param(_bound("y", "facilities", 1.0),
+                     "y entry facilities span must be an integer, got 1.0", id="float-bound"),
+        pytest.param(_bound("x", "clients", 3.0),
+                     "x entry clients span must be an integer, got 3.0", id="float-client-bound"),
+        pytest.param(_y_value("1/3"),
+                     "core file {a} holds a vector other than the core vector of k=[0] l=[1]: "
+                     "y of facilities 1 is 1/3, not 1/2", id="changed-value"),
+    ])
+    def test_unequal_or_mistyped_payload_exits_2(self, tiny_pair, alter, message):
+        variant = self._variant(tiny_pair, alter)
+        for argv in TINY_PAIR_COMMANDS:
+            result = run(*(arg.format(**{**tiny_pair, "a": variant}) for arg in argv))
+            assert result.returncode == 2, (argv, result.stdout)
+            assert result.stderr == f"error: {message.format(a=variant)}\n", argv
+
+    @pytest.mark.parametrize("argv, vectors", [
+        (["verify-midpoint", "{a}", "{b}", "-o", "{dir}/vm.json"], 2),
+        (["certify", "--core", "{a}", "-o", "{dir}/cert.json"], 1),
+    ], ids=["verify-midpoint", "certify"])
+    def test_each_core_vector_built_once_and_no_payload_parsed(
+        self, workspace, monkeypatch, argv, vectors
+    ):
+        built = []
+
+        def spy(inst, k, l):
+            built.append((sorted(k), sorted(l)))
+            return corevec.make_core_vector(inst, k, l)
+
+        def refuse(*args):
+            raise AssertionError("a canonical core payload was parsed")
+
+        for module in (cli, docio, rounding, certify):
+            monkeypatch.setattr(module, "make_core_vector", spy)
+        monkeypatch.setattr(docio, "_vector_from_doc", refuse)
+        result = run(*(arg.format(**workspace) for arg in argv))
+        assert result.returncode == 0, result.stderr
+        assert built == [([0, 1], [2, 3]), ([0, 1], [4, 5])][:vectors]
+
+
 class TestCensusCertifyBound:
     def test_census_exact_matches_brute_force(self, workspace):
         out = workspace["dir"] / "census.json"
@@ -1254,6 +1380,22 @@ class TestCensusCertifyBound:
         result = run("certify", "--t", "20")
         assert result.returncode == 0
         assert "ratio:      2/1" in result.stdout
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--instance", "{mini}"], "--instance"),
+        (["--t", "2"], "--t"),
+        (["--instance", "{mini}", "--t", "2"], "--instance and --t"),
+    ], ids=["instance", "t", "both"])
+    def test_certify_core_with_an_instance_source_exits_2(self, workspace, extra, named):
+        # the instance and --t used to be ignored, and --t stamped into the manifest
+        out = workspace["dir"] / "cert.json"
+        argv = ["certify", "--core", "{a}", *extra, "-o", str(out)]
+        result = run(*(arg.format(**workspace) for arg in argv))
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"error: --core takes the instance from the core file and conflicts with {named}\n"
+        )
+        assert not out.exists()
 
     def test_certify_core_brute_force(self, tmp_path):
         tiny = tmp_path / "tiny.json"
