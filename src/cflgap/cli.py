@@ -276,8 +276,8 @@ def _sample_block(
 
     def chunks():
         index = start
-        # only solution files read per-client assignments; the tally reads loads
-        draws = sample_block(plan, ExactRng(seed), count, shuffle=bool(solutions_dir))
+        # only solution files read per-client rows; the tally reads run forms
+        draws = sample_block(plan, ExactRng(seed), count, rows=bool(solutions_dir))
         for chunk in draws:
             if solutions_dir:
                 for row in range(len(chunk)):
@@ -330,7 +330,8 @@ def cmd_sample(args) -> int:
     freq = sum((r[1] for r in results), Counter())
     problems = [p for r in results for p in r[2]][:MAX_VIOLATION_EXAMPLES]
 
-    unmatched = args.n - sum(freq.get(cl.key, 0) for cl in classes)
+    observed = [freq.get(cl.key, 0) for cl in classes]
+    unmatched = args.n - sum(observed)
 
     print(f"samples: {args.n}, feasible: {feasible}, infeasible: {args.n - feasible}")
     params = {
@@ -346,8 +347,8 @@ def cmd_sample(args) -> int:
         "violation_examples": problems,
         "unmatched_class_draws": unmatched,
         "classes": [
-            {**docio.outcome_class_to_doc(cl), "observed": freq.get(cl.key, 0)}
-            for cl in classes
+            {**docio.outcome_class_to_doc(cl), "observed": n}
+            for cl, n in zip(classes, observed)
         ],
     }, params, inputs)
     return EXIT_OK if feasible == args.n and not unmatched else EXIT_FALSE

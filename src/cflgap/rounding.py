@@ -20,12 +20,13 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
   (seed-deterministic) as :class:`DrawChunk` arrays.  Every decision of the
   block is drawn first, one array per step, by comparing uniform integers
   with the thresholds and coins (exactly, for any denominator; no
-  ``Fraction`` and no float).  Then the assignments are built in chunks of
-  rows: one ``np.repeat`` of the rows' facility counts, in pool order,
-  then (unless ``shuffle=False``) each client pool's segment of every row
-  shuffled in place.  Only readers of per-client assignments need the
-  shuffle; feasibility and outcome classes depend only on facility loads.
-  :func:`sample_outcome` is its one-row case, and
+  ``Fraction`` and no float).  A row's clients are then its layout
+  facilities in pool order, each with its slot count.  Count-only chunks
+  (``rows=False``) keep that run form and never materialize per-client
+  rows: feasibility and outcome classes depend only on facility loads.
+  Otherwise the assignments are built in chunks of rows, one ``np.repeat``
+  of the rows' facility counts, then each client pool's segment of every
+  row shuffled in place.  :func:`sample_outcome` is its one-row case, and
 * :func:`enumerate_grouped_classes` lists every branch of the same
   thresholds and coins with its exact probability, collapsing exchangeable
   client and bin choices, and exchangeable low-set facilities into groups
@@ -37,9 +38,8 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
 
 :func:`tally_draws` checks and keys the chunks from their facility loads.
 One function counts loads, :func:`_row_loads`: unknown ids go to one extra
-column, then a chunk of long runs of equal ids (pool-order rows) is counted
-from its run starts and lengths, and any other chunk by one row-offset
-``bincount``.
+column, then a run form's counts are added at their ids and an assignment
+is counted by one row-offset ``bincount``.
 :func:`solution_violations` and :func:`outcome_class_key` are its one-row
 cases, so a draw the tally cannot count has violations and no key in all
 three.
@@ -163,54 +163,34 @@ def solution_violations(inst: Instance, sol: IntSolution) -> list[str]:
     return out
 
 
-# The mean run of equal ids from which _row_loads counts a chunk by its
-# runs: np.add.at costs about as much per run as bincount for 8-10 ids.
-_RUN_LENGTH = 16
-
-
-def _row_loads(inst: Instance, assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a 2-d int64 assignment, whether it can be counted and its
+def _row_loads(
+    inst: Instance, ids: np.ndarray, counts: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of 2-d int64 ``ids``, whether it can be counted and its
     clients per facility.
 
-    A row can be counted when it has one entry per client and names only
-    known facility ids.  Read as uint64, a negative id is at least 2**63,
-    so one minimum sends every unknown id to an extra column ``n_f`` and a
-    huge id costs no table.  Each row's ids are counted into its own
-    ``n_f + 1`` columns of one flat table, in one of two ways:
-
-    * by runs, when the chunk's runs of equal ids average at least
-      ``_RUN_LENGTH`` entries, as in a pool-order row.  One ``not_equal``
-      marks where the id changes, and every row start begins a run.  Every
-      entry carries its run's id, so the minimum over the run ids checks
-      every entry, and ``np.add.at`` adds the run lengths to their columns
-      (an id may recur within a row).
-    * otherwise (shuffled or narrow rows), by one ``bincount`` of every id,
-      each row offset by ``row * (n_f + 1)``.
-
-    The loads of a row that cannot be counted mean nothing.
+    Without ``counts``, ``ids`` is an assignment, one id per client; with
+    them, a run form: entry ``ids[r, e]`` serves ``counts[r, e] >= 0``
+    clients (an id may recur).  A row can be counted when its counts sum
+    to the client count and it names no unknown facility id with a nonzero
+    count.  Read as uint64, a negative id is at least 2**63, so one minimum
+    sends every unknown id to an extra column ``n_f`` and a huge id costs
+    no table.  Each row's ids go into its own ``n_f + 1`` columns of one
+    flat table: by one ``bincount`` of an assignment, each row offset by
+    ``row * (n_f + 1)``, or by ``np.add.at`` of a run form's counts.  The
+    loads of a row that cannot be counted mean nothing.
     """
-    (rows, width), n_f = assign.shape, inst.facility_count
-    flat, starts = assign.ravel(), None
-    if width >= _RUN_LENGTH:  # a narrower row cannot average a run that long
-        change = np.empty(flat.size, dtype=bool)
-        np.not_equal(flat[1:], flat[:-1], out=change[1:])
-        change[::width] = True
-        if np.count_nonzero(change) * _RUN_LENGTH <= flat.size:
-            starts = np.flatnonzero(change)
-    if starts is None:
-        ids = np.minimum(assign.view(np.uint64), n_f).view(np.int64)
-        if rows > 1:  # one row needs no offset, so a single draw stays cheap to check
-            ids += np.arange(0, rows * (n_f + 1), n_f + 1)[:, None]
-        loads = np.bincount(ids.ravel(), minlength=rows * (n_f + 1))
+    rows, n_f = len(ids), inst.facility_count
+    ids = np.minimum(ids.view(np.uint64), n_f).view(np.int64)
+    if rows > 1:  # one row needs no offset, so a single draw stays cheap to check
+        ids += np.arange(0, rows * (n_f + 1), n_f + 1)[:, None]
+    if counts is None:
+        loads, served = np.bincount(ids.ravel(), minlength=rows * (n_f + 1)), ids.shape[1]
     else:
-        ids = np.minimum(flat[starts].view(np.uint64), n_f).view(np.int64)
-        ids += starts // width * (n_f + 1)
-        loads = np.zeros(rows * (n_f + 1), dtype=np.int64)
-        np.add.at(loads, ids, np.diff(starts, append=flat.size))
+        loads, served = np.zeros(rows * (n_f + 1), dtype=np.int64), counts.sum(axis=1)
+        np.add.at(loads, ids.ravel(), counts.ravel())
     loads = loads.reshape(rows, n_f + 1)
-    counted = loads[:, n_f] == 0
-    if width != inst.client_count:
-        counted[:] = False
+    counted = (loads[:, n_f] == 0) & (served == inst.client_count)
     return counted, loads[:, :n_f]
 
 
@@ -521,36 +501,46 @@ class DrawChunk:
 
     Row ``r`` has the branch ``branches[r]`` (experiment index, chosen low
     facility, ``extra_open`` as 0 or 1), the open set
-    ``open_sets[open_of[r]]`` and the assignment ``assign[r]``; the rows
-    share one assignment length.  Rows from ``sample_block(...,
-    shuffle=False)`` keep each client pool's segment in pool order (its
-    facilities by count): the facility loads of the shuffled rows, but not
-    a uniform assignment.
+    ``open_sets[open_of[r]]`` and its clients, held in one of two forms:
+    the assignment ``assign[r]`` (the rows share one length), or, with
+    ``assign`` None, the run form: facility ``facilities[r, e]`` serves
+    ``counts[r, e]`` clients, in pool order.  Run-form rows are never
+    expanded to per-client rows unless one is read (:meth:`row`).
     """
 
     branches: np.ndarray
     open_of: np.ndarray
     open_sets: tuple[frozenset[int], ...]
-    assign: np.ndarray
+    assign: Optional[np.ndarray] = None
+    facilities: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.branches)
 
+    def row(self, row: int) -> np.ndarray:
+        """Row ``row``'s read-only assignment: a view of ``assign``, or the run
+        form expanded in pool order (each pool's clients by facility)."""
+        if self.assign is not None:
+            return self.assign[row]
+        assign = np.repeat(self.facilities[row], self.counts[row])
+        assign.setflags(write=False)
+        return assign
+
     def draw(self, plan: RoundingPlan, row: int) -> SampleDraw:
-        """Row ``row`` as a draw of ``plan``; its assignment is a view of the row."""
+        """Row ``row`` as a draw of ``plan``, its assignment :meth:`row`."""
         exp_index, chosen, extra_open = self.branches[row].tolist()
         return SampleDraw(
-            solution=IntSolution(self.open_sets[self.open_of[row]], self.assign[row]),
+            solution=IntSolution(self.open_sets[self.open_of[row]], self.row(row)),
             experiment=plan.experiments[exp_index].label,
             chosen_l_facility=chosen,
             extra_open=bool(extra_open),
         )
 
 
-# Bytes of assignments (and of the facility loads tally_draws counts from
-# them) that sample_block materializes at once: three t=10 rows of 160 KB.
-# Each chunk costs fixed Python work, and a pool-order chunk, counted by
-# its runs, need not fit in cache.
+# Bytes of assignments (or, if wider, of the facility loads tally_draws
+# counts from them) that sample_block materializes at once: three t=10 rows
+# of 160 KB.  A chunk of run-form rows holds this many bytes of loads.
 _CHUNK_BYTES = 1 << 19
 
 
@@ -600,40 +590,50 @@ def _draw_decisions(
 
 
 def sample_block(
-    plan: RoundingPlan, rng: ExactRng, count: int, *, shuffle: bool = True
+    plan: RoundingPlan, rng: ExactRng, count: int, *, rows: bool = True
 ) -> Iterator[DrawChunk]:
     """``count`` draws from the distribution, as chunks of rows in draw order.
 
     Every decision of the block is drawn first, as arrays
     (:func:`_draw_decisions`), so the branches and slot counts, and with
     them every class count, do not depend on how the rows are chunked.
-    Then each chunk of at most ``_CHUNK_BYTES`` of assignments (or of
-    facility loads, if wider) is materialized: one ``np.repeat`` of its
-    rows' facilities by their counts, in pool order.  With ``shuffle``
-    (the default), each pool's segment of every row is then shuffled in
-    place, which gives the same uniform assignment as permuting the pool's
-    clients and handing them out in order.  Only a reader of per-client
-    assignments needs the shuffle: facility loads, and with them
-    feasibility and class keys, do not change under a permutation within a
-    row, and the shuffle draws from ``rng`` after every decision of the
-    block, so the decisions are the same either way (the state ``rng`` is
-    left in is not).  Assignments are read-only.  An instance of more than
-    ``CLIENT_LIMIT`` clients is refused with a ValueError before any draw.
+    Each row's clients are its ``layout`` facilities by their slot counts.
+    With ``rows=False`` the chunks keep that run form (at most
+    ``_CHUNK_BYTES`` of facility loads each), and no per-client row is
+    built.  With ``rows`` (the default), each chunk of at most
+    ``_CHUNK_BYTES`` of assignments (or of facility loads, if wider) is
+    materialized: one ``np.repeat`` of its rows' facilities by their
+    counts, in pool order, then each pool's segment of every row shuffled
+    in place, which gives the same uniform assignment as permuting the
+    pool's clients and handing them out in order.  Only a reader of
+    per-client assignments needs the rows: facility loads, and with them
+    feasibility and class keys, are the same in either form, and the
+    shuffle draws from ``rng`` after every decision of the block, so the
+    decisions are the same either way (the state ``rng`` is left in is
+    not).  Assignments and run forms are read-only.  An instance of more
+    than ``CLIENT_LIMIT`` clients is refused with a ValueError before any
+    draw.
     """
     inst, tables = plan.inst, plan._tables
     n_core, n_clients = len(inst.designated_clients), inst.client_count
     require_narrow("client", n_clients, CLIENT_LIMIT, "the sampler's")
     branches, open_of, counts = _draw_decisions(plan, rng, count)
-    step = max(1, _CHUNK_BYTES // (8 * max(n_clients, inst.facility_count, 1)))
+    counts.setflags(write=False)
+    width = max(n_clients, inst.facility_count, 1) if rows else inst.facility_count + 1
+    step = max(1, _CHUNK_BYTES // (8 * width))
     for lo in range(0, count, step):
         hi = min(count, lo + step)
         facilities = tables.layout[branches[lo:hi, 0]]
         facilities[:, 0] = branches[lo:hi, 1]
+        if not rows:
+            facilities.setflags(write=False)
+            yield DrawChunk(branches[lo:hi], open_of[lo:hi], tables.open_sets,
+                            facilities=facilities, counts=counts[lo:hi])
+            continue
         assign = np.repeat(facilities.ravel(), counts[lo:hi].ravel())
         assign = assign.reshape(hi - lo, n_clients)
-        if shuffle:
-            rng.shuffle_rows(assign[:, :n_core])
-            rng.shuffle_rows(assign[:, n_core:])
+        rng.shuffle_rows(assign[:, :n_core])
+        rng.shuffle_rows(assign[:, n_core:])
         assign.setflags(write=False)
         yield DrawChunk(branches[lo:hi], open_of[lo:hi], tables.open_sets, assign)
 
@@ -991,12 +991,14 @@ def tally_draws(
 ) -> tuple[int, Counter, list[tuple[int, list[str]]]]:
     """Check and key the draws of ``plan``, given as chunks in draw order.
 
-    Each chunk is checked from its own assignments, counted by
-    :func:`_row_loads`.  A row is feasible iff it can be counted and no
-    facility serves more than its limit: the capacity on the row's open
-    set, 0 elsewhere (what :func:`solution_violations` checks).  A row whose
-    assignment cannot be counted (a wrong length or an unknown facility id)
-    is infeasible and has no class key.  The counted rows' loads are keyed by
+    Each chunk is checked from its own assignments or run form, counted
+    by :func:`_row_loads`; a run-form row is expanded only to describe it
+    as one of the first ``max_examples`` infeasible draws.  A row is
+    feasible iff it can be counted and no facility serves more than its
+    limit: the capacity on the row's open set, 0 elsewhere (what
+    :func:`solution_violations` checks).  A row that cannot be counted (the
+    wrong number of clients or an unknown facility id) is infeasible and
+    has no class key.  The counted rows' loads are keyed by
     :func:`_class_counts` whenever ``_LOAD_TABLE_BYTES`` of them are held,
     and at the end.  Returns the number of feasible draws, the class-key
     counts, and ``(position, solution_violations)`` of the first
@@ -1016,13 +1018,16 @@ def tally_draws(
 
     for chunk in chunks:
         rows, open_sets, open_of = len(chunk), chunk.open_sets, chunk.open_of
-        counted, loads = _row_loads(inst, chunk.assign)
+        if chunk.assign is None:
+            counted, loads = _row_loads(inst, chunk.facilities, chunk.counts)
+        else:
+            counted, loads = _row_loads(inst, chunk.assign)
         limit = limits.get(open_sets)
         if limit is None:
             limit = limits[open_sets] = _open_limits(inst, open_sets)
         bad = ~counted | (loads > limit[open_of]).any(axis=1)
         for row in np.flatnonzero(bad)[: max_examples - len(examples)].tolist():
-            sol = IntSolution(open_sets[open_of[row]], chunk.assign[row])
+            sol = IntSolution(open_sets[open_of[row]], chunk.row(row))
             examples.append((position + row, solution_violations(inst, sol)))
         feasible += rows - int(bad.sum())
         position += rows

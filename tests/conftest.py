@@ -162,13 +162,16 @@ def one_row_chunk(plan, draw):
 
 def spoil_rows(plan, chunks, spoil, first=0):
     """The chunks, with the draw at each position in ``spoil`` (counted from
-    ``first``) replaced by ``spoil[position](draw)`` as a chunk of its own."""
+    ``first``) replaced by ``spoil[position](draw)`` as a chunk of its own,
+    its one row an assignment (a run-form row expanded in pool order)."""
     from cflgap.rounding import DrawChunk
 
     def rows(chunk, lo, hi):
-        return DrawChunk(
-            chunk.branches[lo:hi], chunk.open_of[lo:hi], chunk.open_sets, chunk.assign[lo:hi]
-        )
+        arrays = ("branches", "open_of", "assign", "facilities", "counts")
+        return DrawChunk(open_sets=chunk.open_sets, **{
+            name: getattr(chunk, name)[lo:hi]
+            for name in arrays if getattr(chunk, name) is not None
+        })
 
     position = first
     for chunk in chunks:

@@ -549,18 +549,23 @@ class TestVerifyMidpointAndSample:
 
     def test_count_only_sample_does_not_shuffle(self, tmp_path, monkeypatch):
         # without --solutions-dir no per-client assignment is read, so rows
-        # stay in pool order; the report is still the golden one
+        # stay in run form, neither shuffled nor expanded; the reports are
+        # still the golden ones
         from cflgap.randomness import ExactRng
-        from test_golden import GOLDEN, MINI_GEN, _cli, _digest, _pair
+        from test_golden import GOLDEN, MINI_GEN, T10_GEN, _cli, _digest, _pair
 
-        def refuse(rng, rows):
-            raise AssertionError("a count-only sample shuffled its rows")
+        def refuse(*args):
+            raise AssertionError("a count-only sample built per-client rows")
 
         monkeypatch.setattr(ExactRng, "shuffle_rows", refuse)
+        monkeypatch.setattr(rounding.DrawChunk, "row", refuse)
         monkeypatch.chdir(tmp_path)
         _pair(MINI_GEN, "0,1", "2,3", "0,1", "4,5")
         _cli("sample", "a.core", "b.core", "--n", "300", "--seed", "2024", "-o", "s.json")
         assert _digest(tmp_path / "s.json") == GOLDEN["mini-n300"]
+        _pair(T10_GEN, "0..9", "10..19", "20..29", "30..39")
+        _cli("sample", "a.core", "b.core", "--n", "40", "--seed", "424242", "-o", "s.json")
+        assert _digest(tmp_path / "s.json") == GOLDEN["t10-n40"]
 
     def test_solutions_dir_changes_only_the_files_written(self, workspace):
         from cflgap.io import instance_from_doc, solution_from_doc
@@ -719,8 +724,9 @@ class TestSampleFailurePath:
     draws, so only a corrupted draw reaches these checks.  The expected
     fields were recorded from ``solution_violations`` and
     ``outcome_class_key`` on each corrupted draw, on MINI at seed 5.
-    Without ``--solutions-dir`` the command draws its rows in pool order,
-    so a spoil that rewrites the first clients sees pool-order rows.
+    Without ``--solutions-dir`` the command keeps its rows in run form, so
+    a spoil that rewrites the first clients sees the row expanded in pool
+    order.
     """
 
     @pytest.fixture()

@@ -8,11 +8,11 @@ pinned when each block's draws became arrays (``rounding.sample_block``):
 its decisions first, then its assignments chunk by chunk.  Any change to
 the order or arguments of the ``ExactRng`` calls a block makes changes the
 ``--solutions-dir`` files; so does a change to the chunk size, for a block
-that spans more than one chunk.  The pinned files are MINI's, and a MINI
-block of up to 1,000 draws is one chunk (a ``t=10`` chunk holds three
-draws).  The reports depend only on the decisions.  The non-sampling
-commands are pinned by exit code, stdout and
-``-o`` bytes together; their digests were recorded before dense vectors
+that spans more than one chunk.  A MINI block of up to 1,000 draws is one
+chunk; a ``t=10`` chunk of shuffled rows holds three draws, so the pinned
+``t=10`` files span two chunks.  The reports depend only on the decisions.
+The non-sampling commands are pinned by exit code, stdout and ``-o`` bytes
+together; their digests were recorded before dense vectors
 became classed vectors with singleton classes.  Commands run in a temporary
 directory with relative paths, so the manifests (which name the files) are
 the same on every machine.
@@ -41,6 +41,8 @@ GOLDEN = {
         "aa3d56e1703ad727f0144a92f065f39b9aafdaa278304bf1cf75f797e04bde18",
     "t10-n40":
         "12420ddea7e63a9ec71c859995c4ecaff7df6b4e66d92c131dab49e52a919e1c",
+    "t10-n4-solutions-files":
+        "9b238f1ce1faf54b8284e1d2379ef3b3ca68eb78851d59759b949a77179a3941",
 }
 
 
@@ -70,17 +72,24 @@ def mini_digests(tmp_path):
     _cli("sample", "a.core", "b.core", "--n", "60", "--seed", "11",
          "--solutions-dir", "sols", "-o", "sols.json")
     out["mini-n60-solutions-report"] = _digest(tmp_path / "sols.json")
-    files = hashlib.sha256()
-    for path in sorted((tmp_path / "sols").iterdir()):
-        files.update(path.name.encode() + b"\0" + path.read_bytes())
-    out["mini-n60-solutions-files"] = files.hexdigest()
+    out["mini-n60-solutions-files"] = _files_digest(tmp_path / "sols")
     return out
+
+
+def _files_digest(directory):
+    files = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        files.update(path.name.encode() + b"\0" + path.read_bytes())
+    return files.hexdigest()
 
 
 def t10_digests(tmp_path):
     _pair(T10_GEN, "0..9", "10..19", "20..29", "30..39")
     _cli("sample", "a.core", "b.core", "--n", "40", "--seed", "424242", "-o", "s.json")
-    return {"t10-n40": _digest(tmp_path / "s.json")}
+    # four shuffled rows of 160 KB: a chunk of three and a chunk of one
+    _cli("sample", "a.core", "b.core", "--n", "4", "--seed", "5", "--solutions-dir", "sols")
+    return {"t10-n40": _digest(tmp_path / "s.json"),
+            "t10-n4-solutions-files": _files_digest(tmp_path / "sols")}
 
 
 @pytest.mark.parametrize("digests", [mini_digests, t10_digests])

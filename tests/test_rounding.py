@@ -379,10 +379,10 @@ class TestBlockSampler:
 
 
 def both_orders(plan, seed, count):
-    """The chunks of one seed's block, shuffled and in pool order."""
+    """The chunks of one seed's block, as shuffled rows and as run forms."""
     return tuple(
-        list(rounding.sample_block(plan, ExactRng(seed), count, shuffle=shuffle))
-        for shuffle in (True, False)
+        list(rounding.sample_block(plan, ExactRng(seed), count, rows=rows))
+        for rows in (True, False)
     )
 
 
@@ -391,35 +391,76 @@ def joined(chunks, field):
     return np.concatenate([getattr(chunk, field) for chunk in chunks])
 
 
-def assert_same_draws_up_to_pool_order(plan, shuffled, pool_order):
-    """Same decisions, the same clients per pool and the same facility loads."""
+def expanded(chunks):
+    """Every row of the chunks as an assignment, in draw order."""
+    return np.array([chunk.row(r) for chunk in chunks for r in range(len(chunk))])
+
+
+def moved_chosen(plan, chunks, every):
+    """The chunks, with every ``every``-th draw's chosen low facility's clients
+    moved onto another low-set facility, which that draw keeps closed: in an
+    assignment every entry of the chosen id, in a run form its column."""
+    position = 0
+    for chunk in chunks:
+        branches = chunk.branches.copy()
+        for r in range(-position % every, len(chunk), every):
+            exp_index, chosen, _ = branches[r].tolist()
+            low = plan._tables.choice_set[exp_index]
+            branches[r, 1] = low[low != chosen][0]
+        facilities, assign = chunk.facilities, chunk.assign
+        if assign is None:
+            facilities = facilities.copy()
+            facilities[:, 0] = branches[:, 1]
+        else:
+            assign = np.where(assign == chunk.branches[:, 1:2], branches[:, 1:2], assign)
+        position += len(chunk)
+        yield replace(chunk, assign=assign, facilities=facilities)
+
+
+def assert_same_draws_up_to_pool_order(plan, shuffled, runs):
+    """Same decisions, the same clients per pool and the same facility loads;
+    the run forms tally as the shuffled rows, also with rows spoiled."""
     n_core, n_f = len(plan.inst.designated_clients), plan.inst.facility_count
+    assert all(chunk.assign is None for chunk in runs)
     for name in ("branches", "open_of"):
-        assert np.array_equal(joined(shuffled, name), joined(pool_order, name)), name
-    a, b = joined(shuffled, "assign"), joined(pool_order, "assign")
+        assert np.array_equal(joined(shuffled, name), joined(runs, name)), name
+    a, b = joined(shuffled, "assign"), expanded(runs)
     for pool in (slice(None, n_core), slice(n_core, None)):
         assert np.array_equal(np.sort(a[:, pool], axis=1), np.sort(b[:, pool], axis=1))
     for row_a, row_b in zip(a, b):
         assert np.array_equal(np.bincount(row_a, minlength=n_f), np.bincount(row_b, minlength=n_f))
-    assert rounding.tally_draws(plan, iter(shuffled), 5) == rounding.tally_draws(
-        plan, iter(pool_order), 5
-    )
+    tally = rounding.tally_draws(plan, iter(shuffled), 5)
+    assert tally == rounding.tally_draws(plan, iter(runs), 5)
+    assert tally[0] == len(a) and tally[2] == []
+    spoiled = rounding.tally_draws(plan, moved_chosen(plan, shuffled, 3), 5)
+    assert spoiled == rounding.tally_draws(plan, moved_chosen(plan, runs, 3), 5)
+    assert spoiled[0] < len(a) and spoiled[2]
 
 
 class TestPoolOrderRows:
-    """``sample_block(..., shuffle=False)`` skips only the within-pool shuffle."""
+    """``sample_block(..., rows=False)`` keeps every row in run form; expanded
+    in pool order, they are the shuffled rows up to the within-pool order."""
 
     @pytest.mark.parametrize("n", [1, 999, 2500])
     def test_mini_rows_are_the_shuffled_rows_up_to_pool_order(self, mini, n):
         plan = compile_plan(mini, *mini_pair(mini))
-        shuffled, pool_order = both_orders(plan, 31, n)
-        assert_same_draws_up_to_pool_order(plan, shuffled, pool_order)
-        if n > 1:  # the flag changes the rows, so the comparison is not vacuous
-            assert not np.array_equal(joined(shuffled, "assign"), joined(pool_order, "assign"))
+        shuffled, runs = both_orders(plan, 31, n)
+        assert_same_draws_up_to_pool_order(plan, shuffled, runs)
+        if n > 1:  # the rows differ, so the comparison is not vacuous
+            assert not np.array_equal(joined(shuffled, "assign"), expanded(runs))
 
     def test_t10_rows_are_the_shuffled_rows_up_to_pool_order(self, family10):
+        # four rows: shuffled, a chunk of three and a chunk of one; as run
+        # forms one chunk, or four with a budget of one row of loads
         plan = compile_plan(family10, *t10_pair(family10))
-        assert_same_draws_up_to_pool_order(plan, *both_orders(plan, 17, 4))
+        shuffled, runs = both_orders(plan, 17, 4)
+        assert [len(chunk) for chunk in shuffled] == [3, 1] and len(runs) == 1
+        assert_same_draws_up_to_pool_order(plan, shuffled, runs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rounding, "_CHUNK_BYTES", 8 * (family10.facility_count + 1))
+            runs = list(rounding.sample_block(plan, ExactRng(17), 4, rows=False))
+        assert len(runs) == 4
+        assert_same_draws_up_to_pool_order(plan, shuffled, runs)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -750,11 +791,11 @@ def reference_key(plan, draw):
             tuple(sorted(profile.items())))
 
 
-def spoiled_chunks(plan, seed, n, spoil_every=0, shuffle=True):
-    """The block sampler's chunks of ``n`` draws of ``plan``, shuffled or in
-    pool order; with ``spoil_every``, every such draw gets a client moved to
-    a random id in [-2, facility_count + 2) or dropped, and becomes a chunk
-    of its own."""
+def spoiled_chunks(plan, seed, n, spoil_every=0, rows=True):
+    """The block sampler's chunks of ``n`` draws of ``plan``, shuffled rows or
+    run forms; with ``spoil_every``, every such draw, as its assignment, gets
+    a client moved to a random id in [-2, facility_count + 2) or dropped,
+    and becomes a chunk of its own."""
     spoil = np.random.default_rng(seed)
     n_f = plan.inst.facility_count
 
@@ -767,8 +808,48 @@ def spoiled_chunks(plan, seed, n, spoil_every=0, shuffle=True):
         return replace(draw, solution=IntSolution(draw.solution.open, assign))
 
     positions = range(spoil_every - 1, n, spoil_every) if spoil_every else ()
-    chunks = rounding.sample_block(plan, ExactRng(seed), n, shuffle=shuffle)
+    chunks = rounding.sample_block(plan, ExactRng(seed), n, rows=rows)
     return list(spoil_rows(plan, chunks, dict.fromkeys(positions, spoiled)))
+
+
+def spoiled_runs(plan, seed, n, spoil_every):
+    """The block sampler's run-form chunks of ``n`` draws of ``plan``, every
+    ``spoil_every``-th draw spoiled in its run form, in turn: a nonzero count
+    moved to an unknown id, a count moved onto a closed facility, a count
+    raised above capacity (from the row's other counts) and one count off
+    by one.  Every third other row with a zero count gets an unknown id on
+    it, which leaves the row countable."""
+    spoil = np.random.default_rng(seed)
+    n_f, capacity = plan.inst.facility_count, plan.inst.capacity
+    unknown = [-3, -1, n_f, n_f + 3, 2**40, 2**62]
+    chunks, position, spoiled = [], 0, 0
+    for chunk in rounding.sample_block(plan, ExactRng(seed), n, rows=False):
+        facilities, counts = chunk.facilities.copy(), chunk.counts.copy()
+        for r, (ids, row) in enumerate(zip(facilities, counts), start=position):
+            nonzero, zero = np.flatnonzero(row), np.flatnonzero(row == 0)
+            if (r + 1) % spoil_every:
+                if r % 3 == 0 and len(zero):
+                    ids[spoil.choice(zero)] = spoil.choice(unknown)
+                continue
+            kind, spoiled = spoiled % 4, spoiled + 1
+            if kind == 0:
+                ids[spoil.choice(nonzero)] = spoil.choice(unknown)
+            elif kind == 1:
+                closed = sorted(set(range(n_f)) - chunk.open_sets[chunk.open_of[r - position]])
+                ids[spoil.choice(nonzero)] = spoil.choice(closed)
+            elif kind == 2:
+                top = row.argmax()
+                for e in nonzero[nonzero != top]:
+                    moved = min(row[e], capacity + 1 - row[top])
+                    row[e] -= moved
+                    row[top] += moved
+            elif spoil.integers(2):
+                row[spoil.integers(len(row))] += 1
+            else:
+                row[spoil.choice(nonzero)] -= 1
+        chunks.append(replace(chunk, facilities=facilities, counts=counts))
+        position += len(chunk)
+    return chunks
 
 
 def expected_tally(plan, draws, max_examples):
@@ -818,25 +899,26 @@ class TestDrawTally:
         )
         assert tally == (n, expected, [])
 
-    @pytest.mark.parametrize("table_rows, shuffle, run_length", [
-        pytest.param(
-            table_rows, shuffle, run_length,
-            id=f"{table_rows}{'' if shuffle else '-pool-order'}{'-runs' * (run_length == 1)}",
-        )
-        for table_rows in (1, 7, 1000) for shuffle in (True, False) for run_length in (14, 1)
+    @pytest.mark.parametrize("table_rows, form", [
+        pytest.param(table_rows, form, id=f"{table_rows}{form}")
+        for table_rows in (1, 7, 1000) for form in ("", "-pool-order", "-runs")
     ])
     def test_spoiled_draws_match_per_draw_checks_in_any_chunking(
-        self, mini, monkeypatch, table_rows, shuffle, run_length
+        self, mini, monkeypatch, table_rows, form
     ):
-        # chunks of table_rows MINI rows (13 clients), keyed table_rows at a
-        # time, shuffled or in pool order.  A run length of 14 counts every
-        # MINI chunk one id at a time; 1 counts every chunk by its runs, so
-        # a spoiled id inside a pool-order run reaches the run count.
-        monkeypatch.setattr(rounding, "_CHUNK_BYTES", 8 * 13 * table_rows)
+        # chunks of table_rows MINI draws, keyed table_rows at a time: shuffled
+        # rows of 13 clients, or run forms (7 columns of loads) whose spoiled
+        # draws are expanded to one-row chunks in pool order ("-pool-order")
+        # or spoiled in place ("-runs")
+        width = 13 if not form else mini.facility_count + 1
+        monkeypatch.setattr(rounding, "_CHUNK_BYTES", 8 * width * table_rows)
         monkeypatch.setattr(rounding, "_LOAD_TABLE_BYTES", 8 * 6 * table_rows)
-        monkeypatch.setattr(rounding, "_RUN_LENGTH", run_length)
         plan = compile_plan(mini, *mini_pair(mini))
-        chunks = spoiled_chunks(plan, 4, 600, spoil_every=9, shuffle=shuffle)
+        if form == "-runs":
+            chunks = spoiled_runs(plan, 4, 600, spoil_every=9)
+            assert max(map(len, chunks)) == min(table_rows, 600)
+        else:
+            chunks = spoiled_chunks(plan, 4, 600, spoil_every=9, rows=not form)
         draws = list(block_draws(plan, chunks))
         tally = rounding.tally_draws(plan, iter(chunks), 40)
         assert tally == expected_tally(plan, draws, 40)
@@ -864,41 +946,86 @@ class TestDrawTally:
         assert tally == expected_tally(plan, draws, 5)
         assert peak < 48 * 2**20
 
+    def test_wide_instance_holds_a_bounded_table_of_run_forms(self):
+        # the same instance, count-only: run-form chunks of three rows
+        # (480 KB of loads each), four of their draws spoiled in place
+        import tracemalloc
 
-def run_row(data, ids, width):
-    """A row of ``width`` entries: runs of ids drawn from one of ``ids`` by
-    random lengths, some of them 0."""
-    run_ids = data.draw(st.lists(data.draw(st.sampled_from(ids)), min_size=1, max_size=8))
-    cuts = data.draw(st.lists(
-        st.integers(0, width), min_size=len(run_ids) - 1, max_size=len(run_ids) - 1
-    ))
-    return np.repeat(np.array(run_ids, dtype=np.int64), np.diff([0, *sorted(cuts), width]))
+        inst = build_general_instance(20000, 2, 4, 13, Fraction(2, 5), Fraction(1, 8))
+        plan = compile_plan(
+            inst,
+            CoreIndex.for_instance(inst, {0, 1}, {2, 3}),
+            CoreIndex.for_instance(inst, {0, 1}, {4, 5}),
+        )
+        chunks = spoiled_runs(plan, 6, 120, spoil_every=30)
+        assert all(chunk.assign is None and len(chunk) <= 3 for chunk in chunks)
+        draws = list(block_draws(plan, chunks))
+        tracemalloc.start()
+        try:
+            tally = rounding.tally_draws(plan, iter(chunks), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tally == expected_tally(plan, draws, 5)
+        assert tally[0] == 116 and len(tally[2]) == 4
+        assert peak < 48 * 2**20
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+def run_form(data, ids, width, client_count):
+    """A run-form row: ``width`` ids drawn from ``ids``, whose counts split
+    ``client_count`` or one more or one less (some counts 0)."""
+    row_ids = data.draw(st.lists(ids, min_size=width, max_size=width))
+    total = max(0, client_count + data.draw(st.sampled_from([-1, 0, 0, 1])))
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=width - 1,
+                                     max_size=width - 1)))
+    return row_ids, np.diff([0, *cuts, total]).tolist()
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
 @given(data=st.data())
 def test_row_loads_count_runs_and_shuffled_rows_as_a_per_row_counter(data):
-    """Chunks of runs at MINI width (counted one id at a time) and wide
-    (counted by their runs), row-shuffled and one row at a time."""
-    n_f = data.draw(st.integers(1, 8))
-    # a row of known ids, which can recur, or of any ids
-    ids = (st.integers(0, n_f - 1), st.integers(-3, n_f + 3) | st.sampled_from([2**40, 2**62]))
+    """Random run forms, and the assignments they expand to (in order,
+    row-shuffled and one row at a time), are counted as a per-row Counter of
+    ``np.repeat(ids, counts)``: only a row of the client count that gives
+    no unknown id a client is counted."""
+    n_f, client_count = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 40))
+    # known ids, which can recur, or any, with unknown ones near and far
+    ids = st.integers(0, n_f - 1) | st.integers(-3, n_f + 3) | st.sampled_from([2**40, 2**62])
+    width, rows = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    forms = [run_form(data, ids, width, client_count) for _ in range(rows)]
+    chunk_ids = np.array([row_ids for row_ids, _ in forms], dtype=np.int64)
+    counts = np.array([row_counts for _, row_counts in forms], dtype=np.int64)
+    if data.draw(st.booleans()):  # an unknown id with no client counts nothing
+        unknown = data.draw(st.sampled_from([-1, n_f, 2**62]))
+        chunk_ids = np.column_stack((chunk_ids, np.full(rows, unknown)))
+        counts = np.column_stack((counts, np.zeros(rows, dtype=np.int64)))
+    inst = SimpleNamespace(facility_count=n_f, client_count=client_count)
+    assigns = [np.repeat(row_ids, row_counts) for row_ids, row_counts in zip(chunk_ids, counts)]
+    expected = []
+    for assign in assigns:
+        c = Counter(assign.tolist())
+        countable = len(assign) == client_count and all(0 <= i < n_f for i in c)
+        expected.append((countable, [c[i] for i in range(n_f)] if countable else None))
+
+    def check(got, want):
+        counted, loads = got
+        assert loads.shape == (len(want), n_f) and loads.dtype == np.int64
+        assert counted.tolist() == [countable for countable, _ in want]
+        for row_loads, (countable, loads_want) in zip(loads, want):
+            if countable:
+                assert row_loads.tolist() == loads_want
+
+    check(rounding._row_loads(inst, chunk_ids, counts), expected)
     shuffle = np.random.default_rng(data.draw(st.integers(0, 2**32)))
-    for width in (13, 32 * rounding._RUN_LENGTH):
-        chunk = np.array([run_row(data, ids, width) for _ in range(data.draw(st.integers(1, 4)))])
-        shuffled = shuffle.permuted(chunk, axis=1)
-        for client_count in (width, width + data.draw(st.sampled_from([-1, 1]))):
-            inst = SimpleNamespace(facility_count=n_f, client_count=client_count)
-            for assign in (chunk, shuffled, *(rows[r:r + 1] for rows in (chunk, shuffled)
-                                              for r in range(len(chunk)))):
-                counted, loads = rounding._row_loads(inst, assign)
-                assert loads.shape == (len(assign), n_f) and loads.dtype == np.int64
-                for row, row_counted, row_loads in zip(assign.tolist(), counted, loads):
-                    counts = Counter(row)
-                    countable = width == client_count and all(0 <= i < n_f for i in counts)
-                    assert row_counted == countable
-                    if countable:
-                        assert row_loads.tolist() == [counts[i] for i in range(n_f)]
+    for length in {len(assign) for assign in assigns}:
+        at = [r for r, assign in enumerate(assigns) if len(assign) == length]
+        chunk = np.array([assigns[r] for r in at], dtype=np.int64).reshape(len(at), length)
+        for form in (chunk, shuffle.permuted(chunk, axis=1)):
+            check(rounding._row_loads(inst, form), [expected[r] for r in at])
+            for i, r in enumerate(at):
+                check(rounding._row_loads(inst, form[i:i + 1]), [expected[r]])
+                check(rounding._row_loads(inst, chunk_ids[r:r + 1], counts[r:r + 1]),
+                      [expected[r]])
 
 
 @pytest.mark.parametrize("spoil", [
