@@ -274,18 +274,16 @@ def _sample_block(
     from .randomness import ExactRng
     from .rounding import sample_block, tally_draws
 
+    rng = ExactRng(seed)
+
     def chunks():
         index = start
-        # only solution files read per-client rows; the tally reads run forms
-        draws = sample_block(plan, ExactRng(seed), count, rows=bool(solutions_dir))
-        for chunk in draws:
-            if solutions_dir:
-                for row in range(len(chunk)):
-                    path = os.path.join(solutions_dir, f"sol_{index + row:06d}.json")
-                    docio.write_document(
-                        path, docio.solution_to_doc(chunk.draw(plan, row).solution, seed=seed)
-                    )
-            index += len(chunk)
+        for chunk in sample_block(plan, rng, count):
+            # only solution files read per-client rows; the tally reads run forms
+            for draw in chunk.draws(plan, rng) if solutions_dir else ():
+                path = os.path.join(solutions_dir, f"sol_{index:06d}.json")
+                docio.write_document(path, docio.solution_to_doc(draw.solution, seed=seed))
+                index += 1
             yield chunk
 
     feasible, freq, flagged = tally_draws(plan, chunks(), MAX_VIOLATION_EXAMPLES)
@@ -365,11 +363,17 @@ def cmd_census(args) -> int:
 
     inst, inputs = _resolve_instance(args)
     if args.exact:
+        given = [flag for flag, value in (("--mc", args.mc), ("--seed", args.seed))
+                 if value is not None]
+        if given:
+            raise ValueError(f"--exact conflicts with {' and '.join(given)}")
         report = build_census_report(inst, brute_force=not args.formula_only)
         mode = {"mode": "exact", "formula_only": args.formula_only}
     else:
         if args.mc is None:
             raise ValueError("choose --exact or --mc N --seed S")
+        if args.formula_only:
+            raise ValueError("--formula-only takes --exact and conflicts with --mc")
         if args.seed is None:
             raise ValueError("--mc requires --seed")
         if args.mc < 1:

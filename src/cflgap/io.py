@@ -377,15 +377,19 @@ def solution_to_doc(sol: IntSolution, *, seed: Optional[int] = None) -> dict:
 
 
 def solution_from_doc(doc: dict) -> IntSolution:
-    """The solution of a document; a missing or mistyped field raises ValueError."""
+    """The solution of a document; a missing or mistyped field, or an
+    ``assign`` entry beyond 64 bits, raises ValueError naming it."""
     from .rounding import IntSolution
 
     where = "solution document"
+    entry = f"{where} field 'assign' entry"
     assign = _list(_field(doc, "assign", where), f"{where} field 'assign'")
-    return IntSolution(
-        open=_id_list(_field(doc, "open", where), f"{where} field 'open'"),
-        assign=[_int(i, f"{where} field 'assign' entry") for i in assign],
-    )
+    assign = [_int(i, entry) for i in assign]
+    wide = next((i for i in assign if not -2**63 <= i < 2**63), None)
+    if wide is not None:
+        raise ValueError(f"{entry} must fit in 64 bits, got {_shown(wide)}")
+    return IntSolution(open=_id_list(_field(doc, "open", where), f"{where} field 'open'"),
+                       assign=assign)
 
 
 def _mc_to_doc(mc: McEstimate) -> dict:

@@ -20,13 +20,13 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
   (seed-deterministic) as :class:`DrawChunk` arrays.  Every decision of the
   block is drawn first, one array per step, by comparing uniform integers
   with the thresholds and coins (exactly, for any denominator; no
-  ``Fraction`` and no float).  A row's clients are then its layout
-  facilities in pool order, each with its slot count.  Count-only chunks
-  (``rows=False``) keep that run form and never materialize per-client
-  rows: feasibility and outcome classes depend only on facility loads.
-  Otherwise the assignments are built in chunks of rows, one ``np.repeat``
-  of the rows' facility counts, then each client pool's segment of every
-  row shuffled in place.  :func:`sample_outcome` is its one-row case, and
+  ``Fraction`` and no float).  A chunk keeps each row in run form, its
+  layout facilities in pool order with their slot counts, and builds no
+  per-client row: feasibility and outcome classes depend only on facility
+  loads.  Only a reader of per-client assignments expands a chunk
+  (:meth:`DrawChunk.draws`): pieces of rows, one ``np.repeat`` of their
+  facility counts, then each client pool's segment of every row shuffled
+  in place.  :func:`sample_outcome` is its one-row case, and
 * :func:`enumerate_grouped_classes` lists every branch of the same
   thresholds and coins with its exact probability, collapsing exchangeable
   client and bin choices, and exchangeable low-set facilities into groups
@@ -38,8 +38,8 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
 
 :func:`tally_draws` checks and keys the chunks from their facility loads.
 One function counts loads, :func:`_row_loads`: unknown ids go to one extra
-column, then a run form's counts are added at their ids and an assignment
-is counted by one row-offset ``bincount``.
+column, then a run form's counts are added at their ids and a one-row
+assignment is counted by one ``bincount``.
 :func:`solution_violations` and :func:`outcome_class_key` are its one-row
 cases, so a draw the tally cannot count has violations and no key in all
 three.
@@ -497,51 +497,64 @@ class SampleDraw:
 
 @dataclass(frozen=True, eq=False)
 class DrawChunk:
-    """Consecutive draws of one plan as arrays, one row per draw.
+    """Consecutive draws of one plan in run form, one row per draw.
 
     Row ``r`` has the branch ``branches[r]`` (experiment index, chosen low
     facility, ``extra_open`` as 0 or 1), the open set
-    ``open_sets[open_of[r]]`` and its clients, held in one of two forms:
-    the assignment ``assign[r]`` (the rows share one length), or, with
-    ``assign`` None, the run form: facility ``facilities[r, e]`` serves
-    ``counts[r, e]`` clients, in pool order.  Run-form rows are never
-    expanded to per-client rows unless one is read (:meth:`row`).
+    ``open_sets[open_of[r]]`` and its clients: facility ``facilities[r, e]``
+    serves ``counts[r, e]`` clients, in pool order.
     """
 
     branches: np.ndarray
     open_of: np.ndarray
     open_sets: tuple[frozenset[int], ...]
-    assign: Optional[np.ndarray] = None
-    facilities: Optional[np.ndarray] = None
-    counts: Optional[np.ndarray] = None
+    facilities: np.ndarray
+    counts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.branches)
 
     def row(self, row: int) -> np.ndarray:
-        """Row ``row``'s read-only assignment: a view of ``assign``, or the run
-        form expanded in pool order (each pool's clients by facility)."""
-        if self.assign is not None:
-            return self.assign[row]
+        """Row ``row``'s read-only assignment in pool order (each pool's
+        clients by facility)."""
         assign = np.repeat(self.facilities[row], self.counts[row])
         assign.setflags(write=False)
         return assign
 
-    def draw(self, plan: RoundingPlan, row: int) -> SampleDraw:
-        """Row ``row`` as a draw of ``plan``, its assignment :meth:`row`."""
-        exp_index, chosen, extra_open = self.branches[row].tolist()
-        return SampleDraw(
-            solution=IntSolution(self.open_sets[self.open_of[row]], self.row(row)),
-            experiment=plan.experiments[exp_index].label,
-            chosen_l_facility=chosen,
-            extra_open=bool(extra_open),
-        )
+    def draws(self, plan: RoundingPlan, rng: ExactRng) -> Iterator[SampleDraw]:
+        """The rows as draws of ``plan``, each pool's clients shuffled.
+
+        ``rng`` is the block's stream, its chunks expanded in draw order.
+        Each piece of :func:`_piece_rows` rows is one ``np.repeat`` of its
+        facilities by their counts, then each pool's segment of every row
+        shuffled in place.  Assignments are read-only.
+        """
+        inst, n_rows = plan.inst, len(self)
+        n_core, piece = len(inst.designated_clients), _piece_rows(inst)
+        for lo in range(0, n_rows, piece):
+            hi = min(n_rows, lo + piece)
+            assign = np.repeat(self.facilities[lo:hi].ravel(), self.counts[lo:hi].ravel())
+            assign = assign.reshape(hi - lo, inst.client_count)
+            rng.shuffle_rows(assign[:, :n_core])
+            rng.shuffle_rows(assign[:, n_core:])
+            assign.setflags(write=False)
+            for r, (exp_index, chosen, extra_open) in enumerate(self.branches[lo:hi].tolist()):
+                solution = IntSolution(self.open_sets[self.open_of[lo + r]], assign[r])
+                label = plan.experiments[exp_index].label
+                yield SampleDraw(solution, label, chosen, bool(extra_open))
 
 
-# Bytes of assignments (or, if wider, of the facility loads tally_draws
-# counts from them) that sample_block materializes at once: three t=10 rows
-# of 160 KB.  A chunk of run-form rows holds this many bytes of loads.
+# Bytes of assignments that DrawChunk.draws builds at once: three t=10 rows
+# of 160 KB (a row counts as the wider of its clients and its facilities,
+# which fixes the solution files' bytes).  A run-form chunk holds about
+# this many bytes of loads, in a whole number of those pieces.
 _CHUNK_BYTES = 1 << 19
+
+
+def _piece_rows(inst: Instance) -> int:
+    """Rows that :meth:`DrawChunk.draws` expands at once, counted from the
+    block start: :func:`sample_block`'s step is a whole multiple of them."""
+    return max(1, _CHUNK_BYTES // (8 * max(inst.client_count, inst.facility_count, 1)))
 
 
 def _draw_decisions(
@@ -589,62 +602,40 @@ def _draw_decisions(
     return branches, open_of, counts
 
 
-def sample_block(
-    plan: RoundingPlan, rng: ExactRng, count: int, *, rows: bool = True
-) -> Iterator[DrawChunk]:
-    """``count`` draws from the distribution, as chunks of rows in draw order.
+def sample_block(plan: RoundingPlan, rng: ExactRng, count: int) -> Iterator[DrawChunk]:
+    """``count`` draws from the distribution, as run-form chunks in draw order.
 
     Every decision of the block is drawn first, as arrays
     (:func:`_draw_decisions`), so the branches and slot counts, and with
     them every class count, do not depend on how the rows are chunked.
     Each row's clients are its ``layout`` facilities by their slot counts.
-    With ``rows=False`` the chunks keep that run form (at most
-    ``_CHUNK_BYTES`` of facility loads each), and no per-client row is
-    built.  With ``rows`` (the default), each chunk of at most
-    ``_CHUNK_BYTES`` of assignments (or of facility loads, if wider) is
-    materialized: one ``np.repeat`` of its rows' facilities by their
-    counts, in pool order, then each pool's segment of every row shuffled
-    in place, which gives the same uniform assignment as permuting the
-    pool's clients and handing them out in order.  Only a reader of
-    per-client assignments needs the rows: facility loads, and with them
-    feasibility and class keys, are the same in either form, and the
-    shuffle draws from ``rng`` after every decision of the block, so the
-    decisions are the same either way (the state ``rng`` is left in is
-    not).  Assignments and run forms are read-only.  An instance of more
-    than ``CLIENT_LIMIT`` clients is refused with a ValueError before any
-    draw.
+    A chunk holds about ``_CHUNK_BYTES`` of facility loads in a whole
+    number of :func:`_piece_rows` pieces, so the shuffled assignments
+    (:meth:`DrawChunk.draws`) do not depend on the chunking either.  Run
+    forms are read-only.  An instance of more than ``CLIENT_LIMIT`` clients
+    is refused with a ValueError before any draw.
     """
     inst, tables = plan.inst, plan._tables
-    n_core, n_clients = len(inst.designated_clients), inst.client_count
-    require_narrow("client", n_clients, CLIENT_LIMIT, "the sampler's")
+    require_narrow("client", inst.client_count, CLIENT_LIMIT, "the sampler's")
     branches, open_of, counts = _draw_decisions(plan, rng, count)
     counts.setflags(write=False)
-    width = max(n_clients, inst.facility_count, 1) if rows else inst.facility_count + 1
-    step = max(1, _CHUNK_BYTES // (8 * width))
+    piece = _piece_rows(inst)
+    step = max(piece, _CHUNK_BYTES // (8 * (inst.facility_count + 1)) // piece * piece)
     for lo in range(0, count, step):
         hi = min(count, lo + step)
         facilities = tables.layout[branches[lo:hi, 0]]
         facilities[:, 0] = branches[lo:hi, 1]
-        if not rows:
-            facilities.setflags(write=False)
-            yield DrawChunk(branches[lo:hi], open_of[lo:hi], tables.open_sets,
-                            facilities=facilities, counts=counts[lo:hi])
-            continue
-        assign = np.repeat(facilities.ravel(), counts[lo:hi].ravel())
-        assign = assign.reshape(hi - lo, n_clients)
-        rng.shuffle_rows(assign[:, :n_core])
-        rng.shuffle_rows(assign[:, n_core:])
-        assign.setflags(write=False)
-        yield DrawChunk(branches[lo:hi], open_of[lo:hi], tables.open_sets, assign)
+        facilities.setflags(write=False)
+        yield DrawChunk(branches[lo:hi], open_of[lo:hi], tables.open_sets,
+                        facilities, counts[lo:hi])
 
 
 def sample_outcome(plan: RoundingPlan, rng: ExactRng) -> SampleDraw:
-    """One draw from the distribution, with its branch identifiers.
-
-    The one-row case of :func:`sample_block`.
-    """
+    """One draw from the distribution, with its branch identifiers: the
+    one-row case of :func:`sample_block` and :meth:`DrawChunk.draws`."""
     (chunk,) = sample_block(plan, rng, 1)
-    return chunk.draw(plan, 0)
+    (draw,) = chunk.draws(plan, rng)
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -991,9 +982,9 @@ def tally_draws(
 ) -> tuple[int, Counter, list[tuple[int, list[str]]]]:
     """Check and key the draws of ``plan``, given as chunks in draw order.
 
-    Each chunk is checked from its own assignments or run form, counted
-    by :func:`_row_loads`; a run-form row is expanded only to describe it
-    as one of the first ``max_examples`` infeasible draws.  A row is
+    Each chunk is checked from its run form, counted by
+    :func:`_row_loads`; a row is expanded (in pool order) only to describe
+    it as one of the first ``max_examples`` infeasible draws.  A row is
     feasible iff it can be counted and no facility serves more than its
     limit: the capacity on the row's open set, 0 elsewhere (what
     :func:`solution_violations` checks).  A row that cannot be counted (the
@@ -1018,10 +1009,7 @@ def tally_draws(
 
     for chunk in chunks:
         rows, open_sets, open_of = len(chunk), chunk.open_sets, chunk.open_of
-        if chunk.assign is None:
-            counted, loads = _row_loads(inst, chunk.facilities, chunk.counts)
-        else:
-            counted, loads = _row_loads(inst, chunk.assign)
+        counted, loads = _row_loads(inst, chunk.facilities, chunk.counts)
         limit = limits.get(open_sets)
         if limit is None:
             limit = limits[open_sets] = _open_limits(inst, open_sets)

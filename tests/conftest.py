@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -141,36 +142,56 @@ def run_ids(runs):
     return frozenset(i for lo, hi in runs for i in range(lo, hi))
 
 
-def block_draws(plan, chunks):
-    """Every row of the chunks as a SampleDraw, in draw order."""
+def block_draws(plan, chunks, rng):
+    """Every row of a block's chunks as a SampleDraw with its shuffled
+    assignment, in draw order; ``rng`` is the stream the block was drawn from."""
+    for chunk in chunks:
+        yield from chunk.draws(plan, rng)
+
+
+def pool_order_draws(plan, chunks):
+    """Every row of the chunks as a SampleDraw in pool order, in draw order."""
     for chunk in chunks:
         for row in range(len(chunk)):
-            yield chunk.draw(plan, row)
+            yield pool_order_draw(plan, chunk, row)
+
+
+def pool_order_draw(plan, chunk, row):
+    """Row ``row`` of a chunk as a SampleDraw, its clients in pool order."""
+    from cflgap.rounding import IntSolution, SampleDraw
+
+    exp_index, chosen, extra_open = chunk.branches[row].tolist()
+    return SampleDraw(
+        solution=IntSolution(chunk.open_sets[chunk.open_of[row]], chunk.row(row)),
+        experiment=plan.experiments[exp_index].label,
+        chosen_l_facility=chosen,
+        extra_open=bool(extra_open),
+    )
 
 
 def one_row_chunk(plan, draw):
-    """A SampleDraw as a chunk of one row."""
+    """A SampleDraw as a chunk of one run-form row: each client's facility
+    with a count of one."""
     from cflgap.rounding import DrawChunk, _branch_row
 
+    assign = draw.solution.assign
     return DrawChunk(
         branches=np.array([_branch_row(plan, draw)]),
         open_of=np.zeros(1, dtype=np.int64),
         open_sets=(draw.solution.open,),
-        assign=draw.solution.assign[None],
+        facilities=assign[None],
+        counts=np.ones((1, len(assign)), dtype=np.int64),
     )
 
 
 def spoil_rows(plan, chunks, spoil, first=0):
     """The chunks, with the draw at each position in ``spoil`` (counted from
-    ``first``) replaced by ``spoil[position](draw)`` as a chunk of its own,
-    its one row an assignment (a run-form row expanded in pool order)."""
-    from cflgap.rounding import DrawChunk
-
+    ``first``) replaced by ``spoil[position](draw)`` as a chunk of its own;
+    the draw passed is the row in pool order (:func:`pool_order_draw`)."""
     def rows(chunk, lo, hi):
-        arrays = ("branches", "open_of", "assign", "facilities", "counts")
-        return DrawChunk(open_sets=chunk.open_sets, **{
+        return replace(chunk, **{
             name: getattr(chunk, name)[lo:hi]
-            for name in arrays if getattr(chunk, name) is not None
+            for name in ("branches", "open_of", "facilities", "counts")
         })
 
     position = first
@@ -182,8 +203,17 @@ def spoil_rows(plan, chunks, spoil, first=0):
                 continue
             if row > lo:
                 yield rows(chunk, lo, row)
-            yield one_row_chunk(plan, fn(chunk.draw(plan, row)))
+            yield one_row_chunk(plan, fn(pool_order_draw(plan, chunk, row)))
             lo = row + 1
         if lo < len(chunk):
             yield rows(chunk, lo, len(chunk))
         position += len(chunk)
+
+
+def shuffled_chunks(plan, chunks, rng):
+    """Each of a block's chunks as its shuffled expansion
+    (``DrawChunk.draws``): a run form of one column per client, each
+    serving one client; ``rng`` is the stream the block was drawn from."""
+    for chunk in chunks:
+        assign = np.array([draw.solution.assign for draw in chunk.draws(plan, rng)])
+        yield replace(chunk, facilities=assign, counts=np.ones_like(assign))

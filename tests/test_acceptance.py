@@ -113,7 +113,8 @@ def test_acceptance_2_sampler_feasibility_and_frequencies():
         c1 = CoreIndex.for_instance(inst, range(10), range(10, 20))
         c2 = CoreIndex.for_instance(inst, range(20, 30), range(30, 40))
         plan = compile_plan(inst, c1, c2)
-        for draw in block_draws(plan, sample_block(plan, ExactRng(424242), 10_000)):
+        rng = ExactRng(424242)
+        for draw in block_draws(plan, sample_block(plan, rng, 10_000), rng):
             assert solution_violations(inst, draw.solution) == []
 
         # 10^5 seeded draws at the mini instance: zero violations, and the
@@ -127,7 +128,8 @@ def test_acceptance_2_sampler_feasibility_and_frequencies():
         probabilities = {c.key: c.probability for c in classes}
         n = 100_000
         freq = Counter()
-        for draw in block_draws(mini_plan, sample_block(mini_plan, ExactRng(31415), n)):
+        rng = ExactRng(31415)
+        for draw in block_draws(mini_plan, sample_block(mini_plan, rng, n), rng):
             assert solution_violations(mini, draw.solution) == []
             key = outcome_class_key(mini_plan, draw)
             assert key in probabilities

@@ -525,7 +525,8 @@ class TestVerifyMidpointAndSample:
         assert "seed" in first and len(first["assign"]) == 13
 
     def test_t10_solutions_of_a_multi_chunk_block_read_back_feasible(self, tmp_path):
-        # a t=10 row is 160 KB, so one draw more than a chunk's rows spans two chunks
+        # a t=10 row is 160 KB, so one draw more than a piece's rows spans two
+        # pieces of shuffled rows
         from cflgap.instance import build_family_instance
         from cflgap.io import solution_from_doc
         from cflgap.rounding import solution_violations
@@ -559,6 +560,7 @@ class TestVerifyMidpointAndSample:
 
         monkeypatch.setattr(ExactRng, "shuffle_rows", refuse)
         monkeypatch.setattr(rounding.DrawChunk, "row", refuse)
+        monkeypatch.setattr(rounding.DrawChunk, "draws", refuse)
         monkeypatch.chdir(tmp_path)
         _pair(MINI_GEN, "0,1", "2,3", "0,1", "4,5")
         _cli("sample", "a.core", "b.core", "--n", "300", "--seed", "2024", "-o", "s.json")
@@ -748,9 +750,9 @@ class TestSampleFailurePath:
             drawn = [0]  # draws made so far; blocks run in order in one process
             fns = {position: corrupted(fn) for position, fn in spoil.items()}
 
-            def sample_block(plan, rng, count, **options):
+            def sample_block(plan, rng, count):
                 first, drawn[0] = drawn[0], drawn[0] + count
-                return spoil_rows(plan, original(plan, rng, count, **options), fns, first)
+                return spoil_rows(plan, original(plan, rng, count), fns, first)
 
             monkeypatch.setattr(rounding, "sample_block", sample_block)
         return install
@@ -1337,6 +1339,21 @@ class TestCensusCertifyBound:
     def test_census_mc_requires_seed(self, workspace):
         result = run("census", "--instance", str(workspace["mini"]), "--mc", "100")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--exact", "--mc", "5"], "--exact conflicts with --mc"),
+        (["--exact", "--seed", "3"], "--exact conflicts with --seed"),
+        (["--exact", "--mc", "5", "--seed", "3"], "--exact conflicts with --mc and --seed"),
+        (["--mc", "5", "--seed", "1", "--formula-only"],
+         "--formula-only takes --exact and conflicts with --mc"),
+    ], ids=["exact-mc", "exact-seed", "exact-mc-seed", "mc-formula-only"])
+    def test_census_conflicting_flags_exit_2(self, workspace, extra, message):
+        # these used to run one mode and drop the other flag (a seed went
+        # unused into the manifest)
+        out = workspace["dir"] / "census.json"
+        result = run("census", "--instance", str(workspace["mini"]), *extra, "-o", str(out))
+        assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["sample", "{a}", "{b}", "--n", "-5", "--seed", "1"], "--n must be >= 1, got -5"),

@@ -5,12 +5,13 @@ report, depend only on the inputs, the seed and the draw count: ``--jobs``
 only spreads the seeded blocks of draws over processes, so each digest is
 checked at ``--jobs 1`` and ``--jobs 2``.  The ``sample`` digests were
 pinned when each block's draws became arrays (``rounding.sample_block``):
-its decisions first, then its assignments chunk by chunk.  Any change to
-the order or arguments of the ``ExactRng`` calls a block makes changes the
-``--solutions-dir`` files; so does a change to the chunk size, for a block
-that spans more than one chunk.  A MINI block of up to 1,000 draws is one
-chunk; a ``t=10`` chunk of shuffled rows holds three draws, so the pinned
-``t=10`` files span two chunks.  The reports depend only on the decisions.
+its decisions first, then its assignments piece by piece
+(``DrawChunk.draws``).  Any change to the order or arguments of the
+``ExactRng`` calls a block makes changes the ``--solutions-dir`` files; so
+does a change to the piece size, for a block that spans more than one
+piece.  A MINI block of up to 1,000 draws is one piece; a ``t=10`` piece of
+shuffled rows holds three draws, so the pinned ``t=10`` files span two
+pieces.  The reports depend only on the decisions.
 The non-sampling commands are pinned by exit code, stdout and ``-o`` bytes
 together; their digests were recorded before dense vectors
 became classed vectors with singleton classes.  Commands run in a temporary
@@ -86,7 +87,7 @@ def _files_digest(directory):
 def t10_digests(tmp_path):
     _pair(T10_GEN, "0..9", "10..19", "20..29", "30..39")
     _cli("sample", "a.core", "b.core", "--n", "40", "--seed", "424242", "-o", "s.json")
-    # four shuffled rows of 160 KB: a chunk of three and a chunk of one
+    # four shuffled rows of 160 KB: a piece of three and a piece of one
     _cli("sample", "a.core", "b.core", "--n", "4", "--seed", "5", "--solutions-dir", "sols")
     return {"t10-n40": _digest(tmp_path / "s.json"),
             "t10-n4-solutions-files": _files_digest(tmp_path / "sols")}

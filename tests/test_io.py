@@ -97,13 +97,16 @@ class TestSolutionDoc:
             ({"open": [0], "assign": [0, None]}, "'assign' entry"),
             ({"open": [0], "assign": [0, "1"]}, "'assign' entry"),
             ({"open": [0], "assign": 0}, "'assign'"),
+            ({"open": [0], "assign": [0, 2**70]}, "'assign' entry must fit in 64 bits"),
+            ({"open": [0], "assign": [-2**63 - 1]}, "'assign' entry must fit in 64 bits"),
             ({"open": [None], "assign": [0]}, "'open' id"),
             ({"open": 0, "assign": [0]}, "'open'"),
             ({"assign": [0]}, "'open'"),
             ({"open": [0]}, "'assign'"),
             ([0], "JSON object"),
         ],
-        ids=["null-assign", "string-assign", "non-list-assign", "null-open",
+        ids=["null-assign", "string-assign", "non-list-assign", "assign-2**70",
+             "assign-below-int64", "null-open",
              "non-list-open", "missing-open", "missing-assign", "not-an-object"],
     )
     def test_malformed_raises_value_error_naming_field(self, doc, field):

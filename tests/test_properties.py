@@ -140,7 +140,8 @@ def test_enumeration_and_sampler_agree(case, seed):
     # the sampler can reach an overflowing branch
     assume(all(cl.feasible for cl in classes))
     feasible_keys = {cl.key for cl in classes}
-    for draw in block_draws(plan, sample_block(plan, ExactRng(seed), DRAWS)):
+    rng = ExactRng(seed)
+    for draw in block_draws(plan, sample_block(plan, rng, DRAWS), rng):
         assert solution_violations(plan.inst, draw.solution) == []
         assert outcome_class_key(plan, draw) in feasible_keys
 

@@ -33,8 +33,8 @@ from cflgap.rounding import (
     verify_midpoint,
 )
 from cflgap.rounding import _FloorCoin, _Part
-from conftest import (block_draws, exact_distribution, one_row_chunk, outside_ids, run_ids,
-                      spoil_rows)
+from conftest import (block_draws, exact_distribution, one_row_chunk, outside_ids,
+                      pool_order_draws, run_ids, shuffled_chunks, spoil_rows)
 
 
 def mini_pair(mini):
@@ -249,7 +249,7 @@ class TestBatchedDraws:
         slots = Counter()
         for chunk in rounding.sample_block(wide, ExactRng(9), 400):
             chosen = chunk.branches[:, 1:2]
-            slots.update(np.count_nonzero(chunk.assign == chosen, axis=1).tolist())
+            slots.update((chunk.counts * (chunk.facilities == chosen)).sum(axis=1).tolist())
         assert set(slots) == {2, 3}
 
 
@@ -305,14 +305,16 @@ class TestChosenPositions:
 class TestSampler:
     def test_mini_samples_feasible(self, mini):
         plan = compile_plan(mini, *mini_pair(mini))
-        for draw in block_draws(plan, rounding.sample_block(plan, ExactRng(2024), 2000)):
+        rng = ExactRng(2024)
+        for draw in block_draws(plan, rounding.sample_block(plan, rng, 2000), rng):
             assert solution_violations(mini, draw.solution) == []
 
     def test_t10_samples_feasible(self, family10):
         c1 = CoreIndex.for_instance(family10, range(10), range(10, 20))
         c2 = CoreIndex.for_instance(family10, range(20, 30), range(30, 40))
         plan = compile_plan(family10, c1, c2)
-        for draw in block_draws(plan, rounding.sample_block(plan, ExactRng(7), 50)):
+        rng = ExactRng(7)
+        for draw in block_draws(plan, rounding.sample_block(plan, rng, 50), rng):
             assert solution_violations(family10, draw.solution) == []
 
     def test_seed_determinism(self, mini):
@@ -342,7 +344,8 @@ class TestSampler:
         # w for a non-pivot low facility is 45/16: rounded to 2 or 3, both <= 4
         plan = compile_plan(mini, *mini_pair(mini))
         seen = set()
-        for draw in block_draws(plan, rounding.sample_block(plan, ExactRng(5), 300)):
+        rng = ExactRng(5)
+        for draw in block_draws(plan, rounding.sample_block(plan, rng, 300), rng):
             counts = Counter(draw.solution.assign)
             if draw.experiment == "A" and draw.chosen_l_facility == 3:
                 seen.add(counts[3])
@@ -354,11 +357,12 @@ class TestBlockSampler:
         plan = compile_plan(mini, *mini_pair(mini))
         by_key = {cl.key: cl.probability for cl in enumerate_outcome_classes(plan)}
         n = 100_000
-        chunks = list(rounding.sample_block(plan, ExactRng(271828), n))
+        rng = ExactRng(271828)
+        chunks = list(rounding.sample_block(plan, rng, n))
         feasible, block_keys, examples = rounding.tally_draws(plan, iter(chunks), 5)
         assert (feasible, examples) == (n, [])
         row_keys = Counter()
-        for draw in block_draws(plan, chunks):
+        for draw in block_draws(plan, chunks, rng):
             assert solution_violations(mini, draw.solution) == []
             row_keys[outcome_class_key(plan, draw)] += 1
         assert row_keys == block_keys and set(block_keys) <= set(by_key)
@@ -367,23 +371,66 @@ class TestBlockSampler:
             sigma = (pf * (1 - pf) / n) ** 0.5
             assert abs(block_keys[key] / n - pf) <= 4 * sigma, key
 
-    def test_chunks_hold_a_bounded_number_of_rows(self, family10, mini):
-        # a chunk holds as many 160 KB t=10 rows as fit its budget; MINI
-        # blocks are one chunk
-        per_chunk = max(1, rounding._CHUNK_BYTES // (8 * family10.client_count))
-        plan = compile_plan(family10, *t10_pair(family10))
-        chunks = rounding.sample_block(plan, ExactRng(1), 2 * per_chunk + 1)
-        assert [len(c) for c in chunks] == [per_chunk, per_chunk, 1]
-        plan = compile_plan(mini, *mini_pair(mini))
-        assert [len(c) for c in rounding.sample_block(plan, ExactRng(1), 1000)] == [1000]
+    def test_chunks_hold_a_bounded_number_of_rows(self, family10, mini, monkeypatch):
+        # a run-form chunk holds 512 KB of loads (648 rows of 101 at t=10), a
+        # whole number of the pieces draws() shuffles at once (three 160 KB
+        # rows at t=10); MINI blocks are one chunk and one piece
+        shuffled = []
+        shuffle_rows = ExactRng.shuffle_rows
+
+        def spy(self, rows):
+            shuffled.append(len(rows))
+            shuffle_rows(self, rows)
+
+        monkeypatch.setattr(ExactRng, "shuffle_rows", spy)
+        for inst, pair, count, sizes, pieces in (
+            (family10, t10_pair, 2 * 648 + 1, [648, 648, 1], [3] * 432 + [1]),
+            (mini, mini_pair, 1000, [1000], [1000]),
+        ):
+            plan = compile_plan(inst, *pair(inst))
+            rng = ExactRng(1)
+            chunks = list(rounding.sample_block(plan, rng, count))
+            assert [len(chunk) for chunk in chunks] == sizes
+            shuffled.clear()
+            assert len(list(block_draws(plan, chunks, rng))) == count
+            # each piece shuffles its designated, then its rest segment
+            assert shuffled == [rows for rows in pieces for _ in range(2)]
+
+
+@pytest.mark.parametrize("budget, count, sizes", [
+    # pieces of three t=10 rows; 595 rows of loads, cut to 594
+    pytest.param(481_000, 600, [594, 6], id="t10"),
+    # pieces of four MINI rows; seven rows of loads, cut to four
+    pytest.param(8 * 13 * 4, 30, [4] * 7 + [2], id="mini"),
+])
+def test_solution_rows_do_not_depend_on_the_run_chunks(
+    family10, mini, monkeypatch, budget, count, sizes
+):
+    """A block's shuffled expansions, and its tally, are those of the same
+    block held as one run-form chunk: pieces are cut at the same rows."""
+    inst, pair = (family10, t10_pair) if count == 600 else (mini, mini_pair)
+    monkeypatch.setattr(rounding, "_CHUNK_BYTES", budget)
+    plan = compile_plan(inst, *pair(inst))
+    rng, whole_rng = ExactRng(3), ExactRng(3)
+    chunks = list(rounding.sample_block(plan, rng, count))
+    assert [len(chunk) for chunk in chunks] == sizes
+    list(rounding.sample_block(plan, whole_rng, count))  # the same decisions
+    whole = replace(chunks[0], **{
+        name: joined(chunks, name) for name in ("branches", "open_of", "facilities", "counts")
+    })
+    rows = zip(block_draws(plan, chunks, rng), whole.draws(plan, whole_rng), strict=True)
+    assert all(draw == whole_draw for draw, whole_draw in rows)
+    assert rounding.tally_draws(plan, iter(chunks), 5) == rounding.tally_draws(
+        plan, iter([whole]), 5
+    )
 
 
 def both_orders(plan, seed, count):
-    """The chunks of one seed's block, as shuffled rows and as run forms."""
-    return tuple(
-        list(rounding.sample_block(plan, ExactRng(seed), count, rows=rows))
-        for rows in (True, False)
-    )
+    """The chunks of one seed's block, as their shuffled expansions (run
+    forms of unit counts, one column per client) and as run forms."""
+    rng = ExactRng(seed)
+    runs = list(rounding.sample_block(plan, rng, count))
+    return list(shuffled_chunks(plan, runs, rng)), runs
 
 
 def joined(chunks, field):
@@ -398,8 +445,9 @@ def expanded(chunks):
 
 def moved_chosen(plan, chunks, every):
     """The chunks, with every ``every``-th draw's chosen low facility's clients
-    moved onto another low-set facility, which that draw keeps closed: in an
-    assignment every entry of the chosen id, in a run form its column."""
+    moved onto another low-set facility, which that draw keeps closed: every
+    entry of the chosen id (one column of a draw's run form, each of its
+    clients in a shuffled expansion)."""
     position = 0
     for chunk in chunks:
         branches = chunk.branches.copy()
@@ -407,24 +455,20 @@ def moved_chosen(plan, chunks, every):
             exp_index, chosen, _ = branches[r].tolist()
             low = plan._tables.choice_set[exp_index]
             branches[r, 1] = low[low != chosen][0]
-        facilities, assign = chunk.facilities, chunk.assign
-        if assign is None:
-            facilities = facilities.copy()
-            facilities[:, 0] = branches[:, 1]
-        else:
-            assign = np.where(assign == chunk.branches[:, 1:2], branches[:, 1:2], assign)
+        facilities = chunk.facilities
+        facilities = np.where(facilities == chunk.branches[:, 1:2], branches[:, 1:2], facilities)
         position += len(chunk)
-        yield replace(chunk, assign=assign, facilities=facilities)
+        yield replace(chunk, facilities=facilities)
 
 
 def assert_same_draws_up_to_pool_order(plan, shuffled, runs):
     """Same decisions, the same clients per pool and the same facility loads;
     the run forms tally as the shuffled rows, also with rows spoiled."""
     n_core, n_f = len(plan.inst.designated_clients), plan.inst.facility_count
-    assert all(chunk.assign is None for chunk in runs)
+    assert all((chunk.counts == 1).all() for chunk in shuffled)
     for name in ("branches", "open_of"):
         assert np.array_equal(joined(shuffled, name), joined(runs, name)), name
-    a, b = joined(shuffled, "assign"), expanded(runs)
+    a, b = joined(shuffled, "facilities"), expanded(runs)
     for pool in (slice(None, n_core), slice(n_core, None)):
         assert np.array_equal(np.sort(a[:, pool], axis=1), np.sort(b[:, pool], axis=1))
     for row_a, row_b in zip(a, b):
@@ -438,8 +482,8 @@ def assert_same_draws_up_to_pool_order(plan, shuffled, runs):
 
 
 class TestPoolOrderRows:
-    """``sample_block(..., rows=False)`` keeps every row in run form; expanded
-    in pool order, they are the shuffled rows up to the within-pool order."""
+    """``sample_block`` keeps every row in run form; expanded in pool order,
+    they are the shuffled expansions up to the within-pool order."""
 
     @pytest.mark.parametrize("n", [1, 999, 2500])
     def test_mini_rows_are_the_shuffled_rows_up_to_pool_order(self, mini, n):
@@ -447,18 +491,18 @@ class TestPoolOrderRows:
         shuffled, runs = both_orders(plan, 31, n)
         assert_same_draws_up_to_pool_order(plan, shuffled, runs)
         if n > 1:  # the rows differ, so the comparison is not vacuous
-            assert not np.array_equal(joined(shuffled, "assign"), expanded(runs))
+            assert not np.array_equal(joined(shuffled, "facilities"), expanded(runs))
 
     def test_t10_rows_are_the_shuffled_rows_up_to_pool_order(self, family10):
-        # four rows: shuffled, a chunk of three and a chunk of one; as run
-        # forms one chunk, or four with a budget of one row of loads
+        # four rows: one run-form chunk, shuffled in a piece of three and a
+        # piece of one; or four chunks with a budget of one row of loads
         plan = compile_plan(family10, *t10_pair(family10))
         shuffled, runs = both_orders(plan, 17, 4)
-        assert [len(chunk) for chunk in shuffled] == [3, 1] and len(runs) == 1
+        assert len(shuffled) == len(runs) == 1
         assert_same_draws_up_to_pool_order(plan, shuffled, runs)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rounding, "_CHUNK_BYTES", 8 * (family10.facility_count + 1))
-            runs = list(rounding.sample_block(plan, ExactRng(17), 4, rows=False))
+            runs = list(rounding.sample_block(plan, ExactRng(17), 4))
         assert len(runs) == 4
         assert_same_draws_up_to_pool_order(plan, shuffled, runs)
 
@@ -545,7 +589,8 @@ class TestOutcomeClasses:
         by_key = {cl.key: cl.probability for cl in classes}
         n = 20000
         freq = Counter()
-        for draw in block_draws(plan, rounding.sample_block(plan, ExactRng(31337), n)):
+        rng = ExactRng(31337)
+        for draw in block_draws(plan, rounding.sample_block(plan, rng, n), rng):
             key = outcome_class_key(plan, draw)
             assert key in by_key, f"sampled class {key} not enumerated"
             freq[key] += 1
@@ -570,7 +615,8 @@ class TestEmpiricalMean:
         y_counts = np.zeros(6, dtype=np.int64)
         x_counts = np.zeros((6, 13), dtype=np.int64)
         cols = np.arange(13)
-        for draw in block_draws(plan, rounding.sample_block(plan, ExactRng(8675309), n)):
+        rng = ExactRng(8675309)
+        for draw in block_draws(plan, rounding.sample_block(plan, rng, n), rng):
             sol = draw.solution
             for i in sol.open:
                 y_counts[i] += 1
@@ -791,11 +837,12 @@ def reference_key(plan, draw):
             tuple(sorted(profile.items())))
 
 
-def spoiled_chunks(plan, seed, n, spoil_every=0, rows=True):
-    """The block sampler's chunks of ``n`` draws of ``plan``, shuffled rows or
-    run forms; with ``spoil_every``, every such draw, as its assignment, gets
-    a client moved to a random id in [-2, facility_count + 2) or dropped,
-    and becomes a chunk of its own."""
+def spoiled_chunks(plan, seed, n, spoil_every=0, shuffled=True):
+    """The block sampler's chunks of ``n`` draws of ``plan``, as their
+    shuffled expansions (:func:`conftest.shuffled_chunks`) or as run forms;
+    with ``spoil_every``, every such draw, as its assignment (in pool order
+    for a run form), gets a client moved to a random id in
+    [-2, facility_count + 2) or dropped, and becomes a chunk of its own."""
     spoil = np.random.default_rng(seed)
     n_f = plan.inst.facility_count
 
@@ -808,7 +855,10 @@ def spoiled_chunks(plan, seed, n, spoil_every=0, rows=True):
         return replace(draw, solution=IntSolution(draw.solution.open, assign))
 
     positions = range(spoil_every - 1, n, spoil_every) if spoil_every else ()
-    chunks = rounding.sample_block(plan, ExactRng(seed), n, rows=rows)
+    rng = ExactRng(seed)
+    chunks = rounding.sample_block(plan, rng, n)
+    if shuffled:
+        chunks = shuffled_chunks(plan, chunks, rng)
     return list(spoil_rows(plan, chunks, dict.fromkeys(positions, spoiled)))
 
 
@@ -823,7 +873,7 @@ def spoiled_runs(plan, seed, n, spoil_every):
     n_f, capacity = plan.inst.facility_count, plan.inst.capacity
     unknown = [-3, -1, n_f, n_f + 3, 2**40, 2**62]
     chunks, position, spoiled = [], 0, 0
-    for chunk in rounding.sample_block(plan, ExactRng(seed), n, rows=False):
+    for chunk in rounding.sample_block(plan, ExactRng(seed), n):
         facilities, counts = chunk.facilities.copy(), chunk.counts.copy()
         for r, (ids, row) in enumerate(zip(facilities, counts), start=position):
             nonzero, zero = np.flatnonzero(row), np.flatnonzero(row == 0)
@@ -875,7 +925,7 @@ class TestDrawTally:
     def test_mini_class_counts_match_per_draw_keys(self, mini, seed, n):
         plan = compile_plan(mini, *mini_pair(mini))
         chunks = spoiled_chunks(plan, seed, n)
-        draws = list(block_draws(plan, chunks))
+        draws = list(pool_order_draws(plan, chunks))
         expected = Counter(reference_key(plan, draw) for draw in draws)
         assert Counter(outcome_class_key(plan, draw) for draw in draws) == expected
         assert rounding.tally_draws(plan, iter(chunks), 5) == (n, expected, [])
@@ -883,20 +933,19 @@ class TestDrawTally:
     # one seed per n: a t=10 draw costs about 0.5 ms
     @pytest.mark.parametrize("seed, n", [(1, 1), (2, 999), (3, 1001), (4, 2500)])
     def test_t10_class_counts_match_per_draw_keys(self, family10, seed, n):
-        # t=10 assignments are 20,000 long, so each chunk is keyed on its
-        # way into the tally rather than held
+        # t=10 assignments are 20,000 long, so each chunk's shuffled
+        # expansion is keyed on the chunk's way into the tally, not held
         plan = compile_plan(family10, *t10_pair(family10))
         expected = Counter()
+        rng = ExactRng(seed)
 
         def keyed(chunks):
             for chunk in chunks:
-                for draw in block_draws(plan, [chunk]):
+                for draw in chunk.draws(plan, rng):
                     expected[reference_key(plan, draw)] += 1
                 yield chunk
 
-        tally = rounding.tally_draws(
-            plan, keyed(rounding.sample_block(plan, ExactRng(seed), n)), 5
-        )
+        tally = rounding.tally_draws(plan, keyed(rounding.sample_block(plan, rng, n)), 5)
         assert tally == (n, expected, [])
 
     @pytest.mark.parametrize("table_rows, form", [
@@ -906,20 +955,19 @@ class TestDrawTally:
     def test_spoiled_draws_match_per_draw_checks_in_any_chunking(
         self, mini, monkeypatch, table_rows, form
     ):
-        # chunks of table_rows MINI draws, keyed table_rows at a time: shuffled
-        # rows of 13 clients, or run forms (7 columns of loads) whose spoiled
-        # draws are expanded to one-row chunks in pool order ("-pool-order")
-        # or spoiled in place ("-runs")
-        width = 13 if not form else mini.facility_count + 1
-        monkeypatch.setattr(rounding, "_CHUNK_BYTES", 8 * width * table_rows)
+        # chunks of table_rows MINI draws (a budget of table_rows pieces of
+        # 13 clients), keyed table_rows at a time: shuffled expansions, or
+        # run forms whose spoiled draws are expanded to one-row chunks in
+        # pool order ("-pool-order") or spoiled in place ("-runs")
+        monkeypatch.setattr(rounding, "_CHUNK_BYTES", 8 * 13 * table_rows)
         monkeypatch.setattr(rounding, "_LOAD_TABLE_BYTES", 8 * 6 * table_rows)
         plan = compile_plan(mini, *mini_pair(mini))
         if form == "-runs":
             chunks = spoiled_runs(plan, 4, 600, spoil_every=9)
             assert max(map(len, chunks)) == min(table_rows, 600)
         else:
-            chunks = spoiled_chunks(plan, 4, 600, spoil_every=9, rows=not form)
-        draws = list(block_draws(plan, chunks))
+            chunks = spoiled_chunks(plan, 4, 600, spoil_every=9, shuffled=not form)
+        draws = list(pool_order_draws(plan, chunks))
         tally = rounding.tally_draws(plan, iter(chunks), 40)
         assert tally == expected_tally(plan, draws, 40)
         assert 0 < tally[0] < len(draws) and len(tally[2]) == 40
@@ -936,7 +984,7 @@ class TestDrawTally:
             CoreIndex.for_instance(inst, {0, 1}, {4, 5}),
         )
         chunks = spoiled_chunks(plan, 6, 120, spoil_every=30)
-        draws = list(block_draws(plan, chunks))
+        draws = list(pool_order_draws(plan, chunks))
         tracemalloc.start()
         try:
             tally = rounding.tally_draws(plan, iter(chunks), 5)
@@ -958,8 +1006,8 @@ class TestDrawTally:
             CoreIndex.for_instance(inst, {0, 1}, {4, 5}),
         )
         chunks = spoiled_runs(plan, 6, 120, spoil_every=30)
-        assert all(chunk.assign is None and len(chunk) <= 3 for chunk in chunks)
-        draws = list(block_draws(plan, chunks))
+        assert all(len(chunk) <= 3 for chunk in chunks)
+        draws = list(pool_order_draws(plan, chunks))
         tracemalloc.start()
         try:
             tally = rounding.tally_draws(plan, iter(chunks), 5)
