@@ -85,12 +85,13 @@ def _load_core(path: str):
     return (*docio.load_core_doc(doc), {path: digest})
 
 
-def _load_core_index(path: str):
+def _load_core_index(path: str, like: Optional[Instance] = None):
     """Instance, index, core vector and input digest of a core file whose
     vector is the core vector of its ``(k, l)``; for any other payload,
-    ValueError naming the first facility class or cell that differs."""
+    ValueError naming the first facility class or cell that differs.
+    ``like`` is as in :func:`io.load_core_vector_doc`."""
     doc, digest = docio.read_document(path)
-    inst, index, core, difference = docio.load_core_vector_doc(doc)
+    inst, index, core, difference = docio.load_core_vector_doc(doc, like)
     if difference is not None:
         raise ValueError(
             f"core file {path} holds a vector other than the core vector of "
@@ -101,9 +102,11 @@ def _load_core_index(path: str):
 
 def _load_core_pair(first: str, second: str):
     """Instance, both indices, both core vectors and the input digests of two
-    core files of one instance."""
+    core files of one instance.  A second file whose instance is written as
+    ``core -o`` writes the first's shares its Instance, so the parameters
+    are checked once."""
     inst, c1, v1, in1 = _load_core_index(first)
-    inst2, c2, v2, in2 = _load_core_index(second)
+    inst2, c2, v2, in2 = _load_core_index(second, inst)
     if inst != inst2:
         raise ValueError("core files describe different instances")
     return inst, (c1, c2), (v1, v2), {**in1, **in2}
@@ -246,13 +249,12 @@ def _run_blocks(work: Callable, n: int, seed: int, jobs: int) -> list:
 
     Block ``b`` covers draws ``[b * BLOCK_DRAWS, min(n, (b + 1) * BLOCK_DRAWS))``
     on the stream ``derive_block_seed(seed, b)``, so the results depend on
-    ``n`` and ``seed`` but not on ``jobs``.  The pool starts all its workers
-    at once, so it has at most one per CPU.
+    ``n`` and ``seed`` but not on ``jobs`` (at least 1, checked by
+    :func:`main`).  The pool starts all its workers at once, so it has at
+    most one per CPU.
     """
     from .randomness import derive_block_seed
 
-    if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     starts = range(0, n, BLOCK_DRAWS)
     seeds = [derive_block_seed(seed, b) for b in range(len(starts))]
     counts = [min(BLOCK_DRAWS, n - start) for start in starts]
@@ -584,6 +586,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
+        # every command that takes the shared --jobs option, before any work
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         return globals()["cmd_" + _command(args).replace(" ", "_").replace("-", "_")](args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

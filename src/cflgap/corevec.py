@@ -68,14 +68,14 @@ def _runs(ids) -> Runs:
     ``ids`` is a tuple of ``(lo, hi)`` pairs, a ``range`` (one run, not
     walked) or any other iterable of ids.
     """
-    if type(ids) is tuple and ids and type(ids[0]) is tuple:
-        pairs = sorted(ids)
-    elif type(ids) is range and ids.step == 1:
-        pairs = [(ids.start, ids.stop)] if ids else []
-    else:
-        pairs = [(j, j + 1) for j in sorted(set(ids))]
+    if type(ids) is range and ids.step == 1:
+        return ((ids.start, ids.stop),) if ids else ()
+    if type(ids) is frozenset or type(ids) is set:
+        return _sorted_runs(sorted(ids))
+    if not (type(ids) is tuple and ids and type(ids[0]) is tuple):
+        return _sorted_runs(sorted(set(ids)))
     merged: list[tuple[int, int]] = []
-    for lo, hi in pairs:
+    for lo, hi in sorted(ids):
         if merged and merged[-1][1] == lo:
             merged[-1] = (merged[-1][0], hi)
         else:
@@ -83,16 +83,33 @@ def _runs(ids) -> Runs:
     return tuple(merged)
 
 
-def _complement(ids: Iterable[int], n: int) -> Runs:
-    """The ids of ``[0, n)`` not in ``ids``: the runs between their sorted members."""
-    runs, lo = [], 0
-    for i in sorted(ids):
-        if lo < i:
-            runs.append((lo, i))
-        lo = i + 1
-    if lo < n:
-        runs.append((lo, n))
+def _sorted_runs(ids: Sequence[int]) -> Runs:
+    """Sorted distinct ids as maximal runs: a run ends where the next id is not one more."""
+    if not ids:
+        return ()
+    if ids[-1] - ids[0] == len(ids) - 1:
+        return ((ids[0], ids[-1] + 1),)
+    runs = []
+    lo = prev = ids[0]
+    for i in ids[1:]:
+        if i != prev + 1:
+            runs.append((lo, prev + 1))
+            lo = i
+        prev = i
+    runs.append((lo, prev + 1))
     return tuple(runs)
+
+
+def _gaps(runs: Runs, n: int) -> Runs:
+    """The ids of ``[0, n)`` outside sorted disjoint runs, as runs."""
+    gaps, lo = [], 0
+    for start, end in runs:
+        if lo < start:
+            gaps.append((lo, start))
+        lo = end
+    if lo < n:
+        gaps.append((lo, n))
+    return tuple(gaps)
 
 
 @dataclass(frozen=True)
@@ -116,7 +133,8 @@ class CoreIndex:
             raise ValueError(f"|k| and |l| must both equal t = {t}, got {len(kf)}, {len(lf)}")
         if kf & lf:
             raise ValueError(f"k and l must be disjoint, share {sorted(kf & lf)}")
-        if not all(i in inst.facilities for i in kf | lf):
+        facilities = inst.facilities
+        if not all(i in facilities for i in kf | lf):
             raise ValueError("k and l must be facility ids of the instance")
         return cls(k=kf, l=lf)
 
@@ -141,6 +159,13 @@ class FracVector:
     runs) and kept as sorted ``(lo, hi)`` runs, so sizes, least ids and
     refinements come from the run endpoints.  A dense point is the vector
     whose classes are all singletons (:meth:`from_dense`).
+
+    The constructor normalizes the classes and checks that they partition
+    both axes and that every value lies in [0, 1]; every vector read from a
+    file is built this way.  :meth:`_trusted` skips both steps for vectors
+    that are valid by construction, and only :func:`make_core_vector`
+    (through ``_core_vector``), :func:`midpoint` and
+    :func:`rounding.expected_vector` call it.
     """
 
     def __init__(
@@ -152,14 +177,14 @@ class FracVector:
         y_values: Sequence[Fraction],
         x_values: Sequence[Sequence[Fraction]],
     ):
-        self.facility_count = facility_count
-        self.client_count = client_count
-        # per axis (0 facilities, 1 clients): sorted run starts and owners
-        self._lookups: list[Optional[tuple[list[int], list[int]]]] = [None, None]
-        self.fac_classes: tuple[Runs, ...] = tuple(map(_runs, fac_classes))
-        self.cli_classes: tuple[Runs, ...] = tuple(map(_runs, cli_classes))
-        self.y_values = tuple(map(_fraction, y_values))
-        self.x_values = tuple(tuple(map(_fraction, row)) for row in x_values)
+        self._fill(
+            facility_count,
+            client_count,
+            tuple(map(_runs, fac_classes)),
+            tuple(map(_runs, cli_classes)),
+            tuple(map(_fraction, y_values)),
+            tuple(tuple(map(_fraction, row)) for row in x_values),
+        )
         self._check_partition(self.fac_classes, facility_count, "facility")
         self._check_partition(self.cli_classes, client_count, "client")
         if len(self.y_values) != len(self.fac_classes):
@@ -172,6 +197,44 @@ class FracVector:
         bad = next((v for v in entries if not 0 <= v <= 1), None)
         if bad is not None:
             raise ValueError(f"vector entry {bad} outside [0, 1]")
+
+    def _fill(
+        self,
+        facility_count: int,
+        client_count: int,
+        fac_classes: tuple[Runs, ...],
+        cli_classes: tuple[Runs, ...],
+        y_values: tuple[Fraction, ...],
+        x_values: tuple[tuple[Fraction, ...], ...],
+    ) -> None:
+        self.facility_count = facility_count
+        self.client_count = client_count
+        # per axis (0 facilities, 1 clients): sorted run starts and owners
+        self._lookups: list[Optional[tuple[list[int], list[int]]]] = [None, None]
+        self.fac_classes = fac_classes
+        self.cli_classes = cli_classes
+        self.y_values = y_values
+        self.x_values = x_values
+
+    @classmethod
+    def _trusted(
+        cls,
+        facility_count: int,
+        client_count: int,
+        fac_classes: tuple[Runs, ...],
+        cli_classes: tuple[Runs, ...],
+        y_values: tuple[Fraction, ...],
+        x_values: tuple[tuple[Fraction, ...], ...],
+    ) -> "FracVector":
+        """A vector that is valid by construction, kept as given.
+
+        The classes must already be maximal sorted runs that partition each
+        axis, the values Fractions in [0, 1] in facility-class x
+        client-class shape: nothing is normalized or checked.
+        """
+        self = cls.__new__(cls)
+        self._fill(facility_count, client_count, fac_classes, cli_classes, y_values, x_values)
+        return self
 
     @staticmethod
     def _check_partition(classes: Sequence[Runs], n: int, what: str) -> None:
@@ -298,28 +361,25 @@ def _runs_text(runs: Runs) -> str:
     return ",".join(f"{lo}..{hi - 1}" if hi - lo > 1 else f"{lo}" for lo, hi in runs)
 
 
-def _refine(
-    parts_a: Sequence[Runs], parts_b: Sequence[Runs]
-) -> list[tuple[Runs, int, int]]:
-    """Common refinement of two run partitions: (runs, index in a, index in b).
+def _refine(*partitions: Sequence[Runs]) -> list[tuple]:
+    """Common refinement of run partitions: ``(runs, index in each partition)``.
 
-    Both partitions tile the same ``[0, n)``, so each is its runs' ends in
-    order, and one merge of the ends cuts ``[0, n)`` into pieces that each
-    lie in one run of each partition; the pieces that share a pair of
-    classes form one atom, and atoms are ordered by least id.
+    The partitions tile the same ``[0, n)``, so the starts of all their runs,
+    in order, cut ``[0, n)`` into pieces that each lie in one run of every
+    partition; the pieces that share their classes form one atom, and atoms
+    are ordered by least id.
     """
-    ends_a = sorted((hi, i) for i, c in enumerate(parts_a) for _, hi in c)
-    ends_b = sorted((hi, i) for i, c in enumerate(parts_b) for _, hi in c)
-    atoms: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    lo = b = 0
-    for hi_a, ia in ends_a:
-        while lo < hi_a:
-            hi_b, ib = ends_b[b]
-            hi = min(hi_a, hi_b)
-            atoms.setdefault((ia, ib), []).append((lo, hi))
-            lo = hi
-            b += hi == hi_b
-    return [(tuple(pieces), ia, ib) for (ia, ib), pieces in atoms.items()]
+    cuts = sorted((lo, p, i) for p, part in enumerate(partitions)
+                  for i, runs in enumerate(part) for lo, _ in runs)
+    n = max((runs[-1][1] for runs in partitions[0] if runs), default=0)
+    ends = [lo for lo, _, _ in cuts[1:]] + [n]
+    classes = [0] * len(partitions)
+    atoms: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for (lo, p, i), hi in zip(cuts, ends):
+        classes[p] = i
+        if lo < hi:
+            atoms.setdefault(tuple(classes), []).append((lo, hi))
+    return [(tuple(pieces), *key) for key, pieces in atoms.items()]
 
 
 def midpoint(v1: FracVector, v2: FracVector) -> FracVector:
@@ -332,13 +392,13 @@ def midpoint(v1: FracVector, v2: FracVector) -> FracVector:
         [(v1.x_values[fa][ca] + v2.x_values[fb][cb]) / 2 for _, ca, cb in cli_atoms]
         for _, fa, fb in fac_atoms
     ]
-    return FracVector(
+    return FracVector._trusted(
         v1.facility_count,
         v1.client_count,
-        [atom for atom, _, _ in fac_atoms],
-        [atom for atom, _, _ in cli_atoms],
-        y_values,
-        x_values,
+        tuple(atom for atom, _, _ in fac_atoms),
+        tuple(atom for atom, _, _ in cli_atoms),
+        tuple(y_values),
+        tuple(map(tuple, x_values)),
     )
 
 
@@ -348,29 +408,36 @@ def midpoint(v1: FracVector, v2: FracVector) -> FracVector:
 
 
 def make_core_vector(inst: Instance, k: Iterable[int], l: Iterable[int]) -> FracVector:
-    """The core vector indexed by (k, l), symmetry-classed.
+    """The core vector indexed by (k, l), symmetry-classed; ``k`` and ``l``
+    are checked by :meth:`CoreIndex.for_instance`.
 
     The designated clients (:attr:`Instance.designated_clients`, a prefix of
     the client ids) and the rest, the tail, are both single runs.
     """
-    params = require_valid(inst)
-    index = CoreIndex.for_instance(inst, k, l)
-    kf, lf = index.k, index.l
-    outside = _complement(kf | lf, inst.facility_count)
-    core, rest = inst.designated_clients, inst.rest_clients
-    x_out = Fraction(1, inst.facility_count - 2 * params.t)
+    require_valid(inst)  # the parameters are reported before the index
+    return _core_vector(inst, CoreIndex.for_instance(inst, k, l))
 
-    fac_classes = [kf, lf] + ([outside] if outside else [])
-    cli_classes = [((core.start, core.stop),)] + ([((rest.start, rest.stop),)] if rest else [])
-    y_values = [ONE, params.eps] + ([ONE] if outside else [])
-    x_rows = {
-        "k": [params.x_k] + ([ZERO] if rest else []),
-        "l": [params.x_l] + ([ZERO] if rest else []),
-        "out": [ZERO] + ([x_out] if rest else []),
-    }
-    x_values = [x_rows["k"], x_rows["l"]] + ([x_rows["out"]] if outside else [])
-    return FracVector(
-        inst.facility_count, inst.client_count, fac_classes, cli_classes, y_values, x_values
+
+def _core_vector(inst: Instance, index: CoreIndex) -> FracVector:
+    """The core vector of an index already checked against ``inst``: a core
+    file's loader has checked it with the file's header."""
+    params = require_valid(inst)
+    k_runs, l_runs = _runs(index.k), _runs(index.l)
+    outside = _gaps(_runs(k_runs + l_runs), inst.facility_count)
+    core, rest = inst.designated_clients, inst.rest_clients
+    x_k = params.x_k
+
+    fac_classes = (k_runs, l_runs) + ((outside,) if outside else ())
+    cli_classes = (((core.start, core.stop),),) + ((((rest.start, rest.stop),),) if rest else ())
+    y_values = (ONE, params.eps) + ((ONE,) if outside else ())
+    x_rows = (
+        (x_k, ZERO) if rest else (x_k,),
+        (params.x_l, ZERO) if rest else (params.x_l,),
+    )
+    if outside:
+        x_rows += ((ZERO, Fraction(1, inst.facility_count - 2 * params.t)) if rest else (ZERO,),)
+    return FracVector._trusted(
+        inst.facility_count, inst.client_count, fac_classes, cli_classes, y_values, x_rows
     )
 
 

@@ -74,9 +74,9 @@ class FamilyParams:
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
 
-    @property
+    @cached_property
     def x_k(self) -> Fraction:
-        """Assignment mass to each high-set facility: (1 - t*x_l)/t."""
+        """Assignment mass to each high-set facility: (1 - t*x_l)/t, computed once."""
         return (1 - self.t * self.x_l) / self.t
 
 

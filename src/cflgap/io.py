@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Optional
 
 from .corevec import (DENSE_LIMIT, CoreIndex, FracVector, NaturalLpReport, RunRows, Runs,
-                      _runs, make_core_vector)
+                      _core_vector, _runs)
 from .instance import ZERO, FamilyParams, Instance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,7 +50,8 @@ __all__ = [
 
 
 def frac_to_str(f: Fraction) -> str:
-    f = Fraction(f)
+    if type(f) is not Fraction:
+        f = Fraction(f)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -298,10 +299,31 @@ def core_file_doc(inst: Instance, index: CoreIndex, vec: FracVector) -> dict:
     }
 
 
-def _core_header(doc: dict) -> tuple[Instance, CoreIndex]:
-    """Instance and index of a core document, with :func:`load_core_doc`'s checks."""
+def _same_json(a: Any, b: Any) -> bool:
+    """Whether two decoded JSON values are equal and of one type throughout:
+    ``==`` takes ``true`` and ``1.0`` for ``1``."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same_json(a[key], b[key]) for key in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
+def _core_header(doc: dict, like: Optional[Instance] = None) -> tuple[Instance, CoreIndex]:
+    """Instance and index of a core document, with :func:`load_core_doc`'s checks.
+
+    An ``instance`` field that is the document of ``like`` (as ``core -o``
+    writes it) is not parsed: ``like`` itself is returned, so the pair of
+    files it was read from checks its parameters once.
+    """
     where = "core document"
-    inst = instance_from_doc(_field(doc, "instance", where))
+    given = _field(doc, "instance", where)
+    if like is not None and _same_json(given, instance_to_doc(like)):
+        inst = like
+    else:
+        inst = instance_from_doc(given)
     k = _id_list(_field(doc, "k", where), f"{where} field 'k'")
     l = _id_list(_field(doc, "l", where), f"{where} field 'l'")
     given = _field(doc, "core_clients", where)
@@ -331,25 +353,31 @@ def load_core_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector]:
     return inst, index, _vector_from_doc(doc, inst.facility_count, inst.client_count)
 
 
-def load_core_vector_doc(doc: dict) -> tuple[Instance, CoreIndex, FracVector, Optional[str]]:
+def load_core_vector_doc(
+    doc: dict, like: Optional[Instance] = None
+) -> tuple[Instance, CoreIndex, FracVector, Optional[str]]:
     """Instance, index and core vector of a core document, and where its
     payload first differs from that vector (None when it holds it).
 
-    The header is checked as :func:`load_core_doc` checks it.  A payload in
-    the form ``core -o`` writes, the core vector's own document with every
-    span bound a JSON int, is matched as a document and not parsed.  Any
-    other payload is read as :func:`load_core_doc` reads it and compared as
-    a vector, so it is accepted or refused exactly as before.
+    The header is checked as :func:`load_core_doc` checks it; ``like`` is
+    as in :func:`_core_header`.  The core vector is built once, from the
+    checked index.  A payload in the form ``core -o`` writes, the core
+    vector's own document with every span bound a JSON int, is matched as a
+    document and not parsed.  Any other payload is read as
+    :func:`load_core_doc` reads it and compared as a vector, so it is
+    accepted or refused exactly as before.
     """
-    inst, index = _core_header(doc)
+    inst, index = _core_header(doc, like)
+    core = failure = None
     try:
-        core = make_core_vector(inst, index.k, index.l)
+        core = _core_vector(inst, index)
         if _holds_document(doc, _vector_to_doc(core)):
             return inst, index, core, None
-    except Exception:  # left to the full read, which reports it in its own order
-        pass
+    except Exception as exc:  # raised after the full read, which reports first
+        failure = exc
     vec = _vector_from_doc(doc, inst.facility_count, inst.client_count)
-    core = make_core_vector(inst, index.k, index.l)
+    if core is None:
+        raise failure
     return inst, index, core, vec.first_difference(core)
 
 

@@ -28,11 +28,12 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
   facility counts, then each client pool's segment of every row shuffled
   in place.  :func:`sample_outcome` is its one-row case, and
 * :func:`enumerate_grouped_classes` lists every branch of the same
-  thresholds and coins with its exact probability, collapsing exchangeable
-  client and bin choices, and exchangeable low-set facilities into groups
-  (at most four per experiment, for any t); each class holds its slot
-  profile as one shared part per facility group, in run entries, and its
-  open set as runs.
+  thresholds and coins with its exact probability, an integer weight over
+  the plan's one denominator (:attr:`RoundingPlan.denominator`),
+  collapsing exchangeable client and bin choices, and exchangeable low-set
+  facilities into groups (at most four per experiment, for any t); each
+  class holds its slot profile as one shared part per facility group, in
+  run entries, and its open set as runs.
   :func:`enumerate_outcome_classes` expands the groups into one set of
   classes per low-set facility, the classes a draw is keyed by.
 
@@ -44,34 +45,37 @@ assignment is counted by one ``bincount``.
 cases, so a draw the tally cannot count has violations and no key in all
 three.
 
-:func:`expected_vector` sums probability times the parts into group totals,
-refined over both experiments' groups, so nothing in :func:`verify_midpoint`
-grows with the facility count.  It certifies constructively, from the
-grouped class list, that the midpoint of a colliding pair is a convex
-combination of feasible integer solutions: these weights, these feasible
-points, this exact sum.
+:func:`verify_midpoint` certifies constructively, from the grouped class
+list, that the midpoint of a colliding pair is a convex combination of
+feasible integer solutions: these weights, these feasible points, this
+exact sum.  It sums weight times the parts into group totals as integers
+(:func:`_expectation`) and compares them with the midpoint's numerators,
+scaled to one denominator, on the common refinement of both experiments'
+groups and both core vectors' classes; no ``Fraction`` is made on the way
+and nothing grows with the facility count.  :func:`expected_vector` is the
+same sum as a vector.
 A plan is built per command or caller and passed explicitly.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
-from itertools import chain, groupby
+from functools import cached_property
+from itertools import accumulate, chain
 from math import lcm
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corevec import (CoreIndex, FracVector, RunRows, Runs, _complement, _refine, _runs,
-                      _size, make_core_vector, midpoint)
-from .instance import (CLIENT_LIMIT, FACILITY_LIMIT, ONE, ZERO, Instance,
-                       over_common_denominator, require_narrow, require_valid)
-from .randomness import ExactRng, cumulative_thresholds
+from .corevec import (CoreIndex, FracVector, RunRows, Runs, _gaps, _refine, _runs, _size,
+                      _sorted_runs, make_core_vector)
+from .instance import (CLIENT_LIMIT, FACILITY_LIMIT, ZERO, Instance, over_common_denominator,
+                       require_narrow, require_valid)
+from .randomness import ExactRng
 
 __all__ = [
     "IntSolution",
@@ -227,7 +231,8 @@ class _FloorCoin:
     when ``num`` is 0), the same draw ``ExactRng.bernoulli`` makes for the
     fractional part.  A probability in [0, 1] is a coin that reads 0 or 1.
     :meth:`branches` lists the values :meth:`draw` returns with their exact
-    probabilities, so the sampler and the enumerator read one coin.
+    probabilities as integers over a multiple of ``den``, so the sampler and
+    the enumerator read one coin.
     """
 
     floor: int
@@ -246,12 +251,14 @@ class _FloorCoin:
             return self.floor + 1
         return self.floor
 
-    def branches(self) -> list[tuple[int, Fraction]]:
-        """``[(floor, 1)]``, or ``[(floor, 1 - num/den), (floor + 1, num/den)]``."""
+    def branches(self, scale: int) -> list[tuple[int, int]]:
+        """Each value with its probability's numerator over ``scale``, a
+        multiple of ``den``: ``[(floor, scale)]``, or ``[(floor, (den - num)
+        * f), (floor + 1, num * f)]`` with ``f = scale // den``."""
         if not self.num:
-            return [(self.floor, ONE)]
-        up = Fraction(self.num, self.den)
-        return [(self.floor, 1 - up), (self.floor + 1, up)]
+            return [(self.floor, scale)]
+        f = scale // self.den
+        return [(self.floor, (self.den - self.num) * f), (self.floor + 1, self.num * f)]
 
 
 def round_slots(w: Fraction, rng: ExactRng) -> int:
@@ -319,6 +326,12 @@ class _Experiment:
     choice_groups: tuple[tuple[int, ...], ...]
     extra_coin: _FloorCoin   # reads 1 (probability t*eps) when pivot_extra opens
     extra_slots: _FloorCoin  # pivot_extra's slot target when it opens
+    # the same facilities as runs: the high set, each choice group, and the
+    # open set of a branch before its chosen facility and the borrowed pivot
+    # are added (the high set and the outside bins)
+    high_runs: Runs
+    group_runs: dict[tuple[int, ...], Runs]
+    base_open: Runs
 
     def closed(self, chosen: int, extra_open: bool) -> list[int]:
         """A branch's closed facilities: the unchosen low-set ones and, unless
@@ -341,6 +354,27 @@ class RoundingPlan:
 
     inst: Instance
     experiments: tuple[_Experiment, _Experiment]
+
+    @cached_property
+    def scales(self) -> tuple[int, int, int, int]:
+        """The common denominators, over both experiments, of the four
+        decisions after the fair experiment coin: the low-set choice, the
+        chosen facility's slot coin, the borrowed pivot's opening coin and
+        its slot coin."""
+        exps = self.experiments
+        return (
+            lcm(*(exp.choice_denominator for exp in exps)),
+            lcm(*{coin.den for exp in exps for coin in exp.choice_slots}),
+            lcm(*(exp.extra_coin.den for exp in exps)),
+            lcm(*(exp.extra_slots.den for exp in exps)),
+        )
+
+    @cached_property
+    def denominator(self) -> int:
+        """The one denominator of every branch probability and class weight
+        (:attr:`OutcomeClass.weight`): twice the product of the scales."""
+        choice, slots, opening, extra = self.scales
+        return 2 * choice * slots * opening * extra
 
     @cached_property
     def _tables(self) -> "_BlockTables":
@@ -427,46 +461,63 @@ def _experiment_specs(
     inst: Instance, c1: CoreIndex, c2: CoreIndex
 ) -> tuple[_Experiment, _Experiment]:
     params = inst.family
-    t, eps, x_l = params.t, params.eps, params.x_l
-    q = inst.facility_count - 2 * t
+    t, eps = params.t, params.eps
     p_pivot = 1 - (t - 1) * eps
     p_extra = t * eps
+    # p_pivot + (t - 1) * eps = 1: the steps fill the denominator
+    steps, choice_denominator = over_common_denominator([p_pivot, eps] if t > 1 else [p_pivot])
+    pivot_step, other_step = steps[0], steps[-1]
     # both experiments share the two pools: the designated clients and the tail
     n_core, n_rest = len(inst.designated_clients), len(inst.rest_clients)
-    w_base = n_core * x_l
+    w_base = n_core * params.x_l
     pivot_slots, other_slots = _FloorCoin.of(w_base / p_pivot), _FloorCoin.of(w_base / eps)
     extra_coin = _FloorCoin.of(p_extra)
-    extra_slots = _FloorCoin.of(Fraction(n_rest, q) / p_extra if n_rest else ZERO)
+    extra_slots = _FloorCoin.of(
+        Fraction(n_rest, inst.facility_count - 2 * t) / p_extra if n_rest else ZERO
+    )
 
-    def build(label: str, own: CoreIndex, other: CoreIndex) -> _Experiment:
+    def build(
+        label: str, own: CoreIndex, other: CoreIndex, pivot: int, borrowed: int
+    ) -> _Experiment:
         # the own pivot takes the residual probability, the other low-set
         # facilities eps each; the other side's pivot is the borrowed one
-        pivot, borrowed = pivot_facilities(own, other)
         choice_set = tuple(sorted(own.l))
-        # each low-set facility's place in the order of choice_groups
-        role = {i: 1 if i in other.k else 2 if i in other.l else 3 for i in choice_set}
-        role[pivot] = 0
-        is_pivot = [i == pivot for i in choice_set]
-        denominator, thresholds = cumulative_thresholds(
-            [p_pivot if flag else eps for flag in is_pivot]
-        )
+        at = choice_set.index(pivot)
+        steps = [other_step] * len(choice_set)
+        steps[at] = pivot_step
+        slots = [other_slots] * len(choice_set)
+        slots[at] = pivot_slots
+        # the pivot, then the other low-set facilities in the other index's
+        # k, in its l and outside both
+        groups = tuple(filter(None, (
+            (pivot,),
+            tuple(sorted(own.l & other.k)),
+            tuple(sorted(own.l & other.l)),
+            tuple(sorted(own.l - other.k - other.l - {pivot})),
+        )))
+        always_open = tuple(sorted(own.k))
+        high = _sorted_runs(always_open)
+        outside = _gaps(_runs(high + _sorted_runs(choice_set) + ((borrowed, borrowed + 1),)),
+                        inst.facility_count)
         return _Experiment(
             label=label,
-            always_open=tuple(sorted(own.k)),
+            always_open=always_open,
             choice_set=choice_set,
             pivot_extra=borrowed,
-            outside=_complement(own.k | own.l | {borrowed}, inst.facility_count),
-            choice_denominator=denominator,
-            choice_thresholds=thresholds,
-            choice_slots=tuple(pivot_slots if flag else other_slots for flag in is_pivot),
-            choice_groups=tuple(
-                tuple(group) for _, group in groupby(sorted(choice_set, key=role.get), role.get)
-            ),
+            outside=outside,
+            choice_denominator=choice_denominator,
+            choice_thresholds=tuple(accumulate(steps)),
+            choice_slots=tuple(slots),
+            choice_groups=groups,
             extra_coin=extra_coin,
             extra_slots=extra_slots,
+            high_runs=high,
+            group_runs={group: _sorted_runs(group) for group in groups},
+            base_open=_runs(high + outside),
         )
 
-    return build("A", c1, c2), build("B", c2, c1)
+    pivot1, pivot2 = pivot_facilities(c1, c2)
+    return build("A", c1, c2, pivot1, pivot2), build("B", c2, c1, pivot2, pivot1)
 
 
 def compile_plan(inst: Instance, c1: CoreIndex, c2: CoreIndex) -> RoundingPlan:
@@ -672,9 +723,11 @@ class OutcomeClass:
 
     Client-subset choices and which-bin-gets-the-extra-slot choices are
     collapsed: the profile stores the canonical representative (ceil slots on
-    the lowest-id bins), and ``probability`` covers the whole class.  The
-    profile is held as ``parts``, one :class:`_Part` per facility group, and
-    the open set as runs.  Classes share parts, and each part expands its
+    the lowest-id bins), and ``probability`` covers the whole class.  It is
+    held as an integer ``weight`` over the plan's ``denominator``
+    (:attr:`RoundingPlan.denominator`) and made a Fraction on first read.
+    The profile is held as ``parts``, one :class:`_Part` per facility group,
+    and the open set as runs.  Classes share parts, and each part expands its
     run entries to rows once; on first read ``slot_profile`` sorts the
     parts' entries and joins their rows into a :class:`corevec.RunRows`
     that keeps the sorted entries as ``runs``.
@@ -692,13 +745,18 @@ class OutcomeClass:
     members: tuple[int, ...]
     extra_open: bool
     parts: tuple[_Part, _Part, _Part, _Part]  # chosen, high set, pivot, outside
-    probability: Fraction
+    weight: int
+    denominator: int
     open_facilities: Runs
     problems: tuple[str, ...]  # why the class is infeasible; empty if feasible
 
     @property
     def chosen_l_facility(self) -> int:
         return self.members[0]
+
+    @cached_property
+    def probability(self) -> Fraction:
+        return Fraction(self.weight, self.denominator)
 
     @property
     def feasible(self) -> bool:
@@ -730,6 +788,9 @@ def _split_part(total: int, bins: Runs, capacity: int) -> _Part:
         if total:
             raise ValueError("cannot split clients over zero bins")
         return _NO_PART
+    if len(bins) == 1 and bins[0][1] - bins[0][0] == 1:  # one facility takes them all
+        entries = ((bins[0], total),) if total else ()
+        return _Part(entries, total, entries if total > capacity else ())
     base, extra = divmod(total, _size(bins))
     entries, up = [], extra  # up: ceil counts not yet placed
     for lo, hi in bins:
@@ -746,12 +807,13 @@ def _split_part(total: int, bins: Runs, capacity: int) -> _Part:
 
 
 # One branch combination of a chosen group, for any one member chosen:
-# (slots1, extra_open, parts, probability, problems).  ``slots1`` are the
-# chosen facility's clients, ``parts`` the high-set, pivot and outside
-# parts, ``probability`` that of the branch with one given member chosen and
+# (slots1, extra_open, parts, over, weight, problems).  ``slots1`` are the
+# chosen facility's clients, ``parts`` the high-set, pivot and outside parts,
+# ``over`` their entries above capacity, ``weight`` the probability of the
+# branch with one given member chosen, over the plan's denominator, and
 # ``problems`` the ones that name no facility (an overfilled pool, the served
 # count).
-_GroupBranch = tuple[int, bool, tuple, Fraction, tuple[str, ...]]
+_GroupBranch = tuple[int, bool, tuple, tuple, int, tuple[str, ...]]
 
 
 def _group_branches(
@@ -761,32 +823,34 @@ def _group_branches(
 
     Within an experiment, the members of a group (``choice_groups``) have
     one choice probability, one slot coin and open sets of one shape, so a
-    group's branches are built once for all of them.  A low-set choice
-    has its threshold step over the denominator, halved by the fair
-    experiment coin; a coin with no fractional part has one branch, so no
-    branch of probability zero (e.g. the closed-pivot branch when t*eps = 1)
-    appears.  A branch's parts are the split of the designated remainder
-    over the high set (step 1), then the borrowed pivot's slots and the
-    split of the rest over the outside bins (step 2).  Each distinct
-    (remainder, bin group) split is built and checked against capacity once
-    per call and shared by the branches that use it, so a branch costs
-    O(1), not O(facilities).
+    group's branches are built once for all of them, and groups of one
+    choice step and one slot coin (every group but the pivot's) share them.
+    A low-set choice has its threshold step over the denominator, halved by
+    the fair experiment coin; a coin with no fractional part has one
+    branch, so no branch of probability zero (e.g. the closed-pivot branch
+    when t*eps = 1) appears.  Each decision's probability is an integer
+    over its scale in ``plan.scales``, so a branch's weight over
+    ``plan.denominator`` is their product.  A branch's parts are the split
+    of the designated remainder over the high set (step 1), then the
+    borrowed pivot's slots and the split of the rest over the outside bins
+    (step 2).  Each split is built and checked against capacity once and
+    shared by the branches that use it, so a branch costs O(1), not
+    O(facilities).
     """
-    inst = plan.inst
-    # local to this call; the experiments share their coins
-    split = cache(partial(_split_part, capacity=inst.capacity))
-    coin_branches = cache(_FloorCoin.branches)
+    inst, capacity = plan.inst, plan.inst.capacity
+    choice_scale, slot_scale, opening_scale, extra_scale = plan.scales
     n_core, m_rest = len(inst.designated_clients), len(inst.rest_clients)
     for exp in plan.experiments:
-        high_runs = _runs(exp.always_open)
-        step2: list[tuple[bool, int, Fraction, tuple, tuple, tuple[str, ...]]] = []
+        step2: list[tuple[bool, int, int, _Part, _Part, tuple[str, ...]]] = []
         # the open branches (coin reads 1) before the closed one
         branches2 = [
-            (opened == 1, slots2, p_open * p_r2)
-            for opened, p_open in reversed(coin_branches(exp.extra_coin))
-            for slots2, p_r2 in (coin_branches(exp.extra_slots) if opened else [(0, ONE)])
+            (opened == 1, slots2, w_open * w_r2)
+            for opened, w_open in reversed(exp.extra_coin.branches(opening_scale))
+            for slots2, w_r2 in (
+                exp.extra_slots.branches(extra_scale) if opened else [(0, extra_scale)]
+            )
         ]
-        for extra_open, slots2, p_s2 in branches2:
+        for extra_open, slots2, w_s2 in branches2:
             rem2 = m_rest - slots2
             problems2: tuple[str, ...] = ()
             rest = _NO_PART
@@ -795,76 +859,77 @@ def _group_branches(
                     f"{slots2} borrowed-pivot slots overfill the rest pool (size {m_rest})",
                 )
             elif exp.outside:
-                rest = split(rem2, exp.outside)
+                rest = _split_part(rem2, exp.outside, capacity)
             elif rem2 > 0:
                 problems2 = (f"no outside facility serves the {rem2} remaining clients",)
-            pivot = split(slots2, ((exp.pivot_extra, exp.pivot_extra + 1),))
-            step2.append((extra_open, slots2, p_s2, pivot, rest, problems2))
+            pivot = _split_part(slots2, ((exp.pivot_extra, exp.pivot_extra + 1),), capacity)
+            step2.append((extra_open, slots2, w_s2, pivot, rest, problems2))
 
-        bounds = zip((0,) + exp.choice_thresholds, exp.choice_thresholds)
-        steps = dict(zip(exp.choice_set, zip(bounds, exp.choice_slots)))
+        thresholds = (0,) + exp.choice_thresholds
+        shared: dict[tuple[int, _FloorCoin], list[_GroupBranch]] = {}
         groups = []
         for group in exp.choice_groups:
-            (lo, hi), coin = steps[group[0]]
-            p_choice = Fraction(hi - lo, 2 * exp.choice_denominator)
-            branches = []
-            for slots1, p_r1 in coin_branches(coin):
-                rem1 = n_core - slots1
-                problems1: tuple[str, ...] = ()
-                high = _NO_PART
-                if rem1 >= 0:
-                    high = split(rem1, high_runs)
-                else:
-                    problems1 = (
-                        f"{slots1} step-1 slots overfill the designated pool (size {n_core})",
-                    )
-                p1 = p_choice * p_r1
-                for extra_open, slots2, p_s2, pivot, rest, problems2 in step2:
-                    problems = problems1 + problems2
-                    served = slots1 + high.served + pivot.served + rest.served
-                    if served != inst.client_count:
-                        problems += (
-                            f"the profile serves {served} of {inst.client_count} clients",
+            at = bisect_left(exp.choice_set, group[0])
+            w_choice = (thresholds[at + 1] - thresholds[at]) * (
+                choice_scale // exp.choice_denominator
+            )
+            coin = exp.choice_slots[at]
+            branches = shared.get((w_choice, coin))
+            if branches is None:
+                branches = shared[w_choice, coin] = []
+                for slots1, w_r1 in coin.branches(slot_scale):
+                    rem1 = n_core - slots1
+                    problems1: tuple[str, ...] = ()
+                    high = _NO_PART
+                    if rem1 >= 0:
+                        high = _split_part(rem1, exp.high_runs, capacity)
+                    else:
+                        problems1 = (
+                            f"{slots1} step-1 slots overfill the designated pool "
+                            f"(size {n_core})",
                         )
-                    branches.append((slots1, extra_open, (high, pivot, rest), p1 * p_s2, problems))
+                    w1 = w_choice * w_r1
+                    for extra_open, slots2, w_s2, pivot, rest, problems2 in step2:
+                        problems = problems1 + problems2
+                        served = slots1 + high.served + pivot.served + rest.served
+                        if served != inst.client_count:
+                            problems += (
+                                f"the profile serves {served} of {inst.client_count} clients",
+                            )
+                        branches.append((slots1, extra_open, (high, pivot, rest),
+                                         high.over + pivot.over + rest.over, w1 * w_s2, problems))
             groups.append((group, branches))
         yield exp, groups
 
 
 def _group_classes(
-    inst: Instance, exp: _Experiment, members: tuple[int, ...], branches: Sequence[_GroupBranch]
+    plan: RoundingPlan, exp: _Experiment, members: tuple[int, ...],
+    branches: Sequence[_GroupBranch],
 ) -> Iterator[OutcomeClass]:
     """The classes of a group's branches, standing for ``members``, with the first chosen."""
+    inst, denominator = plan.inst, plan.denominator
     chosen, count, capacity = members[0], len(members), inst.capacity
     lows: dict[int, _Part] = {}  # the chosen facility's part, per slot count
     open_sets: dict[bool, Runs] = {}
-    for slots1, extra_open, parts, probability, problems in branches:
-        if count > 1:
-            probability *= count
+    for slots1, extra_open, parts, over, weight, problems in branches:
         low = lows.get(slots1)
         if low is None:
             low = lows[slots1] = _split_part(slots1, ((chosen, chosen + 1),), capacity)
         open_set = open_sets.get(extra_open)
         if open_set is None:
-            open_set = open_sets[extra_open] = _complement(
-                exp.closed(chosen, extra_open), inst.facility_count
-            )
-        over = low.over + parts[0].over + parts[1].over + parts[2].over
+            added = ((chosen, chosen + 1),)
+            if extra_open:
+                added += ((exp.pivot_extra, exp.pivot_extra + 1),)
+            open_set = open_sets[extra_open] = _runs(exp.base_open + added)
+        over = low.over + over
         if over:
             problems += tuple(
                 f"facility {fac} serves {cnt} clients above capacity {capacity}"
                 for (lo, hi), cnt in sorted(over)
                 for fac in range(lo, hi)
             )
-        yield OutcomeClass(
-            experiment=exp.label,
-            members=members,
-            extra_open=extra_open,
-            parts=(low, *parts),
-            probability=probability,
-            open_facilities=open_set,
-            problems=problems,
-        )
+        yield OutcomeClass(exp.label, members, extra_open, (low, *parts),
+                           weight * count, denominator, open_set, problems)
 
 
 def enumerate_grouped_classes(plan: RoundingPlan) -> list[OutcomeClass]:
@@ -876,12 +941,11 @@ def enumerate_grouped_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     has at most four groups, each with at most 2 x 3 branch combinations,
     so there are at most 48 classes for any t.
     """
-    return [
-        cl
-        for exp, groups in _group_branches(plan)
-        for group, branches in groups
-        for cl in _group_classes(plan.inst, exp, group, branches)
-    ]
+    out: list[OutcomeClass] = []
+    for exp, groups in _group_branches(plan):
+        for group, branches in groups:
+            out.extend(_group_classes(plan, exp, group, branches))
+    return out
 
 
 def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
@@ -896,7 +960,7 @@ def enumerate_outcome_classes(plan: RoundingPlan) -> list[OutcomeClass]:
     for exp, groups in _group_branches(plan):
         branches_of = {i: branches for group, branches in groups for i in group}
         for chosen in exp.choice_set:
-            out.extend(_group_classes(plan.inst, exp, (chosen,), branches_of[chosen]))
+            out.extend(_group_classes(plan, exp, (chosen,), branches_of[chosen]))
     return out
 
 
@@ -1036,89 +1100,183 @@ def tally_draws(
 # ---------------------------------------------------------------------------
 
 
+# An expectation as integers: per experiment, its groups' runs and
+# numerators (y, then x on each client pool), the value at a facility being
+# the sum of the two experiments' groups that hold it; the client pools; and
+# the denominators of y and of x on each pool.
+_Expectation = tuple[list[list[tuple[Runs, list[int]]]], list[range], list[int]]
+
+
+def _expectation(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> _Expectation:
+    """The exact expectation of ``classes``, summed as integer numerators.
+
+    Within a class, clients are exchangeable within their pool and
+    facilities within their group, so a class's mean depends only on group
+    totals: each facility of a group gets the clients the group serves /
+    (group size x pool size) on every client of that pool, and y = the
+    group's open members / group size.  The designated pool is served by the
+    chosen group (a class's ``members``) and the high set, the rest pool by
+    the borrowed pivot and the outside bins.  Each class adds its weight
+    times its parts' served counts to their groups' totals.  A group's open
+    members start as its size times its experiment's weight, and each
+    distinct open set takes off its weight for each closed member.  Each
+    experiment's groups tile the facilities, so the expectation is constant
+    on each atom of the two tilings' common refinement: no work is done per
+    facility.  The weights are over ``plan.denominator``, so the classes
+    must be the plan's; a class of another denominator is a ValueError.
+    """
+    inst, den = plan.inst, plan.denominator
+    # per (experiment, chosen group, open set): the weight of its classes and
+    # the weighted clients served by the chosen group, the high set, the
+    # borrowed pivot and the outside bins
+    cells: dict[tuple[str, tuple[int, ...], Runs], list[int]] = {}
+    for cl in classes:
+        if cl.denominator != den:
+            raise ValueError("outcome classes of another plan")
+        weight = cl.weight
+        low, high, pivot, rest = cl.parts
+        key = (cl.experiment, cl.members, cl.open_facilities)
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = [0, 0, 0, 0, 0]
+        cell[0] += weight
+        cell[1] += weight * low.served
+        cell[2] += weight * high.served
+        cell[3] += weight * pivot.served
+        cell[4] += weight * rest.served
+    # per experiment, the weight and the weighted clients of its high set,
+    # borrowed pivot and outside bins; per chosen group, its weighted
+    # clients; per open set, its weight
+    served = {exp.label: [0, 0, 0, 0] for exp in plan.experiments}
+    chosen: dict[tuple[str, tuple[int, ...]], int] = {}
+    opened: dict[str, dict[Runs, int]] = {label: {} for label in served}
+    for (label, members, open_set), (weight, low, high, pivot, rest) in cells.items():
+        totals = served[label]
+        totals[0] += weight
+        totals[1] += high
+        totals[2] += pivot
+        totals[3] += rest
+        chosen[label, members] = chosen.get((label, members), 0) + low
+        weights = opened[label]
+        weights[open_set] = weights.get(open_set, 0) + weight
+
+    # per experiment, one record per group (the high set, the borrowed
+    # pivot, the outside bins, each chosen group and the low-set facilities
+    # no listed class chose, which every listed class closes): its runs, its
+    # size and its weighted [open members, clients served from the
+    # designated pool, from the rest pool]
+    records: dict[str, list[tuple[Runs, int, list[int]]]] = {}
+    for exp in plan.experiments:
+        weight, high, pivot, rest = served[exp.label]
+        groups = [
+            (exp.high_runs, len(exp.always_open), high, 0),
+            (((exp.pivot_extra, exp.pivot_extra + 1),), 1, 0, pivot),
+            (exp.outside, _size(exp.outside), 0, rest),
+        ]
+        members_chosen = [(members, clients) for (label, members), clients in chosen.items()
+                          if label == exp.label]
+        groups += [(exp.group_runs.get(members) or _runs(members), len(members), clients, 0)
+                   for members, clients in members_chosen]
+        unchosen = set(exp.choice_set).difference(
+            chain.from_iterable(members for members, _ in members_chosen))
+        if unchosen:
+            groups.append((_sorted_runs(sorted(unchosen)), len(unchosen), 0, 0))
+        records[exp.label] = [
+            (runs, size, [weight * size, core, tail]) for runs, size, core, tail in groups
+        ]
+    # an experiment's groups tile the facilities: each closed run (a gap
+    # between open runs) is cut at the group runs it crosses, found by
+    # bisection over their starts
+    for label, groups in records.items():
+        tiles = sorted(((lo, hi, sums) for runs, _, sums in groups for lo, hi in runs),
+                       key=itemgetter(0))
+        starts = [lo for lo, _, _ in tiles]
+        for open_set, weight in opened[label].items():
+            for lo, hi in _gaps(open_set, inst.facility_count):
+                at = bisect_right(starts, lo) - 1
+                while lo < hi:
+                    _, end, sums = tiles[at]
+                    cut = end if end < hi else hi
+                    sums[0] -= weight * (cut - lo)
+                    lo, at = cut, at + 1
+
+    # a value is one integer numerator per coordinate over that coordinate's
+    # denominator (den x scale, x pool size for x)
+    pools = [inst.designated_clients] + ([inst.rest_clients] if inst.rest_clients else [])
+    scale = lcm(*(size for groups in records.values() for _, size, _ in groups if size))
+    tilings = [
+        [(runs, [total * (scale // size) for total in sums[:1 + len(pools)]])
+         for runs, size, sums in groups if size]
+        for groups in records.values()
+    ]
+    return tilings, pools, [den * scale] + [den * scale * len(pool) for pool in pools]
+
+
 def expected_vector(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> FracVector:
     """Exact expectation of the distribution: sum of probability x class mean.
 
-    ``classes`` are the plan's enumerated outcome classes, per low-set
-    facility or per chosen group.  Within a class, clients are exchangeable
-    within their pool and facilities within their group, so a class's mean
-    depends only on group totals: each facility of a group gets the clients
-    the group serves / (group size x pool size) on every client of that
-    pool, and y = the group's open members / group size.  The designated
-    pool is served by the chosen group (a class's ``members``) and the high
-    set, the rest pool by the borrowed pivot and the outside bins.  Each
-    class adds its parts' served counts to their groups' totals, and a
-    group's open members are counted once per distinct open set.  Each
-    experiment's groups tile the facilities, so the vector's facility
-    classes are the atoms of the two tilings' common refinement, with equal
-    values merged: no work is done per facility.
+    ``classes`` are any of the plan's enumerated outcome classes, per
+    low-set facility or per chosen group, summed by :func:`_expectation`
+    (the given classes only: the sum is the distribution's expectation
+    when they are all of them).  The
+    vector's facility classes are the atoms of the two experiments' tilings,
+    with equal values merged.
     """
     inst = plan.inst
-
-    # each group has a small key, (experiment, role): "high" for the high
-    # set, "out" for the outside bins, "pivot" for the borrowed pivot and
-    # its members for a chosen group; all but "out" list their ids
-    listed: dict[tuple[str, object], tuple[int, ...]] = {}
-    for exp in plan.experiments:
-        listed[exp.label, "high"] = exp.always_open
-        listed[exp.label, "pivot"] = (exp.pivot_extra,)
-    for cl in classes:
-        listed[cl.experiment, cl.members] = cl.members
-    groups = {key: _runs(ids) for key, ids in listed.items()}
-    groups.update(((exp.label, "out"), exp.outside) for exp in plan.experiments)
-
-    # group key -> probability-weighted [open members, clients served from
-    # the designated pool, clients served from the rest pool], as integers
-    # over the common denominator of the class probabilities
-    weights, den = over_common_denominator([cl.probability for cl in classes])
-    sums = {key: [0, 0, 0] for key in groups}
-    opened: dict[tuple[str, Runs], int] = {}  # weight per open set
-    for cl, weight in zip(classes, weights):
-        label = cl.experiment
-        low, high, pivot, rest = cl.parts
-        sums[label, cl.members][1] += weight * low.served
-        sums[label, "high"][1] += weight * high.served
-        sums[label, "pivot"][2] += weight * pivot.served
-        sums[label, "out"][2] += weight * rest.served
-        at = (label, cl.open_facilities)
-        opened[at] = opened.get(at, 0) + weight
-    # an id lies in an open set iff an odd number of the set's run bounds
-    # are at most the id; an experiment's listed groups hold 2t + 1 ids and
-    # its outside bins the rest of the open set
-    for (label, open_set), weight in opened.items():
-        bounds = [bound for run in open_set for bound in run]
-        outside = _size(open_set)
-        for key, ids in listed.items():
-            if key[0] == label:
-                members = sum(bisect_right(bounds, i) & 1 for i in ids)
-                sums[key][0] += weight * members
-                outside -= members
-        sums[label, "out"][0] += weight * outside
-
-    # a value is one integer numerator per coordinate over that coordinate's
-    # denominator (den x scale, x pool size for x), so it keys by numerators
-    pools = [inst.designated_clients] + ([inst.rest_clients] if inst.rest_clients else [])
-    sizes = {key: _size(runs) for key, runs in groups.items() if runs}
-    scale = lcm(*sizes.values())
-    tilings = [
-        [(groups[key], [total * (scale // size) for total in sums[key][:1 + len(pools)]])
-         for key, size in sizes.items() if key[0] == exp.label]
-        for exp in plan.experiments
-    ]
+    (tiling_a, tiling_b), pools, dens = _expectation(plan, classes)
     values: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for pieces, ia, ib in _refine(*([runs for runs, _ in tiling] for tiling in tilings)):
-        value = tuple(map(add, tilings[0][ia][1], tilings[1][ib][1]))
+    for pieces, ia, ib in _refine([runs for runs, _ in tiling_a], [runs for runs, _ in tiling_b]):
+        value = tuple(map(add, tiling_a[ia][1], tiling_b[ib][1]))
         values.setdefault(value, []).extend(pieces)
-
-    dens = [den * scale] + [den * scale * len(pool) for pool in pools]
-    return FracVector(
+    return FracVector._trusted(
         inst.facility_count,
         inst.client_count,
-        [tuple(pieces) for pieces in values.values()],
-        pools,
-        [Fraction(value[0], dens[0]) for value in values],
-        [[Fraction(n, d) for n, d in zip(value[1:], dens[1:])] for value in values],
+        tuple(_runs(tuple(pieces)) for pieces in values.values()),
+        tuple(((pool.start, pool.stop),) for pool in pools),
+        tuple(Fraction(value[0], dens[0]) for value in values),
+        tuple(tuple(Fraction(n, d) for n, d in zip(value[1:], dens[1:])) for value in values),
     )
+
+
+def _numerators(v: FracVector) -> tuple[list[int], list[list[int]], int]:
+    """A vector's y and x values as integer numerators over their common denominator."""
+    nums, den = over_common_denominator(v.y_values + tuple(chain.from_iterable(v.x_values)))
+    width, y_count = len(v.cli_classes), len(v.y_values)
+    x_rows = [nums[lo:lo + width] for lo in range(y_count, len(nums), width)]
+    return nums[:y_count], x_rows, den
+
+
+def _matches_midpoint(
+    inst: Instance, expectation: _Expectation, v1: FracVector, v2: FracVector
+) -> bool:
+    """Whether an expectation equals the midpoint of ``v1`` and ``v2`` exactly.
+
+    Both vectors' values are put over their common denominators, so a
+    midpoint value is an integer over twice their lcm; each coordinate is
+    compared as a cross product of integers, once per atom of the common
+    refinement of the two experiments' tilings and both vectors' classes.
+    """
+    v1._same_dims(v2)
+    if v1.facility_count != inst.facility_count or v1.client_count != inst.client_count:
+        raise ValueError("vector dimension mismatch")
+    (tiling_a, tiling_b), pools, dens = expectation
+    y1, x1, d1 = _numerators(v1)
+    y2, x2, d2 = _numerators(v2)
+    half = lcm(d1, d2)
+    s1, s2, mid_den = half // d1, half // d2, 2 * half
+    cli = _refine([((pool.start, pool.stop),) for pool in pools], v1.cli_classes, v2.cli_classes)
+    for _, ia, ib, fa, fb in _refine([runs for runs, _ in tiling_a], [runs for runs, _ in tiling_b],
+                                     v1.fac_classes, v2.fac_classes):
+        value_a, value_b = tiling_a[ia][1], tiling_b[ib][1]
+        if (value_a[0] + value_b[0]) * mid_den != (y1[fa] * s1 + y2[fb] * s2) * dens[0]:
+            return False
+        row1, row2 = x1[fa], x2[fb]
+        for _, pool, ca, cb in cli:
+            at = 1 + pool
+            if ((value_a[at] + value_b[at]) * mid_den
+                    != (row1[ca] * s1 + row2[cb] * s2) * dens[at]):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1171,12 +1329,10 @@ def verify_midpoint(
     classes = enumerate_grouped_classes(plan)
     if cores is None:
         cores = make_core_vector(inst, c1.k, c1.l), make_core_vector(inst, c2.k, c2.l)
-    mid = midpoint(*cores)
-    weights, den = over_common_denominator([cl.probability for cl in classes])
     return MidpointCertificate(
         pair=(c1, c2),
-        expectation_matches=expected_vector(plan, classes).equals(mid),
+        expectation_matches=_matches_midpoint(inst, _expectation(plan, classes), *cores),
         all_classes_feasible=all(cl.feasible for cl in classes),
         class_count=sum(len(cl.members) for cl in classes),
-        probability_sum=Fraction(sum(weights), den),
+        probability_sum=Fraction(sum(cl.weight for cl in classes), plan.denominator),
     )

@@ -1301,15 +1301,20 @@ class TestCoreFileForms:
     ):
         built = []
 
-        def spy(inst, k, l):
-            built.append((sorted(k), sorted(l)))
-            return corevec.make_core_vector(inst, k, l)
+        def spy(inst, index):
+            # the core reader builds from the CoreIndex its header check built
+            built.append((sorted(index.k), sorted(index.l)))
+            return corevec._core_vector(inst, index)
 
         def refuse(*args):
             raise AssertionError("a canonical core payload was parsed")
 
-        for module in (cli, docio, rounding, certify):
-            monkeypatch.setattr(module, "make_core_vector", spy)
+        def rebuild(*args):
+            raise AssertionError("a core vector was built again")
+
+        for module in (cli, rounding, certify):
+            monkeypatch.setattr(module, "make_core_vector", rebuild)
+        monkeypatch.setattr(docio, "_core_vector", spy)
         monkeypatch.setattr(docio, "_vector_from_doc", refuse)
         result = run(*(arg.format(**workspace) for arg in argv))
         assert result.returncode == 0, result.stderr
@@ -1375,6 +1380,38 @@ class TestCensusCertifyBound:
         assert result.returncode == 2, result.stderr
         assert message in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--instance", "{mini}", "--exact", "-o", "{dir}/out.json"],
+        ["census", "--instance", "{mini}", "--mc", "5", "--seed", "1", "-o", "{dir}/out.json"],
+        ["sample", "{a}", "{b}", "--n", "5", "--seed", "1", "-o", "{dir}/out.json"],
+    ], ids=["census-exact", "census-mc", "sample"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_checked_before_any_work(self, workspace, monkeypatch, argv, jobs):
+        # census --exact used to take --jobs 0 and exit 0; every command of
+        # the shared option refuses it with one message, before it reads a file
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --jobs was checked")
+
+        monkeypatch.setattr(docio, "read_document", refuse)
+        monkeypatch.setattr(certify, "build_census_report", refuse)
+        result = run(*(arg.format(**workspace) for arg in argv), "--jobs", jobs)
+        assert (result.returncode, result.stderr) == (2, f"error: --jobs must be >= 1, got {jobs}\n")
+        assert not (workspace["dir"] / "out.json").exists()
+
+    def test_verify_midpoint_checks_the_parameters_once(self, workspace, monkeypatch):
+        # both core files describe one instance: it is parsed and checked once
+        from cflgap import instance as instance_module
+
+        calls = []
+        validate = instance_module.validate_params
+        monkeypatch.setattr(instance_module, "validate_params",
+                            lambda inst: calls.append(inst) or validate(inst))
+        for _ in range(2):
+            calls.clear()
+            result = run("verify-midpoint", str(workspace["a"]), str(workspace["b"]))
+            assert result.returncode == 0, result.stderr
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("argv", [
         ["core", "--instance", "{mini}", "--random", "--seed", "-5"],

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cflgap import cli
+from cflgap import cli, corevec
 from cflgap import io as docio
 from cflgap.corevec import CoreIndex, RunRows, make_core_vector
 from cflgap.certify import build_census_report, certify_gap
@@ -82,6 +82,36 @@ class TestCoreDoc:
         vec = make_core_vector(family10, idx.k, idx.l)
         doc = docio.core_file_doc(family10, idx, vec)
         assert doc["core_clients"] == {"span": [0, 10001]}
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["canonical", "dense"])
+    def test_core_vector_built_once_from_the_checked_index(self, mini, monkeypatch, dense):
+        # the canonical form is matched as a document; the dense form takes
+        # the full read and is compared with the same core vector
+        idx = CoreIndex.for_instance(mini, {0, 1}, {2, 3})
+        vec = make_core_vector(mini, idx.k, idx.l)
+        doc = docio.core_file_doc(mini, idx, vec.to_dense() if dense else vec)
+        calls = []
+
+        def spy(inst, index):
+            calls.append(index)
+            return corevec._core_vector(inst, index)
+
+        monkeypatch.setattr(docio, "_core_vector", spy)
+        inst, index, core, difference = docio.load_core_vector_doc(json.loads(json.dumps(doc)))
+        assert (index, difference) == (idx, None) and core.equals(vec)
+        assert calls == [index]
+
+    def test_same_instance_document_shares_the_instance(self, mini):
+        idx = CoreIndex.for_instance(mini, {0, 1}, {2, 3})
+        doc = json.loads(json.dumps(
+            docio.core_file_doc(mini, idx, make_core_vector(mini, idx.k, idx.l))))
+        like = docio.instance_from_doc(doc["instance"])
+        assert docio.load_core_vector_doc(doc, like)[0] is like
+        # JSON == takes 4.0 for 4: such a field is parsed, and refused
+        doc["instance"]["capacity"] = 4.0
+        assert doc["instance"] == docio.instance_to_doc(like)
+        with pytest.raises(ValueError, match="capacity' must be an integer, got 4.0"):
+            docio.load_core_vector_doc(doc, like)
 
 
 class TestSolutionDoc:

@@ -181,9 +181,10 @@ class TestRoundSlots:
         "w", [Fraction(9, 4), Fraction(0), Fraction(45, 16), Fraction(7, 1), Fraction(1, 3)]
     )
     def test_expectation_preserved_by_branch_enumeration(self, w):
-        branches = _FloorCoin.of(w).branches()
-        assert sum(p for _, p in branches) == 1
-        assert sum(v * p for v, p in branches) == w
+        coin = _FloorCoin.of(w)
+        branches = coin.branches(coin.den)  # probabilities as numerators over coin.den
+        assert sum(p for _, p in branches) == coin.den
+        assert sum(v * p for v, p in branches) == w * coin.den
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -726,10 +727,12 @@ class TestVerifyMidpoint:
             classes = exact(plan)
             a = classes[0]
             b = next(c for c in classes if c.chosen_l_facility != a.chosen_l_facility)
-            delta = min(a.probability, b.probability) / 2
+            # class weights are integers over the plan's denominator
+            delta = min(a.weight, b.weight) // 2
+            assert delta > 0
             shift = {id(a): -delta, id(b): delta}
             return [
-                replace(c, probability=c.probability + shift.get(id(c), 0))
+                replace(c, weight=c.weight + shift.get(id(c), 0))
                 for c in classes
             ]
 
