@@ -313,12 +313,13 @@ def cmd_sample(args) -> int:
     classes = enumerate_outcome_classes(plan)
     infeasible = next((cl for cl in classes if not cl.feasible), None)
     if infeasible is not None:
+        rows = [(i, n) for lo, hi, n in infeasible.slot_profile for i in range(lo, hi)]
         raise ValueError(
             "the rounding distribution has an infeasible outcome class: "
             f"experiment {infeasible.experiment}, "
             f"chosen_l_facility {infeasible.chosen_l_facility}, "
             f"extra_open {infeasible.extra_open}, "
-            f"slot_profile {list(infeasible.slot_profile)}: "
+            f"slot_profile {rows}: "
             + "; ".join(infeasible.problems)
         )
     if args.solutions_dir:

@@ -39,24 +39,6 @@ DENSE_LIMIT = 1_000_000
 Runs = tuple[tuple[int, int], ...]
 
 
-class RunRows(tuple):
-    """A tuple of ``(id, count)`` rows that keeps their run form.
-
-    ``runs`` are entries ``((lo, hi), count)`` whose expansion (each id of a
-    run with its run's count, in the entries' order) is exactly the rows;
-    the caller builds both.  A writer renders each run once and reuses its
-    text.
-    """
-
-    def __new__(cls, rows: Iterable[tuple[int, int]], runs: tuple):
-        self = super().__new__(cls, rows)
-        self.runs = runs
-        return self
-
-    def __getnewargs__(self):  # pickle and copy rebuild both forms
-        return tuple(self), self.runs
-
-
 def _fraction(value) -> Fraction:
     # Fraction(f) copies a Fraction f; midpoint and to_dense pass Fractions
     return value if type(value) is Fraction else Fraction(value)

@@ -17,7 +17,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Optional
 
-from .corevec import (DENSE_LIMIT, CoreIndex, FracVector, NaturalLpReport, RunRows, Runs,
+from .corevec import (DENSE_LIMIT, CoreIndex, FracVector, NaturalLpReport, Runs,
                       _core_vector, _runs)
 from .instance import ZERO, FamilyParams, Instance
 
@@ -529,35 +529,8 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _run_rows_text(rows: RunRows, indent: str, texts: dict) -> str:
-    """Body text of nonempty rows, written from their runs; "" if a bound or
-    count is not a plain int.
-
-    Each distinct run is rendered once per document, at ``indent``, with one
-    ``%``-format over a row template (``%d`` prints a plain int as
-    ``int.__repr__`` does), and kept in ``texts``; the body joins the texts
-    of the runs in order.  The runs' types stand for the rows', as the rows
-    are the runs expanded.
-    """
-    sep = f",\n{indent}"
-    deeper = indent + "  "
-    body = []
-    for (lo, hi), n in rows.runs:
-        if not (type(lo) is type(hi) is type(n) is int):
-            return ""
-        key = (lo, hi, n, indent)
-        text = texts.get(key)
-        if text is None:
-            row = f"[\n{deeper}%d,\n{deeper}{int.__repr__(n)}\n{indent}]"
-            text = texts[key] = sep.join([row] * (hi - lo)) % tuple(range(lo, hi))
-        if text:
-            body.append(text)
-    return sep.join(body)
-
-
-def _json_text(value: Any, indent: str, texts: dict) -> str:
-    """``value`` as JSON text, nested at ``indent`` (two spaces per level);
-    ``texts`` holds the run texts of the document (see :func:`_run_rows_text`)."""
+def _json_text(value: Any, indent: str) -> str:
+    """``value`` as JSON text, nested at ``indent`` (two spaces per level)."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -575,11 +548,10 @@ def _json_text(value: Any, indent: str, texts: dict) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        body = _run_rows_text(value, inner, texts) if type(value) is RunRows else ""
-        if not body and set(map(type, value)) == {int}:
+        if set(map(type, value)) == {int}:
             body = sep.join(map(int.__repr__, value))
-        if not body:
-            body = sep.join([_json_text(item, inner, texts) for item in value])
+        else:
+            body = sep.join([_json_text(item, inner) for item in value])
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, dict):
         if not value:
@@ -588,7 +560,7 @@ def _json_text(value: Any, indent: str, texts: dict) -> str:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
         body = sep.join([
-            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner, texts)}"
+            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
             for key in sorted(value)
         ])
         return f"{{\n{inner}{body}\n{indent}}}"
@@ -605,13 +577,11 @@ def document_bytes(payload: dict) -> bytes:
 
     ``json.dumps`` is not called because before Python 3.14 an indented dump
     always runs the pure-Python encoder.  This writer joins lists of plain
-    ints with ``str.join`` and escapes strings with json's C helper instead.
-    A :class:`corevec.RunRows` (an outcome class's slot profile) is written
-    from its run entries: each distinct ``(lo, hi, count)`` run at one indent
-    is rendered once per call, with one ``%``-format over a row template, so
-    classes that share runs share their text.  Nothing is kept between calls.
+    ints with ``str.join`` and escapes strings with json's C helper instead,
+    so an outcome class's slot profile, a list of ``[lo, hi, count]`` run
+    entries, is one such join per entry.
     """
-    return (_json_text(payload, "", {}) + "\n").encode("utf-8")
+    return (_json_text(payload, "") + "\n").encode("utf-8")
 
 
 def write_document(path: str, payload: dict) -> str:

@@ -61,17 +61,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
 from math import lcm
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corevec import (CoreIndex, FracVector, RunRows, Runs, _gaps, _refine, _runs, _size,
+from .corevec import (CoreIndex, FracVector, Runs, _gaps, _refine, _runs, _size,
                       _sorted_runs, make_core_vector)
 from .instance import (CLIENT_LIMIT, FACILITY_LIMIT, ZERO, Instance, over_common_denominator,
                        require_narrow, require_valid)
@@ -694,27 +694,15 @@ def sample_outcome(plan: RoundingPlan, rng: ExactRng) -> SampleDraw:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(frozen=True, slots=True)
 class _Part:
-    """One facility group's share of a slot profile, not changed once built:
-    its nonzero ``((lo, hi), count)`` entries in id order (each id of a run
-    serves ``count`` clients), the clients they serve and the entries above
-    capacity."""
+    """One facility group's share of a slot profile: its nonzero ``((lo,
+    hi), count)`` entries in id order (each id of a run serves ``count``
+    clients), the clients they serve and the entries above capacity."""
 
     entries: tuple
     served: int
     over: tuple
-    _rows: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def rows(self) -> tuple:
-        """Per entry, its ``(facility, count)`` rows, expanded on first read:
-        classes share parts."""
-        if self._rows is None:
-            self._rows = tuple(
-                tuple((i, n) for i in range(lo, hi)) for (lo, hi), n in self.entries
-            )
-        return self._rows
 
 
 @dataclass(frozen=True)
@@ -726,11 +714,13 @@ class OutcomeClass:
     the lowest-id bins), and ``probability`` covers the whole class.  It is
     held as an integer ``weight`` over the plan's ``denominator``
     (:attr:`RoundingPlan.denominator`) and made a Fraction on first read.
-    The profile is held as ``parts``, one :class:`_Part` per facility group,
-    and the open set as runs.  Classes share parts, and each part expands its
-    run entries to rows once; on first read ``slot_profile`` sorts the
-    parts' entries and joins their rows into a :class:`corevec.RunRows`
-    that keeps the sorted entries as ``runs``.
+    The profile is held as ``parts``, one :class:`_Part` per facility group
+    (classes share parts), and the open set as runs.  On first read,
+    ``slot_profile`` joins the parts' entries into the one profile form, the
+    run-length encoding of the per-facility counts: ``(lo, hi, count)``
+    entries sorted by ``lo``, disjoint, with no zero count, and maximal (no
+    two adjacent entries of one count), which :func:`_class_counts` builds
+    from a draw's loads too.
 
     ``members`` are the low-set facilities the class stands for.  A class of
     :func:`enumerate_outcome_classes` has one, its ``chosen_l_facility``.  A
@@ -763,15 +753,16 @@ class OutcomeClass:
         return not self.problems
 
     @cached_property
-    def slot_profile(self) -> RunRows:
-        """Nonzero ``(facility, count)`` entries of every part, sorted by facility;
-        its ``runs`` are the parts' run entries, sorted (the runs are disjoint)."""
-        pairs = sorted(
-            chain.from_iterable(zip(part.entries, part.rows) for part in self.parts),
-            key=itemgetter(0),
-        )
-        return RunRows(chain.from_iterable(rows for _, rows in pairs),
-                       tuple(entry for entry, _ in pairs))
+    def slot_profile(self) -> tuple[tuple[int, int, int], ...]:
+        """The parts' entries as maximal ``(lo, hi, count)`` runs, sorted by
+        ``lo`` (the parts' runs are disjoint)."""
+        merged: list[list[int]] = []
+        for (lo, hi), n in sorted(chain.from_iterable(part.entries for part in self.parts)):
+            if merged and merged[-1][1] == lo and merged[-1][2] == n:
+                merged[-1][1] = hi
+            else:
+                merged.append([lo, hi, n])
+        return tuple(map(tuple, merged))
 
     @property
     def key(self) -> tuple:
@@ -989,31 +980,42 @@ def _class_counts(plan: RoundingPlan, branches: np.ndarray, loads: np.ndarray) -
 
     Row r of ``branches`` is draw r's :func:`_branch_row` and row r of
     ``loads`` its clients per facility.  A key row is the branch, then the
-    counts of the draw's ``_BlockTables.layout`` row: the chosen low
-    facility, the high set, the borrowed pivot and the outside bins.  Each
-    bin group's counts are sorted in descending order, so they go onto the
-    group's ids with the ceil counts on the lowest ids, collapsing
+    counts of the draw's ``_BlockTables.layout`` row put back on their
+    facilities (0 elsewhere): the chosen low facility, the high set, the
+    borrowed pivot and the outside bins.  Each bin group's counts are
+    sorted in descending order first, so they go onto the group's ids with
+    the ceil counts on the lowest ids, collapsing
     which-bin-got-the-extra-slot choices exactly as the enumerator does.
-    The key rows are gathered and sorted at once, both experiments' layout
-    rows having one length, and counted by their bytes, so no per-entry
-    Python int is made and only distinct rows become keys.
+    The key rows are built at once, both experiments' layout rows having
+    one length, and counted by their bytes.  Only the distinct rows become
+    keys: ``groupby`` cuts each one's counts, in id order, into maximal runs
+    of one count, and its runs of nonzero count are the profile
+    (:attr:`OutcomeClass.slot_profile`).
     """
     tables = plan._tables
     facilities = tables.layout[branches[:, 0]]
     facilities[:, 0] = branches[:, 1]
-    key_rows = np.concatenate(
-        (branches, loads[np.arange(len(loads))[:, None], facilities]), axis=1
-    )
-    high_end = 4 + tables.n_high
-    for group in (key_rows[:, 4:high_end], key_rows[:, high_end + 1:]):
+    rows = np.arange(len(loads))[:, None]
+    counts = loads[rows, facilities]
+    high_end = 1 + tables.n_high
+    for group in (counts[:, 1:high_end], counts[:, high_end + 1:]):
         group.sort(axis=1)
         group[:] = group[:, ::-1]
-    layouts = tables.layout[:, 1:].tolist()
+    key_rows = np.zeros((len(loads), 3 + plan.inst.facility_count), dtype=loads.dtype)
+    key_rows[:, :3] = branches
+    key_rows[:, 3:][rows, facilities] = counts
+    labels = [exp.label for exp in plan.experiments]
     freq: Counter = Counter()
     for key_row, n in Counter(map(bytes, key_rows)).items():
-        exp_index, chosen, extra_open, *row = np.frombuffer(key_row, dtype=key_rows.dtype).tolist()
-        profile = tuple(sorted(filter(itemgetter(1), zip((chosen, *layouts[exp_index]), row))))
-        freq[plan.experiments[exp_index].label, chosen, bool(extra_open), profile] += n
+        exp_index, chosen, extra_open, *profile = np.frombuffer(
+            key_row, dtype=key_rows.dtype
+        ).tolist()
+        runs, end = [], 0
+        for count, ids in groupby(profile):
+            start, end = end, end + len(list(ids))
+            if count:
+                runs.append((start, end, count))
+        freq[labels[exp_index], chosen, bool(extra_open), tuple(runs)] += n
     return freq
 
 

@@ -142,6 +142,18 @@ def run_ids(runs):
     return frozenset(i for lo, hi in runs for i in range(lo, hi))
 
 
+def run_length(rows):
+    """Nonzero ``(facility, count)`` rows, sorted by facility, as maximal
+    ``(lo, hi, count)`` runs: consecutive ids of one count merged."""
+    runs = []
+    for fac, cnt in rows:
+        if runs and runs[-1][1] == fac and runs[-1][2] == cnt:
+            runs[-1][1] += 1
+        else:
+            runs.append([fac, fac + 1, cnt])
+    return tuple(map(tuple, runs))
+
+
 def block_draws(plan, chunks, rng):
     """Every row of a block's chunks as a SampleDraw with its shuffled
     assignment, in draw order; ``rng`` is the stream the block was drawn from."""

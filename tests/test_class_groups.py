@@ -7,19 +7,18 @@ facility, so a list made by expanding the groups must give the same bytes.
 
 import hashlib
 import json
-import pickle
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
-from itertools import chain, combinations, groupby
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cflgap import cli
-from cflgap.corevec import CoreIndex, RunRows, collides
+from cflgap.corevec import CoreIndex, collides
 from cflgap.instance import build_family_instance, build_general_instance
 from cflgap.io import frac_to_str
 from cflgap.rounding import (
@@ -32,10 +31,16 @@ from cflgap.rounding import (
 from conftest import CENSUS_SHAPES, MINI, find_valid_general, run_ids
 
 
+def profile_rows(entries):
+    """``(lo, hi, count)`` run entries as their ``(facility, count)`` rows."""
+    return [(i, n) for lo, hi, n in entries for i in range(lo, hi)]
+
+
 def class_list_digest(classes):
-    """sha256 over every class's key, probability, verdict, problems and open set, in order."""
+    """sha256 over every class's key, probability, verdict, problems and open
+    set, in order, with the profile as its per-facility rows."""
     rows = [
-        [cl.experiment, cl.chosen_l_facility, cl.extra_open, cl.slot_profile,
+        [cl.experiment, cl.chosen_l_facility, cl.extra_open, profile_rows(cl.slot_profile),
          frac_to_str(cl.probability), cl.feasible, cl.problems,
          sorted(run_ids(cl.open_facilities))]
         for cl in classes
@@ -214,20 +219,26 @@ def test_grouped_classes_expand_to_the_per_facility_list(name):
 @pytest.mark.parametrize("name", ["mini", "t10-acceptance-2", *(
     "census-{}-{}-{}-{}".format(*shape) for shape in CENSUS_SHAPES)])
 def test_slot_profile_carries_its_rows_as_sorted_runs(name):
-    # the report writer renders a profile from its runs, taking their text
-    # only when each run is nonempty, in id order and of plain ints
+    # the one profile form: plain-int (lo, hi, count) entries, sorted,
+    # disjoint, nonzero and maximal, whose rows are the parts' rows
     plan = pinned_plan(name)
     for cl in enumerate_outcome_classes(plan) + enumerate_grouped_classes(plan):
         profile = cl.slot_profile
-        assert type(profile) is RunRows
-        runs = profile.runs
-        assert runs == tuple(sorted(chain.from_iterable(part.entries for part in cl.parts)))
-        assert all(type(v) is int for (lo, hi), n in runs for v in (lo, hi, n))
-        assert all(lo < hi and n != 0 for (lo, hi), n in runs)
-        assert all(hi <= next_lo for ((_, hi), _), ((next_lo, _), _) in zip(runs, runs[1:]))
-        assert profile == tuple((i, n) for (lo, hi), n in runs for i in range(lo, hi))
-    copy = pickle.loads(pickle.dumps(profile))
-    assert (type(copy), copy, copy.runs) == (RunRows, profile, runs)
+        assert type(profile) is tuple and all(type(entry) is tuple for entry in profile)
+        assert all(type(v) is int for entry in profile for v in entry)
+        assert all(lo < hi and n != 0 for lo, hi, n in profile)
+        for (_, hi, n), (next_lo, _, next_n) in zip(profile, profile[1:]):
+            assert hi < next_lo or (hi == next_lo and n != next_n)
+        parts = sorted((lo, hi, n) for part in cl.parts for (lo, hi), n in part.entries)
+        assert profile_rows(profile) == profile_rows(parts)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PAIRS))
+def test_class_keys_are_distinct(name):
+    # sample counts each class's draws by its key: two classes of one key
+    # would count the same draws twice
+    keys = [cl.key for cl in enumerate_outcome_classes(pinned_plan(name))]
+    assert len(set(keys)) == len(keys)
 
 
 def groups_from_indices(own, other):

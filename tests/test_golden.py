@@ -11,7 +11,9 @@ its decisions first, then its assignments piece by piece
 does a change to the piece size, for a block that spans more than one
 piece.  A MINI block of up to 1,000 draws is one piece; a ``t=10`` piece of
 shuffled rows holds three draws, so the pinned ``t=10`` files span two
-pieces.  The reports depend only on the decisions.
+pieces.  The reports depend only on the decisions; their digests were
+re-pinned when slot profiles became ``[lo, hi, count]`` run entries, and
+``ROW_FORM_GOLDEN`` keeps the digests of the per-facility rows before.
 The non-sampling commands are pinned by exit code, stdout and ``-o`` bytes
 together; their digests were recorded before dense vectors
 became classed vectors with singleton classes.  Commands run in a temporary
@@ -28,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from cflgap import cli
+from cflgap.io import document_bytes
 
 MINI_GEN = ["gen", "--general", "--nf", "6", "--t", "2", "--U", "4", "--m", "13",
             "--eps", "2/5", "--xl", "1/8"]
@@ -35,13 +38,13 @@ T10_GEN = ["gen", "--family", "--t", "10", "--a", "2"]
 
 GOLDEN = {
     "mini-n300":
-        "6764385b86d0f60b37ece9933bc9445805899c6d8aa8b1a669960f87f54128a1",
+        "fb4d151fe7cf1f1007b614202be7c0b39c415e3ce64b89c36af8370b64184c52",
     "mini-n60-solutions-report":
-        "93ae367e5480cbcbfe2848087bf4e441d00adef1c3787b515a5e34f3dbc6c4f8",
+        "d1d433dc0377909a55b5ac29aa99f6c508ebdcb7e3c66d8b2c1dc640b9ee38d3",
     "mini-n60-solutions-files":
         "aa3d56e1703ad727f0144a92f065f39b9aafdaa278304bf1cf75f797e04bde18",
     "t10-n40":
-        "12420ddea7e63a9ec71c859995c4ecaff7df6b4e66d92c131dab49e52a919e1c",
+        "d838c959a0e3c200f542cb83dd9ad1201cc06d96d485eaed49292ffdef768dd1",
     "t10-n4-solutions-files":
         "9b238f1ce1faf54b8284e1d2379ef3b3ca68eb78851d59759b949a77179a3941",
 }
@@ -98,6 +101,41 @@ def test_sample_bytes_match_golden(digests, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = digests(tmp_path)
     assert got == {name: GOLDEN[name] for name in got}
+
+
+# The three sample reports' digests from when each class's slot_profile was
+# written as per-facility [facility, count] rows, not as [lo, hi, count]
+# run entries: the entries expanded back to rows give those bytes again.
+ROW_FORM_GOLDEN = {
+    "mini-n300":
+        "6764385b86d0f60b37ece9933bc9445805899c6d8aa8b1a669960f87f54128a1",
+    "mini-n60-solutions-report":
+        "93ae367e5480cbcbfe2848087bf4e441d00adef1c3787b515a5e34f3dbc6c4f8",
+    "t10-n40":
+        "12420ddea7e63a9ec71c859995c4ecaff7df6b4e66d92c131dab49e52a919e1c",
+}
+
+
+def test_sample_reports_expand_to_their_row_form_bytes(tmp_path, monkeypatch):
+    reports = {}
+    for digests, names in (
+        (mini_digests, {"mini-n300": "s1.json", "mini-n60-solutions-report": "sols.json"}),
+        (t10_digests, {"t10-n40": "s.json"}),
+    ):
+        work = tmp_path / digests.__name__
+        work.mkdir()
+        monkeypatch.chdir(work)
+        digests(work)
+        reports.update((name, work / report) for name, report in names.items())
+    got = {}
+    for name, report in reports.items():
+        doc = json.loads(report.read_text())
+        for cl in doc["classes"]:
+            cl["slot_profile"] = [
+                [i, n] for lo, hi, n in cl["slot_profile"] for i in range(lo, hi)
+            ]
+        got[name] = hashlib.sha256(document_bytes(doc)).hexdigest()
+    assert got == ROW_FORM_GOLDEN
 
 
 def test_sample_report_does_not_depend_on_the_chunk_budget(tmp_path, monkeypatch):

@@ -68,7 +68,7 @@ from cflgap.rounding import (
 )
 from cflgap.polytope import brute_force_opt
 from conftest import (MINI, TINY, block_draws, exact_distribution, outside_ids,
-                      reference_open_set, run_ids)
+                      reference_open_set, run_ids, run_length)
 
 DRAWS = 25
 
@@ -131,7 +131,8 @@ def test_enumeration_and_sampler_agree(case, seed):
     # the class average is the midpoint whenever every class assigns each
     # client once, over-capacity classes included; a class whose branch
     # counts overfill a pool holds no assignment to average
-    if all(sum(n for _, n in cl.slot_profile) == plan.inst.client_count for cl in classes):
+    if all(sum(n * (hi - lo) for lo, hi, n in cl.slot_profile) == plan.inst.client_count
+           for cl in classes):
         mid = midpoint(
             make_core_vector(plan.inst, c1.k, c1.l), make_core_vector(plan.inst, c2.k, c2.l)
         )
@@ -176,7 +177,7 @@ def test_run_split_matches_reference_split(lengths, total, capacity):
     assume(ids or not total)
     part = _split_part(total, tuple(bins), capacity)
     expected = {fac: cnt for fac, cnt in reference_split(total, ids).items() if cnt}
-    profile = [row for rows in part.rows for row in rows]  # each entry's rows, in order
+    profile = [(fac, n) for (lo, hi), n in part.entries for fac in range(lo, hi)]  # in order
     assert dict(profile) == expected and [fac for fac, _ in profile] == sorted(expected)
     assert part.served == sum(expected.values()) == total
     over = [(fac, n) for (lo, hi), n in part.over for fac in range(lo, hi)]
@@ -225,7 +226,7 @@ def reference_class(inst, exp, chosen, slots1, extra_open, slots2, probability):
     closed = sorted(set(profile) - open_set)
     if closed:
         problems.append(f"closed facilities {closed} serve clients")
-    key = (exp.label, chosen, extra_open, tuple(sorted(profile.items())))
+    key = (exp.label, chosen, extra_open, run_length(sorted(profile.items())))
     return key, probability, open_set, tuple(problems)
 
 
@@ -296,7 +297,8 @@ def reference_expectation(plan):
     x = [[Fraction(0)] * m for _ in range(n_f)]
     by_label = {exp.label: exp for exp in plan.experiments}
     for (label, chosen, _, profile), probability, open_set, _ in reference_classes(plan):
-        exp, counts = by_label[label], dict(profile)
+        exp = by_label[label]
+        counts = {fac: n for lo, hi, n in profile for fac in range(lo, hi)}
         pools = (inst.designated_clients, inst.rest_clients)
         groups = [((chosen,), pools[0]), (exp.always_open, pools[0]),
                   ((exp.pivot_extra,), pools[1]), (outside_ids(inst, exp), pools[1])]

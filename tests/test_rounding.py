@@ -34,7 +34,7 @@ from cflgap.rounding import (
 )
 from cflgap.rounding import _FloorCoin, _Part
 from conftest import (block_draws, exact_distribution, one_row_chunk, outside_ids,
-                      pool_order_draws, run_ids, shuffled_chunks, spoil_rows)
+                      pool_order_draws, run_ids, run_length, shuffled_chunks, spoil_rows)
 
 
 def mini_pair(mini):
@@ -571,9 +571,11 @@ class TestOutcomeClasses:
     def test_all_feasible_and_cover_clients_mini(self, mini):
         for cl in enumerate_outcome_classes(compile_plan(mini, *mini_pair(mini))):
             assert cl.feasible
-            assert sum(cnt for _, cnt in cl.slot_profile) == 13
-            assert all(cnt <= 4 for _, cnt in cl.slot_profile)
-            assert {fac for fac, _ in cl.slot_profile} <= run_ids(cl.open_facilities)
+            assert sum(cnt * (hi - lo) for lo, hi, cnt in cl.slot_profile) == 13
+            assert all(cnt <= 4 for _, _, cnt in cl.slot_profile)
+            assert {fac for lo, hi, _ in cl.slot_profile for fac in range(lo, hi)} <= run_ids(
+                cl.open_facilities
+            )
 
     def test_t10_extra_always_open(self, family10):
         # t*eps = 1: the closed-pivot branch has probability 0 and is pruned
@@ -837,7 +839,7 @@ def reference_key(plan, draw):
             if cnt:
                 profile[fac] = cnt
     return (draw.experiment, draw.chosen_l_facility, draw.extra_open,
-            tuple(sorted(profile.items())))
+            run_length(sorted(profile.items())))
 
 
 def spoiled_chunks(plan, seed, n, spoil_every=0, shuffled=True):
