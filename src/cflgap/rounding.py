@@ -10,11 +10,15 @@ leftover clients are spread in near-even splits.
 
 :func:`compile_plan` validates the instance and the pair once and compiles
 the distribution into a :class:`RoundingPlan`: the pivots, both experiments'
-facility roles (the outside facilities as ``corevec.Runs``), their groups of
-exchangeable low-set facilities and the client pools as ranges.  The plan
-stores the distribution only in compiled form: the low-set choice as integer
-thresholds over one denominator, and every slot target and the borrowed
-pivot's opening as a floor/ceil coin.  Two views read the same plan:
+facility roles (the high set and the outside facilities as ``corevec.Runs``),
+their groups of exchangeable low-set facilities and the client pools as
+ranges.  Each branch opens all facilities but at most t + 1, and its open
+set is built once, as runs (:meth:`_Experiment.open_runs`), for every
+reader: the enumerator's classes, the sampler's chunks and the tally's
+limit table.  The plan stores the distribution only in compiled form: the
+low-set choice as integer thresholds over one denominator, and every slot
+target and the borrowed pivot's opening as a floor/ceil coin.  Two views
+read the same plan:
 
 * :func:`sample_block` draws a block of integer solutions
   (seed-deterministic) as :class:`DrawChunk` arrays.  Every decision of the
@@ -26,7 +30,8 @@ pivot's opening as a floor/ceil coin.  Two views read the same plan:
   loads.  Only a reader of per-client assignments expands a chunk
   (:meth:`DrawChunk.draws`): pieces of rows, one ``np.repeat`` of their
   facility counts, then each client pool's segment of every row shuffled
-  in place.  :func:`sample_outcome` is its one-row case, and
+  in place, and each distinct open set listed id by id once per chunk.
+  :func:`sample_outcome` is its one-row case, and
 * :func:`enumerate_grouped_classes` lists every branch of the same
   thresholds and coins with its exact probability, an integer weight over
   the plan's one denominator (:attr:`RoundingPlan.denominator`),
@@ -64,7 +69,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, groupby, starmap
 from math import lcm
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -202,6 +207,11 @@ def _has_unknown_id(open_set: frozenset[int], facility_count: int) -> bool:
     return bool(open_set) and not (0 <= min(open_set) and max(open_set) < facility_count)
 
 
+def _run_ids(runs: Runs) -> Iterator[int]:
+    """The ids of ``(lo, hi)`` runs, run by run."""
+    return chain.from_iterable(starmap(range, runs))
+
+
 # ---------------------------------------------------------------------------
 # Pivots and elementary rounding operations
 # ---------------------------------------------------------------------------
@@ -310,9 +320,8 @@ def split_slots(
 @dataclass(frozen=True, eq=False)
 class _Experiment:
     label: str
-    # facility groups hold their ids in ascending order
-    always_open: tuple[int, ...]   # the owning high set, opened in step 1
-    choice_set: tuple[int, ...]    # the owning low set; exactly one opens
+    high: Runs                     # the owning high set, opened in step 1
+    choice_set: tuple[int, ...]    # the owning low set, ascending; exactly one opens
     pivot_extra: int               # borrowed facility, opened on extra_coin
     outside: Runs                  # remaining facilities, always opened in step 2
     # choice_set[i] opens on a draw below choice_denominator in
@@ -326,20 +335,17 @@ class _Experiment:
     choice_groups: tuple[tuple[int, ...], ...]
     extra_coin: _FloorCoin   # reads 1 (probability t*eps) when pivot_extra opens
     extra_slots: _FloorCoin  # pivot_extra's slot target when it opens
-    # the same facilities as runs: the high set, each choice group, and the
-    # open set of a branch before its chosen facility and the borrowed pivot
-    # are added (the high set and the outside bins)
-    high_runs: Runs
-    group_runs: dict[tuple[int, ...], Runs]
+    # the open set of a branch before its chosen facility and the borrowed
+    # pivot are added: the high set and the outside bins
     base_open: Runs
 
-    def closed(self, chosen: int, extra_open: bool) -> list[int]:
-        """A branch's closed facilities: the unchosen low-set ones and, unless
-        it opens, the borrowed pivot."""
-        closed = [i for i in self.choice_set if i != chosen]
-        if not extra_open:
-            closed.append(self.pivot_extra)
-        return closed
+    def open_runs(self, chosen: int, extra_open: bool) -> Runs:
+        """A branch's open set: ``base_open``, the chosen low facility and,
+        when it opens, the borrowed pivot."""
+        added = ((chosen, chosen + 1),)
+        if extra_open:
+            added += ((self.pivot_extra, self.pivot_extra + 1),)
+        return _runs(self.base_open + added)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,8 +354,8 @@ class RoundingPlan:
 
     Built by :func:`compile_plan`; experiment ``A`` is owned by the pair's
     first index, ``B`` by its second.  The block sampler reads the plan as
-    :class:`_BlockTables`, built on its first draw; only those tables list
-    facility ids one by one.
+    :class:`_BlockTables`, built on its first draw; only their ``layout``
+    lists facility ids one by one.
     """
 
     inst: Instance
@@ -402,10 +408,11 @@ class _BlockTables:
     a draw's counts fill the clients, and its class key reads their loads:
     the chosen low facility (column 0, a placeholder filled per draw), the
     high set (designated pool), then the borrowed pivot and the outside
-    bins (rest pool).  ``open_sets`` holds
-    every open set by the code ``(e * len(choice_set) + choice) * 2 +
-    extra_open``.  An instance of more than ``FACILITY_LIMIT`` facilities
-    is refused with a ValueError before any table is built.
+    bins (rest pool).  ``open_sets`` holds every branch's open set as runs
+    (:meth:`_Experiment.open_runs`), by the code ``(e * len(choice_set) +
+    choice) * 2 + extra_open``; only ``layout`` lists facility ids.  An
+    instance of more than ``FACILITY_LIMIT`` facilities is refused with a
+    ValueError before any table is built.
     """
 
     choice_den: np.ndarray              # (2,) low-set choice denominators
@@ -417,7 +424,7 @@ class _BlockTables:
     coin_den: np.ndarray
     layout: np.ndarray                  # (2, 2 + n_high + n_out) facility ids
     n_high: int
-    open_sets: tuple[frozenset[int], ...]
+    open_sets: tuple[Runs, ...]
 
     @classmethod
     def of(cls, inst: Instance, experiments: Sequence[_Experiment]) -> "_BlockTables":
@@ -427,7 +434,6 @@ class _BlockTables:
             for coin in (*exp.choice_slots, exp.extra_coin, exp.extra_slots)
         ]
         coin_den = _int_array([coin.den for coin in coins])
-        everyone = frozenset(range(inst.facility_count))
         return cls(
             choice_den=_int_array([exp.choice_denominator for exp in experiments]),
             thresholds=tuple(_int_array(exp.choice_thresholds) for exp in experiments),
@@ -437,14 +443,13 @@ class _BlockTables:
             coin_num=np.array([coin.num for coin in coins], dtype=coin_den.dtype),
             coin_den=coin_den,
             layout=np.array(
-                [(-1, *exp.always_open, exp.pivot_extra,
-                  *chain.from_iterable(range(lo, hi) for lo, hi in exp.outside))
+                [(-1, *_run_ids(exp.high), exp.pivot_extra, *_run_ids(exp.outside))
                  for exp in experiments],
                 dtype=np.int64,
             ),
-            n_high=len(experiments[0].always_open),
+            n_high=_size(experiments[0].high),
             open_sets=tuple(
-                everyone.difference(exp.closed(chosen, extra_open))
+                exp.open_runs(chosen, extra_open)
                 for exp in experiments
                 for chosen in exp.choice_set
                 for extra_open in (False, True)
@@ -495,13 +500,12 @@ def _experiment_specs(
             tuple(sorted(own.l & other.l)),
             tuple(sorted(own.l - other.k - other.l - {pivot})),
         )))
-        always_open = tuple(sorted(own.k))
-        high = _sorted_runs(always_open)
+        high = _sorted_runs(sorted(own.k))
         outside = _gaps(_runs(high + _sorted_runs(choice_set) + ((borrowed, borrowed + 1),)),
                         inst.facility_count)
         return _Experiment(
             label=label,
-            always_open=always_open,
+            high=high,
             choice_set=choice_set,
             pivot_extra=borrowed,
             outside=outside,
@@ -511,8 +515,6 @@ def _experiment_specs(
             choice_groups=groups,
             extra_coin=extra_coin,
             extra_slots=extra_slots,
-            high_runs=high,
-            group_runs={group: _sorted_runs(group) for group in groups},
             base_open=_runs(high + outside),
         )
 
@@ -552,13 +554,14 @@ class DrawChunk:
 
     Row ``r`` has the branch ``branches[r]`` (experiment index, chosen low
     facility, ``extra_open`` as 0 or 1), the open set
-    ``open_sets[open_of[r]]`` and its clients: facility ``facilities[r, e]``
-    serves ``counts[r, e]`` clients, in pool order.
+    ``open_sets[open_of[r]]``, held as sorted ``(lo, hi)`` runs, and its
+    clients: facility ``facilities[r, e]`` serves ``counts[r, e]`` clients,
+    in pool order.
     """
 
     branches: np.ndarray
     open_of: np.ndarray
-    open_sets: tuple[frozenset[int], ...]
+    open_sets: tuple[Runs, ...]
     facilities: np.ndarray
     counts: np.ndarray
 
@@ -578,10 +581,12 @@ class DrawChunk:
         ``rng`` is the block's stream, its chunks expanded in draw order.
         Each piece of :func:`_piece_rows` rows is one ``np.repeat`` of its
         facilities by their counts, then each pool's segment of every row
-        shuffled in place.  Assignments are read-only.
+        shuffled in place.  Assignments are read-only.  Each distinct open
+        set of the chunk is listed id by id once.
         """
         inst, n_rows = plan.inst, len(self)
         n_core, piece = len(inst.designated_clients), _piece_rows(inst)
+        opened: dict[int, frozenset[int]] = {}  # per open code
         for lo in range(0, n_rows, piece):
             hi = min(n_rows, lo + piece)
             assign = np.repeat(self.facilities[lo:hi].ravel(), self.counts[lo:hi].ravel())
@@ -589,8 +594,12 @@ class DrawChunk:
             rng.shuffle_rows(assign[:, :n_core])
             rng.shuffle_rows(assign[:, n_core:])
             assign.setflags(write=False)
-            for r, (exp_index, chosen, extra_open) in enumerate(self.branches[lo:hi].tolist()):
-                solution = IntSolution(self.open_sets[self.open_of[lo + r]], assign[r])
+            rows = zip(self.branches[lo:hi].tolist(), self.open_of[lo:hi].tolist())
+            for r, ((exp_index, chosen, extra_open), code) in enumerate(rows):
+                open_set = opened.get(code)
+                if open_set is None:
+                    open_set = opened[code] = frozenset(_run_ids(self.open_sets[code]))
+                solution = IntSolution(open_set, assign[r])
                 label = plan.experiments[exp_index].label
                 yield SampleDraw(solution, label, chosen, bool(extra_open))
 
@@ -873,7 +882,7 @@ def _group_branches(
                     problems1: tuple[str, ...] = ()
                     high = _NO_PART
                     if rem1 >= 0:
-                        high = _split_part(rem1, exp.high_runs, capacity)
+                        high = _split_part(rem1, exp.high, capacity)
                     else:
                         problems1 = (
                             f"{slots1} step-1 slots overfill the designated pool "
@@ -908,10 +917,7 @@ def _group_classes(
             low = lows[slots1] = _split_part(slots1, ((chosen, chosen + 1),), capacity)
         open_set = open_sets.get(extra_open)
         if open_set is None:
-            added = ((chosen, chosen + 1),)
-            if extra_open:
-                added += ((exp.pivot_extra, exp.pivot_extra + 1),)
-            open_set = open_sets[extra_open] = _runs(exp.base_open + added)
+            open_set = open_sets[extra_open] = exp.open_runs(chosen, extra_open)
         over = low.over + over
         if over:
             problems += tuple(
@@ -1024,22 +1030,17 @@ def _class_counts(plan: RoundingPlan, branches: np.ndarray, loads: np.ndarray) -
 _LOAD_TABLE_BYTES = 1 << 23
 
 
-def _open_limits(inst: Instance, open_sets: Sequence[frozenset[int]]) -> np.ndarray:
-    """Per open set, the capacity on its members and 0 elsewhere; -1
-    everywhere when it names an unknown facility id, so no row fits it."""
+def _open_limits(inst: Instance, open_sets: Sequence[Runs]) -> np.ndarray:
+    """Per open set, the capacity on its runs and 0 elsewhere; -1
+    everywhere when a run leaves ``[0, n_f)``, so no row fits it."""
     n_f = inst.facility_count
-    sizes = [len(open_set) for open_set in open_sets]
-    try:
-        members = np.fromiter(chain.from_iterable(open_sets), np.int64, sum(sizes))
-    except OverflowError:  # an id beyond int64 is unknown; clamping keeps it so
-        members = np.fromiter(
-            (min(max(i, -1), n_f) for i in chain.from_iterable(open_sets)), np.int64, sum(sizes)
-        )
-    rows = np.repeat(np.arange(len(open_sets)), sizes)
-    unknown = (members < 0) | (members >= n_f)
     limits = np.zeros((len(open_sets), n_f), dtype=np.int64)
-    limits[rows[~unknown], members[~unknown]] = inst.capacity
-    limits[rows[unknown]] = -1
+    for limit, runs in zip(limits, open_sets):
+        if any(lo < 0 or hi > n_f for lo, hi in runs):
+            limit[:] = -1
+            continue
+        for lo, hi in runs:
+            limit[lo:hi] = inst.capacity
     return limits
 
 
@@ -1063,15 +1064,15 @@ def tally_draws(
     """
     inst = plan.inst
     key_rows = max(1, _LOAD_TABLE_BYTES // (8 * inst.facility_count))
-    limits: dict[tuple[frozenset[int], ...], np.ndarray] = {}
+    limits: dict[tuple[Runs, ...], np.ndarray] = {}
     feasible, freq, examples = 0, Counter(), []
     held: list[tuple[np.ndarray, np.ndarray]] = []  # branches and loads not yet keyed
     held_rows = position = 0
 
     def key_held() -> None:
         branches, loads = (np.concatenate(part) for part in zip(*held))
+        held.clear()  # the concatenation copied them: keying holds only the copy
         freq.update(_class_counts(plan, branches, loads))
-        held.clear()
 
     for chunk in chunks:
         rows, open_sets, open_of = len(chunk), chunk.open_sets, chunk.open_of
@@ -1081,7 +1082,7 @@ def tally_draws(
             limit = limits[open_sets] = _open_limits(inst, open_sets)
         bad = ~counted | (loads > limit[open_of]).any(axis=1)
         for row in np.flatnonzero(bad)[: max_examples - len(examples)].tolist():
-            sol = IntSolution(open_sets[open_of[row]], chunk.row(row))
+            sol = IntSolution(frozenset(_run_ids(open_sets[open_of[row]])), chunk.row(row))
             examples.append((position + row, solution_violations(inst, sol)))
         feasible += rows - int(bad.sum())
         position += rows
@@ -1128,37 +1129,23 @@ def _expectation(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> _Expect
     must be the plan's; a class of another denominator is a ValueError.
     """
     inst, den = plan.inst, plan.denominator
-    # per (experiment, chosen group, open set): the weight of its classes and
-    # the weighted clients served by the chosen group, the high set, the
-    # borrowed pivot and the outside bins
-    cells: dict[tuple[str, tuple[int, ...], Runs], list[int]] = {}
-    for cl in classes:
-        if cl.denominator != den:
-            raise ValueError("outcome classes of another plan")
-        weight = cl.weight
-        low, high, pivot, rest = cl.parts
-        key = (cl.experiment, cl.members, cl.open_facilities)
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = [0, 0, 0, 0, 0]
-        cell[0] += weight
-        cell[1] += weight * low.served
-        cell[2] += weight * high.served
-        cell[3] += weight * pivot.served
-        cell[4] += weight * rest.served
     # per experiment, the weight and the weighted clients of its high set,
     # borrowed pivot and outside bins; per chosen group, its weighted
     # clients; per open set, its weight
     served = {exp.label: [0, 0, 0, 0] for exp in plan.experiments}
     chosen: dict[tuple[str, tuple[int, ...]], int] = {}
     opened: dict[str, dict[Runs, int]] = {label: {} for label in served}
-    for (label, members, open_set), (weight, low, high, pivot, rest) in cells.items():
+    for cl in classes:
+        if cl.denominator != den:
+            raise ValueError("outcome classes of another plan")
+        weight, label, open_set = cl.weight, cl.experiment, cl.open_facilities
+        low, high, pivot, rest = cl.parts
         totals = served[label]
         totals[0] += weight
-        totals[1] += high
-        totals[2] += pivot
-        totals[3] += rest
-        chosen[label, members] = chosen.get((label, members), 0) + low
+        totals[1] += weight * high.served
+        totals[2] += weight * pivot.served
+        totals[3] += weight * rest.served
+        chosen[label, cl.members] = chosen.get((label, cl.members), 0) + weight * low.served
         weights = opened[label]
         weights[open_set] = weights.get(open_set, 0) + weight
 
@@ -1171,13 +1158,13 @@ def _expectation(plan: RoundingPlan, classes: Sequence[OutcomeClass]) -> _Expect
     for exp in plan.experiments:
         weight, high, pivot, rest = served[exp.label]
         groups = [
-            (exp.high_runs, len(exp.always_open), high, 0),
+            (exp.high, _size(exp.high), high, 0),
             (((exp.pivot_extra, exp.pivot_extra + 1),), 1, 0, pivot),
             (exp.outside, _size(exp.outside), 0, rest),
         ]
         members_chosen = [(members, clients) for (label, members), clients in chosen.items()
                           if label == exp.label]
-        groups += [(exp.group_runs.get(members) or _runs(members), len(members), clients, 0)
+        groups += [(_sorted_runs(members), len(members), clients, 0)
                    for members, clients in members_chosen]
         unchosen = set(exp.choice_set).difference(
             chain.from_iterable(members for members, _ in members_chosen))

@@ -126,7 +126,7 @@ def exact_distribution(plan):
 def outside_ids(inst, exp):
     """The facilities of none of an experiment's index sets (its high set,
     low set and borrowed pivot), ascending, by set arithmetic over the ids."""
-    named = set(exp.always_open) | set(exp.choice_set) | {exp.pivot_extra}
+    named = run_ids(exp.high) | set(exp.choice_set) | {exp.pivot_extra}
     return [i for i in range(inst.facility_count) if i not in named]
 
 
@@ -134,7 +134,7 @@ def reference_open_set(inst, exp, chosen, extra_open):
     """The open set of a branch: the high set, the outside facilities, the
     chosen low facility and, when it opens, the borrowed pivot."""
     opened = {chosen, exp.pivot_extra} if extra_open else {chosen}
-    return frozenset(exp.always_open) | frozenset(outside_ids(inst, exp)) | opened
+    return run_ids(exp.high) | frozenset(outside_ids(inst, exp)) | opened
 
 
 def run_ids(runs):
@@ -174,7 +174,7 @@ def pool_order_draw(plan, chunk, row):
 
     exp_index, chosen, extra_open = chunk.branches[row].tolist()
     return SampleDraw(
-        solution=IntSolution(chunk.open_sets[chunk.open_of[row]], chunk.row(row)),
+        solution=IntSolution(run_ids(chunk.open_sets[chunk.open_of[row]]), chunk.row(row)),
         experiment=plan.experiments[exp_index].label,
         chosen_l_facility=chosen,
         extra_open=bool(extra_open),
@@ -183,14 +183,15 @@ def pool_order_draw(plan, chunk, row):
 
 def one_row_chunk(plan, draw):
     """A SampleDraw as a chunk of one run-form row: each client's facility
-    with a count of one."""
+    with a count of one, and its open set as runs."""
+    from cflgap.corevec import _runs
     from cflgap.rounding import DrawChunk, _branch_row
 
     assign = draw.solution.assign
     return DrawChunk(
         branches=np.array([_branch_row(plan, draw)]),
         open_of=np.zeros(1, dtype=np.int64),
-        open_sets=(draw.solution.open,),
+        open_sets=(_runs(draw.solution.open),),
         facilities=assign[None],
         counts=np.ones((1, len(assign)), dtype=np.int64),
     )

@@ -27,7 +27,7 @@ from cflgap.rounding import (
     expected_vector,
     verify_midpoint,
 )
-from conftest import CENSUS_SHAPES, MINI, exact_distribution, find_valid_general
+from conftest import CENSUS_SHAPES, MINI, exact_distribution, find_valid_general, run_ids
 
 # Valid parameters whose rounding overfills capacity on some branches: the
 # certificate of {0,1}/{2,3} against {0,1}/{4,5} is honestly invalid.
@@ -86,7 +86,7 @@ def reference_expectation(inst, c1, c2, classes):
             p = cl.probability / len(cl.members)
             for i in open_ids - {cl.chosen_l_facility} | {member}:
                 y[i] += p
-            for part, bins, pool in ((low, [member], 0), (high, exp.always_open, 0),
+            for part, bins, pool in ((low, [member], 0), (high, sorted(run_ids(exp.high)), 0),
                                      (pivot, [exp.pivot_extra], 1), (rest, outside, 1)):
                 for i in bins if part.served else ():
                     x[i][pool] += p * Fraction(part.served, len(bins) * len(pools[pool]))

@@ -196,9 +196,8 @@ def reference_class(inst, exp, chosen, slots1, extra_open, slots2, probability):
     rem1 = n_core - slots1
     rem2 = m_rest - (slots2 if extra_open else 0)
     if rem1 >= 0:
-        profile.update(
-            (fac, cnt) for fac, cnt in reference_split(rem1, exp.always_open).items() if cnt
-        )
+        high = sorted(run_ids(exp.high))
+        profile.update((fac, cnt) for fac, cnt in reference_split(rem1, high).items() if cnt)
     else:
         problems.append(
             f"{slots1} step-1 slots overfill the designated pool (size {n_core})"
@@ -300,7 +299,7 @@ def reference_expectation(plan):
         exp = by_label[label]
         counts = {fac: n for lo, hi, n in profile for fac in range(lo, hi)}
         pools = (inst.designated_clients, inst.rest_clients)
-        groups = [((chosen,), pools[0]), (exp.always_open, pools[0]),
+        groups = [((chosen,), pools[0]), (run_ids(exp.high), pools[0]),
                   ((exp.pivot_extra,), pools[1]), (outside_ids(inst, exp), pools[1])]
         for i in range(n_f):
             if i in open_set:

@@ -34,7 +34,8 @@ from cflgap.rounding import (
 )
 from cflgap.rounding import _FloorCoin, _Part
 from conftest import (block_draws, exact_distribution, one_row_chunk, outside_ids,
-                      pool_order_draws, run_ids, run_length, shuffled_chunks, spoil_rows)
+                      pool_order_draws, reference_open_set, run_ids, run_length,
+                      shuffled_chunks, spoil_rows)
 
 
 def mini_pair(mini):
@@ -371,6 +372,30 @@ class TestBlockSampler:
             pf = float(p)
             sigma = (pf * (1 - pf) / n) ** 0.5
             assert abs(block_keys[key] / n - pf) <= 4 * sigma, key
+
+    @pytest.mark.parametrize(
+        "fixture, pair", [("mini", mini_pair), ("family10", t10_pair)], ids=["mini", "t10"]
+    )
+    def test_open_sets_are_the_branches_open_sets(self, fixture, pair, request):
+        # each open code's runs list the branch's open set, by set arithmetic
+        # over the ids, and are the enumerator's open set for that branch
+        # (a branch of probability zero, the closed pivot when t*eps = 1 as
+        # at t=10, has no class)
+        inst = request.getfixturevalue(fixture)
+        plan = compile_plan(inst, *pair(inst))
+        enumerated = {(cl.experiment, cl.chosen_l_facility, cl.extra_open): cl.open_facilities
+                      for cl in enumerate_outcome_classes(plan)}
+        open_sets = plan._tables.open_sets
+        branches = []
+        for e, exp in enumerate(plan.experiments):
+            for choice, chosen in enumerate(exp.choice_set):
+                for extra_open in (False, True):
+                    runs = open_sets[(e * len(exp.choice_set) + choice) * 2 + extra_open]
+                    assert run_ids(runs) == reference_open_set(inst, exp, chosen, extra_open)
+                    branch = (exp.label, chosen, extra_open)
+                    assert runs == enumerated.get(branch, runs)
+                    branches.append(branch)
+        assert len(open_sets) == len(branches) and set(enumerated) <= set(branches)
 
     def test_chunks_hold_a_bounded_number_of_rows(self, family10, mini, monkeypatch):
         # a run-form chunk holds 512 KB of loads (648 rows of 101 at t=10), a
@@ -833,7 +858,7 @@ def reference_key(plan, draw):
     for fac in (draw.chosen_l_facility, exp.pivot_extra):
         if counts[fac]:
             profile[fac] = counts[fac]
-    for group in (exp.always_open, outside_ids(plan.inst, exp)):
+    for group in (run_ids(exp.high), outside_ids(plan.inst, exp)):
         group_counts = sorted((counts[fac] for fac in group), reverse=True)
         for fac, cnt in zip(sorted(group), group_counts):
             if cnt:
@@ -890,7 +915,8 @@ def spoiled_runs(plan, seed, n, spoil_every):
             if kind == 0:
                 ids[spoil.choice(nonzero)] = spoil.choice(unknown)
             elif kind == 1:
-                closed = sorted(set(range(n_f)) - chunk.open_sets[chunk.open_of[r - position]])
+                open_set = run_ids(chunk.open_sets[chunk.open_of[r - position]])
+                closed = sorted(set(range(n_f)) - open_set)
                 ids[spoil.choice(nonzero)] = spoil.choice(closed)
             elif kind == 2:
                 top = row.argmax()
@@ -976,6 +1002,19 @@ class TestDrawTally:
         tally = rounding.tally_draws(plan, iter(chunks), 40)
         assert tally == expected_tally(plan, draws, 40)
         assert 0 < tally[0] < len(draws) and len(tally[2]) == 40
+
+    @pytest.mark.parametrize("unknown", [-1, "n_f", 2**70])
+    def test_open_set_with_an_unknown_id_tallies_as_infeasible(self, mini, unknown):
+        # the row's loads fit its open set, but no row fits an open set with
+        # an id outside [0, n_f); the row is still keyed
+        plan = compile_plan(mini, *mini_pair(mini))
+        draw = sample_outcome(plan, ExactRng(3))
+        unknown = mini.facility_count if unknown == "n_f" else unknown
+        solution = IntSolution(draw.solution.open | {unknown}, draw.solution.assign)
+        chunk = one_row_chunk(plan, replace(draw, solution=solution))
+        feasible, freq, examples = rounding.tally_draws(plan, [chunk], 5)
+        assert (feasible, examples) == (0, [(0, ["open set contains unknown facility ids"])])
+        assert freq == Counter([outcome_class_key(plan, draw)])
 
     def test_wide_instance_holds_a_bounded_table(self):
         # `gen --general --nf 20000 --t 2 --U 4 --m 13 --eps 2/5 --xl 1/8`: a
